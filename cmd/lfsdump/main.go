@@ -89,27 +89,18 @@ func dumpCheckpoints(d *disk.Disk, sb *layout.Superblock) {
 	}
 }
 
-// walkSummaries calls fn for each valid summary in the segment's chain.
-func walkSummaries(d *disk.Disk, sb *layout.Superblock, seg int64, fn func(off int64, s *layout.Summary)) {
+// walkSummaries calls fn for each summary in the segment's chain and
+// returns the offset at which the chain ended and why. It reads with Peek,
+// which charges no simulated time.
+func walkSummaries(d *disk.Disk, sb *layout.Superblock, seg int64, fn func(off int64, s *layout.Summary)) (int64, layout.WalkEnd) {
 	segBlocks := int64(sb.SegmentBlocks)
-	start := sb.SegmentBase + seg*segBlocks
-	off := int64(0)
-	for off <= segBlocks-2 {
-		buf, err := d.Peek(start + off)
-		if err != nil {
-			return
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			return
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > segBlocks {
-			return
-		}
-		fn(off, s)
-		off += 1 + n
+	s := layout.NewWalkScratch()
+	w := layout.WalkSegment(d.Peek, sb.SegmentBase+seg*segBlocks, segBlocks, s)
+	for w.Next() {
+		fn(w.Off(), &s.Summary)
 	}
+	end, _ := w.End()
+	return w.Off(), end
 }
 
 func dumpSegmentMap(d *disk.Disk, sb *layout.Superblock) {
@@ -147,9 +138,7 @@ func dumpSegment(d *disk.Disk, sb *layout.Superblock, seg int64, maxEntries int)
 		fatal(fmt.Errorf("segment %d out of range (%d segments)", seg, sb.NumSegments))
 	}
 	fmt.Printf("\nsegment %d summary chain:\n", seg)
-	found := false
-	walkSummaries(d, sb, seg, func(off int64, s *layout.Summary) {
-		found = true
+	endOff, end := walkSummaries(d, sb, seg, func(off int64, s *layout.Summary) {
 		fmt.Printf("  offset %3d: write seq %d, time %d, next seg %d, %d blocks, youngest age %d\n",
 			off, s.WriteSeq, s.Timestamp, s.NextSeg, len(s.Entries), s.YoungestAge)
 		for i, e := range s.Entries {
@@ -166,7 +155,8 @@ func dumpSegment(d *disk.Disk, sb *layout.Superblock, seg int64, maxEntries int)
 			}
 		}
 	})
-	if !found {
+	if endOff == 0 {
 		fmt.Println("  (no valid summaries; segment is clean or was never written)")
 	}
+	fmt.Printf("  chain ends at offset %d: %s\n", endOff, end)
 }

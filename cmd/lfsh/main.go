@@ -30,7 +30,8 @@
 // quarantined by corrupt reads or refused writes, and `stats` includes
 // the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
-// counters.
+// counters. It also says why every summary-chain walk so far stopped
+// (log.walk.end.<reason>): after `crash`, what ended roll-forward.
 package main
 
 import (

@@ -114,11 +114,17 @@ func TestShellStatsAndTrace(t *testing.T) {
 		{"put", "/traced", "event", "stream"},
 		{"sync"},
 		{"trace", "off"},
+		{"crash"},
 		{"stats"},
 	} {
 		if quit := runCmd(img, d, &fs, rng, line); quit {
 			t.Fatalf("command %v quit the shell", line)
 		}
+	}
+	// stats prints the metrics snapshot; after the crash's roll-forward it
+	// must say why the log walks stopped.
+	if report := fs.Metrics().String(); !strings.Contains(report, "log.walk.end.decode") {
+		t.Fatalf("stats after a crash shows no log.walk.end.decode counter:\n%s", report)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {

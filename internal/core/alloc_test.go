@@ -106,11 +106,11 @@ func TestAllocsCleanerDecodeScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeSum := func() {
-		s := fs.getSummaryScratch()
-		if err := layout.DecodeSummaryInto(sumBuf, s); err != nil {
+		s := fs.getWalkScratch()
+		if err := layout.DecodeSummaryInto(sumBuf, &s.Summary); err != nil {
 			t.Fatal(err)
 		}
-		fs.putSummaryScratch(s)
+		fs.putWalkScratch(s)
 	}
 	decodeSum() // warm: grows the scratch to MaxSummaryEntries once
 	if avg := testing.AllocsPerRun(200, decodeSum); avg != 0 {

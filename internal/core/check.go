@@ -270,43 +270,25 @@ func (fs *FS) VerifyLog() ([]string, error) {
 		return nil, err
 	}
 	var problems []string
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	buf := fs.rpool.Get(int(fs.segBlocks))
+	defer fs.rpool.Put(buf)
 	for seg := int64(0); seg < fs.nsegs; seg++ {
-		start := fs.segStart(seg)
-		off := int64(0)
-		var prevSeq uint64
-		first := true
-		for off <= fs.segBlocks-2 {
-			sumBuf, err := fs.dev.ReadBlock(start + off)
-			if err != nil {
-				return nil, err
-			}
-			s, err := layout.DecodeSummary(sumBuf)
-			if err != nil {
-				break // end of this segment's chain
-			}
-			// Write sequence numbers increase strictly within a
-			// segment's current life; a lower one is a stale summary
-			// from before the segment was cleaned and reused, whose
-			// data region may legitimately be overwritten.
-			if !first && s.WriteSeq <= prevSeq {
-				break
-			}
-			first = false
-			prevSeq = s.WriteSeq
-			n := int64(len(s.Entries))
-			if n == 0 || off+1+n > fs.segBlocks {
-				break
-			}
-			data := make([]byte, n*layout.BlockSize)
-			if err := fs.dev.Read(start+off+1, data); err != nil {
+		w := fs.walkSegment(seg, s)
+		for w.Next() {
+			data := buf[:len(s.Entries)*layout.BlockSize]
+			if err := fs.readRetry(w.DataAddr(), data); err != nil {
 				return nil, err
 			}
 			if got := layout.Checksum(data); got != s.DataChecksum {
 				problems = append(problems,
 					fmt.Sprintf("segment %d offset %d (write seq %d): data checksum %08x, summary says %08x",
-						seg, off, s.WriteSeq, got, s.DataChecksum))
+						seg, w.Off(), s.WriteSeq, got, s.DataChecksum))
 			}
-			off += 1 + n
+		}
+		if _, err := fs.walkEnded(w.End()); err != nil {
+			return nil, err
 		}
 	}
 	return problems, nil

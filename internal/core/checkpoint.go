@@ -41,18 +41,16 @@ func (fs *FS) checkpointLocked() error {
 
 	// Phase 1b: write the dirty inode map blocks and the whole segment
 	// usage table to the log. Their encoders run after placement, so the
-	// usage table captures its own new location.
-	for _, i := range fs.imap.dirtyBlocks() {
-		i := i
+	// usage table captures its own new location (flushPending keeps all
+	// its blocks in one partial write, so each captures the others' too).
+	stageMapBlock := func(kind layout.BlockKind, i int, addrs []int64, encode func(int) ([]byte, error)) {
 		fs.stage(stagedBlock{
-			entry: layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)},
-			age:   fs.now(),
-			encode: func() ([]byte, error) {
-				return fs.imap.encodeBlock(i)
-			},
+			entry:  layout.SummaryEntry{Kind: kind, Inum: uint32(i)},
+			age:    fs.now(),
+			encode: func() ([]byte, error) { return encode(i) },
 			placed: func(addr int64) error {
-				old := fs.imap.blockAddr[i]
-				fs.imap.blockAddr[i] = addr
+				old := addrs[i]
+				addrs[i] = addr
 				if old != layout.NilAddr {
 					return fs.decLive(old)
 				}
@@ -60,23 +58,12 @@ func (fs *FS) checkpointLocked() error {
 			},
 		})
 	}
+	encodeImap, encodeUsage := fs.imap.encodeBlock, fs.usage.encodeBlock
+	for _, i := range fs.imap.dirtyBlocks() {
+		stageMapBlock(layout.KindImap, i, fs.imap.blockAddr, encodeImap)
+	}
 	for i := 0; i < fs.usage.numBlocks(); i++ {
-		i := i
-		fs.stage(stagedBlock{
-			entry: layout.SummaryEntry{Kind: layout.KindSegUsage, Inum: uint32(i)},
-			age:   fs.now(),
-			encode: func() ([]byte, error) {
-				return fs.usage.encodeBlock(i)
-			},
-			placed: func(addr int64) error {
-				old := fs.usage.blockAddr[i]
-				fs.usage.blockAddr[i] = addr
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
-		})
+		stageMapBlock(layout.KindSegUsage, i, fs.usage.blockAddr, encodeUsage)
 	}
 	if err := fs.flushPending(); err != nil {
 		return err

@@ -359,19 +359,19 @@ func (fs *FS) cleanSegment(seg int64) error {
 	return fs.stageLiveCopies(lives)
 }
 
-// getSummaryScratch draws a reusable decoded-summary scratch from the
-// freelist (or allocates one pre-grown to the maximum entry count).
-// putSummaryScratch parks it again with its entries cleared; the entries
-// are copied by value wherever they are retained, so nothing aliases the
+// getWalkScratch draws the reusable memory of a summary-chain walk from
+// the freelist (or allocates one pre-grown to the maximum entry count).
+// putWalkScratch parks it again with its entries cleared; the entries are
+// copied by value wherever they are retained, so nothing aliases the
 // scratch after Put.
-func (fs *FS) getSummaryScratch() *layout.Summary {
+func (fs *FS) getWalkScratch() *layout.WalkScratch {
 	if s, ok := fs.sumFree.Get(); ok {
 		return s
 	}
-	return &layout.Summary{Entries: make([]layout.SummaryEntry, 0, layout.MaxSummaryEntries)}
+	return layout.NewWalkScratch()
 }
 
-func (fs *FS) putSummaryScratch(s *layout.Summary) {
+func (fs *FS) putWalkScratch(s *layout.WalkScratch) {
 	s.Entries = s.Entries[:0]
 	fs.sumFree.Put(s)
 }
@@ -420,30 +420,23 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 	fs.tr.Add(obs.CtrCleanerReadBytes, fs.segBytes)
 
 	var lives []liveCopy
-	s := fs.getSummaryScratch()
-	defer fs.putSummaryScratch(s)
-	off := int64(0)
-	for off <= fs.segBlocks-2 {
-		if err := layout.DecodeSummaryInto(buf[off*layout.BlockSize:(off+1)*layout.BlockSize], s); err != nil {
-			break // end of the summary chain
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
-		data := buf[(off+1)*layout.BlockSize : (off+1+n)*layout.BlockSize]
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	w := layout.WalkSegment(layout.ImageSource(start, buf), start, fs.segBlocks, s)
+	for w.Next() {
+		first := (w.Off() + 1) * layout.BlockSize
+		data := buf[first : first+int64(len(s.Entries))*layout.BlockSize]
 		dataOK := layout.Checksum(data) == s.DataChecksum
 		if !dataOK {
 			fs.quarantineSeg(seg)
 		}
 		for i, e := range s.Entries {
-			addr := start + off + 1 + int64(i)
-			block := buf[(off+1+int64(i))*layout.BlockSize : (off+2+int64(i))*layout.BlockSize]
+			block := data[i*layout.BlockSize : (i+1)*layout.BlockSize]
 			if !dataOK && layout.Checksum(block) != e.Sum {
 				fs.tr.Add(obs.CtrCorruptBlocks, 1)
 				continue
 			}
-			added, err := fs.handleLiveEntry(e, addr, block)
+			added, err := fs.handleLiveEntry(e, w.DataAddr()+int64(i), block)
 			if err != nil {
 				return nil, err
 			}
@@ -451,8 +444,8 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 				lives = append(lives, *added)
 			}
 		}
-		off += 1 + n
 	}
+	fs.walkEnded(w.End())
 	return lives, nil
 }
 
@@ -467,31 +460,22 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 		addr int64
 	}
 	var wants []want
-	s := fs.getSummaryScratch()
-	defer fs.putSummaryScratch(s)
-	off := int64(0)
-	for off <= fs.segBlocks-2 {
-		sumBuf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				// Without the summary the rest of the chain cannot be
-				// trusted; withdraw the segment instead of evacuating it.
-				fs.quarantineSeg(seg)
-				break
-			}
-			return nil, err
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	// Every summary block that was read counts as cleaner traffic,
+	// including the one that turns out to end the chain.
+	src := func(addr int64) ([]byte, error) {
+		err := fs.readRetry(addr, s.Blk[:])
+		if err == nil {
+			fs.stats.CleanerReadBytes += layout.BlockSize
+			fs.tr.Add(obs.CtrCleanerReadBytes, layout.BlockSize)
 		}
-		fs.stats.CleanerReadBytes += layout.BlockSize
-		fs.tr.Add(obs.CtrCleanerReadBytes, layout.BlockSize)
-		if err := layout.DecodeSummaryInto(sumBuf, s); err != nil {
-			break
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+		return s.Blk[:], err
+	}
+	w := layout.WalkSegment(src, start, fs.segBlocks, s)
+	for w.Next() {
 		for i, e := range s.Entries {
-			addr := start + off + 1 + int64(i)
+			addr := w.DataAddr() + int64(i)
 			live, err := fs.blockLive(e, addr)
 			if err != nil {
 				return nil, err
@@ -511,7 +495,14 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 				}
 			}
 		}
-		off += 1 + n
+	}
+	if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
+		if !errors.Is(err, disk.ErrMediaRead) {
+			return nil, err
+		}
+		// Without the summary the rest of the chain cannot be trusted;
+		// withdraw the segment instead of evacuating it.
+		fs.quarantineSeg(seg)
 	}
 
 	// Read the wanted blocks, coalescing contiguous runs. Every block

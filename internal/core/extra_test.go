@@ -761,10 +761,3 @@ func TestVerifyLogCleanAfterHeavyCleaning(t *testing.T) {
 		t.Fatalf("false positives after cleaning: %v", problems[:min(3, len(problems))])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -86,39 +85,21 @@ func (fs *FS) lookupBlockSum(addr int64) (sum uint32, ok bool, err error) {
 	return s, ok, nil
 }
 
-// harvestSegSums walks the summary chain of seg from offset 0, recording
-// the per-block checksum of every described block. The walk mirrors
-// VerifyLog: it ends at a summary that fails to decode, a WriteSeq
-// regression (the stale tail of a reused segment), or an entry count
-// that escapes the segment. Reads bypass the read cache — summaries are
-// not file data. Called with sumsMu held.
+// harvestSegSums walks the summary chain of seg, recording the per-block
+// checksum of every described block. A read error ends the harvest and is
+// returned. Reads bypass the read cache — summaries are not file data.
+// Called with sumsMu held.
 func (fs *FS) harvestSegSums(seg int64) error {
-	start := fs.segStart(seg)
-	var prevSeq uint64
-	first := true
-	for off := int64(0); off < fs.segBlocks-1; {
-		buf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			return err
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			break
-		}
-		if !first && s.WriteSeq <= prevSeq {
-			break
-		}
-		first, prevSeq = false, s.WriteSeq
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	w := fs.walkSegment(seg, s)
+	for w.Next() {
 		for i, e := range s.Entries {
-			fs.blockSums[start+off+1+int64(i)] = e.Sum
+			fs.blockSums[w.DataAddr()+int64(i)] = e.Sum
 		}
-		off += 1 + n
 	}
-	return nil
+	_, err := fs.walkEnded(w.End())
+	return err
 }
 
 // verifyBlock checks a block just read from addr against the checksum
@@ -190,13 +171,8 @@ func (fs *FS) isQuarantined(seg int64) bool {
 // order (empty when the media has behaved).
 func (fs *FS) QuarantinedSegments() []int64 {
 	fs.quarMu.Lock()
-	out := make([]int64, 0, len(fs.quarantined))
-	for s := range fs.quarantined {
-		out = append(out, s)
-	}
-	fs.quarMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer fs.quarMu.Unlock()
+	return sortedKeys(fs.quarantined)
 }
 
 // degrade flips the file system into sticky degraded read-only mode.

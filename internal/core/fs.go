@@ -75,11 +75,12 @@ type FS struct {
 	// never returns to the pool; see DESIGN.md).
 	bpool *bufpool.Pool
 	rpool *bufpool.RunPool
-	// Cleaner decode scratch: summary structs (whose entry slices grow to
-	// MaxSummaryEntries) and inode-pointer slices reused across the many
-	// decodes a cleaning pass performs. The decoded *Inode values escape
+	// Decode scratch: the memory of a summary-chain walk (a Summary whose
+	// entry slice is grown to MaxSummaryEntries, plus one block buffer),
+	// shared by every walk, and the inode-pointer slices the cleaner
+	// decodes packed inode blocks into. The decoded *Inode values escape
 	// into the inode cache, so only the slice backings recycle.
-	sumFree *bufpool.Free[*layout.Summary]
+	sumFree *bufpool.Free[*layout.WalkScratch]
 	inoFree *bufpool.Free[[]*layout.Inode]
 	// Read cache for clean blocks (bounded FIFO; optional). rcacheMu
 	// guards all four fields: the ring holds the eviction order, and an
@@ -245,6 +246,7 @@ type FS struct {
 // mounted. The previous contents of the device are ignored.
 func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	opts = opts.withDefaults()
+	attachTracer(dev, opts.Tracer)
 	if dev.BlockSize() != layout.BlockSize {
 		return nil, fmt.Errorf("lfs: device block size %d, want %d", dev.BlockSize(), layout.BlockSize)
 	}
@@ -275,12 +277,6 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 		CheckpointAddr:   [2]int64{1, 1 + int64(cpBlocks)},
 		CheckpointBlocks: uint32(cpBlocks),
 		MaxInodes:        uint32(opts.MaxInodes),
-	}
-	// Wire the tracer to the device before the first write so the trace
-	// covers the superblock too (newFS repeats this; it is idempotent).
-	if opts.Tracer != nil {
-		opts.Tracer.SetClock(func() time.Duration { return dev.Stats().BusyTime })
-		dev.SetTracer(opts.Tracer)
 	}
 	if err := dev.WriteBlock(0, sb.Encode()); err != nil {
 		return nil, err
@@ -355,24 +351,31 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		perClass = 0 // pooling disabled (Options.PoolBlocks < 0)
 	}
 	fs.rpool = bufpool.NewRun(layout.BlockSize, int(segBlocks), perClass)
-	// One parked value per freelist covers the single cleaner (cleaning
-	// runs one pass at a time under fs.mu); disabling byte-buffer pooling
-	// disables these too so alloc-measurement baselines stay honest.
-	fs.sumFree = bufpool.NewFree[*layout.Summary](perClass)
+	// One parked value covers the single cleaner (cleaning runs one pass
+	// at a time under fs.mu); the rest serve readers harvesting block
+	// checksums side by side. Disabling byte-buffer pooling disables
+	// these too so alloc-measurement baselines stay honest.
+	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](perClass)
 	fs.inoFree = bufpool.NewFree[[]*layout.Inode](perClass)
 	if opts.ReadCacheBlocks > 0 {
 		fs.rcache = make(map[int64][]byte)
 		fs.rcacheDead = make(map[int64]int)
 	}
-	if opts.Tracer != nil {
-		fs.tr = opts.Tracer
-		// Simulated disk time is the observability clock: stamp every
-		// event with the device's accumulated busy time, and let the
-		// device itself emit per-request events.
-		fs.tr.SetClock(func() time.Duration { return dev.Stats().BusyTime })
-		dev.SetTracer(fs.tr)
-	}
+	fs.tr = opts.Tracer
 	return fs
+}
+
+// attachTracer wires tr to the device. Format, Mount and SalvageImage call
+// it before their first device request, so the trace and the device's own
+// Stats count the same requests — superblock and checkpoint-region reads
+// included. Simulated disk time is the observability clock: every event is
+// stamped with the device's accumulated busy time.
+func attachTracer(dev *disk.Disk, tr *obs.Tracer) {
+	if tr == nil {
+		return
+	}
+	tr.SetClock(func() time.Duration { return dev.Stats().BusyTime })
+	dev.SetTracer(tr)
 }
 
 // Options returns the effective options the file system is running

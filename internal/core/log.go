@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/disk"
@@ -35,6 +37,8 @@ func (fs *FS) stage(b stagedBlock) {
 	}
 	fs.pending = append(fs.pending, b)
 }
+
+func isUsage(b stagedBlock) bool { return b.entry.Kind == layout.KindSegUsage }
 
 // reserveSegments is the part of the clean-segment pool that only the
 // cleaner (and checkpoints/recovery) may consume. Ordinary writes stop
@@ -93,19 +97,29 @@ func (fs *FS) popFreeSeg() int64 {
 // which is what lets the log use nearly the full disk bandwidth.
 func (fs *FS) flushPending() error {
 	for len(fs.pending) > 0 {
-		space := fs.segBlocks - fs.headOff
-		if space < 2 {
+		// A batch is a summary plus at least one block; what the head
+		// segment cannot take waits for the next one.
+		n := min(len(fs.pending), int(fs.segBlocks-fs.headOff)-1, layout.MaxSummaryEntries)
+		// The usage blocks of one checkpoint go out in one partial write.
+		// Each encodes the table as it stands at its own batch's phase 2,
+		// so one cut off from its successors would be persisted without
+		// the live-count changes their placement makes. Cut in front of
+		// the run instead; when the run leads the queue, leave the rest
+		// of this segment unused (the checkpoint region written next
+		// re-roots the log thread past the gap). A table too large for
+		// any single write is split as before.
+		if run := fs.usage.numBlocks(); n > 0 && n < len(fs.pending) &&
+			isUsage(fs.pending[n-1]) && isUsage(fs.pending[n]) &&
+			run <= layout.MaxSummaryEntries && int64(run) < fs.segBlocks {
+			for n > 0 && isUsage(fs.pending[n-1]) {
+				n--
+			}
+		}
+		if n < 1 {
 			if err := fs.advanceSegment(); err != nil {
 				return err
 			}
 			continue
-		}
-		n := len(fs.pending)
-		if room := int(space) - 1; n > room {
-			n = room
-		}
-		if n > layout.MaxSummaryEntries {
-			n = layout.MaxSummaryEntries
 		}
 		batch := fs.pending[:n]
 		fs.pending = fs.pending[n:]
@@ -475,7 +489,7 @@ func (fs *FS) stageDataBlocks() error {
 // then the double-indirect top and single indirect blocks, so that content
 // dependencies always point at earlier staged blocks.
 func (fs *FS) stageIndirectBlocks() error {
-	inums := fs.sortedDirtyInums()
+	inums := sortedKeys(fs.dirtyInodes)
 	for _, inum := range inums {
 		mi := fs.icache[inum]
 		if mi == nil {
@@ -547,7 +561,7 @@ func (fs *FS) stageIndirectBlocks() error {
 // them. Placement updates the inode map, which dirties the covering map
 // blocks for the next checkpoint.
 func (fs *FS) stageInodeBlocks() error {
-	inums := fs.sortedDirtyInums()
+	inums := sortedKeys(fs.dirtyInodes)
 	if len(inums) == 0 {
 		return nil
 	}
@@ -598,20 +612,14 @@ func (fs *FS) stageInodeBlocks() error {
 	return nil
 }
 
-func (fs *FS) sortedDirtyInums() []uint32 {
-	inums := make([]uint32, 0, len(fs.dirtyInodes))
-	for inum := range fs.dirtyInodes {
-		inums = append(inums, inum)
-	}
-	sort.Slice(inums, func(i, j int) bool { return inums[i] < inums[j] })
-	return inums
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
+// sortedKeys returns the members of a set in ascending order: whatever
+// walks a map on its way to the device does so through this, so that the
+// request order (and with it simulated time) is not Go's map order.
+func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

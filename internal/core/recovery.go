@@ -18,36 +18,10 @@ import (
 // possible, repairing directory/inode consistency with the directory
 // operation log and adjusting segment utilizations.
 func Mount(dev *disk.Disk, opts Options) (*FS, error) {
-	opts = opts.withDefaults()
-	sbBuf, err := dev.ReadBlock(0)
+	fs, cp, err := openImage(dev, opts)
 	if err != nil {
 		return nil, err
 	}
-	sb, err := layout.DecodeSuperblock(sbBuf)
-	if err != nil {
-		return nil, err
-	}
-	// Geometry comes from the superblock, not the caller.
-	opts.SegmentBlocks = int(sb.SegmentBlocks)
-	opts.MaxInodes = int(sb.MaxInodes)
-
-	cp, which, err := readBestCheckpoint(dev, sb, opts.MediaRetries)
-	if err != nil {
-		return nil, err
-	}
-
-	fs := newFS(dev, opts, sb)
-	// Restore the quarantine list before anything walks segments: the
-	// cleaner and allocator must never touch a withdrawn segment, even
-	// during recovery itself.
-	for _, s := range cp.Quarantined {
-		if s >= 0 && s < fs.nsegs {
-			fs.quarantined[s] = true
-		}
-	}
-	fs.tr.Add(obs.CtrQuarantinedSegs, int64(len(fs.quarantined)))
-	fs.cpSeq = cp.Seq
-	fs.cpWhich = 1 - which
 	fs.nextInum = cp.NextInum
 	fs.head = cp.HeadSeg
 	fs.headOff = int64(cp.HeadOffset)
@@ -109,7 +83,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 
 	fs.recomputeSegs = map[int64]bool{fs.head: true}
 	var dirops []*layout.DirOp
-	if !opts.NoRollForward {
+	if !fs.opts.NoRollForward {
 		fs.inRecovery = true
 		dirops, err = fs.rollForwardScan(cp)
 		if err != nil {
@@ -143,7 +117,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		}
 	}
 
-	if !opts.NoRollForward {
+	if !fs.opts.NoRollForward {
 		if err := fs.applyDirOps(dirops); err != nil {
 			fs.inRecovery = false
 			return nil, err
@@ -179,7 +153,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		return fs, nil
 	}
 
-	if !opts.NoRollForward {
+	if !fs.opts.NoRollForward {
 		// Commit the recovered state (Section 4.2: the recovery program
 		// appends the changed directories, inodes, inode map and segment
 		// usage table blocks to the log and writes a new checkpoint).
@@ -207,6 +181,43 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.startCleaner()
 	fs.startCommitter()
 	return fs, nil
+}
+
+// openImage is the common front of Mount and SalvageImage. It attaches
+// the tracer before the first device request, reads the superblock — the
+// geometry comes from it, not the caller — and builds the FS; then it reads
+// the newest valid checkpoint region and takes from it the quarantine list
+// (restored before anything walks segments: the cleaner and allocator must
+// never touch a withdrawn segment, even during recovery itself) and the
+// checkpoint sequence. When no region is valid the FS is still returned,
+// with the error, for salvage to work on.
+func openImage(dev *disk.Disk, opts Options) (*FS, *layout.Checkpoint, error) {
+	opts = opts.withDefaults()
+	attachTracer(dev, opts.Tracer)
+	sbBuf, err := dev.ReadBlock(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	sb, err := layout.DecodeSuperblock(sbBuf)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.SegmentBlocks = int(sb.SegmentBlocks)
+	opts.MaxInodes = int(sb.MaxInodes)
+	fs := newFS(dev, opts, sb)
+	cp, which, err := readBestCheckpoint(dev, sb, opts.MediaRetries)
+	if err != nil {
+		return fs, nil, err
+	}
+	for _, s := range cp.Quarantined {
+		if s >= 0 && s < fs.nsegs {
+			fs.quarantined[s] = true
+		}
+	}
+	fs.tr.Add(obs.CtrQuarantinedSegs, int64(len(fs.quarantined)))
+	fs.cpSeq = cp.Seq
+	fs.cpWhich = 1 - which
+	return fs, cp, nil
 }
 
 // readBestCheckpoint reads both checkpoint regions and returns the valid
@@ -308,46 +319,15 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 	if nv := fs.opts.NVRAM; nv != nil && nv.Pending() > 0 {
 		limit = fs.scanFlushBoundary(cp)
 	}
-	expected := cp.WriteSeq
-	seg := cp.HeadSeg
-	off := int64(cp.HeadOffset)
-	next := cp.NextSeg
 	var dirops []*layout.DirOp
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	w := fs.walkThread(cp, limit, s)
 
-	for {
-		if off > fs.segBlocks-2 {
-			if next == layout.NilAddr {
-				break
-			}
-			seg = next
-			off = 0
-			fs.recomputeSegs[seg] = true
-			continue
-		}
-		if expected >= limit {
-			break // torn flush group: NVRAM replay re-derives it
-		}
-		sumAddr := fs.segStart(seg) + off
-		sumBuf, err := fs.readBlockRetry(sumAddr)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				// The scan cannot tell whether the log continued past the
-				// unreadable summary: committed writes may be stranded
-				// beyond it. Stop here and degrade rather than silently
-				// truncate the log.
-				fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", sumAddr, err))
-				break
-			}
-			return nil, err
-		}
-		s, err := layout.DecodeSummary(sumBuf)
-		if err != nil || s.WriteSeq != expected {
-			break // end of the recoverable log
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+walk:
+	for w.Next() {
+		seg := w.Pos().Seg
+		fs.recomputeSegs[seg] = true
 		// The log writer persists a partial write's data before its
 		// summary, so a valid summary implies complete data: only the
 		// inode and directory-log blocks need to be read. This is what
@@ -355,72 +335,69 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 		// recovered rather than the volume of data (Table 3). The
 		// summary's per-block checksums are harvested along the way so
 		// later reads of these blocks verify without a chain walk.
-		unreadable := false
 		for i, e := range s.Entries {
-			addr := sumAddr + 1 + int64(i)
+			addr := w.DataAddr() + int64(i)
 			fs.recordBlockSum(addr, e.Sum)
-			switch e.Kind {
-			case layout.KindInode:
-				block, err := fs.readBlockRetry(addr)
-				if err != nil {
-					if errors.Is(err, disk.ErrMediaRead) {
-						fs.degrade("roll-forward", fmt.Sprintf("roll-forward inode block at %d unreadable: %v", addr, err))
-						unreadable = true
-						break
-					}
-					return nil, err
+			if e.Kind != layout.KindInode && e.Kind != layout.KindDirLog {
+				// Data, indirect, imap and usage blocks need no direct
+				// action: inodes incorporate data and indirect blocks, and
+				// the checkpoint regions are the authority for map blocks.
+				continue
+			}
+			block, err := fs.readBlockRetry(addr)
+			if err != nil {
+				if errors.Is(err, disk.ErrMediaRead) {
+					fs.degrade("roll-forward", fmt.Sprintf("roll-forward %s block at %d unreadable: %v", e.Kind, addr, err))
+					break walk
 				}
+				return nil, err
+			}
+			if e.Kind == layout.KindInode {
 				if err := fs.recoverInodeBlock(addr, block); err != nil {
 					return nil, err
 				}
-			case layout.KindDirLog:
-				block, err := fs.readBlockRetry(addr)
-				if err != nil {
-					if errors.Is(err, disk.ErrMediaRead) {
-						fs.degrade("roll-forward", fmt.Sprintf("roll-forward dirlog block at %d unreadable: %v", addr, err))
-						unreadable = true
-						break
-					}
-					return nil, err
-				}
-				ops, err := layout.DecodeDirOpLog(block)
-				if err != nil {
-					return nil, fmt.Errorf("roll-forward dirlog at %d: %w", addr, err)
-				}
-				for _, op := range ops {
-					if op.Seq >= cp.DirLogSeq {
-						dirops = append(dirops, op)
-						if op.Seq >= fs.dirLogSeq {
-							fs.dirLogSeq = op.Seq + 1
-						}
+				continue
+			}
+			ops, err := layout.DecodeDirOpLog(block)
+			if err != nil {
+				return nil, fmt.Errorf("roll-forward dirlog at %d: %w", addr, err)
+			}
+			for _, op := range ops {
+				if op.Seq >= cp.DirLogSeq {
+					dirops = append(dirops, op)
+					if op.Seq >= fs.dirLogSeq {
+						fs.dirLogSeq = op.Seq + 1
 					}
 				}
 			}
-			// Data, indirect, imap and usage blocks need no direct
-			// action: inodes incorporate data and indirect blocks, and
-			// the checkpoint regions are the authority for map blocks.
-			if unreadable {
-				break
-			}
 		}
-		if unreadable {
-			break
-		}
-
 		fs.usage.noteWrite(seg, s.Timestamp)
 		if s.Timestamp > fs.ticks.Load() {
 			fs.ticks.Store(s.Timestamp)
 		}
-		next = s.NextSeg
-		expected++
-		off += 1 + n
 	}
-
-	fs.writeSeq = expected
-	fs.head = seg
-	fs.headOff = off
-	fs.nextSeg = next
+	// The log resumes where the walk stopped: in front of the first
+	// summary it did not (fully) apply.
+	pos := w.Pos()
+	if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
+		if !errors.Is(err, disk.ErrMediaRead) {
+			return nil, err
+		}
+		// The scan cannot tell whether the log continued past the
+		// unreadable summary: committed writes may be stranded beyond it.
+		// Degrade rather than silently truncate the log.
+		fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", fs.segStart(pos.Seg)+pos.Off, err))
+	}
+	fs.recomputeSegs[pos.Seg] = true
+	fs.head, fs.headOff, fs.nextSeg, fs.writeSeq = pos.Seg, pos.Off, pos.NextSeg, pos.WriteSeq
 	return dirops, nil
+}
+
+// walkThread starts a device walk of the log thread written after cp,
+// stopping before WriteSeq bound.
+func (fs *FS) walkThread(cp *layout.Checkpoint, bound uint64, s *layout.WalkScratch) layout.ThreadWalker {
+	pos := layout.LogPos{Seg: cp.HeadSeg, Off: int64(cp.HeadOffset), NextSeg: cp.NextSeg, WriteSeq: cp.WriteSeq}
+	return layout.WalkThread(fs.retrySource(s), fs.segBase, fs.segBlocks, pos, bound, s)
 }
 
 // scanFlushBoundary walks the post-checkpoint summary chain without
@@ -435,43 +412,20 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 // silently drop acknowledged data and replay the remaining NVRAM records
 // against a stale namespace. The scan instead lifts the bound entirely,
 // so the applying scan walks up to the same unreadable summary and takes
-// its degrade path, exactly as the no-NVRAM model does.
+// its degrade path, exactly as the no-NVRAM model does. Any other read
+// error is left for the applying scan to diagnose.
 func (fs *FS) scanFlushBoundary(cp *layout.Checkpoint) uint64 {
-	expected := cp.WriteSeq
-	seg := cp.HeadSeg
-	off := int64(cp.HeadOffset)
-	next := cp.NextSeg
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
 	limit := cp.WriteSeq
-	for {
-		if off > fs.segBlocks-2 {
-			if next == layout.NilAddr {
-				break
-			}
-			seg = next
-			off = 0
-			continue
-		}
-		sumBuf, err := fs.readBlockRetry(fs.segStart(seg) + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				return math.MaxUint64 // boundary undeterminable; degrade at the fault
-			}
-			break // the applying scan will diagnose
-		}
-		s, err := layout.DecodeSummary(sumBuf)
-		if err != nil || s.WriteSeq != expected {
-			break
-		}
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			break
-		}
+	w := fs.walkThread(cp, math.MaxUint64, s)
+	for w.Next() {
 		if s.Flags&layout.SummaryFlagTxnEnd != 0 {
-			limit = expected + 1
+			limit = s.WriteSeq + 1
 		}
-		next = s.NextSeg
-		expected++
-		off += 1 + n
+	}
+	if _, err := fs.walkEnded(w.End()); errors.Is(err, disk.ErrMediaRead) {
+		return math.MaxUint64
 	}
 	return limit
 }
@@ -766,31 +720,18 @@ func (fs *FS) repairNlink(inum, version uint32, nlink uint16) error {
 
 // recomputeUsage recalculates exact live-byte counts for every segment in
 // fs.recomputeSegs by walking its summary chain and liveness-checking
-// every block against the recovered metadata.
+// every block against the recovered metadata. The segments are walked in
+// ascending order so that a mount's device requests, and with them its
+// simulated time, do not depend on Go's map iteration order.
 func (fs *FS) recomputeUsage() error {
-	for seg := range fs.recomputeSegs {
-		start := fs.segStart(seg)
+	s := fs.getWalkScratch()
+	defer fs.putWalkScratch(s)
+	for _, seg := range sortedKeys(fs.recomputeSegs) {
 		var liveBlocks int64
-		off := int64(0)
-		for off <= fs.segBlocks-2 {
-			buf, err := fs.readBlockRetry(start + off)
-			if err != nil {
-				if errors.Is(err, disk.ErrMediaRead) {
-					fs.degrade("usage-recompute", fmt.Sprintf("usage recomputation: summary at %d unreadable: %v", start+off, err))
-					break
-				}
-				return err
-			}
-			s, err := layout.DecodeSummary(buf)
-			if err != nil {
-				break
-			}
-			n := int64(len(s.Entries))
-			if n == 0 || off+1+n > fs.segBlocks {
-				break
-			}
+		w := fs.walkSegment(seg, s)
+		for w.Next() {
 			for i, e := range s.Entries {
-				live, err := fs.blockLive(e, start+off+1+int64(i))
+				live, err := fs.blockLive(e, w.DataAddr()+int64(i))
 				if err != nil {
 					return err
 				}
@@ -798,10 +739,15 @@ func (fs *FS) recomputeUsage() error {
 					liveBlocks++
 				}
 			}
-			off += 1 + n
+		}
+		if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
+			if !errors.Is(err, disk.ErrMediaRead) {
+				return err
+			}
+			fs.degrade("usage-recompute", fmt.Sprintf("usage recomputation: summary at %d unreadable: %v", fs.segStart(seg)+w.Off(), err))
 		}
 		fs.usage.entries[seg].LiveBytes = uint32(liveBlocks * layout.BlockSize)
-		if off > 0 {
+		if w.Off() > 0 {
 			fs.usage.entries[seg].Flags |= layout.SegFlagDirty
 		}
 	}

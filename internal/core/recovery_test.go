@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
+	"repro/internal/obs"
 )
 
 // content produces deterministic file contents for (name, version).
@@ -77,9 +79,28 @@ func TestRollForwardRecoversSyncedData(t *testing.T) {
 	d.Crash()
 	d.Reopen()
 
-	fs2, err := Mount(d, testOptions())
+	fs2, err := Mount(d, faultTestOptions())
 	if err != nil {
 		t.Fatalf("Mount with roll-forward: %v", err)
+	}
+	// On a disk never written before, the log thread and every touched
+	// segment's chain end where the written space does: at a block that
+	// does not decode (or at a full segment). Each finished walk is
+	// counted once by reason.
+	m := fs2.Metrics()
+	for e := layout.WalkEnd(0); e < layout.NumWalkEnds; e++ {
+		n := m.Counter(obs.CtrLogWalkEndPrefix + e.String())
+		switch e {
+		case layout.EndDecode:
+			if n < 1 {
+				t.Errorf("log.walk.end.%s = %d, want at least the thread walk", e, n)
+			}
+		case layout.EndSegmentFull:
+		default:
+			if n != 0 {
+				t.Errorf("log.walk.end.%s = %d on a fault-free first-life log, want 0", e, n)
+			}
+		}
 	}
 	for name, data := range want {
 		got, err := fs2.ReadFile(name)
@@ -533,4 +554,52 @@ func TestRecoveryPreservesInumAllocation(t *testing.T) {
 		t.Fatalf("inum collision: %d %d %d", ia.Inum, ib.Inum, ic.Inum)
 	}
 	mustCheck(t, fs2)
+}
+
+// TestCheckpointUsageBlocksStraddle pins the usage table against a
+// checkpoint whose usage blocks would be cut across two partial writes.
+// Each usage block is encoded at its own batch's phase 2, so block 0 cut
+// off from block 1 used to be persisted before block 1's placement
+// adjusted the live counts it holds: the checkpointed table disagreed
+// with the log by one block. The device has two usage blocks, and a
+// checkpoint is taken with the head at every offset of a segment.
+func TestCheckpointUsageBlocksStraddle(t *testing.T) {
+	opts := testOptions()
+	opts.SegmentBlocks = 16
+	opts.NoGroupCommit = true
+	nsegs := int64(layout.SegUsagePerBlock + 8)
+	fs, d := newTestFS(t, nsegs*int64(opts.SegmentBlocks)+64, opts)
+	if fs.usage.numBlocks() != 2 {
+		t.Fatalf("device has %d usage blocks, the test needs 2", fs.usage.numBlocks())
+	}
+	rng := rand.New(rand.NewSource(1))
+	for want := int64(2); want <= fs.segBlocks; want++ {
+		// Small syncs of random size move the head a few blocks at a
+		// time until it stands at the wanted offset.
+		for i := 0; fs.headOff != want; i++ {
+			if i == 40*int(fs.segBlocks) {
+				t.Fatalf("head never reached offset %d", want)
+			}
+			if err := fs.WriteFile("/f", content("f", i, 1+rng.Intn(4))); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Mount(disk.FromSnapshot(d.Snapshot()), opts)
+		if err != nil {
+			t.Fatalf("head offset %d: mount: %v", want, err)
+		}
+		rep, err := m.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.Problems {
+			t.Errorf("checkpoint at head offset %d: %s", want, p)
+		}
+	}
 }

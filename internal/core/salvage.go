@@ -111,31 +111,13 @@ func (fs *FS) Salvage() (*SalvageReport, error) {
 // readable; everything else is rebuilt from the log. On success the
 // returned FS is mounted read-write.
 func SalvageImage(dev *disk.Disk, opts Options) (*FS, *SalvageReport, error) {
-	opts = opts.withDefaults()
-	sbBuf, err := dev.ReadBlock(0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("salvage: superblock unreadable: %w", err)
-	}
-	sb, err := layout.DecodeSuperblock(sbBuf)
-	if err != nil {
+	// Whatever checkpoint survives has contributed the quarantine list
+	// (known-bad segments must never be reused, even by the rebuilt image)
+	// and the checkpoint sequence floor (the fresh checkpoint must outrank
+	// any stale-but-valid region); having none is what salvage is for.
+	fs, _, err := openImage(dev, opts)
+	if fs == nil {
 		return nil, nil, fmt.Errorf("salvage: superblock: %w", err)
-	}
-	opts.SegmentBlocks = int(sb.SegmentBlocks)
-	opts.MaxInodes = int(sb.MaxInodes)
-	fs := newFS(dev, opts, sb)
-	// Best-effort read of whatever checkpoint survives: it contributes
-	// the quarantine list (known-bad segments must never be reused, even
-	// by the rebuilt image) and the checkpoint sequence floor (the fresh
-	// checkpoint must outrank any stale-but-valid region).
-	if cp, which, err := readBestCheckpoint(dev, sb, opts.MediaRetries); err == nil {
-		for _, s := range cp.Quarantined {
-			if s >= 0 && s < fs.nsegs {
-				fs.quarantined[s] = true
-			}
-		}
-		fs.tr.Add(obs.CtrQuarantinedSegs, int64(len(fs.quarantined)))
-		fs.cpSeq = cp.Seq
-		fs.cpWhich = 1 - which
 	}
 	fs.mounted = true
 	rep, err := fs.salvageLocked()
@@ -162,10 +144,12 @@ func (fs *FS) salvageLocked() (*SalvageReport, error) {
 		cands:  make(map[uint32][]salvCand),
 		maxVer: make(map[uint32]uint32),
 	}
+	scratch := fs.getWalkScratch()
 	for seg := int64(0); seg < fs.nsegs; seg++ {
 		rep.SegmentsScanned++
-		fs.salvageScanSeg(seg, sc, rep)
+		fs.salvageScanSeg(seg, sc, rep, scratch)
 	}
+	fs.putWalkScratch(scratch)
 	fs.sumsMu.Lock()
 	for seg := int64(0); seg < fs.nsegs; seg++ {
 		fs.sumsLoaded[seg] = true
@@ -267,36 +251,12 @@ func (fs *FS) salvageReset() {
 // salvageScanSeg walks one segment's summary chain, verifying every
 // described block against its recorded CRC. Verified blocks join the
 // intact set (and the verify-on-read index); inode blocks additionally
-// contribute version candidates. The walk mirrors harvestSegSums: it
-// ends at a summary that fails to decode, a WriteSeq regression (the
-// stale tail of a reused segment), or an entry count escaping the
-// segment. Media read errors quarantine the segment; checksum
-// mismatches only drop the block (deliberate corruption is not evidence
-// the medium is bad).
-func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport) {
-	start := fs.segStart(seg)
-	var prevSeq uint64
-	first := true
-	for off := int64(0); off <= fs.segBlocks-2; {
-		buf, err := fs.readBlockRetry(start + off)
-		if err != nil {
-			if errors.Is(err, disk.ErrMediaRead) {
-				fs.quarantineSeg(seg)
-			}
-			return
-		}
-		s, err := layout.DecodeSummary(buf)
-		if err != nil {
-			return
-		}
-		if !first && s.WriteSeq <= prevSeq {
-			return
-		}
-		first, prevSeq = false, s.WriteSeq
-		n := int64(len(s.Entries))
-		if n == 0 || off+1+n > fs.segBlocks {
-			return
-		}
+// contribute version candidates. Media read errors quarantine the
+// segment; checksum mismatches only drop the block (deliberate
+// corruption is not evidence the medium is bad).
+func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *layout.WalkScratch) {
+	w := fs.walkSegment(seg, s)
+	for w.Next() {
 		rep.SummariesWalked++
 		if s.WriteSeq > sc.maxSeq {
 			sc.maxSeq = s.WriteSeq
@@ -306,7 +266,7 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport) {
 		}
 		fs.usage.noteWrite(seg, s.Timestamp)
 		for i, e := range s.Entries {
-			addr := start + off + 1 + int64(i)
+			addr := w.DataAddr() + int64(i)
 			blk, err := fs.readBlockRetry(addr)
 			if err != nil {
 				rep.BlocksDropped++
@@ -349,7 +309,9 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport) {
 				}
 			}
 		}
-		off += 1 + n
+	}
+	if _, err := fs.walkEnded(w.End()); errors.Is(err, disk.ErrMediaRead) {
+		fs.quarantineSeg(seg)
 	}
 }
 

@@ -96,12 +96,30 @@ func TestSalvageBothCheckpointsZeroed(t *testing.T) {
 		t.Fatalf("Mount after zeroing both regions: err = %v, want ErrNoCheckpoint", err)
 	}
 
+	walkEnds := func() (total, decode int64) {
+		m := opts.Tracer.Metrics()
+		for e := layout.WalkEnd(0); e < layout.NumWalkEnds; e++ {
+			total += m.Counter(obs.CtrLogWalkEndPrefix + e.String())
+		}
+		return total, m.Counter(obs.CtrLogWalkEndPrefix + layout.EndDecode.String())
+	}
+	endsBefore, decodeBefore := walkEnds()
 	fs2, rep, err := SalvageImage(d, opts)
 	if err != nil {
 		t.Fatalf("SalvageImage: %v", err)
 	}
 	if fs2.Degraded() {
 		t.Fatalf("salvaged FS degraded: %s", fs2.DegradedReason())
+	}
+	// The scan walks every segment's chain once, and each finished walk
+	// is counted by its end reason; the never-written segments that make
+	// up most of this image end at a block that does not decode.
+	ends, decode := walkEnds()
+	if got := ends - endsBefore; got != int64(rep.SegmentsScanned) {
+		t.Fatalf("log.walk.end.* grew by %d over a scan of %d segments", got, rep.SegmentsScanned)
+	}
+	if got := decode - decodeBefore; got < int64(rep.SegmentsScanned)/2 {
+		t.Fatalf("log.walk.end.decode grew by %d over a scan of %d mostly empty segments", got, rep.SegmentsScanned)
 	}
 	if rep.InodesRecovered < len(want) {
 		t.Fatalf("InodesRecovered = %d, want >= %d", rep.InodesRecovered, len(want))

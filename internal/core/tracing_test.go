@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -271,5 +272,126 @@ func TestOpLatencyHistograms(t *testing.T) {
 	}
 	if h := m.Histograms["op.write"]; h.Sum <= 0 {
 		t.Fatal("op.write latencies sum to zero simulated time; clock not wired")
+	}
+}
+
+// crashedImage returns a snapshot of a file system that checkpointed,
+// kept writing and was cut off: mounting it rolls forward, and it holds
+// enough dead data for salvage to have choices to make.
+func crashedImage(t *testing.T) *disk.Snapshot {
+	t.Helper()
+	opts := testOptions()
+	opts.NoGroupCommit = true
+	fs, d := newTestFS(t, 8192, opts)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 40; i++ {
+			name := fmt.Sprintf("/f%02d", i)
+			if err := fs.WriteFile(name, content(name, round, 1+i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 1 {
+			if err := fs.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return d.Snapshot()
+}
+
+// TestTraceCoversWholeMount pins the tracer being attached before the
+// first device request of Mount and SalvageImage — the superblock and
+// checkpoint-region reads included: with nothing but Options.Tracer set,
+// the disk.io events must add up to the device's own Stats, field by
+// field.
+func TestTraceCoversWholeMount(t *testing.T) {
+	snap := crashedImage(t)
+	open := map[string]func(*disk.Disk, Options) (*FS, error){
+		"Mount": Mount,
+		"SalvageImage": func(d *disk.Disk, o Options) (*FS, error) {
+			fs, _, err := SalvageImage(d, o)
+			return fs, err
+		},
+	}
+	for name, openFS := range open {
+		t.Run(name, func(t *testing.T) {
+			ring := obs.NewRingSink(1 << 16)
+			d := disk.FromSnapshot(snap)
+			fs, err := openFS(d, Options{Tracer: obs.New(ring)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ring.Dropped() != 0 {
+				t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
+			}
+			var traced disk.Stats
+			for _, e := range ring.Events() {
+				if e.Kind != obs.KindDiskIO {
+					continue
+				}
+				io := e.Disk
+				if io.Op == "read" {
+					traced.ReadOps++
+					traced.BlocksRead += int64(io.Blocks)
+				} else {
+					traced.WriteOps++
+					traced.BlocksWritten += int64(io.Blocks)
+				}
+				if !io.Sequential {
+					traced.Seeks++
+				}
+				traced.SeekTime += io.Seek
+				traced.RotationTime += io.Rotation
+				traced.TransferTime += io.Transfer
+				traced.BusyTime += io.Seek + io.Rotation + io.Transfer
+			}
+			if got := d.Stats(); traced != got {
+				t.Fatalf("disk.io events add up to %+v,\ndevice stats are       %+v", traced, got)
+			}
+			m := fs.Metrics()
+			if r, w := m.Counter(obs.CtrDiskReadOps), m.Counter(obs.CtrDiskWriteOps); r != traced.ReadOps || w != traced.WriteOps {
+				t.Fatalf("disk.read.ops %d / disk.write.ops %d, device did %d / %d", r, w, traced.ReadOps, traced.WriteOps)
+			}
+		})
+	}
+}
+
+// TestRecoveryDeviceRequestsDeterministic pins recovery issuing the same
+// device requests in the same order every time: two mounts, and two
+// salvages, of one image must leave bit-identical device statistics,
+// simulated busy time included. (Usage recomputation used to visit its
+// segments in Go map order, so mounts of one image differed in seek time.)
+func TestRecoveryDeviceRequestsDeterministic(t *testing.T) {
+	snap := crashedImage(t)
+	for name, run := range map[string]func(*disk.Disk) error{
+		"Mount": func(d *disk.Disk) error {
+			_, err := Mount(d, testOptions())
+			return err
+		},
+		"SalvageImage": func(d *disk.Disk) error {
+			_, _, err := SalvageImage(d, testOptions())
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var first disk.Stats
+			for i := 0; i < 8; i++ {
+				d := disk.FromSnapshot(snap)
+				if err := run(d); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = d.Stats()
+					if first.ReadOps == 0 || first.WriteOps == 0 {
+						t.Fatalf("recovery did no I/O: %+v", first)
+					}
+				} else if got := d.Stats(); got != first {
+					t.Fatalf("run %d: device stats %+v,\nfirst run             %+v", i, got, first)
+				}
+			}
+		})
 	}
 }

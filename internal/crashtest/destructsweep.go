@@ -68,9 +68,11 @@ type destScan struct {
 }
 
 // scanImage builds the destScan by walking every segment's summary chain
-// with Peek, mirroring the salvager's chain rules (decode failure,
-// WriteSeq regression, entry count escaping the segment) but none of its
-// code.
+// with Peek. The loop below restates the chain rules (decode failure,
+// WriteSeq regression, entry count escaping the segment) instead of using
+// layout.SegWalker, which every walk in the product goes through: this is
+// the oracle the salvager is held to, and an oracle that shared the
+// walker would agree with it about a wrong rule. Keep it independent.
 func scanImage(d *disk.Disk, sb *layout.Superblock) (*destScan, error) {
 	ds := &destScan{
 		sb:        sb,

@@ -126,6 +126,13 @@ func (s *Summary) Encode() ([]byte, error) {
 	return buf, nil
 }
 
+// The two decode failures every chain walk meets at its end are built
+// once: a walk discards them, and should not pay to format them.
+var (
+	errSummaryMagic    = fmt.Errorf("%w: segment summary", ErrBadMagic)
+	errSummaryChecksum = fmt.Errorf("%w: segment summary", ErrBadChecksum)
+)
+
 // DecodeSummary parses and validates a segment summary block.
 func DecodeSummary(buf []byte) (*Summary, error) {
 	s := &Summary{}
@@ -144,10 +151,10 @@ func DecodeSummaryInto(buf []byte, s *Summary) error {
 	le := binary.LittleEndian
 	s.Entries = s.Entries[:0]
 	if le.Uint32(buf[0:]) != MagicSummary {
-		return fmt.Errorf("%w: segment summary", ErrBadMagic)
+		return errSummaryMagic
 	}
 	if le.Uint32(buf[4:]) != Checksum(buf[8:]) {
-		return fmt.Errorf("%w: segment summary", ErrBadChecksum)
+		return errSummaryChecksum
 	}
 	n := int(le.Uint16(buf[44:]))
 	if n > MaxSummaryEntries {

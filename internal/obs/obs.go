@@ -173,6 +173,10 @@ const (
 	// CtrSalvageDropped counts log blocks salvage discarded: unreadable,
 	// failing their summary CRC, or part of an unverifiable inode chain.
 	CtrSalvageDropped = "fs.salvage.blocks.dropped"
+	// CtrLogWalkEndPrefix counts finished summary-chain walks by why they
+	// stopped ("log.walk.end.<reason>", the reason being a
+	// layout.WalkEnd name such as "decode", "seq-regress" or "media").
+	CtrLogWalkEndPrefix = "log.walk.end."
 )
 
 // HistWriterStall is the latency histogram of writer stalls behind the

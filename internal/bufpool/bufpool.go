@@ -204,7 +204,7 @@ func (p *RunPool) Stats() Stats {
 
 // Free is the typed sibling of Pool: a bounded, mutex-guarded LIFO
 // freelist for reusable scratch values that are not byte buffers —
-// decoded-summary scratch, inode-pointer slices, and the like. Unlike
+// decoded-summary scratch and the like. Unlike
 // Pool it cannot validate shape, so the same ownership discipline
 // applies: a value obtained from Get is exclusively the caller's until
 // Put, and nothing the value references may be retained past Put.

@@ -84,12 +84,11 @@ func TestAllocsCachedStat(t *testing.T) {
 }
 
 // TestAllocsCleanerDecodeScratch pins the cleaner's pooled decode
-// scratch. A cleaning pass decodes one summary per partial write and one
-// packed inode block per live inode block; with the freelists warm, a
-// summary decode must allocate nothing (DecodeSummaryInto reuses the
-// entry slice) and an inode-block decode must allocate exactly one value
-// per decoded inode — the *Inode values escape to the inode cache, so
-// they are the irreducible cost; the slice backing must recycle.
+// scratch. A cleaning pass decodes one summary per partial write; with the
+// freelist warm, a summary decode must allocate nothing (DecodeSummaryInto
+// reuses the entry slice). The other decode of a pass, packed inode
+// blocks, is read in place: layout.TestInodeBlockAllocs pins it at one
+// Inode per kept slot.
 func TestAllocsCleanerDecodeScratch(t *testing.T) {
 	opts := testOptions()
 	opts.NoGroupCommit = true
@@ -115,27 +114,6 @@ func TestAllocsCleanerDecodeScratch(t *testing.T) {
 	decodeSum() // warm: grows the scratch to MaxSummaryEntries once
 	if avg := testing.AllocsPerRun(200, decodeSum); avg != 0 {
 		t.Fatalf("warm summary decode allocates %.2f times per op, want 0", avg)
-	}
-
-	inodes := make([]*layout.Inode, 0, layout.InodesPerBlock)
-	for i := 0; i < layout.InodesPerBlock; i++ {
-		inodes = append(inodes, layout.NewInode(uint32(i+2), layout.FileTypeRegular))
-	}
-	inoBuf, err := layout.EncodeInodeBlock(inodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeIno := func() {
-		v, err := layout.DecodeInodeBlockAppend(inoBuf, fs.getInodeScratch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.putInodeScratch(v)
-	}
-	decodeIno()
-	want := float64(layout.InodesPerBlock)
-	if avg := testing.AllocsPerRun(200, decodeIno); avg != want {
-		t.Fatalf("warm inode-block decode allocates %.2f times per op, want exactly %.0f (one per decoded inode)", avg, want)
 	}
 }
 

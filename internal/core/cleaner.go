@@ -276,13 +276,41 @@ func (fs *FS) checkpointBytes() int64 {
 	return int64(n+4) * layout.BlockSize
 }
 
-// cleanPass evacuates one batch of segments: read them, copy the live
-// data to the head of the log (age-sorted), and queue the segments for
-// release at the next checkpoint (Section 3.3).
+// cleanPass evacuates one batch of segments and queues them for release
+// at the next checkpoint (Section 3.3). The pass, not the segment, is the
+// unit of the pipeline: the live data blocks of every candidate are
+// collected into one list, sorted once by age, oldest first, so that
+// blocks of similar age from different victims are written next to each
+// other and cold data segregates into its own output segments (Section
+// 3.4, policy 4), staged once and flushed once. Live metadata is
+// re-dirtied while collecting so the normal write path repacks it.
+//
+// Ordering rule: a segment enters pendingClean only after every live
+// block collected from it is staged. checkpointLocked marks everything in
+// pendingClean clean unconditionally, relying on its own flushLog having
+// written the staged copies first; a segment queued while its copies sat
+// only in the pass's list would be freed with live data in it if the pass
+// then failed. So on any error the pass queues nothing and drops what it
+// collected: the blocks are still live where they were.
 func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
 	fs.tr.Add(obs.CtrCleanerPasses, 1)
 	wroteBefore := fs.stats.CleanerWriteBytes
+	lives := fs.passLives[:0]
+	defer func() {
+		// The data buffers belong to the staging queue now (or, on an
+		// error return, to the GC, as after a degrading flush): the
+		// recycled list must not pin them.
+		clear(lives)
+		fs.passLives = lives[:0]
+	}()
+	// By default each segment is read whole in one request (the paper's
+	// conservative assumption in formula 1); with CleanReadLiveOnly only
+	// the summary blocks and live contents are read.
+	collect := fs.collectLiveFull
+	if fs.opts.CleanReadLiveOnly {
+		collect = fs.collectLiveSparse
+	}
 	for _, c := range cands {
 		fs.stats.SegmentsCleaned++
 		fs.tr.Add(obs.CtrCleanerSegments, 1)
@@ -290,12 +318,22 @@ func (fs *FS) cleanPass(cands []candidate) error {
 			// An empty segment need not be read at all (Section 3.4:
 			// write cost 1.0 when u = 0).
 			fs.stats.SegmentsCleanedEmpty++
-		} else {
-			fs.stats.CleanedUtilSum += c.u
-			if err := fs.cleanSegment(c.seg); err != nil {
-				return err
-			}
+			continue
 		}
+		fs.stats.CleanedUtilSum += c.u
+		var err error
+		if lives, err = collect(c.seg, lives); err != nil {
+			return err
+		}
+	}
+	if !fs.opts.NoAgeSort {
+		// Stable: blocks of equal age stay in candidate order, then log order.
+		sort.SliceStable(lives, func(i, j int) bool { return lives[i].entry.Age < lives[j].entry.Age })
+	}
+	if err := fs.stageLiveCopies(lives); err != nil {
+		return err
+	}
+	for _, c := range cands {
 		if fs.isQuarantined(c.seg) {
 			// Evacuation found corruption or an unreadable region: the
 			// segment was quarantined mid-pass and must never be reused,
@@ -324,39 +362,12 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	return nil
 }
 
-// liveCopy is a live data block collected from a segment being cleaned.
+// liveCopy is a live data block collected from a segment being cleaned:
+// its summary entry, with Age replaced by the pass's sort key, and a
+// pooled copy of its contents.
 type liveCopy struct {
 	entry layout.SummaryEntry
 	data  []byte
-	age   uint64
-	inum  uint32
-	bn    uint32
-}
-
-// cleanSegment identifies one segment's live blocks and stages them for
-// rewriting at the head of the log. Live data blocks are age-sorted
-// before staging so that cold data segregates from hot data (Section 3.4,
-// policy 4); live metadata is re-dirtied so the normal write path repacks
-// it. By default the whole segment is read in one request (the paper's
-// conservative assumption in formula 1); with CleanReadLiveOnly only the
-// summary blocks and live contents are read.
-func (fs *FS) cleanSegment(seg int64) error {
-	var lives []liveCopy
-	var err error
-	if fs.opts.CleanReadLiveOnly {
-		lives, err = fs.collectLiveSparse(seg)
-	} else {
-		lives, err = fs.collectLiveFull(seg)
-	}
-	if err != nil {
-		return err
-	}
-	// Age sort: group blocks of similar age together, oldest first, so
-	// cold data segregates into its own output segments.
-	if !fs.opts.NoAgeSort {
-		sort.SliceStable(lives, func(i, j int) bool { return lives[i].age < lives[j].age })
-	}
-	return fs.stageLiveCopies(lives)
 }
 
 // getWalkScratch draws the reusable memory of a summary-chain walk from
@@ -376,32 +387,14 @@ func (fs *FS) putWalkScratch(s *layout.WalkScratch) {
 	fs.sumFree.Put(s)
 }
 
-// getInodeScratch and putInodeScratch recycle the inode-pointer slice
-// the cleaner decodes packed inode blocks into. Only the backing array
-// is reused: the *Inode values escape to the inode cache, and Put nils
-// the slots so the freelist does not pin them.
-func (fs *FS) getInodeScratch() []*layout.Inode {
-	if v, ok := fs.inoFree.Get(); ok {
-		return v[:0]
-	}
-	return make([]*layout.Inode, 0, layout.InodesPerBlock)
-}
-
-func (fs *FS) putInodeScratch(v []*layout.Inode) {
-	for i := range v {
-		v[i] = nil
-	}
-	fs.inoFree.Put(v[:0])
-}
-
 // collectLiveFull reads the whole segment in a single request and
 // extracts its live blocks. Each partial write's DataChecksum is
 // verified before any of its blocks are copied forward: a corrupt
 // block must never be relocated as if valid. On a checksum mismatch
 // the per-entry sums triage which blocks are actually bad; those are
 // left in place and the segment is quarantined (cleanPass then skips
-// releasing it).
-func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
+// releasing it). The live data blocks are appended to lives.
+func (fs *FS) collectLiveFull(seg int64, lives []liveCopy) ([]liveCopy, error) {
 	start := fs.segStart(seg)
 	// The whole-segment buffer is drawn from the run pool and returned
 	// on every exit: nothing below retains a view of it (live data is
@@ -412,14 +405,13 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 	if err := fs.readRetry(start, buf); err != nil {
 		if errors.Is(err, disk.ErrMediaRead) {
 			fs.quarantineSeg(seg)
-			return nil, nil
+			return lives, nil
 		}
-		return nil, err
+		return lives, err
 	}
 	fs.stats.CleanerReadBytes += fs.segBytes
 	fs.tr.Add(obs.CtrCleanerReadBytes, fs.segBytes)
 
-	var lives []liveCopy
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
 	w := layout.WalkSegment(layout.ImageSource(start, buf), start, fs.segBlocks, s)
@@ -436,12 +428,12 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 				fs.tr.Add(obs.CtrCorruptBlocks, 1)
 				continue
 			}
-			added, err := fs.handleLiveEntry(e, w.DataAddr()+int64(i), block)
+			lc, ok, err := fs.handleLiveEntry(e, w.DataAddr()+int64(i), block)
 			if err != nil {
-				return nil, err
+				return lives, err
 			}
-			if added != nil {
-				lives = append(lives, *added)
+			if ok {
+				lives = append(lives, lc)
 			}
 		}
 	}
@@ -452,8 +444,9 @@ func (fs *FS) collectLiveFull(seg int64) ([]liveCopy, error) {
 // collectLiveSparse walks the segment's summary chain reading only the
 // summary blocks, decides liveness from the summaries and the current
 // maps, and then reads just the live blocks (coalescing contiguous runs
-// into single requests) — the optimization Section 3.4 conjectures.
-func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
+// into single requests) — the optimization Section 3.4 conjectures. The
+// live data blocks are appended to lives.
+func (fs *FS) collectLiveSparse(seg int64, lives []liveCopy) ([]liveCopy, error) {
 	start := fs.segStart(seg)
 	type want struct {
 		e    layout.SummaryEntry
@@ -478,7 +471,7 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 			addr := w.DataAddr() + int64(i)
 			live, err := fs.blockLive(e, addr)
 			if err != nil {
-				return nil, err
+				return lives, err
 			}
 			if !live {
 				continue
@@ -490,15 +483,15 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 				wants = append(wants, want{e, addr})
 			default:
 				// Indirect/imap/usage/dirlog need no content.
-				if _, err := fs.handleLiveEntry(e, addr, nil); err != nil {
-					return nil, err
+				if _, _, err := fs.handleLiveEntry(e, addr, nil); err != nil {
+					return lives, err
 				}
 			}
 		}
 	}
 	if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
 		if !errors.Is(err, disk.ErrMediaRead) {
-			return nil, err
+			return lives, err
 		}
 		// Without the summary the rest of the chain cannot be trusted;
 		// withdraw the segment instead of evacuating it.
@@ -509,7 +502,6 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 	// copied forward is verified against its summary entry's checksum
 	// first; an unreadable run or a corrupt block quarantines the
 	// segment and the affected blocks stay in place.
-	var lives []liveCopy
 	for i := 0; i < len(wants); {
 		j := i + 1
 		for j < len(wants) && wants[j].addr == wants[j-1].addr+1 {
@@ -524,7 +516,7 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 				i = j
 				continue
 			}
-			return nil, err
+			return lives, err
 		}
 		fs.stats.CleanerReadBytes += int64(len(buf))
 		fs.tr.Add(obs.CtrCleanerReadBytes, int64(len(buf)))
@@ -535,13 +527,13 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 				fs.quarantineSeg(seg)
 				continue
 			}
-			added, err := fs.handleLiveEntry(w.e, w.addr, block)
+			lc, ok, err := fs.handleLiveEntry(w.e, w.addr, block)
 			if err != nil {
 				fs.rpool.Put(buf)
-				return nil, err
+				return lives, err
 			}
-			if added != nil {
-				lives = append(lives, *added)
+			if ok {
+				lives = append(lives, lc)
 			}
 		}
 		fs.rpool.Put(buf)
@@ -552,113 +544,115 @@ func (fs *FS) collectLiveSparse(seg int64) ([]liveCopy, error) {
 
 // handleLiveEntry processes one block of a segment being cleaned. It
 // assumes content is non-nil for kinds that need it, returns a liveCopy
-// for data blocks that must be rewritten, and re-dirties live metadata so
-// the normal write path repacks it. Dead blocks are ignored (liveness is
-// re-checked here so collectLiveFull need not pre-filter).
-func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (*liveCopy, error) {
+// (and true) for a data block that must be rewritten, and re-dirties live
+// metadata so the normal write path repacks it. Dead blocks are ignored
+// (liveness is re-checked here so collectLiveFull need not pre-filter).
+func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (liveCopy, bool, error) {
 	live, err := fs.blockLive(e, addr)
-	if err != nil {
-		return nil, err
-	}
-	if !live {
-		return nil, nil
+	if err != nil || !live {
+		return liveCopy{}, false, err
 	}
 	switch e.Kind {
 	case layout.KindData:
-		age := e.Age
-		if fs.opts.CoarseAgeSort || age == 0 {
+		if fs.opts.CoarseAgeSort || e.Age == 0 {
 			// Sprite's original behaviour: a single modified time for
 			// the whole file (Section 3.6 notes this is inaccurate for
 			// files that are not modified in their entirety).
 			mi, err := fs.loadInode(e.Inum)
 			if err != nil {
-				return nil, err
+				return liveCopy{}, false, err
 			}
-			age = mi.ino.Mtime
+			e.Age = mi.ino.Mtime
 		}
 		// Copy into a pooled buffer: the liveCopy is staged for rewrite
 		// and flushPending returns it to the pool after the device write.
 		data := fs.bpool.Get()
 		copy(data, block)
-		return &liveCopy{entry: e, data: data, age: age, inum: e.Inum, bn: e.BlockNo}, nil
+		return liveCopy{entry: e, data: data}, true, nil
 	case layout.KindIndirect:
 		// Re-dirty the in-memory structure; the normal write path
 		// rewrites it with current contents.
 		mi, err := fs.loadInode(e.Inum)
 		if err != nil {
-			return nil, err
+			return liveCopy{}, false, err
 		}
 		switch {
 		case e.BlockNo == indRoleSingle:
 			if err := fs.loadIndirect(mi); err != nil {
-				return nil, err
+				return liveCopy{}, false, err
 			}
 			mi.indDirty = true
 		case e.BlockNo == indRoleDTop:
 			if err := fs.loadDTop(mi); err != nil {
-				return nil, err
+				return liveCopy{}, false, err
 			}
 			mi.dindTopDirty = true
 		default:
 			i := int(e.BlockNo - indRoleL2Base)
 			if _, err := fs.loadL2(mi, i); err != nil {
-				return nil, err
+				return liveCopy{}, false, err
 			}
 			mi.dindL2Dirty[i] = true
 			mi.dindTopDirty = true
 		}
 		fs.markInodeDirty(e.Inum)
 	case layout.KindInode:
-		scratch := fs.getInodeScratch()
-		inodes, err := layout.DecodeInodeBlockAppend(block, scratch)
+		ib, err := layout.OpenInodeBlock(block)
 		if err != nil {
-			fs.putInodeScratch(scratch)
 			// The block's own checksum disagrees with its summary entry:
 			// leave it in place in a quarantined segment rather than
 			// abort the pass or relocate garbage.
 			fs.tr.Add(obs.CtrCorruptBlocks, 1)
 			fs.quarantineSeg(fs.segOf(addr))
-			return nil, nil
+			return liveCopy{}, false, nil
 		}
-		for slot, ino := range inodes {
-			me := fs.imap.get(ino.Inum)
+		// Most slots of a cleaned inode block are stale (the inode has
+		// been rewritten elsewhere since) or already cached: read each
+		// slot's inum in place and decode only an inode that is both
+		// current and missing from the cache.
+		for slot := 0; ; slot++ {
+			inum, ok := ib.Inum(slot)
+			if !ok {
+				break
+			}
+			me := fs.imap.get(inum)
 			if me.Allocated() && me.Addr == addr && int(me.Slot) == slot {
-				if _, ok := fs.icache[ino.Inum]; !ok {
-					fs.icache[ino.Inum] = newMInode(ino)
+				if _, ok := fs.icache[inum]; !ok {
+					fs.icache[inum] = newMInode(ib.Inode(slot))
 				}
-				fs.markInodeDirty(ino.Inum)
+				fs.markInodeDirty(inum)
 			}
 		}
-		fs.putInodeScratch(inodes)
 	case layout.KindImap:
 		fs.imap.markDirty(int(e.Inum))
 	case layout.KindSegUsage, layout.KindDirLog:
 		// The usage table is rewritten in full at the pass's checkpoint;
 		// live dirlog blocks die at the same checkpoint. Nothing to copy.
 	}
-	return nil, nil
+	return liveCopy{}, false, nil
 }
 
 // stageLiveCopies queues the collected live data blocks for rewriting at
 // the head of the log, updating each file's block map at placement time.
 func (fs *FS) stageLiveCopies(lives []liveCopy) error {
-	for _, lc := range lives {
-		mi, err := fs.loadInode(lc.inum)
+	for i := range lives {
+		lc := &lives[i]
+		inum, bn := lc.entry.Inum, lc.entry.BlockNo
+		mi, err := fs.loadInode(inum)
 		if err != nil {
 			return err
 		}
-		if err := fs.ensureMapSlot(mi, lc.bn); err != nil {
+		if err := fs.ensureMapSlot(mi, bn); err != nil {
 			return err
 		}
-		fs.markInodeDirty(lc.inum)
-		lc := lc
+		fs.markInodeDirty(inum)
 		fs.stage(stagedBlock{
 			entry:  lc.entry,
 			data:   lc.data,
 			pooled: true, // handleLiveEntry drew it from the pool
-			age:    lc.age,
+			age:    lc.entry.Age,
 			placed: func(addr int64) error {
-				old, err := fs.setBlockAddr(mi, lc.bn, addr)
+				old, err := fs.setBlockAddr(mi, bn, addr)
 				if err != nil {
 					return err
 				}

@@ -77,11 +77,13 @@ type FS struct {
 	rpool *bufpool.RunPool
 	// Decode scratch: the memory of a summary-chain walk (a Summary whose
 	// entry slice is grown to MaxSummaryEntries, plus one block buffer),
-	// shared by every walk, and the inode-pointer slices the cleaner
-	// decodes packed inode blocks into. The decoded *Inode values escape
-	// into the inode cache, so only the slice backings recycle.
+	// shared by every walk.
 	sumFree *bufpool.Free[*layout.WalkScratch]
-	inoFree *bufpool.Free[[]*layout.Inode]
+	// passLives is the backing array of the cleaner's per-pass list of
+	// live copies, reused from pass to pass (one pass runs at a time,
+	// under mu). Between passes it has length zero and holds no data
+	// pointers.
+	passLives []liveCopy
 	// Read cache for clean blocks (bounded FIFO; optional). rcacheMu
 	// guards all four fields: the ring holds the eviction order, and an
 	// invalidated address leaves a tombstone count so its stale ring
@@ -354,9 +356,8 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	// One parked value covers the single cleaner (cleaning runs one pass
 	// at a time under fs.mu); the rest serve readers harvesting block
 	// checksums side by side. Disabling byte-buffer pooling disables
-	// these too so alloc-measurement baselines stay honest.
+	// this too so alloc-measurement baselines stay honest.
 	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](perClass)
-	fs.inoFree = bufpool.NewFree[[]*layout.Inode](perClass)
 	if opts.ReadCacheBlocks > 0 {
 		fs.rcache = make(map[int64][]byte)
 		fs.rcacheDead = make(map[int64]int)

@@ -398,10 +398,11 @@ func (fs *FS) flushStages() error {
 	if err := fs.stageDataBlocks(); err != nil {
 		return err
 	}
-	if err := fs.stageIndirectBlocks(); err != nil {
-		return err
-	}
-	if err := fs.stageInodeBlocks(); err != nil {
+	// Both metadata stages walk the same dirty-inode set in the same
+	// order (nothing between them adds to it): sort it once.
+	inums := sortedKeys(fs.dirtyInodes)
+	fs.stageIndirectBlocks(inums)
+	if err := fs.stageInodeBlocks(inums); err != nil {
 		return err
 	}
 	return fs.flushPending()
@@ -485,11 +486,11 @@ func (fs *FS) stageDataBlocks() error {
 	return nil
 }
 
-// stageIndirectBlocks stages dirty indirect blocks: level-2 blocks first,
-// then the double-indirect top and single indirect blocks, so that content
+// stageIndirectBlocks stages the dirty indirect blocks of the dirty
+// inodes (inums, ascending): level-2 blocks first, then the
+// double-indirect top and single indirect blocks, so that content
 // dependencies always point at earlier staged blocks.
-func (fs *FS) stageIndirectBlocks() error {
-	inums := sortedKeys(fs.dirtyInodes)
+func (fs *FS) stageIndirectBlocks(inums []uint32) {
 	for _, inum := range inums {
 		mi := fs.icache[inum]
 		if mi == nil {
@@ -554,17 +555,12 @@ func (fs *FS) stageIndirectBlocks() error {
 			mi.indDirty = false
 		}
 	}
-	return nil
 }
 
-// stageInodeBlocks packs the dirty inodes into inode blocks and stages
-// them. Placement updates the inode map, which dirties the covering map
-// blocks for the next checkpoint.
-func (fs *FS) stageInodeBlocks() error {
-	inums := sortedKeys(fs.dirtyInodes)
-	if len(inums) == 0 {
-		return nil
-	}
+// stageInodeBlocks packs the dirty inodes (inums, ascending) into inode
+// blocks and stages them. Placement updates the inode map, which dirties
+// the covering map blocks for the next checkpoint.
+func (fs *FS) stageInodeBlocks(inums []uint32) error {
 	for start := 0; start < len(inums); start += layout.InodesPerBlock {
 		end := start + layout.InodesPerBlock
 		if end > len(inums) {
@@ -616,6 +612,9 @@ func (fs *FS) stageInodeBlocks() error {
 // walks a map on its way to the device does so through this, so that the
 // request order (and with it simulated time) is not Go's map order.
 func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
+	if len(m) == 0 {
+		return nil // the common case for an inode's level-2 set
+	}
 	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)

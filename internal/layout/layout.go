@@ -229,33 +229,62 @@ func EncodeInodeBlock(inodes []*Inode) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeInodeBlock unpacks a packed inode block.
-func DecodeInodeBlock(buf []byte) ([]*Inode, error) {
-	return DecodeInodeBlockAppend(buf, nil)
+// InodeBlock is a packed inode block whose magic, inode count and
+// checksum have been verified, read in place: a caller that wants only
+// some of the inodes (the cleaner keeps those the inode map still points
+// at) reads each slot's inum from the buffer and decodes just those slots.
+// It is a view of the buffer handed to OpenInodeBlock, not a copy.
+type InodeBlock struct {
+	buf []byte
+	n   int
 }
 
-// DecodeInodeBlockAppend unpacks a packed inode block, appending the
-// decoded inodes to dst and returning the extended slice. Passing a
-// pooled scratch slice reset to length zero reuses its backing array, so
-// loop callers (the cleaner) pay only for the Inode values themselves —
-// which must be fresh allocations, since decoded inodes outlive the call
-// (they are handed to the inode cache).
-func DecodeInodeBlockAppend(buf []byte, dst []*Inode) ([]*Inode, error) {
+// OpenInodeBlock verifies a packed inode block and returns a view of it.
+func OpenInodeBlock(buf []byte) (InodeBlock, error) {
 	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != MagicInodeBlock {
-		return nil, fmt.Errorf("%w: inode block", ErrBadMagic)
+		return InodeBlock{}, fmt.Errorf("%w: inode block", ErrBadMagic)
 	}
 	n := int(le.Uint16(buf[4:]))
 	if n > InodesPerBlock {
-		return nil, fmt.Errorf("layout: inode block claims %d inodes", n)
+		return InodeBlock{}, fmt.Errorf("layout: inode block claims %d inodes", n)
 	}
 	if le.Uint32(buf[8:]) != Checksum(buf[inodeBlockHeader:]) {
-		return nil, fmt.Errorf("%w: inode block", ErrBadChecksum)
+		return InodeBlock{}, fmt.Errorf("%w: inode block", ErrBadChecksum)
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, DecodeInode(buf[inodeBlockHeader+i*InodeSize:]))
+	return InodeBlock{buf: buf, n: n}, nil
+}
+
+// Inum returns the inode number stored in slot without decoding the
+// inode; ok is false when the block has no such slot.
+func (b InodeBlock) Inum(slot int) (inum uint32, ok bool) {
+	if slot < 0 || slot >= b.n {
+		return 0, false
 	}
-	return dst, nil
+	return binary.LittleEndian.Uint32(b.buf[inodeBlockHeader+slot*InodeSize:]), true
+}
+
+// Inode decodes the inode in slot into a fresh value (decoded inodes
+// outlive the block: they are handed to the inode cache), or returns nil
+// when the block has no such slot.
+func (b InodeBlock) Inode(slot int) *Inode {
+	if slot < 0 || slot >= b.n {
+		return nil
+	}
+	return DecodeInode(b.buf[inodeBlockHeader+slot*InodeSize:])
+}
+
+// DecodeInodeBlock unpacks every inode of a packed inode block.
+func DecodeInodeBlock(buf []byte) ([]*Inode, error) {
+	b, err := OpenInodeBlock(buf)
+	if err != nil {
+		return nil, err
+	}
+	inodes := make([]*Inode, b.n)
+	for i := range inodes {
+		inodes[i] = b.Inode(i)
+	}
+	return inodes, nil
 }
 
 // EncodeIndirectBlock serializes a block of disk addresses.

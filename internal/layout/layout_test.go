@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -113,6 +114,108 @@ func TestInodeBlockRejectsCorruption(t *testing.T) {
 	blk[100] ^= 1
 	if _, err := DecodeInodeBlock(blk); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
+	}
+}
+
+// TestOpenInodeBlock is the table of what the in-place view accepts: the
+// header checks are DecodeInodeBlock's, and a slot beyond the block's
+// count is reported, never read.
+func TestOpenInodeBlock(t *testing.T) {
+	inodes := []*Inode{NewInode(7, FileTypeRegular), NewInode(9, FileTypeDir), NewInode(11, FileTypeRegular)}
+	inodes[1].Size = 12345
+	good, err := EncodeInodeBlock(inodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	cases := []struct {
+		name   string
+		mutate func(b []byte)
+		bad    bool
+		is     error // what a bad block's error must match, if it is typed
+	}{
+		{name: "good", mutate: func([]byte) {}},
+		{name: "bad magic", mutate: func(b []byte) { b[0] ^= 0xff }, bad: true, is: ErrBadMagic},
+		{name: "bad CRC (payload)", mutate: func(b []byte) { b[inodeBlockHeader+5] ^= 1 }, bad: true, is: ErrBadChecksum},
+		{name: "bad CRC (stored sum)", mutate: func(b []byte) { b[8] ^= 1 }, bad: true, is: ErrBadChecksum},
+		{name: "count out of range", mutate: func(b []byte) { le.PutUint16(b[4:], InodesPerBlock+1) }, bad: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blk := append([]byte(nil), good...)
+			tc.mutate(blk)
+			ib, err := OpenInodeBlock(blk)
+			if _, derr := DecodeInodeBlock(blk); (err == nil) != (derr == nil) {
+				t.Fatalf("OpenInodeBlock err = %v but DecodeInodeBlock err = %v", err, derr)
+			}
+			if tc.bad {
+				if err == nil || (tc.is != nil && !errors.Is(err, tc.is)) {
+					t.Fatalf("err = %v, want an error matching %v", err, tc.is)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot, want := range inodes {
+				if inum, ok := ib.Inum(slot); !ok || inum != want.Inum {
+					t.Fatalf("Inum(%d) = %d, %v; want %d", slot, inum, ok, want.Inum)
+				}
+				if got := ib.Inode(slot); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Inode(%d) = %+v, want %+v", slot, got, want)
+				}
+			}
+			// Slot out of range: the encoded count bounds the view, not the
+			// buffer (the bytes past the last inode are zero padding).
+			for _, slot := range []int{-1, len(inodes), InodesPerBlock, InodesPerBlock + 1} {
+				if inum, ok := ib.Inum(slot); ok {
+					t.Fatalf("Inum(%d) = %d, want out of range", slot, inum)
+				}
+				if got := ib.Inode(slot); got != nil {
+					t.Fatalf("Inode(%d) = %+v, want nil", slot, got)
+				}
+			}
+		})
+	}
+}
+
+// TestInodeBlockAllocs pins what the in-place view is for: scanning a
+// block's inums costs nothing, and each decoded slot costs its one Inode.
+func TestInodeBlockAllocs(t *testing.T) {
+	inodes := make([]*Inode, InodesPerBlock)
+	for i := range inodes {
+		inodes[i] = NewInode(uint32(100+i), FileTypeRegular)
+	}
+	blk, err := EncodeInodeBlock(inodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept *Inode
+	scan := func(want uint32) func() {
+		return func() {
+			ib, err := OpenInodeBlock(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; ; slot++ {
+				inum, ok := ib.Inum(slot)
+				if !ok {
+					break
+				}
+				if inum == want {
+					kept = ib.Inode(slot)
+				}
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, scan(0)); avg != 0 {
+		t.Fatalf("scan with no wanted slot allocates %.2f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, scan(105)); avg != 1 {
+		t.Fatalf("scan with one wanted slot allocates %.2f times, want 1 (the Inode)", avg)
+	}
+	if kept == nil || kept.Inum != 105 {
+		t.Fatalf("kept = %+v", kept)
 	}
 }
 

@@ -31,7 +31,10 @@
 // the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
 // counters. It also says why every summary-chain walk so far stopped
-// (log.walk.end.<reason>): after `crash`, what ended roll-forward.
+// (log.walk.end.<reason>): after `crash`, what ended roll-forward — and
+// what each phase of that recovery asked of the disk
+// (fs.recovery.<phase>.{reads,blocks,sim_us}; fs.salvage.<phase>.* after a
+// salvage).
 package main
 
 import (

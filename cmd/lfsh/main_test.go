@@ -123,8 +123,15 @@ func TestShellStatsAndTrace(t *testing.T) {
 	}
 	// stats prints the metrics snapshot; after the crash's roll-forward it
 	// must say why the log walks stopped.
-	if report := fs.Metrics().String(); !strings.Contains(report, "log.walk.end.decode") {
+	report := fs.Metrics().String()
+	if !strings.Contains(report, "log.walk.end.decode") {
 		t.Fatalf("stats after a crash shows no log.walk.end.decode counter:\n%s", report)
+	}
+	// ... and what each phase of that recovery asked of the disk.
+	for _, phase := range []string{"cpload", "rollforward", "dirops", "usage", "commit"} {
+		if !strings.Contains(report, "fs.recovery."+phase+".reads") {
+			t.Fatalf("stats after a crash shows no fs.recovery.%s.reads counter:\n%s", phase, report)
+		}
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {

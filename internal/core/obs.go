@@ -1,6 +1,9 @@
 package core
 
 import (
+	"time"
+
+	"repro/internal/disk"
 	"repro/internal/obs"
 )
 
@@ -40,4 +43,34 @@ func (fs *FS) traceOp(name string) func() {
 			})
 		}
 	}
+}
+
+// phaseMeter attributes a recovery's device activity to its phases: each
+// end publishes what the device did since the previous one under
+// <prefix><phase>.{reads,blocks,sim_us}. It starts before the first device
+// request, which is before there is an FS to hang it on.
+type phaseMeter struct {
+	dev    *disk.Disk
+	tr     *obs.Tracer
+	prefix string
+	last   disk.Stats
+}
+
+func startPhases(dev *disk.Disk, tr *obs.Tracer, prefix string) *phaseMeter {
+	if tr == nil {
+		return nil
+	}
+	return &phaseMeter{dev: dev, tr: tr, prefix: prefix, last: dev.Stats()}
+}
+
+func (m *phaseMeter) end(phase string) {
+	if m == nil {
+		return
+	}
+	now := m.dev.Stats()
+	d := now.Sub(m.last)
+	m.last = now
+	m.tr.Add(m.prefix+phase+".reads", d.ReadOps)
+	m.tr.Add(m.prefix+phase+".blocks", d.BlocksRead)
+	m.tr.Add(m.prefix+phase+".sim_us", int64(d.BusyTime/time.Microsecond))
 }

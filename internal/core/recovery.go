@@ -18,6 +18,7 @@ import (
 // possible, repairing directory/inode consistency with the directory
 // operation log and adjusting segment utilizations.
 func Mount(dev *disk.Disk, opts Options) (*FS, error) {
+	phases := startPhases(dev, opts.Tracer, obs.CtrRecoveryPhasePrefix)
 	fs, cp, err := openImage(dev, opts)
 	if err != nil {
 		return nil, err
@@ -38,40 +39,9 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 	copy(fs.imap.blockAddr, cp.ImapAddrs)
 	copy(fs.usage.blockAddr, cp.UsageAddrs)
-	// A map block that cannot be read or fails its checksum is
-	// unrecoverable metadata: mount continues in degraded read-only mode
-	// with that block's entries missing rather than failing outright, so
-	// the unaffected files stay readable.
-	for i, addr := range cp.ImapAddrs {
-		if addr == layout.NilAddr {
-			continue
-		}
-		buf, err := fs.readBlockRetry(addr)
-		if err != nil {
-			fs.degrade("imap-load", fmt.Sprintf("inode map block %d at %d unreadable: %v", i, addr, err))
-			continue
-		}
-		if err := fs.imap.loadBlock(buf, i); err != nil {
-			fs.tr.Add(obs.CtrCorruptBlocks, 1)
-			fs.quarantineSeg(fs.segOf(addr))
-			fs.degrade("imap-load", fmt.Sprintf("inode map block %d at %d corrupt: %v", i, addr, err))
-		}
-	}
-	for i, addr := range cp.UsageAddrs {
-		if addr == layout.NilAddr {
-			continue
-		}
-		buf, err := fs.readBlockRetry(addr)
-		if err != nil {
-			fs.degrade("usage-load", fmt.Sprintf("segment usage block %d at %d unreadable: %v", i, addr, err))
-			continue
-		}
-		if err := fs.usage.loadBlock(buf, i); err != nil {
-			fs.tr.Add(obs.CtrCorruptBlocks, 1)
-			fs.quarantineSeg(fs.segOf(addr))
-			fs.degrade("usage-load", fmt.Sprintf("segment usage block %d at %d corrupt: %v", i, addr, err))
-		}
-	}
+	fs.loadTable("imap-load", "inode map", cp.ImapAddrs, fs.imap.loadBlock)
+	fs.loadTable("usage-load", "segment usage", cp.UsageAddrs, fs.usage.loadBlock)
+	phases.end("cpload")
 
 	fs.rebuildInoBlockRefs()
 	refsBefore := make(map[int64]int, len(fs.inoBlockRefs))
@@ -91,6 +61,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 			return nil, err
 		}
 	}
+	phases.end("rollforward")
 
 	fs.rebuildFreeSegs()
 
@@ -124,6 +95,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		}
 	}
 	fs.rebuildFreeInums()
+	phases.end("dirops")
 
 	// Recompute exact utilizations for every segment touched since the
 	// checkpoint (Section 4.2: "the roll-forward code also adjusts the
@@ -132,6 +104,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs.recomputeSegs = nil
+	phases.end("usage")
 
 	// The checkpoint-time head may no longer be the head after
 	// roll-forward; only the current head carries the active flag.
@@ -175,12 +148,51 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// Replay the battery-backed write buffer, if one is attached: the
 	// operations it holds were acknowledged but had not reached the log
 	// when the crash happened (Section 2.1).
+	phases.end("commit")
 	if err := fs.replayNVRAM(); err != nil {
 		return nil, err
+	}
+	if fs.opts.NVRAM != nil {
+		phases.end("nvreplay")
 	}
 	fs.startCleaner()
 	fs.startCommitter()
 	return fs, nil
+}
+
+// loadTable reads the blocks of a checkpointed table — the inode map or the
+// segment usage table — from the addresses the checkpoint region gives,
+// blocks adjacent on disk (one checkpoint wrote them side by side) in one
+// request. A block that cannot be read or fails its checksum is
+// unrecoverable metadata: mount continues in degraded read-only mode with
+// that block's entries missing rather than failing outright, so the
+// unaffected files stay readable.
+func (fs *FS) loadTable(label, what string, addrs []int64, load func(buf []byte, i int) error) {
+	run := logRun{fs: fs}
+	for i := 0; i < len(addrs); {
+		if addrs[i] == layout.NilAddr {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
+			j++
+		}
+		run.read(addrs[i], j-i)
+		for k := i; k < j; k++ {
+			buf, err := run.at(addrs[k])
+			if err != nil {
+				fs.degrade(label, fmt.Sprintf("%s block %d at %d unreadable: %v", what, k, addrs[k], err))
+				continue
+			}
+			if err := load(buf, k); err != nil {
+				fs.tr.Add(obs.CtrCorruptBlocks, 1)
+				fs.quarantineSeg(fs.segOf(addrs[k]))
+				fs.degrade(label, fmt.Sprintf("%s block %d at %d corrupt: %v", what, k, addrs[k], err))
+			}
+		}
+		i = j
+	}
 }
 
 // openImage is the common front of Mount and SalvageImage. It attaches
@@ -322,7 +334,8 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 	var dirops []*layout.DirOp
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
-	w := fs.walkThread(cp, limit, s)
+	sc := rollScan{fs: fs, run: logRun{fs: fs}, fetched: make(map[int64][]byte)}
+	w := fs.walkThread(sc.run.source(s), cp, limit, s)
 
 walk:
 	for w.Next() {
@@ -332,19 +345,35 @@ walk:
 		// summary, so a valid summary implies complete data: only the
 		// inode and directory-log blocks need to be read. This is what
 		// keeps recovery time proportional to the number of files
-		// recovered rather than the volume of data (Table 3). The
-		// summary's per-block checksums are harvested along the way so
-		// later reads of these blocks verify without a chain walk.
+		// recovered rather than the volume of data (Table 3). Adjacent
+		// ones come off the disk in one request, together with the next
+		// summary when it follows them; the gaps between runs are data
+		// and are never read through. The summary's per-block checksums
+		// are harvested along the way so later reads of these blocks
+		// verify without a chain walk.
+		first := w.DataAddr()
+		runEnd := 0 // sc.run holds the wanted entries before this one
 		for i, e := range s.Entries {
-			addr := w.DataAddr() + int64(i)
+			addr := first + int64(i)
 			fs.recordBlockSum(addr, e.Sum)
-			if e.Kind != layout.KindInode && e.Kind != layout.KindDirLog {
+			if !rollForwardReads(e.Kind) {
 				// Data, indirect, imap and usage blocks need no direct
 				// action: inodes incorporate data and indirect blocks, and
 				// the checkpoint regions are the authority for map blocks.
 				continue
 			}
-			block, err := fs.readBlockRetry(addr)
+			if i >= runEnd {
+				runEnd = i + 1
+				for runEnd < len(s.Entries) && rollForwardReads(s.Entries[runEnd].Kind) {
+					runEnd++
+				}
+				n := runEnd - i
+				if a, ok := w.Ahead(); ok && a == first+int64(runEnd) {
+					n++
+				}
+				sc.run.read(addr, n)
+			}
+			block, err := sc.run.at(addr)
 			if err != nil {
 				if errors.Is(err, disk.ErrMediaRead) {
 					fs.degrade("roll-forward", fmt.Sprintf("roll-forward %s block at %d unreadable: %v", e.Kind, addr, err))
@@ -353,7 +382,7 @@ walk:
 				return nil, err
 			}
 			if e.Kind == layout.KindInode {
-				if err := fs.recoverInodeBlock(addr, block); err != nil {
+				if err := sc.recoverInodeBlock(addr, block); err != nil {
 					return nil, err
 				}
 				continue
@@ -393,11 +422,11 @@ walk:
 	return dirops, nil
 }
 
-// walkThread starts a device walk of the log thread written after cp,
+// walkThread starts a walk over src of the log thread written after cp,
 // stopping before WriteSeq bound.
-func (fs *FS) walkThread(cp *layout.Checkpoint, bound uint64, s *layout.WalkScratch) layout.ThreadWalker {
+func (fs *FS) walkThread(src layout.BlockSource, cp *layout.Checkpoint, bound uint64, s *layout.WalkScratch) layout.ThreadWalker {
 	pos := layout.LogPos{Seg: cp.HeadSeg, Off: int64(cp.HeadOffset), NextSeg: cp.NextSeg, WriteSeq: cp.WriteSeq}
-	return layout.WalkThread(fs.retrySource(s), fs.segBase, fs.segBlocks, pos, bound, s)
+	return layout.WalkThread(src, fs.segBase, fs.segBlocks, pos, bound, s)
 }
 
 // scanFlushBoundary walks the post-checkpoint summary chain without
@@ -418,7 +447,7 @@ func (fs *FS) scanFlushBoundary(cp *layout.Checkpoint) uint64 {
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
 	limit := cp.WriteSeq
-	w := fs.walkThread(cp, math.MaxUint64, s)
+	w := fs.walkThread(fs.retrySource(s), cp, math.MaxUint64, s)
 	for w.Next() {
 		if s.Flags&layout.SummaryFlagTxnEnd != 0 {
 			limit = s.WriteSeq + 1
@@ -430,11 +459,47 @@ func (fs *FS) scanFlushBoundary(cp *layout.Checkpoint) uint64 {
 	return limit
 }
 
+// rollForwardReads reports whether roll-forward needs the contents of a
+// block of this kind.
+func rollForwardReads(k layout.BlockKind) bool {
+	return k == layout.KindInode || k == layout.KindDirLog
+}
+
+// rollScan is what one roll-forward scan holds so that it reads no block
+// twice. It lives on rollForwardScan's stack and is bounded by the inodes of
+// the log written since the checkpoint: nothing in it outlives Mount.
+type rollScan struct {
+	fs *FS
+	// run is the current request: the inode and dirlog blocks of the
+	// partial write being applied (and the summary after them).
+	run logRun
+	// fetched holds the blocks usage accounting had to fetch one at a time,
+	// by address: inode blocks from before the checkpoint that hold an
+	// incarnation the scan replaces (one block often holds many — every
+	// directory the checkpoint wrote), and the indirect blocks of the
+	// inodes it meets, which each later incarnation of a growing file
+	// mostly shares.
+	fetched map[int64][]byte
+}
+
+func (sc *rollScan) fetch(addr int64) ([]byte, error) {
+	if b, ok := sc.fetched[addr]; ok {
+		return b, nil
+	}
+	b, err := sc.fs.readBlockRetry(addr)
+	if err != nil {
+		return nil, err
+	}
+	sc.fetched[addr] = b
+	return b, nil
+}
+
 // recoverInodeBlock incorporates a packed inode block discovered during
 // roll-forward: every inode that is at least as new as the inode map's
 // version replaces the map entry, and the live-byte accounting of older
 // segments is adjusted for the blocks the update superseded.
-func (fs *FS) recoverInodeBlock(addr int64, block []byte) error {
+func (sc *rollScan) recoverInodeBlock(addr int64, block []byte) error {
+	fs := sc.fs
 	inodes, err := layout.DecodeInodeBlock(block)
 	if err != nil {
 		return fmt.Errorf("roll-forward inode block at %d: %w", addr, err)
@@ -447,28 +512,16 @@ func (fs *FS) recoverInodeBlock(addr int64, block []byte) error {
 		if ino.Version < e.Version {
 			continue // stale incarnation of a deleted file
 		}
-		// Adjust usage: blocks referenced only by the old incarnation
-		// die; blocks referenced by the new one are counted (segments
-		// being recomputed are skipped in both directions).
-		if e.Allocated() {
-			oldAddrs, err := fs.inodeMapAddrs(e.Addr, e.Slot)
-			if err != nil {
+		// The accounting reads blocks that are not the inode's own — the
+		// block of the incarnation it replaces, indirect blocks. One the
+		// medium will not give up costs the mount its write access, not
+		// the file: a degraded mount never commits usage, so the inode is
+		// installed all the same and the scan goes on.
+		if err := sc.account(ino, e); err != nil {
+			if !errors.Is(err, disk.ErrMediaRead) {
 				return err
 			}
-			for _, a := range oldAddrs {
-				if err := fs.decLive(a); err != nil {
-					return err
-				}
-			}
-		}
-		newAddrs, err := fs.collectMapAddrs(ino)
-		if err != nil {
-			return err
-		}
-		for _, a := range newAddrs {
-			if err := fs.incLiveRecovery(a); err != nil {
-				return err
-			}
+			fs.degrade("roll-forward", fmt.Sprintf("roll-forward usage accounting for inum %d (inode block at %d): %v", ino.Inum, addr, err))
 		}
 		fs.imap.setLocation(ino.Inum, addr, uint16(slot))
 		fs.imap.setVersion(ino.Inum, ino.Version)
@@ -485,6 +538,63 @@ func (fs *FS) recoverInodeBlock(addr int64, block []byte) error {
 	return nil
 }
 
+// account adjusts segment usage for ino replacing the incarnation at inode
+// map entry e: blocks referenced only by the old incarnation die; blocks
+// referenced by the new one are counted (segments being recomputed are
+// skipped in both directions).
+func (sc *rollScan) account(ino *layout.Inode, e layout.ImapEntry) error {
+	fs := sc.fs
+	if e.Allocated() {
+		old, err := sc.previous(ino.Inum, e)
+		if err != nil {
+			return err
+		}
+		oldAddrs, err := sc.collectMapAddrs(old)
+		if err != nil {
+			return err
+		}
+		for _, a := range oldAddrs {
+			if err := fs.decLive(a); err != nil {
+				return err
+			}
+		}
+	}
+	newAddrs, err := sc.collectMapAddrs(ino)
+	if err != nil {
+		return err
+	}
+	for _, a := range newAddrs {
+		if err := fs.incLiveRecovery(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// previous returns the incarnation of inum that inode map entry e points
+// at. When the scan itself put it there it is still in the inode cache
+// (recoverInodeBlock installs the two together, and nothing else touches
+// either while the scan runs); otherwise it is in a block written before
+// the checkpoint, fetched once and decoded one slot at a time.
+func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, error) {
+	if mi, ok := sc.fs.icache[inum]; ok {
+		return mi.ino, nil
+	}
+	buf, err := sc.fetch(e.Addr)
+	if err != nil {
+		return nil, err
+	}
+	b, err := layout.OpenInodeBlock(buf)
+	if err != nil {
+		return nil, fmt.Errorf("old inode block at %d: %w", e.Addr, err)
+	}
+	ino := b.Inode(int(e.Slot))
+	if ino == nil {
+		return nil, fmt.Errorf("%w: inode slot %d of block %d", ErrCorrupt, e.Slot, e.Addr)
+	}
+	return ino, nil
+}
+
 // incLiveRecovery credits a block discovered during roll-forward, unless
 // its segment will be recomputed exactly afterwards.
 func (fs *FS) incLiveRecovery(addr int64) error {
@@ -498,26 +608,9 @@ func (fs *FS) incLiveRecovery(addr int64) error {
 	return fs.usage.addLive(seg, layout.BlockSize)
 }
 
-// inodeMapAddrs reads the inode stored at (addr, slot) and returns every
-// disk address its block map references.
-func (fs *FS) inodeMapAddrs(addr int64, slot uint16) ([]int64, error) {
-	buf, err := fs.readBlockRetry(addr)
-	if err != nil {
-		return nil, err
-	}
-	inodes, err := layout.DecodeInodeBlock(buf)
-	if err != nil {
-		return nil, fmt.Errorf("old inode block at %d: %w", addr, err)
-	}
-	if int(slot) >= len(inodes) {
-		return nil, fmt.Errorf("%w: inode slot %d of block %d", ErrCorrupt, slot, addr)
-	}
-	return fs.collectMapAddrs(inodes[slot])
-}
-
 // collectMapAddrs returns every disk address referenced by the inode's
 // block map: data blocks plus the indirect blocks themselves.
-func (fs *FS) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
+func (sc *rollScan) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
 	var out []int64
 	for _, a := range ino.Direct {
 		if a != layout.NilAddr {
@@ -526,7 +619,7 @@ func (fs *FS) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
 	}
 	if ino.Indirect != layout.NilAddr {
 		out = append(out, ino.Indirect)
-		buf, err := fs.readBlockRetry(ino.Indirect)
+		buf, err := sc.fetch(ino.Indirect)
 		if err != nil {
 			return nil, err
 		}
@@ -538,7 +631,7 @@ func (fs *FS) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
 	}
 	if ino.DIndir != layout.NilAddr {
 		out = append(out, ino.DIndir)
-		top, err := fs.readBlockRetry(ino.DIndir)
+		top, err := sc.fetch(ino.DIndir)
 		if err != nil {
 			return nil, err
 		}
@@ -547,7 +640,7 @@ func (fs *FS) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
 				continue
 			}
 			out = append(out, l2addr)
-			l2, err := fs.readBlockRetry(l2addr)
+			l2, err := sc.fetch(l2addr)
 			if err != nil {
 				return nil, err
 			}

@@ -71,7 +71,10 @@ type salvAccepted struct {
 
 // salvScan accumulates the full-log scan results.
 type salvScan struct {
-	intact    map[int64]uint64 // verified block address → covering WriteSeq
+	intact map[int64]uint64 // verified block address → covering WriteSeq
+	// ptrs holds the decoded pointers of every verified indirect block, so
+	// that checking the candidates' block chains reads nothing again.
+	ptrs      map[int64][]int64
 	cands     map[uint32][]salvCand
 	maxVer    map[uint32]uint32 // highest inode version seen per inum
 	maxSeq    uint64
@@ -102,7 +105,7 @@ func (fs *FS) Salvage() (*SalvageReport, error) {
 		// the log holds.
 		_ = fs.checkpointLocked()
 	}
-	return fs.salvageLocked()
+	return fs.salvageLocked(startPhases(fs.dev, fs.tr, obs.CtrSalvagePhasePrefix))
 }
 
 // SalvageImage salvages a file system directly from its device, without
@@ -115,12 +118,13 @@ func SalvageImage(dev *disk.Disk, opts Options) (*FS, *SalvageReport, error) {
 	// (known-bad segments must never be reused, even by the rebuilt image)
 	// and the checkpoint sequence floor (the fresh checkpoint must outrank
 	// any stale-but-valid region); having none is what salvage is for.
+	phases := startPhases(dev, opts.Tracer, obs.CtrSalvagePhasePrefix)
 	fs, _, err := openImage(dev, opts)
 	if fs == nil {
 		return nil, nil, fmt.Errorf("salvage: superblock: %w", err)
 	}
 	fs.mounted = true
-	rep, err := fs.salvageLocked()
+	rep, err := fs.salvageLocked(phases)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -132,24 +136,45 @@ func SalvageImage(dev *disk.Disk, opts Options) (*FS, *SalvageReport, error) {
 // salvageLocked is the scavenger shared by Salvage and SalvageImage.
 // Caller holds fs.mu (or owns the FS exclusively, pre-publication). It
 // discards all in-memory state, re-derives everything from the log, and
-// commits the rebuilt image with a fresh checkpoint.
-func (fs *FS) salvageLocked() (*SalvageReport, error) {
+// commits the rebuilt image with a fresh checkpoint. phases meters the
+// device from wherever the caller started it (SalvageImage: before the
+// superblock read, which so counts towards the scan).
+func (fs *FS) salvageLocked(phases *phaseMeter) (*SalvageReport, error) {
 	fs.tr.Add(obs.CtrSalvageRuns, 1)
 	rep := &SalvageReport{}
-
 	fs.salvageReset()
+	sc := fs.salvageScan(rep)
+	phases.end("scan")
+	return rep, fs.salvageRebuild(sc, rep, phases)
+}
 
-	sc := &salvScan{
+func newSalvScan() *salvScan {
+	return &salvScan{
 		intact: make(map[int64]uint64),
+		ptrs:   make(map[int64][]int64),
 		cands:  make(map[uint32][]salvCand),
 		maxVer: make(map[uint32]uint32),
 	}
+}
+
+// salvageScan reads the whole log, segment by segment.
+func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
+	sc := newSalvScan()
 	scratch := fs.getWalkScratch()
+	run := logRun{fs: fs}
 	for seg := int64(0); seg < fs.nsegs; seg++ {
 		rep.SegmentsScanned++
-		fs.salvageScanSeg(seg, sc, rep, scratch)
+		fs.salvageScanSeg(seg, sc, rep, scratch, &run)
 	}
 	fs.putWalkScratch(scratch)
+	return sc
+}
+
+// salvageRebuild turns a finished scan into a committed image: accept the
+// newest verifiable inodes, rebuild usage and directories, pick a log head,
+// checkpoint.
+func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMeter) error {
+	// The scan harvested every chain there is.
 	fs.sumsMu.Lock()
 	for seg := int64(0); seg < fs.nsegs; seg++ {
 		fs.sumsLoaded[seg] = true
@@ -158,16 +183,18 @@ func (fs *FS) salvageLocked() (*SalvageReport, error) {
 
 	acc := fs.salvageAcceptInodes(sc, rep)
 	fs.salvagePopulate(acc, sc, rep)
+	phases.end("accept")
 	// Usage must be rebuilt before the directory pass: rewriting a
 	// directory decrements the live count of each replaced or truncated
 	// old block, which underflows against a still-empty table.
 	fs.salvageRebuildUsage(acc)
 	if err := fs.salvageRebuildDirs(acc, rep); err != nil {
-		return rep, err
+		return err
 	}
 	if err := fs.salvagePickHead(); err != nil {
-		return rep, err
+		return err
 	}
+	phases.end("rebuild")
 
 	if fs.writeSeq <= sc.maxSeq {
 		fs.writeSeq = sc.maxSeq + 1
@@ -192,15 +219,16 @@ func (fs *FS) salvageLocked() (*SalvageReport, error) {
 	err := fs.checkpointLocked()
 	fs.inRecovery = prevRec
 	if err != nil {
-		return rep, fmt.Errorf("salvage: committing rebuilt state: %w", err)
+		return fmt.Errorf("salvage: committing rebuilt state: %w", err)
 	}
 	fs.rebuildFreeInums()
 	fs.rebuildFreeSegs()
+	phases.end("commit")
 
 	fs.tr.Add(obs.CtrSalvageInodes, int64(rep.InodesRecovered))
 	fs.tr.Add(obs.CtrSalvageOrphans, int64(rep.Orphans))
 	fs.tr.Add(obs.CtrSalvageDropped, int64(rep.BlocksDropped))
-	return rep, nil
+	return nil
 }
 
 // salvageReset discards every piece of in-memory state derived from the
@@ -254,8 +282,14 @@ func (fs *FS) salvageReset() {
 // contribute version candidates. Media read errors quarantine the
 // segment; checksum mismatches only drop the block (deliberate
 // corruption is not evidence the medium is bad).
-func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *layout.WalkScratch) {
-	w := fs.walkSegment(seg, s)
+//
+// The blocks a summary describes are read in one request, and the next
+// summary candidate — which the walk reads anyway — rides on it: the scan
+// reads exactly the blocks a block-at-a-time scan reads, in a request per
+// partial write instead of one per block. It never reads a whole segment;
+// most segments of a salvaged disk are empty and cost one block each.
+func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *layout.WalkScratch, run *logRun) {
+	w := layout.WalkSegment(run.source(s), fs.segStart(seg), fs.segBlocks, s)
 	for w.Next() {
 		rep.SummariesWalked++
 		if s.WriteSeq > sc.maxSeq {
@@ -265,9 +299,14 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 			sc.maxTime = s.Timestamp
 		}
 		fs.usage.noteWrite(seg, s.Timestamp)
+		n := len(s.Entries)
+		if a, ok := w.Ahead(); ok && a == w.DataAddr()+int64(n) {
+			n++
+		}
+		run.read(w.DataAddr(), n)
 		for i, e := range s.Entries {
 			addr := w.DataAddr() + int64(i)
-			blk, err := fs.readBlockRetry(addr)
+			blk, err := run.at(addr)
 			if err != nil {
 				rep.BlocksDropped++
 				if errors.Is(err, disk.ErrMediaRead) {
@@ -283,6 +322,8 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 			sc.intact[addr] = s.WriteSeq
 			fs.recordBlockSum(addr, e.Sum)
 			switch e.Kind {
+			case layout.KindIndirect:
+				sc.ptrs[addr] = layout.DecodeIndirectBlock(blk)
 			case layout.KindInode:
 				inos, err := layout.DecodeInodeBlock(blk)
 				if err != nil {
@@ -344,7 +385,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 		var chosen *salvAccepted
 		for k := range cands {
 			c := &cands[k]
-			data, meta, ok := fs.salvageWalkInode(c.ino, c.seq, sc.intact)
+			data, meta, ok := salvageWalkInode(c.ino, c.seq, sc)
 			if ok {
 				chosen = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: data, meta: meta}
 				break
@@ -370,7 +411,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 // address) and indirect-block addresses. seq is the candidate's
 // WriteSeq; every referenced block must have been written at or before
 // it (see salvageAcceptInodes).
-func (fs *FS) salvageWalkInode(ino *layout.Inode, seq uint64, intact map[int64]uint64) (map[uint32]int64, []int64, bool) {
+func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan) (map[uint32]int64, []int64, bool) {
 	// A size beyond what any block map can address is not a recoverable
 	// inode, it is hostile or rotted metadata that happened to checksum —
 	// reject it before anything downstream sizes a buffer from it.
@@ -378,7 +419,7 @@ func (fs *FS) salvageWalkInode(ino *layout.Inode, seq uint64, intact map[int64]u
 		return nil, nil, false
 	}
 	okAddr := func(a int64) bool {
-		s, present := intact[a]
+		s, present := sc.intact[a]
 		return present && s <= seq
 	}
 	data := make(map[uint32]int64)
@@ -392,15 +433,11 @@ func (fs *FS) salvageWalkInode(ino *layout.Inode, seq uint64, intact map[int64]u
 		}
 		data[uint32(bn)] = a
 	}
+	// An address the inode uses as an indirect block must have been
+	// written as one: the scan kept the pointers of those it verified.
 	readPtrs := func(a int64) ([]int64, bool) {
-		if !okAddr(a) {
-			return nil, false
-		}
-		buf, err := fs.readBlockRetry(a)
-		if err != nil {
-			return nil, false
-		}
-		return layout.DecodeIndirectBlock(buf), true
+		ptrs, isIndirect := sc.ptrs[a]
+		return ptrs, isIndirect && okAddr(a)
 	}
 	if ino.Indirect != layout.NilAddr {
 		ptrs, ok := readPtrs(ino.Indirect)

@@ -306,7 +306,8 @@ func crashedImage(t *testing.T) *disk.Snapshot {
 // first device request of Mount and SalvageImage — the superblock and
 // checkpoint-region reads included: with nothing but Options.Tracer set,
 // the disk.io events must add up to the device's own Stats, field by
-// field.
+// field — and so must the recovery's phase counters, which say where in
+// the recovery each request was made.
 func TestTraceCoversWholeMount(t *testing.T) {
 	snap := crashedImage(t)
 	open := map[string]func(*disk.Disk, Options) (*FS, error){
@@ -315,6 +316,10 @@ func TestTraceCoversWholeMount(t *testing.T) {
 			fs, _, err := SalvageImage(d, o)
 			return fs, err
 		},
+	}
+	phases := map[string][]string{
+		"Mount":        {"fs.recovery.", "cpload", "rollforward", "dirops", "usage", "commit"},
+		"SalvageImage": {"fs.salvage.", "scan", "accept", "rebuild", "commit"},
 	}
 	for name, openFS := range open {
 		t.Run(name, func(t *testing.T) {
@@ -354,6 +359,23 @@ func TestTraceCoversWholeMount(t *testing.T) {
 			m := fs.Metrics()
 			if r, w := m.Counter(obs.CtrDiskReadOps), m.Counter(obs.CtrDiskWriteOps); r != traced.ReadOps || w != traced.WriteOps {
 				t.Fatalf("disk.read.ops %d / disk.write.ops %d, device did %d / %d", r, w, traced.ReadOps, traced.WriteOps)
+			}
+			var reads, blocks, simUS int64
+			prefix := phases[name][0]
+			for _, phase := range phases[name][1:] {
+				if _, ok := m.Counters[prefix+phase+".reads"]; !ok {
+					t.Errorf("no %s%s.reads counter", prefix, phase)
+				}
+				reads += m.Counter(prefix + phase + ".reads")
+				blocks += m.Counter(prefix + phase + ".blocks")
+				simUS += m.Counter(prefix + phase + ".sim_us")
+			}
+			if reads != traced.ReadOps || blocks != traced.BlocksRead {
+				t.Errorf("the phases account for %d reads of %d blocks, the device did %d of %d", reads, blocks, traced.ReadOps, traced.BlocksRead)
+			}
+			// Each phase truncates its time to a whole microsecond.
+			if busy := traced.BusyTime.Microseconds(); simUS > busy || simUS < busy-int64(len(phases[name])) {
+				t.Errorf("the phases account for %d us of simulated time, the device was busy %d us", simUS, busy)
 			}
 		})
 	}

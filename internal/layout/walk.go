@@ -10,7 +10,9 @@ package layout
 
 // BlockSource returns the BlockSize bytes stored at a disk address. The
 // slice need only stay valid until the next call, so a source may fill one
-// reused buffer (WalkScratch.Blk) or hand out views of a larger image.
+// reused buffer (WalkScratch.Blk) or hand out views of a larger image — a
+// whole segment (ImageSource), or a run of blocks a caller read in one
+// request because a walker's Ahead told it the next summary was among them.
 type BlockSource func(addr int64) ([]byte, error)
 
 // ImageSource is the BlockSource over an in-memory copy of the blocks
@@ -153,6 +155,19 @@ func (w *SegWalker) Next() bool {
 	return true
 }
 
+// Ahead returns the address the next call to Next will ask the source for,
+// or false when that call will read nothing. A caller about to read the
+// blocks the current summary describes can take the next summary in the same
+// request (when the address is adjacent) without reading a block the walk
+// itself would not have read.
+func (w *SegWalker) Ahead() (int64, bool) {
+	off := w.off + w.span
+	if w.end != WalkOpen || off > w.segBlocks-2 {
+		return 0, false
+	}
+	return w.start + off, true
+}
+
 // Off returns the segment offset of the current summary; after the walk,
 // the offset at which the chain ended (0 if no summary was valid).
 func (w *SegWalker) Off() int64 { return w.off }
@@ -197,30 +212,38 @@ func WalkThread(src BlockSource, base, segBlocks int64, pos LogPos, bound uint64
 	return ThreadWalker{src: src, base: base, segBlocks: segBlocks, sum: s, pos: pos, bound: bound}
 }
 
+// ahead steps past the summary the caller has just consumed and returns
+// where the thread continues: the position of the next summary to read, or
+// why there is none. Stepping on the way in rather than on the way out means
+// a caller that abandons a summary half-applied still sees Pos in front of it.
+func (w *ThreadWalker) ahead() (LogPos, WalkEnd) {
+	p := w.pos
+	if w.span > 0 {
+		p.Off += w.span
+		p.NextSeg = w.sum.NextSeg
+		p.WriteSeq++
+	}
+	if p.Off > w.segBlocks-2 {
+		if p.NextSeg == NilAddr {
+			return p, EndNoNextSeg
+		}
+		p.Seg, p.Off = p.NextSeg, 0
+	}
+	if p.WriteSeq >= w.bound {
+		return p, EndSeqBound
+	}
+	return p, WalkOpen
+}
+
 // Next advances to the next summary of the thread, reporting false once
 // the thread has ended.
 func (w *ThreadWalker) Next() bool {
 	if w.end != WalkOpen {
 		return false
 	}
-	// Step past the summary the caller has just consumed. Doing it here
-	// rather than on the way out means a caller that abandons a summary
-	// half-applied still sees Pos in front of it.
-	if w.span > 0 {
-		w.pos.Off += w.span
-		w.pos.NextSeg = w.sum.NextSeg
-		w.pos.WriteSeq++
-		w.span = 0
-	}
-	if w.pos.Off > w.segBlocks-2 {
-		if w.pos.NextSeg == NilAddr {
-			w.end = EndNoNextSeg
-			return false
-		}
-		w.pos.Seg, w.pos.Off = w.pos.NextSeg, 0
-	}
-	if w.pos.WriteSeq >= w.bound {
-		w.end = EndSeqBound
+	w.pos, w.end = w.ahead()
+	w.span = 0
+	if w.end != WalkOpen {
 		return false
 	}
 	end, err := StepSummary(w.src, w.base+w.pos.Seg*w.segBlocks, w.pos.Off, w.segBlocks, w.sum)
@@ -233,6 +256,20 @@ func (w *ThreadWalker) Next() bool {
 	}
 	w.span = 1 + int64(len(w.sum.Entries))
 	return true
+}
+
+// Ahead is SegWalker.Ahead for the thread: the address the next call to Next
+// will ask the source for (in the next segment when this one is full), or
+// false when it will read nothing.
+func (w *ThreadWalker) Ahead() (int64, bool) {
+	if w.end != WalkOpen {
+		return 0, false
+	}
+	p, end := w.ahead()
+	if end != WalkOpen {
+		return 0, false
+	}
+	return w.base + p.Seg*w.segBlocks + p.Off, true
 }
 
 // Pos returns the position of the current summary; after the walk, the

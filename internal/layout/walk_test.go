@@ -44,6 +44,35 @@ func (img walkImage) failAt(bad int64) BlockSource {
 	}
 }
 
+// recording wraps a source so that a test sees which addresses a walk asks
+// it for.
+func recording(src BlockSource, asked *[]int64) BlockSource {
+	return func(addr int64) ([]byte, error) {
+		*asked = append(*asked, addr)
+		return src(addr)
+	}
+}
+
+// nextAsPromised is w.Next(), checked against what w.Ahead() said it would
+// read: exactly that address, or nothing at all. A caller that reads ahead
+// on Ahead's word must never read a block the walk itself would not have.
+func nextAsPromised(t *testing.T, w interface {
+	Ahead() (int64, bool)
+	Next() bool
+}, asked *[]int64) bool {
+	t.Helper()
+	ahead, ok := w.Ahead()
+	n := len(*asked)
+	more := w.Next()
+	switch got := (*asked)[n:]; {
+	case ok && (len(got) != 1 || got[0] != ahead):
+		t.Fatalf("Ahead promised a read of %d, Next asked for %v", ahead, got)
+	case !ok && len(got) != 0:
+		t.Fatalf("Ahead promised no read, Next asked for %v", got)
+	}
+	return more
+}
+
 func TestSegWalkerEndReasons(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -121,10 +150,11 @@ func TestSegWalkerEndReasons(t *testing.T) {
 				src = img.failAt(tc.failAt)
 			}
 			s := NewWalkScratch()
-			w := WalkSegment(src, walkBase, walkSegBlocks, s)
+			var asked []int64
+			w := WalkSegment(recording(src, &asked), walkBase, walkSegBlocks, s)
 			walked := 0
 			var lastSeq uint64
-			for w.Next() {
+			for nextAsPromised(t, &w, &asked) {
 				walked++
 				if walked > 1 && s.WriteSeq <= lastSeq {
 					t.Fatalf("walker yielded WriteSeq %d after %d", s.WriteSeq, lastSeq)
@@ -139,7 +169,7 @@ func TestSegWalkerEndReasons(t *testing.T) {
 				t.Fatalf("walked %d to offset %d, end %v (%v); want %d to %d, end %v (%v)",
 					walked, w.Off(), end, err, tc.walked, tc.endOff, tc.end, tc.wantErr)
 			}
-			if w.Next() {
+			if nextAsPromised(t, &w, &asked) {
 				t.Fatal("Next reported true after the walk ended")
 			}
 		})
@@ -225,9 +255,10 @@ func TestThreadWalkerEndReasons(t *testing.T) {
 				src = img.failAt(tc.failAt)
 			}
 			s := NewWalkScratch()
-			w := WalkThread(src, walkBase, walkSegBlocks, start, tc.bound, s)
+			var asked []int64
+			w := WalkThread(recording(src, &asked), walkBase, walkSegBlocks, start, tc.bound, s)
 			walked := 0
-			for w.Next() {
+			for nextAsPromised(t, &w, &asked) {
 				pos := w.Pos()
 				if s.WriteSeq != pos.WriteSeq {
 					t.Fatalf("yielded WriteSeq %d at position %+v", s.WriteSeq, pos)

@@ -177,6 +177,17 @@ const (
 	// stopped ("log.walk.end.<reason>", the reason being a
 	// layout.WalkEnd name such as "decode", "seq-regress" or "media").
 	CtrLogWalkEndPrefix = "log.walk.end."
+	// CtrRecoveryPhasePrefix and CtrSalvagePhasePrefix attribute the
+	// device activity of Mount and of a salvage to their phases:
+	// "<prefix><phase>.reads" (read requests), ".blocks" (blocks read) and
+	// ".sim_us" (simulated busy time, writes included). Mount's phases are
+	// cpload (superblock, checkpoint regions, inode map and usage table),
+	// rollforward, dirops, usage, commit (the recovery checkpoint) and, with
+	// an NVRAM attached, nvreplay; salvage's are scan, accept, rebuild and
+	// commit. A phase's counters exist once a run has finished it, and a
+	// run's reads add up to disk.read.ops.
+	CtrRecoveryPhasePrefix = "fs.recovery."
+	CtrSalvagePhasePrefix  = "fs.salvage."
 )
 
 // HistWriterStall is the latency histogram of writer stalls behind the

@@ -93,9 +93,12 @@ func (t tolerance) check(grid, cell string, base, got float64, out []Regression)
 // allocations per op (runtime-deterministic modulo background GC
 // bookkeeping, hence the absolute slack) and simulated device traffic.
 // Wall-clock throughput and sync latencies vary with the CI host and
-// are recorded in the snapshot but never gated. NVSync block counts are
-// also ungated: with absorption on, how many segments the async
-// committer drained before the stats read is scheduling-dependent.
+// are recorded in the snapshot but never gated. Block counts that depend
+// on scheduling are ungated too: NVSync's (with absorption on, how many
+// segments the async committer drained before the stats read) and
+// GroupCommit's with two or more writers (how many syncs share one flush
+// — and so how many partial segments are written — is decided by who
+// wins fs.mu; on a 2-CPU host w=8 reads 30-70 % above the baseline).
 var (
 	allocsBand   = tolerance{metric: "allocs_per_op", rel: 0.25, abs: 2}
 	blocksBand   = tolerance{metric: "blocks_written", rel: 0.05, abs: 16}
@@ -123,7 +126,9 @@ func CompareSnapshots(base, got *Snapshot) []Regression {
 			continue
 		}
 		out = allocsBand.check("groupcommit", cell, b.AllocsPerOp, g.AllocsPerOp, out)
-		out = blocksBand.check("groupcommit", cell, float64(b.BlocksOut), float64(g.BlocksOut), out)
+		if b.Writers == 1 {
+			out = blocksBand.check("groupcommit", cell, float64(b.BlocksOut), float64(g.BlocksOut), out)
+		}
 	}
 
 	nv := make(map[string]NVSyncResult, len(got.NVSync))

@@ -10,6 +10,7 @@ func gateBaseline() *Snapshot {
 	return &Snapshot{
 		Date: "2026-08-08", Quick: false, Seed: 42,
 		GroupCommit: []GroupCommitResult{
+			{Scenario: "steady", Writers: 1, Grouped: true, AllocsPerOp: 18, BlocksOut: 3600},
 			{Scenario: "steady", Writers: 4, Grouped: true, AllocsPerOp: 18, BlocksOut: 3600},
 		},
 		NVSync: []NVSyncResult{
@@ -76,6 +77,23 @@ func TestCompareSnapshotsCatchesTrafficRegression(t *testing.T) {
 	regs := CompareSnapshots(base, got)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 regressions, got %v", regs)
+	}
+}
+
+// Multi-writer block counts depend on which writer wins fs.mu, not on
+// the code: they are recorded but not gated, while the same cell's
+// allocations still are.
+func TestCompareSnapshotsMultiWriterBlocksUngated(t *testing.T) {
+	base := gateBaseline()
+	got := clone(base)
+	got.GroupCommit[1].BlocksOut = 2 * base.GroupCommit[1].BlocksOut
+	if regs := CompareSnapshots(base, got); len(regs) != 0 {
+		t.Fatalf("scheduling-dependent block count gated: %v", regs)
+	}
+	got.GroupCommit[1].AllocsPerOp = 2 * base.GroupCommit[1].AllocsPerOp
+	regs := CompareSnapshots(base, got)
+	if len(regs) != 1 || regs[0].Metric != "allocs_per_op" || regs[0].Cell != "steady/w=4/grouped=true" {
+		t.Fatalf("want the w=4 allocs regression alone, got %v", regs)
 	}
 }
 

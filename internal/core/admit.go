@@ -71,6 +71,21 @@ func writeBudget(nbytes int) int {
 	return blocks + blocks/layout.PointersPerBlock + 2
 }
 
+// budget is the worst-case block budget of the operation r describes.
+func (r *nvRecord) budget() int {
+	switch r.kind {
+	case nvWriteAt:
+		return writeBudget(len(r.data))
+	case nvWriteFile:
+		return opBudgetDirOp + writeBudget(len(r.data))
+	case nvTruncate:
+		return opBudgetTruncate
+	case nvRename:
+		return opBudgetRename
+	}
+	return opBudgetDirOp
+}
+
 // opAdmit blocks until the operation's worst-case budget fits under the
 // admission gate, then reserves it. It must be called before fs.mu is
 // taken; the returned release function must be called after fs.mu is
@@ -313,6 +328,7 @@ func (fs *FS) inlineCommit(want uint64) error {
 func (fs *FS) committerLoop() {
 	for {
 		fs.commitMu.Lock()
+		fs.commitInBatch = 0
 		for len(fs.commitQueue) == 0 && !fs.commitStopped {
 			fs.commitCond.Wait()
 		}
@@ -325,6 +341,7 @@ func (fs *FS) committerLoop() {
 		}
 		batch := fs.commitQueue
 		fs.commitQueue = nil
+		fs.commitInBatch = len(batch)
 		fs.commitMu.Unlock()
 		fs.commitBatch(batch)
 	}

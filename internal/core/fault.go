@@ -15,13 +15,17 @@ import (
 	"repro/internal/obs"
 )
 
+// mediaRetries bounds how many times a read failing with a media error
+// is retried before the error is surfaced (so up to 4 attempts in all).
+const mediaRetries = 3
+
 // readRetry reads len(buf) bytes at addr, retrying media errors within
-// the bounded Options.MediaRetries budget. Transient latent-sector
-// errors that clear within the budget are invisible to the caller apart
-// from the media.retries counter.
+// the mediaRetries budget. Transient latent-sector errors that clear
+// within the budget are invisible to the caller apart from the
+// media.retries counter.
 func (fs *FS) readRetry(addr int64, buf []byte) error {
 	err := fs.dev.Read(addr, buf)
-	for r := 0; r < fs.opts.MediaRetries && errors.Is(err, disk.ErrMediaRead); r++ {
+	for r := 0; r < mediaRetries && errors.Is(err, disk.ErrMediaRead); r++ {
 		fs.tr.Add(obs.CtrMediaRetries, 1)
 		err = fs.dev.Read(addr, buf)
 	}
@@ -108,11 +112,8 @@ func (fs *FS) harvestSegSums(seg int64) error {
 // adds file coordinates with attributeCorruption). A live block whose
 // summary chain is unreadable or does not describe it means the chain
 // itself is damaged — metadata unrecoverable — so the file system
-// degrades. No-op when Options.NoVerifyReads is set.
+// degrades.
 func (fs *FS) verifyBlock(addr int64, buf []byte) error {
-	if fs.opts.NoVerifyReads {
-		return nil
-	}
 	sum, ok, err := fs.lookupBlockSum(addr)
 	if err != nil {
 		fs.degrade("summary-chain", fmt.Sprintf("summary chain of segment %d unreadable: %v", fs.segOf(addr), err))

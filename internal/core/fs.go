@@ -219,6 +219,7 @@ type FS struct {
 	commitMu      sync.Mutex
 	commitCond    *sync.Cond
 	commitQueue   []commitReq
+	commitInBatch int // requests the committer has drained and is serving
 	commitActive  bool
 	commitStopped bool
 	commitDone    chan struct{}
@@ -343,21 +344,18 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	fs.admitCond = sync.NewCond(&fs.admitMu)
 	fs.commitCond = sync.NewCond(&fs.commitMu)
 	fs.admitCap = opts.AdmitBudgetBlocks
-	fs.bpool = bufpool.New(layout.BlockSize, opts.PoolBlocks)
+	// The idle block freelist holds two write buffers plus a segment:
+	// enough to turn the steady-state write path allocation-free.
+	fs.bpool = bufpool.New(layout.BlockSize, 2*opts.WriteBufferBlocks+opts.SegmentBlocks)
 	// Runs span at most one segment: coalesced reads are split by the
 	// cache/dirty checks, a partial write is at most a segment, and the
 	// cleaner reads whole segments. Keep a few idle buffers per class —
 	// one in-flight flush, one cleaner pass, plus concurrent readers.
-	perClass := runPoolPerClass
-	if opts.PoolBlocks == 0 {
-		perClass = 0 // pooling disabled (Options.PoolBlocks < 0)
-	}
-	fs.rpool = bufpool.NewRun(layout.BlockSize, int(segBlocks), perClass)
+	fs.rpool = bufpool.NewRun(layout.BlockSize, int(segBlocks), runPoolPerClass)
 	// One parked value covers the single cleaner (cleaning runs one pass
 	// at a time under fs.mu); the rest serve readers harvesting block
-	// checksums side by side. Disabling byte-buffer pooling disables
-	// this too so alloc-measurement baselines stay honest.
-	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](perClass)
+	// checksums side by side.
+	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](runPoolPerClass)
 	if opts.ReadCacheBlocks > 0 {
 		fs.rcache = make(map[int64][]byte)
 		fs.rcacheDead = make(map[int64]int)

@@ -200,18 +200,17 @@ func (fs *FS) logDirOp(op *layout.DirOp) {
 	fs.pendingOps = append(fs.pendingOps, op)
 }
 
-// mutate runs the in-memory mutation phase of a directory-modifying
-// operation. The phase is written so that everything fallible — path
-// resolution, directory and inode loads, block-map preloads — happens
-// before its first logDirOp; if it nevertheless fails after logging a
-// record (a disk fault or out-of-space inside saveDir's inline flush),
-// the in-memory state is half-applied and must never be flushed or
-// checkpointed, so the file system drops into sticky degraded
-// read-only mode: reads keep working, the torn state dies in memory,
-// and the next mount recovers the last consistent on-disk state.
-func (fs *FS) mutate(f func() error) error {
-	before := fs.dirLogSeq
-	err := f()
+// torn closes the bracket a directory-modifying call runs in; before is
+// dirLogSeq from in front of the call. Such calls are written so that
+// everything fallible — path resolution, directory and inode loads,
+// block-map preloads — happens before their first logDirOp; if one
+// nevertheless fails after logging a record (a disk fault or
+// out-of-space inside saveDir's inline flush), the in-memory state is
+// half-applied and must never be flushed or checkpointed, so the file
+// system drops into sticky degraded read-only mode: reads keep working,
+// the torn state dies in memory, and the next mount recovers the last
+// consistent on-disk state.
+func (fs *FS) torn(before uint64, err error) error {
 	if err != nil && fs.dirLogSeq != before {
 		fs.degrade("dirlog-torn", fmt.Sprintf("operation failed after logging %d directory-op record(s): %v",
 			fs.dirLogSeq-before, err))
@@ -227,7 +226,7 @@ func (fs *FS) preloadBlockMap(mi *mInode) error {
 }
 
 // createNode allocates an inode of the given type and links it into dir.
-// All fallible loads precede the first mutation (see mutate).
+// All fallible loads precede the first mutation (see torn).
 func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error) {
 	entries, err := fs.loadDir(dirInum)
 	if err != nil {
@@ -267,64 +266,14 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 
 // Create makes an empty regular file.
 func (fs *FS) Create(path string) error {
-	release := fs.opAdmit(opBudgetDirOp)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("create")()
-	fs.tick()
-	dir, name, err := fs.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	if err := fs.mutate(func() error {
-		_, err := fs.createNode(dir, name, layout.FileTypeRegular)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvCreate, path: path}); err != nil {
-		return err
-	}
-	return fs.epilogue()
+	_, err := fs.do(&nvRecord{kind: nvCreate, path: path})
+	return err
 }
 
 // Mkdir makes an empty directory.
 func (fs *FS) Mkdir(path string) error {
-	release := fs.opAdmit(opBudgetDirOp)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("mkdir")()
-	fs.tick()
-	dir, name, err := fs.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	if err := fs.mutate(func() error {
-		_, err := fs.createNode(dir, name, layout.FileTypeDir)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvMkdir, path: path}); err != nil {
-		return err
-	}
-	return fs.epilogue()
+	_, err := fs.do(&nvRecord{kind: nvMkdir, path: path})
+	return err
 }
 
 // WriteAt writes data into the file at path at the given offset, creating
@@ -332,13 +281,59 @@ func (fs *FS) Mkdir(path string) error {
 // actually staged in the file cache — on a mid-operation flush failure it
 // reflects exactly what a later successful Sync would make durable.
 func (fs *FS) WriteAt(path string, off int64, data []byte) (int, error) {
-	release := fs.opAdmit(writeBudget(len(data)))
+	return fs.do(&nvRecord{kind: nvWriteAt, path: path, offset: off, data: data})
+}
+
+// WriteFile replaces the file's contents with data, creating the file if
+// needed (a convenience combining Create, Truncate and WriteAt).
+func (fs *FS) WriteFile(path string, data []byte) error {
+	_, err := fs.do(&nvRecord{kind: nvWriteFile, path: path, data: data})
+	return err
+}
+
+// Truncate sets the file's size.
+func (fs *FS) Truncate(path string, size int64) error {
+	_, err := fs.do(&nvRecord{kind: nvTruncate, path: path, size: size})
+	return err
+}
+
+// Link creates a new hard link newPath referring to the file at oldPath.
+func (fs *FS) Link(oldPath, newPath string) error {
+	_, err := fs.do(&nvRecord{kind: nvLink, path: oldPath, path2: newPath})
+	return err
+}
+
+// Remove unlinks the file or empty directory at path.
+func (fs *FS) Remove(path string) error {
+	_, err := fs.do(&nvRecord{kind: nvRemove, path: path})
+	return err
+}
+
+// Rename atomically moves oldPath to newPath, replacing a regular-file
+// target if one exists. The directory operation log makes the operation
+// atomic across crashes (Section 4.2).
+func (fs *FS) Rename(oldPath, newPath string) error {
+	_, err := fs.do(&nvRecord{kind: nvRename, path: oldPath, path2: newPath})
+	return err
+}
+
+// do is the spine of every mutating operation: the public methods above
+// only describe themselves in an nvRecord (payload aliased, never
+// copied). In order: admission against the kind's block budget, outside
+// fs.mu; fs.mu; the mounted and degraded checks; tick; apply; on success
+// the NVRAM record and the cleaner epilogue. Whether or not apply
+// failed — it may have staged partial state that a later Sync must
+// flush — the operation's epoch is closed (opStaged) and its latency
+// traced before the lock drops. The int is apply's: bytes staged by a
+// WriteAt, zero for every other kind.
+func (fs *FS) do(r *nvRecord) (int, error) {
+	release := fs.opAdmit(r.budget())
 	defer release()
-	// Chop the block-aligned body into private pooled buffers outside
-	// fs.mu, so the staging critical section installs pointers instead
-	// of copying. Deferred before the lock, release runs after Unlock
-	// and returns whatever an early error left unconsumed.
-	prep := fs.prepareWrite(off, data)
+	// Chop the block-aligned body of a payload into private pooled
+	// buffers outside fs.mu, so the staging critical section installs
+	// pointers instead of copying. Deferred before the lock, release runs
+	// after Unlock and returns whatever an early error left unconsumed.
+	prep := fs.prepareWrite(r.offset, r.data)
 	defer prep.release(fs.bpool)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -349,90 +344,110 @@ func (fs *FS) WriteAt(path string, off int64, data []byte) (int, error) {
 		return 0, err
 	}
 	defer fs.opStaged()
-	defer fs.traceOp("write")()
+	defer fs.traceOp(nvOpName[r.kind])()
 	fs.tick()
-	mi, err := fs.resolveFile(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := fs.writeAtPrepared(mi, off, data, prep)
+	n, err := fs.apply(r, prep)
 	if err != nil {
 		return n, err
 	}
-	if err := fs.nvLog(nvRecord{kind: nvWriteAt, path: path, offset: off,
-		data: append([]byte(nil), data...)}); err != nil {
+	if err := fs.nvLog(r); err != nil {
 		return n, err
 	}
 	return n, fs.epilogue()
 }
 
-// WriteFile replaces the file's contents with data, creating the file if
-// needed (a convenience combining Create, Truncate and WriteAt).
-func (fs *FS) WriteFile(path string, data []byte) error {
-	release := fs.opAdmit(opBudgetDirOp + writeBudget(len(data)))
-	defer release()
-	prep := fs.prepareWrite(0, data)
-	defer prep.release(fs.bpool)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("write")()
-	fs.tick()
-	if int64(len(data)) > int64(layout.MaxFileBlocks)*layout.BlockSize {
-		return ErrFileTooBig
-	}
-	dir, name, err := fs.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	inum, exists, err := fs.lookup(dir, name)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		// The create is the only part that logs a directory op; the
-		// truncate and write below mutate file content only, so their
-		// failure leaves a valid (if partially written) file, not a
-		// half-applied namespace change.
-		if err := fs.mutate(func() error {
-			var cerr error
-			inum, cerr = fs.createNode(dir, name, layout.FileTypeRegular)
-			return cerr
-		}); err != nil {
-			return err
+// apply is the one body of each mutating operation, run by do for a live
+// call and by replayNVRAM for a record that survived a crash (prep is
+// nil there). It assumes fs.mu held and the file system mounted and not
+// degraded; it does no admission, tick, NVRAM logging or epilogue. Only
+// the call that logs directory-op records sits inside the torn bracket.
+func (fs *FS) apply(r *nvRecord, prep *preparedWrite) (int, error) {
+	before := fs.dirLogSeq
+	switch r.kind {
+	case nvCreate, nvMkdir:
+		dir, name, err := fs.resolveParent(r.path)
+		if err != nil {
+			return 0, err
 		}
-	}
-	mi, err := fs.loadInode(inum)
-	if err != nil {
-		return err
-	}
-	if mi.ino.Type == layout.FileTypeDir {
-		return ErrIsDir
-	}
-	// Fault the block map in before the truncate so the shrink cannot
-	// fail on a disk read halfway through releasing blocks.
-	if err := fs.preloadBlockMap(mi); err != nil {
-		return err
-	}
-	if err := fs.truncate(mi, 0); err != nil {
-		return err
-	}
-	if len(data) > 0 {
-		if _, err := fs.writeAtPrepared(mi, 0, data, prep); err != nil {
-			return err
+		typ := uint8(layout.FileTypeRegular)
+		if r.kind == nvMkdir {
+			typ = layout.FileTypeDir
 		}
+		_, err = fs.createNode(dir, name, typ)
+		return 0, fs.torn(before, err)
+	case nvWriteAt:
+		mi, err := fs.resolveFile(r.path)
+		if err != nil {
+			return 0, err
+		}
+		return fs.writeAtPrepared(mi, r.offset, r.data, prep)
+	case nvWriteFile:
+		if int64(len(r.data)) > int64(layout.MaxFileBlocks)*layout.BlockSize {
+			return 0, ErrFileTooBig
+		}
+		dir, name, err := fs.resolveParent(r.path)
+		if err != nil {
+			return 0, err
+		}
+		inum, exists, err := fs.lookup(dir, name)
+		if err != nil {
+			return 0, err
+		}
+		if !exists {
+			// The create is the only part that logs a directory op; the
+			// truncate and write below mutate file content only, so their
+			// failure leaves a valid (if partially written) file, not a
+			// half-applied namespace change.
+			inum, err = fs.createNode(dir, name, layout.FileTypeRegular)
+			if err = fs.torn(before, err); err != nil {
+				return 0, err
+			}
+		}
+		mi, err := fs.loadInode(inum)
+		if err != nil {
+			return 0, err
+		}
+		if mi.ino.Type == layout.FileTypeDir {
+			return 0, ErrIsDir
+		}
+		// Fault the block map in before the truncate so the shrink cannot
+		// fail on a disk read halfway through releasing blocks.
+		if err := fs.preloadBlockMap(mi); err != nil {
+			return 0, err
+		}
+		if err := fs.truncate(mi, 0); err != nil {
+			return 0, err
+		}
+		if len(r.data) > 0 {
+			_, err = fs.writeAtPrepared(mi, 0, r.data, prep)
+		}
+		return 0, err
+	case nvTruncate:
+		mi, err := fs.resolveFile(r.path)
+		if err != nil {
+			return 0, err
+		}
+		return 0, fs.truncate(mi, r.size)
+	case nvRemove:
+		dir, name, err := fs.resolveParent(r.path)
+		if err != nil {
+			return 0, err
+		}
+		inum, exists, err := fs.lookup(dir, name)
+		if err != nil {
+			return 0, err
+		}
+		if !exists {
+			return 0, fmt.Errorf("%w: %q", ErrNotFound, r.path)
+		}
+		return 0, fs.torn(before, fs.unlinkLocked(dir, name, inum))
+	case nvRename:
+		return 0, fs.torn(before, fs.renameLocked(r.path, r.path2))
+	case nvLink:
+		return 0, fs.torn(before, fs.linkLocked(r.path, r.path2))
+	default:
+		return 0, fmt.Errorf("%w: unknown NVRAM record kind %d", ErrCorrupt, r.kind)
 	}
-	if err := fs.nvLog(nvRecord{kind: nvWriteFile, path: path,
-		data: append([]byte(nil), data...)}); err != nil {
-		return err
-	}
-	return fs.epilogue()
 }
 
 // ReadAt reads from the file at path into buf starting at off; it returns
@@ -509,34 +524,6 @@ func (fs *FS) resolveFile(path string) (*mInode, error) {
 	return mi, nil
 }
 
-// Truncate sets the file's size.
-func (fs *FS) Truncate(path string, size int64) error {
-	release := fs.opAdmit(opBudgetTruncate)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("truncate")()
-	fs.tick()
-	mi, err := fs.resolveFile(path)
-	if err != nil {
-		return err
-	}
-	if err := fs.truncate(mi, size); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvTruncate, path: path, size: size}); err != nil {
-		return err
-	}
-	return fs.epilogue()
-}
-
 // Stat describes the file or directory at path. Read-only: runs under
 // mu.RLock, concurrently with other readers.
 func (fs *FS) Stat(path string) (FileInfo, error) {
@@ -592,33 +579,7 @@ func (fs *FS) ReadDir(path string) ([]layout.DirEntry, error) {
 	return out, nil
 }
 
-// Link creates a new hard link newPath referring to the file at oldPath.
-func (fs *FS) Link(oldPath, newPath string) error {
-	release := fs.opAdmit(opBudgetDirOp)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("link")()
-	fs.tick()
-	if err := fs.mutate(func() error {
-		return fs.linkLocked(oldPath, newPath)
-	}); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvLink, path: oldPath, path2: newPath}); err != nil {
-		return err
-	}
-	return fs.epilogue()
-}
-
-// linkLocked loads everything fallible before its logDirOp (see mutate).
+// linkLocked loads everything fallible before its logDirOp (see torn).
 func (fs *FS) linkLocked(oldPath, newPath string) error {
 	mi, err := fs.resolveFile(oldPath)
 	if err != nil {
@@ -645,47 +606,10 @@ func (fs *FS) linkLocked(oldPath, newPath string) error {
 	return fs.saveDir(dir, entries)
 }
 
-// Remove unlinks the file or empty directory at path.
-func (fs *FS) Remove(path string) error {
-	release := fs.opAdmit(opBudgetDirOp)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("delete")()
-	fs.tick()
-	dir, name, err := fs.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	inum, exists, err := fs.lookup(dir, name)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		return fmt.Errorf("%w: %q", ErrNotFound, path)
-	}
-	if err := fs.mutate(func() error {
-		return fs.unlinkLocked(dir, name, inum)
-	}); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvRemove, path: path}); err != nil {
-		return err
-	}
-	return fs.epilogue()
-}
-
 // unlinkLocked removes the (dir, name) entry and drops one reference from
 // inum, deleting the file when the count reaches zero. All fallible loads
 // — including the block-map walk a deletion will need — happen before the
-// logDirOp (see mutate).
+// logDirOp (see torn).
 func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 	mi, err := fs.loadInode(inum)
 	if err != nil {
@@ -728,38 +652,10 @@ func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 	return nil
 }
 
-// Rename atomically moves oldPath to newPath, replacing a regular-file
-// target if one exists. The directory operation log makes the operation
-// atomic across crashes (Section 4.2).
-func (fs *FS) Rename(oldPath, newPath string) error {
-	release := fs.opAdmit(opBudgetRename)
-	defer release()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return ErrUnmounted
-	}
-	if err := fs.failIfDegraded(); err != nil {
-		return err
-	}
-	defer fs.opStaged()
-	defer fs.traceOp("rename")()
-	fs.tick()
-	if err := fs.mutate(func() error {
-		return fs.renameLocked(oldPath, newPath)
-	}); err != nil {
-		return err
-	}
-	if err := fs.nvLog(nvRecord{kind: nvRename, path: oldPath, path2: newPath}); err != nil {
-		return err
-	}
-	return fs.epilogue()
-}
-
 // renameLocked resolves and loads everything both halves of the rename
 // (the target unlink and the move itself) will touch before the first
 // logDirOp, so no disk read can fail between the two records (see
-// mutate). The later loadDir calls hit the directory cache, which never
+// torn). The later loadDir calls hit the directory cache, which never
 // evicts.
 func (fs *FS) renameLocked(oldPath, newPath string) error {
 	oldDir, oldName, err := fs.resolveParent(oldPath)

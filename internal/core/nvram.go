@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -48,6 +47,17 @@ const (
 	nvLink
 )
 
+// nvOpName is the name each kind is traced under (traceOp).
+var nvOpName = [...]string{
+	nvCreate: "create", nvMkdir: "mkdir", nvWriteAt: "write", nvWriteFile: "write",
+	nvTruncate: "truncate", nvRemove: "delete", nvRename: "rename", nvLink: "link",
+}
+
+// nvRecord is the single description of a mutating operation: a public
+// method builds one, (*FS).do runs it, the NVRAM stores its wire encoding
+// and replay hands the decoded record back to the same (*FS).apply. data
+// aliases the caller's payload on the live path (append copies it into
+// the wire buffer) and is a private copy after a decode.
 type nvRecord struct {
 	kind   nvKind
 	path   string
@@ -123,13 +133,13 @@ func (nv *NVRAM) Restore(buf []byte) error {
 // it, so a Bytes image always restores into a same-sized board. high
 // reports the soft high-water mark (half full — the caller should
 // schedule an asynchronous flush so the hard wall is rarely hit).
-func (nv *NVRAM) append(r nvRecord) (fit, high bool) {
+func (nv *NVRAM) append(r *nvRecord) (fit, high bool) {
 	nv.mu.Lock()
 	defer nv.mu.Unlock()
 	if int64(len(nv.buf))+r.wireLen() > nv.capacity {
 		return false, false
 	}
-	nv.buf = appendNVRecord(nv.buf, &r)
+	nv.buf = appendNVRecord(nv.buf, r)
 	nv.count++
 	return true, int64(len(nv.buf))*2 >= nv.capacity
 }
@@ -150,9 +160,9 @@ func (nv *NVRAM) snapshot() ([]nvRecord, error) {
 }
 
 // nvLog records a mutating operation in the NVRAM, if one is configured.
-// Called with fs.mu held, at the end of each successful public
-// operation, before the deferred opStaged closes the operation's epoch —
-// so the operation completing now has epoch sequence stageSeq+1.
+// Called by do with fs.mu held, after a successful apply and before the
+// deferred opStaged closes the operation's epoch — so the operation
+// completing now has epoch sequence stageSeq+1.
 //
 // In NVSyncAbsorb mode the NVRAM record is the commit point: nvSeq is
 // advanced to cover this operation, the group committer is kicked (non-
@@ -161,9 +171,9 @@ func (nv *NVRAM) snapshot() ([]nvRecord, error) {
 // the mode promises. Without absorb the behavior is the historical one:
 // the record is a safety net and a record that does not fit still
 // flushes inline.
-func (fs *FS) nvLog(r nvRecord) error {
+func (fs *FS) nvLog(r *nvRecord) error {
 	nv := fs.opts.NVRAM
-	if nv == nil || fs.nvReplaying {
+	if nv == nil {
 		return nil
 	}
 	fit, high := nv.append(r)
@@ -234,9 +244,9 @@ func (fs *FS) replayNVRAM() error {
 	}
 	fs.nvReplaying = true
 	defer func() { fs.nvReplaying = false }()
-	for i, r := range records {
-		if err := fs.replayOne(r); err != nil {
-			return fmt.Errorf("nvram replay %d (%s): %w", i, r.path, err)
+	for i := range records {
+		if err := fs.replayOne(&records[i]); err != nil {
+			return fmt.Errorf("nvram replay %d (%s): %w", i, records[i].path, err)
 		}
 	}
 	if err := fs.flushLog(); err != nil {
@@ -246,92 +256,31 @@ func (fs *FS) replayNVRAM() error {
 	return nil
 }
 
-func (fs *FS) replayOne(r nvRecord) error {
+// replayOne puts one surviving record through apply — the body and every
+// check of the live operation — unless its effect already reached the
+// log before the crash, which is what makes a replay idempotent. It
+// skips what do wraps around apply: admission and tick (no other
+// operation runs during Mount), nvLog (the record is already in the
+// NVRAM) and the epilogue (replayNVRAM ends in one flushLog instead).
+func (fs *FS) replayOne(r *nvRecord) error {
 	exists := func(p string) bool {
 		_, err := fs.resolve(p)
 		return err == nil
 	}
 	switch r.kind {
-	case nvCreate:
+	case nvCreate, nvMkdir:
 		if exists(r.path) {
 			return nil
 		}
-		dir, name, err := fs.resolveParent(r.path)
-		if err != nil {
-			return err
-		}
-		_, err = fs.createNode(dir, name, layout.FileTypeRegular)
-		return err
-	case nvMkdir:
-		if exists(r.path) {
-			return nil
-		}
-		dir, name, err := fs.resolveParent(r.path)
-		if err != nil {
-			return err
-		}
-		_, err = fs.createNode(dir, name, layout.FileTypeDir)
-		return err
-	case nvWriteAt:
-		mi, err := fs.resolveFile(r.path)
-		if err != nil {
-			return err
-		}
-		_, err = fs.writeAt(mi, r.offset, r.data)
-		return err
-	case nvWriteFile:
+	case nvRemove, nvRename:
 		if !exists(r.path) {
-			dir, name, err := fs.resolveParent(r.path)
-			if err != nil {
-				return err
-			}
-			if _, err := fs.createNode(dir, name, layout.FileTypeRegular); err != nil {
-				return err
-			}
+			return nil // already gone (a rename's source: already moved)
 		}
-		mi, err := fs.resolveFile(r.path)
-		if err != nil {
-			return err
-		}
-		if err := fs.truncate(mi, 0); err != nil {
-			return err
-		}
-		if len(r.data) > 0 {
-			if _, err := fs.writeAt(mi, 0, r.data); err != nil {
-				return err
-			}
-		}
-		return nil
-	case nvTruncate:
-		mi, err := fs.resolveFile(r.path)
-		if err != nil {
-			return err
-		}
-		return fs.truncate(mi, r.size)
-	case nvRemove:
-		if !exists(r.path) {
-			return nil // the remove reached the log before the crash
-		}
-		dir, name, err := fs.resolveParent(r.path)
-		if err != nil {
-			return err
-		}
-		inum, ok, err := fs.lookup(dir, name)
-		if err != nil || !ok {
-			return err
-		}
-		return fs.unlinkLocked(dir, name, inum)
-	case nvRename:
-		if !exists(r.path) {
-			return nil // already renamed (or never created: nothing to do)
-		}
-		return fs.renameLocked(r.path, r.path2)
 	case nvLink:
 		if exists(r.path2) {
 			return nil
 		}
-		return fs.linkLocked(r.path, r.path2)
-	default:
-		return fmt.Errorf("%w: unknown NVRAM record kind %d", ErrCorrupt, r.kind)
 	}
+	_, err := fs.apply(r, nil)
+	return err
 }

@@ -91,14 +91,6 @@ type Options struct {
 	// always hit the disk, which is what the paper's micro-benchmarks
 	// measure after their cache flush).
 	ReadCacheBlocks int
-	// PoolBlocks bounds the idle block-buffer freelist that the read,
-	// write and cleaner hot paths recycle their buffers through (see
-	// internal/bufpool and DESIGN.md "Buffer ownership and pooling").
-	// Default (0): 2*WriteBufferBlocks + SegmentBlocks, enough to turn
-	// the steady-state write path allocation-free. Negative disables
-	// pooling: every Get allocates, every Put drops, so the call-site
-	// ownership discipline is exercised without buffer reuse.
-	PoolBlocks int
 	// Clock supplies logical time for mtimes and cleaning ages. The
 	// default is an internal tick that advances on every operation.
 	Clock func() uint64
@@ -133,26 +125,6 @@ type Options struct {
 	// keyed to simulated disk time. nil (the default) disables tracing
 	// at near-zero cost.
 	Tracer *obs.Tracer
-	// MediaRetries bounds how many times a read failing with a media
-	// error is retried before the error is surfaced (default 3, so up to
-	// 4 attempts total; negative disables retries). Transient latent
-	// sector errors that clear within the budget are invisible to
-	// callers apart from the retry counters.
-	MediaRetries int
-	// MediaWriteRetries bounds how many times a device write failing
-	// with a media error is retried in place before the write path gives
-	// up on the target — relocating log batches to a fresh segment and
-	// checkpoints to the alternate region (default 3, so up to 4
-	// attempts total; negative disables retries). Transient write faults
-	// that clear within the budget are invisible to callers apart from
-	// the retry counters.
-	MediaWriteRetries int
-	// NoVerifyReads disables checksum verification of blocks ingested by
-	// the read, cleaner, and roll-forward paths. Verification is on by
-	// default: every block coming off the disk is checked against the
-	// per-block checksum recorded in its segment summary (or its own
-	// self-checksum) before it is used or cached.
-	NoVerifyReads bool
 }
 
 // WithTracer returns a copy of the options with the tracer attached.
@@ -179,11 +151,6 @@ func (o Options) withDefaults() Options {
 	if o.AdmitBudgetBlocks == 0 {
 		o.AdmitBudgetBlocks = 2 * o.WriteBufferBlocks
 	}
-	if o.PoolBlocks == 0 {
-		o.PoolBlocks = 2*o.WriteBufferBlocks + o.SegmentBlocks
-	} else if o.PoolBlocks < 0 {
-		o.PoolBlocks = 0 // pooling disabled: Get allocates, Put drops
-	}
 	if o.CleanLowWater == 0 {
 		o.CleanLowWater = 16
 	}
@@ -203,16 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CleanBatch == 0 {
 		o.CleanBatch = 8
-	}
-	if o.MediaRetries == 0 {
-		o.MediaRetries = 3
-	} else if o.MediaRetries < 0 {
-		o.MediaRetries = 0
-	}
-	if o.MediaWriteRetries == 0 {
-		o.MediaWriteRetries = 3
-	} else if o.MediaWriteRetries < 0 {
-		o.MediaWriteRetries = 0
 	}
 	return o
 }

@@ -217,7 +217,7 @@ func openImage(dev *disk.Disk, opts Options) (*FS, *layout.Checkpoint, error) {
 	opts.SegmentBlocks = int(sb.SegmentBlocks)
 	opts.MaxInodes = int(sb.MaxInodes)
 	fs := newFS(dev, opts, sb)
-	cp, which, err := readBestCheckpoint(dev, sb, opts.MediaRetries)
+	cp, which, err := readBestCheckpoint(dev, sb, mediaRetries)
 	if err != nil {
 		return fs, nil, err
 	}

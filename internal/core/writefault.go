@@ -15,14 +15,19 @@ import (
 	"repro/internal/obs"
 )
 
+// mediaWriteRetries bounds how many times a device write failing with a
+// media error is retried in place (so up to 4 attempts in all) before
+// the write path gives up on the target.
+const mediaWriteRetries = 3
+
 // writeRetry issues one device write, retrying media write errors within
-// the Options.MediaWriteRetries budget. Transient faults that clear
-// within the budget are invisible to callers apart from the retry
-// counters; a write still failing afterwards is returned for the caller
-// to relocate (log batches) or redirect (checkpoints).
+// the mediaWriteRetries budget. Transient faults that clear within the
+// budget are invisible to callers apart from the retry counters; a write
+// still failing afterwards is returned for the caller to relocate (log
+// batches) or redirect (checkpoints).
 func (fs *FS) writeRetry(addr int64, data []byte) error {
 	err := fs.dev.Write(addr, data)
-	for r := 0; r < fs.opts.MediaWriteRetries && errors.Is(err, disk.ErrMediaWrite); r++ {
+	for r := 0; r < mediaWriteRetries && errors.Is(err, disk.ErrMediaWrite); r++ {
 		fs.tr.Add(obs.CtrMediaWriteRetries, 1)
 		err = fs.dev.Write(addr, data)
 	}

@@ -99,8 +99,8 @@ const (
 	// error wrapping ErrMediaWrite (a refused or failed write). Blocks
 	// before the first faulty address in a request still persist. Set
 	// Fault.Transient to n to make the fault clear itself after n failed
-	// attempts; the file system absorbs both shapes via bounded retry and
-	// segment relocation (see Options.MediaWriteRetries).
+	// attempts; the file system absorbs both shapes via bounded retry (up
+	// to four attempts per write) and segment relocation.
 	FaultWriteError = disk.FaultWriteError
 )
 

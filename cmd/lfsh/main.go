@@ -26,8 +26,10 @@
 // so latent media corruption is found before a read path trips over it.
 // Exit status: 0 clean, 1 corruption found or unmountable.
 //
-// Media-fault health is visible interactively: `segs` lists segments
-// quarantined by corrupt reads or refused writes, and `stats` includes
+// Media-fault health is visible interactively: `segs` ends with the
+// segment life cycle (head, next, free, pending release, dirty) and how
+// many segments corrupt reads or refused writes have quarantined (fsck and
+// scrub list them), and `stats` includes
 // the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
 // counters. It also says why every summary-chain walk so far stopped
@@ -378,11 +380,7 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 			bar := strings.Repeat("#", n*50/len(utils))
 			fmt.Printf("%.1f-%.1f %5d %s\n", float64(b)/10, float64(b+1)/10, n, bar)
 		}
-		// Segments withdrawn from service: corrupt reads or refused
-		// writes (see fs.seg.retired and fs.media.write.* in stats).
-		if qs := fs.QuarantinedSegments(); len(qs) > 0 {
-			fmt.Printf("quarantined: %d segment(s) %v\n", len(qs), qs)
-		}
+		fmt.Println(segsLine(fs.SegmentCounts()))
 	case "sync":
 		fail(fs.Sync())
 	case "checkpoint":
@@ -484,4 +482,18 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 		fmt.Printf("unknown command %q (try help)\n", args[0])
 	}
 	return false
+}
+
+// segsLine is the life-cycle line under the `segs` histogram: where the log
+// head is, which segment it moves to next ("-" when none is pre-selected),
+// and how many segments stand in each state. Quarantined segments — corrupt
+// reads or refused writes withdrew them (see fs.seg.retired and
+// fs.media.write.* in stats) — are also counted under their state.
+func segsLine(c lfs.SegCounts) string {
+	next := "-"
+	if c.Next >= 0 {
+		next = strconv.FormatInt(c.Next, 10)
+	}
+	return fmt.Sprintf("head %d · next %s · %d free · %d pending · %d dirty · %d quarantined",
+		c.Head, next, c.Free, c.Pending, c.Dirty, c.Quarantined)
 }

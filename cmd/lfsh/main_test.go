@@ -154,6 +154,28 @@ func TestShellStatsAndTrace(t *testing.T) {
 	}
 }
 
+// TestShellSegsLine pins the life-cycle line `segs` prints under the
+// histogram, and checks the snapshot behind it accounts for every segment.
+func TestShellSegsLine(t *testing.T) {
+	got := segsLine(lfs.SegCounts{Head: 12, Next: 13, Free: 41, Pending: 3, Dirty: 197, Quarantined: 1})
+	if want := "head 12 · next 13 · 41 free · 3 pending · 197 dirty · 1 quarantined"; got != want {
+		t.Fatalf("segs line %q, want %q", got, want)
+	}
+	if got := segsLine(lfs.SegCounts{Head: 3, Next: -1}); !strings.HasPrefix(got, "head 3 · next - · 0 free") {
+		t.Fatalf("segs line with no next segment: %q", got)
+	}
+	d := lfs.NewDisk(4096)
+	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fs.SegmentCounts()
+	if c.Head != 0 || c.Next != 1 || c.Pending != 0 || c.Quarantined != 0 || c.Free != fs.CleanSegments() ||
+		2+c.Free+c.Dirty != int(fs.NumSegments()) {
+		t.Fatalf("fresh file system of %d segments counts %+v", fs.NumSegments(), c)
+	}
+}
+
 func TestShellQuitSavesImage(t *testing.T) {
 	img := filepath.Join(t.TempDir(), "save.img")
 	d := lfs.NewDisk(4096)

@@ -394,7 +394,7 @@ func (fs *FS) commitBatch(batch []commitReq) {
 		// never saw the drop. Kick the cleaner here (non-blocking);
 		// actual backpressure still lands only at op boundaries.
 		if err == nil && fs.backgroundCleaning() &&
-			fs.cleanerErr == nil && len(fs.freeSegs) < fs.opts.CleanLowWater {
+			fs.cleanerErr == nil && fs.segs.free() < fs.opts.CleanLowWater {
 			fs.kickCleaner()
 		}
 	}

@@ -76,7 +76,7 @@ func (fs *FS) kickCleaner() {
 	// consumed and the buffered send cannot block.
 	fs.cleanerKick <- struct{}{}
 	fs.stats.CleanerKicks++
-	lag := int64(fs.opts.CleanLowWater - len(fs.freeSegs))
+	lag := int64(fs.opts.CleanLowWater - fs.segs.free())
 	if lag < 0 {
 		lag = 0
 	}
@@ -199,7 +199,7 @@ func (fs *FS) waitForCleanSegments() error {
 		if !fs.mounted {
 			return ErrUnmounted
 		}
-		if len(fs.freeSegs) >= fs.bgStallThreshold() {
+		if fs.segs.free() >= fs.bgStallThreshold() {
 			return nil
 		}
 		if fs.cleanerErr != nil {
@@ -210,7 +210,7 @@ func (fs *FS) waitForCleanSegments() error {
 			// completed and the pool is still below the stall threshold:
 			// more waiting cannot help.
 			return fmt.Errorf("%w: %d clean segments left after background cleaning (cleaner reserve)",
-				ErrNoSpace, len(fs.freeSegs))
+				ErrNoSpace, fs.segs.free())
 		}
 		fs.spaceCond.Wait()
 	}

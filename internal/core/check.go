@@ -111,7 +111,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 	for _, addr := range fs.dirlogAddrs {
 		seg := fs.segOf(addr)
-		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.pendingCleanSet[seg] {
+		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.segs.is(seg, segPending) {
 			tally(addr, "dirlog block")
 		}
 	}
@@ -179,6 +179,9 @@ func (fs *FS) Check() (*CheckReport, error) {
 			r.problemf("inum %d: nlink %d, but %d directory references", inum, mi.ino.Nlink, nlinks[inum])
 		}
 	}
+
+	// 6. The segment allocator agrees with itself and the usage table.
+	r.Problems = append(r.Problems, fs.segs.audit(fs.usage)...)
 	return r, nil
 }
 
@@ -249,7 +252,7 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 	}
 	for _, addr := range fs.dirlogAddrs {
 		seg := fs.segOf(addr)
-		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.pendingCleanSet[seg] {
+		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.segs.is(seg, segPending) {
 			out[layout.KindDirLog] += layout.BlockSize
 		}
 	}

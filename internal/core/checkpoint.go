@@ -26,7 +26,7 @@ func (fs *FS) checkpointLocked() error {
 	// Segments cleaned since the last checkpoint become reusable once
 	// this checkpoint commits; reflect their empty state in the table
 	// now so the checkpointed usage table shows them clean.
-	for _, s := range fs.pendingClean {
+	for _, s := range fs.segs.pending() {
 		fs.usage.markClean(s)
 	}
 
@@ -86,9 +86,9 @@ func (fs *FS) checkpointLocked() error {
 		Seq:         fs.cpSeq,
 		Timestamp:   fs.now(),
 		NextInum:    fs.nextInum,
-		HeadSeg:     fs.head,
-		HeadOffset:  uint32(fs.headOff),
-		NextSeg:     fs.nextSeg,
+		HeadSeg:     fs.segs.head,
+		HeadOffset:  uint32(fs.segs.headOff),
+		NextSeg:     fs.segs.next,
 		WriteSeq:    fs.writeSeq,
 		DirLogSeq:   fs.dirLogSeq,
 		ImapAddrs:   fs.imap.blockAddr,
@@ -143,19 +143,10 @@ func (fs *FS) checkpointLocked() error {
 	}
 
 	// The checkpoint is durable: release the cleaned segments for reuse.
-	// Segments quarantined since they were cleaned stay withdrawn, and a
-	// released segment's remembered checksums are dropped — its next
+	// A released segment's remembered checksums are dropped — its next
 	// incarnation will record fresh ones.
-	for _, s := range fs.pendingClean {
-		delete(fs.pendingCleanSet, s)
-		fs.pruneSegSums(s)
-		if !fs.isQuarantined(s) {
-			fs.freeSegs = append(fs.freeSegs, s)
-		}
-	}
-	fs.pendingClean = nil
-	if fs.nextSeg == layout.NilAddr {
-		fs.nextSeg = fs.popFreeSeg()
+	for _, s := range fs.segs.release() {
+		fs.sums.drop(s)
 	}
 	fs.bytesSinceCp = 0
 	fs.stats.Checkpoints++

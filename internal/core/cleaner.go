@@ -112,10 +112,7 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	var cands []candidate
 	for s := int64(0); s < fs.nsegs; s++ {
 		e := fs.usage.get(s)
-		if e.Flags&layout.SegFlagDirty == 0 || e.Flags&layout.SegFlagActive != 0 {
-			continue
-		}
-		if s == fs.head || s == fs.nextSeg || fs.pendingCleanSet[s] || fs.isQuarantined(s) {
+		if e.Flags&layout.SegFlagDirty == 0 || !fs.segs.cleanable(s) {
 			continue
 		}
 		u := fs.usage.utilization(s)
@@ -148,9 +145,9 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	// data also rewrites the inodes, indirect blocks and inode-map blocks
 	// that point at it; budget a conservative 25% on top of the data plus
 	// a fixed floor for the checkpoint itself.
-	avail := (fs.segBlocks - fs.headOff) * layout.BlockSize
-	avail += int64(len(fs.freeSegs)) * fs.segBytes
-	if fs.nextSeg != layout.NilAddr {
+	avail := (fs.segBlocks - fs.segs.headOff) * layout.BlockSize
+	avail += int64(fs.segs.free()) * fs.segBytes
+	if fs.segs.next != layout.NilAddr {
 		avail += fs.segBytes
 	}
 	metaFloor := fs.checkpointBytes() + 16*layout.BlockSize
@@ -228,12 +225,12 @@ func (fs *FS) cleanStep(target int) (progressed bool, err error) {
 	if err := fs.flushLog(); err != nil {
 		return false, err
 	}
-	if len(fs.freeSegs) >= target {
+	if fs.segs.free() >= target {
 		return false, nil
 	}
 	fs.inCleaner = true
 	defer func() { fs.inCleaner = false }()
-	if len(fs.pendingClean) > 0 && len(fs.freeSegs)+len(fs.pendingClean) >= target {
+	if n := len(fs.segs.pending()); n > 0 && fs.segs.free()+n >= target {
 		// Segments evacuated earlier already cover the target: a
 		// releasing checkpoint is the only work needed. (This is what
 		// keeps CleanIdle from cleaning new segments past its budget
@@ -242,12 +239,12 @@ func (fs *FS) cleanStep(target int) (progressed bool, err error) {
 	}
 	cands := fs.selectCandidates()
 	if len(cands) == 0 {
-		if len(fs.pendingClean) > 0 {
+		if len(fs.segs.pending()) > 0 {
 			// Release the evacuated segments; that may open up
 			// enough output space to keep cleaning.
 			return true, fs.checkpointLocked()
 		}
-		if len(fs.freeSegs) == 0 && fs.nextSeg == layout.NilAddr {
+		if fs.segs.free() == 0 && fs.segs.next == layout.NilAddr {
 			return false, ErrNoSpace
 		}
 		return false, nil
@@ -255,13 +252,14 @@ func (fs *FS) cleanStep(target int) (progressed bool, err error) {
 	if err := fs.cleanPass(cands); err != nil {
 		return false, err
 	}
-	enough := len(fs.freeSegs)+len(fs.pendingClean) >= target
+	npending := len(fs.segs.pending())
+	enough := fs.segs.free()+npending >= target
 	// Release early enough that the checkpoint's own metadata write
 	// (which can be large: every inode-map block the pass dirtied)
 	// still fits in the remaining space.
 	cpSegs := int(fs.checkpointBytes()/fs.segBytes) + 1
-	lowSpace := len(fs.freeSegs) < reserveSegments+1+cpSegs
-	if (enough || lowSpace) && len(fs.pendingClean) > 0 {
+	lowSpace := fs.segs.free() < reserveSegments+1+cpSegs
+	if (enough || lowSpace) && npending > 0 {
 		if err := fs.checkpointLocked(); err != nil {
 			return false, err
 		}
@@ -285,13 +283,10 @@ func (fs *FS) checkpointBytes() int64 {
 // 3.4, policy 4), staged once and flushed once. Live metadata is
 // re-dirtied while collecting so the normal write path repacks it.
 //
-// Ordering rule: a segment enters pendingClean only after every live
-// block collected from it is staged. checkpointLocked marks everything in
-// pendingClean clean unconditionally, relying on its own flushLog having
-// written the staged copies first; a segment queued while its copies sat
-// only in the pass's list would be freed with live data in it if the pass
-// then failed. So on any error the pass queues nothing and drops what it
-// collected: the blocks are still live where they were.
+// Segments are retired only after every live block collected from them is
+// staged (segAlloc.retire's contract), so on any error the pass retires
+// nothing and drops what it collected: the blocks are still live where
+// they were.
 func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
 	fs.tr.Add(obs.CtrCleanerPasses, 1)
@@ -334,16 +329,10 @@ func (fs *FS) cleanPass(cands []candidate) error {
 		return err
 	}
 	for _, c := range cands {
-		if fs.isQuarantined(c.seg) {
-			// Evacuation found corruption or an unreadable region: the
-			// segment was quarantined mid-pass and must never be reused,
-			// so it is not queued for release. Whatever live blocks could
-			// not be verified stay in place, still reachable (reads of
-			// them report the corruption).
-			continue
-		}
-		fs.pendingClean = append(fs.pendingClean, c.seg)
-		fs.pendingCleanSet[c.seg] = true
+		// A segment quarantined mid-pass (evacuation found corruption or
+		// an unreadable region) stays where it is: reads of what could
+		// not be verified still report the corruption.
+		fs.segs.retire(c.seg)
 	}
 	// Write the copied live data (and the metadata it dirtied) to the log.
 	if err := fs.flushLog(); err != nil {

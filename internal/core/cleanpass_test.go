@@ -100,7 +100,7 @@ func pushHeadPast(t *testing.T, fs *FS, segs []int64) {
 	for i := 0; ; i++ {
 		inSegs := false
 		for _, s := range segs {
-			inSegs = inSegs || s == fs.head
+			inSegs = inSegs || s == fs.segs.head
 		}
 		if !inSegs {
 			return
@@ -268,7 +268,7 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 }
 
 // TestCleanPassErrorReleasesNothing is the regression test of the
-// pendingClean ordering rule. A hard (non-media) error out of the
+// retire-after-staging rule (segAlloc.retire's contract). A hard (non-media) error out of the
 // collector of the pass's second candidate fails the operation while the
 // first candidate's live blocks sit, unstaged, in the pass's list. The
 // next checkpoint marks every queued segment clean unconditionally, so the
@@ -337,6 +337,9 @@ func TestCleanPassErrorReleasesNothing(t *testing.T) {
 	if err := fs.CleanIdle(len(cands)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("CleanIdle = %v, want ErrCorrupt from the second candidate", err)
 	}
+	if p := fs.segs.pending(); len(p) != 0 {
+		t.Errorf("the failed pass left segments %v pending release", p)
+	}
 	if err := fs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +347,10 @@ func TestCleanPassErrorReleasesNothing(t *testing.T) {
 	// candidate may legitimately be among that (an implementation that
 	// stages what it had collected before giving up) or not (one that
 	// queues nothing), but no file may now point into a clean segment.
-	free := map[int64]bool{}
-	for _, s := range fs.freeSegs {
-		free[s] = true
-	}
 	for i := 1; i < nfiles; i += 2 {
 		p := fmt.Sprintf("/f%02d", i)
 		for _, seg := range segsOfFiles(t, fs, []string{p}) {
-			if free[seg] || fs.usage.get(seg).Flags&layout.SegFlagDirty == 0 {
+			if fs.segs.is(seg, segFree) || fs.usage.get(seg).Flags&layout.SegFlagDirty == 0 {
 				t.Errorf("%s lives in segment %d, which the checkpoint released (first candidate %d held %d live bytes)",
 					p, seg, first, liveBefore)
 			}

@@ -277,7 +277,7 @@ func TestCleanIdlePendingCleanBudget(t *testing.T) {
 	if passErr != nil {
 		t.Fatal(passErr)
 	}
-	pending := len(fs.pendingClean)
+	pending := len(fs.segs.pending())
 	if pending < 2 {
 		t.Fatalf("workload banked only %d pending-clean segments, need >= 2", pending)
 	}
@@ -291,8 +291,8 @@ func TestCleanIdlePendingCleanBudget(t *testing.T) {
 		t.Fatalf("CleanIdle cleaned %d new segments although %d pending-clean segments already covered the budget",
 			got-cleaned0, pending)
 	}
-	if len(fs.pendingClean) != 0 {
-		t.Fatalf("CleanIdle left %d segments pending release", len(fs.pendingClean))
+	if left := len(fs.segs.pending()); left != 0 {
+		t.Fatalf("CleanIdle left %d segments pending release", left)
 	}
 	if got := fs.CleanSegments(); got < free0+pending-1 {
 		t.Fatalf("releasing checkpoint freed too little: %d -> %d clean segments (%d were pending)",

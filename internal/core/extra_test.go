@@ -291,7 +291,7 @@ func TestCorruptLogTailStopsRollForwardCleanly(t *testing.T) {
 	}
 	// The first post-checkpoint summary lands exactly at the checkpointed
 	// head position.
-	tailAddr := fs.segStart(fs.head) + fs.headOff
+	tailAddr := fs.segStart(fs.segs.head) + fs.segs.headOff
 	if err := fs.WriteFile("/tail", []byte("after checkpoint")); err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestPerBlockAgesInSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the data entries in the head segment's summaries.
-	start := fs.segStart(fs.head)
+	start := fs.segStart(fs.segs.head)
 	ages := map[uint64]bool{}
 	off := int64(0)
 	for off <= fs.segBlocks-2 {

@@ -44,63 +44,15 @@ func (fs *FS) readBlockRetry(addr int64) ([]byte, error) {
 	return buf, nil
 }
 
-// recordBlockSum remembers the checksum a block was written with, so
-// verify-on-read can check it without consulting the on-disk summary.
-func (fs *FS) recordBlockSum(addr int64, sum uint32) {
-	fs.sumsMu.Lock()
-	fs.blockSums[addr] = sum
-	fs.sumsMu.Unlock()
-}
-
-// pruneSegSums forgets the checksums and harvest state of a segment that
-// is being released for reuse: its next incarnation starts clean.
-func (fs *FS) pruneSegSums(seg int64) {
-	start := fs.segStart(seg)
-	fs.sumsMu.Lock()
-	for a := start; a < start+fs.segBlocks; a++ {
-		delete(fs.blockSums, a)
-	}
-	delete(fs.sumsLoaded, seg)
-	fs.sumsMu.Unlock()
-}
-
-// lookupBlockSum returns the summary-recorded checksum for the block at
-// addr, harvesting the segment's on-disk summary chain on first miss.
-// ok is false when the chain does not describe the block; err reports a
-// media failure reading the chain itself.
-func (fs *FS) lookupBlockSum(addr int64) (sum uint32, ok bool, err error) {
-	seg := fs.segOf(addr)
-	fs.sumsMu.Lock()
-	defer fs.sumsMu.Unlock()
-	if s, ok := fs.blockSums[addr]; ok {
-		return s, true, nil
-	}
-	if fs.sumsLoaded[seg] {
-		return 0, false, nil
-	}
-	err = fs.harvestSegSums(seg)
-	// Partial harvests still mark the segment loaded: the chain is only
-	// re-walked if the segment's sums are pruned on reuse.
-	fs.sumsLoaded[seg] = true
-	if err != nil {
-		return 0, false, err
-	}
-	s, ok := fs.blockSums[addr]
-	return s, ok, nil
-}
-
-// harvestSegSums walks the summary chain of seg, recording the per-block
-// checksum of every described block. A read error ends the harvest and is
+// harvestSums is sumIndex.lookup's walk over the device: it hands add every
+// summary of seg's on-disk chain. A read error ends the harvest and is
 // returned. Reads bypass the read cache — summaries are not file data.
-// Called with sumsMu held.
-func (fs *FS) harvestSegSums(seg int64) error {
+func (fs *FS) harvestSums(seg int64, add func(int64, []layout.SummaryEntry)) error {
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
 	w := fs.walkSegment(seg, s)
 	for w.Next() {
-		for i, e := range s.Entries {
-			fs.blockSums[w.DataAddr()+int64(i)] = e.Sum
-		}
+		add(w.DataAddr(), s.Entries)
 	}
 	_, err := fs.walkEnded(w.End())
 	return err
@@ -109,15 +61,14 @@ func (fs *FS) harvestSegSums(seg int64) error {
 // verifyBlock checks a block just read from addr against the checksum
 // its segment summary recorded at write time. A mismatch quarantines the
 // segment and returns a typed *ErrCorrupted (unattributed; the caller
-// adds file coordinates with attributeCorruption). A live block whose
-// summary chain is unreadable or does not describe it means the chain
-// itself is damaged — metadata unrecoverable — so the file system
-// degrades.
+// adds file coordinates with attributeCorruption). A summary chain that
+// is unreadable, or does not describe a live block, is itself damaged —
+// metadata unrecoverable — so the file system degrades; a block the
+// readable part of the chain describes is still verified and returned.
 func (fs *FS) verifyBlock(addr int64, buf []byte) error {
-	sum, ok, err := fs.lookupBlockSum(addr)
+	sum, ok, err := fs.sums.lookup(addr, fs.harvestSums)
 	if err != nil {
 		fs.degrade("summary-chain", fmt.Sprintf("summary chain of segment %d unreadable: %v", fs.segOf(addr), err))
-		return &ErrCorrupted{Offset: -1, Addr: addr}
 	}
 	if !ok {
 		fs.degrade("summary-chain", fmt.Sprintf("segment %d summary chain does not describe live block %d", fs.segOf(addr), addr))
@@ -147,34 +98,14 @@ func attributeCorruption(err error, inum uint32, offset int64) error {
 // still holds stays readable in place but is never trusted as a copy
 // source. The set is persisted through the checkpoint region.
 func (fs *FS) quarantineSeg(seg int64) {
-	if seg < 0 || seg >= fs.nsegs {
-		return
-	}
-	fs.quarMu.Lock()
-	fresh := !fs.quarantined[seg]
-	if fresh {
-		fs.quarantined[seg] = true
-	}
-	fs.quarMu.Unlock()
-	if fresh {
+	if fs.segs.quarantine(seg) {
 		fs.tr.Add(obs.CtrQuarantinedSegs, 1)
 	}
 }
 
-func (fs *FS) isQuarantined(seg int64) bool {
-	fs.quarMu.Lock()
-	q := fs.quarantined[seg]
-	fs.quarMu.Unlock()
-	return q
-}
-
 // QuarantinedSegments returns the quarantined segments in ascending
 // order (empty when the media has behaved).
-func (fs *FS) QuarantinedSegments() []int64 {
-	fs.quarMu.Lock()
-	defer fs.quarMu.Unlock()
-	return sortedKeys(fs.quarantined)
-}
+func (fs *FS) QuarantinedSegments() []int64 { return fs.segs.quarantinedSegs() }
 
 // degrade flips the file system into sticky degraded read-only mode.
 // Reads keep working on whatever survives; every mutating operation
@@ -183,17 +114,13 @@ func (fs *FS) QuarantinedSegments() []int64 {
 // label is a short stable cause tag recorded as a per-reason counter;
 // reason is the human-readable diagnosis behind DegradedReason.
 //
-// The reason is published under quarMu before the degraded flag flips:
-// a reader that observes Degraded()==true is therefore guaranteed a
-// non-empty DegradedReason(). The first caller to publish a reason wins
-// (matching the first CAS winning the flag) — concurrent later causes
-// are not allowed to overwrite the original diagnosis.
+// The reason is published before the degraded flag flips: a reader that
+// observes Degraded()==true is therefore guaranteed a non-empty
+// DegradedReason(). The first caller to publish a reason wins (matching
+// the first CAS winning the flag) — concurrent later causes are not
+// allowed to overwrite the original diagnosis.
 func (fs *FS) degrade(label, reason string) {
-	fs.quarMu.Lock()
-	if fs.degradedReason == "" {
-		fs.degradedReason = reason
-	}
-	fs.quarMu.Unlock()
+	fs.degradedReason.CompareAndSwap(nil, &reason)
 	if fs.degraded.CompareAndSwap(false, true) {
 		fs.tr.Add(obs.CtrDegraded, 1)
 		fs.tr.Add(obs.CtrDegradedReasonPrefix+label, 1)
@@ -206,9 +133,7 @@ func (fs *FS) degrade(label, reason string) {
 // blank reason.
 func (fs *FS) undegrade() {
 	fs.degraded.Store(false)
-	fs.quarMu.Lock()
-	fs.degradedReason = ""
-	fs.quarMu.Unlock()
+	fs.degradedReason.Store(nil)
 }
 
 // Degraded reports whether the file system is in degraded read-only mode.
@@ -217,9 +142,10 @@ func (fs *FS) Degraded() bool { return fs.degraded.Load() }
 // DegradedReason returns what pushed the file system into degraded mode
 // ("" when it has not degraded).
 func (fs *FS) DegradedReason() string {
-	fs.quarMu.Lock()
-	defer fs.quarMu.Unlock()
-	return fs.degradedReason
+	if r := fs.degradedReason.Load(); r != nil {
+		return *r
+	}
+	return ""
 }
 
 // failIfDegraded is the fast-fail gate at the top of every mutating

@@ -176,10 +176,8 @@ func TestQuarantinePersistsAcrossRemount(t *testing.T) {
 	}
 	// The quarantined segment is withdrawn from allocation even after
 	// recovery rebuilt the free list.
-	for _, s := range fs.freeSegs {
-		if s == seg {
-			t.Fatalf("quarantined segment %d is on the free list", seg)
-		}
+	if fs.segs.is(seg, segFree) {
+		t.Fatalf("quarantined segment %d is on the free list", seg)
 	}
 	mustCheck(t, fs)
 }
@@ -365,12 +363,10 @@ func TestCleanerSkipsQuarantinedSegment(t *testing.T) {
 	if err := fs.Clean(); err != nil {
 		t.Fatalf("clean: %v", err)
 	}
-	if !fs.isQuarantined(seg) {
+	if !fs.segs.isQuarantined(seg) {
 		t.Fatal("cleaner lifted the quarantine")
 	}
-	for _, s := range fs.freeSegs {
-		if s == seg {
-			t.Fatalf("cleaner freed quarantined segment %d", seg)
-		}
+	if fs.segs.is(seg, segFree) {
+		t.Fatalf("cleaner freed quarantined segment %d", seg)
 	}
 }

@@ -111,15 +111,12 @@ type FS struct {
 	dirlogAddrs []int64         // dirlog blocks written since last checkpoint
 	pending     []stagedBlock   // blocks staged for the next log write
 
-	head     int64 // current log-head segment
-	headOff  int64 // blocks used in the head segment
-	nextSeg  int64 // pre-selected next log segment (NilAddr if none)
-	freeSegs []int64
-	// pendingClean segments have been cleaned but must not be reused
-	// until the next checkpoint commits their new state (otherwise a
-	// crash could destroy blocks the previous checkpoint still needs).
-	pendingClean    []int64
-	pendingCleanSet map[int64]bool
+	// segs is the segment allocator — the life cycle of every segment, the
+	// log position and the quarantine set (segalloc.go); sums is the
+	// verify-on-read checksum index (sumindex.go). Each has its own leaf
+	// lock for what read-only operations touch under mu.RLock.
+	segs *segAlloc
+	sums *sumIndex
 
 	inoBlockRefs map[int64]int // live inodes per packed inode block
 
@@ -148,9 +145,6 @@ type FS struct {
 	// post-relocation head as the recovery root; while set, flushes must
 	// checkpoint before acknowledging (see flushLog).
 	relocatedSinceCp bool
-	// recomputeSegs marks segments whose usage will be recomputed from
-	// scratch during recovery; decrements against them are suppressed.
-	recomputeSegs map[int64]bool
 
 	// Background cleaner state (Options.BackgroundClean). The goroutine
 	// is kicked through cleanerKick when the clean-segment pool falls
@@ -224,21 +218,11 @@ type FS struct {
 	commitStopped bool
 	commitDone    chan struct{}
 
-	// Media-fault state (fault.go). blockSums is the in-memory index of
-	// per-block checksums from segment summaries, for verify-on-read;
-	// sumsLoaded marks segments whose on-disk summary chain has already
-	// been harvested. quarantined segments are never reused or cleaned.
 	// degraded flips (stickily) when metadata is unrecoverable; mutating
-	// operations then fail fast with ErrDegraded. These have their own
-	// leaf locks because read-only operations update them while holding
-	// only mu.RLock.
-	sumsMu         sync.Mutex
-	blockSums      map[int64]uint32
-	sumsLoaded     map[int64]bool
-	quarMu         sync.Mutex
-	quarantined    map[int64]bool
+	// operations then fail fast with ErrDegraded. degradedReason is the
+	// first diagnosis, published before the flag (fault.go).
 	degraded       atomic.Bool
-	degradedReason string // guarded by quarMu
+	degradedReason atomic.Pointer[string]
 
 	stats   Stats
 	tr      *obs.Tracer
@@ -286,13 +270,7 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 
 	fs := newFS(dev, opts, sb)
-	fs.head = 0
-	fs.headOff = 0
-	fs.nextSeg = 1
-	for s := int64(2); s < fs.nsegs; s++ {
-		fs.freeSegs = append(fs.freeSegs, s)
-	}
-	fs.usage.setActive(fs.head, true)
+	fs.segs.rebuild(fs.usage)
 	fs.nextInum = RootInum + 1
 
 	// Create the root directory.
@@ -319,26 +297,23 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	segBlocks := int64(sb.SegmentBlocks)
 	nsegs := int64(sb.NumSegments)
 	fs := &FS{
-		dev:             dev,
-		opts:            opts,
-		sb:              sb,
-		segBlocks:       segBlocks,
-		segBytes:        segBlocks * layout.BlockSize,
-		nsegs:           nsegs,
-		segBase:         sb.SegmentBase,
-		imap:            newInodeMap(int(sb.MaxInodes)),
-		usage:           newUsageTable(int(nsegs), segBlocks*layout.BlockSize),
-		dcache:          make(map[blockKey][]byte),
-		icache:          make(map[uint32]*mInode),
-		dirtyInodes:     make(map[uint32]bool),
-		dirCache:        make(map[uint32][]layout.DirEntry),
-		dirBytes:        make(map[uint32][]byte),
-		inoBlockRefs:    make(map[int64]int),
-		pendingCleanSet: make(map[int64]bool),
-		nextSeg:         layout.NilAddr,
-		blockSums:       make(map[int64]uint32),
-		sumsLoaded:      make(map[int64]bool),
-		quarantined:     make(map[int64]bool),
+		dev:          dev,
+		opts:         opts,
+		sb:           sb,
+		segBlocks:    segBlocks,
+		segBytes:     segBlocks * layout.BlockSize,
+		nsegs:        nsegs,
+		segBase:      sb.SegmentBase,
+		imap:         newInodeMap(int(sb.MaxInodes)),
+		usage:        newUsageTable(int(nsegs), segBlocks*layout.BlockSize),
+		dcache:       make(map[blockKey][]byte),
+		icache:       make(map[uint32]*mInode),
+		dirtyInodes:  make(map[uint32]bool),
+		dirCache:     make(map[uint32][]layout.DirEntry),
+		dirBytes:     make(map[uint32][]byte),
+		inoBlockRefs: make(map[int64]int),
+		segs:         newSegAlloc(nsegs),
+		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
 	}
 	fs.spaceCond = sync.NewCond(&fs.mu)
 	fs.admitCond = sync.NewCond(&fs.admitMu)
@@ -441,7 +416,14 @@ func (fs *FS) Metrics() obs.Snapshot { return fs.tr.Metrics() }
 func (fs *FS) CleanSegments() int {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return len(fs.freeSegs)
+	return fs.segs.free()
+}
+
+// SegmentCounts returns how many segments stand in each life-cycle state.
+func (fs *FS) SegmentCounts() SegCounts {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.segs.counts()
 }
 
 // SegmentUtilizations returns the live-byte fraction of every segment, in
@@ -494,10 +476,7 @@ func (fs *FS) decLive(addr int64) error {
 	if seg < 0 || seg >= fs.nsegs {
 		return fmt.Errorf("%w: block address %d outside segment area", ErrCorrupt, addr)
 	}
-	if fs.pendingCleanSet[seg] || fs.usage.isClean(seg) {
-		return nil
-	}
-	if fs.recomputeSegs[seg] {
+	if fs.usage.isClean(seg) || fs.segs.is(seg, segPending) || fs.segs.recomputing(seg) {
 		return nil
 	}
 	return fs.usage.addLive(seg, -layout.BlockSize)
@@ -804,10 +783,7 @@ func (fs *FS) CleanIdle(budget int) error {
 	// releases them with a checkpoint alone when they already cover the
 	// target, so idle cleaning right before a checkpoint does not clean
 	// new segments past the requested budget.
-	target := len(fs.freeSegs) + budget
-	if p := len(fs.pendingClean); p > budget {
-		target = len(fs.freeSegs) + p
-	}
+	target := fs.segs.free() + max(budget, len(fs.segs.pending()))
 	if limit := int(fs.nsegs) - 1; target > limit {
 		target = limit
 	}

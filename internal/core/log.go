@@ -40,57 +40,6 @@ func (fs *FS) stage(b stagedBlock) {
 
 func isUsage(b stagedBlock) bool { return b.entry.Kind == layout.KindSegUsage }
 
-// reserveSegments is the part of the clean-segment pool that only the
-// cleaner (and checkpoints/recovery) may consume. Ordinary writes stop
-// short of it, which guarantees the cleaner always has output space to
-// make progress.
-const reserveSegments = 4
-
-// advanceSegment retires the current head segment and moves the log to
-// the pre-selected next segment. Unprivileged writers may not dip into
-// the cleaner reserve. This must never block or drop fs.mu: it runs in
-// the middle of log placement, when block pointers are torn — with a
-// background cleaner, writer backpressure happens in the epilogue
-// (waitForCleanSegments), at an operation boundary where the file
-// system is consistent; here the reserve is only a hard backstop.
-func (fs *FS) advanceSegment() error {
-	if fs.nextSeg == layout.NilAddr {
-		// The pool was empty when the previous advance pre-selected;
-		// cleaning may have refilled it since.
-		fs.nextSeg = fs.popFreeSeg()
-	}
-	if fs.nextSeg == layout.NilAddr {
-		return fmt.Errorf("%w: no next segment", ErrNoSpace)
-	}
-	privileged := fs.inCleaner || fs.inRecovery || fs.cpActive || fs.cleanerOwner
-	if !privileged && len(fs.freeSegs) < reserveSegments {
-		return fmt.Errorf("%w: %d clean segments left (cleaner reserve)", ErrNoSpace, len(fs.freeSegs))
-	}
-	fs.usage.setActive(fs.head, false)
-	fs.head = fs.nextSeg
-	fs.headOff = 0
-	fs.usage.setActive(fs.head, true)
-	fs.usage.noteWrite(fs.head, fs.now())
-	fs.nextSeg = fs.popFreeSeg()
-	return nil
-}
-
-// popFreeSeg removes one clean segment from the free list, or returns
-// NilAddr when none remain. Quarantined segments are discarded on the
-// way out as a backstop — a segment quarantined by the read path after
-// it already sat in the free list must never become the log head.
-func (fs *FS) popFreeSeg() int64 {
-	for len(fs.freeSegs) > 0 {
-		s := fs.freeSegs[0]
-		fs.freeSegs = fs.freeSegs[1:]
-		if fs.isQuarantined(s) {
-			continue
-		}
-		return s
-	}
-	return layout.NilAddr
-}
-
 // flushPending writes every staged block to the log in one or more
 // partial-segment writes, each led by a segment summary block
 // (Section 3.2). Each partial write is a single contiguous device write,
@@ -99,7 +48,7 @@ func (fs *FS) flushPending() error {
 	for len(fs.pending) > 0 {
 		// A batch is a summary plus at least one block; what the head
 		// segment cannot take waits for the next one.
-		n := min(len(fs.pending), int(fs.segBlocks-fs.headOff)-1, layout.MaxSummaryEntries)
+		n := min(len(fs.pending), int(fs.segBlocks-fs.segs.headOff)-1, layout.MaxSummaryEntries)
 		// The usage blocks of one checkpoint go out in one partial write.
 		// Each encodes the table as it stands at its own batch's phase 2,
 		// so one cut off from its successors would be persisted without
@@ -116,7 +65,13 @@ func (fs *FS) flushPending() error {
 			}
 		}
 		if n < 1 {
-			if err := fs.advanceSegment(); err != nil {
+			// The head is full. Moving on must never block or drop fs.mu:
+			// this is the middle of log placement, when block pointers are
+			// torn — with a background cleaner, writer backpressure happens
+			// in the epilogue (waitForCleanSegments), at an operation
+			// boundary; here the cleaner reserve is only a hard backstop.
+			privileged := fs.inCleaner || fs.inRecovery || fs.cpActive || fs.cleanerOwner
+			if err := fs.segs.advance(fs.usage, fs.now(), privileged); err != nil {
 				return err
 			}
 			continue
@@ -159,7 +114,8 @@ func (fs *FS) flushPending() error {
 // re-encodes everything against the new segment.
 func (fs *FS) writeBatch(batch []stagedBlock) error {
 	n := len(batch)
-	sumAddr := fs.segStart(fs.head) + fs.headOff
+	head := fs.segs.head
+	sumAddr := fs.segStart(head) + fs.segs.headOff
 	now := fs.now()
 
 	// Phase 1: assign addresses and update all pointers/accounting.
@@ -170,12 +126,12 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 				return err
 			}
 		}
-		if err := fs.usage.addLive(fs.head, layout.BlockSize); err != nil {
+		if err := fs.usage.addLive(head, layout.BlockSize); err != nil {
 			return err
 		}
 		fs.invalidateCachedBlock(addr)
 	}
-	fs.usage.noteWrite(fs.head, now)
+	fs.usage.noteWrite(head, now)
 	fs.invalidateCachedBlock(sumAddr)
 
 	// Phase 2: encode contents (late-bound encoders see final state).
@@ -220,7 +176,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	summary := &layout.Summary{
 		WriteSeq:     fs.writeSeq,
 		Timestamp:    now,
-		NextSeg:      fs.nextSeg,
+		NextSeg:      fs.segs.next,
 		YoungestAge:  youngest,
 		DataChecksum: layout.Checksum(buf[layout.BlockSize:]),
 		Flags:        flags,
@@ -261,12 +217,10 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	}
 	// Remember each block's checksum so verify-on-read can check it
 	// without re-reading the summary from disk.
-	for i := range entries {
-		fs.recordBlockSum(sumAddr+1+int64(i), entries[i].Sum)
-	}
+	fs.sums.record(sumAddr+1, entries)
 
 	fs.writeSeq++
-	fs.headOff += int64(1 + n)
+	fs.segs.headOff += int64(1 + n)
 	fs.bytesSinceCp += int64(1+n) * layout.BlockSize
 	fs.stats.PartialWrites++
 	fs.stats.SummaryBytes += layout.BlockSize
@@ -322,7 +276,7 @@ func (fs *FS) tracePartialWrite(sumAddr int64, n int, byKind [8]int64, cleanerBy
 	fs.tr.Emit(obs.Event{
 		Kind: obs.KindLogWrite,
 		Log: &obs.LogWrite{
-			Seg:          fs.head,
+			Seg:          fs.segs.head,
 			Addr:         sumAddr,
 			Blocks:       1 + n,
 			BytesByKind:  kinds,

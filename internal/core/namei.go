@@ -738,10 +738,10 @@ func (fs *FS) epilogue() error {
 		if fs.cleanerErr != nil {
 			return fs.cleanerErr
 		}
-		if len(fs.freeSegs) < fs.opts.CleanLowWater {
+		if fs.segs.free() < fs.opts.CleanLowWater {
 			fs.kickCleaner()
 		}
-		if len(fs.freeSegs) < fs.bgStallThreshold() {
+		if fs.segs.free() < fs.bgStallThreshold() {
 			// Backpressure: the pool is nearly exhausted. The epilogue is
 			// an operation boundary — every map and pointer is consistent
 			// — so this is the one place a writer may release fs.mu and
@@ -751,7 +751,7 @@ func (fs *FS) epilogue() error {
 		}
 		return nil
 	}
-	if len(fs.freeSegs) < fs.opts.CleanLowWater {
+	if fs.segs.free() < fs.opts.CleanLowWater {
 		return fs.cleanUntil(fs.opts.CleanHighWater)
 	}
 	return nil

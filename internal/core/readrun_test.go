@@ -351,7 +351,7 @@ func blockAtATimeSalvage(t *testing.T, d *disk.Disk, opts Options) (*FS, *Salvag
 				}
 				rep.BlocksVerified++
 				sc.intact[addr] = s.WriteSeq
-				fs.recordBlockSum(addr, e.Sum)
+				fs.sums.record(addr, s.Entries[i:i+1])
 				switch e.Kind {
 				case layout.KindIndirect:
 					sc.ptrs[addr] = layout.DecodeIndirectBlock(blk)
@@ -613,7 +613,7 @@ func writtenSegmentsImage(tb testing.TB, nsegs int) *logImage {
 		tb.Fatal(err)
 	}
 	img := &logImage{opts: ledgerOptions, files: map[string][]byte{}}
-	for i := 0; fs.head < int64(nsegs); i++ {
+	for i := 0; fs.segs.head < int64(nsegs); i++ {
 		path := fmt.Sprintf("/s%05d", i)
 		img.files[path] = content(path, 1, 8)
 		if err := fs.WriteFile(path, img.files[path]); err != nil {

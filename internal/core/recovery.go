@@ -24,9 +24,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs.nextInum = cp.NextInum
-	fs.head = cp.HeadSeg
-	fs.headOff = int64(cp.HeadOffset)
-	fs.nextSeg = cp.NextSeg
+	fs.segs.place(cp.HeadSeg, int64(cp.HeadOffset), cp.NextSeg)
 	fs.writeSeq = cp.WriteSeq
 	fs.dirLogSeq = cp.DirLogSeq
 	fs.ticks.Store(cp.Timestamp)
@@ -51,7 +49,6 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.rebuildFreeInums()
 	fs.mounted = true
 
-	fs.recomputeSegs = map[int64]bool{fs.head: true}
 	var dirops []*layout.DirOp
 	if !fs.opts.NoRollForward {
 		fs.inRecovery = true
@@ -63,7 +60,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 	phases.end("rollforward")
 
-	fs.rebuildFreeSegs()
+	fs.segs.rebuild(fs.usage)
 
 	// A degraded mount stops here as far as repair goes: the in-memory
 	// metadata is incomplete, so usage accounting, directory repair and
@@ -72,7 +69,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// work.
 	if fs.degraded.Load() {
 		fs.inRecovery = false
-		fs.recomputeSegs = nil
+		fs.segs.clearRecompute()
 		return fs, nil
 	}
 
@@ -103,21 +100,8 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	if err := fs.recomputeUsage(); err != nil {
 		return nil, err
 	}
-	fs.recomputeSegs = nil
+	fs.segs.clearRecompute()
 	phases.end("usage")
-
-	// The checkpoint-time head may no longer be the head after
-	// roll-forward; only the current head carries the active flag.
-	for s := int64(0); s < fs.nsegs; s++ {
-		fs.usage.setActive(s, false)
-	}
-	fs.usage.setActive(fs.head, true)
-	if fs.nextSeg == layout.NilAddr || !fs.usage.isClean(fs.nextSeg) {
-		// Remove the stale next segment from the free list if present.
-		fs.nextSeg = fs.popFreeSeg()
-	} else {
-		fs.removeFreeSeg(fs.nextSeg)
-	}
 
 	// The repair passes above may themselves have tripped over
 	// unrecoverable metadata; re-check before committing anything.
@@ -221,12 +205,13 @@ func openImage(dev *disk.Disk, opts Options) (*FS, *layout.Checkpoint, error) {
 	if err != nil {
 		return fs, nil, err
 	}
+	var restored int64
 	for _, s := range cp.Quarantined {
-		if s >= 0 && s < fs.nsegs {
-			fs.quarantined[s] = true
+		if fs.segs.quarantine(s) {
+			restored++
 		}
 	}
-	fs.tr.Add(obs.CtrQuarantinedSegs, int64(len(fs.quarantined)))
+	fs.tr.Add(obs.CtrQuarantinedSegs, restored)
 	fs.cpSeq = cp.Seq
 	fs.cpWhich = 1 - which
 	return fs, cp, nil
@@ -289,27 +274,6 @@ func (fs *FS) rebuildFreeInums() {
 	}
 }
 
-func (fs *FS) rebuildFreeSegs() {
-	fs.freeSegs = fs.freeSegs[:0]
-	for s := int64(0); s < fs.nsegs; s++ {
-		if s == fs.head || s == fs.nextSeg || fs.recomputeSegs[s] || fs.isQuarantined(s) {
-			continue
-		}
-		if fs.usage.isClean(s) {
-			fs.freeSegs = append(fs.freeSegs, s)
-		}
-	}
-}
-
-func (fs *FS) removeFreeSeg(seg int64) {
-	for i, s := range fs.freeSegs {
-		if s == seg {
-			fs.freeSegs = append(fs.freeSegs[:i], fs.freeSegs[i+1:]...)
-			return
-		}
-	}
-}
-
 // rollForwardScan reads the log written after the checkpoint, following
 // the segment thread. Valid partial writes (checksummed summary, matching
 // write sequence, intact data) are incorporated: inode blocks update the
@@ -340,7 +304,7 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
 walk:
 	for w.Next() {
 		seg := w.Pos().Seg
-		fs.recomputeSegs[seg] = true
+		fs.segs.markRecompute(seg)
 		// The log writer persists a partial write's data before its
 		// summary, so a valid summary implies complete data: only the
 		// inode and directory-log blocks need to be read. This is what
@@ -352,10 +316,10 @@ walk:
 		// are harvested along the way so later reads of these blocks
 		// verify without a chain walk.
 		first := w.DataAddr()
+		fs.sums.record(first, s.Entries)
 		runEnd := 0 // sc.run holds the wanted entries before this one
 		for i, e := range s.Entries {
 			addr := first + int64(i)
-			fs.recordBlockSum(addr, e.Sum)
 			if !rollForwardReads(e.Kind) {
 				// Data, indirect, imap and usage blocks need no direct
 				// action: inodes incorporate data and indirect blocks, and
@@ -417,8 +381,8 @@ walk:
 		// Degrade rather than silently truncate the log.
 		fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", fs.segStart(pos.Seg)+pos.Off, err))
 	}
-	fs.recomputeSegs[pos.Seg] = true
-	fs.head, fs.headOff, fs.nextSeg, fs.writeSeq = pos.Seg, pos.Off, pos.NextSeg, pos.WriteSeq
+	fs.segs.place(pos.Seg, pos.Off, pos.NextSeg)
+	fs.writeSeq = pos.WriteSeq
 	return dirops, nil
 }
 
@@ -602,7 +566,7 @@ func (fs *FS) incLiveRecovery(addr int64) error {
 	if seg < 0 || seg >= fs.nsegs {
 		return fmt.Errorf("%w: recovered address %d outside segment area", ErrCorrupt, addr)
 	}
-	if fs.recomputeSegs[seg] {
+	if fs.segs.recomputing(seg) {
 		return nil
 	}
 	return fs.usage.addLive(seg, layout.BlockSize)
@@ -811,15 +775,16 @@ func (fs *FS) repairNlink(inum, version uint32, nlink uint16) error {
 	return nil
 }
 
-// recomputeUsage recalculates exact live-byte counts for every segment in
-// fs.recomputeSegs by walking its summary chain and liveness-checking
-// every block against the recovered metadata. The segments are walked in
-// ascending order so that a mount's device requests, and with them its
-// simulated time, do not depend on Go's map iteration order.
+// recomputeUsage recalculates exact live-byte counts for every segment
+// flagged for recomputation, in ascending order, by walking its summary
+// chain and liveness-checking every block against the recovered metadata.
 func (fs *FS) recomputeUsage() error {
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
-	for _, seg := range sortedKeys(fs.recomputeSegs) {
+	for seg := int64(0); seg < fs.nsegs; seg++ {
+		if !fs.segs.recomputing(seg) {
+			continue
+		}
 		var liveBlocks int64
 		w := fs.walkSegment(seg, s)
 		for w.Next() {

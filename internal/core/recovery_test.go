@@ -576,7 +576,7 @@ func TestCheckpointUsageBlocksStraddle(t *testing.T) {
 	for want := int64(2); want <= fs.segBlocks; want++ {
 		// Small syncs of random size move the head a few blocks at a
 		// time until it stands at the wanted offset.
-		for i := 0; fs.headOff != want; i++ {
+		for i := 0; fs.segs.headOff != want; i++ {
 			if i == 40*int(fs.segBlocks) {
 				t.Fatalf("head never reached offset %d", want)
 			}

@@ -175,11 +175,7 @@ func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
 // checkpoint.
 func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMeter) error {
 	// The scan harvested every chain there is.
-	fs.sumsMu.Lock()
-	for seg := int64(0); seg < fs.nsegs; seg++ {
-		fs.sumsLoaded[seg] = true
-	}
-	fs.sumsMu.Unlock()
+	fs.sums.markAllHarvested()
 
 	acc := fs.salvageAcceptInodes(sc, rep)
 	fs.salvagePopulate(acc, sc, rep)
@@ -191,8 +187,12 @@ func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMete
 	if err := fs.salvageRebuildDirs(acc, rep); err != nil {
 		return err
 	}
-	if err := fs.salvagePickHead(); err != nil {
-		return err
+	// A fresh log head and successor come from the clean segments. Two
+	// are required: the closing checkpoint needs somewhere to write the
+	// rebuilt metadata, and the log needs a successor to thread to.
+	fs.segs.rebuild(fs.usage)
+	if fs.segs.next == layout.NilAddr {
+		return fmt.Errorf("salvage: %w: fewer than 2 clean segments left", ErrNoSpace)
 	}
 	phases.end("rebuild")
 
@@ -222,7 +222,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMete
 		return fmt.Errorf("salvage: committing rebuilt state: %w", err)
 	}
 	fs.rebuildFreeInums()
-	fs.rebuildFreeSegs()
+	fs.segs.rebuild(fs.usage)
 	phases.end("commit")
 
 	fs.tr.Add(obs.CtrSalvageInodes, int64(rep.InodesRecovered))
@@ -251,17 +251,8 @@ func (fs *FS) salvageReset() {
 	fs.dirlogAddrs = nil
 	fs.pending = nil
 	fs.inoBlockRefs = make(map[int64]int)
-	fs.pendingClean = nil
-	fs.pendingCleanSet = make(map[int64]bool)
-	fs.recomputeSegs = nil
-	fs.freeSegs = nil
-	fs.head = layout.NilAddr
-	fs.headOff = 0
-	fs.nextSeg = layout.NilAddr
-	fs.sumsMu.Lock()
-	fs.blockSums = make(map[int64]uint32)
-	fs.sumsLoaded = make(map[int64]bool)
-	fs.sumsMu.Unlock()
+	fs.segs.reset()
+	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
 	if fs.rcache != nil {
 		fs.rcacheMu.Lock()
 		fs.rcache = make(map[int64][]byte)
@@ -320,7 +311,7 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 			}
 			rep.BlocksVerified++
 			sc.intact[addr] = s.WriteSeq
-			fs.recordBlockSum(addr, e.Sum)
+			fs.sums.record(addr, s.Entries[i:i+1])
 			switch e.Kind {
 			case layout.KindIndirect:
 				sc.ptrs[addr] = layout.DecodeIndirectBlock(blk)
@@ -807,35 +798,13 @@ func (fs *FS) salvageRebuildUsage(acc map[uint32]*salvAccepted) {
 	}
 	for s := int64(0); s < fs.nsegs; s++ {
 		if live[s] == 0 {
-			if !fs.isQuarantined(s) {
+			if !fs.segs.isQuarantined(s) {
 				fs.usage.markClean(s)
-				fs.pruneSegSums(s)
+				fs.sums.drop(s)
 			}
 			continue
 		}
 		fs.usage.entries[s].LiveBytes = uint32(live[s])
 		fs.usage.entries[s].Flags |= layout.SegFlagDirty
 	}
-}
-
-// salvagePickHead selects a fresh log head and successor from the clean
-// segments. Two are required: the closing checkpoint needs somewhere to
-// write the rebuilt metadata, and the log needs a successor to thread
-// to.
-func (fs *FS) salvagePickHead() error {
-	var clean []int64
-	for s := int64(0); s < fs.nsegs; s++ {
-		if fs.usage.isClean(s) && !fs.isQuarantined(s) {
-			clean = append(clean, s)
-		}
-	}
-	if len(clean) < 2 {
-		return fmt.Errorf("salvage: %w: only %d clean segments left", ErrNoSpace, len(clean))
-	}
-	fs.head = clean[0]
-	fs.headOff = 0
-	fs.nextSeg = clean[1]
-	fs.freeSegs = append(fs.freeSegs[:0], clean[2:]...)
-	fs.usage.setActive(fs.head, true)
-	return nil
 }

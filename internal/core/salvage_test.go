@@ -310,13 +310,11 @@ func TestSalvagePreservesQuarantine(t *testing.T) {
 		t.Fatalf("quarantine lost across Salvage: %v, want [%d]", qs, badSeg)
 	}
 	fs.mu.Lock()
-	if fs.head == badSeg || fs.nextSeg == badSeg {
+	if fs.segs.head == badSeg || fs.segs.next == badSeg {
 		t.Fatalf("salvage allocated quarantined segment %d as log head", badSeg)
 	}
-	for _, s := range fs.freeSegs {
-		if s == badSeg {
-			t.Fatalf("quarantined segment %d on the free list after salvage", badSeg)
-		}
+	if fs.segs.is(badSeg, segFree) {
+		t.Fatalf("quarantined segment %d on the free list after salvage", badSeg)
 	}
 	fs.mu.Unlock()
 	delete(want, "/docs/a.txt") // its segment is quarantined; content damaged

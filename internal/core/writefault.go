@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
-	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -47,24 +46,13 @@ func (fs *FS) writeRetry(addr int64, data []byte) error {
 // batch's pointers reference addresses the device never accepted, so the
 // torn state must never be flushed or checkpointed.
 func (fs *FS) relocateHead(cause error) error {
-	bad := fs.head
+	bad := fs.segs.head
 	fs.quarantineSeg(bad)
 	fs.tr.Add(obs.CtrSegsRetired, 1)
-	next := fs.nextSeg
-	fs.nextSeg = layout.NilAddr
-	if next == layout.NilAddr || fs.isQuarantined(next) {
-		next = fs.popFreeSeg()
-	}
-	if next == layout.NilAddr {
+	if fs.segs.advance(fs.usage, fs.now(), true) != nil {
 		fs.degrade("relocate-exhausted", fmt.Sprintf("write relocation failed: no clean segment left after segment %d was retired: %v", bad, cause))
 		return fmt.Errorf("lfs: write relocation out of clean segments (segment %d retired): %w", bad, cause)
 	}
-	fs.usage.setActive(bad, false)
-	fs.head = next
-	fs.headOff = 0
-	fs.usage.setActive(fs.head, true)
-	fs.usage.noteWrite(fs.head, fs.now())
-	fs.nextSeg = fs.popFreeSeg()
 	// The hole left at the retired segment means roll-forward alone can
 	// no longer reach anything written from here on; flushLog checkpoints
 	// before acknowledging (see the relocatedSinceCp handling there).

@@ -14,7 +14,7 @@ import (
 // segment, so the next log flush is guaranteed to hit it.
 func faultHeadSegment(t *testing.T, fs *FS, d *disk.Disk, f disk.Fault) int64 {
 	t.Helper()
-	seg := fs.head
+	seg := fs.segs.head
 	f.Kind = disk.FaultWriteError
 	f.Addr = fs.segStart(seg)
 	f.Blocks = fs.segBlocks
@@ -86,10 +86,10 @@ func TestWriteFaultRelocatesAndQuarantines(t *testing.T) {
 	if fs.Degraded() {
 		t.Fatalf("degraded with clean segments still available: %s", fs.DegradedReason())
 	}
-	if fs.head == bad {
+	if fs.segs.head == bad {
 		t.Fatal("log head still points at the poisoned segment")
 	}
-	if !fs.isQuarantined(bad) {
+	if !fs.segs.isQuarantined(bad) {
 		t.Fatalf("segment %d not quarantined after relocation", bad)
 	}
 	m := fs.Metrics()
@@ -125,10 +125,8 @@ func TestWriteFaultRelocatesAndQuarantines(t *testing.T) {
 	if !found {
 		t.Fatalf("quarantine of segment %d did not survive remount: %v", bad, fs.QuarantinedSegments())
 	}
-	for _, s := range fs.freeSegs {
-		if s == bad {
-			t.Fatalf("retired segment %d is back on the free list", bad)
-		}
+	if fs.segs.is(bad, segFree) {
+		t.Fatalf("retired segment %d is back on the free list", bad)
 	}
 	got, err = fs.ReadFile("/r")
 	if err != nil || !bytes.Equal(got, content) {

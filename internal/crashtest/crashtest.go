@@ -23,6 +23,7 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -216,16 +217,8 @@ func (w *Workload) Points() []int64 {
 	for k := range set {
 		out = append(out, k)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // crashIndex returns the index of the operation during which a power cut
@@ -415,7 +408,7 @@ func (w *Workload) PointsNV() []int64 {
 	for k := range set {
 		out = append(out, k)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,7 +181,7 @@ func FaultSweep(s core.Script, cfg Config) (*FaultSweepResult, error) {
 	for a := range siteSet {
 		sites = append(sites, a)
 	}
-	sortInt64s(sites)
+	slices.Sort(sites)
 	if cfg.MaxFaultSites > 0 && len(sites) > cfg.MaxFaultSites {
 		sampled := make([]int64, 0, cfg.MaxFaultSites)
 		for j := 0; j < cfg.MaxFaultSites; j++ {

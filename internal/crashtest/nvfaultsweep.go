@@ -3,6 +3,7 @@ package crashtest
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -131,7 +132,7 @@ func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (*FaultSweepResult, 
 	for a := range siteSet {
 		sites = append(sites, a)
 	}
-	sortInt64s(sites)
+	slices.Sort(sites)
 	if cfg.MaxFaultSites > 0 && len(sites) > cfg.MaxFaultSites {
 		sampled := make([]int64, 0, cfg.MaxFaultSites)
 		for j := 0; j < cfg.MaxFaultSites; j++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestNVBoundaryReadFaultNoSilentLoss(t *testing.T) {
 	for a := range sink.snapshot() {
 		sites = append(sites, a)
 	}
-	sortInt64s(sites)
+	slices.Sort(sites)
 
 	scanDegraded := 0
 	for _, site := range sites {

@@ -146,13 +146,6 @@ func buildHistory(ops []core.Op) *history {
 	return h
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // windowBindings returns the bindings of a path whose effective interval
 // intersects [floor, crash]. A binding holds from its own `from` until
 // just before the next binding's.

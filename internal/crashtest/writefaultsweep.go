@@ -3,6 +3,7 @@ package crashtest
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -64,7 +65,7 @@ func (s *writeSink) sorted() []int64 {
 	for a := range s.addrs {
 		out = append(out, a)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
 }
 

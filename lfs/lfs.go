@@ -67,6 +67,10 @@ type CheckReport = core.CheckReport
 // and SalvageImage.
 type SalvageReport = core.SalvageReport
 
+// SegCounts is a snapshot of the segments by life-cycle state, see
+// (*FS).SegmentCounts.
+type SegCounts = core.SegCounts
+
 // ScrubReport is the result of a media scrub, see (*FS).Scrub.
 type ScrubReport = core.ScrubReport
 

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,24 +23,33 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("lfsbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (see -list), or \"all\"")
-		quick    = flag.Bool("quick", false, "use scaled-down disks and workloads")
-		seed     = flag.Int64("seed", 42, "random seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		trace    = flag.String("trace", "", "write a JSONL event trace to this file")
-		metrics  = flag.Bool("metrics", false, "print the obs metrics snapshot after the run")
-		snapshot = flag.String("snapshot", "", "run the snapshot grids (groupcommit, nvsync, readpath) and write structured results to this JSON file, merging by grid name if it exists")
-		check    = flag.String("check", "", "regression gate: rerun the snapshot grids at BASELINE's scale and seed and fail if any gated metric leaves its tolerance band")
+		exp      = fl.String("exp", "all", "experiment to run (see -list), or \"all\"")
+		quick    = fl.Bool("quick", false, "use scaled-down disks and workloads")
+		seed     = fl.Int64("seed", 42, "random seed")
+		list     = fl.Bool("list", false, "list experiments and exit")
+		trace    = fl.String("trace", "", "write a JSONL event trace to this file")
+		metrics  = fl.Bool("metrics", false, "print the obs metrics snapshot after the run")
+		snapshot = fl.String("snapshot", "", "run the snapshot grids (groupcommit, nvsync, readpath) and write structured results to this JSON file, merging by grid name if it exists")
+		check    = fl.String("check", "", "regression gate: rerun the snapshot grids at BASELINE's scale and seed and fail if any gated metric leaves its tolerance band")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-22s %s\n", e.Name, e.Description)
+			fmt.Fprintf(stdout, "%-22s %s\n", e.Name, e.Description)
 		}
-		return
+		return 0
 	}
 
 	cfg := bench.Config{Quick: *quick, Seed: *seed}
@@ -51,8 +61,8 @@ func main() {
 		if *trace != "" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "lfsbench:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "lfsbench:", err)
+				return 1
 			}
 			traceFile = f
 			traceBuf = bufio.NewWriter(f)
@@ -61,80 +71,77 @@ func main() {
 		}
 		cfg.Tracer = obs.New(sink)
 	}
-	closeTrace := func() {
+	closeTrace := func() error {
 		if traceFile == nil {
-			return
+			return nil
 		}
 		if err := traceBuf.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsbench: flush trace:", err)
-			os.Exit(1)
+			return fmt.Errorf("flush trace: %w", err)
 		}
 		if err := traceFile.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsbench: close trace:", err)
-			os.Exit(1)
+			return fmt.Errorf("close trace: %w", err)
 		}
 		if err := jsink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsbench: write trace:", err)
-			os.Exit(1)
+			return fmt.Errorf("write trace: %w", err)
 		}
+		return nil
 	}
 
-	run := func(e bench.Experiment) error {
+	runExp := func(e bench.Experiment) error {
 		start := time.Now()
 		tbl, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		fmt.Println(tbl.String())
-		fmt.Printf("(ran in %v host time)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, tbl.String())
+		fmt.Fprintf(stdout, "(ran in %v host time)\n\n", time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 
-	fail := func(err error) {
-		closeTrace()
-		fmt.Fprintln(os.Stderr, "lfsbench:", err)
-		os.Exit(1)
-	}
-
-	if *check != "" {
-		if err := checkSnapshot(cfg, *check); err != nil {
-			fail(err)
-		}
-		fmt.Printf("regression gate passed against %s\n", *check)
-		closeTrace()
-		return
-	}
-
-	if *snapshot != "" {
-		if err := writeSnapshot(cfg, *snapshot); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *snapshot)
-		closeTrace()
-		return
-	}
-
-	if *exp == "all" {
-		for _, e := range bench.Experiments() {
-			if err := run(e); err != nil {
-				fail(err)
+	// work is the selected mode; the trace is closed whatever it returns,
+	// and its own error is the one reported.
+	work := func() error {
+		switch {
+		case *check != "":
+			if err := checkSnapshot(cfg, *check, stderr); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "regression gate passed against %s\n", *check)
+		case *snapshot != "":
+			if err := writeSnapshot(cfg, *snapshot); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *snapshot)
+		default:
+			exps := bench.Experiments()
+			if *exp != "all" {
+				e, err := bench.Lookup(*exp)
+				if err != nil {
+					return err
+				}
+				exps = []bench.Experiment{e}
+			}
+			for _, e := range exps {
+				if err := runExp(e); err != nil {
+					return err
+				}
+			}
+			if *metrics {
+				fmt.Fprintln(stdout, "obs metrics:")
+				fmt.Fprintln(stdout, cfg.Tracer.Metrics().String())
 			}
 		}
-	} else {
-		e, err := bench.Lookup(*exp)
-		if err != nil {
-			fail(err)
-		}
-		if err := run(e); err != nil {
-			fail(err)
-		}
+		return nil
 	}
-
-	if *metrics {
-		fmt.Println("obs metrics:")
-		fmt.Println(cfg.Tracer.Metrics().String())
+	err := work()
+	if cerr := closeTrace(); err == nil {
+		err = cerr
 	}
-	closeTrace()
+	if err != nil {
+		fmt.Fprintln(stderr, "lfsbench:", err)
+		return 1
+	}
+	return 0
 }
 
 // writeSnapshot runs the grids (bench.Snapshot holds the schema of the
@@ -177,7 +184,7 @@ func writeSnapshot(cfg bench.Config, path string) error {
 // checkSnapshot is the CI regression gate: rerun the grids at the
 // baseline's scale and seed and compare every gated (host-independent)
 // metric against its tolerance band.
-func checkSnapshot(cfg bench.Config, path string) error {
+func checkSnapshot(cfg bench.Config, path string, stderr io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -202,7 +209,7 @@ func checkSnapshot(cfg bench.Config, path string) error {
 		return nil
 	}
 	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "lfsbench: regression:", r)
+		fmt.Fprintln(stderr, "lfsbench: regression:", r)
 	}
 	return fmt.Errorf("%d metric(s) regressed against %s", len(regs), path)
 }

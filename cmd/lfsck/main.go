@@ -23,48 +23,58 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/lfs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("lfsck", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		noroll  = flag.Bool("noroll", false, "discard everything after the last checkpoint instead of rolling forward")
-		verbose = flag.Bool("v", false, "print summary statistics")
-		deep    = flag.Bool("deep", false, "also verify every partial write's data checksum (full-disk scan)")
-		salvage = flag.Bool("salvage", false, "rebuild the image from its log when mount fails or the file system is degraded, writing the repaired image back")
+		noroll  = fl.Bool("noroll", false, "discard everything after the last checkpoint instead of rolling forward")
+		verbose = fl.Bool("v", false, "print summary statistics")
+		deep    = fl.Bool("deep", false, "also verify every partial write's data checksum (full-disk scan)")
+		salvage = fl.Bool("salvage", false, "rebuild the image from its log when mount fails or the file system is degraded, writing the repaired image back")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: lfsck [-noroll] [-deep] [-salvage] [-v] <image>")
-		os.Exit(2)
+	if err := fl.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	img := flag.Arg(0)
+	if fl.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: lfsck [-noroll] [-deep] [-salvage] [-v] <image>")
+		return 2
+	}
+	img := fl.Arg(0)
 	d, err := lfs.LoadDisk(img)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lfsck:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lfsck:", err)
+		return 1
 	}
 	var srep *lfs.SalvageReport
 	fs, err := lfs.Mount(d, lfs.Options{NoRollForward: *noroll})
 	if err != nil {
 		if !*salvage {
-			fmt.Fprintf(os.Stderr, "lfsck: mount: %v (rerun with -salvage to rebuild from the log)\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "lfsck: mount: %v (rerun with -salvage to rebuild from the log)\n", err)
+			return 1
 		}
-		fmt.Printf("lfsck: %s: mount: %v; salvaging from the log\n", img, err)
+		fmt.Fprintf(stdout, "lfsck: %s: mount: %v; salvaging from the log\n", img, err)
 		fs, srep, err = lfs.SalvageImage(d, lfs.Options{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfsck: salvage:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "lfsck: salvage:", err)
+			return 1
 		}
 	} else if *salvage && fs.Degraded() {
-		fmt.Printf("lfsck: %s: degraded (%s); salvaging from the log\n", img, fs.DegradedReason())
+		fmt.Fprintf(stdout, "lfsck: %s: degraded (%s); salvaging from the log\n", img, fs.DegradedReason())
 		srep, err = fs.Salvage()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfsck: salvage:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "lfsck: salvage:", err)
+			return 1
 		}
 	}
 	var rep *lfs.CheckReport
@@ -74,36 +84,36 @@ func main() {
 		rep, err = fs.Check()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lfsck: check:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lfsck: check:", err)
+		return 1
 	}
 	if *verbose {
 		var live int64
 		for _, b := range rep.LiveBytesBySegment {
 			live += b
 		}
-		fmt.Printf("lfsck: %d files, %d MB live data, %d segments, utilization %.1f%%\n",
+		fmt.Fprintf(stdout, "lfsck: %d files, %d MB live data, %d segments, utilization %.1f%%\n",
 			rep.Files, live>>20, fs.NumSegments(),
 			float64(live)/float64(fs.NumSegments()*fs.SegmentBytes())*100)
 	}
 	if srep != nil {
-		fmt.Printf("lfsck: salvage: %d inodes recovered, %d lost, %d orphans reconnected, %d blocks dropped\n",
+		fmt.Fprintf(stdout, "lfsck: salvage: %d inodes recovered, %d lost, %d orphans reconnected, %d blocks dropped\n",
 			srep.InodesRecovered, srep.InodesLost, srep.Orphans, srep.BlocksDropped)
 		if err := fs.Unmount(); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsck: unmount:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "lfsck: unmount:", err)
+			return 1
 		}
 		if err := d.Save(img); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsck: writing repaired image:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "lfsck: writing repaired image:", err)
+			return 1
 		}
 	}
 	if len(rep.Problems) == 0 {
-		fmt.Printf("lfsck: %s: clean\n", img)
-		return
+		fmt.Fprintf(stdout, "lfsck: %s: clean\n", img)
+		return 0
 	}
 	for _, p := range rep.Problems {
-		fmt.Printf("lfsck: %s\n", p)
+		fmt.Fprintf(stdout, "lfsck: %s\n", p)
 	}
-	os.Exit(1)
+	return 1
 }

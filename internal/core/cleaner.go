@@ -42,21 +42,8 @@ func (fs *FS) blockLive(e layout.SummaryEntry, addr int64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		switch {
-		case e.BlockNo == indRoleSingle:
-			return mi.ino.Indirect == addr, nil
-		case e.BlockNo == indRoleDTop:
-			return mi.ino.DIndir == addr, nil
-		default:
-			i := int(e.BlockNo - indRoleL2Base)
-			if i < 0 || i >= layout.PointersPerBlock || mi.ino.DIndir == layout.NilAddr {
-				return false, nil
-			}
-			if err := fs.loadDTop(mi); err != nil {
-				return false, err
-			}
-			return mi.dindTop[i] == addr, nil
-		}
+		cur, err := fs.ptrAddr(mi, e.BlockNo)
+		return cur == addr, err
 	case layout.KindInode:
 		return fs.inoBlockRefs[addr] > 0, nil
 	case layout.KindImap:
@@ -565,24 +552,8 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 		if err != nil {
 			return liveCopy{}, false, err
 		}
-		switch {
-		case e.BlockNo == indRoleSingle:
-			if err := fs.loadIndirect(mi); err != nil {
-				return liveCopy{}, false, err
-			}
-			mi.indDirty = true
-		case e.BlockNo == indRoleDTop:
-			if err := fs.loadDTop(mi); err != nil {
-				return liveCopy{}, false, err
-			}
-			mi.dindTopDirty = true
-		default:
-			i := int(e.BlockNo - indRoleL2Base)
-			if _, err := fs.loadL2(mi, i); err != nil {
-				return liveCopy{}, false, err
-			}
-			mi.dindL2Dirty[i] = true
-			mi.dindTopDirty = true
+		if err := fs.dirtyPtr(mi, e.BlockNo); err != nil {
+			return liveCopy{}, false, err
 		}
 		fs.markInodeDirty(e.Inum)
 	case layout.KindInode:

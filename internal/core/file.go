@@ -411,62 +411,7 @@ func (fs *FS) dropBlocksFrom(mi *mInode, keep uint32) error {
 		}
 	}
 	// Release indirect blocks that are now entirely unused.
-	if keep <= firstIndirect && (mi.ino.Indirect != layout.NilAddr || mi.indLoaded) {
-		if mi.ino.Indirect != layout.NilAddr {
-			if err := fs.decLive(mi.ino.Indirect); err != nil {
-				return err
-			}
-		}
-		mi.ino.Indirect = layout.NilAddr
-		mi.ind = nil
-		mi.indLoaded = false
-		mi.indDirty = false
-	}
-	if keep <= firstDIndirect && (mi.ino.DIndir != layout.NilAddr || mi.dindTopLoaded) {
-		if mi.ino.DIndir != layout.NilAddr {
-			if err := fs.loadDTop(mi); err != nil {
-				return err
-			}
-			for _, a := range mi.dindTop {
-				if a != layout.NilAddr {
-					if err := fs.decLive(a); err != nil {
-						return err
-					}
-				}
-			}
-			if err := fs.decLive(mi.ino.DIndir); err != nil {
-				return err
-			}
-		}
-		mi.ino.DIndir = layout.NilAddr
-		mi.dindTop = nil
-		mi.dindTopLoaded = false
-		mi.dindTopDirty = false
-		mi.dindL2 = make(map[int][]int64)
-		mi.dindL2Dirty = make(map[int]bool)
-	} else if keep > firstDIndirect {
-		// Partial double-indirect truncation: release empty level-2
-		// blocks past the cut.
-		relKeep := int(keep - firstDIndirect)
-		firstLiveL2 := (relKeep + layout.PointersPerBlock - 1) / layout.PointersPerBlock
-		if mi.ino.DIndir != layout.NilAddr || mi.dindTopLoaded {
-			if err := fs.loadDTop(mi); err != nil {
-				return err
-			}
-			for i := firstLiveL2; i < layout.PointersPerBlock; i++ {
-				if a := mi.dindTop[i]; a != layout.NilAddr {
-					if err := fs.decLive(a); err != nil {
-						return err
-					}
-					mi.dindTop[i] = layout.NilAddr
-					mi.dindTopDirty = true
-				}
-				delete(mi.dindL2, i)
-				delete(mi.dindL2Dirty, i)
-			}
-		}
-	}
-	return nil
+	return fs.releasePtrsFrom(mi, keep)
 }
 
 // removeFile releases every block of the file, frees its inode, and bumps

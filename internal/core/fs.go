@@ -500,12 +500,6 @@ func (fs *FS) decInoBlockRef(addr int64) error {
 	return nil
 }
 
-// readMetaBlock reads a metadata block (inode, indirect) through the read
-// cache if one is configured.
-func (fs *FS) readMetaBlock(addr int64) ([]byte, error) {
-	return fs.readDiskBlock(addr)
-}
-
 // readDiskBlock reads the block at addr through the read cache. The
 // returned slice is READ-ONLY and may be the cache's own storage:
 // callers must copy before mutating (writers that need a private
@@ -530,8 +524,10 @@ func (fs *FS) readDiskBlock(addr int64) ([]byte, error) {
 	}
 	// Ownership moves to the read cache (after which the buffer is
 	// immutable and never pooled again); when there is no cache the
-	// caller keeps the only reference and it dies to the GC — the
-	// pooled fast path for cache-less reads lives in readAt.
+	// caller keeps the only reference and it dies to the GC. readAt
+	// therefore does not come here for a single block when no cache is
+	// configured: it reads into a pooled block of its own and puts it
+	// back once the bytes are copied out.
 	fs.cacheBlockOwned(addr, buf)
 	return buf, nil
 }

@@ -441,9 +441,8 @@ func (fs *FS) stageDataBlocks() error {
 }
 
 // stageIndirectBlocks stages the dirty indirect blocks of the dirty
-// inodes (inums, ascending): level-2 blocks first, then the
-// double-indirect top and single indirect blocks, so that content
-// dependencies always point at earlier staged blocks.
+// inodes (inums, ascending), each file's in eachDirtyPtr's order, so that
+// content dependencies always point at earlier staged blocks.
 func (fs *FS) stageIndirectBlocks(inums []uint32) {
 	for _, inum := range inums {
 		mi := fs.icache[inum]
@@ -451,63 +450,22 @@ func (fs *FS) stageIndirectBlocks(inums []uint32) {
 			continue
 		}
 		version := fs.imap.get(inum).Version
-		for _, i := range sortedKeys(mi.dindL2Dirty) {
-			if !mi.dindL2Dirty[i] {
-				continue
-			}
+		mi.eachDirtyPtr(func(role uint32) {
 			fs.stage(stagedBlock{
-				entry: layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: indRoleL2Base + uint32(i)},
-				age:   mi.ino.Mtime,
-				encode: func() ([]byte, error) {
-					return layout.EncodeIndirectBlock(mi.dindL2[i])
-				},
+				entry:  layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: role},
+				age:    mi.ino.Mtime,
+				encode: func() ([]byte, error) { return mi.encodePtr(role) },
 				placed: func(addr int64) error {
-					old := mi.dindTop[i]
-					mi.dindTop[i] = addr
+					cell := mi.parent(role)
+					old := *cell
+					*cell = addr
 					if old != layout.NilAddr {
 						return fs.decLive(old)
 					}
 					return nil
 				},
 			})
-			mi.dindL2Dirty[i] = false
-		}
-		if mi.dindTopDirty {
-			fs.stage(stagedBlock{
-				entry: layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: indRoleDTop},
-				age:   mi.ino.Mtime,
-				encode: func() ([]byte, error) {
-					return layout.EncodeIndirectBlock(mi.dindTop)
-				},
-				placed: func(addr int64) error {
-					old := mi.ino.DIndir
-					mi.ino.DIndir = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
-			})
-			mi.dindTopDirty = false
-		}
-		if mi.indDirty {
-			fs.stage(stagedBlock{
-				entry: layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: indRoleSingle},
-				age:   mi.ino.Mtime,
-				encode: func() ([]byte, error) {
-					return layout.EncodeIndirectBlock(mi.ind)
-				},
-				placed: func(addr int64) error {
-					old := mi.ino.Indirect
-					mi.ino.Indirect = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
-			})
-			mi.indDirty = false
-		}
+		})
 	}
 }
 

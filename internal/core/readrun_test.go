@@ -686,3 +686,99 @@ func TestAllocsSalvageScan(t *testing.T) {
 		t.Fatalf("warm salvage scan allocates %.2f times per verified block, want at most %.2f", per, float64(maxPerBlock))
 	}
 }
+
+// breakFirstSummary overwrites the first summary slot of seg so that it
+// fails its magic (zeroed) or, with the magic left alone, its checksum.
+func breakFirstSummary(tb testing.TB, fs *FS, d *disk.Disk, seg int64, keepMagic bool) {
+	tb.Helper()
+	blk, err := d.Peek(fs.segStart(seg))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bad := make([]byte, layout.BlockSize)
+	if keepMagic {
+		copy(bad, blk)
+		bad[layout.BlockSize/2] ^= 0xff
+	}
+	if err := d.Poke(fs.segStart(seg), bad); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestSalvageProbesDeadSegmentOnce pins the floor of the salvage scan
+// (ROADMAP 3(c)): a segment whose first summary slot fails its magic or
+// its checksum costs one request for one block — never written, or
+// written and since broken, alike — and nothing is read from it again.
+func TestSalvageProbesDeadSegmentOnce(t *testing.T) {
+	img := writtenSegmentsImage(t, 4)
+	ring := obs.NewRingSink(1 << 14)
+	img.opts.Tracer = obs.New(ring)
+	fs, d := salvageScanOf(t, img)
+	breakFirstSummary(t, fs, d, 1, true)
+	breakFirstSummary(t, fs, d, 2, false)
+	opened := len(ring.Events()) // the superblock and checkpoint-region reads
+	fs.salvageScan(&SalvageReport{})
+	if ring.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
+	}
+
+	type cost struct{ reads, blocks int }
+	perSeg := make([]cost, fs.nsegs)
+	for _, e := range ring.Events()[opened:] {
+		if e.Kind == obs.KindDiskIO && e.Disk.Op == "read" {
+			seg := fs.segOf(e.Disk.Addr)
+			perSeg[seg].reads++
+			perSeg[seg].blocks += e.Disk.Blocks
+		}
+	}
+	dead := 0
+	for seg := int64(0); seg < fs.nsegs; seg++ {
+		first, err := d.Peek(fs.segStart(seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := layout.DecodeSummary(first); err == nil {
+			if perSeg[seg].blocks < 2 {
+				t.Errorf("segment %d holds a chain but the scan read %d block(s) of it", seg, perSeg[seg].blocks)
+			}
+			continue
+		}
+		dead++
+		if perSeg[seg] != (cost{1, 1}) {
+			t.Errorf("segment %d has no first summary: %d read request(s) for %d block(s), want 1 for 1", seg, perSeg[seg].reads, perSeg[seg].blocks)
+		}
+	}
+	if want := int(fs.nsegs) - 3; dead < want {
+		t.Fatalf("%d dead segments, want at least %d: the image is not the one this test is about", dead, want)
+	}
+}
+
+// TestSalvageScanFloor is the same floor end to end: with every first
+// summary of a freshly formatted image gone, SalvageImage's scan phase
+// makes one one-block request per segment on top of the superblock and
+// the two checkpoint regions it also counts, and no more.
+func TestSalvageScanFloor(t *testing.T) {
+	fs, d := newTestFS(t, 4096, testOptions())
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	for seg := int64(0); seg < fs.nsegs; seg++ {
+		breakFirstSummary(t, fs, d, seg, seg%2 == 0)
+	}
+	tr := obs.New(nil)
+	fs2, rep, err := SalvageImage(d, Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.RootRecreated || rep.SummariesWalked != 0 {
+		t.Fatalf("salvage walked %d summaries (root recreated: %v); none should have survived", rep.SummariesWalked, rep.RootRecreated)
+	}
+	m := tr.Metrics()
+	if got, want := m.Counter("fs.salvage.scan.reads"), fs.nsegs+3; got != want {
+		t.Errorf("fs.salvage.scan.reads = %d, want %d (%d segments + superblock + 2 checkpoint regions)", got, want, fs.nsegs)
+	}
+	if got, want := m.Counter("fs.salvage.scan.blocks"), fs.nsegs+1+2*int64(fs.sb.CheckpointBlocks); got != want {
+		t.Errorf("fs.salvage.scan.blocks = %d, want %d", got, want)
+	}
+	mustCheck(t, fs2)
+}

@@ -503,36 +503,26 @@ func (sc *rollScan) recoverInodeBlock(addr int64, block []byte) error {
 }
 
 // account adjusts segment usage for ino replacing the incarnation at inode
-// map entry e: blocks referenced only by the old incarnation die; blocks
-// referenced by the new one are counted (segments being recomputed are
-// skipped in both directions).
+// map entry e: every block the old incarnation's map references — data
+// blocks and the indirect blocks themselves — dies, and every block the
+// new one's references is counted (segments being recomputed are skipped
+// in both directions).
 func (sc *rollScan) account(ino *layout.Inode, e layout.ImapEntry) error {
-	fs := sc.fs
+	ptrs := layout.PtrsFrom(sc.fetch)
+	each := func(ino *layout.Inode, apply func(addr int64) error) error {
+		return layout.WalkBlockMap(ino, ptrs,
+			func(_ layout.BlockKind, _ uint32, addr int64) error { return apply(addr) })
+	}
 	if e.Allocated() {
 		old, err := sc.previous(ino.Inum, e)
 		if err != nil {
 			return err
 		}
-		oldAddrs, err := sc.collectMapAddrs(old)
-		if err != nil {
-			return err
-		}
-		for _, a := range oldAddrs {
-			if err := fs.decLive(a); err != nil {
-				return err
-			}
-		}
-	}
-	newAddrs, err := sc.collectMapAddrs(ino)
-	if err != nil {
-		return err
-	}
-	for _, a := range newAddrs {
-		if err := fs.incLiveRecovery(a); err != nil {
+		if err := each(old, sc.fs.decLive); err != nil {
 			return err
 		}
 	}
-	return nil
+	return each(ino, sc.fs.incLiveRecovery)
 }
 
 // previous returns the incarnation of inum that inode map entry e points
@@ -570,52 +560,6 @@ func (fs *FS) incLiveRecovery(addr int64) error {
 		return nil
 	}
 	return fs.usage.addLive(seg, layout.BlockSize)
-}
-
-// collectMapAddrs returns every disk address referenced by the inode's
-// block map: data blocks plus the indirect blocks themselves.
-func (sc *rollScan) collectMapAddrs(ino *layout.Inode) ([]int64, error) {
-	var out []int64
-	for _, a := range ino.Direct {
-		if a != layout.NilAddr {
-			out = append(out, a)
-		}
-	}
-	if ino.Indirect != layout.NilAddr {
-		out = append(out, ino.Indirect)
-		buf, err := sc.fetch(ino.Indirect)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range layout.DecodeIndirectBlock(buf) {
-			if a != layout.NilAddr {
-				out = append(out, a)
-			}
-		}
-	}
-	if ino.DIndir != layout.NilAddr {
-		out = append(out, ino.DIndir)
-		top, err := sc.fetch(ino.DIndir)
-		if err != nil {
-			return nil, err
-		}
-		for _, l2addr := range layout.DecodeIndirectBlock(top) {
-			if l2addr == layout.NilAddr {
-				continue
-			}
-			out = append(out, l2addr)
-			l2, err := sc.fetch(l2addr)
-			if err != nil {
-				return nil, err
-			}
-			for _, a := range layout.DecodeIndirectBlock(l2) {
-				if a != layout.NilAddr {
-					out = append(out, a)
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // applyDirOps replays the directory operation log against the recovered

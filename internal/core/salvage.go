@@ -409,71 +409,30 @@ func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan) (map[uint32]i
 	if ino.Size > uint64(layout.MaxFileBlocks)*layout.BlockSize {
 		return nil, nil, false
 	}
-	okAddr := func(a int64) bool {
-		s, present := sc.intact[a]
-		return present && s <= seq
-	}
 	data := make(map[uint32]int64)
 	var meta []int64
-	for bn, a := range ino.Direct {
-		if a == layout.NilAddr {
-			continue
-		}
-		if !okAddr(a) {
-			return nil, nil, false
-		}
-		data[uint32(bn)] = a
-	}
-	// An address the inode uses as an indirect block must have been
-	// written as one: the scan kept the pointers of those it verified.
-	readPtrs := func(a int64) ([]int64, bool) {
-		ptrs, isIndirect := sc.ptrs[a]
-		return ptrs, isIndirect && okAddr(a)
-	}
-	if ino.Indirect != layout.NilAddr {
-		ptrs, ok := readPtrs(ino.Indirect)
-		if !ok {
-			return nil, nil, false
-		}
-		meta = append(meta, ino.Indirect)
-		for j, a := range ptrs {
-			if a == layout.NilAddr {
-				continue
+	err := layout.WalkBlockMap(ino,
+		func(a int64) ([]int64, error) {
+			// An address the inode uses as an indirect block must have been
+			// written as one: the scan kept the pointers of those it verified.
+			ptrs, isIndirect := sc.ptrs[a]
+			if !isIndirect {
+				return nil, ErrCorrupt
 			}
-			if !okAddr(a) {
-				return nil, nil, false
+			return ptrs, nil
+		},
+		func(kind layout.BlockKind, bn uint32, a int64) error {
+			if s, present := sc.intact[a]; !present || s > seq {
+				return ErrCorrupt
 			}
-			data[uint32(layout.NumDirect+j)] = a
-		}
-	}
-	if ino.DIndir != layout.NilAddr {
-		top, ok := readPtrs(ino.DIndir)
-		if !ok {
-			return nil, nil, false
-		}
-		meta = append(meta, ino.DIndir)
-		for l2i, l2a := range top {
-			if l2a == layout.NilAddr {
-				continue
-			}
-			ptrs, ok := readPtrs(l2a)
-			if !ok {
-				return nil, nil, false
-			}
-			meta = append(meta, l2a)
-			for j, a := range ptrs {
-				if a == layout.NilAddr {
-					continue
-				}
-				if !okAddr(a) {
-					return nil, nil, false
-				}
-				bn := uint32(layout.NumDirect + layout.PointersPerBlock + l2i*layout.PointersPerBlock + j)
+			if kind == layout.KindData {
 				data[bn] = a
+			} else {
+				meta = append(meta, a)
 			}
-		}
-	}
-	return data, meta, true
+			return nil
+		})
+	return data, meta, err == nil
 }
 
 // salvagePopulate installs the accepted inodes into the rebuilt inode

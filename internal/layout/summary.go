@@ -44,8 +44,9 @@ func (k BlockKind) String() string {
 // SummaryEntry describes one block of a partial-segment write. For data
 // and indirect blocks, Inum/Version form the uid used for the fast
 // liveness check (Section 3.3) and BlockNo is the block's index within the
-// file (indirect blocks use indices above the data range; see the lfs
-// package). For metadata blocks the fields identify the structure written.
+// file (for an indirect block, its role in the block map: RoleSingle,
+// RoleDTop, RoleL2Base+i). For metadata blocks the fields identify the
+// structure written.
 //
 // Age is the block's modified time. Sprite LFS kept a single modified
 // time per file and noted that "this estimate will be incorrect for files

@@ -117,6 +117,10 @@ func TestPublicBackgroundClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("bg"), 8192)
+	// The file the reader polls must exist before the reader starts.
+	if err := fs.WriteFile("/churn00", payload); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
 		for {

@@ -35,6 +35,15 @@ func (fs *FS) readRetry(addr int64, buf []byte) error {
 	return err
 }
 
+// readVerified reads the block at addr into buf, past the read cache,
+// and checks it against its summary checksum.
+func (fs *FS) readVerified(addr int64, buf []byte) error {
+	if err := fs.readRetry(addr, buf); err != nil {
+		return err
+	}
+	return fs.verifyBlock(addr, buf)
+}
+
 // readBlockRetry is readRetry for a single freshly allocated block.
 func (fs *FS) readBlockRetry(addr int64) ([]byte, error) {
 	buf := make([]byte, layout.BlockSize)

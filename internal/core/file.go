@@ -7,13 +7,16 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/disk"
 	"repro/internal/layout"
+	"repro/internal/obs"
 )
 
 // readFileBlockInto copies the contents of file block bn into dst (one
 // full block), consulting the dirty file cache first, then the read
 // cache, then the device. Holes read as zeros. dst is typically a
 // pooled buffer the caller owns; on return it never aliases cache
-// storage, so the caller may mutate it freely.
+// storage, so the caller may mutate it freely. Its callers are the write
+// path's two read-before-write sites (writeAtPrepared, truncate), so a
+// fetch of the stored block is what fs.write.rmw.reads counts.
 func (fs *FS) readFileBlockInto(mi *mInode, bn uint32, dst []byte) error {
 	if b, ok := fs.dcache[blockKey{mi.ino.Inum, bn}]; ok {
 		copy(dst, b)
@@ -27,12 +30,17 @@ func (fs *FS) readFileBlockInto(mi *mInode, bn uint32, dst []byte) error {
 		clear(dst)
 		return nil
 	}
-	b, err := fs.readDiskBlock(addr)
-	if err != nil {
-		return attributeCorruption(err, mi.ino.Inum, int64(bn)*layout.BlockSize)
+	fs.tr.Add(obs.CtrWriteRMWReads, 1)
+	if fs.rcache == nil {
+		// No read cache to take the buffer readDiskBlock would read
+		// into: read in the caller's.
+		err = fs.readVerified(addr, dst)
+	} else {
+		var b []byte
+		b, err = fs.readDiskBlock(addr)
+		copy(dst, b) // b is nil on error
 	}
-	copy(dst, b)
-	return nil
+	return attributeCorruption(err, mi.ino.Inum, int64(bn)*layout.BlockSize)
 }
 
 // readAt reads up to len(buf) bytes from the file at off, returning how
@@ -119,11 +127,7 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 			// No read cache to hand the buffer to: read into a pooled
 			// block and return it as soon as the bytes are copied out.
 			blk := fs.bpool.Get()
-			err := fs.readRetry(addr, blk)
-			if err == nil {
-				err = fs.verifyBlock(addr, blk)
-			}
-			if err != nil {
+			if err := fs.readVerified(addr, blk); err != nil {
 				fs.bpool.Put(blk)
 				return total, attributeCorruption(err, inum, int64(bn)*layout.BlockSize)
 			}
@@ -270,11 +274,16 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 		blk, dirty := fs.dcache[key]
 		copied := false
 		if !dirty {
-			if inBlock != 0 || n != layout.BlockSize {
-				// Read-modify-write for partial blocks: pull the current
-				// contents into a pooled buffer the write can scribble on.
+			if n != layout.BlockSize {
+				// A partial block. Written from its first byte to EOF or
+				// beyond, no old byte survives and the bytes past EOF are
+				// zeros (DESIGN.md §3c "When the write path reads").
+				// Otherwise read-modify-write: old bytes survive in front
+				// of the write or between its end and EOF.
 				blk = fs.bpool.Get()
-				if err := fs.readFileBlockInto(mi, bn, blk); err != nil {
+				if inBlock == 0 && off+int64(n) >= int64(mi.ino.Size) {
+					clear(blk[n:])
+				} else if err := fs.readFileBlockInto(mi, bn, blk); err != nil {
 					fs.bpool.Put(blk)
 					return total, err
 				}

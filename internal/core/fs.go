@@ -514,11 +514,7 @@ func (fs *FS) readDiskBlock(addr int64) ([]byte, error) {
 		return b, nil
 	}
 	buf := fs.bpool.Get()
-	if err := fs.readRetry(addr, buf); err != nil {
-		fs.bpool.Put(buf)
-		return nil, err
-	}
-	if err := fs.verifyBlock(addr, buf); err != nil {
+	if err := fs.readVerified(addr, buf); err != nil {
 		fs.bpool.Put(buf)
 		return nil, err
 	}

@@ -83,6 +83,11 @@ func (fs *FS) loadDir(inum uint32) ([]layout.DirEntry, error) {
 // changed suffix is written: appending an entry to a large directory
 // dirties one block, not the whole directory.
 func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry) error {
+	if len(entries) == 0 {
+		// An emptied directory keeps no entry array (its encoding, zero
+		// bytes long, has none either).
+		entries = nil
+	}
 	fs.dirCacheMu.Lock()
 	fs.dirCache[inum] = entries
 	fs.dirCacheMu.Unlock()
@@ -95,6 +100,13 @@ func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry) error {
 		return err
 	}
 	start := dirDeltaStart(fs.dirBytes[inum], data)
+	if uint64(len(data)) < mi.ino.Size {
+		// A shrinking directory is cut back to the first changed block
+		// first, so the rewrite below runs to EOF and reads nothing.
+		if err := fs.truncate(mi, int64(start)); err != nil {
+			return err
+		}
+	}
 	if start < len(data) {
 		if _, err := fs.writeAt(mi, int64(start), data[start:]); err != nil {
 			return err

@@ -118,6 +118,11 @@ const (
 	// CtrNVBackpressureFlushes counts inline log flushes forced by a
 	// full NVRAM — the absorb mode's backpressure point.
 	CtrNVBackpressureFlushes = "fs.nv.backpressure.flushes"
+	// CtrWriteRMWReads counts stored blocks the write path fetched
+	// (from the read cache or the device) before overwriting part of
+	// them: a write that starts mid-block or stops short of EOF, or a
+	// truncate zeroing the tail of a clean last block.
+	CtrWriteRMWReads = "fs.write.rmw.reads"
 )
 
 // Media-fault counters, recorded by the verify-on-read pipeline, the

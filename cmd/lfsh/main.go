@@ -9,8 +9,8 @@
 //
 // Commands: ls [path], cat <path>, put <path> <text>, gen <path> <KB>,
 // rm <path>, mkdir <path>, mv <old> <new>, ln <old> <new>, stat <path>,
-// df, segs, sync, checkpoint, clean, idle <n>, crash, fsck, scrub, stats,
-// trace <file>|off, save, help, quit.
+// df, segs, sync, checkpoint, clean, idle <n>, crash, recovery, fsck, scrub,
+// stats, trace <file>|off, save, help, quit.
 //
 // The fsck subcommand mounts the image via checkpoint + roll-forward,
 // runs the structural consistency sweep non-interactively, and exits 0
@@ -36,7 +36,9 @@
 // (log.walk.end.<reason>): after `crash`, what ended roll-forward — and
 // what each phase of that recovery asked of the disk
 // (fs.recovery.<phase>.{reads,blocks,sim_us}; fs.salvage.<phase>.* after a
-// salvage).
+// salvage). `recovery` prints the last of those as a table: per phase the
+// requests, blocks and simulated time with its share, and under it why the
+// log walks of that recovery stopped.
 package main
 
 import (
@@ -50,6 +52,8 @@ import (
 
 	"flag"
 
+	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/lfs"
 )
 
@@ -266,7 +270,7 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 	case "help":
 		fmt.Println("ls [path] | cat <p> | put <p> <text...> | gen <p> <KB> | rm <p> | mkdir <p>")
 		fmt.Println("mv <a> <b> | ln <a> <b> | stat <p> | df | segs | sync | checkpoint | clean")
-		fmt.Println("idle <n> | crash | fsck | scrub | stats | trace <file>|off | save | quit")
+		fmt.Println("idle <n> | crash | recovery | fsck | scrub | stats | trace <file>|off | save | quit")
 	case "quit", "exit":
 		fail(closeTrace(fs))
 		fail(fs.Unmount())
@@ -400,6 +404,7 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 	case "crash":
 		d.Crash()
 		d.Reopen()
+		beforeRecovery = fs.Metrics()
 		fs2, err := lfs.Mount(d, lfs.Options{Tracer: fs.Tracer()})
 		if err != nil {
 			fail(err)
@@ -407,6 +412,8 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 		}
 		*fsp = fs2
 		fmt.Println("power cut; recovered via checkpoint + roll-forward")
+	case "recovery":
+		fmt.Print(recoveryTable(fs.Metrics(), beforeRecovery))
 	case "fsck":
 		rep, err := fs.Check()
 		if err != nil {
@@ -482,6 +489,57 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 		fmt.Printf("unknown command %q (try help)\n", args[0])
 	}
 	return false
+}
+
+// beforeRecovery is the metrics snapshot taken just before the last `crash`
+// remounted: the tracer outlives the mount, so the last recovery's counters
+// are the difference to it.
+var beforeRecovery lfs.MetricsSnapshot
+
+// recoveryTable renders what each phase of the last recovery — every
+// fs.recovery.* or fs.salvage.* phase that moved since before — asked of the
+// disk, and why the log walks since then stopped.
+func recoveryTable(now, before lfs.MetricsSnapshot) string {
+	delta := func(name string) int64 { return now.Counter(name) - before.Counter(name) }
+	var b strings.Builder
+	for _, run := range []struct {
+		prefix string
+		phases []string
+	}{
+		{obs.CtrRecoveryPhasePrefix, []string{"cpload", "rollforward", "dirops", "usage", "commit", "nvreplay"}},
+		{obs.CtrSalvagePhasePrefix, []string{"scan", "accept", "rebuild", "commit"}},
+	} {
+		var reads, blocks, us int64
+		for _, ph := range run.phases {
+			reads += delta(run.prefix + ph + ".reads")
+			blocks += delta(run.prefix + ph + ".blocks")
+			us += delta(run.prefix + ph + ".sim_us")
+		}
+		if reads == 0 && us == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%-22s %8s %8s %10s %7s\n", strings.TrimSuffix(run.prefix, "."), "requests", "blocks", "sim ms", "share")
+		row := func(name string, r, bl, u int64) {
+			fmt.Fprintf(&b, "%-22s %8d %8d %10.1f %6.1f%%\n", name, r, bl, float64(u)/1e3, 100*float64(u)/float64(max(us, 1)))
+		}
+		for _, ph := range run.phases {
+			if _, ran := now.Counters[run.prefix+ph+".reads"]; ran {
+				row(ph, delta(run.prefix+ph+".reads"), delta(run.prefix+ph+".blocks"), delta(run.prefix+ph+".sim_us"))
+			}
+		}
+		row("total", reads, blocks, us)
+	}
+	if b.Len() == 0 {
+		return "no recovery has run under this tracer (mount an image, or crash)\n"
+	}
+	var ends []string
+	for e := layout.WalkEnd(0); e < layout.NumWalkEnds; e++ {
+		if n := delta(obs.CtrLogWalkEndPrefix + e.String()); n > 0 {
+			ends = append(ends, fmt.Sprintf("%s %d", e, n))
+		}
+	}
+	fmt.Fprintf(&b, "log walks ended: %s\n", strings.Join(ends, ", "))
+	return b.String()
 }
 
 // segsLine is the life-cycle line under the `segs` histogram: where the log

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -156,6 +157,58 @@ func TestShellStatsAndTrace(t *testing.T) {
 
 // TestShellSegsLine pins the life-cycle line `segs` prints under the
 // histogram, and checks the snapshot behind it accounts for every segment.
+// TestShellRecoveryTable: after a crash, `recovery` prints the phases of
+// that mount alone — the tracer has counted an earlier crash too — with
+// their shares, a total that is the sum of the rows, and why the log walk
+// ended.
+func TestShellRecoveryTable(t *testing.T) {
+	d := lfs.NewDisk(4096)
+	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64, Tracer: lfs.NewTracer(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	if got := recoveryTable(fs.Metrics(), lfs.MetricsSnapshot{}); !strings.HasPrefix(got, "no recovery has run") {
+		t.Fatalf("recovery table of a freshly formatted file system:\n%s", got)
+	}
+	for _, line := range [][]string{
+		{"put", "/one", "first", "life"}, {"sync"}, {"crash"},
+		{"checkpoint"}, {"mkdir", "/d"}, {"gen", "/d/two", "40"}, {"sync"}, {"crash"},
+		{"recovery"},
+	} {
+		if quit := run(t, d, &fs, rng, line...); quit {
+			t.Fatalf("command %v quit the shell", line)
+		}
+	}
+	now := fs.Metrics()
+	table := recoveryTable(now, beforeRecovery)
+	lines := strings.Split(strings.TrimSpace(table), "\n")
+	if len(lines) != 8 || !strings.HasPrefix(lines[0], "fs.recovery") || !strings.HasPrefix(lines[7], "log walks ended: ") || !strings.Contains(lines[7], "decode") {
+		t.Fatalf("recovery table:\n%s", table)
+	}
+	var reads, sum int64
+	for i, phase := range []string{"cpload", "rollforward", "dirops", "usage", "commit", "total"} {
+		f := strings.Fields(lines[1+i])
+		if len(f) != 5 || f[0] != phase {
+			t.Fatalf("row %d is %q, want the %s phase:\n%s", i, lines[1+i], phase, table)
+		}
+		n, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phase == "total" {
+			reads = n
+		} else {
+			sum += n
+		}
+	}
+	last := now.Counter("disk.read.ops") - beforeRecovery.Counter("disk.read.ops")
+	if reads != sum || reads != last || reads >= now.Counter("disk.read.ops") {
+		t.Fatalf("total %d requests, rows add up to %d, the last mount read %d times, both mounts %d:\n%s",
+			reads, sum, last, now.Counter("disk.read.ops"), table)
+	}
+}
+
 func TestShellSegsLine(t *testing.T) {
 	got := segsLine(lfs.SegCounts{Head: 12, Next: 13, Free: 41, Pending: 3, Dirty: 197, Quarantined: 1})
 	if want := "head 12 · next 13 · 41 free · 3 pending · 197 dirty · 1 quarantined"; got != want {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/obs"
 )
 
 // This experiment measures what Section 5.2 of the paper only
@@ -33,6 +34,43 @@ type bgCleanResult struct {
 	segsCleaned   int64
 	writerStalls  int64
 	stallTime     time.Duration
+	kicks         int64 // cleaning runs the background goroutine was asked for
+	steps         *stepSink
+}
+
+// stepSink watches the order in which cleaning passes and operations end.
+// Both are traced with fs.mu held (a pass under the write lock, a read under
+// the read lock), so the trace order is the lock order: a read that ends
+// between two passes ran while the cleaner did not hold the lock. It counts
+// the gaps between consecutive passes in which a read ended, and those of
+// them in which no mutating operation did — two passes with no mutation
+// between them are steps of one inline cleaning run.
+type stepSink struct {
+	mu             sync.Mutex
+	passes         int
+	reads, writes  int // ended since the last pass
+	gapsWithReads  int
+	quietWithReads int
+}
+
+func (k *stepSink) Emit(e obs.Event) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	switch {
+	case e.Kind == obs.KindFSOp && e.Op.Name == "read":
+		k.reads++
+	case e.Kind == obs.KindFSOp:
+		k.writes++
+	case e.Kind == obs.KindCleanerPass:
+		if k.passes > 0 && k.reads > 0 {
+			k.gapsWithReads++
+			if k.writes == 0 {
+				k.quietWithReads++
+			}
+		}
+		k.passes++
+		k.reads, k.writes = 0, 0
+	}
 }
 
 // runBgCleanMode churns one file system hard enough to force repeated
@@ -48,6 +86,8 @@ func runBgCleanMode(cfg Config, background bool) (*bgCleanResult, error) {
 		ReadCacheBlocks: 64,
 		BackgroundClean: background,
 	}
+	steps := &stepSink{}
+	opts.Tracer = obs.New(steps)
 	fs, _, err := cfg.newLFSSized(2048, opts)
 	if err != nil {
 		return nil, err
@@ -156,6 +196,8 @@ func runBgCleanMode(cfg Config, background bool) (*bgCleanResult, error) {
 		segsCleaned:  st.SegmentsCleaned,
 		writerStalls: st.WriterStalls,
 		stallTime:    time.Duration(st.WriterStallNanos),
+		kicks:        st.CleanerKicks,
+		steps:        steps,
 	}
 	if res.segsCleaned == 0 {
 		return nil, fmt.Errorf("bgclean %s: workload never triggered the cleaner", mode)
@@ -200,6 +242,8 @@ func RunBgClean(cfg Config) (*Table, error) {
 	}
 	t.AddNote("latencies are host wall-clock (lock contention), not simulated disk time; compare the rows, not the absolute values")
 	t.AddNote("inline mode stalls readers behind each low-to-high-water cleaning run; the background cleaner releases the lock between bounded steps")
+	t.AddNote("reads ended between two cleaning passes with no mutation between them (inside one run) %d times inline; in the background, in %d of the %d gaps between the passes of %d runs",
+		inline.steps.quietWithReads, bg.steps.gapsWithReads, bg.steps.passes-1, bg.kicks)
 	if bg.p99 < inline.p99 {
 		t.AddNote("background cleaning cut read p99 by %.1fx", float64(inline.p99)/float64(bg.p99))
 	} else {

@@ -119,6 +119,7 @@ type FS struct {
 	sums *sumIndex
 
 	inoBlockRefs map[int64]int // live inodes per packed inode block
+	tail         *logTail      // while Mount recovers: what usage recomputation will count
 
 	writeSeq  uint64
 	dirLogSeq uint64
@@ -469,14 +470,14 @@ func (fs *FS) segOf(addr int64) int64   { return (addr - fs.segBase) / fs.segBlo
 func (fs *FS) segStart(seg int64) int64 { return fs.segBase + seg*fs.segBlocks }
 
 // decLive records the death of the block at addr. Decrements against
-// segments that are already clean (or queued for recompute during
-// recovery) are suppressed.
+// segments that are already clean, and against blocks recovery will
+// recount, are suppressed.
 func (fs *FS) decLive(addr int64) error {
 	seg := fs.segOf(addr)
 	if seg < 0 || seg >= fs.nsegs {
 		return fmt.Errorf("%w: block address %d outside segment area", ErrCorrupt, addr)
 	}
-	if fs.usage.isClean(seg) || fs.segs.is(seg, segPending) || fs.segs.recomputing(seg) {
+	if fs.usage.isClean(seg) || fs.segs.is(seg, segPending) || fs.recounted(seg, addr) {
 		return nil
 	}
 	return fs.usage.addLive(seg, -layout.BlockSize)

@@ -126,7 +126,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 				return err
 			}
 		}
-		if err := fs.usage.addLive(head, layout.BlockSize); err != nil {
+		if err := fs.incLive(addr); err != nil {
 			return err
 		}
 		fs.invalidateCachedBlock(addr)
@@ -218,6 +218,9 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// Remember each block's checksum so verify-on-read can check it
 	// without re-reading the summary from disk.
 	fs.sums.record(sumAddr+1, entries)
+	if fs.tail != nil {
+		fs.tail.add(layout.LogPos{Seg: head, Off: fs.segs.headOff}, entries)
+	}
 
 	fs.writeSeq++
 	fs.segs.headOff += int64(1 + n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/layout"
 )
@@ -649,7 +650,7 @@ func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 	fs.logDirOp(&layout.DirOp{Op: layout.DirOpUnlink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: newNlink})
 	for i, e := range entries {
 		if e.Name == name {
-			entries = append(entries[:i], entries[i+1:]...)
+			entries = slices.Delete(entries, i, i+1)
 			break
 		}
 	}
@@ -722,7 +723,7 @@ func (fs *FS) renameLocked(oldPath, newPath string) error {
 	}
 	for i, e := range entries {
 		if e.Name == oldName {
-			entries = append(entries[:i], entries[i+1:]...)
+			entries = slices.Delete(entries, i, i+1)
 			break
 		}
 	}

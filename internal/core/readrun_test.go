@@ -26,23 +26,28 @@ import (
 type logImage struct {
 	snap  *disk.Snapshot
 	opts  Options
-	files map[string][]byte // every file synced before the cut
+	files map[string][]byte // every file acknowledged before the cut
+	nv    []byte            // the NVRAM's contents at the cut, if one was attached
 }
 
-// sharedDirsImage checkpoints ndirs directories and then syncs nwrites
-// times, each sync adding perDir small files to every directory — so every
-// post-checkpoint partial write rewrites the inodes of the same few
-// directories, which is what makes roll-forward meet each of them again and
-// again.
-func sharedDirsImage(tb testing.TB, opts Options, nblocks int64, ndirs, nwrites, perDir int) *logImage {
+// buildLogImage formats a device, runs script on it — write creates a 1 KB
+// file and remembers it — and cuts the power. With pendingNV an NVRAM is
+// attached and three more files are written after the script's last Sync:
+// they are acknowledged, and only the NVRAM holds them.
+func buildLogImage(tb testing.TB, opts Options, nblocks int64, pendingNV bool, script func(fs *FS, write func(path string))) *logImage {
 	tb.Helper()
 	opts.NoGroupCommit = true
+	img := &logImage{opts: opts, files: map[string][]byte{}}
+	var nv *NVRAM
+	if pendingNV {
+		nv = NewNVRAM(1 << 16)
+		opts.NVRAM = nv
+	}
 	d := disk.MustNew(disk.DefaultGeometry(nblocks))
 	fs, err := Format(d, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	img := &logImage{opts: opts, files: map[string][]byte{}}
 	write := func(path string) {
 		data := content(path, 1, 1)[:1024]
 		if err := fs.WriteFile(path, data); err != nil {
@@ -50,28 +55,112 @@ func sharedDirsImage(tb testing.TB, opts Options, nblocks int64, ndirs, nwrites,
 		}
 		img.files[path] = data
 	}
-	for i := 0; i < ndirs; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/d%02d", i)); err != nil {
+	script(fs, write)
+	if pendingNV {
+		for i := 0; i < 3; i++ {
+			write(fmt.Sprintf("/nv-only-%d", i))
+		}
+		if nv.Pending() == 0 {
+			tb.Fatal("no NVRAM records pending at the cut")
+		}
+		img.nv = nv.Bytes()
+	}
+	d.Crash()
+	img.snap = d.Snapshot()
+	return img
+}
+
+// mount mounts a fresh clone of the image, with a copy of its NVRAM when it
+// has one.
+func (img *logImage) mount(tb testing.TB, tr *obs.Tracer) *FS {
+	tb.Helper()
+	opts := img.opts
+	opts.Tracer = tr
+	if img.nv != nil {
+		opts.NVRAM = NewNVRAM(1 << 16)
+		if err := opts.NVRAM.Restore(img.nv); err != nil {
 			tb.Fatal(err)
 		}
-		write(fmt.Sprintf("/d%02d/old", i))
 	}
-	if err := fs.Checkpoint(); err != nil {
+	fs, err := Mount(disk.FromSnapshot(img.snap), opts)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	for w := 0; w < nwrites; w++ {
+	return fs
+}
+
+// sharedDirsScript checkpoints ndirs directories and then syncs nwrites
+// times, each sync adding perDir small files to every directory — so every
+// post-checkpoint partial write rewrites the inodes of the same few
+// directories, which is what makes roll-forward meet each of them again and
+// again.
+func sharedDirsScript(tb testing.TB, ndirs, nwrites, perDir int) func(fs *FS, write func(path string)) {
+	return func(fs *FS, write func(path string)) {
 		for i := 0; i < ndirs; i++ {
-			for k := 0; k < perDir; k++ {
-				write(fmt.Sprintf("/d%02d/w%03d.%d", i, w, k))
+			if err := fs.Mkdir(fmt.Sprintf("/d%02d", i)); err != nil {
+				tb.Fatal(err)
 			}
+			write(fmt.Sprintf("/d%02d/old", i))
+		}
+		if err := fs.Checkpoint(); err != nil {
+			tb.Fatal(err)
+		}
+		for w := 0; w < nwrites; w++ {
+			for i := 0; i < ndirs; i++ {
+				for k := 0; k < perDir; k++ {
+					write(fmt.Sprintf("/d%02d/w%03d.%d", i, w, k))
+				}
+			}
+			if err := fs.Sync(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+func sharedDirsImage(tb testing.TB, opts Options, nblocks int64, ndirs, nwrites, perDir int) *logImage {
+	tb.Helper()
+	return buildLogImage(tb, opts, nblocks, false, sharedDirsScript(tb, ndirs, nwrites, perDir))
+}
+
+// benchmarkScript is the shape of the repository benchmark's recovery image:
+// n files spread over ndirs directories, a checkpoint, as many files again,
+// one Sync.
+func benchmarkScript(tb testing.TB, ndirs, n int) func(fs *FS, write func(path string)) {
+	return func(fs *FS, write func(path string)) {
+		for i := 0; i < ndirs; i++ {
+			if err := fs.Mkdir(fmt.Sprintf("/d%02d", i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*n; i++ {
+			if i == n {
+				if err := fs.Checkpoint(); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			write(fmt.Sprintf("/d%02d/f%04d", i%ndirs, i))
 		}
 		if err := fs.Sync(); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	d.Crash()
-	img.snap = d.Snapshot()
-	return img
+}
+
+// superblock returns a clone of the image's device and its superblock, read
+// without charging the device.
+func (img *logImage) superblock(t *testing.T) (*disk.Disk, *layout.Superblock) {
+	t.Helper()
+	d := disk.FromSnapshot(img.snap)
+	sbBuf, err := d.Peek(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := layout.DecodeSuperblock(sbBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, sb
 }
 
 // partialWrite is one summary of an image's log with what it describes.
@@ -94,15 +183,7 @@ func peekSource(d *disk.Disk) layout.BlockSource {
 // thread ends (the block that no longer decodes).
 func threadOf(t *testing.T, img *logImage) (writes []partialWrite, end int64) {
 	t.Helper()
-	d := disk.FromSnapshot(img.snap)
-	sbBuf, err := d.Peek(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := layout.DecodeSuperblock(sbBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, sb := img.superblock(t)
 	cp, _, err := readBestCheckpoint(d, sb, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -123,90 +204,135 @@ func threadOf(t *testing.T, img *logImage) (writes []partialWrite, end int64) {
 	return writes, sb.SegmentBase + w.Pos().Seg*segBlocks + w.Pos().Off
 }
 
-// TestRollForwardReadsNoBlockTwice mounts an image whose post-checkpoint
-// partial writes all rewrite the same directories and checks the requests
-// of the roll-forward scan — from its first read, the summary at the
-// checkpointed log position, to its last, the block that ends the thread:
-// no address is read twice, no two consecutive requests are single adjacent
-// blocks that one partial write describes, and no data block is read.
-func TestRollForwardReadsNoBlockTwice(t *testing.T) {
-	// 4 directories + 40 files a sync: every flush ends in three inode blocks.
-	img := sharedDirsImage(t, Options{SegmentBlocks: 128, MaxInodes: 2048}, 8192, 4, 24, 10)
-	writes, end := threadOf(t, img)
-	if len(writes) < 20 {
-		t.Fatalf("the image has %d post-checkpoint partial writes, want at least 20", len(writes))
-	}
-	data := map[int64]bool{}
-	for _, pw := range writes {
-		for i, e := range pw.entries {
-			if e.Kind == layout.KindData {
-				data[pw.sumAddr+1+int64(i)] = true
+// logKinds maps every block some summary of the image describes to its kind.
+func logKinds(t *testing.T, img *logImage) map[int64]layout.BlockKind {
+	t.Helper()
+	d, sb := img.superblock(t)
+	kinds := map[int64]layout.BlockKind{}
+	s := layout.NewWalkScratch()
+	segBlocks := int64(sb.SegmentBlocks)
+	for start := sb.SegmentBase; start+segBlocks <= d.NumBlocks(); start += segBlocks {
+		w := layout.WalkSegment(peekSource(d), start, segBlocks, s)
+		for w.Next() {
+			for i, e := range s.Entries {
+				kinds[w.DataAddr()+int64(i)] = e.Kind
 			}
 		}
 	}
+	return kinds
+}
 
-	ring := obs.NewRingSink(1 << 16)
-	opts := img.opts
-	opts.Tracer = obs.New(ring)
-	if _, err := Mount(disk.FromSnapshot(img.snap), opts); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Dropped() != 0 {
-		t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
-	}
-	var scan []*obs.DiskIO
-	for _, e := range ring.Events() {
-		if e.Kind != obs.KindDiskIO || e.Disk.Op != "read" {
-			continue
-		}
-		if len(scan) == 0 && e.Disk.Addr != writes[0].sumAddr {
-			continue // superblock, checkpoint regions, table load
-		}
-		scan = append(scan, e.Disk)
-		if e.Disk.Addr <= end && end < e.Disk.Addr+int64(e.Disk.Blocks) {
-			break
-		}
-	}
-	if len(scan) == 0 {
-		t.Fatal("no request of the scan found in the trace")
-	}
+// mountPhases are Mount's phases in the order it runs them.
+var mountPhases = []string{"cpload", "rollforward", "dirops", "usage", "commit", "nvreplay"}
 
-	reads := map[int64]int{}
-	var blocks int
-	for _, r := range scan {
-		for a := r.Addr; a < r.Addr+int64(r.Blocks); a++ {
-			reads[a]++
-			blocks++
-			if data[a] {
-				t.Errorf("roll-forward read the data block at %d (request %d+%d)", a, r.Addr, r.Blocks)
-			}
+// TestMountReadsNoBlockTwice mounts crashed images — one whose
+// post-checkpoint partial writes all rewrite the same directories, one shaped
+// like the repository benchmark's, each with and without NVRAM records
+// pending — and checks every read request of the whole Mount, attributed to
+// its phase by the fs.recovery.* counters: recovery — everything up to its
+// commit checkpoint — reads no address twice, usage recomputation reads
+// nothing, data blocks are read only where a directory's contents are needed
+// (the repair pass and NVRAM replay), and the scan makes no two consecutive
+// single-block requests for adjacent blocks that one partial write describes.
+// NVRAM replay is ordinary operations on the recovered file system: what they
+// read again (an inode block the scan fetched for its accounting, the
+// summaries a verify-on-read harvest walks) is the read path's business.
+func TestMountReadsNoBlockTwice(t *testing.T) {
+	shapes := []struct {
+		name    string
+		opts    Options
+		nblocks int64
+		script  func(fs *FS, write func(path string))
+	}{
+		// 4 directories + 40 files a sync: every flush ends in three inode blocks.
+		{"shared-dirs", Options{SegmentBlocks: 128, MaxInodes: 2048}, 8192, sharedDirsScript(t, 4, 24, 10)},
+		{"benchmark", Options{SegmentBlocks: 32, MaxInodes: 2048}, 8192, benchmarkScript(t, 10, 400)},
+	}
+	for _, shape := range shapes {
+		for _, pendingNV := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/nvram=%v", shape.name, pendingNV), func(t *testing.T) {
+				img := buildLogImage(t, shape.opts, shape.nblocks, pendingNV, shape.script)
+				writes, _ := threadOf(t, img)
+				if len(writes) < 20 {
+					t.Fatalf("the image has %d post-checkpoint partial writes, want at least 20", len(writes))
+				}
+				kinds := logKinds(t, img)
+
+				ring := obs.NewRingSink(1 << 16)
+				fs := img.mount(t, obs.New(ring))
+				if ring.Dropped() != 0 {
+					t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
+				}
+				if fs.Degraded() {
+					t.Fatalf("mount degraded: %s", fs.DegradedReason())
+				}
+				var reads []*obs.DiskIO
+				for _, e := range ring.Events() {
+					if e.Kind == obs.KindDiskIO && e.Disk.Op == "read" {
+						reads = append(reads, e.Disk)
+					}
+				}
+				m := fs.Metrics()
+				byPhase := map[string][]*obs.DiskIO{}
+				rest := reads
+				for _, phase := range mountPhases {
+					n := int(m.Counter(obs.CtrRecoveryPhasePrefix + phase + ".reads"))
+					if n > len(rest) {
+						t.Fatalf("fs.recovery.%s.reads = %d, but only %d read events are left in the trace", phase, n, len(rest))
+					}
+					byPhase[phase], rest = rest[:n], rest[n:]
+				}
+				if len(rest) != 0 {
+					t.Fatalf("%d read events belong to no phase", len(rest))
+				}
+
+				seen := map[int64]string{}
+				repeats := 0
+				for _, phase := range mountPhases {
+					for _, r := range byPhase[phase] {
+						for a := r.Addr; a < r.Addr+int64(r.Blocks); a++ {
+							if first, ok := seen[a]; ok && phase != "nvreplay" {
+								if repeats++; repeats <= 3 {
+									t.Errorf("block %d (%s) is read in %s and again in %s (request %d+%d)", a, kinds[a], first, phase, r.Addr, r.Blocks)
+								}
+							}
+							seen[a] = phase
+							if kinds[a] == layout.KindData && phase != "dirops" && phase != "nvreplay" {
+								t.Errorf("%s read the data block at %d (request %d+%d)", phase, a, r.Addr, r.Blocks)
+							}
+						}
+					}
+				}
+				if repeats > 0 {
+					t.Errorf("%d of the %d addresses the mount read were read again before its commit (%d requests)", repeats, len(seen), len(reads))
+				}
+				if n := len(byPhase["usage"]); n != 0 {
+					t.Errorf("usage recomputation made %d read requests, want 0", n)
+				}
+				scan := byPhase["rollforward"]
+				for i := 1; i < len(scan); i++ {
+					a, b := scan[i-1], scan[i]
+					if a.Blocks != 1 || b.Blocks != 1 || b.Addr != a.Addr+1 {
+						continue
+					}
+					for _, pw := range writes {
+						if pw.holds(a.Addr) && pw.holds(b.Addr) {
+							t.Errorf("requests %d and %d of the scan read the adjacent blocks %d and %d of the partial write at %d one at a time",
+								i-1, i, a.Addr, b.Addr, pw.sumAddr)
+						}
+					}
+				}
+				for path, want := range img.files {
+					if got, err := fs.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s after the mount: %d bytes, %v", path, len(got), err)
+					}
+				}
+				mustCheck(t, fs)
+				t.Logf("%d requests for %d blocks (scan %d, repair %d), %d partial writes",
+					len(reads), len(seen), len(scan), len(byPhase["dirops"]), len(writes))
+			})
 		}
 	}
-	var twice []int64
-	for a, n := range reads {
-		if n > 1 {
-			twice = append(twice, a)
-		}
-	}
-	sort.Slice(twice, func(i, j int) bool { return twice[i] < twice[j] })
-	if len(twice) > 0 {
-		extra := blocks - len(reads)
-		t.Errorf("%d of the %d addresses the scan read were read more than once (%d block reads, %d of them repeats; %d requests); first: %d read %d times",
-			len(twice), len(reads), blocks, extra, len(scan), twice[0], reads[twice[0]])
-	}
-	for i := 1; i < len(scan); i++ {
-		a, b := scan[i-1], scan[i]
-		if a.Blocks != 1 || b.Blocks != 1 || b.Addr != a.Addr+1 {
-			continue
-		}
-		for _, pw := range writes {
-			if pw.holds(a.Addr) && pw.holds(b.Addr) {
-				t.Errorf("requests %d and %d of the scan read the adjacent blocks %d and %d of the partial write at %d one at a time",
-					i-1, i, a.Addr, b.Addr, pw.sumAddr)
-			}
-		}
-	}
-	t.Logf("scan: %d requests, %d blocks, %d partial writes", len(scan), blocks, len(writes))
 }
 
 // TestRollForwardPreviousInodeBlockUnreadable: the block holding the

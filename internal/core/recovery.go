@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/disk"
@@ -25,6 +26,8 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 	fs.nextInum = cp.NextInum
 	fs.segs.place(cp.HeadSeg, int64(cp.HeadOffset), cp.NextSeg)
+	counted := fs.segStart(cp.HeadSeg)
+	fs.tail = &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}}
 	fs.writeSeq = cp.WriteSeq
 	fs.dirLogSeq = cp.DirLogSeq
 	fs.ticks.Store(cp.Timestamp)
@@ -52,9 +55,8 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	var dirops []*layout.DirOp
 	if !fs.opts.NoRollForward {
 		fs.inRecovery = true
-		dirops, err = fs.rollForwardScan(cp)
+		dirops, err = fs.rollForwardScan(cp, fs.tail)
 		if err != nil {
-			fs.inRecovery = false
 			return nil, err
 		}
 	}
@@ -69,7 +71,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// work.
 	if fs.degraded.Load() {
 		fs.inRecovery = false
-		fs.segs.clearRecompute()
+		fs.endRecount()
 		return fs, nil
 	}
 
@@ -85,9 +87,9 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		}
 	}
 
+	// What the repair pass itself writes joins the tail (writeBatch).
 	if !fs.opts.NoRollForward {
 		if err := fs.applyDirOps(dirops); err != nil {
-			fs.inRecovery = false
 			return nil, err
 		}
 	}
@@ -97,10 +99,9 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// Recompute exact utilizations for every segment touched since the
 	// checkpoint (Section 4.2: "the roll-forward code also adjusts the
 	// utilizations in the segment usage table").
-	if err := fs.recomputeUsage(); err != nil {
+	if err := fs.recomputeUsage(cp.HeadSeg); err != nil {
 		return nil, err
 	}
-	fs.segs.clearRecompute()
 	phases.end("usage")
 
 	// The repair passes above may themselves have tripped over
@@ -115,7 +116,6 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		// appends the changed directories, inodes, inode map and segment
 		// usage table blocks to the log and writes a new checkpoint).
 		if err := fs.checkpointLocked(); err != nil {
-			fs.inRecovery = false
 			return nil, err
 		}
 		fs.inRecovery = false
@@ -274,58 +274,78 @@ func (fs *FS) rebuildFreeInums() {
 	}
 }
 
-// rollForwardScan reads the log written after the checkpoint, following
-// the segment thread. Valid partial writes (checksummed summary, matching
-// write sequence, intact data) are incorporated: inode blocks update the
-// inode map — which automatically incorporates the files' new data blocks
-// — and directory-operation-log records are collected for the repair
-// pass. The scan stops at the first hole in the log.
-//
-// When the mount will replay a non-empty NVRAM redo log, the scan instead
-// stops at the last transaction-end marker (SummaryFlagTxnEnd): a flush
-// that was torn by the crash is discarded whole rather than applied
-// partially. The NVRAM holds every operation since the last successful
-// flush (records are cleared only when a flush completes), so the
-// discarded tail is fully re-derived by replay — whereas a partially
-// applied flush would leave the namespace ahead of the records and make
-// in-order replay ambiguous. Without NVRAM the partial tail is kept: in
-// that model recovering as much as possible is strictly better.
-func (fs *FS) rollForwardScan(cp *layout.Checkpoint) ([]*layout.DirOp, error) {
-	limit := uint64(math.MaxUint64)
-	if nv := fs.opts.NVRAM; nv != nil && nv.Pending() > 0 {
-		limit = fs.scanFlushBoundary(cp)
+// logTail is the log written since the checkpoint as Mount holds it: read
+// from the device once, by readTail, and consumed three times — by the
+// search for the last complete flush, by the loop that applies it and by
+// usage recomputation (DESIGN.md §4 "The tail is read once"). It is bounded
+// by that log — 32 bytes per block described, plus its decoded inode and
+// directory-log blocks — and gone when Mount returns.
+type logTail struct {
+	// counted is the one part of a flagged segment that is not recounted:
+	// the addresses [counted[0], counted[1]) of the checkpoint's head
+	// segment, written before the checkpoint and exact in its usage table.
+	counted [2]int64
+	writes  []tailWrite
+	slab    []layout.SummaryEntry // the writes' entries are cut from slabs like this
+	metas   []tailMeta            // the writes' inode and dirlog blocks, back to back
+}
+
+// tailWrite is one valid partial write of the tail.
+type tailWrite struct {
+	pos       layout.LogPos // of its summary
+	flags     uint8
+	timestamp uint64
+	entries   []layout.SummaryEntry
+	nmeta     int // how many of logTail.metas are its blocks
+}
+
+// tailMeta is an inode or directory-log block as it came off the disk,
+// decoded — or why there is none, for the apply loop to act on if it gets there.
+type tailMeta struct {
+	addr   int64
+	inodes []*layout.Inode
+	ops    []*layout.DirOp
+	err    error
+}
+
+// add appends a partial write whose summary is at pos; entries is copied.
+func (t *logTail) add(pos layout.LogPos, entries []layout.SummaryEntry) *tailWrite {
+	if cap(t.slab)-len(t.slab) < len(entries) {
+		t.slab = make([]layout.SummaryEntry, 0, 8*layout.MaxSummaryEntries)
 	}
-	var dirops []*layout.DirOp
+	lo := len(t.slab)
+	t.slab = append(t.slab, entries...)
+	t.writes = append(t.writes, tailWrite{pos: pos, entries: t.slab[lo:len(t.slab):len(t.slab)]})
+	return &t.writes[len(t.writes)-1]
+}
+
+// readTail walks the log thread written after cp and keeps every valid
+// partial write (checksummed summary, matching write sequence). It returns
+// where the thread ended and, if that was a summary it could not read, why.
+//
+// The log writer persists a partial write's data before its summary, so a
+// valid summary implies complete data: only the inode and directory-log
+// blocks need to be read. This is what keeps recovery time proportional to
+// the number of files recovered rather than the volume of data (Table 3).
+// Adjacent ones come off the disk in one request, together with the next
+// summary when it follows them; the gaps between runs are data and are
+// never read through. A block that cannot be had does not end the walk.
+func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error) {
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
-	sc := rollScan{fs: fs, run: logRun{fs: fs}, fetched: make(map[int64][]byte)}
-	w := fs.walkThread(sc.run.source(s), cp, limit, s)
-
-walk:
+	run := logRun{fs: fs}
+	pos := layout.LogPos{Seg: cp.HeadSeg, Off: int64(cp.HeadOffset), NextSeg: cp.NextSeg, WriteSeq: cp.WriteSeq}
+	w := layout.WalkThread(run.source(s), fs.segBase, fs.segBlocks, pos, math.MaxUint64, s)
 	for w.Next() {
-		seg := w.Pos().Seg
-		fs.segs.markRecompute(seg)
-		// The log writer persists a partial write's data before its
-		// summary, so a valid summary implies complete data: only the
-		// inode and directory-log blocks need to be read. This is what
-		// keeps recovery time proportional to the number of files
-		// recovered rather than the volume of data (Table 3). Adjacent
-		// ones come off the disk in one request, together with the next
-		// summary when it follows them; the gaps between runs are data
-		// and are never read through. The summary's per-block checksums
-		// are harvested along the way so later reads of these blocks
-		// verify without a chain walk.
 		first := w.DataAddr()
-		fs.sums.record(first, s.Entries)
-		runEnd := 0 // sc.run holds the wanted entries before this one
+		tw := t.add(w.Pos(), s.Entries)
+		tw.flags, tw.timestamp = s.Flags, s.Timestamp
+		runEnd := 0 // run holds the wanted entries before this one
 		for i, e := range s.Entries {
-			addr := first + int64(i)
 			if !rollForwardReads(e.Kind) {
-				// Data, indirect, imap and usage blocks need no direct
-				// action: inodes incorporate data and indirect blocks, and
-				// the checkpoint regions are the authority for map blocks.
 				continue
 			}
+			addr := first + int64(i)
 			if i >= runEnd {
 				runEnd = i + 1
 				for runEnd < len(s.Entries) && rollForwardReads(s.Entries[runEnd].Kind) {
@@ -335,27 +355,82 @@ walk:
 				if a, ok := w.Ahead(); ok && a == first+int64(runEnd) {
 					n++
 				}
-				sc.run.read(addr, n)
+				run.read(addr, n)
 			}
-			block, err := sc.run.at(addr)
-			if err != nil {
-				if errors.Is(err, disk.ErrMediaRead) {
-					fs.degrade("roll-forward", fmt.Sprintf("roll-forward %s block at %d unreadable: %v", e.Kind, addr, err))
-					break walk
-				}
+			m := tailMeta{addr: addr}
+			if block, err := run.at(addr); err != nil {
+				m.err = err
+			} else if e.Kind == layout.KindInode {
+				m.inodes, m.err = layout.DecodeInodeBlock(block)
+			} else {
+				m.ops, m.err = layout.DecodeDirOpLog(block)
+			}
+			t.metas = append(t.metas, m)
+			tw.nmeta++
+		}
+	}
+	_, err := fs.walkEnded(w.End())
+	return w.Pos(), err
+}
+
+// rollForwardScan incorporates the log written after the checkpoint, which
+// readTail leaves in t: inode blocks update the inode map — which
+// automatically incorporates the files' new data blocks — and
+// directory-operation-log records are collected for the repair pass. The
+// scan stops at the first hole in the log, and t keeps what was applied.
+//
+// When the mount will replay a non-empty NVRAM redo log, the scan instead
+// stops after the newest transaction-end marker (SummaryFlagTxnEnd): a flush
+// that was torn by the crash is discarded whole rather than applied
+// partially. The NVRAM holds every operation since the last successful
+// flush (records are cleared only when a flush completes), so the
+// discarded tail is fully re-derived by replay — whereas a partially
+// applied flush would leave the namespace ahead of the records and make
+// in-order replay ambiguous. Without NVRAM the partial tail is kept: in
+// that model recovering as much as possible is strictly better. Nor is
+// anything discarded when the thread ended at an unreadable summary:
+// complete flushes, whose NVRAM records are gone, may lie past it.
+func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]*layout.DirOp, error) {
+	// The log resumes at pos, in front of the first summary not (fully) applied.
+	pos, endErr := fs.readTail(cp, t)
+	mediaEnd := errors.Is(endErr, disk.ErrMediaRead)
+	if endErr != nil && !mediaEnd {
+		return nil, endErr
+	}
+	keep := len(t.writes)
+	if nv := fs.opts.NVRAM; nv != nil && nv.Pending() > 0 && !mediaEnd {
+		for keep > 0 && t.writes[keep-1].flags&layout.SummaryFlagTxnEnd == 0 {
+			keep--
+			pos = t.writes[keep].pos
+		}
+		fs.walkEnded(layout.EndSeqBound, nil)
+	}
+	var dirops []*layout.DirOp
+	sc := rollScan{fs: fs, fetched: make(map[int64][]byte)}
+	metas := t.metas
+walk:
+	for i, tw := range t.writes[:keep] {
+		first := fs.segStart(tw.pos.Seg) + tw.pos.Off + 1
+		fs.segs.markRecompute(tw.pos.Seg)
+		// The summary's per-block checksums are remembered along the way
+		// so later reads of these blocks verify without a chain walk.
+		fs.sums.record(first, tw.entries)
+		for _, m := range metas[:tw.nmeta] {
+			if errors.Is(m.err, disk.ErrMediaRead) {
+				fs.degrade("roll-forward", fmt.Sprintf("roll-forward %s block at %d unreadable: %v", tw.entries[m.addr-first].Kind, m.addr, m.err))
+				keep, pos, mediaEnd = i, tw.pos, false
+				break walk
+			}
+			if m.err != nil {
+				return nil, fmt.Errorf("roll-forward %s block at %d: %w", tw.entries[m.addr-first].Kind, m.addr, m.err)
+			}
+			// Data, indirect, imap and usage blocks need no direct action:
+			// inodes incorporate data and indirect blocks, and the
+			// checkpoint regions are the authority for map blocks.
+			if err := sc.recoverInodes(m.addr, m.inodes); err != nil {
 				return nil, err
 			}
-			if e.Kind == layout.KindInode {
-				if err := sc.recoverInodeBlock(addr, block); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			ops, err := layout.DecodeDirOpLog(block)
-			if err != nil {
-				return nil, fmt.Errorf("roll-forward dirlog at %d: %w", addr, err)
-			}
-			for _, op := range ops {
+			for _, op := range m.ops {
 				if op.Seq >= cp.DirLogSeq {
 					dirops = append(dirops, op)
 					if op.Seq >= fs.dirLogSeq {
@@ -364,63 +439,22 @@ walk:
 				}
 			}
 		}
-		fs.usage.noteWrite(seg, s.Timestamp)
-		if s.Timestamp > fs.ticks.Load() {
-			fs.ticks.Store(s.Timestamp)
+		metas = metas[tw.nmeta:]
+		fs.usage.noteWrite(tw.pos.Seg, tw.timestamp)
+		if tw.timestamp > fs.ticks.Load() {
+			fs.ticks.Store(tw.timestamp)
 		}
 	}
-	// The log resumes where the walk stopped: in front of the first
-	// summary it did not (fully) apply.
-	pos := w.Pos()
-	if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
-		if !errors.Is(err, disk.ErrMediaRead) {
-			return nil, err
-		}
+	if mediaEnd {
 		// The scan cannot tell whether the log continued past the
 		// unreadable summary: committed writes may be stranded beyond it.
 		// Degrade rather than silently truncate the log.
-		fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", fs.segStart(pos.Seg)+pos.Off, err))
+		fs.degrade("roll-forward", fmt.Sprintf("roll-forward summary at %d unreadable: %v", fs.segStart(pos.Seg)+pos.Off, endErr))
 	}
+	t.writes, t.metas = t.writes[:keep], nil
 	fs.segs.place(pos.Seg, pos.Off, pos.NextSeg)
 	fs.writeSeq = pos.WriteSeq
 	return dirops, nil
-}
-
-// walkThread starts a walk over src of the log thread written after cp,
-// stopping before WriteSeq bound.
-func (fs *FS) walkThread(src layout.BlockSource, cp *layout.Checkpoint, bound uint64, s *layout.WalkScratch) layout.ThreadWalker {
-	pos := layout.LogPos{Seg: cp.HeadSeg, Off: int64(cp.HeadOffset), NextSeg: cp.NextSeg, WriteSeq: cp.WriteSeq}
-	return layout.WalkThread(src, fs.segBase, fs.segBlocks, pos, bound, s)
-}
-
-// scanFlushBoundary walks the post-checkpoint summary chain without
-// applying anything and returns the exclusive write-sequence bound of the
-// last complete flush group: one past the newest summary carrying
-// SummaryFlagTxnEnd. If no marker is reachable the checkpoint itself is
-// the newest flush boundary and the bound admits nothing.
-//
-// A media read error makes the boundary undeterminable: complete flush
-// groups — whose NVRAM records the successful flushes already discarded —
-// may lie past the unreadable summary, so lowering the bound would
-// silently drop acknowledged data and replay the remaining NVRAM records
-// against a stale namespace. The scan instead lifts the bound entirely,
-// so the applying scan walks up to the same unreadable summary and takes
-// its degrade path, exactly as the no-NVRAM model does. Any other read
-// error is left for the applying scan to diagnose.
-func (fs *FS) scanFlushBoundary(cp *layout.Checkpoint) uint64 {
-	s := fs.getWalkScratch()
-	defer fs.putWalkScratch(s)
-	limit := cp.WriteSeq
-	w := fs.walkThread(fs.retrySource(s), cp, math.MaxUint64, s)
-	for w.Next() {
-		if s.Flags&layout.SummaryFlagTxnEnd != 0 {
-			limit = s.WriteSeq + 1
-		}
-	}
-	if _, err := fs.walkEnded(w.End()); errors.Is(err, disk.ErrMediaRead) {
-		return math.MaxUint64
-	}
-	return limit
 }
 
 // rollForwardReads reports whether roll-forward needs the contents of a
@@ -434,9 +468,6 @@ func rollForwardReads(k layout.BlockKind) bool {
 // the log written since the checkpoint: nothing in it outlives Mount.
 type rollScan struct {
 	fs *FS
-	// run is the current request: the inode and dirlog blocks of the
-	// partial write being applied (and the summary after them).
-	run logRun
 	// fetched holds the blocks usage accounting had to fetch one at a time,
 	// by address: inode blocks from before the checkpoint that hold an
 	// incarnation the scan replaces (one block often holds many — every
@@ -458,16 +489,12 @@ func (sc *rollScan) fetch(addr int64) ([]byte, error) {
 	return b, nil
 }
 
-// recoverInodeBlock incorporates a packed inode block discovered during
-// roll-forward: every inode that is at least as new as the inode map's
-// version replaces the map entry, and the live-byte accounting of older
-// segments is adjusted for the blocks the update superseded.
-func (sc *rollScan) recoverInodeBlock(addr int64, block []byte) error {
+// recoverInodes incorporates the inodes of the packed inode block at addr,
+// discovered during roll-forward: every inode that is at least as new as the
+// inode map's version replaces the map entry, and the live-byte accounting
+// of older segments is adjusted for the blocks the update superseded.
+func (sc *rollScan) recoverInodes(addr int64, inodes []*layout.Inode) error {
 	fs := sc.fs
-	inodes, err := layout.DecodeInodeBlock(block)
-	if err != nil {
-		return fmt.Errorf("roll-forward inode block at %d: %w", addr, err)
-	}
 	for slot, ino := range inodes {
 		if int(ino.Inum) >= fs.imap.maxInodes() {
 			return fmt.Errorf("%w: recovered inum %d out of range", ErrCorrupt, ino.Inum)
@@ -522,12 +549,12 @@ func (sc *rollScan) account(ino *layout.Inode, e layout.ImapEntry) error {
 			return err
 		}
 	}
-	return each(ino, sc.fs.incLiveRecovery)
+	return each(ino, sc.fs.incLive)
 }
 
 // previous returns the incarnation of inum that inode map entry e points
 // at. When the scan itself put it there it is still in the inode cache
-// (recoverInodeBlock installs the two together, and nothing else touches
+// (recoverInodes installs the two together, and nothing else touches
 // either while the scan runs); otherwise it is in a block written before
 // the checkpoint, fetched once and decoded one slot at a time.
 func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, error) {
@@ -549,17 +576,29 @@ func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, er
 	return ino, nil
 }
 
-// incLiveRecovery credits a block discovered during roll-forward, unless
-// its segment will be recomputed exactly afterwards.
-func (fs *FS) incLiveRecovery(addr int64) error {
+// incLive credits the block at addr — just placed, or pointed at by an inode
+// roll-forward met — to its segment, unless recovery will recount it.
+func (fs *FS) incLive(addr int64) error {
 	seg := fs.segOf(addr)
 	if seg < 0 || seg >= fs.nsegs {
-		return fmt.Errorf("%w: recovered address %d outside segment area", ErrCorrupt, addr)
+		return fmt.Errorf("%w: block address %d outside segment area", ErrCorrupt, addr)
 	}
-	if fs.segs.recomputing(seg) {
+	if fs.recounted(seg, addr) {
 		return nil
 	}
 	return fs.usage.addLive(seg, layout.BlockSize)
+}
+
+// recounted reports whether recovery will recount the block at addr of
+// segment seg, so that usage adjustments against it are moot.
+func (fs *FS) recounted(seg, addr int64) bool {
+	return fs.segs.recomputing(seg) && (addr < fs.tail.counted[0] || addr >= fs.tail.counted[1])
+}
+
+// endRecount ends the suspension of usage accounting and drops the tail.
+func (fs *FS) endRecount() {
+	fs.segs.clearRecompute()
+	fs.tail = nil
 }
 
 // applyDirOps replays the directory operation log against the recovered
@@ -663,7 +702,7 @@ func (fs *FS) repairEntry(dir uint32, name string, inum, version uint32, nlink u
 			return err
 		}
 	case !exists && idx >= 0:
-		entries = append(entries[:idx], entries[idx+1:]...)
+		entries = slices.Delete(entries, idx, idx+1)
 		if err := fs.saveDir(dir, entries); err != nil {
 			return err
 		}
@@ -690,7 +729,7 @@ func (fs *FS) repairRemoveEntry(dir uint32, name string, inum uint32) error {
 	}
 	for i, e := range entries {
 		if e.Name == name && e.Inum == inum {
-			entries = append(entries[:i], entries[i+1:]...)
+			entries = slices.Delete(entries, i, i+1)
 			return fs.saveDir(dir, entries)
 		}
 	}
@@ -719,39 +758,35 @@ func (fs *FS) repairNlink(inum, version uint32, nlink uint16) error {
 	return nil
 }
 
-// recomputeUsage recalculates exact live-byte counts for every segment
-// flagged for recomputation, in ascending order, by walking its summary
-// chain and liveness-checking every block against the recovered metadata.
-func (fs *FS) recomputeUsage() error {
-	s := fs.getWalkScratch()
-	defer fs.putWalkScratch(s)
+// recomputeUsage gives every segment flagged for recomputation its exact
+// live-byte count without reading anything: the liveness, against the
+// recovered metadata, of every block the tail's partial writes describe
+// there. The checkpoint's head segment, counted, adds that to what the
+// checkpointed table says of the part written before the checkpoint, which
+// decLive and incLive have kept exact since (recounted).
+func (fs *FS) recomputeUsage(counted int64) error {
 	for seg := int64(0); seg < fs.nsegs; seg++ {
-		if !fs.segs.recomputing(seg) {
-			continue
-		}
-		var liveBlocks int64
-		w := fs.walkSegment(seg, s)
-		for w.Next() {
-			for i, e := range s.Entries {
-				live, err := fs.blockLive(e, w.DataAddr()+int64(i))
-				if err != nil {
-					return err
-				}
-				if live {
-					liveBlocks++
-				}
-			}
-		}
-		if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
-			if !errors.Is(err, disk.ErrMediaRead) {
-				return err
-			}
-			fs.degrade("usage-recompute", fmt.Sprintf("usage recomputation: summary at %d unreadable: %v", fs.segStart(seg)+w.Off(), err))
-		}
-		fs.usage.entries[seg].LiveBytes = uint32(liveBlocks * layout.BlockSize)
-		if w.Off() > 0 {
-			fs.usage.entries[seg].Flags |= layout.SegFlagDirty
+		if fs.segs.recomputing(seg) && seg != counted {
+			fs.usage.entries[seg].LiveBytes = 0
 		}
 	}
+	for _, tw := range fs.tail.writes {
+		if !fs.segs.recomputing(tw.pos.Seg) {
+			continue // written by the repair pass into a fresh head, and counted as it went
+		}
+		first := fs.segStart(tw.pos.Seg) + tw.pos.Off + 1
+		for i, e := range tw.entries {
+			live, err := fs.blockLive(e, first+int64(i))
+			if err != nil {
+				return err
+			}
+			if live {
+				if err := fs.usage.addLive(tw.pos.Seg, layout.BlockSize); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	fs.endRecount()
 	return nil
 }

@@ -295,7 +295,7 @@ func TestRecoveryAfterCleaning(t *testing.T) {
 			t.Fatalf("file %d content mismatch after cleaning+crash", i)
 		}
 	}
-	mustCheck(t, fs2)
+	mustMatchWalk(t, fs2)
 }
 
 // TestCrashPointSweep runs a fixed workload, crashing the device after

@@ -42,7 +42,7 @@ func TestCrashRecoverySeedSweep(t *testing.T) {
 					t.Fatalf("seed %d n %d: Mount: %v", seed, n, err)
 				}
 				mustVerify(t, model, fs2)
-				mustCheck(t, fs2)
+				mustMatchWalk(t, fs2)
 			}
 		})
 	}

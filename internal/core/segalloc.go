@@ -20,8 +20,8 @@ const (
 	segPending                 // evacuated; reusable once a checkpoint commits that
 
 	segStateMask segState = 0x0f
-	// segRecompute flags a segment whose usage recovery will recompute
-	// from scratch; adjustments against it are suppressed until then.
+	// segRecompute flags a segment whose usage recovery will recompute from the
+	// log tail; adjustments to what it recounts (FS.recounted) wait until then.
 	segRecompute segState = 0x80
 )
 

@@ -138,6 +138,11 @@ func TestNamespaceOpsReadNothing(t *testing.T) {
 	if e, b := fs.dirCache[sub], fs.dirBytes[sub]; cap(e) != 0 || cap(b) != 0 {
 		t.Errorf("an emptied directory keeps arrays: cap(entries) %d, cap(bytes) %d", cap(e), cap(b))
 	}
+	for inum, e := range fs.dirCache {
+		if cap(e) > len(e) && e[:len(e)+1][len(e)] != (layout.DirEntry{}) {
+			t.Errorf("directory %d keeps a removed entry reachable past its end: %+v", inum, e[:len(e)+1][len(e)])
+		}
+	}
 	rmdir("/d00/sub")
 	sync()
 

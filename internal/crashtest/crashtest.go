@@ -45,6 +45,9 @@ type Config struct {
 	// MaxFaultSites caps the read sites FaultSweep injects faults at;
 	// 0 explores every site, larger site sets are sampled evenly.
 	MaxFaultSites int
+	// ExtraFaultSites are addresses FaultSweepNVReplay injects faults at
+	// whether or not the traced recovery read them.
+	ExtraFaultSites []int64
 	// NVBytes sizes the NVRAM used by the NVSyncAbsorb harness paths
 	// (RecordNV and friends); default 16384, small enough that modest
 	// workloads exercise the absorb→backpressure-flush transition.

@@ -32,7 +32,8 @@ var ErrNoNVPending = errors.New("crashtest: crash point leaves no NVRAM records 
 //   - the recovery mount either succeeds or fails with a typed error;
 //   - on a successful mount, walking the recovered tree either succeeds
 //     or fails with typed errors (degraded read-only mode counts as
-//     success: intact files must stay readable);
+//     success: intact files must stay readable), and a mount that a
+//     corrupted block left undegraded passes Check();
 //   - the fault-free baseline must satisfy the same consistency check
 //     and durability oracle as the crash sweep (byte-exact comparison
 //     against the baseline is deliberately NOT required of faulted runs:
@@ -140,6 +141,7 @@ func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (*FaultSweepResult, 
 		}
 		sites = sampled
 	}
+	sites = append(sites, cfg.ExtraFaultSites...)
 	res.Sites = len(sites)
 
 	countTyped := func(opErr error, what string) error {
@@ -230,7 +232,20 @@ func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (*FaultSweepResult, 
 			}
 			return nil
 		}
-		return walkTolerant(ffs)
+		if err := walkTolerant(ffs); err != nil || ffs.Degraded() {
+			return err
+		}
+		// A corruption the recovery neither reported nor degraded over
+		// must not have bent what it rebuilt: a summary that no longer
+		// decodes may end the log early, never a segment's live count.
+		rep, cerr := ffs.Check()
+		if cerr != nil {
+			return countTyped(cerr, "check after a corrupt-arm recovery")
+		}
+		if len(rep.Problems) > 0 {
+			return fmt.Errorf("non-degraded recovery under a corrupt block is inconsistent: %s", rep.Problems[0])
+		}
+		return nil
 	}
 
 	for _, site := range sites {

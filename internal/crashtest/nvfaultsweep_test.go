@@ -53,6 +53,34 @@ func TestFaultSweepNVReplay(t *testing.T) {
 	}
 }
 
+// TestNVReplayCorruptSummaryBeforeCheckpoint pins ROADMAP 6(d): a summary
+// block of the checkpoint's head segment, written before the checkpoint
+// and then corrupted, used to end usage recomputation's walk of that
+// segment as if the log were torn there — the mount came up undegraded
+// with the segment's live bytes undercounted, or failed on the usage
+// table's underflow check once NVRAM replay freed a block there. Mount no
+// longer walks that part of the segment (the checkpoint's own count
+// stands), so at these crash points it does not read blocks 8 and 10 at
+// all. The sweep faults them anyway: no mount may fail over them, and its
+// corrupt arm demands a clean Check() of every mount left undegraded.
+func TestNVReplayCorruptSummaryBeforeCheckpoint(t *testing.T) {
+	s := core.Script{Seed: 37, N: 60}
+	for _, k := range []int64{17, 23} {
+		base, err := FaultSweepNVReplay(s, Config{MaxFaultSites: 24}, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		res, err := FaultSweepNVReplay(s, Config{MaxFaultSites: 24, ExtraFaultSites: []int64{8, 10}}, k)
+		if err != nil {
+			t.Fatalf("k=%d, blocks 8 and 10 faulted too: %v", k, err)
+		}
+		if res.Runs != base.Runs+4 || res.MountFailed != base.MountFailed {
+			t.Errorf("k=%d: %d failed mounts in %d runs, %d in %d with blocks 8 and 10 faulted too: want 4 more runs and no more failures",
+				k, base.MountFailed, base.Runs, res.MountFailed, res.Runs)
+		}
+	}
+}
+
 // TestNVBoundaryReadFaultNoSilentLoss pins the flush-boundary scan
 // against the shape the random sweeps rarely produce: a crash that
 // leaves NVRAM records pending AFTER several complete, TxnEnd-marked

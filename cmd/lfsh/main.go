@@ -26,10 +26,13 @@
 // so latent media corruption is found before a read path trips over it.
 // Exit status: 0 clean, 1 corruption found or unmountable.
 //
-// Media-fault health is visible interactively: `segs` ends with the
-// segment life cycle (head, next, free, pending release, dirty) and how
-// many segments corrupt reads or refused writes have quarantined (fsck and
-// scrub list them), and `stats` includes
+// Media-fault health is visible interactively: under its histogram `segs`
+// prints the segment life cycle (head, next, free, pending release, dirty)
+// and how many segments corrupt reads or refused writes have quarantined
+// (fsck and scrub list them), then why the cleaner works as hard as it does
+// (how full the disk is against how full the segments holding data are, the
+// clean pool against the cleaner's two marks, live MB by block kind; this
+// flushes what is buffered), and `stats` includes
 // the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
 // counters. It also says why every summary-chain walk so far stopped
@@ -384,7 +387,16 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 			bar := strings.Repeat("#", n*50/len(utils))
 			fmt.Printf("%.1f-%.1f %5d %s\n", float64(b)/10, float64(b+1)/10, n, bar)
 		}
-		fmt.Println(segsLine(fs.SegmentCounts()))
+		// Live bytes first: counting them flushes what is buffered, and
+		// the other readings should describe the same log.
+		live, err := fs.LiveBytesByKind()
+		if err != nil {
+			fail(err)
+			return
+		}
+		counts := fs.SegmentCounts()
+		fmt.Println(segsLine(counts))
+		fmt.Println(slackLine(fs.DiskCapacityUtilization(), fs.NumSegments(), counts, fs.Options(), live))
 	case "sync":
 		fail(fs.Sync())
 	case "checkpoint":
@@ -554,4 +566,21 @@ func segsLine(c lfs.SegCounts) string {
 	}
 	return fmt.Sprintf("head %d · next %s · %d free · %d pending · %d dirty · %d quarantined",
 		c.Head, next, c.Free, c.Pending, c.Dirty, c.Quarantined)
+}
+
+// slackLine is the line under it, the answer to "why is the cleaner working
+// this hard": how full the disk is nominally (live bytes over the whole
+// segment area) against how full the segments that hold data are — the
+// dirty ones and the head, which is where the cleaner's victims come from —
+// then the clean and pending-release segments against the two marks, and
+// the live bytes by kind that make up the difference between file data and
+// what the segments carry.
+func slackLine(nominal float64, nsegs int64, c lfs.SegCounts, o lfs.Options, live map[layout.BlockKind]int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "utilisation %.1f%% of the disk, %.1f%% of the %d segments holding data · %d clean + %d pending (cleaning starts below %d, stops at %d) · live MB:",
+		nominal*100, nominal*100*float64(nsegs)/float64(c.Dirty+1), c.Dirty+1, c.Free, c.Pending, o.CleanLowWater, o.CleanHighWater)
+	for k := layout.KindData; k <= layout.KindDirLog; k++ {
+		fmt.Fprintf(&b, " %s %.1f", k, float64(live[k])/(1<<20))
+	}
+	return b.String()
 }

@@ -217,6 +217,13 @@ func TestShellSegsLine(t *testing.T) {
 	if got := segsLine(lfs.SegCounts{Head: 3, Next: -1}); !strings.HasPrefix(got, "head 3 · next - · 0 free") {
 		t.Fatalf("segs line with no next segment: %q", got)
 	}
+	slack := slackLine(0.75, 255, lfs.SegCounts{Free: 24, Pending: 2, Dirty: 227},
+		lfs.Options{CleanLowWater: 10, CleanHighWater: 24},
+		map[layout.BlockKind]int64{layout.KindData: 96 << 20, layout.KindInode: 3 << 19, layout.KindImap: 1 << 19})
+	if want := "utilisation 75.0% of the disk, 83.9% of the 228 segments holding data · 24 clean + 2 pending (cleaning starts below 10, stops at 24)" +
+		" · live MB: data 96.0 indirect 0.0 inode 1.5 imap 0.5 segusage 0.0 dirlog 0.0"; slack != want {
+		t.Fatalf("slack line %q, want %q", slack, want)
+	}
 	d := lfs.NewDisk(4096)
 	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64})
 	if err != nil {

@@ -216,18 +216,18 @@ func RunAblationThresholds(cfg Config) (*Table, error) {
 		Columns: []string{"low/high", "write cost", "cleaning passes"},
 	}
 	type wm struct{ lo, hi int }
-	// Values below ~14 clamp to the enforced minimum (cleaner reserve +
-	// in-flight flush margin), so the sweep starts there.
-	marks := []wm{{16, 32}, {24, 48}, {32, 64}, {48, 96}}
+	// The sweep starts at the defaults (zeroes): a low mark under the
+	// floor withDefaults enforces is raised to it.
+	marks := []wm{{0, 0}, {16, 32}, {24, 48}, {32, 64}, {48, 96}}
 	if cfg.Quick {
-		marks = []wm{{16, 32}, {32, 64}}
+		marks = []wm{{0, 0}, {16, 32}, {32, 64}}
 	}
 	for _, m := range marks {
-		st, _, err := churn(cfg, core.Options{CleanLowWater: m.lo, CleanHighWater: m.hi}, cfg.trafficFactor())
+		st, fs, err := churn(cfg, core.Options{CleanLowWater: m.lo, CleanHighWater: m.hi}, cfg.trafficFactor())
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d/%d", m.lo, m.hi),
+		t.AddRow(fmt.Sprintf("%d/%d", fs.Options().CleanLowWater, fs.Options().CleanHighWater),
 			fmt.Sprintf("%.2f", st.WriteCost()),
 			fmt.Sprintf("%d", st.CleaningPasses))
 	}

@@ -202,6 +202,37 @@ func TestAblationWriteBufferShape(t *testing.T) {
 	}
 }
 
+// TestCleanerGapShape is the differential harness's tier-1 case (quick
+// scale: 64-block segments, 45 000 overwrites of one trace per side). The
+// real cleaner behaves like the simulated one once cleansim is given the
+// disk the cleaner actually works on; the default cleaner sizing beats the
+// marks it replaced; and a round keeps fewer cleaning operations than the
+// benchmark's per-round p99.9 has room for.
+func TestCleanerGapShape(t *testing.T) {
+	tbl, err := RunCleanerGap(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Rows[0][0] != "16/32/8" || tbl.Rows[1][0] != "10/24/24" {
+		t.Fatalf("rows are %s and %s, want the old marks then the defaults", tbl.Rows[0][0], tbl.Rows[1][0])
+	}
+	var cost [2]float64
+	for i, row := range tbl.Rows[:2] {
+		fsCost, sim := atof(t, row[4]), atof(t, row[5])
+		cost[i] = fsCost
+		if fsCost > 1.2*sim || fsCost < 0.8*sim {
+			t.Errorf("%s: core.FS write cost %.2f is not within 20%% of cleansim's %.2f at effective utilisation %s",
+				row[0], fsCost, sim, row[3])
+		}
+		if n := atoi(t, row[11]); n >= 15 {
+			t.Errorf("%s: %d cleaning operations in one round, want fewer than 15", row[0], n)
+		}
+	}
+	if cost[1] > 0.85*cost[0] {
+		t.Errorf("default sizing write cost %.2f, want at least 15%% under %.2f at 16/32/8", cost[1], cost[0])
+	}
+}
+
 func atoi(t *testing.T, s string) int {
 	t.Helper()
 	v, err := strconv.Atoi(s)
@@ -229,7 +260,7 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 		"table2", "table3", "table4",
 		"ablation-policy", "ablation-agesort", "ablation-segsize",
 		"ablation-checkpoint", "ablation-writebuffer", "ablation-thresholds",
-		"ablation-cleanread", "bgclean", "groupcommit", "nvsync",
+		"ablation-cleanread", "cleaner-gap", "bgclean", "groupcommit", "nvsync",
 		"readpath",
 	}
 	have := map[string]bool{}

@@ -35,6 +35,7 @@ func Experiments() []Experiment {
 		{"ablation-writebuffer", "write buffer size sweep", RunAblationWriteBuffer},
 		{"ablation-thresholds", "cleaner water marks sweep", RunAblationThresholds},
 		{"ablation-cleanread", "whole-segment vs live-only cleaning reads", RunAblationCleanRead},
+		{"cleaner-gap", "core.FS vs cleansim on one hot-and-cold trace, and the cleaner sizing sweep", RunCleanerGap},
 		{"bgclean", "reader latency during cleaning: inline vs background cleaner", RunBgClean},
 		{"groupcommit", "concurrent writers: grouped vs serialized log admission", RunGroupCommit},
 		{"nvsync", "sync-per-small-file: NVRAM-absorbed vs inline durability", RunNVSync},

@@ -129,15 +129,18 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	// become reusable after the checkpoint commits. Walk the ranked list
 	// and take the best candidates that fit, up to the batch size. Empty
 	// segments always fit: evacuating them writes nothing. Copying live
-	// data also rewrites the inodes, indirect blocks and inode-map blocks
-	// that point at it; budget a conservative 25% on top of the data plus
-	// a fixed floor for the checkpoint itself.
+	// data also rewrites the inodes and indirect blocks that point at it
+	// and adds summary blocks: budget a conservative 25% on top of the
+	// data. The checkpoint is budgeted as it stands plus one inode-map
+	// block per live block moved, as far as clean map blocks go: small
+	// files in small segments make that most of the bill.
 	avail := (fs.segBlocks - fs.segs.headOff) * layout.BlockSize
 	avail += int64(fs.segs.free()) * fs.segBytes
 	if fs.segs.next != layout.NilAddr {
 		avail += fs.segBytes
 	}
 	metaFloor := fs.checkpointBytes() + 16*layout.BlockSize
+	imapClean := int64(fs.imap.cleanBlocks()) * layout.BlockSize
 	var live int64
 	var kept []candidate
 	for _, c := range cands {
@@ -145,7 +148,7 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 			break
 		}
 		l := int64(fs.usage.get(c.seg).LiveBytes)
-		if l > 0 && live+l+(live+l)/4+metaFloor > avail {
+		if l > 0 && live+l+(live+l)/4+min(live+l, imapClean)+metaFloor > avail {
 			continue
 		}
 		live += l
@@ -204,8 +207,9 @@ func (fs *FS) cleanUntil(target int) error {
 // can be reclaimed without being an error. Evacuated segments become
 // reusable only after a checkpoint commits (reusing them earlier could
 // destroy blocks the previous checkpoint still references); the
-// checkpoint is amortized over several passes, since its metadata
-// write is a fixed cost per pass otherwise.
+// checkpoint's metadata write (every dirty inode-map block) is a fixed
+// bill, so it is paid once per cycle, after the pass that reaches the
+// target — at the default sizing, the first.
 func (fs *FS) cleanStep(target int) (progressed bool, err error) {
 	// Flush application traffic first so it is not attributed to the
 	// cleaner.
@@ -278,14 +282,14 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
 	fs.tr.Add(obs.CtrCleanerPasses, 1)
 	wroteBefore := fs.stats.CleanerWriteBytes
-	lives := fs.passLives[:0]
-	defer func() {
-		// The data buffers belong to the staging queue now (or, on an
-		// error return, to the GC, as after a degrading flush): the
-		// recycled list must not pin them.
-		clear(lives)
-		fs.passLives = lives[:0]
-	}()
+	// One list for the pass, allocated at the victims' live counts (which
+	// bound it: they count metadata blocks too) and dropped with the pass:
+	// a few-tens-of-victims list kept between passes is resident memory.
+	var liveBytes int64
+	for _, c := range cands {
+		liveBytes += int64(fs.usage.get(c.seg).LiveBytes)
+	}
+	lives := make([]liveCopy, 0, liveBytes/layout.BlockSize)
 	// By default each segment is read whole in one request (the paper's
 	// conservative assumption in formula 1); with CleanReadLiveOnly only
 	// the summary blocks and live contents are read.

@@ -23,10 +23,16 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.CleanHighWater <= o.CleanLowWater {
 		t.Fatalf("high water %d must exceed low water %d", o.CleanHighWater, o.CleanLowWater)
 	}
-	// A large write buffer forces the low-water mark up.
-	o2 := Options{SegmentBlocks: 16, WriteBufferBlocks: 128}.withDefaults()
-	if o2.CleanLowWater < reserveSegments+2+2*128/16 {
-		t.Fatalf("low water %d does not cover the write buffer", o2.CleanLowWater)
+	// The cleaner is sized by need: cleaning starts at the safety floor,
+	// not above it, and a cycle is one pass above that.
+	if floor := reserveSegments + 2 + 4; o.CleanLowWater != floor || o.CleanHighWater != floor+14 || o.CleanBatch != 24 {
+		t.Fatalf("cleaner sizing %d/%d/%d, want %d/%d/24", o.CleanLowWater, o.CleanHighWater, o.CleanBatch, floor, floor+14)
+	}
+	// A large write buffer forces the low-water mark up, and the high-water
+	// mark follows it; an explicit mark under the floor is raised to it.
+	o2 := Options{SegmentBlocks: 16, WriteBufferBlocks: 128, CleanLowWater: 4}.withDefaults()
+	if floor := reserveSegments + 2 + 4*128/16; o2.CleanLowWater != floor || o2.CleanHighWater != floor+14 {
+		t.Fatalf("low/high water %d/%d do not cover the write buffer: want %d/%d", o2.CleanLowWater, o2.CleanHighWater, floor, floor+14)
 	}
 }
 

@@ -79,11 +79,6 @@ type FS struct {
 	// entry slice is grown to MaxSummaryEntries, plus one block buffer),
 	// shared by every walk.
 	sumFree *bufpool.Free[*layout.WalkScratch]
-	// passLives is the backing array of the cleaner's per-pass list of
-	// live copies, reused from pass to pass (one pass runs at a time,
-	// under mu). Between passes it has length zero and holds no data
-	// pointers.
-	passLives []liveCopy
 	// Read cache for clean blocks (bounded FIFO; optional). rcacheMu
 	// guards all four fields: the ring holds the eviction order, and an
 	// invalidated address leaves a tombstone count so its stale ring

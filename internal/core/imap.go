@@ -108,4 +108,16 @@ func (m *inodeMap) dirtyBlocks() []int {
 	return out
 }
 
+// cleanBlocks counts the map blocks in the log that are not dirty: what a
+// cleaning pass can still add to the next checkpoint.
+func (m *inodeMap) cleanBlocks() int {
+	n := 0
+	for i, addr := range m.blockAddr {
+		if addr != layout.NilAddr && !m.dirty[i] {
+			n++
+		}
+	}
+	return n
+}
+
 func (m *inodeMap) clearDirty() { m.dirty = make(map[int]bool) }

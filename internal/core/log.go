@@ -45,6 +45,7 @@ func isUsage(b stagedBlock) bool { return b.entry.Kind == layout.KindSegUsage }
 // (Section 3.2). Each partial write is a single contiguous device write,
 // which is what lets the log use nearly the full disk bandwidth.
 func (fs *FS) flushPending() error {
+	queue := fs.pending
 	for len(fs.pending) > 0 {
 		// A batch is a summary plus at least one block; what the head
 		// segment cannot take waits for the next one.
@@ -101,6 +102,17 @@ func (fs *FS) flushPending() error {
 				return rerr
 			}
 		}
+		// Written: the placed/encode closures pin inodes and must not
+		// outlive the flush in the queue's backing array.
+		clear(batch)
+	}
+	// Drained: rewind to the start of the backing array, so the queue is
+	// bounded by one flush and not by how many came before it. An array a
+	// cleaning pass grew (tens of segments' live blocks in one flush) is
+	// dropped, not kept resident for the one-segment flushes that follow.
+	fs.pending = queue[:0]
+	if cap(queue) > 2*int(fs.segBlocks) {
+		fs.pending = nil
 	}
 	return nil
 }

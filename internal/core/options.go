@@ -32,22 +32,27 @@ func (p CleaningPolicy) String() string {
 
 // Options configure Format and Mount. The zero value is completed by
 // (*Options).withDefaults; defaults follow the paper's production
-// configuration (Section 5.1): 4 KB blocks, 512 KB segments, cleaning
-// starts when clean segments drop below a few tens and stops past a
-// higher threshold, cost-benefit selection with age-sorted output.
+// configuration (Section 5.1): 4 KB blocks, 512 KB segments, cost-benefit
+// selection with age-sorted output, a few tens of segments cleaned at a
+// time; the cleaner's marks are sized by need in withDefaults.
 type Options struct {
 	// SegmentBlocks is the segment size in blocks (default 128 = 512 KB).
 	SegmentBlocks int
 	// MaxInodes bounds the inode table (default 65536).
 	MaxInodes int
-	// CleanLowWater starts the cleaner when clean segments fall below it
-	// (default 16; Section 3.4 "a few tens of segments").
+	// CleanLowWater starts the cleaner when clean segments fall below it.
+	// Zero, or anything under the floor safety needs, means that floor
+	// (the cleaner-only reserve plus what in-flight writers can consume
+	// before they next look): see withDefaults.
 	CleanLowWater int
-	// CleanHighWater stops the cleaner once clean segments exceed it
-	// (default 32; Section 3.4 "50-100 clean segments" on larger disks).
+	// CleanHighWater stops a cleaning cycle once this many segments are
+	// clean. Zero means one pass's worth above CleanLowWater, so that a
+	// cycle is one age-sorted pass and one checkpoint: see withDefaults.
 	CleanHighWater int
-	// CleanBatch is how many segments are cleaned per pass (default 8;
-	// Section 3.4 policy question 2).
+	// CleanBatch bounds how many segments one pass cleans (Section 3.4,
+	// policy question 2: "a few tens of segments at a time"); the output
+	// space free at the time bounds it further. Zero means the default in
+	// withDefaults.
 	CleanBatch int
 	// Policy selects the segment-selection policy (default cost-benefit).
 	Policy CleaningPolicy
@@ -151,25 +156,31 @@ func (o Options) withDefaults() Options {
 	if o.AdmitBudgetBlocks == 0 {
 		o.AdmitBudgetBlocks = 2 * o.WriteBufferBlocks
 	}
-	if o.CleanLowWater == 0 {
-		o.CleanLowWater = 16
-	}
-	// Cleaning must start before ordinary writes hit the cleaner-only
-	// segment reserve, with margin for two in-flight buffer flushes
-	// plus the whole admitted-but-unflushed budget a group commit can
-	// stage in one batch.
+	// The cleaner is sized by need, and its three defaults are spelled
+	// here only. Every segment held clean is slack withheld from the
+	// segments the cleaner chooses among, paid for in their utilisation
+	// (Section 3.4; Lomet & Luo in PAPERS.md), so cleaning starts no
+	// earlier than safety demands: before ordinary writes hit the
+	// cleaner-only segment reserve, with margin for two in-flight buffer
+	// flushes plus the whole admitted-but-unflushed budget a group commit
+	// can stage in one batch. A smaller explicit mark is raised to that.
 	if floor := reserveSegments + 2 +
 		(o.AdmitBudgetBlocks+2*o.WriteBufferBlocks)/o.SegmentBlocks; o.CleanLowWater < floor {
 		o.CleanLowWater = floor
 	}
+	// A cycle is one age-sorted pass and one releasing checkpoint: it
+	// stops 14 segments above where it started, and a pass may take "a
+	// few tens" of victims (Section 3.4) to get there alone, as far as
+	// selectByPolicy finds room for their output. EXPERIMENTS.md ("hotcold:
+	// why 75 % full is 88 % full") has the sweep behind both numbers.
 	if o.CleanHighWater == 0 {
-		o.CleanHighWater = 32
+		o.CleanHighWater = o.CleanLowWater + 14
 	}
 	if o.CleanHighWater <= o.CleanLowWater {
 		o.CleanHighWater = 2 * o.CleanLowWater
 	}
 	if o.CleanBatch == 0 {
-		o.CleanBatch = 8
+		o.CleanBatch = 24
 	}
 	return o
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -278,6 +279,49 @@ func TestSumIndexBounded(t *testing.T) {
 		t.Fatal("no free segment to look at")
 	}
 	mustCheck(t, fs)
+}
+
+// The staging queue is bounded the same way. Drained, it holds no written
+// entry (their placed/encode closures pin inodes), is rewound to the start
+// of its backing array instead of walking off the end into a new one every
+// flush, and does not keep an array a cleaning pass grew.
+func TestPendingBounded(t *testing.T) {
+	fs, _ := newTestFS(t, 2048, testOptions())
+	capacity := fs.nsegs * fs.segBytes
+	payload := bytes.Repeat([]byte("p"), 8*layout.BlockSize)
+	var arrays, quiet int
+	var array *stagedBlock
+	for written := int64(0); written < 4*capacity; written += int64(len(payload)) {
+		if err := fs.WriteFile(fmt.Sprintf("/f%d", written/int64(len(payload))%24), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		whole := fs.pending[:cap(fs.pending)]
+		if len(fs.pending) != 0 || len(whole) > 2*int(fs.segBlocks) {
+			t.Fatalf("after Sync the queue holds %d blocks in %d slots", len(fs.pending), len(whole))
+		}
+		for i := range whole {
+			if b := &whole[i]; b.data != nil || b.encode != nil || b.placed != nil {
+				t.Fatalf("slot %d of the drained queue still holds a written block", i)
+			}
+		}
+		// Until the first cleaning pass every flush is a few blocks.
+		if fs.Stats().SegmentsCleaned == 0 {
+			quiet++
+			if a := unsafe.SliceData(whole); a != array {
+				array, arrays = a, arrays+1
+			}
+		}
+	}
+	if fs.Stats().SegmentsCleaned == 0 {
+		t.Fatal("the workload never cleaned: no large flush was seen")
+	}
+	// Doubling from one slot to two segments' worth is seven arrays.
+	if quiet < 50 || arrays > 7 {
+		t.Fatalf("%d flushes before the first cleaning pass went through %d backing arrays", quiet, arrays)
+	}
 }
 
 // Readers look sums up (harvesting on a miss) while the writer records

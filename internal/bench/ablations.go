@@ -22,6 +22,7 @@ func churn(cfg Config, opts core.Options, trafficFactor float64) (core.Stats, *c
 	if err != nil {
 		return core.Stats{}, nil, err
 	}
+	defer fs.Unmount()
 	p := workload.Profile{
 		Name: "churn", AvgFileKB: 16, Utilization: 0.7,
 		ColdFraction: 0.5, WholeFileWrites: true,
@@ -111,6 +112,7 @@ func RunAblationSegmentSize(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer fs.Unmount()
 		p := workload.Profile{Name: "seg", AvgFileKB: 16, Utilization: 0.6, ColdFraction: 0.3, WholeFileWrites: true}
 		capacity := usableCapacity(fs)
 		run, err := p.Populate(fs, capacity, cfg.Seed)
@@ -188,6 +190,7 @@ func RunAblationWriteBuffer(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer fs.Unmount()
 		w := workload.SmallFiles{NumFiles: n, FileSize: 1024}
 		pre := d.Stats()
 		if err := w.CreatePhase(fs); err != nil {
@@ -252,6 +255,7 @@ func RunAblationCleanRead(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer fs.Unmount()
 		p := workload.Profile{Name: "sparse", AvgFileKB: 16, Utilization: 0.45,
 			ColdFraction: 0.8, WholeFileWrites: true}
 		capacity := usableCapacity(fs)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,12 +11,23 @@ import (
 func quickCfg() Config { return Config{Quick: true, Seed: 7} }
 
 // TestAllExperimentsRun smoke-tests every experiment in quick mode: it
-// must complete without error and produce a non-empty, renderable table.
+// must complete without error, produce a non-empty, renderable table, and
+// leave no goroutine behind — a file system left mounted keeps its
+// committer, which pins the FS and its disk for the life of the process.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			tbl, err := e.Run(quickCfg())
+			// A worker whose WaitGroup was just released may still be on
+			// its way out; one left by a mounted file system never goes.
+			for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(wait); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s: %d goroutines before the run, %d after", e.Name, before, n)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}

@@ -23,6 +23,7 @@ func RunFig1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lfs.Unmount()
 	if err := lfs.Mkdir("/dir1"); err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ func RunFig10(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer fs.Unmount()
 	profile := workload.Profiles()[0] // /user6
 	capacity := usableCapacity(fs)
 	run, err := profile.Populate(fs, capacity, cfg.Seed)

@@ -64,6 +64,7 @@ func RunFig8(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lfs.Unmount()
 	lr, err := run("Sprite LFS", lfs, ld, false)
 	if err != nil {
 		return nil, err

@@ -56,6 +56,7 @@ func RunFig9(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lfs.Unmount()
 	lr, err := run(lfs, ld, false)
 	if err != nil {
 		return nil, fmt.Errorf("lfs: %w", err)

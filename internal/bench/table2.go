@@ -50,6 +50,7 @@ func RunTable2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer fs.Unmount()
 		capacity := usableCapacity(fs)
 		run, err := p.Populate(fs, capacity, cfg.Seed)
 		if err != nil {

@@ -83,6 +83,9 @@ func measureRecovery(cfg Config, fileSize int, dataSize int64) (time.Duration, e
 		return 0, err
 	}
 	d.Crash()
+	// The crashed mount's committer goroutine would pin it and the disk;
+	// unmounting while the device is dead stops it and writes nothing.
+	_ = fs.Unmount()
 	d.Reopen()
 
 	pre := d.Stats()
@@ -90,6 +93,7 @@ func measureRecovery(cfg Config, fileSize int, dataSize int64) (time.Duration, e
 	if err != nil {
 		return 0, fmt.Errorf("recovery mount: %w", err)
 	}
+	defer fs2.Unmount()
 	diskTime := d.Stats().Sub(pre).BusyTime
 	// Roll-forward touches each recovered file without system-call or
 	// data-copy overhead: charge a quarter of the per-operation CPU cost

@@ -23,6 +23,9 @@ var (
 	ErrNoSpace = errors.New("lfs: no space left on device")
 	// ErrNoInodes reports that the inode table is exhausted.
 	ErrNoInodes = errors.New("lfs: out of inodes")
+	// ErrTooManyLinks reports a Link that would overflow the inode's
+	// 16-bit reference count.
+	ErrTooManyLinks = errors.New("lfs: too many links")
 	// ErrFileTooBig reports a write beyond the maximum file size.
 	ErrFileTooBig = errors.New("lfs: file too large")
 	// ErrUnmounted reports an operation on an unmounted file system.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -624,35 +627,12 @@ func TestPerBlockAgesInSummaries(t *testing.T) {
 	}
 }
 
-func TestDirDeltaStart(t *testing.T) {
-	bs := layout.BlockSize
-	old := bytes.Repeat([]byte("a"), 3*bs)
-	same := append([]byte(nil), old...)
-	if got := dirDeltaStart(old, same); got != 3*bs {
-		t.Fatalf("identical: start %d, want %d", got, 3*bs)
-	}
-	changed := append([]byte(nil), old...)
-	changed[2*bs+5] = 'z'
-	if got := dirDeltaStart(old, changed); got != 2*bs {
-		t.Fatalf("third-block change: start %d, want %d", got, 2*bs)
-	}
-	grown := append(append([]byte(nil), old...), 'x')
-	if got := dirDeltaStart(old, grown); got != 3*bs {
-		t.Fatalf("append: start %d, want %d", got, 3*bs)
-	}
-	if got := dirDeltaStart(nil, old); got != 0 {
-		t.Fatalf("fresh: start %d, want 0", got)
-	}
-	shrunk := old[:bs+10]
-	if got := dirDeltaStart(old, shrunk); got != bs {
-		t.Fatalf("shrink: start %d, want %d", got, bs)
-	}
-}
-
 func TestLargeDirectoryAppendWritesOneBlock(t *testing.T) {
-	// Appending an entry to a large directory must dirty only the tail,
-	// not rewrite the whole directory (the delta optimization).
-	fs, _ := newTestFS(t, 8192, testOptions())
+	// A change to a large directory must dirty only the changed entry's
+	// block on, not rewrite the whole directory — also when it is the first
+	// change after a Mount, live or made by roll-forward, and nothing
+	// remembers what the directory held before.
+	fs, d := newTestFS(t, 8192, testOptions())
 	for i := 0; i < 500; i++ {
 		if err := fs.Create(fmt.Sprintf("/a-rather-long-name-%04d", i)); err != nil {
 			t.Fatal(err)
@@ -661,25 +641,87 @@ func TestLargeDirectoryAppendWritesOneBlock(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	pre := fs.Stats().LogBytesByKind[layout.KindData]
-	if err := fs.Create("/one-more"); err != nil {
+	// The root directory is ~4 blocks of entries; the append lands in the
+	// last of them.
+	oneMore := func(fs *FS, name string) {
+		t.Helper()
+		pre := fs.Stats().LogBytesByKind[layout.KindData]
+		if err := fs.Create(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if delta := fs.Stats().LogBytesByKind[layout.KindData] - pre; delta != layout.BlockSize {
+			t.Fatalf("append of %s to the large directory wrote %d data bytes, want one block", name, delta)
+		}
+	}
+	oneMore(fs, "/one-more")
+	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Sync(); err != nil {
+	fs, err := Mount(d, testOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	delta := fs.Stats().LogBytesByKind[layout.KindData] - pre
-	// The root directory is ~4 blocks of entries; one append must write
-	// at most 2 data blocks (the changed tail), not all of them.
-	if delta > 2*layout.BlockSize {
-		t.Fatalf("append to large dir wrote %d data bytes", delta)
-	}
+	oneMore(fs, "/first-after-mount")
 	mustCheck(t, fs)
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Roll-forward: create as many files as, with the root, fill one inode
+	// block and put one inode in a second, and cut the power at the end of
+	// the head segment. Where that falls between the two inode blocks the
+	// root comes back with an entry whose inode did not, and dropping that
+	// one entry must again cost one block. Padding moves the log head until
+	// it does.
+	image := d.Snapshot()
+	// 502 entries so far, /pad, the new files less the one dropped.
+	const survivors = 502 + 1 + layout.InodesPerBlock - 1
+	for pad := 0; pad < testOptions().SegmentBlocks; pad++ {
+		d := disk.FromSnapshot(image)
+		fs, err := Mount(d, testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile("/pad", make([]byte, pad*layout.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		d.FailAfterWrites(fs.segBlocks - fs.segs.headOff)
+		for i := 0; i < layout.InodesPerBlock; i++ {
+			if err := fs.Create(fmt.Sprintf("/k%02d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = fs.Sync() // fails where the device stopped
+		d.Reopen()
+		fs, err = Mount(d, testOptions())
+		if err != nil {
+			t.Fatalf("pad %d: mount after the cut: %v", pad, err)
+		}
+		mustCheck(t, fs)
+		root, err := fs.ReadDir("/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(root) != survivors {
+			continue
+		}
+		if got := fs.Stats().LogBytesByKind[layout.KindData]; got != layout.BlockSize {
+			t.Fatalf("pad %d: roll-forward dropped one entry of the large directory and wrote %d data bytes, want one block", pad, got)
+		}
+		return
+	}
+	t.Fatal("no padding put the cut between the two inode blocks")
 }
 
 func TestDirDeltaSurvivesRemount(t *testing.T) {
-	// After a remount, the saved byte image is gone; the first save must
-	// still produce a correct directory.
+	// The first saves after a remount, a delete from the middle and an
+	// append, must still produce a correct directory.
 	fs, d := newTestFS(t, 4096, testOptions())
 	for i := 0; i < 50; i++ {
 		if err := fs.Create(fmt.Sprintf("/f%02d", i)); err != nil {
@@ -704,6 +746,203 @@ func TestDirDeltaSurvivesRemount(t *testing.T) {
 		t.Fatalf("%d entries, %v", len(entries), err)
 	}
 	mustCheck(t, fs2)
+}
+
+// TestDirectorySavesMatchWholeEncoding is the differential test of saveDir's
+// index rule: over a seeded mix of every namespace operation on a
+// four-block directory with names of 1 to 255 bytes, the directory file
+// read back after each operation equals the whole encoding of the cached
+// entries byte for byte — so encoding from the changed entry's block on
+// lost nothing a whole rewrite would have written.
+func TestDirectorySavesMatchWholeEncoding(t *testing.T) {
+	fs, d := newTestFS(t, 16384, testOptions())
+	m := NewModel()
+	step := stepper(t, &fs, m)
+	rng := rand.New(rand.NewSource(22))
+	check := func(after Op) {
+		t.Helper()
+		fs.mu.RLock()
+		defer fs.mu.RUnlock()
+		for _, p := range []string{"/", "/big", "/side"} {
+			inum, err := fs.resolve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := fs.loadDir(inum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := layout.EncodeDirectory(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, fs.icache[inum].ino.Size)
+			if _, err := fs.readAt(fs.icache[inum], 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("after %v: the file of %s (%d bytes) differs from its %d entries' encoding (%d bytes) at byte %d",
+					after, p, len(got), len(entries), len(want), diffAt(got, want))
+			}
+		}
+	}
+	do := func(op Op) {
+		t.Helper()
+		step(op)
+		check(op)
+	}
+	fresh := func(dir string) string {
+		for {
+			name := make([]byte, 1+rng.Intn(layout.MaxNameLen))
+			for i := range name {
+				name[i] = byte('a' + rng.Intn(26))
+			}
+			p := dir + "/" + string(name)
+			if _, taken := m.Files[p]; !taken {
+				return p
+			}
+		}
+	}
+	// take removes a random path from the list and returns it.
+	take := func(list *[]string) string {
+		i := rng.Intn(len(*list))
+		p := (*list)[i]
+		*list = slices.Delete(*list, i, i+1)
+		return p
+	}
+	step(Op{Kind: OpMkdir, Path: "/big"})
+	do(Op{Kind: OpMkdir, Path: "/side"})
+	var big, side []string // the files in each
+	for i := 0; i < 3000; i++ {
+		r := rng.Intn(100)
+		switch {
+		case len(big) < 100: // about four blocks at 134 bytes an entry
+			r = 0
+		case len(big) > 140 || len(side) > 40:
+			r = 99
+		}
+		switch {
+		case r < 25:
+			p := fresh("/big")
+			do(Op{Kind: OpCreate, Path: p})
+			do(Op{Kind: OpWrite, Path: p, Data: nonZero(i, 1+i%60)})
+			big = append(big, p)
+		case r < 40:
+			old, p := big[rng.Intn(len(big))], fresh("/big")
+			if err := fs.Link(old, p); err != nil {
+				t.Fatalf("link %s %s: %v", old, p, err)
+			}
+			m.Files[p] = m.Files[old]
+			check(Op{Kind: OpCreate, Path: p})
+			big = append(big, p)
+		case r < 55: // within the directory, to a new name
+			p := fresh("/big")
+			do(Op{Kind: OpRename, Path: take(&big), Path2: p})
+			big = append(big, p)
+		case r < 60: // within the directory, over another entry
+			do(Op{Kind: OpRename, Path: take(&big), Path2: big[rng.Intn(len(big))]})
+		case r < 70:
+			p := fresh("/side")
+			do(Op{Kind: OpRename, Path: take(&big), Path2: p})
+			side = append(side, p)
+		case r < 80 && len(side) > 0:
+			p := fresh("/big")
+			do(Op{Kind: OpRename, Path: take(&side), Path2: p})
+			big = append(big, p)
+		case r < 95:
+			do(Op{Kind: OpRemove, Path: take(&big)})
+		case r < 99:
+			do(Op{Kind: OpSync})
+		default:
+			if len(side) > 0 {
+				do(Op{Kind: OpRemove, Path: take(&side)})
+			}
+		}
+		if i == 1500 {
+			fs = remountVerify(t, fs, d, m)
+		}
+	}
+	if info, err := fs.Stat("/big"); err != nil || info.Size < 3*layout.BlockSize {
+		t.Fatalf("/big ended %d bytes long (err %v), want about four blocks", info.Size, err)
+	}
+	remountVerify(t, fs, d, m)
+}
+
+// TestLinkCountOverflow: the link that would wrap the inode's 16-bit
+// reference count to zero is refused before anything is logged.
+func TestLinkCountOverflow(t *testing.T) {
+	fs, d := newTestFS(t, 4096, testOptions())
+	if err := fs.WriteFile("/f", []byte("reached by many names")); err != nil {
+		t.Fatal(err)
+	}
+	mi, err := fs.resolveFile("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi.ino.Nlink = math.MaxUint16
+	before, seq := fs.dirCache[RootInum], fs.dirLogSeq
+	if err := fs.Link("/f", "/g"); !errors.Is(err, ErrTooManyLinks) {
+		t.Fatalf("link 65536: %v, want ErrTooManyLinks", err)
+	}
+	if after := fs.dirCache[RootInum]; !slices.Equal(after, before) || fs.dirLogSeq != seq || mi.ino.Nlink != math.MaxUint16 || fs.Degraded() {
+		t.Fatalf("the refused link left a trace: entries %v, %d directory-op records, nlink %d, degraded %v",
+			after, fs.dirLogSeq-seq, mi.ino.Nlink, fs.Degraded())
+	}
+	mi.ino.Nlink = 1
+	mustCheck(t, remount(t, fs, d))
+}
+
+// TestDropBlocksFromBothSides drops a file's dirty blocks by probing its
+// block range (a short file under a full cache) and by scanning the cache
+// (a long file with one dirty block); either way exactly that file's
+// blocks go back to the pool.
+func TestDropBlocksFromBothSides(t *testing.T) {
+	opts := testOptions()
+	opts.WriteBufferBlocks = 256
+	fs, _ := newTestFS(t, 16384, opts)
+	const long = 2000 * layout.BlockSize
+	if err := fs.WriteFile("/long", make([]byte, long)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/s%02d", i), nonZero(i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() int {
+		t.Helper()
+		if s := fs.bpool.Stats(); s.Gets != s.Puts+s.Drops+int64(len(fs.dcache)) || fs.dirtyBlocks != len(fs.dcache) {
+			t.Fatalf("%+v with %d dirty blocks cached and %d counted", s, len(fs.dcache), fs.dirtyBlocks)
+		}
+		return len(fs.dcache)
+	}
+	n := held()
+	if err := fs.Remove("/s07"); err != nil { // one block to probe, ~50 cached
+		t.Fatal(err)
+	}
+	if got := held(); got != n-1 {
+		t.Fatalf("removing a one-block file took the cache from %d dirty blocks to %d", n, got)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt("/long", long-10, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/other", nonZero(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	n = held()
+	if err := fs.Remove("/long"); err != nil { // 2000 blocks, a handful cached
+		t.Fatal(err)
+	}
+	if got := held(); got != n-1 {
+		t.Fatalf("removing the long file took the cache from %d dirty blocks to %d", n, got)
+	}
+	mustCheck(t, fs)
 }
 
 func TestVerifyLogDetectsCorruption(t *testing.T) {

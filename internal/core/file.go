@@ -263,6 +263,7 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 	}
 	inum := mi.ino.Inum
 	total := 0
+	var err error
 	for len(data) > 0 {
 		bn := uint32(off / layout.BlockSize)
 		inBlock := int(off % layout.BlockSize)
@@ -274,6 +275,11 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 		blk, dirty := fs.dcache[key]
 		copied := false
 		if !dirty {
+			// Materialize the indirect path now so placement at flush
+			// time needs no allocation or I/O.
+			if err = fs.ensureMapSlot(mi, bn); err != nil {
+				break
+			}
 			if n != layout.BlockSize {
 				// A partial block. Written from its first byte to EOF or
 				// beyond, no old byte survives and the bytes past EOF are
@@ -283,9 +289,9 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 				blk = fs.bpool.Get()
 				if inBlock == 0 && off+int64(n) >= int64(mi.ino.Size) {
 					clear(blk[n:])
-				} else if err := fs.readFileBlockInto(mi, bn, blk); err != nil {
+				} else if err = fs.readFileBlockInto(mi, bn, blk); err != nil {
 					fs.bpool.Put(blk)
-					return total, err
+					break
 				}
 			} else if pb := prep.take(bn); pb != nil {
 				// Fully-overwritten block with its payload already copied
@@ -297,11 +303,6 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 			}
 			fs.dcache[key] = blk
 			fs.dirtyBlocks++
-			// Materialize the indirect path now so placement at flush
-			// time needs no allocation or I/O.
-			if err := fs.ensureMapSlot(mi, bn); err != nil {
-				return total, err
-			}
 		}
 		if !copied {
 			copy(blk[inBlock:], data[:n])
@@ -310,11 +311,17 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 		off += int64(n)
 		total += n
 	}
-	if uint64(end) > mi.ino.Size {
-		mi.ino.Size = uint64(end)
+	// Size covers what was staged even when a read failed part-way: no
+	// dirty block lies at or past ⌈Size/BlockSize⌉ (dropBlocksFrom walks
+	// that range), and a later flush makes the returned count durable.
+	if uint64(off) > mi.ino.Size {
+		mi.ino.Size = uint64(off)
 	}
 	mi.ino.Mtime = fs.now()
 	fs.markInodeDirty(inum)
+	if err != nil {
+		return total, err
+	}
 	if fs.dirtyBlocks >= fs.opts.WriteBufferBlocks {
 		if err := fs.flushLog(); err != nil {
 			return total, err
@@ -392,12 +399,20 @@ func (fs *FS) dropBlocksFrom(mi *mInode, keep uint32) error {
 	inum := mi.ino.Inum
 	// Dirty cache blocks beyond the cut vanish — back into the pool:
 	// truncation runs under fs.mu.Lock, so no reader can still hold a
-	// view of a dirty block.
-	for k := range fs.dcache {
-		if k.inum == inum && k.bn >= keep {
-			fs.bpool.Put(fs.dcache[k])
-			delete(fs.dcache, k)
-			fs.dirtyBlocks--
+	// view of a dirty block. They lie below ⌈Size/BlockSize⌉ (writeAt
+	// extends Size over what it stages): probe that range or scan the
+	// cache, whichever is shorter — one probe for a one-block file under a
+	// full write buffer, a near-empty map for a 64 MB file.
+	end := uint32((mi.ino.Size + layout.BlockSize - 1) / layout.BlockSize)
+	if int(end-keep) <= len(fs.dcache) {
+		for bn := keep; bn < end; bn++ {
+			fs.dropDirty(blockKey{inum, bn})
+		}
+	} else {
+		for k := range fs.dcache {
+			if k.inum == inum && k.bn >= keep {
+				fs.dropDirty(k)
+			}
 		}
 	}
 	var drop []uint32
@@ -423,6 +438,15 @@ func (fs *FS) dropBlocksFrom(mi *mInode, keep uint32) error {
 	return fs.releasePtrsFrom(mi, keep)
 }
 
+// dropDirty returns the dirty block at k, if there is one, to the pool.
+func (fs *FS) dropDirty(k blockKey) {
+	if blk, ok := fs.dcache[k]; ok {
+		fs.bpool.Put(blk)
+		delete(fs.dcache, k)
+		fs.dirtyBlocks--
+	}
+}
+
 // removeFile releases every block of the file, frees its inode, and bumps
 // the version so stale log blocks are recognizably dead (Section 3.3).
 func (fs *FS) removeFile(inum uint32) error {
@@ -442,7 +466,6 @@ func (fs *FS) removeFile(inum uint32) error {
 	delete(fs.icache, inum)
 	delete(fs.dirtyInodes, inum)
 	delete(fs.dirCache, inum)
-	delete(fs.dirBytes, inum)
 	fs.freeInums = append(fs.freeInums, inum)
 	fs.stats.FilesDeleted++
 	return nil

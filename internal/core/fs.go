@@ -95,12 +95,12 @@ type FS struct {
 	icacheMu    sync.Mutex
 	icache      map[uint32]*mInode
 	dirtyInodes map[uint32]bool
-	// dirCacheMu guards dirCache loads from paths under mu.RLock.
+	// dirCache is the one in-memory copy of each loaded directory, as
+	// decoded entries (saveDir is told which entry a change touched, so no
+	// byte image is kept beside it); it never evicts. dirCacheMu guards
+	// loads from paths under mu.RLock.
 	dirCacheMu sync.Mutex
 	dirCache   map[uint32][]layout.DirEntry
-	// dirBytes remembers each directory's last written byte image so
-	// saveDir can write only the changed blocks.
-	dirBytes map[uint32][]byte
 
 	pendingOps  []*layout.DirOp // directory operation log awaiting flush
 	dirlogAddrs []int64         // dirlog blocks written since last checkpoint
@@ -306,7 +306,6 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		icache:       make(map[uint32]*mInode),
 		dirtyInodes:  make(map[uint32]bool),
 		dirCache:     make(map[uint32][]layout.DirEntry),
-		dirBytes:     make(map[uint32][]byte),
 		inoBlockRefs: make(map[int64]int),
 		segs:         newSegAlloc(nsegs),
 		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),

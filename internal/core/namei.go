@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/layout"
@@ -80,10 +81,13 @@ func (fs *FS) loadDir(inum uint32) ([]layout.DirEntry, error) {
 	return entries, nil
 }
 
-// saveDir rewrites directory inum's contents from the cache. Only the
-// changed suffix is written: appending an entry to a large directory
-// dirties one block, not the whole directory.
-func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry) error {
+// saveDir rewrites directory inum's contents from entries, of which from
+// is the first that differs from the last save (len(entries) when only
+// the end moved). The caller holds that index already, so no second image
+// of the directory is kept to find it: the stream is encoded and written
+// from the block holding that entry's first byte, and appending an entry
+// to a large directory dirties one block, not the whole directory.
+func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry, from int) error {
 	if len(entries) == 0 {
 		// An emptied directory keeps no entry array (its encoding, zero
 		// bytes long, has none either).
@@ -92,7 +96,7 @@ func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry) error {
 	fs.dirCacheMu.Lock()
 	fs.dirCache[inum] = entries
 	fs.dirCacheMu.Unlock()
-	data, err := layout.EncodeDirectory(entries)
+	start, data, err := layout.EncodeDirectoryFrom(entries, from)
 	if err != nil {
 		return err
 	}
@@ -100,39 +104,30 @@ func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry) error {
 	if err != nil {
 		return err
 	}
-	start := dirDeltaStart(fs.dirBytes[inum], data)
-	if uint64(len(data)) < mi.ino.Size {
+	end := int64(start + len(data))
+	if uint64(end) < mi.ino.Size {
 		// A shrinking directory is cut back to the first changed block
 		// first, so the rewrite below runs to EOF and reads nothing.
 		if err := fs.truncate(mi, int64(start)); err != nil {
 			return err
 		}
 	}
-	if start < len(data) {
-		if _, err := fs.writeAt(mi, int64(start), data[start:]); err != nil {
+	if len(data) > 0 {
+		if _, err := fs.writeAt(mi, int64(start), data); err != nil {
 			return err
 		}
 	}
-	if err := fs.truncate(mi, int64(len(data))); err != nil {
-		return err
-	}
-	fs.dirBytes[inum] = data
-	return nil
+	return fs.truncate(mi, end)
 }
 
-// dirDeltaStart returns the first offset at which the new directory bytes
-// differ from the previously written ones, rounded down to a block
-// boundary.
-func dirDeltaStart(old, data []byte) int {
-	n := len(old)
-	if len(data) < n {
-		n = len(data)
+// dirIndex returns the index of the entry called name, or -1.
+func dirIndex(entries []layout.DirEntry, name string) int {
+	for i, e := range entries {
+		if e.Name == name {
+			return i
+		}
 	}
-	i := 0
-	for i < n && old[i] == data[i] {
-		i++
-	}
-	return i / layout.BlockSize * layout.BlockSize
+	return -1
 }
 
 // lookup finds name in directory dirInum.
@@ -141,10 +136,8 @@ func (fs *FS) lookup(dirInum uint32, name string) (uint32, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e.Inum, true, nil
-		}
+	if i := dirIndex(entries, name); i >= 0 {
+		return entries[i].Inum, true, nil
 	}
 	return 0, false, nil
 }
@@ -245,10 +238,8 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return 0, fmt.Errorf("%w: %q", ErrExists, name)
-		}
+	if dirIndex(entries, name) >= 0 {
+		return 0, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	inum, err := fs.allocInum()
 	if err != nil {
@@ -269,8 +260,7 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 	}
 
 	fs.logDirOp(&layout.DirOp{Op: layout.DirOpCreate, Dir: dirInum, Name: name, Inum: inum, Version: version, NewNlink: 1})
-	entries = append(entries, layout.DirEntry{Inum: inum, Name: name})
-	if err := fs.saveDir(dirInum, entries); err != nil {
+	if err := fs.saveDir(dirInum, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries)); err != nil {
 		return 0, err
 	}
 	fs.stats.FilesCreated++
@@ -606,17 +596,17 @@ func (fs *FS) linkLocked(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return fmt.Errorf("%w: %q", ErrExists, newPath)
-		}
+	if dirIndex(entries, name) >= 0 {
+		return fmt.Errorf("%w: %q", ErrExists, newPath)
+	}
+	if mi.ino.Nlink == math.MaxUint16 {
+		return fmt.Errorf("%w: %q", ErrTooManyLinks, oldPath)
 	}
 	inum := mi.ino.Inum
 	mi.ino.Nlink++
 	fs.markInodeDirty(inum)
 	fs.logDirOp(&layout.DirOp{Op: layout.DirOpLink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: mi.ino.Nlink})
-	entries = append(entries, layout.DirEntry{Inum: inum, Name: name})
-	return fs.saveDir(dir, entries)
+	return fs.saveDir(dir, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries))
 }
 
 // unlinkLocked removes the (dir, name) entry and drops one reference from
@@ -641,6 +631,7 @@ func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 	if err != nil {
 		return err
 	}
+	idx := dirIndex(entries, name) // the caller found name under this hold of fs.mu
 	newNlink := mi.ino.Nlink - 1
 	if newNlink == 0 {
 		if err := fs.preloadBlockMap(mi); err != nil {
@@ -648,13 +639,7 @@ func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 		}
 	}
 	fs.logDirOp(&layout.DirOp{Op: layout.DirOpUnlink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: newNlink})
-	for i, e := range entries {
-		if e.Name == name {
-			entries = slices.Delete(entries, i, i+1)
-			break
-		}
-	}
-	if err := fs.saveDir(dir, entries); err != nil {
+	if err := fs.saveDir(dir, slices.Delete(entries, idx, idx+1), idx); err != nil {
 		return err
 	}
 	if newNlink == 0 {
@@ -721,21 +706,15 @@ func (fs *FS) renameLocked(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	for i, e := range entries {
-		if e.Name == oldName {
-			entries = slices.Delete(entries, i, i+1)
-			break
-		}
-	}
-	if err := fs.saveDir(oldDir, entries); err != nil {
+	idx := dirIndex(entries, oldName)
+	if err := fs.saveDir(oldDir, slices.Delete(entries, idx, idx+1), idx); err != nil {
 		return err
 	}
 	dst, err := fs.loadDir(newDir)
 	if err != nil {
 		return err
 	}
-	dst = append(dst, layout.DirEntry{Inum: inum, Name: newName})
-	return fs.saveDir(newDir, dst)
+	return fs.saveDir(newDir, append(dst, layout.DirEntry{Inum: inum, Name: newName}), len(dst))
 }
 
 // epilogue runs at the end of mutating operations: it starts the cleaner

@@ -524,7 +524,6 @@ func (sc *rollScan) recoverInodes(addr int64, inodes []*layout.Inode) error {
 		// inode block per recovered file.
 		fs.icache[ino.Inum] = newMInode(ino)
 		delete(fs.dirCache, ino.Inum)
-		delete(fs.dirBytes, ino.Inum)
 	}
 	return nil
 }
@@ -688,29 +687,18 @@ func (fs *FS) repairEntry(dir uint32, name string, inum, version uint32, nlink u
 	}
 	ie := fs.imap.get(inum)
 	exists := ie.Allocated() && ie.Version == version
-	idx := -1
-	for i, e := range entries {
-		if e.Name == name {
-			idx = i
-			break
-		}
-	}
+	idx := dirIndex(entries, name)
 	switch {
 	case exists && idx < 0:
-		entries = append(entries, layout.DirEntry{Inum: inum, Name: name})
-		if err := fs.saveDir(dir, entries); err != nil {
-			return err
-		}
+		err = fs.saveDir(dir, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries))
 	case !exists && idx >= 0:
-		entries = slices.Delete(entries, idx, idx+1)
-		if err := fs.saveDir(dir, entries); err != nil {
-			return err
-		}
+		err = fs.saveDir(dir, slices.Delete(entries, idx, idx+1), idx)
 	case exists && idx >= 0 && entries[idx].Inum != inum:
 		entries[idx].Inum = inum
-		if err := fs.saveDir(dir, entries); err != nil {
-			return err
-		}
+		err = fs.saveDir(dir, entries, idx)
+	}
+	if err != nil {
+		return err
 	}
 	if exists {
 		return fs.repairNlink(inum, version, nlink)
@@ -727,11 +715,8 @@ func (fs *FS) repairRemoveEntry(dir uint32, name string, inum uint32) error {
 	if err != nil {
 		return err
 	}
-	for i, e := range entries {
-		if e.Name == name && e.Inum == inum {
-			entries = slices.Delete(entries, i, i+1)
-			return fs.saveDir(dir, entries)
-		}
+	if i := dirIndex(entries, name); i >= 0 && entries[i].Inum == inum {
+		return fs.saveDir(dir, slices.Delete(entries, i, i+1), i)
 	}
 	return nil
 }

@@ -246,7 +246,6 @@ func (fs *FS) salvageReset() {
 	fs.dirCacheMu.Lock()
 	fs.dirCache = make(map[uint32][]layout.DirEntry)
 	fs.dirCacheMu.Unlock()
-	fs.dirBytes = make(map[uint32][]byte)
 	fs.pendingOps = nil
 	fs.dirlogAddrs = nil
 	fs.pending = nil
@@ -495,7 +494,6 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 	// children become orphans). The root may be synthesized (absent
 	// from acc): it reads as empty.
 	rawEnts := make(map[uint32][]layout.DirEntry)
-	rawBytes := make(map[uint32][]byte)
 	var dirInums []uint32
 	if _, ok := acc[RootInum]; !ok {
 		dirInums = append(dirInums, RootInum)
@@ -530,11 +528,9 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 			}
 			ents, err := layout.DecodeDirectory(data)
 			if err != nil {
-				rawBytes[inum] = data
 				continue
 			}
 			rawEnts[inum] = ents
-			rawBytes[inum] = data
 		}
 	}
 
@@ -688,25 +684,20 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
 	for _, inum := range written {
 		ents := finalEnts[inum]
+		// The first entry that differs from what the directory decoded to
+		// (0 for one that did not decode) is where its rewrite starts.
 		raw, haveRaw := rawEnts[inum]
-		same := haveRaw && len(ents) == len(raw)
-		if same {
-			for i := range ents {
-				if ents[i] != raw[i] {
-					same = false
-					break
-				}
-			}
+		from := 0
+		for from < len(ents) && from < len(raw) && ents[from] == raw[from] {
+			from++
 		}
-		if same {
+		if haveRaw && from == len(ents) && from == len(raw) {
 			fs.dirCacheMu.Lock()
 			fs.dirCache[inum] = ents
 			fs.dirCacheMu.Unlock()
-			fs.dirBytes[inum] = rawBytes[inum]
 			continue
 		}
-		fs.dirBytes[inum] = rawBytes[inum]
-		if err := fs.saveDir(inum, ents); err != nil {
+		if err := fs.saveDir(inum, ents, from); err != nil {
 			return fmt.Errorf("salvage: rewriting directory %d: %w", inum, err)
 		}
 		rep.DirsRepaired++

@@ -135,8 +135,8 @@ func TestNamespaceOpsReadNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, b := fs.dirCache[sub], fs.dirBytes[sub]; cap(e) != 0 || cap(b) != 0 {
-		t.Errorf("an emptied directory keeps arrays: cap(entries) %d, cap(bytes) %d", cap(e), cap(b))
+	if e := fs.dirCache[sub]; cap(e) != 0 {
+		t.Errorf("an emptied directory keeps its entry array: cap %d", cap(e))
 	}
 	for inum, e := range fs.dirCache {
 		if cap(e) > len(e) && e[:len(e)+1][len(e)] != (layout.DirEntry{}) {

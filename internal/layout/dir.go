@@ -18,23 +18,47 @@ const MaxNameLen = 255
 // as the directory file's data. The stream is a sequence of
 // (inum u32, nameLen u16, name) records.
 func EncodeDirectory(entries []DirEntry) ([]byte, error) {
-	size := 0
-	for _, e := range entries {
+	_, data, err := EncodeDirectoryFrom(entries, 0)
+	return data, err
+}
+
+// EncodeDirectoryFrom encodes the tail of the directory stream that a
+// change at entries[from] can have altered: it returns the offset of the
+// block holding that entry's first byte (the stream's length, rounded
+// down, when from is len(entries)) and the stream's bytes from there to
+// its end. Every name is checked, whichever entries are encoded.
+func EncodeDirectoryFrom(entries []DirEntry, from int) (start int, data []byte, err error) {
+	size, off := 0, 0
+	for i, e := range entries {
 		if len(e.Name) == 0 || len(e.Name) > MaxNameLen {
-			return nil, fmt.Errorf("layout: bad directory entry name length %d", len(e.Name))
+			return 0, nil, fmt.Errorf("layout: bad directory entry name length %d", len(e.Name))
+		}
+		if i == from {
+			off = size
 		}
 		size += 6 + len(e.Name)
 	}
-	buf := make([]byte, size)
-	le := binary.LittleEndian
-	off := 0
-	for _, e := range entries {
-		le.PutUint32(buf[off:], e.Inum)
-		le.PutUint16(buf[off+4:], uint16(len(e.Name)))
-		copy(buf[off+6:], e.Name)
-		off += 6 + len(e.Name)
+	first := from
+	if from >= len(entries) {
+		first, off = len(entries), size
 	}
-	return buf, nil
+	start = off / BlockSize * BlockSize
+	// An entry straddling the block boundary is encoded whole and its
+	// leading bytes skipped.
+	for off > start {
+		first--
+		off -= 6 + len(entries[first].Name)
+	}
+	buf := make([]byte, size-off)
+	le := binary.LittleEndian
+	pos := 0
+	for _, e := range entries[first:] {
+		le.PutUint32(buf[pos:], e.Inum)
+		le.PutUint16(buf[pos+4:], uint16(len(e.Name)))
+		copy(buf[pos+6:], e.Name)
+		pos += 6 + len(e.Name)
+	}
+	return start, buf[start-off:], nil
 }
 
 // DecodeDirectory parses a directory byte stream.

@@ -9,7 +9,8 @@ import (
 // FuzzDirBlock throws arbitrary bytes at the two directory-related
 // decoders. Neither may panic; when DecodeDirectory accepts an input,
 // re-encoding its result must reproduce the input byte for byte (the
-// directory stream has a canonical form).
+// directory stream has a canonical form) and encoding from any entry on
+// must reproduce that entry's block and everything behind it.
 func FuzzDirBlock(f *testing.F) {
 	enc, _ := EncodeDirectory([]DirEntry{
 		{Inum: 2, Name: "hello"},
@@ -34,6 +35,12 @@ func FuzzDirBlock(f *testing.F) {
 			}
 			if !bytes.Equal(re, data) {
 				t.Fatalf("directory round trip changed bytes: %x -> %x", data, re)
+			}
+			for _, from := range []int{0, len(entries) / 2, len(entries)} {
+				start, tail, err := EncodeDirectoryFrom(entries, from)
+				if err != nil || start%BlockSize != 0 || start > len(data) || !bytes.Equal(tail, data[start:]) {
+					t.Fatalf("encoding %d entries from %d: start %d, %d bytes, err %v; whole is %d bytes", len(entries), from, start, len(tail), err, len(data))
+				}
 			}
 		}
 		if ops, err := DecodeDirOpLog(data); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -501,6 +502,64 @@ func TestDirectoryEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("decoded %d entries from empty dir", len(got))
+	}
+}
+
+// TestEncodeDirectoryFrom pins the partial encoder against the whole one:
+// the start is the block holding entries[from]'s first byte, and the bytes
+// are the whole stream's from there on. Entries are 16 bytes (names of 10)
+// unless a case says otherwise, so 256 of them fill a block exactly.
+func TestEncodeDirectoryFrom(t *testing.T) {
+	dir := func(n int, nameLen func(i int) int) []DirEntry {
+		entries := make([]DirEntry, n)
+		for i := range entries {
+			l := 10
+			if nameLen != nil {
+				l = nameLen(i)
+			}
+			entries[i] = DirEntry{Inum: uint32(i + 2), Name: fmt.Sprintf("%0*d", l, i)}
+		}
+		return entries
+	}
+	straddler := func(i int) int { // entry 255 runs from byte 4080 to 4106
+		if i == 255 {
+			return 20
+		}
+		return 10
+	}
+	for _, tc := range []struct {
+		name      string
+		entries   []DirEntry
+		from      int
+		wantStart int
+	}{
+		{"empty directory", nil, 0, 0},
+		{"from 0", dir(600, nil), 0, 0},
+		{"from the middle", dir(600, nil), 300, BlockSize},
+		{"from len", dir(600, nil), 600, 2 * BlockSize},
+		{"entry ending on the boundary", dir(600, nil), 255, 0},
+		{"entry starting on the boundary", dir(600, nil), 256, BlockSize},
+		{"stream ending on the boundary", dir(256, nil), 256, BlockSize},
+		{"entry straddling the boundary", dir(600, straddler), 255, 0},
+		{"entry behind the straddler", dir(600, straddler), 256, BlockSize},
+		{"delete pulls the end back a block", dir(256, straddler)[:255], 255, 0},
+	} {
+		whole, err := EncodeDirectory(tc.entries)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		start, data, err := EncodeDirectoryFrom(tc.entries, tc.from)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if start != tc.wantStart {
+			t.Errorf("%s: start %d, want %d", tc.name, start, tc.wantStart)
+		} else if !bytes.Equal(data, whole[start:]) {
+			t.Errorf("%s: %d bytes from %d differ from the whole encoding's %d", tc.name, len(data), start, len(whole)-start)
+		}
+	}
+	if _, _, err := EncodeDirectoryFrom([]DirEntry{{Inum: 1, Name: ""}, {Inum: 2, Name: "ok"}}, 1); err == nil {
+		t.Error("empty name in front of from accepted")
 	}
 }
 

@@ -183,6 +183,7 @@ var (
 	ErrNotEmpty     = core.ErrNotEmpty
 	ErrNoSpace      = core.ErrNoSpace
 	ErrNoInodes     = core.ErrNoInodes
+	ErrTooManyLinks = core.ErrTooManyLinks
 	ErrFileTooBig   = core.ErrFileTooBig
 	ErrUnmounted    = core.ErrUnmounted
 	ErrNoCheckpoint = core.ErrNoCheckpoint

@@ -27,13 +27,13 @@ func TestBackgroundCleanSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range w.Points() {
-				if err := w.RunPoint(k); err != nil {
+				if err := w.RunPoint(k, ArmInline); err != nil {
 					// Inline cleaning is the baseline; a failure here is
 					// TestCrashPointSweep's department, not a regression
 					// introduced by the background cleaner.
 					t.Fatalf("inline baseline failed: %v", err)
 				}
-				if err := w.RunPointBG(k); err != nil {
+				if err := w.RunPoint(k, ArmBackground); err != nil {
 					t.Errorf("background cleaner introduced a new failure: %v", err)
 				}
 			}
@@ -64,7 +64,7 @@ func TestPinnedCrashPointsBG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.RunPointBG(c.k); err != nil {
+			if err := w.RunPoint(c.k, ArmBackground); err != nil {
 				t.Fatal(err)
 			}
 		})

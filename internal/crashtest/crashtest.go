@@ -23,7 +23,6 @@ package crashtest
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -42,8 +41,14 @@ type Config struct {
 	// MaxPoints write boundaries are explored exhaustively, larger ones
 	// are sampled (default 16). Negative means always exhaustive.
 	MaxPoints int
-	// MaxFaultSites caps the read sites FaultSweep injects faults at;
-	// 0 explores every site, larger site sets are sampled evenly.
+	// MaxFaultSites caps the sites a fault sweep injects faults at; larger
+	// site sets are sampled evenly (sampleSites). For FaultSweep and
+	// FaultSweepNVReplay, whose site set is bounded by what a verification
+	// walk or a recovery mount reads, 0 (or negative) explores every site.
+	// FaultSweepWrites' site set is every block the workload ever wrote:
+	// there the cap applies to the log-area sites only (checkpoint-region
+	// sites are never sampled away), 0 means defaultWriteFaultSites and
+	// only a negative value sweeps every site.
 	MaxFaultSites int
 	// ExtraFaultSites are addresses FaultSweepNVReplay injects faults at
 	// whether or not the traced recovery read them.
@@ -109,15 +114,11 @@ func Record(s core.Script, cfg Config) (*Workload, error) {
 // goroutine flushes the disk asynchronously. The recording's per-op
 // block counts are only used to enumerate crash points — with the async
 // committer the replayed write sequence is not block-identical to the
-// recording, so RunPointNV derives its durable floors from the replay
-// itself.
+// recording, so the NVRAM arms of RunPoint take their durable floors from
+// the replay itself.
 func RecordNV(s core.Script, cfg Config, noGroupCommit bool) (*Workload, error) {
 	cfg = cfg.withDefaults()
-	opts := *cfg.Opts
-	opts.NVSyncAbsorb = true
-	opts.NVRAM = core.NewNVRAM(cfg.NVBytes)
-	opts.NoGroupCommit = noGroupCommit
-	w, err := record(s, cfg, opts)
+	w, err := record(s, cfg, nvOptions(cfg, noGroupCommit))
 	if err != nil {
 		return nil, err
 	}
@@ -160,12 +161,8 @@ func record(s core.Script, cfg Config, opts core.Options) (*Workload, error) {
 	if err := model.Verify(fs); err != nil {
 		return nil, fmt.Errorf("crashtest: record run diverged from model: %w", err)
 	}
-	rep, err := fs.Check()
-	if err != nil {
-		return nil, fmt.Errorf("crashtest: record check: %w", err)
-	}
-	if len(rep.Problems) > 0 {
-		return nil, fmt.Errorf("crashtest: record run inconsistent: %s", rep.Problems[0])
+	if err := checkClean(fs); err != nil {
+		return nil, fmt.Errorf("crashtest: record run: %w", err)
 	}
 	// Join the committer/cleaner goroutines; the snapshot was taken
 	// before this mount, so the unmount checkpoint is irrelevant to it.
@@ -184,11 +181,20 @@ func (w *Workload) Total() int64 {
 	return w.cum[len(w.cum)-1]
 }
 
+// durable reports whether op's return acknowledges durability on disk.
+func durable(op core.Op) bool {
+	return op.Kind == core.OpSync || op.Kind == core.OpCheckpoint
+}
+
 // Points enumerates the crash points to explore: every write boundary
 // when the workload persists at most cfg.MaxPoints blocks, otherwise an
 // evenly spaced sample of MaxPoints boundaries plus the boundaries just
-// before and at each Sync/Checkpoint completion (the torn-checkpoint
-// region, which stratified sampling alone would usually miss).
+// before and at each durability edge (the torn-checkpoint region, which
+// stratified sampling alone would usually miss). A durability edge is a
+// Sync/Checkpoint completion; for a workload recorded with RecordNV every
+// operation completion is an NVRAM commit, so op ends are edges too —
+// exactly where "durable via NVRAM, absent from the disk log" states
+// live (sampled evenly past 64 ops to bound the sweep).
 func (w *Workload) Points() []int64 {
 	total := w.Total()
 	if total == 0 {
@@ -206,8 +212,9 @@ func (w *Workload) Points() []int64 {
 	for j := 0; j < max; j++ {
 		set[int64(j)*total/int64(max)] = true
 	}
+	stride := 1 + (len(w.Ops)-1)/64
 	for i, op := range w.Ops {
-		if op.Kind != core.OpSync && op.Kind != core.OpCheckpoint {
+		if !durable(op) && !(w.nvAbsorb && i%stride == 0) {
 			continue
 		}
 		for _, k := range []int64{w.cum[i] - 1, w.cum[i]} {
@@ -216,12 +223,7 @@ func (w *Workload) Points() []int64 {
 			}
 		}
 	}
-	out := make([]int64, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
+	return sortedKeys(set)
 }
 
 // crashIndex returns the index of the operation during which a power cut
@@ -245,273 +247,171 @@ func (w *Workload) floorIndex(k int64) int {
 		if w.cum[i] > k {
 			break
 		}
-		if op.Kind == core.OpSync || op.Kind == core.OpCheckpoint {
+		if durable(op) {
 			floor = i
 		}
 	}
 	return floor
 }
 
+// Arm selects how RunPoint replays the workload up to the power cut and
+// how it recovers afterwards. The arms differ only in the replay's
+// options, in which operation index the replay recorded is the oracle's
+// durable floor, and in whether the recovery mount gets the NVRAM.
+type Arm int
+
+const (
+	// ArmInline replays under the recording's own options, so the write
+	// sequence is block-for-block the recording's: the op the cut lands
+	// in and the last Sync/Checkpoint that returned (the floor) must both
+	// match what the recording predicts, and a replay that never crashes
+	// is an error. These are the harness's two determinism assertions.
+	ArmInline Arm = iota
+	// ArmBackground replays with Options.BackgroundClean. The cleaner
+	// runs in a goroutine, so the write sequence is not the recording's:
+	// the crash lands at a runtime-discovered operation (possibly inside
+	// the cleaner's own writes, possibly nowhere if the replay persists
+	// fewer blocks than the recording did by point k). The floor is the
+	// last Sync/Checkpoint that returned before the cut. The background
+	// cleaner may move live blocks and checkpoint concurrently with the
+	// workload, but it must never change what a crash can lose.
+	ArmBackground
+	// ArmNVSurvives replays a RecordNV workload with NVSyncAbsorb and
+	// mounts the crashed image with the same NVRAM, which replays the
+	// redo records. The floor is the last operation that completed before
+	// the cut — in absorb mode every completed operation is NVRAM-durable,
+	// whether or not the disk log ever saw it.
+	ArmNVSurvives
+	// ArmNVLost is the same replay, but the NVRAM contents are lost with
+	// the power (a fail-stop board, or a battery that did not hold).
+	// Recovery falls back to checkpoint + roll-forward alone, and the
+	// floor is the disk epoch: the last operation after which the replay
+	// observed flushedSeq covering stageSeq (Durability). Absorbed-but-
+	// unflushed operations land inside the oracle window, where losing
+	// them is acceptable and resurrecting impossible states is not.
+	ArmNVLost
+)
+
+func (a Arm) String() string {
+	return [...]string{"inline", "background", "nvram-survives", "nvram-lost"}[a]
+}
+
+func (a Arm) nv() bool { return a == ArmNVSurvives || a == ArmNVLost }
+
+// nvOptions returns cfg's options in NVSyncAbsorb mode over a fresh NVRAM.
+func nvOptions(cfg Config, noGroupCommit bool) core.Options {
+	opts := *cfg.Opts
+	opts.NVSyncAbsorb = true
+	opts.NVRAM = core.NewNVRAM(cfg.NVBytes)
+	opts.NoGroupCommit = noGroupCommit
+	return opts
+}
+
+// cut is what one replay observed, as operation indices (-1: none). In
+// every arm but ArmInline the replayed write sequence differs from the
+// recording's (a goroutine, retries or relocation writes move it), so the
+// oracle's window is taken from these, never from the recording.
+type cut struct {
+	crashed   int // op the cut landed in; the last op when it landed after them all (in the unmount, or nowhere)
+	completed int // last op that returned success
+	synced    int // last Sync/Checkpoint that returned success
+	onDisk    int // last op after which Durability showed the disk epoch covering every staged op
+}
+
+// replay mounts d under opts, arms a power cut after k persisted blocks
+// and applies the workload until the cut lands. It is the only place the
+// package arms a power cut. The final Unmount joins the committer and
+// cleaner goroutines and releases the image; on a crashed disk its flush
+// or checkpoint fails, and that is the crash that was asked for.
+func (w *Workload) replay(d *disk.Disk, opts core.Options, k int64) (cut, error) {
+	c := cut{crashed: len(w.Ops) - 1, completed: -1, synced: -1, onDisk: -1}
+	fs, err := core.Mount(d, opts)
+	if err != nil {
+		return c, fmt.Errorf("pre-crash mount: %w", err)
+	}
+	defer fs.Unmount()
+	d.FailAfterWrites(k)
+	for i, op := range w.Ops {
+		if err := core.ApplyOp(fs, op); err != nil {
+			if !d.Crashed() {
+				return c, fmt.Errorf("op %d (%s) failed without a crash: %w", i, op, err)
+			}
+			c.crashed = i
+			break
+		}
+		c.completed = i
+		if durable(op) {
+			c.synced = i
+		}
+		if staged, _, onDisk := fs.Durability(); onDisk >= staged {
+			c.onDisk = i
+		}
+	}
+	return c, nil
+}
+
+// recover reboots the crashed image d — the power cut heals, media faults
+// do not — mounts it under opts via checkpoint + roll-forward (and NVRAM
+// replay, when opts carries one) and verifies it: structural consistency
+// plus the durability oracle over the window [floor, crashed].
+func (w *Workload) recover(d *disk.Disk, opts core.Options, floor, crashed int) error {
+	d.Reopen()
+	fs, err := core.Mount(d, opts)
+	if err != nil {
+		return fmt.Errorf("recovery mount: %w", err)
+	}
+	defer fs.Unmount()
+	if err := checkClean(fs); err != nil {
+		return fmt.Errorf("recovered image: %w", err)
+	}
+	_, err = w.hist.check(fs, floor, crashed, false)
+	return err
+}
+
 // RunPoint replays the workload against a fresh clone of the starting
 // image with power cut after k persisted blocks, then mounts the crashed
 // image via roll-forward and verifies it: structural consistency plus
-// the durability oracle. It returns nil when recovery is correct.
-func (w *Workload) RunPoint(k int64) error {
-	if k < 0 || k >= w.Total() {
-		return fmt.Errorf("crashtest: crash point %d outside [0,%d)", k, w.Total())
+// the durability oracle. It returns nil when recovery is correct. A
+// replay that never crashes (it wrote fewer blocks than the recording by
+// point k) degenerates to an exact check of the final state.
+func (w *Workload) RunPoint(k int64, arm Arm) error {
+	if arm.nv() != w.nvAbsorb {
+		return fmt.Errorf("crashtest: %s arm on a workload recorded for the other durability model (Record for inline/background, RecordNV for the nvram arms)", arm)
 	}
-	d := disk.FromSnapshot(w.snap)
-	fs, err := core.Mount(d, *w.cfg.Opts)
-	if err != nil {
-		return fmt.Errorf("crashtest: k=%d: pre-crash mount: %w", k, err)
-	}
-	d.FailAfterWrites(k)
-	crashed := -1
-	for i, op := range w.Ops {
-		if err := core.ApplyOp(fs, op); err != nil {
-			if !d.Crashed() {
-				return fmt.Errorf("crashtest: k=%d: op %d (%s) failed without a crash: %w", k, i, op, err)
-			}
-			crashed = i
-			break
-		}
-	}
-	if crashed == -1 {
-		return fmt.Errorf("crashtest: k=%d < total=%d but the replay never crashed (nondeterministic replay?)", k, w.Total())
-	}
-	if want := w.crashIndex(k); crashed != want {
-		return fmt.Errorf("crashtest: k=%d: crashed during op %d, recording says op %d (nondeterministic replay)", k, crashed, want)
-	}
-
-	d.Reopen()
-	fs2, err := core.Mount(d, *w.cfg.Opts)
-	if err != nil {
-		return fmt.Errorf("crashtest: k=%d (crash in op %d, %s): recovery mount: %w", k, crashed, w.Ops[crashed], err)
-	}
-	rep, err := fs2.Check()
-	if err != nil {
-		return fmt.Errorf("crashtest: k=%d: post-recovery check: %w", k, err)
-	}
-	if len(rep.Problems) > 0 {
-		return fmt.Errorf("crashtest: k=%d (crash in op %d, %s): recovered image inconsistent: %s",
-			k, crashed, w.Ops[crashed], rep.Problems[0])
-	}
-	floor := w.floorIndex(k)
-	if err := w.hist.check(fs2, floor, crashed); err != nil {
-		return fmt.Errorf("crashtest: k=%d (crash in op %d, %s; floor op %d): %w",
-			k, crashed, w.Ops[crashed], floor, err)
-	}
-	return nil
-}
-
-// RunPointBG replays the workload with the background cleaner enabled
-// (Options.BackgroundClean) and power cut after k persisted blocks.
-// Background cleaning runs in a goroutine, so the write sequence is not
-// block-for-block identical to the inline recording: the crash lands at
-// a runtime-discovered operation (possibly inside the cleaner's own
-// writes, possibly nowhere if the replay persists fewer blocks than the
-// recording did by point k). The durable floor is therefore derived
-// from the replay itself — the last Sync/Checkpoint that returned
-// success before the cut — rather than from the recording. Recovery
-// must still produce a structurally consistent image satisfying the
-// same durability oracle: the background cleaner may move live blocks
-// and checkpoint concurrently with the workload, but it must never
-// change what a crash can lose.
-func (w *Workload) RunPointBG(k int64) error {
 	if k < 0 || k >= w.Total() {
 		return fmt.Errorf("crashtest: crash point %d outside [0,%d)", k, w.Total())
 	}
 	opts := *w.cfg.Opts
-	opts.BackgroundClean = true
+	switch {
+	case arm == ArmBackground:
+		opts.BackgroundClean = true
+	case arm.nv():
+		opts = nvOptions(w.cfg, w.nvNoGC)
+	}
 	d := disk.FromSnapshot(w.snap)
-	fs, err := core.Mount(d, opts)
+	c, err := w.replay(d, opts, k)
 	if err != nil {
-		return fmt.Errorf("crashtest: bg k=%d: pre-crash mount: %w", k, err)
+		return fmt.Errorf("crashtest: %s k=%d: %w", arm, k, err)
 	}
-	d.FailAfterWrites(k)
-	crashed := len(w.Ops) - 1
-	floor := -1
-	for i, op := range w.Ops {
-		if err := core.ApplyOp(fs, op); err != nil {
-			if !d.Crashed() {
-				fs.Unmount()
-				return fmt.Errorf("crashtest: bg k=%d: op %d (%s) failed without a crash: %w", k, i, op, err)
-			}
-			crashed = i
-			break
+	floor := c.synced
+	switch arm {
+	case ArmInline:
+		if c.completed == len(w.Ops)-1 {
+			return fmt.Errorf("crashtest: k=%d < total=%d but the replay never crashed (nondeterministic replay?)", k, w.Total())
 		}
-		if op.Kind == core.OpSync || op.Kind == core.OpCheckpoint {
-			floor = i
+		if wantC, wantF := w.crashIndex(k), w.floorIndex(k); c.crashed != wantC || floor != wantF {
+			return fmt.Errorf("crashtest: k=%d: crashed during op %d with floor op %d, recording says op %d and %d (nondeterministic replay)",
+				k, c.crashed, floor, wantC, wantF)
 		}
+	case ArmNVSurvives:
+		floor = c.completed
+	case ArmNVLost:
+		floor = c.onDisk
+		opts.NVRAM, opts.NVSyncAbsorb = nil, false
 	}
-	// Join the cleaner goroutine and release the image. On a crashed
-	// disk the final flush or checkpoint fails; that is the crash we
-	// asked for, so the error is ignored.
-	_ = fs.Unmount()
-
-	d.Reopen()
-	fs2, err := core.Mount(d, opts)
-	if err != nil {
-		return fmt.Errorf("crashtest: bg k=%d (crash in op %d, %s): recovery mount: %w", k, crashed, w.Ops[crashed], err)
-	}
-	defer fs2.Unmount()
-	rep, err := fs2.Check()
-	if err != nil {
-		return fmt.Errorf("crashtest: bg k=%d: post-recovery check: %w", k, err)
-	}
-	if len(rep.Problems) > 0 {
-		return fmt.Errorf("crashtest: bg k=%d (crash in op %d, %s): recovered image inconsistent: %s",
-			k, crashed, w.Ops[crashed], rep.Problems[0])
-	}
-	if err := w.hist.check(fs2, floor, crashed); err != nil {
-		return fmt.Errorf("crashtest: bg k=%d (crash in op %d, %s; floor op %d): %w",
-			k, crashed, w.Ops[crashed], floor, err)
-	}
-	return nil
-}
-
-// PointsNV enumerates crash points for the NVRAM-absorbed durability
-// model. With NVSyncAbsorb every operation completion is an NVRAM
-// commit, so the boundaries just before and at each operation's end —
-// not only Sync/Checkpoint ends — are durability edges the oracle must
-// hold at: they are exactly where "durable via NVRAM, absent from the
-// disk log" states live. Small workloads are exhaustive like Points;
-// larger ones take the stratified sample plus every NVRAM-commit
-// boundary (op ends are sampled evenly past 64 ops to bound the sweep).
-func (w *Workload) PointsNV() []int64 {
-	total := w.Total()
-	if total == 0 {
-		return nil
-	}
-	maxPts := w.cfg.MaxPoints
-	if maxPts < 0 || total <= int64(maxPts) {
-		out := make([]int64, total)
-		for k := range out {
-			out[k] = int64(k)
-		}
-		return out
-	}
-	set := make(map[int64]bool)
-	for j := 0; j < maxPts; j++ {
-		set[int64(j)*total/int64(maxPts)] = true
-	}
-	stride := 1 + (len(w.Ops)-1)/64
-	for i, op := range w.Ops {
-		commit := op.Kind == core.OpSync || op.Kind == core.OpCheckpoint || i%stride == 0
-		if !commit {
-			continue
-		}
-		for _, k := range []int64{w.cum[i] - 1, w.cum[i]} {
-			if k >= 0 && k < total {
-				set[k] = true
-			}
-		}
-	}
-	out := make([]int64, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// RunPointNV replays an NVSyncAbsorb workload (from RecordNV) with power
-// cut after k persisted blocks, then exercises one of the two recovery
-// arms:
-//
-//   - nvSurvives=true: the crashed image is mounted with the same NVRAM,
-//     which replays the redo records. The durable floor is the last
-//     operation that completed before the cut — in absorb mode every
-//     completed operation is NVRAM-durable, whether or not the disk log
-//     ever saw it.
-//   - nvSurvives=false: the NVRAM contents are lost with the power (a
-//     fail-stop board, or a battery that did not hold). Recovery falls
-//     back to checkpoint + roll-forward alone, and the durable floor is
-//     the disk epoch: the last operation after which the replay observed
-//     flushedSeq covering stageSeq (Durability). Absorbed-but-unflushed
-//     operations land inside the oracle window, where losing them is
-//     acceptable and resurrecting impossible states is not.
-//
-// The async committer makes the replayed write sequence differ from the
-// recording, so both floors are derived from the replay itself (the
-// RunPointBG pattern) and a replay that never crashes — it wrote fewer
-// blocks than the recording by point k — degenerates to an exact check
-// of the final state.
-func (w *Workload) RunPointNV(k int64, nvSurvives bool) error {
-	if !w.nvAbsorb {
-		return fmt.Errorf("crashtest: RunPointNV on a workload not recorded with RecordNV")
-	}
-	if k < 0 || k >= w.Total() {
-		return fmt.Errorf("crashtest: crash point %d outside [0,%d)", k, w.Total())
-	}
-	arm := "nvram-survives"
-	if !nvSurvives {
-		arm = "nvram-lost"
-	}
-	opts := *w.cfg.Opts
-	opts.NVSyncAbsorb = true
-	opts.NVRAM = core.NewNVRAM(w.cfg.NVBytes)
-	opts.NoGroupCommit = w.nvNoGC
-	d := disk.FromSnapshot(w.snap)
-	fs, err := core.Mount(d, opts)
-	if err != nil {
-		return fmt.Errorf("crashtest: %s k=%d: pre-crash mount: %w", arm, k, err)
-	}
-	d.FailAfterWrites(k)
-	completed := -1 // last op that returned success
-	crashed := -1   // op the cut landed in (-1: after all ops)
-	diskFloor := -1 // last op the disk epoch was observed to cover
-	for i, op := range w.Ops {
-		if err := core.ApplyOp(fs, op); err != nil {
-			if !d.Crashed() {
-				fs.Unmount()
-				return fmt.Errorf("crashtest: %s k=%d: op %d (%s) failed without a crash: %w", arm, k, i, op, err)
-			}
-			crashed = i
-			break
-		}
-		completed = i
-		if staged, _, diskSeq := fs.Durability(); diskSeq >= staged {
-			diskFloor = i
-		}
-	}
-	if crashed == -1 {
-		// The cut lands after every op (in the unmount below, or not at
-		// all when this replay wrote fewer blocks than the recording).
-		crashed = completed
-	}
-	// Join the committer goroutine and release the image. On a crashed
-	// disk the final flush or checkpoint fails; that is the crash we
-	// asked for, so the error is ignored.
-	_ = fs.Unmount()
-
-	d.Reopen()
-	ropts := opts
-	if !nvSurvives {
-		ropts.NVRAM = nil
-		ropts.NVSyncAbsorb = false
-	}
-	fs2, err := core.Mount(d, ropts)
-	if err != nil {
-		return fmt.Errorf("crashtest: %s k=%d (crash in op %d, %s): recovery mount: %w",
-			arm, k, crashed, w.Ops[crashed], err)
-	}
-	defer fs2.Unmount()
-	rep, err := fs2.Check()
-	if err != nil {
-		return fmt.Errorf("crashtest: %s k=%d: post-recovery check: %w", arm, k, err)
-	}
-	if len(rep.Problems) > 0 {
-		return fmt.Errorf("crashtest: %s k=%d (crash in op %d, %s): recovered image inconsistent: %s",
-			arm, k, crashed, w.Ops[crashed], rep.Problems[0])
-	}
-	floor := diskFloor
-	if nvSurvives {
-		floor = completed
-	}
-	if err := w.hist.check(fs2, floor, crashed); err != nil {
+	if err := w.recover(d, opts, floor, c.crashed); err != nil {
 		return fmt.Errorf("crashtest: %s k=%d (crash in op %d, %s; floor op %d): %w",
-			arm, k, crashed, w.Ops[crashed], floor, err)
+			arm, k, c.crashed, w.Ops[c.crashed], floor, err)
 	}
 	return nil
 }
@@ -528,10 +428,10 @@ func SweepNV(s core.Script, cfg Config) (int, error) {
 		if err != nil {
 			return runs, fmt.Errorf("seed %d (nogc=%v): %w", s.Seed, noGC, err)
 		}
-		for _, k := range w.PointsNV() {
-			for _, survives := range []bool{true, false} {
+		for _, k := range w.Points() {
+			for _, arm := range []Arm{ArmNVSurvives, ArmNVLost} {
 				runs++
-				if err := w.RunPointNV(k, survives); err != nil {
+				if err := w.RunPoint(k, arm); err != nil {
 					return runs, fmt.Errorf("seed %d (nogc=%v): %w", s.Seed, noGC, err)
 				}
 			}
@@ -550,7 +450,7 @@ func Sweep(s core.Script, cfg Config) (int, error) {
 	}
 	points := w.Points()
 	for _, k := range points {
-		if err := w.RunPoint(k); err != nil {
+		if err := w.RunPoint(k, ArmInline); err != nil {
 			return len(points), fmt.Errorf("seed %d: %w", s.Seed, err)
 		}
 	}

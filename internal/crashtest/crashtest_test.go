@@ -1,10 +1,14 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -112,6 +116,74 @@ func TestPointsCoverSyncBoundaries(t *testing.T) {
 			if k >= 0 && k < w.Total() && !points[k] {
 				t.Fatalf("sync boundary k=%d (op %d) missing from sampled points", k, i)
 			}
+		}
+	}
+}
+
+// TestRunPointRefusesOtherModel: an NVRAM arm on a Record workload, or a
+// disk arm on a RecordNV one, is refused by name before a disk is touched
+// (the second direction used to surface as "nondeterministic replay").
+func TestRunPointRefusesOtherModel(t *testing.T) {
+	t.Parallel()
+	s := core.Script{Seed: 7, N: 30}
+	plain, err := Record(s, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv, err := RecordNV(s, Config{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		w   *Workload
+		arm Arm
+	}{
+		{plain, ArmNVSurvives}, {plain, ArmNVLost}, {nv, ArmInline}, {nv, ArmBackground},
+	} {
+		err := c.w.RunPoint(0, c.arm)
+		if err == nil || !strings.Contains(err.Error(), "recorded for the other durability model") {
+			t.Errorf("%s arm on the other model's recording: got %v, want the refusal", c.arm, err)
+		}
+	}
+}
+
+// TestSweepsLeakNoGoroutines runs one small call of every sweep and
+// requires the goroutine count back at its start: every mount a sweep
+// makes — crashed, faulted, traced, salvaged — is unmounted, so no
+// committer or cleaner goroutine outlives it pinning an FS and a disk
+// clone. Not parallel: it counts the process's goroutines.
+func TestSweepsLeakNoGoroutines(t *testing.T) {
+	s := core.Script{Seed: 3, N: 40}
+	sweeps := []struct {
+		name string
+		run  func() error
+	}{
+		{"Sweep", func() error { _, err := Sweep(s, Config{MaxPoints: 6}); return err }},
+		{"SweepNV", func() error { _, err := SweepNV(s, Config{MaxPoints: 4}); return err }},
+		{"FaultSweep", func() error { _, err := FaultSweep(s, Config{MaxFaultSites: 6}); return err }},
+		{"FaultSweepNVReplay", func() error {
+			for k := int64(3); k < 40; k += 4 {
+				if _, err := FaultSweepNVReplay(s, Config{MaxFaultSites: 6}, k); !errors.Is(err, ErrNoNVPending) {
+					return err
+				}
+			}
+			return errors.New("no probed crash point left NVRAM records pending")
+		}},
+		{"FaultSweepWrites", func() error { _, err := FaultSweepWrites(s, Config{MaxFaultSites: 4}); return err }},
+		{"DestructionSweep", func() error { _, err := DestructionSweep(s, 6, Config{DiskBlocks: 4096}); return err }},
+	}
+	for _, sw := range sweeps {
+		before := runtime.NumGoroutine()
+		if err := sw.run(); err != nil {
+			t.Fatalf("%s: %v", sw.name, err)
+		}
+		// A goroutine Unmount just joined may still be on its way out; one
+		// left by a mounted file system never goes.
+		for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines before, %d after: a mount was left without its Unmount", sw.name, before, n)
 		}
 	}
 }

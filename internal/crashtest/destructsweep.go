@@ -3,6 +3,7 @@ package crashtest
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -287,53 +288,33 @@ func (ds *destScan) dirEntries(d *disk.Disk, inum uint32) ([]layout.DirEntry, er
 // combination — salvages each, and holds the physical-survival contract
 // described at the top of the file. It returns the sweep summary and the
 // first violation found (nil when every site upheld it).
-func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepResult, error) {
+func DestructionSweep(s core.Script, sites int, cfg Config) (res *DestructionSweepResult, err error) {
+	defer seedErr("destructsweep", s, &err)
 	cfg = cfg.withDefaults()
-	res := &DestructionSweepResult{Sites: sites}
+	res = &DestructionSweepResult{Sites: sites}
 
-	// Build the final image: run the whole workload once and unmount
-	// cleanly. Destruction is then applied to clones of this image.
-	d0 := disk.MustNew(disk.DefaultGeometry(cfg.DiskBlocks))
-	fs, err := core.Format(d0, *cfg.Opts)
+	// The final image, and the final state as the file system reports it.
+	snap, want, paths, err := buildFinalImage(s, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: format: %w", s.Seed, err)
+		return nil, err
 	}
-	for i, op := range s.Ops() {
-		if err := core.ApplyOp(fs, op); err != nil {
-			return nil, fmt.Errorf("destructsweep seed %d: op %d (%s): %w", s.Seed, i, op, err)
-		}
-	}
-	if err := fs.Unmount(); err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: unmount: %w", s.Seed, err)
-	}
-	snap := d0.Snapshot()
 
-	// Ground truth: the final state as the file system reports it.
+	// The independent layout-level map of the same image: a clone of the
+	// very snapshot destruction is applied to, read with Peek only. (Not
+	// the clone the baseline walk mounted — its unmount wrote a checkpoint
+	// and imap/usage blocks the destroyed clones never see.)
 	d := disk.FromSnapshot(snap)
-	fs, err = core.Mount(d, *cfg.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: baseline mount: %w", s.Seed, err)
-	}
-	want, err := walkFS(fs)
-	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: baseline walk: %w", s.Seed, err)
-	}
-	if err := fs.Unmount(); err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: baseline unmount: %w", s.Seed, err)
-	}
-
-	// The independent layout-level map of the same image.
 	sbBuf, err := d.Peek(0)
 	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: superblock: %w", s.Seed, err)
+		return nil, fmt.Errorf("superblock: %w", err)
 	}
 	sb, err := layout.DecodeSuperblock(sbBuf)
 	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: superblock: %w", s.Seed, err)
+		return nil, fmt.Errorf("superblock: %w", err)
 	}
 	ds, err := scanImage(d, sb)
 	if err != nil {
-		return nil, fmt.Errorf("destructsweep seed %d: scan: %w", s.Seed, err)
+		return nil, fmt.Errorf("scan: %w", err)
 	}
 
 	// Resolve every baseline path through the scanned directory tree and
@@ -364,31 +345,21 @@ func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepRe
 		entsCache[inum] = e
 		return e, nil
 	}
-	merge := func(dst, src map[int64]bool) {
-		for a := range src {
-			dst[a] = true
-		}
-	}
 	ownDeps := map[string]map[int64]bool{}
 	fullDeps := map[string]map[int64]bool{}
-	paths := make([]string, 0, len(want))
-	for p := range want {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
 	for _, p := range paths {
 		full := map[int64]bool{}
 		rc, err := getClosure(core.RootInum)
 		if err != nil {
-			return nil, fmt.Errorf("destructsweep seed %d: root closure: %w", s.Seed, err)
+			return nil, fmt.Errorf("root closure: %w", err)
 		}
-		merge(full, rc)
+		maps.Copy(full, rc)
 		cur := core.RootInum
 		parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
 		for i, name := range parts {
 			ents, err := getEnts(cur)
 			if err != nil {
-				return nil, fmt.Errorf("destructsweep seed %d: resolve %s: %w", s.Seed, p, err)
+				return nil, fmt.Errorf("resolve %s: %w", p, err)
 			}
 			child := uint32(0)
 			for _, e := range ents {
@@ -398,13 +369,13 @@ func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepRe
 				}
 			}
 			if child == 0 {
-				return nil, fmt.Errorf("destructsweep seed %d: resolve %s: %q not found in the scanned tree", s.Seed, p, name)
+				return nil, fmt.Errorf("resolve %s: %q not found in the scanned tree", p, name)
 			}
 			cc, err := getClosure(child)
 			if err != nil {
-				return nil, fmt.Errorf("destructsweep seed %d: closure of %s: %w", s.Seed, p, err)
+				return nil, fmt.Errorf("closure of %s: %w", p, err)
 			}
-			merge(full, cc)
+			maps.Copy(full, cc)
 			if i == len(parts)-1 {
 				ownDeps[p] = cc
 			}
@@ -417,12 +388,7 @@ func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepRe
 	segEnd := sb.SegmentBase + int64(sb.NumSegments)*int64(sb.SegmentBlocks)
 
 	// runOne destroys one clone and salvages it.
-	runOne := func(site int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("PANIC: %v", r)
-			}
-		}()
+	runOne := func(site int) error {
 		rng := rand.New(rand.NewSource(s.Seed*1000003 + int64(site)))
 		fd := disk.FromSnapshot(snap)
 		destroyed := map[int64]bool{}
@@ -512,17 +478,14 @@ func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepRe
 		if sfs.Degraded() {
 			return fmt.Errorf("salvaged image is degraded: %s", sfs.DegradedReason())
 		}
-		rep, cerr := sfs.Check()
-		if cerr != nil {
-			return fmt.Errorf("post-salvage check: %w", cerr)
+		if err := checkClean(sfs); err != nil {
+			return fmt.Errorf("salvaged image: %w", err)
 		}
-		if len(rep.Problems) > 0 {
-			return fmt.Errorf("salvaged image inconsistent: %s", rep.Problems[0])
-		}
-		got, werr := walkFS(sfs)
+		t, werr := walkTree(sfs, false)
 		if werr != nil {
 			return fmt.Errorf("post-salvage walk: %w", werr)
 		}
+		got := t.rec
 
 		// The physical-survival oracle.
 		survives := func(deps map[int64]bool) bool {
@@ -576,36 +539,15 @@ func DestructionSweep(s core.Script, sites int, cfg Config) (*DestructionSweepRe
 		if uerr := sfs.Unmount(); uerr != nil {
 			return fmt.Errorf("post-salvage unmount: %w", uerr)
 		}
-		rfs, merr := core.Mount(fd, *cfg.Opts)
-		if merr != nil {
-			return fmt.Errorf("remount of the salvaged image: %w", merr)
-		}
-		if rfs.Degraded() {
-			return fmt.Errorf("salvaged image remounted degraded: %s", rfs.DegradedReason())
-		}
-		rep, cerr = rfs.Check()
-		if cerr != nil {
-			return fmt.Errorf("remount check: %w", cerr)
-		}
-		if len(rep.Problems) > 0 {
-			return fmt.Errorf("remounted salvaged image inconsistent: %s", rep.Problems[0])
-		}
-		got2, werr := walkFS(rfs)
-		if werr != nil {
-			return fmt.Errorf("remount walk: %w", werr)
-		}
-		if derr := diffWalk(got2, got); derr != nil {
-			return fmt.Errorf("salvaged state not durable across remount: %w", derr)
-		}
-		if uerr := rfs.Unmount(); uerr != nil {
-			return fmt.Errorf("remount unmount: %w", uerr)
+		if _, _, err := absorbed(fd, *cfg.Opts, nil, got); err != nil {
+			return fmt.Errorf("remount of the salvaged image: %w", err)
 		}
 		return nil
 	}
 
 	for site := 0; site < sites; site++ {
-		if err := runOne(site); err != nil {
-			return res, fmt.Errorf("destructsweep seed %d: site %d (arm %d): %w", s.Seed, site, site%6, err)
+		if err := guarded(func() error { return runOne(site) }); err != nil {
+			return res, fmt.Errorf("site %d (arm %d): %w", site, site%6, err)
 		}
 	}
 	return res, nil

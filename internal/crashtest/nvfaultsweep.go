@@ -1,9 +1,9 @@
 package crashtest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -30,6 +30,11 @@ var ErrNoNVPending = errors.New("crashtest: crash point leaves no NVRAM records 
 //   - no panic, ever — a half-recovered image plus hostile media is the
 //     worst input the mount path takes;
 //   - the recovery mount either succeeds or fails with a typed error;
+//   - a recovery mount that fails leaves the NVRAM image byte-for-byte
+//     untouched, so a remount on healthy media or after SalvageImage
+//     still replays every acknowledged operation (DESIGN.md §4; handing
+//     back a degraded file system with records unreplayed would show a
+//     namespace older than what Sync acknowledged);
 //   - on a successful mount, walking the recovered tree either succeeds
 //     or fails with typed errors (degraded read-only mode counts as
 //     success: intact files must stay readable), and a mount that a
@@ -39,180 +44,81 @@ var ErrNoNVPending = errors.New("crashtest: crash point leaves no NVRAM records 
 //     against the baseline is deliberately NOT required of faulted runs:
 //     a fault that lands in the roll-forward region legitimately changes
 //     how much of the torn tail is recovered).
-func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (*FaultSweepResult, error) {
+func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (res *FaultSweepResult, err error) {
+	defer seedErr("nvfaultsweep", s, &err)
 	cfg = cfg.withDefaults()
 	// Serialized commit mode: no async committer racing the crash point,
 	// so the disk-write count at which each op completes — and therefore
 	// the NVRAM contents at the cut — are deterministic.
 	w, err := RecordNV(s, cfg, true)
 	if err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: %w", s.Seed, err)
+		return nil, err
 	}
 	if k < 0 || k >= w.Total() {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: crash point %d outside [0,%d)", s.Seed, k, w.Total())
+		return nil, fmt.Errorf("crash point %d outside [0,%d)", k, w.Total())
 	}
-	res := &FaultSweepResult{}
 
-	// Crash the workload at k with the NVRAM attached, exactly like
-	// RunPointNV's pre-crash replay.
-	opts := *w.cfg.Opts
-	opts.NVSyncAbsorb = true
-	opts.NoGroupCommit = w.nvNoGC
-	nv := core.NewNVRAM(w.cfg.NVBytes)
-	opts.NVRAM = nv
+	// Crash the workload at k with the NVRAM attached: ArmNVSurvives'
+	// replay, keeping the crashed image and the NVRAM's contents.
+	opts := nvOptions(cfg, true)
 	d := disk.FromSnapshot(w.snap)
-	fs, err := core.Mount(d, opts)
+	c, err := w.replay(d, opts, k)
 	if err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: pre-crash mount: %w", s.Seed, err)
+		return nil, err
 	}
-	d.FailAfterWrites(k)
-	completed, crashed := -1, -1
-	for i, op := range w.Ops {
-		if err := core.ApplyOp(fs, op); err != nil {
-			if !d.Crashed() {
-				fs.Unmount()
-				return nil, fmt.Errorf("nvfaultsweep seed %d: op %d (%s) failed without a crash: %w", s.Seed, i, op, err)
-			}
-			crashed = i
-			break
-		}
-		completed = i
-	}
-	if crashed == -1 {
-		crashed = completed
-	}
-	_ = fs.Unmount()
-	nvImage := nv.Bytes()
+	nvImage := opts.NVRAM.Bytes()
 	if len(nvImage) == 0 {
-		return nil, fmt.Errorf("nvfaultsweep seed %d, crash point %d: %w", s.Seed, k, ErrNoNVPending)
+		return nil, fmt.Errorf("crash point %d: %w", k, ErrNoNVPending)
 	}
 	d.Reopen()
 	crashSnap := d.Snapshot()
 
-	mountNV := func(dd *disk.Disk, tr *obs.Tracer) (*core.FS, error) {
-		o := *w.cfg.Opts
-		o.NVSyncAbsorb = true
-		o.NoGroupCommit = w.nvNoGC
-		rnv := core.NewNVRAM(w.cfg.NVBytes)
-		if err := rnv.Restore(nvImage); err != nil {
-			return nil, err
+	// restored returns the recovery mount's options: a fresh NVRAM holding
+	// the crash's records.
+	restored := func(tr *obs.Tracer) core.Options {
+		o := opts
+		o.NVRAM = core.NewNVRAM(cfg.NVBytes)
+		if err := o.NVRAM.Restore(nvImage); err != nil {
+			panic(fmt.Sprintf("restoring the NVRAM's own image: %v", err))
 		}
-		o.NVRAM = rnv
 		o.Tracer = tr
-		return core.Mount(dd, o)
+		return o
 	}
 
 	// Fault-free baseline: the replaying recovery must hold the same bar
 	// as the crash sweep's survives arm.
-	bfs, err := mountNV(disk.FromSnapshot(crashSnap), nil)
-	if err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: baseline recovery mount: %w", s.Seed, err)
+	if err := w.recover(disk.FromSnapshot(crashSnap), restored(nil), c.completed, c.crashed); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	rep, err := bfs.Check()
-	if err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: baseline check: %w", s.Seed, err)
-	}
-	if len(rep.Problems) > 0 {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: baseline recovery inconsistent: %s", s.Seed, rep.Problems[0])
-	}
-	if err := w.hist.check(bfs, completed, crashed); err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: baseline oracle: %w", s.Seed, err)
-	}
-	bfs.Unmount()
 
 	// Trace the recovery's read sites: every block the replaying mount
 	// touches is a place a media fault can land.
-	sink := newReadSink()
-	tfs, err := mountNV(disk.FromSnapshot(crashSnap), obs.New(sink))
+	sink := newSiteSink("read")
+	tfs, err := core.Mount(disk.FromSnapshot(crashSnap), restored(obs.New(sink)))
 	if err != nil {
-		return nil, fmt.Errorf("nvfaultsweep seed %d: trace mount: %w", s.Seed, err)
+		return nil, fmt.Errorf("trace mount: %w", err)
 	}
 	tfs.Unmount()
-	siteSet := sink.snapshot()
-	sites := make([]int64, 0, len(siteSet))
-	for a := range siteSet {
-		sites = append(sites, a)
-	}
-	slices.Sort(sites)
-	if cfg.MaxFaultSites > 0 && len(sites) > cfg.MaxFaultSites {
-		sampled := make([]int64, 0, cfg.MaxFaultSites)
-		for j := 0; j < cfg.MaxFaultSites; j++ {
-			sampled = append(sampled, sites[j*len(sites)/cfg.MaxFaultSites])
-		}
-		sites = sampled
-	}
-	sites = append(sites, cfg.ExtraFaultSites...)
-	res.Sites = len(sites)
+	sites := append(sampleSites(sortedKeys(sink.sites()), cfg.MaxFaultSites), cfg.ExtraFaultSites...)
 
-	countTyped := func(opErr error, what string) error {
-		if opErr == nil {
-			return nil
-		}
-		if !typedFaultErr(opErr) {
-			return fmt.Errorf("%s: untyped error: %w", what, opErr)
-		}
-		res.TypedErrors++
-		return nil
-	}
-	walkTolerant := func(f *core.FS) error {
-		var walk func(dir string) error
-		walk = func(dir string) error {
-			entries, err := f.ReadDir(dir)
-			if err != nil {
-				return countTyped(err, "readdir "+dir)
+	res = &FaultSweepResult{}
+	return res, sweepReadFaults(res, crashSnap, sites, func(fd *disk.Disk, _ int64, kind disk.FaultKind) error {
+		o := restored(nil)
+		fs, err := core.Mount(fd, o)
+		if err != nil {
+			if !typedFaultErr(err) {
+				return fmt.Errorf("recovery mount failed with untyped error: %w", err)
 			}
-			for _, e := range entries {
-				full := dir + "/" + e.Name
-				if dir == "/" {
-					full = "/" + e.Name
-				}
-				info, err := f.Stat(full)
-				if err != nil {
-					if err := countTyped(err, "stat "+full); err != nil {
-						return err
-					}
-					continue
-				}
-				if info.IsDir {
-					if err := walk(full); err != nil {
-						return err
-					}
-					continue
-				}
-				_, rerr := f.ReadFile(full)
-				if err := countTyped(rerr, "read "+full); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return walk("/")
-	}
-
-	runOne := func(site int64, kind disk.FaultKind) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("PANIC: %v", r)
-			}
-		}()
-		fd := disk.FromSnapshot(crashSnap)
-		if err := fd.InjectFault(disk.Fault{Kind: kind, Addr: site, Seed: site*2654435761 + int64(kind)}); err != nil {
-			return fmt.Errorf("inject: %w", err)
-		}
-		ffs, merr := mountNV(fd, nil)
-		if merr != nil {
-			if !typedFaultErr(merr) {
-				return fmt.Errorf("recovery mount failed with untyped error: %w", merr)
+			if !bytes.Equal(o.NVRAM.Bytes(), nvImage) {
+				return fmt.Errorf("recovery mount failed (%v) and changed the NVRAM image: its records can no longer all be replayed", err)
 			}
 			res.MountFailed++
 			return nil
 		}
-		defer ffs.Unmount()
-		if ffs.Degraded() {
+		defer fs.Unmount()
+		if fs.Degraded() {
 			res.Degraded++
-			return walkTolerant(ffs)
-		}
-		if kind == disk.FaultReadError {
+		} else if kind == disk.FaultReadError {
 			// A read-error fault is always detected (the device reports
 			// it), so a recovery that neither failed nor degraded had
 			// everything it needed: it must satisfy the full durability
@@ -225,36 +131,26 @@ func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (*FaultSweepResult, 
 			// corrupted summary is indistinguishable from the torn end
 			// of the log, so recovering less of the tail is legitimate
 			// there.
-			n, oerr := w.hist.checkFaulted(ffs, completed, crashed)
+			n, err := w.hist.check(fs, c.completed, c.crashed, true)
 			res.TypedErrors += n
-			if oerr != nil {
-				return fmt.Errorf("non-degraded recovery under a read fault: %w", oerr)
+			if err != nil {
+				return fmt.Errorf("non-degraded recovery under a read fault: %w", err)
 			}
 			return nil
 		}
-		if err := walkTolerant(ffs); err != nil || ffs.Degraded() {
+		t, err := walkTree(fs, true)
+		res.TypedErrors += t.typedErrs
+		if err != nil || fs.Degraded() {
 			return err
 		}
 		// A corruption the recovery neither reported nor degraded over
 		// must not have bent what it rebuilt: a summary that no longer
 		// decodes may end the log early, never a segment's live count.
-		rep, cerr := ffs.Check()
-		if cerr != nil {
-			return countTyped(cerr, "check after a corrupt-arm recovery")
-		}
-		if len(rep.Problems) > 0 {
-			return fmt.Errorf("non-degraded recovery under a corrupt block is inconsistent: %s", rep.Problems[0])
+		if err := checkClean(fs); typedFaultErr(err) {
+			res.TypedErrors++
+		} else if err != nil {
+			return fmt.Errorf("non-degraded recovery under a corrupt block: %w", err)
 		}
 		return nil
-	}
-
-	for _, site := range sites {
-		for _, kind := range []disk.FaultKind{disk.FaultReadError, disk.FaultCorrupt} {
-			res.Runs++
-			if err := runOne(site, kind); err != nil {
-				return res, fmt.Errorf("nvfaultsweep seed %d: site %d kind %d: %w", s.Seed, site, kind, err)
-			}
-		}
-	}
-	return res, nil
+	})
 }

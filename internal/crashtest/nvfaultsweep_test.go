@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -161,17 +160,13 @@ func TestNVBoundaryReadFaultNoSilentLoss(t *testing.T) {
 	}
 
 	// Trace every block the replaying recovery reads; each is a fault site.
-	sink := newReadSink()
+	sink := newSiteSink("read")
 	tfs, err := mountNV(disk.FromSnapshot(snap), obs.New(sink))
 	if err != nil {
 		t.Fatalf("trace mount: %v", err)
 	}
 	tfs.Unmount()
-	var sites []int64
-	for a := range sink.snapshot() {
-		sites = append(sites, a)
-	}
-	slices.Sort(sites)
+	sites := sortedKeys(sink.sites())
 
 	scanDegraded := 0
 	for _, site := range sites {

@@ -80,7 +80,11 @@ func TestPinnedNVCrashPoints(t *testing.T) {
 			if c.k >= w.Total() {
 				t.Fatalf("pinned k=%d outside workload total %d", c.k, w.Total())
 			}
-			if err := w.RunPointNV(c.k, c.survives); err != nil {
+			arm := ArmNVLost
+			if c.survives {
+				arm = ArmNVSurvives
+			}
+			if err := w.RunPoint(c.k, arm); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -24,8 +24,8 @@ import (
 //     replay observed (core.Durability: the last op covered by a
 //     successful flush — an op durable via NVRAM but absent from the
 //     disk log falls inside the window, where losing it is legal).
-//     The window machinery below is model-agnostic: only the floor
-//     selection in RunPoint/RunPointBG/RunPointNV differs.
+//     The window machinery below is model-agnostic: only which index
+//     RunPoint takes as the floor differs per Arm (crashtest.go).
 //   - crash is the operation the power cut landed in. Nothing after it
 //     ever executed, so no recovered state may postdate it.
 //
@@ -178,19 +178,48 @@ func windowVersions(vs []version, floor, crash int) []version {
 	return out
 }
 
-// recState is one path's state in the recovered file system.
+// recState is one path's state in a walked file system: presence and kind
+// are known; content unless unread.
 type recState struct {
-	dir  bool
-	data []byte
+	dir    bool
+	data   []byte
+	unread bool // the file's read failed typed (tolerant walks only)
 }
 
-// walkFS enumerates every path in the recovered file system.
-func walkFS(fs *core.FS) (map[string]recState, error) {
-	out := map[string]recState{}
+// tree is a walk of a mounted file system. A strict walk leaves excused,
+// blind and typedErrs empty.
+type tree struct {
+	rec       map[string]recState
+	excused   map[string]bool // paths whose stat failed typed
+	blind     []string        // paths whose subtree could not be listed
+	typedErrs int             // typed failures the walk went past
+}
+
+// walkTree enumerates every path of fs through its API; it is the only
+// walk of a recovered tree in the package. A strict walk fails on the
+// first error. A tolerant walk goes past typed media-fault errors: a file
+// whose read fails typed is recorded with unknown content, a path whose
+// stat fails typed is excused (and its potential subtree declared blind),
+// and a directory whose listing fails typed keeps its own entry but
+// declares its subtree blind. Any untyped error fails either walk; the
+// tree walked so far comes back with it.
+func walkTree(fs *core.FS, tolerant bool) (*tree, error) {
+	t := &tree{rec: map[string]recState{}, excused: map[string]bool{}}
+	excuse := func(err error) bool {
+		if !tolerant || !typedFaultErr(err) {
+			return false
+		}
+		t.typedErrs++
+		return true
+	}
 	var walk func(dir string) error
 	walk = func(dir string) error {
 		entries, err := fs.ReadDir(dir)
 		if err != nil {
+			if excuse(err) {
+				t.blind = append(t.blind, dir)
+				return nil
+			}
 			return fmt.Errorf("readdir %s: %w", dir, err)
 		}
 		for _, e := range entries {
@@ -200,113 +229,48 @@ func walkFS(fs *core.FS) (map[string]recState, error) {
 			}
 			info, err := fs.Stat(full)
 			if err != nil {
+				if excuse(err) {
+					t.excused[full] = true
+					t.blind = append(t.blind, full)
+					continue
+				}
 				return fmt.Errorf("stat %s: %w", full, err)
 			}
 			if info.IsDir {
-				out[full] = recState{dir: true}
+				t.rec[full] = recState{dir: true}
 				if err := walk(full); err != nil {
 					return err
 				}
 				continue
 			}
 			data, err := fs.ReadFile(full)
-			if err != nil {
+			if err != nil && !excuse(err) {
 				return fmt.Errorf("read %s: %w", full, err)
 			}
-			out[full] = recState{data: data}
+			t.rec[full] = recState{data: data, unread: err != nil}
 		}
 		return nil
 	}
-	if err := walk("/"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return t, walk("/")
 }
 
-// tolState is one path's state in a recovery walked under media faults:
-// presence and kind are known; content only when dataOK.
-type tolState struct {
-	dir    bool
-	data   []byte
-	dataOK bool
-}
-
-// walkFSTolerant enumerates the recovered file system while tolerating
-// typed media-fault errors: a file whose read fails typed is recorded
-// with unknown content, a path whose stat fails typed is excused (and
-// its potential subtree declared blind), and a directory whose listing
-// fails typed keeps its own entry but declares its subtree blind. Any
-// untyped error fails the walk. typedErrs counts the excused failures.
-func walkFSTolerant(fs *core.FS) (rec map[string]tolState, excused map[string]bool, blind []string, typedErrs int, err error) {
-	rec = map[string]tolState{}
-	excused = map[string]bool{}
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		entries, err := fs.ReadDir(dir)
-		if err != nil {
-			if !typedFaultErr(err) {
-				return fmt.Errorf("readdir %s: %w", dir, err)
-			}
-			typedErrs++
-			blind = append(blind, dir)
-			return nil
-		}
-		for _, e := range entries {
-			full := dir + "/" + e.Name
-			if dir == "/" {
-				full = "/" + e.Name
-			}
-			info, err := fs.Stat(full)
-			if err != nil {
-				if !typedFaultErr(err) {
-					return fmt.Errorf("stat %s: %w", full, err)
-				}
-				typedErrs++
-				excused[full] = true
-				blind = append(blind, full)
-				continue
-			}
-			if info.IsDir {
-				rec[full] = tolState{dir: true}
-				if err := walk(full); err != nil {
-					return err
-				}
-				continue
-			}
-			data, err := fs.ReadFile(full)
-			if err != nil {
-				if !typedFaultErr(err) {
-					return fmt.Errorf("read %s: %w", full, err)
-				}
-				typedErrs++
-				rec[full] = tolState{}
-				continue
-			}
-			rec[full] = tolState{data: data, dataOK: true}
-		}
-		return nil
-	}
-	if err := walk("/"); err != nil {
-		return nil, nil, nil, typedErrs, err
-	}
-	return rec, excused, blind, typedErrs, nil
-}
-
-// checkFaulted is check for recovery mounts that ran against hostile
-// media: it enforces the same durability window, excusing exactly the
-// state the fault makes unknowable — unreadable file content, paths
-// that cannot be stat'ed, and everything under an unreadable directory.
-// What it still rejects is silent loss: a path absent, or readable with
-// content no in-window instant produced, when the window says the fault
-// could not have hidden it. It returns the count of excused typed read
-// failures alongside the first violation.
-func (h *history) checkFaulted(fs *core.FS, floor, crash int) (int, error) {
-	rec, excused, blind, typedErrs, err := walkFSTolerant(fs)
+// check verifies the recovered file system against the window [floor,
+// crash] of the workload history and returns the first violation found.
+// A tolerant check is for recovery mounts that ran against hostile media:
+// it enforces the same window, excusing exactly the state the fault makes
+// unknowable — unreadable file content, paths that cannot be stat'ed, and
+// everything under an unreadable directory — and returns the count of
+// excused typed failures alongside. What it still rejects is silent loss:
+// a path absent, or readable with content no in-window instant produced,
+// when the window says the fault could not have hidden it. A strict check
+// excuses nothing.
+func (h *history) check(fs *core.FS, floor, crash int, tolerant bool) (int, error) {
+	t, err := walkTree(fs, tolerant)
 	if err != nil {
-		return typedErrs, fmt.Errorf("oracle walk: %w", err)
+		return t.typedErrs, fmt.Errorf("oracle walk: %w", err)
 	}
 	blinded := func(p string) bool {
-		for _, b := range blind {
+		for _, b := range t.blind {
 			if b == "/" || strings.HasPrefix(p, b+"/") {
 				return true
 			}
@@ -317,11 +281,11 @@ func (h *history) checkFaulted(fs *core.FS, floor, crash int) (int, error) {
 	for p := range h.paths {
 		paths[p] = true
 	}
-	for p := range rec {
+	for p := range t.rec {
 		paths[p] = true
 	}
 	for p := range paths {
-		if p == "/" || excused[p] {
+		if p == "/" || t.excused[p] {
 			continue
 		}
 		bs := h.paths[p]
@@ -329,77 +293,33 @@ func (h *history) checkFaulted(fs *core.FS, floor, crash int) (int, error) {
 			bs = []binding{{from: -1, kind: rAbsent}}
 		}
 		acc := windowBindings(bs, floor, crash)
-		got, present := rec[p]
+		got, present := t.rec[p]
 		switch {
 		case !present:
 			if blinded(p) {
 				continue // under an unreadable directory: unknowable
 			}
 			if !hasKind(acc, rAbsent) {
-				return typedErrs, fmt.Errorf("oracle: %s missing after faulted recovery, but it is %s throughout the window",
+				return t.typedErrs, fmt.Errorf("oracle: %s missing after recovery, but it is %s throughout the window",
 					p, describe(acc))
 			}
 		case got.dir:
 			if !hasKind(acc, rDir) {
-				return typedErrs, fmt.Errorf("oracle: %s recovered as a directory, but the window allows only %s",
+				return t.typedErrs, fmt.Errorf("oracle: %s recovered as a directory, but the window allows only %s",
 					p, describe(acc))
 			}
-		case !got.dataOK:
+		case got.unread:
 			if !hasKind(acc, rFile) {
-				return typedErrs, fmt.Errorf("oracle: %s recovered as a file, but the window allows only %s",
+				return t.typedErrs, fmt.Errorf("oracle: %s recovered as a file, but the window allows only %s",
 					p, describe(acc))
 			}
 		default:
 			if err := h.checkFileContent(p, got.data, acc, floor, crash); err != nil {
-				return typedErrs, err
+				return t.typedErrs, err
 			}
 		}
 	}
-	return typedErrs, nil
-}
-
-// check verifies the recovered file system against the window [floor,
-// crash] of the workload history. It returns the first violation found.
-func (h *history) check(fs *core.FS, floor, crash int) error {
-	rec, err := walkFS(fs)
-	if err != nil {
-		return fmt.Errorf("oracle walk: %w", err)
-	}
-	paths := map[string]bool{}
-	for p := range h.paths {
-		paths[p] = true
-	}
-	for p := range rec {
-		paths[p] = true
-	}
-	for p := range paths {
-		if p == "/" {
-			continue
-		}
-		bs := h.paths[p]
-		if bs == nil {
-			bs = []binding{{from: -1, kind: rAbsent}}
-		}
-		acc := windowBindings(bs, floor, crash)
-		got, present := rec[p]
-		switch {
-		case !present:
-			if !hasKind(acc, rAbsent) {
-				return fmt.Errorf("oracle: %s missing after recovery, but it is %s throughout the window",
-					p, describe(acc))
-			}
-		case got.dir:
-			if !hasKind(acc, rDir) {
-				return fmt.Errorf("oracle: %s recovered as a directory, but the window allows only %s",
-					p, describe(acc))
-			}
-		default:
-			if err := h.checkFileContent(p, got.data, acc, floor, crash); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.typedErrs, nil
 }
 
 // checkFileContent verifies that a recovered file's bytes are a content

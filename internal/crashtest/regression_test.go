@@ -38,7 +38,7 @@ func TestPinnedCrashPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.RunPoint(c.k); err != nil {
+			if err := w.RunPoint(c.k, ArmInline); err != nil {
 				t.Fatal(err)
 			}
 		})

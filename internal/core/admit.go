@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/layout"
@@ -11,46 +13,25 @@ import (
 // This file implements the transaction-grouped log admission layer,
 // modeled on the journal admission scheme of the biscuit kernel's file
 // system: every mutating operation declares a bounded worst-case block
-// budget before it may touch the file system, an admission gate bounds
-// the total budget of admitted-but-unflushed work, and a group-commit
-// goroutine turns N concurrent Sync callers into one log flush.
+// budget before it may touch the file system (opBudget*, writeBudget), an
+// admission gate bounds the total budget of admitted-but-unflushed work
+// (admitGate, entered through fs.opAdmit), and a group-commit goroutine
+// turns N concurrent Sync callers into one log flush (committer, serving
+// fs.commitBatch). Budgets are a flow-control threshold, not a hard space
+// reservation — the log itself still enforces space through the segment
+// reserve and the cleaner — so an underestimate degrades batching, never
+// correctness.
 //
-// The moving parts:
+// Epochs tie the parts together: stageSeq counts completed mutating
+// operations, flushedSeq is the stageSeq value the last successful flush
+// covered, and the ops between two flushes form a commit epoch. Sync
+// samples want := stageSeq and is satisfied once flushedSeq >= want —
+// whether its own flush or a neighbour's provided it.
 //
-//   - Budgets (opBudget*, writeBudget): a conservative per-op-kind
-//     estimate of how many log blocks the operation can stage. Budgets
-//     are a flow-control threshold, not a hard space reservation — the
-//     log itself still enforces space through the segment reserve and
-//     the cleaner — so an underestimate degrades batching, never
-//     correctness.
-//
-//   - The admission gate (opAdmit): a counting semaphore over
-//     Options.AdmitBudgetBlocks. A writer whose budget does not fit on
-//     top of the already-admitted budgets plus the staged-but-unflushed
-//     estimate blocks *outside* fs.mu, kicking the group committer so
-//     the staged backlog drains. Per-op budgets are clamped to half the
-//     gate so two maximal writers can always interleave.
-//
-//   - Epochs (stageSeq / flushedSeq): stageSeq counts completed
-//     mutating operations; flushedSeq is the stageSeq value the last
-//     successful flush covered. The ops between two flushes form a
-//     commit epoch. Sync samples want := stageSeq and is satisfied once
-//     flushedSeq >= want — whether its own flush or a neighbour's
-//     provided it.
-//
-//   - The group committer (committerLoop): Sync callers enqueue a
-//     commitReq and park on its done channel. The committer drains
-//     everything queued at wakeup into one batch and performs a single
-//     flushLog under fs.mu for the whole batch, so concurrent syncers
-//     share one log append + summary write. There is no timer: batching
-//     arises naturally from requests queueing while a flush is in
-//     progress, which keeps single-threaded runs bit-for-bit identical
-//     to the old inline-Sync path (the crash-point harness depends on
-//     deterministic replay).
-//
-// Lock order: fs.mu -> admitMu -> commitMu. opAdmit runs with no other
-// lock held and drops admitMu before draining the backlog under fs.mu;
-// admitRelease runs under fs.mu (flushLog).
+// Lock order: fs.mu -> gate.mu -> commit.mu. The gate and the committer
+// each own their lock and call nothing while holding it: enter drops
+// gate.mu before draining the backlog under fs.mu; flushed runs under
+// fs.mu (flushLog); kick runs under fs.mu or its read side.
 
 // Worst-case block budgets per operation kind. A directory operation
 // stages at most: one dirlog block, two directory data blocks (the
@@ -86,46 +67,63 @@ func (r *nvRecord) budget() int {
 	return opBudgetDirOp
 }
 
-// opAdmit blocks until the operation's worst-case budget fits under the
-// admission gate, then reserves it. It must be called before fs.mu is
-// taken; the returned release function must be called after fs.mu is
-// dropped. Budgets above half the gate are clamped so two maximal
-// writers can always be admitted together.
-func (fs *FS) opAdmit(budget int) func() {
-	fs.admitOps.Add(1)
-	fs.tr.Add(obs.CtrAdmitOps, 1)
-	if fs.opts.NoGroupCommit {
-		// Serialized baseline: with no group committer to drain the
-		// backlog, gate waits could deadlock a lone writer, and fs.mu
-		// already serializes all staging. Admission is a no-op.
-		return func() {}
-	}
-	if half := fs.admitCap / 2; budget > half {
+// admitGate is the admission gate: a counting semaphore over
+// Options.AdmitBudgetBlocks. A writer whose budget does not fit on top of
+// the already-admitted budgets plus the staged-but-unflushed estimate
+// blocks *outside* fs.mu.
+type admitGate struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	cap  int // gate capacity (Options.AdmitBudgetBlocks), fixed at mount
+	open int // total budget of admitted, unfinished operations
+	// closed opens the gate for good (Unmount). flushErr is the last failed
+	// commit attempt: while set the gate admits unconditionally, so writers
+	// observe the failure inline instead of waiting on a backlog that
+	// cannot drain; the next successful flush clears it.
+	closed   bool
+	flushErr error
+	// staged is a lock-free estimate of staged-but-unflushed blocks,
+	// published under fs.mu (opStaged, flushed). ops and waits count the
+	// operations that came to the gate and the subset that blocked there.
+	staged, ops, waits atomic.Int64
+}
+
+func newAdmitGate(capacity int) *admitGate {
+	g := &admitGate{cap: capacity}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+// enter blocks until budget fits under the gate, then reserves it; the
+// caller hands what was reserved back to leave. Budgets above half the
+// gate are clamped so two maximal writers can always be admitted
+// together. drain flushes the staged backlog (with no gate lock held) and
+// reports whether it could. waited is the wall-clock time spent blocked,
+// zero exactly when the budget fitted at once.
+func (g *admitGate) enter(budget int, drain func() bool) (reserved int, waited time.Duration) {
+	if half := g.cap / 2; budget > half {
 		budget = half
 	}
 	if budget < 1 {
 		budget = 1
 	}
-	fs.admitMu.Lock()
-	waited := false
+	g.mu.Lock()
 	var start time.Time
-	for !fs.admitClosed && fs.admitFlushErr == nil && fs.admitOpen+int(fs.stagedEst.Load())+budget > fs.admitCap {
-		if !waited {
-			waited = true
+	for !g.closed && g.flushErr == nil && g.open+int(g.staged.Load())+budget > g.cap {
+		if start.IsZero() {
 			start = time.Now()
-			fs.admitWaits.Add(1)
-			fs.tr.Add(obs.CtrAdmitWaits, 1)
+			g.waits.Add(1)
 		}
-		if int(fs.stagedEst.Load()) > 0 && fs.admitOpen+budget <= fs.admitCap {
+		if int(g.staged.Load()) > 0 && g.open+budget <= g.cap {
 			// The staged backlog is what keeps us out: flush it
 			// ourselves, the parallel-path analog of the buffer-full
 			// inline flush. Handing this to the committer instead
 			// creates a waiter/committer wakeup cycle that can pin a
 			// single-P scheduler (each wakeup lands in the run-next
 			// slot) and starve every other goroutine.
-			fs.admitMu.Unlock()
-			drained := fs.drainBacklog()
-			fs.admitMu.Lock()
+			g.mu.Unlock()
+			drained := drain()
+			g.mu.Lock()
 			if !drained {
 				// Unmounted, degraded, or flush failure: stop gating
 				// and let the operation observe the error under fs.mu.
@@ -135,34 +133,82 @@ func (fs *FS) opAdmit(budget int) func() {
 		}
 		// Reserved budgets of in-flight operations are what keep us
 		// out; wait for a release broadcast.
-		fs.admitCond.Wait()
+		g.cond.Wait()
 	}
-	fs.admitOpen += budget
-	fs.admitMu.Unlock()
-	if waited {
-		// Wall-clock, like the writer-stall histogram: admission waits
-		// are a scheduling phenomenon, not a simulated-device cost.
-		fs.tr.Observe(obs.HistAdmitWait, time.Since(start))
+	g.open += budget
+	g.mu.Unlock()
+	if !start.IsZero() {
+		waited = max(time.Since(start), 1)
 	}
-	return func() {
-		// Broadcasts happen with admitMu held so a waiter between its
-		// condition check and Wait (which holds admitMu throughout)
-		// cannot miss the wakeup.
-		fs.admitMu.Lock()
-		fs.admitOpen -= budget
-		fs.admitCond.Broadcast()
-		fs.admitMu.Unlock()
-	}
+	return budget, waited
 }
 
-// admitClose permanently opens the gate (Unmount): blocked admitters
-// pass through and fail the mounted check under fs.mu instead of
-// hanging on a file system that will never flush again.
-func (fs *FS) admitClose() {
-	fs.admitMu.Lock()
-	fs.admitClosed = true
-	fs.admitCond.Broadcast()
-	fs.admitMu.Unlock()
+// leave returns a reservation (zero: the gate was not entered). Every
+// broadcast on the gate happens with mu held, so a waiter between its
+// condition check and Wait (which holds mu throughout) cannot miss it.
+func (g *admitGate) leave(reserved int) {
+	if reserved == 0 {
+		return
+	}
+	g.mu.Lock()
+	g.open -= reserved
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// flushed publishes a successful flush: the backlog estimate is staged
+// again and any failure note is cleared, so blocked admitters re-check.
+// Caller holds fs.mu (flushLog); mu nests inside it.
+func (g *admitGate) flushed(staged int) {
+	g.staged.Store(int64(staged))
+	g.mu.Lock()
+	g.flushErr = nil
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// failed records a failed commit attempt. A backlog that cannot be
+// flushed (crashed device, degraded mode) will never drain, so blocked
+// admitters must pass through the gate and observe the failure inline —
+// exactly what the pre-gate serialized path did.
+func (g *admitGate) failed(err error) {
+	g.mu.Lock()
+	g.flushErr = err
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// close permanently opens the gate (Unmount): blocked admitters pass
+// through and fail the mounted check under fs.mu instead of hanging on a
+// file system that will never flush again.
+func (g *admitGate) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// opAdmit takes the operation's worst-case budget to the admission gate
+// and returns what gate.leave must be handed once fs.mu is dropped. It
+// must be called before fs.mu is taken. Options.NoGroupCommit skips the
+// gate (nothing reserved): fs.mu already serialises all staging, and the
+// crash harness's nogc reference arm wants no flush but those the
+// operations themselves ask for — a gate waiter drains the backlog with
+// a flush of its own.
+func (fs *FS) opAdmit(budget int) int {
+	fs.gate.ops.Add(1)
+	fs.tr.Add(obs.CtrAdmitOps, 1)
+	if fs.opts.NoGroupCommit {
+		return 0
+	}
+	reserved, waited := fs.gate.enter(budget, fs.drainBacklog)
+	if waited > 0 {
+		// Wall-clock, like the writer-stall histogram: admission waits
+		// are a scheduling phenomenon, not a simulated-device cost.
+		fs.tr.Add(obs.CtrAdmitWaits, 1)
+		fs.tr.Observe(obs.HistAdmitWait, waited)
+	}
+	return reserved
 }
 
 // opStaged runs (deferred) at the end of every mutating operation,
@@ -172,40 +218,14 @@ func (fs *FS) admitClose() {
 // staged partial state, and a later Sync must still flush it.
 func (fs *FS) opStaged() {
 	fs.stageSeq.Add(1)
-	fs.syncStagedEst()
+	fs.gate.staged.Store(int64(fs.stagedBlocks()))
 }
 
-// syncStagedEst refreshes the admission gate's lock-free estimate of
-// staged-but-unflushed blocks. Caller holds fs.mu. The estimate is
-// deliberately coarse (dirop records and dirty inodes count one block
-// each); it only throttles admission, it does not account space.
-func (fs *FS) syncStagedEst() {
-	fs.stagedEst.Store(int64(fs.dirtyBlocks + len(fs.pendingOps) + len(fs.dirtyInodes)))
-}
-
-// admitFlushed publishes a successful flush to the admission gate:
-// the staged backlog is empty again, so blocked admitters re-check.
-// Caller holds fs.mu (flushLog); admitMu nests inside it, and the
-// broadcast happens under admitMu to avoid lost wakeups.
-func (fs *FS) admitFlushed() {
-	fs.syncStagedEst()
-	fs.admitMu.Lock()
-	fs.admitFlushErr = nil
-	fs.admitCond.Broadcast()
-	fs.admitMu.Unlock()
-}
-
-// admitNoteFlushErr records a failed commit attempt on the gate. A
-// backlog that cannot be flushed (crashed device, degraded mode) will
-// never drain, so blocked admitters must pass through the gate and
-// observe the failure inline — exactly what the pre-gate serialized
-// path did. The note is sticky until the next successful flush clears
-// it in admitFlushed.
-func (fs *FS) admitNoteFlushErr(err error) {
-	fs.admitMu.Lock()
-	fs.admitFlushErr = err
-	fs.admitCond.Broadcast()
-	fs.admitMu.Unlock()
+// stagedBlocks is the admission gate's estimate of staged-but-unflushed
+// blocks (caller holds fs.mu), deliberately coarse — dirop records and dirty
+// inodes count one block each: it throttles admission, not space.
+func (fs *FS) stagedBlocks() int {
+	return fs.dirtyBlocks + len(fs.pendingOps) + len(fs.dirtyInodes)
 }
 
 // checkpointDue reports whether the byte-triggered checkpoint policy
@@ -215,44 +235,131 @@ func (fs *FS) checkpointDue() bool {
 	return fs.opts.CheckpointEveryBytes > 0 && fs.bytesSinceCp >= fs.opts.CheckpointEveryBytes
 }
 
-// commitReq is one parked Sync (done != nil) or one pressure kick from
-// the admission gate (done == nil). want is the stageSeq value the
-// requester needs flushedSeq to reach.
+// commitReq is one Sync parked in the committer's queue. want is the
+// stageSeq value it needs flushedSeq to reach.
 type commitReq struct {
 	want uint64
 	done chan error
 }
 
-// startCommitter launches the group-commit goroutine. Called once from
-// Format and Mount after the file system is fully initialized; not
-// started when Options.NoGroupCommit asks for the serialized baseline.
-func (fs *FS) startCommitter() {
-	if fs.opts.NoGroupCommit {
-		return
-	}
-	fs.commitMu.Lock()
-	fs.commitActive = true
-	fs.commitDone = make(chan struct{})
-	fs.commitMu.Unlock()
-	go fs.committerLoop()
+// committer is the group-commit goroutine's queue and life cycle. It is
+// running from start until stop; outside that window wait and kick report
+// so and the caller falls back (inlineCommit, or nothing for a kick).
+// There is no timer: batching arises from requests queueing while a flush
+// is in progress, which keeps single-threaded runs bit-for-bit identical to
+// the inline-Sync path (the crash harness depends on deterministic replay).
+type committer struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []commitReq // callers parked in wait, nothing else
+	// An async kick parks nobody, so it leaves no request behind: it
+	// raises kickWant and sets kicked, however many arrive during a flush.
+	kickWant uint64
+	kicked   bool
+	serving  int           // parked callers the loop has drained and is serving
+	stopped  bool          // stop was called
+	done     chan struct{} // non-nil once started; closed when the loop exits
+	kicks    atomic.Int64  // async kicks accepted (Stats.NVAsyncKicks)
 }
 
-// stopCommitter stops and joins the group committer. Safe to call
-// multiple times and must be called without fs.mu held (the committer
-// needs fs.mu to finish its current batch). Requests enqueued before
-// the stop are still served; requests arriving after it fall back to an
-// inline flush in requestCommit.
-func (fs *FS) stopCommitter() {
-	fs.commitMu.Lock()
-	if !fs.commitActive {
-		fs.commitMu.Unlock()
-		return
+func newCommitter() *committer {
+	c := &committer{}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+// start launches the loop: wait for requests, drain everything queued into
+// one batch, call serve once for the whole batch — want is the largest
+// epoch asked for, syncers the parked callers, each of which serve must
+// answer on its done channel — and repeat.
+func (c *committer) start(serve func(want uint64, syncers []commitReq)) {
+	c.mu.Lock()
+	c.done = make(chan struct{})
+	c.mu.Unlock()
+	go func() {
+		for {
+			c.mu.Lock()
+			c.serving = 0
+			for len(c.queue) == 0 && !c.kicked && !c.stopped {
+				c.cond.Wait()
+			}
+			if len(c.queue) == 0 && !c.kicked {
+				// Stopped and drained.
+				c.mu.Unlock()
+				close(c.done)
+				return
+			}
+			batch, want := c.queue, c.kickWant
+			c.queue, c.kickWant, c.kicked = nil, 0, false
+			c.serving = len(batch)
+			c.mu.Unlock()
+			for _, r := range batch {
+				want = max(want, r.want)
+			}
+			serve(want, batch)
+		}
+	}()
+}
+
+// stop stops and joins the loop. Safe to call more than once and before
+// start; must be called without fs.mu held (the loop needs it to finish its
+// batch). Everything queued or kicked before the stop is still served.
+func (c *committer) stop() {
+	c.mu.Lock()
+	done := c.done
+	c.stopped = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	if done != nil {
+		<-done
 	}
-	fs.commitStopped = true
-	fs.commitCond.Broadcast()
-	done := fs.commitDone
-	fs.commitMu.Unlock()
-	<-done
+}
+
+func (c *committer) running() bool { return c.done != nil && !c.stopped }
+
+// wait parks the caller until a batch that includes it has been served and
+// returns that batch's answer; ok is false, and nothing was queued, when
+// the loop is not running.
+func (c *committer) wait(want uint64) (err error, ok bool) {
+	c.mu.Lock()
+	if !c.running() {
+		c.mu.Unlock()
+		return nil, false
+	}
+	r := commitReq{want: want, done: make(chan error, 1)}
+	c.queue = append(c.queue, r)
+	c.cond.Signal()
+	c.mu.Unlock()
+	return <-r.done, true
+}
+
+// kick asks for a flush covering want without waiting for it, and reports
+// whether the loop is running to take the request. Safe under fs.mu.
+func (c *committer) kick(want uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.running() {
+		return false
+	}
+	c.kickWant, c.kicked = max(c.kickWant, want), true
+	c.cond.Signal()
+	c.kicks.Add(1)
+	return true
+}
+
+// parked is how many wait callers are queued or being served.
+func (c *committer) parked() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue) + c.serving
+}
+
+// startCommitter launches the group-commit goroutine once Format or Mount
+// has initialized everything, unless Options.NoGroupCommit asks for none.
+func (fs *FS) startCommitter() {
+	if !fs.opts.NoGroupCommit {
+		fs.commit.start(fs.commitBatch)
+	}
 }
 
 // drainBacklog flushes the staged backlog on behalf of a gate waiter.
@@ -269,39 +376,25 @@ func (fs *FS) drainBacklog() bool {
 	return fs.flushLog() == nil
 }
 
-// kickCommitAsync enqueues a pressure kick for the group committer
-// without waiting on the result: the NVRAM absorb path uses it to let
-// the disk catch up to the NVRAM commit epoch in the background. Safe
-// to call with fs.mu held (commitMu nests inside fs.mu) and from the
-// Sync read path. A no-op when the committer is not running
-// (NoGroupCommit, or Unmount already stopped it) — those modes flush at
-// the hard backpressure point (a full NVRAM) instead.
+// kickCommitAsync lets the disk catch up to the NVRAM commit epoch in the
+// background (the NVRAM absorb path; fs.mu or its read side may be held).
+// A no-op when the committer is not running (NoGroupCommit, or Unmount
+// already stopped it) — those modes flush at the hard backpressure point
+// (a full NVRAM) instead.
 func (fs *FS) kickCommitAsync(want uint64) {
-	fs.commitMu.Lock()
-	if fs.commitActive && !fs.commitStopped {
-		fs.commitQueue = append(fs.commitQueue, commitReq{want: want})
-		fs.commitCond.Signal()
-		fs.nvKicks.Add(1)
+	if fs.commit.kick(want) {
 		fs.tr.Add(obs.CtrNVAsyncKicks, 1)
 	}
-	fs.commitMu.Unlock()
 }
 
-// requestCommit parks the caller until flushedSeq covers want. When the
-// committer is running the request joins the current group; otherwise
-// (NoGroupCommit, or an Unmount already stopped the committer) it
-// degenerates to an inline flush under fs.mu — the serialized baseline.
+// requestCommit parks the caller until flushedSeq covers want: in the
+// committer's current group, or without one (NoGroupCommit, or an Unmount
+// already stopped it) by an inline flush — the serialized baseline.
 func (fs *FS) requestCommit(want uint64) error {
-	fs.commitMu.Lock()
-	if !fs.commitActive || fs.commitStopped {
-		fs.commitMu.Unlock()
-		return fs.inlineCommit(want)
+	if err, ok := fs.commit.wait(want); ok {
+		return err
 	}
-	r := commitReq{want: want, done: make(chan error, 1)}
-	fs.commitQueue = append(fs.commitQueue, r)
-	fs.commitCond.Signal()
-	fs.commitMu.Unlock()
-	return <-r.done
+	return fs.inlineCommit(want)
 }
 
 // inlineCommit is the serialized commit path: one flush per caller,
@@ -321,46 +414,12 @@ func (fs *FS) inlineCommit(want uint64) error {
 	return fs.flushLog()
 }
 
-// committerLoop is the group-commit goroutine: wait for requests, drain
-// everything queued into one batch, flush once for the whole batch,
-// repeat. After a stop it keeps draining until the queue is empty so no
-// parked Sync is abandoned.
-func (fs *FS) committerLoop() {
-	for {
-		fs.commitMu.Lock()
-		fs.commitInBatch = 0
-		for len(fs.commitQueue) == 0 && !fs.commitStopped {
-			fs.commitCond.Wait()
-		}
-		if len(fs.commitQueue) == 0 {
-			// Stopped and drained.
-			done := fs.commitDone
-			fs.commitMu.Unlock()
-			close(done)
-			return
-		}
-		batch := fs.commitQueue
-		fs.commitQueue = nil
-		fs.commitInBatch = len(batch)
-		fs.commitMu.Unlock()
-		fs.commitBatch(batch)
-	}
-}
-
-// commitBatch serves one drained batch with at most one flush. Requests
-// already covered by an earlier flush ride along for free; that is the
-// group-commit amortization.
-func (fs *FS) commitBatch(batch []commitReq) {
-	var maxWant uint64
-	syncers := 0
-	for _, r := range batch {
-		if r.want > maxWant {
-			maxWant = r.want
-		}
-		if r.done != nil {
-			syncers++
-		}
-	}
+// commitBatch is what the committer serves a drained batch with: at most
+// one flush, for the largest epoch anyone in it asked for. Requests already
+// covered by an earlier flush ride along for free; that is the group-commit
+// amortization.
+func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
+	syncers := int64(len(batch))
 	fs.mu.Lock()
 	var err error
 	switch {
@@ -369,18 +428,16 @@ func (fs *FS) commitBatch(batch []commitReq) {
 	case fs.degraded.Load():
 		err = fs.failIfDegraded()
 	default:
-		fs.stats.GroupCommitSyncs += int64(syncers)
-		if int64(syncers) > fs.stats.GroupCommitMaxSyncs {
-			fs.stats.GroupCommitMaxSyncs = int64(syncers)
-		}
-		fs.tr.Add(obs.CtrGroupCommitSyncs, int64(syncers))
-		fs.tr.SetMax(obs.CtrGroupCommitMaxSyncs, int64(syncers))
+		fs.stats.GroupCommitSyncs += syncers
+		fs.stats.GroupCommitMaxSyncs = max(fs.stats.GroupCommitMaxSyncs, syncers)
+		fs.tr.Add(obs.CtrGroupCommitSyncs, syncers)
+		fs.tr.SetMax(obs.CtrGroupCommitMaxSyncs, syncers)
 		if fs.flushedSeq.Load() >= maxWant && !fs.checkpointDue() {
 			// A previous flush (group or inline) already covers the whole
 			// batch: answer without touching the disk. Republish the
 			// backlog estimate anyway so gate waiters kicked by a stale
 			// estimate re-check rather than sleep on a lost wakeup.
-			fs.admitFlushed()
+			fs.gate.flushed(fs.stagedBlocks())
 			break
 		}
 		start := fs.dev.Stats().BusyTime
@@ -401,12 +458,9 @@ func (fs *FS) commitBatch(batch []commitReq) {
 	flushed := fs.flushedSeq.Load()
 	fs.mu.Unlock()
 	if err != nil {
-		fs.admitNoteFlushErr(err)
+		fs.gate.failed(err)
 	}
 	for _, r := range batch {
-		if r.done == nil {
-			continue
-		}
 		if err == nil || flushed >= r.want {
 			r.done <- nil
 		} else {

@@ -109,11 +109,8 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	for i := 0; i < K; i++ {
 		go func() { errc <- fs.requestCommit(want) }()
 	}
-	for parked := 0; parked < K; {
+	for fs.commit.parked() < K {
 		time.Sleep(100 * time.Microsecond)
-		fs.commitMu.Lock()
-		parked = len(fs.commitQueue) + fs.commitInBatch
-		fs.commitMu.Unlock()
 	}
 	g0 := fs.stats.GroupCommits
 	fs.mu.Unlock()
@@ -450,4 +447,210 @@ func TestUnmountJoinsInflightWriters(t *testing.T) {
 	}
 	defer fs2.Unmount()
 	mustCheck(t, fs2)
+}
+
+// The gate and the committer are plain structs: the tests below need no
+// file system.
+
+// blocksUntil starts enter in a goroutine, waits until the gate has counted
+// it as a waiter, and returns the channel its result arrives on.
+func blocksUntil(t *testing.T, g *admitGate, budget int) <-chan time.Duration {
+	t.Helper()
+	w0 := g.waits.Load()
+	out := make(chan time.Duration, 1)
+	go func() {
+		_, waited := g.enter(budget, func() bool { t.Error("drained with nothing staged"); return false })
+		out <- waited
+	}()
+	for g.waits.Load() == w0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	select {
+	case <-out:
+		t.Fatal("enter returned although the budget does not fit")
+	case <-time.After(2 * time.Millisecond):
+	}
+	return out
+}
+
+func TestAdmitGate(t *testing.T) {
+	noDrain := func() bool { t.Error("drain called"); return false }
+
+	t.Run("clamp", func(t *testing.T) {
+		g := newAdmitGate(10)
+		if r, w := g.enter(100, noDrain); r != 5 || w != 0 {
+			t.Fatalf("budget 100 under a gate of 10 reserved %d after %v, want half the gate at once", r, w)
+		}
+		if r, _ := g.enter(0, noDrain); r != 1 {
+			t.Fatalf("budget 0 reserved %d, want 1", r)
+		}
+		g.leave(0) // nothing reserved: the gate was not entered
+		if g.open != 6 {
+			t.Fatalf("open = %d, want 6", g.open)
+		}
+	})
+
+	t.Run("blocks and wakes on leave", func(t *testing.T) {
+		g := newAdmitGate(10)
+		a, _ := g.enter(5, noDrain)
+		b, _ := g.enter(5, noDrain)
+		out := blocksUntil(t, g, 5)
+		g.leave(a)
+		if waited := <-out; waited <= 0 {
+			t.Fatalf("a blocked enter reported waiting %v", waited)
+		}
+		g.leave(b)
+		g.leave(5)
+		if g.open != 0 || g.waits.Load() != 1 {
+			t.Fatalf("open %d waits %d, want 0 and 1", g.open, g.waits.Load())
+		}
+	})
+
+	t.Run("failed opens, flushed shuts, close stays open", func(t *testing.T) {
+		g := newAdmitGate(4)
+		g.enter(2, noDrain)
+		g.enter(2, noDrain)
+		out := blocksUntil(t, g, 2)
+		g.failed(errors.New("flush failed"))
+		<-out // the parked admitter passes through
+		if _, w := g.enter(2, noDrain); w != 0 {
+			t.Fatal("gate not open while a flush failure is noted")
+		}
+		g.leave(2)
+		g.leave(2)
+		g.flushed(0) // open is 4 again: the gate is full and shut
+		out = blocksUntil(t, g, 2)
+		g.close()
+		<-out
+		g.flushed(0)
+		if _, w := g.enter(2, noDrain); w != 0 {
+			t.Fatal("a flush shut a closed gate again")
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		g := newAdmitGate(4)
+		g.staged.Store(10)
+		calls := 0
+		r, w := g.enter(2, func() bool { calls++; g.flushed(0); return true })
+		if r != 2 || w <= 0 || calls != 1 || g.waits.Load() != 1 {
+			t.Fatalf("reserved %d after %v and %d drains (%d waits), want 2 after one drain", r, w, calls, g.waits.Load())
+		}
+		// A drain that cannot flush ends the wait: the operation goes on
+		// to observe the failure under fs.mu.
+		g.staged.Store(10)
+		calls = 0
+		if r, w := g.enter(2, func() bool { calls++; return false }); r != 2 || w <= 0 || calls != 1 {
+			t.Fatalf("reserved %d after %v and %d drains, want 2 after one failed drain", r, w, calls)
+		}
+	})
+}
+
+// serveLog is a committer serve function that records its calls, answers
+// every syncer nil, and blocks while hold is non-nil and open.
+type serveLog struct {
+	mu      sync.Mutex
+	wants   []uint64
+	syncers []int
+	entered chan struct{} // one send per call, before it blocks
+	hold    chan struct{}
+}
+
+func (l *serveLog) serve(want uint64, syncers []commitReq) {
+	l.mu.Lock()
+	l.wants, l.syncers = append(l.wants, want), append(l.syncers, len(syncers))
+	l.mu.Unlock()
+	l.entered <- struct{}{}
+	<-l.hold
+	for _, r := range syncers {
+		r.done <- nil
+	}
+}
+
+func TestCommitter(t *testing.T) {
+	// park starts n waits and returns once the committer holds them all.
+	park := func(c *committer, n int, want uint64, errc chan<- error) {
+		before := c.parked()
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				err, ok := c.wait(want + uint64(i))
+				if err == nil && !ok {
+					err = errors.New("wait reported a stopped committer")
+				}
+				errc <- err
+			}(i)
+		}
+		for c.parked() < before+n {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
+	t.Run("parked waits share one serve", func(t *testing.T) {
+		c, l := newCommitter(), &serveLog{entered: make(chan struct{}, 4), hold: make(chan struct{})}
+		if _, ok := c.wait(1); ok || c.kick(1) {
+			t.Fatal("a committer that was never started took a request")
+		}
+		c.start(l.serve)
+		errc := make(chan error, 8)
+		park(c, 1, 1, errc) // occupies the loop in a blocked serve
+		<-l.entered
+		park(c, 6, 10, errc)
+		close(l.hold)
+		for i := 0; i < 7; i++ {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.stop()
+		if len(l.wants) != 2 || l.syncers[1] != 6 || l.wants[1] != 15 {
+			t.Fatalf("serve calls: wants %v syncers %v, want the six parked waits in one call for epoch 15", l.wants, l.syncers)
+		}
+	})
+
+	t.Run("stop serves what was queued", func(t *testing.T) {
+		c, l := newCommitter(), &serveLog{entered: make(chan struct{}, 4), hold: make(chan struct{})}
+		c.start(l.serve)
+		errc := make(chan error, 8)
+		park(c, 1, 1, errc)
+		<-l.entered
+		park(c, 3, 2, errc)
+		stopped := make(chan struct{})
+		go func() { c.stop(); close(stopped) }()
+		select {
+		case <-stopped:
+			t.Fatal("stop returned while a batch was being served")
+		case <-time.After(2 * time.Millisecond):
+		}
+		close(l.hold)
+		<-stopped
+		for i := 0; i < 4; i++ {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := c.wait(9); ok || c.kick(9) || c.parked() != 0 {
+			t.Fatal("a stopped committer took a request")
+		}
+		c.stop() // a second stop does not hang
+	})
+
+	t.Run("kicks leave nothing queued", func(t *testing.T) {
+		c, l := newCommitter(), &serveLog{entered: make(chan struct{}, 4), hold: make(chan struct{})}
+		c.start(l.serve)
+		c.kick(1)
+		<-l.entered
+		for i := 1; i <= 10000; i++ {
+			if !c.kick(uint64(10 + i%777)) {
+				t.Fatal("kick refused by a running committer")
+			}
+		}
+		if len(c.queue) != 0 || c.parked() != 0 {
+			t.Fatalf("%d requests queued by kicks that park nobody", len(c.queue))
+		}
+		close(l.hold)
+		c.stop()
+		if len(l.wants) != 2 || l.wants[1] != 10+776 || l.syncers[1] != 0 || c.kicks.Load() != 10001 {
+			t.Fatalf("serve calls: wants %v syncers %v after %d kicks, want one more call for epoch 786", l.wants, l.syncers, c.kicks.Load())
+		}
+	})
 }

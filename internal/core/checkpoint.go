@@ -139,7 +139,7 @@ func (fs *FS) checkpointLocked() error {
 		fs.relocatedSinceCp = false
 		fs.nvClear()
 		fs.flushedSeq.Store(fs.stageSeq.Load())
-		fs.admitFlushed()
+		fs.gate.flushed(fs.stagedBlocks())
 	}
 
 	// The checkpoint is durable: release the cleaned segments for reuse.

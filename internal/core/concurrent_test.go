@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/disk"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -180,72 +179,6 @@ func TestBackgroundCleanerUnmountStopsCleaner(t *testing.T) {
 	}
 }
 
-// TestRcacheInvalidateRecache pins the FIFO-desync bug: invalidating a
-// cached address used to delete the map entry but leave the address in
-// the eviction FIFO, so re-caching the same address queued a second FIFO
-// entry and the stale one evicted the live block early. With tombstones
-// the stale entry is discarded and eviction order stays correct.
-func TestRcacheInvalidateRecache(t *testing.T) {
-	opts := testOptions()
-	opts.ReadCacheBlocks = 2
-	fs, _ := newTestFS(t, 2048, opts)
-	blk := func(b byte) []byte { return bytes.Repeat([]byte{b}, 16) }
-
-	fs.cacheBlockOwned(100, blk('A'))
-	fs.cacheBlockOwned(101, blk('B'))
-	fs.invalidateCachedBlock(100)
-	if _, ok := fs.cachedBlock(100); ok {
-		t.Fatal("invalidated block still served from cache")
-	}
-	fs.cacheBlockOwned(100, blk('C')) // re-cache the invalidated address
-	fs.cacheBlockOwned(102, blk('D')) // cache full: must evict 101, the oldest live block
-	if _, ok := fs.cachedBlock(101); ok {
-		t.Fatal("oldest live block survived eviction")
-	}
-	if got, ok := fs.cachedBlock(100); !ok || got[0] != 'C' {
-		t.Fatalf("re-cached block evicted early by its stale FIFO entry (ok=%v)", ok)
-	}
-	if _, ok := fs.cachedBlock(102); !ok {
-		t.Fatal("newly cached block missing")
-	}
-
-	// Invalidating an address that is not cached must not plant a
-	// tombstone (there is no ring entry for it to cancel).
-	dead0 := fs.rcacheDeadN
-	fs.invalidateCachedBlock(9999)
-	if fs.rcacheDeadN != dead0 {
-		t.Fatalf("invalidate of uncached address changed tombstone count %d -> %d", dead0, fs.rcacheDeadN)
-	}
-}
-
-// TestRcacheRingCompaction checks that repeated invalidate/re-cache
-// cycles cannot grow the eviction ring without bound, and that the
-// tombstone bookkeeping stays consistent.
-func TestRcacheRingCompaction(t *testing.T) {
-	opts := testOptions()
-	opts.ReadCacheBlocks = 4
-	fs, _ := newTestFS(t, 2048, opts)
-	buf := make([]byte, 16)
-	for i := 0; i < 10000; i++ {
-		addr := int64(500 + i%8)
-		fs.cacheBlockOwned(addr, buf)
-		fs.invalidateCachedBlock(addr)
-	}
-	if rl := fs.rcacheRing.len(); rl > 64 {
-		t.Fatalf("eviction ring grew to %d entries for a 4-block cache", rl)
-	}
-	sum := 0
-	for _, c := range fs.rcacheDead {
-		sum += c
-	}
-	if sum != fs.rcacheDeadN {
-		t.Fatalf("tombstone count %d does not match map total %d", fs.rcacheDeadN, sum)
-	}
-	if fs.rcacheDeadN > fs.rcacheRing.len() {
-		t.Fatalf("%d tombstones exceed %d ring entries", fs.rcacheDeadN, fs.rcacheRing.len())
-	}
-}
-
 // TestCleanIdlePendingCleanBudget pins the idle-cleaning accounting fix:
 // when segments evacuated by an earlier pass are still awaiting their
 // releasing checkpoint, CleanIdle must count them toward its budget and
@@ -299,27 +232,4 @@ func TestCleanIdlePendingCleanBudget(t *testing.T) {
 			free0, got, pending)
 	}
 	mustCheck(t, fs)
-}
-
-// BenchmarkRcacheEviction exercises the read-cache eviction path with the
-// cache at capacity: every insert must evict the oldest live block. The
-// ring buffer keeps this O(1) without retaining the backing array the way
-// the old slice-shift FIFO did (allocations per op are the measure).
-func BenchmarkRcacheEviction(b *testing.B) {
-	opts := testOptions()
-	opts.ReadCacheBlocks = 1024
-	d := disk.MustNew(disk.DefaultGeometry(4096))
-	fs, err := Format(d, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, layout.BlockSize)
-	for i := 0; i < opts.ReadCacheBlocks; i++ {
-		fs.cacheBlockOwned(int64(i), buf)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.cacheBlockOwned(int64(opts.ReadCacheBlocks+i), buf)
-	}
 }

@@ -31,14 +31,14 @@ func (fs *FS) readFileBlockInto(mi *mInode, bn uint32, dst []byte) error {
 		return nil
 	}
 	fs.tr.Add(obs.CtrWriteRMWReads, 1)
-	if fs.rcache == nil {
-		// No read cache to take the buffer readDiskBlock would read
-		// into: read in the caller's.
-		err = fs.readVerified(addr, dst)
-	} else {
-		var b []byte
-		b, err = fs.readDiskBlock(addr)
-		copy(dst, b) // b is nil on error
+	if b, ok := fs.rc.get(addr); ok {
+		copy(dst, b)
+		return nil
+	}
+	// dst is the caller's to mutate, so it cannot become cache storage:
+	// read into it and give the cache a copy.
+	if err = fs.readVerified(addr, dst); err == nil {
+		fs.cacheCopy(addr, dst)
 	}
 	return attributeCorruption(err, mi.ino.Inum, int64(bn)*layout.BlockSize)
 }
@@ -82,9 +82,9 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 			continue
 		}
 		// Serve the block straight from the read cache when present
-		// (cached slices are immutable, so copying outside rcacheMu is
-		// safe).
-		if blk, ok := fs.cachedBlock(addr); ok {
+		// (cached slices are immutable, so copying outside the cache's
+		// lock is safe).
+		if blk, ok := fs.rc.get(addr); ok {
 			n := copy(buf, blk[inBlock:])
 			buf, off, total = buf[n:], off+int64(n), total+n
 			continue
@@ -107,33 +107,26 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 			if err != nil || a2 != addr+int64(run) {
 				break
 			}
-			if _, ok := fs.cachedBlock(addr + int64(run)); ok {
+			if _, ok := fs.rc.get(addr + int64(run)); ok {
 				break
 			}
 			run++
 		}
 		var n int
-		switch {
-		case run == 1 && fs.rcache != nil:
-			// readDiskBlock fills the cache with the buffer it read into
-			// (ownership transfer, no copy) and hands back a read-only
-			// view of it.
-			blk, err := fs.readDiskBlock(addr)
-			if err != nil {
-				return total, attributeCorruption(err, inum, int64(bn)*layout.BlockSize)
-			}
-			n = copy(buf, blk[inBlock:])
-		case run == 1:
-			// No read cache to hand the buffer to: read into a pooled
-			// block and return it as soon as the bytes are copied out.
+		if run == 1 {
+			// Read into a pooled block and copy out; the block then
+			// becomes the cache's (ownership transfer, no copy) or, with
+			// no read cache to take it, goes straight back to the pool.
 			blk := fs.bpool.Get()
 			if err := fs.readVerified(addr, blk); err != nil {
 				fs.bpool.Put(blk)
 				return total, attributeCorruption(err, inum, int64(bn)*layout.BlockSize)
 			}
 			n = copy(buf, blk[inBlock:])
-			fs.bpool.Put(blk)
-		default:
+			if !fs.rc.put(addr, blk) {
+				fs.bpool.Put(blk)
+			}
+		} else {
 			big := fs.rpool.Get(run)
 			err := fs.readRetry(addr, big)
 			if errors.Is(err, disk.ErrMediaRead) {
@@ -159,16 +152,9 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 						break
 					}
 					// Populate the read cache from the coalesced read so a
-					// re-read is served from memory. The cache takes a
-					// private pooled copy: big itself goes back to the run
-					// pool below, so it must never enter the cache.
-					if fs.rcache != nil {
-						cb := fs.bpool.Get()
-						copy(cb, s)
-						if !fs.cacheBlockOwned(addr+int64(i), cb) {
-							fs.bpool.Put(cb)
-						}
-					}
+					// re-read is served from memory (with a copy: big itself
+					// goes back to the run pool below).
+					fs.cacheCopy(addr+int64(i), s)
 				}
 			}
 			if err != nil {

@@ -40,11 +40,12 @@ type blockKey struct {
 // Locking discipline: mu is a reader/writer lock. Mutating operations
 // take mu.Lock and may touch anything. Read-only operations (ReadAt,
 // ReadFile, Stat, ReadDir) take mu.RLock and run concurrently with each
-// other; the few structures they mutate on the side — the read cache,
-// the inode cache, the directory cache, and the inode map's atime/dirty
-// state — are guarded by the small leaf mutexes below, which order
-// reader against reader (reader against writer is already ordered by
-// mu itself). See DESIGN.md for the full discipline.
+// other; the few structures they mutate on the side — the inode cache,
+// the directory cache, the inode map's atime/dirty state, and the
+// components that own a lock (read cache, segAlloc, sumIndex) — are
+// guarded by small leaf mutexes, which order reader against reader
+// (reader against writer is already ordered by mu itself). See DESIGN.md
+// for the full discipline.
 type FS struct {
 	mu   sync.RWMutex
 	dev  *disk.Disk
@@ -71,7 +72,7 @@ type FS struct {
 	// be used outside fs.mu. Ownership discipline: a Get buffer is
 	// exclusively the caller's until Put or until ownership transfers to
 	// the dirty cache (dcache → staged → Put after the device write) or
-	// the read cache (cacheBlockOwned — after which it is immutable and
+	// the read cache (readCache.put — after which it is immutable and
 	// never returns to the pool; see DESIGN.md).
 	bpool *bufpool.Pool
 	rpool *bufpool.RunPool
@@ -79,15 +80,9 @@ type FS struct {
 	// entry slice is grown to MaxSummaryEntries, plus one block buffer),
 	// shared by every walk.
 	sumFree *bufpool.Free[*layout.WalkScratch]
-	// Read cache for clean blocks (bounded FIFO; optional). rcacheMu
-	// guards all four fields: the ring holds the eviction order, and an
-	// invalidated address leaves a tombstone count so its stale ring
-	// entry is skipped (not acted on) when it reaches the front.
-	rcacheMu    sync.Mutex
-	rcache      map[int64][]byte
-	rcacheRing  addrRing
-	rcacheDead  map[int64]int
-	rcacheDeadN int
+	// rc is the read cache for clean blocks (readcache.go): a bounded FIFO
+	// with its own leaf lock, nil when Options.ReadCacheBlocks is 0.
+	rc *readCache
 
 	// icacheMu guards icache lookups/inserts from paths that run under
 	// mu.RLock; writer-only mutation (create, remove, recovery) is
@@ -168,20 +163,13 @@ type FS struct {
 	readersNow atomic.Int64
 
 	// Transaction-grouped log admission (admit.go). stageSeq counts
-	// completed mutating operations; flushedSeq is the stageSeq value
-	// the last successful flush covered — the operations between two
-	// flushes form a commit epoch. stagedEst is a lock-free estimate of
-	// staged-but-unflushed blocks, refreshed under fs.mu and read by
-	// the admission gate. admitOpen (guarded by admitMu) is the total
-	// worst-case budget of admitted, unfinished operations; admitCap is
-	// the gate capacity (Options.AdmitBudgetBlocks, fixed at mount).
-	// The commit* fields (guarded by commitMu) are the group-commit
-	// goroutine's request queue and lifecycle.
+	// completed mutating operations and flushedSeq is the stageSeq value
+	// the last successful flush covered. gate bounds admitted-but-unflushed
+	// work and commit is the group committer; each owns its lock.
 	stageSeq   atomic.Uint64
 	flushedSeq atomic.Uint64
-	stagedEst  atomic.Int64
-	admitWaits atomic.Int64
-	admitOps   atomic.Int64
+	gate       *admitGate
+	commit     *committer
 	// nvSeq is the NVRAM durability epoch (Options.NVSyncAbsorb): the
 	// highest stageSeq value all of whose operations are recorded in
 	// NVRAM or already covered by a flush. flushedSeq is its disk twin;
@@ -191,28 +179,9 @@ type FS struct {
 	// loses it. Written under fs.mu (nvLog), read lock-free by Sync and
 	// Durability.
 	nvSeq atomic.Uint64
-	// nvAbsorbed / nvKicks count absorbed Syncs and async committer
-	// kicks; atomics because Sync runs under mu.RLock.
-	nvAbsorbed  atomic.Int64
-	nvKicks     atomic.Int64
-	admitMu     sync.Mutex
-	admitCond   *sync.Cond
-	admitOpen   int
-	admitCap    int
-	admitClosed bool
-	// admitFlushErr (guarded by admitMu) is the last failed commit
-	// attempt; while set, the gate admits unconditionally so writers
-	// observe the failure inline instead of waiting on a backlog that
-	// cannot drain. Cleared by the next successful flush.
-	admitFlushErr error
-
-	commitMu      sync.Mutex
-	commitCond    *sync.Cond
-	commitQueue   []commitReq
-	commitInBatch int // requests the committer has drained and is serving
-	commitActive  bool
-	commitStopped bool
-	commitDone    chan struct{}
+	// nvAbsorbed counts absorbed Syncs; atomic because Sync runs under
+	// mu.RLock.
+	nvAbsorbed atomic.Int64
 
 	// degraded flips (stickily) when metadata is unrecoverable; mutating
 	// operations then fail fast with ErrDegraded. degradedReason is the
@@ -309,11 +278,11 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		inoBlockRefs: make(map[int64]int),
 		segs:         newSegAlloc(nsegs),
 		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
+		rc:           newReadCache(opts.ReadCacheBlocks),
+		gate:         newAdmitGate(opts.AdmitBudgetBlocks),
+		commit:       newCommitter(),
 	}
 	fs.spaceCond = sync.NewCond(&fs.mu)
-	fs.admitCond = sync.NewCond(&fs.admitMu)
-	fs.commitCond = sync.NewCond(&fs.commitMu)
-	fs.admitCap = opts.AdmitBudgetBlocks
 	// The idle block freelist holds two write buffers plus a segment:
 	// enough to turn the steady-state write path allocation-free.
 	fs.bpool = bufpool.New(layout.BlockSize, 2*opts.WriteBufferBlocks+opts.SegmentBlocks)
@@ -326,10 +295,6 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	// at a time under fs.mu); the rest serve readers harvesting block
 	// checksums side by side.
 	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](runPoolPerClass)
-	if opts.ReadCacheBlocks > 0 {
-		fs.rcache = make(map[int64][]byte)
-		fs.rcacheDead = make(map[int64]int)
-	}
 	fs.tr = opts.Tracer
 	return fs
 }
@@ -369,10 +334,10 @@ func (fs *FS) Stats() Stats {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	st := fs.stats
-	st.AdmitWaits = fs.admitWaits.Load()
-	st.AdmitOps = fs.admitOps.Load()
+	st.AdmitWaits = fs.gate.waits.Load()
+	st.AdmitOps = fs.gate.ops.Load()
 	st.NVAbsorbedSyncs = fs.nvAbsorbed.Load()
-	st.NVAsyncKicks = fs.nvKicks.Load()
+	st.NVAsyncKicks = fs.commit.kicks.Load()
 	return st
 }
 
@@ -381,10 +346,10 @@ func (fs *FS) ResetStats() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.stats = Stats{}
-	fs.admitWaits.Store(0)
-	fs.admitOps.Store(0)
+	fs.gate.waits.Store(0)
+	fs.gate.ops.Store(0)
 	fs.nvAbsorbed.Store(0)
-	fs.nvKicks.Store(0)
+	fs.commit.kicks.Store(0)
 }
 
 // Durability returns the file system's three durability epochs: staged
@@ -498,14 +463,13 @@ func (fs *FS) decInoBlockRef(addr int64) error {
 // readDiskBlock reads the block at addr through the read cache. The
 // returned slice is READ-ONLY and may be the cache's own storage:
 // callers must copy before mutating (writers that need a private
-// mutable block use readFileBlockInto). Every caller was audited for
-// this contract when the hot paths went allocation-free — the old
-// copy-out-on-hit behaviour is the allocation this saves.
+// mutable block use readFileBlockInto); serving the cache's slice is
+// what keeps a hit allocation-free.
 // Media errors are retried within the bounded budget and every block
 // coming off the disk is checksum-verified before it is cached or used
 // (cache hits were verified when they were filled).
 func (fs *FS) readDiskBlock(addr int64) ([]byte, error) {
-	if b, ok := fs.cachedBlock(addr); ok {
+	if b, ok := fs.rc.get(addr); ok {
 		return b, nil
 	}
 	buf := fs.bpool.Get()
@@ -513,114 +477,24 @@ func (fs *FS) readDiskBlock(addr int64) ([]byte, error) {
 		fs.bpool.Put(buf)
 		return nil, err
 	}
-	// Ownership moves to the read cache (after which the buffer is
-	// immutable and never pooled again); when there is no cache the
-	// caller keeps the only reference and it dies to the GC. readAt
-	// therefore does not come here for a single block when no cache is
-	// configured: it reads into a pooled block of its own and puts it
-	// back once the bytes are copied out.
-	fs.cacheBlockOwned(addr, buf)
+	// Ownership moves to the read cache (readCache.put's one-way door);
+	// with no cache the caller keeps the only reference and it dies to the
+	// GC, which is why readAt reads a lone block into a pooled one itself.
+	fs.rc.put(addr, buf)
 	return buf, nil
 }
 
-// cachedBlock returns the cached contents of addr. The returned slice
-// is the cache's own copy — cached slices are immutable once stored, so
-// callers may read it after rcacheMu is released but must not write it.
-func (fs *FS) cachedBlock(addr int64) ([]byte, bool) {
-	if fs.rcache == nil {
-		return nil, false
-	}
-	fs.rcacheMu.Lock()
-	b, ok := fs.rcache[addr]
-	fs.rcacheMu.Unlock()
-	return b, ok
-}
-
-// cacheBlockOwned installs buf — ownership of which the caller
-// surrenders — as the cached contents of addr, and reports whether the
-// cache took it (false only when no read cache is configured; the
-// caller then still owns the buffer). Once stored the buffer is
-// immutable forever: readers copy cached slices outside rcacheMu, so
-// buffers that have entered the cache die to the garbage collector on
-// eviction or invalidation, never back to the pool — that one-way door
-// is what makes pooled buffers and the immutable rcache coexist (the
-// PR 1 aliasing bug class). Eviction is FIFO over a ring buffer; ring
-// entries whose address was invalidated carry a tombstone count and
-// are discarded, not evicted, when they reach the front — so an
-// invalidate + re-cache of the same address never evicts the live
-// block early.
-func (fs *FS) cacheBlockOwned(addr int64, buf []byte) bool {
-	if fs.rcache == nil {
-		return false
-	}
-	fs.rcacheMu.Lock()
-	defer fs.rcacheMu.Unlock()
-	if _, ok := fs.rcache[addr]; ok {
-		fs.rcache[addr] = buf
-		return true
-	}
-	fs.rcache[addr] = buf
-	fs.rcacheRing.push(addr)
-	// The map holds only live blocks, so its size is the live count.
-	for len(fs.rcache) > fs.opts.ReadCacheBlocks {
-		old, ok := fs.rcacheRing.pop()
-		if !ok {
-			break
-		}
-		if n := fs.rcacheDead[old]; n > 0 {
-			// Stale entry for an invalidated address: consume the
-			// tombstone and keep looking.
-			if n == 1 {
-				delete(fs.rcacheDead, old)
-			} else {
-				fs.rcacheDead[old] = n - 1
-			}
-			fs.rcacheDeadN--
-			continue
-		}
-		delete(fs.rcache, old)
-	}
-	return true
-}
-
-// invalidateCachedBlock drops addr from the read cache (the address is
-// being reused for different content). The ring entry stays behind with
-// a tombstone; when tombstones dominate the ring it is compacted so
-// repeated invalidate/re-cache cycles cannot grow it without bound.
-func (fs *FS) invalidateCachedBlock(addr int64) {
-	if fs.rcache == nil {
+// cacheCopy gives the read cache a private pooled copy of blk, the block a
+// caller has just read and verified at addr into a buffer that is not the
+// cache's to keep (a run buffer on its way back to the run pool, a buffer
+// the write path is about to mutate).
+func (fs *FS) cacheCopy(addr int64, blk []byte) {
+	if fs.rc == nil {
 		return
 	}
-	fs.rcacheMu.Lock()
-	defer fs.rcacheMu.Unlock()
-	if _, ok := fs.rcache[addr]; !ok {
-		return // not cached: no ring entry to tombstone
-	}
-	delete(fs.rcache, addr)
-	fs.rcacheDead[addr]++
-	fs.rcacheDeadN++
-	if fs.rcacheDeadN > fs.opts.ReadCacheBlocks && fs.rcacheDeadN > fs.rcacheRing.len()/2 {
-		fs.compactRcacheRing()
-	}
-}
-
-// compactRcacheRing rebuilds the eviction ring without its tombstoned
-// entries, preserving FIFO order. Caller holds rcacheMu.
-func (fs *FS) compactRcacheRing() {
-	n := fs.rcacheRing.len()
-	for i := 0; i < n; i++ {
-		a, _ := fs.rcacheRing.pop()
-		if c := fs.rcacheDead[a]; c > 0 {
-			if c == 1 {
-				delete(fs.rcacheDead, a)
-			} else {
-				fs.rcacheDead[a] = c - 1
-			}
-			fs.rcacheDeadN--
-			continue
-		}
-		fs.rcacheRing.push(a)
-	}
+	cb := fs.bpool.Get()
+	copy(cb, blk)
+	fs.rc.put(addr, cb)
 }
 
 // allocInum allocates an inode number, reusing freed numbers first.
@@ -645,8 +519,8 @@ func (fs *FS) allocInum() (uint32, error) {
 // gate is opened so blocked admitters fail fast on the mounted check.
 func (fs *FS) Unmount() error {
 	fs.stopCleaner()
-	fs.stopCommitter()
-	fs.admitClose()
+	fs.commit.stop()
+	fs.gate.close()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// Writers stalled behind the (now stopped) cleaner must re-check

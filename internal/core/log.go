@@ -141,10 +141,10 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		if err := fs.incLive(addr); err != nil {
 			return err
 		}
-		fs.invalidateCachedBlock(addr)
+		fs.rc.drop(addr)
 	}
 	fs.usage.noteWrite(head, now)
-	fs.invalidateCachedBlock(sumAddr)
+	fs.rc.drop(sumAddr)
 
 	// Phase 2: encode contents (late-bound encoders see final state).
 	// buf comes from the run pool; every error return below either
@@ -350,7 +350,7 @@ func (fs *FS) flushLog() error {
 	// of an operation (writeAt's buffer-full flush) does not cover that
 	// operation — stageSeq is only bumped at operation end.
 	fs.flushedSeq.Store(fs.stageSeq.Load())
-	fs.admitFlushed()
+	fs.gate.flushed(fs.stagedBlocks())
 	if fs.checkpointDue() && !fs.inCheckpoint() {
 		return fs.checkpointLocked()
 	}

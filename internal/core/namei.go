@@ -330,8 +330,7 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 // traced before the lock drops. The int is apply's: bytes staged by a
 // WriteAt, zero for every other kind.
 func (fs *FS) do(r *nvRecord) (int, error) {
-	release := fs.opAdmit(r.budget())
-	defer release()
+	defer fs.gate.leave(fs.opAdmit(r.budget()))
 	// Chop the block-aligned body of a payload into private pooled
 	// buffers outside fs.mu, so the staging critical section installs
 	// pointers instead of copying. Deferred before the lock, release runs

@@ -34,7 +34,10 @@ func (p CleaningPolicy) String() string {
 // (*Options).withDefaults; defaults follow the paper's production
 // configuration (Section 5.1): 4 KB blocks, 512 KB segments, cost-benefit
 // selection with age-sorted output, a few tens of segments cleaned at a
-// time; the cleaner's marks are sized by need in withDefaults.
+// time; the cleaner's marks are sized by need in withDefaults. A size out
+// of range falls back quietly: a negative SegmentBlocks, MaxInodes,
+// WriteBufferBlocks, AdmitBudgetBlocks or CleanBatch means the default, as
+// zero does; a negative ReadCacheBlocks or CheckpointEveryBytes means 0.
 type Options struct {
 	// SegmentBlocks is the segment size in blocks (default 128 = 512 KB).
 	SegmentBlocks int
@@ -47,7 +50,8 @@ type Options struct {
 	CleanLowWater int
 	// CleanHighWater stops a cleaning cycle once this many segments are
 	// clean. Zero means one pass's worth above CleanLowWater, so that a
-	// cycle is one age-sorted pass and one checkpoint: see withDefaults.
+	// cycle is one age-sorted pass and one checkpoint; any other value at
+	// or below CleanLowWater means twice CleanLowWater: see withDefaults.
 	CleanHighWater int
 	// CleanBatch bounds how many segments one pass cleans (Section 3.4,
 	// policy question 2: "a few tens of segments at a time"); the output
@@ -78,9 +82,10 @@ type Options struct {
 	// AdmitBudgetBlocks sizes the write admission gate: the total
 	// worst-case block budget of admitted-but-unflushed mutating
 	// operations (default: 2*WriteBufferBlocks). A writer whose budget
-	// does not fit blocks outside fs.mu until the group committer
-	// drains the staged backlog. Individual budgets are clamped to half
-	// the gate so two maximal writers can always interleave.
+	// does not fit blocks outside fs.mu until the operations ahead of it
+	// finish, flushing the staged backlog itself when that is what keeps
+	// it out. Individual budgets are clamped to half the gate so two
+	// maximal writers can always interleave.
 	AdmitBudgetBlocks int
 	// NoGroupCommit disables the group-commit goroutine: every Sync
 	// flushes inline under fs.mu, one flush per caller, as in the
@@ -144,18 +149,22 @@ func (o Options) withDefaults() Options {
 		// nothing holds; quietly fall back to inline-flush semantics.
 		o.NVSyncAbsorb = false
 	}
-	if o.SegmentBlocks == 0 {
+	// A size nothing can run with is as good as unset (a negative gate
+	// parks the first operation forever, a negative inode count is 2^32-1).
+	if o.SegmentBlocks <= 0 {
 		o.SegmentBlocks = 128
 	}
-	if o.MaxInodes == 0 {
+	if o.MaxInodes <= 0 {
 		o.MaxInodes = 65536
 	}
-	if o.WriteBufferBlocks == 0 {
+	if o.WriteBufferBlocks <= 0 {
 		o.WriteBufferBlocks = o.SegmentBlocks
 	}
-	if o.AdmitBudgetBlocks == 0 {
+	if o.AdmitBudgetBlocks <= 0 {
 		o.AdmitBudgetBlocks = 2 * o.WriteBufferBlocks
 	}
+	o.ReadCacheBlocks = max(o.ReadCacheBlocks, 0)
+	o.CheckpointEveryBytes = max(o.CheckpointEveryBytes, 0)
 	// The cleaner is sized by need, and its three defaults are spelled
 	// here only. Every segment held clean is slack withheld from the
 	// segments the cleaner chooses among, paid for in their utilisation
@@ -179,7 +188,7 @@ func (o Options) withDefaults() Options {
 	if o.CleanHighWater <= o.CleanLowWater {
 		o.CleanHighWater = 2 * o.CleanLowWater
 	}
-	if o.CleanBatch == 0 {
+	if o.CleanBatch <= 0 {
 		o.CleanBatch = 24
 	}
 	return o

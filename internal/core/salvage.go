@@ -252,14 +252,7 @@ func (fs *FS) salvageReset() {
 	fs.inoBlockRefs = make(map[int64]int)
 	fs.segs.reset()
 	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
-	if fs.rcache != nil {
-		fs.rcacheMu.Lock()
-		fs.rcache = make(map[int64][]byte)
-		fs.rcacheRing = addrRing{}
-		fs.rcacheDead = make(map[int64]int)
-		fs.rcacheDeadN = 0
-		fs.rcacheMu.Unlock()
-	}
+	fs.rc.reset()
 	// Acknowledged-but-unflushed state (if any) is part of what was
 	// lost; the NVRAM redo log describing it must not replay over the
 	// rebuilt image.

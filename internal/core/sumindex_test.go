@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"strings"
 	"sync"
@@ -322,6 +323,60 @@ func TestPendingBounded(t *testing.T) {
 	if quiet < 50 || arrays > 7 {
 		t.Fatalf("%d flushes before the first cleaning pass went through %d backing arrays", quiet, arrays)
 	}
+}
+
+// inoBlockRefs — live inodes per packed inode block — is bounded by the live
+// inodes: through rounds of create / overwrite / remove with checkpoints
+// and cleaning in between it never holds more keys than there are inodes,
+// and it equals what a fresh Mount recomputes from the same image.
+func TestInoBlockRefsBounded(t *testing.T) {
+	opts := testOptions()
+	fs, d := newTestFS(t, 2048, opts)
+	payload := bytes.Repeat([]byte("i"), 3*layout.BlockSize)
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 60; i++ {
+			name := fmt.Sprintf("/r%d-f%d", round%3, i)
+			if err := fs.WriteFile(name, payload[:(1+i%3)*layout.BlockSize]); err != nil {
+				t.Fatal(err)
+			}
+			if i%7 == round%7 {
+				if err := fs.Remove(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if round%2 == 1 {
+			if err := fs.Clean(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for _, e := range fs.imap.entries {
+			if e.Allocated() {
+				live++
+			}
+		}
+		if len(fs.inoBlockRefs) > live {
+			t.Fatalf("round %d: %d inode blocks referenced by %d live inodes", round, len(fs.inoBlockRefs), live)
+		}
+		m, err := Mount(disk.FromSnapshot(d.Snapshot()), opts)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !maps.Equal(fs.inoBlockRefs, m.inoBlockRefs) {
+			t.Fatalf("round %d: running counts %v, a fresh mount computes %v", round, fs.inoBlockRefs, m.inoBlockRefs)
+		}
+		if err := m.Unmount(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.Stats().SegmentsCleaned == 0 {
+		t.Fatal("the workload never cleaned")
+	}
+	mustCheck(t, fs)
 }
 
 // Readers look sums up (harvesting on a miss) while the writer records

@@ -115,8 +115,8 @@ func (p *Pool) Idle() int {
 	return len(p.free)
 }
 
-// RunPool recycles multi-block run buffers (coalesced reads, partial
-// segment writes, whole-segment cleaner reads) in power-of-two size
+// RunPool recycles multi-block run buffers (coalesced reads, cleaner
+// segment reads, the deep log verification) in power-of-two size
 // classes. A Get for n blocks draws from the class that fits it and
 // returns a prefix slice; Put recovers the class from the buffer's
 // capacity. Runs larger than the largest class fall through to plain

@@ -259,10 +259,11 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 	return out, nil
 }
 
-// VerifyLog walks every segment's summary chain on disk and verifies each
-// partial write's data checksum — the deep, full-disk verification behind
-// "lfsck -deep". Normal operation and recovery never need this scan; it
-// exists to detect silent media corruption.
+// VerifyLog walks every segment's summary chain on disk and checks each
+// block's CRC against its entry Sum, and their fold against DataChecksum
+// (which the writer folds from the entries) — the deep, full-disk
+// verification behind "lfsck -deep". Normal operation and recovery never
+// need this scan; it exists to detect silent media corruption.
 func (fs *FS) VerifyLog() ([]string, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -284,10 +285,18 @@ func (fs *FS) VerifyLog() ([]string, error) {
 			if err := fs.readRetry(w.DataAddr(), data); err != nil {
 				return nil, err
 			}
-			if got := layout.Checksum(data); got != s.DataChecksum {
+			var fold uint32
+			for i, e := range s.Entries {
+				got := layout.Checksum(data[i*layout.BlockSize : (i+1)*layout.BlockSize])
+				if fold = layout.ChecksumAppendBlock(fold, got); got != e.Sum {
+					problems = append(problems, fmt.Sprintf("segment %d offset %d (write seq %d): block %d (%s) checksum %08x, summary entry says %08x",
+						seg, w.Off(), s.WriteSeq, w.DataAddr()+int64(i), e.Kind, got, e.Sum))
+				}
+			}
+			if fold != s.DataChecksum {
 				problems = append(problems,
 					fmt.Sprintf("segment %d offset %d (write seq %d): data checksum %08x, summary says %08x",
-						seg, w.Off(), s.WriteSeq, got, s.DataChecksum))
+						seg, w.Off(), s.WriteSeq, fold, s.DataChecksum))
 			}
 		}
 		if _, err := fs.walkEnded(w.End()); err != nil {

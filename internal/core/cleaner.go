@@ -344,7 +344,7 @@ func (fs *FS) cleanPass(cands []candidate) error {
 
 // liveCopy is a live data block collected from a segment being cleaned:
 // its summary entry, with Age replaced by the pass's sort key, and a
-// pooled copy of its contents.
+// pooled copy of its contents, already verified against the entry's Sum.
 type liveCopy struct {
 	entry layout.SummaryEntry
 	data  []byte
@@ -614,6 +614,7 @@ func (fs *FS) stageLiveCopies(lives []liveCopy) error {
 			entry:  lc.entry,
 			data:   lc.data,
 			pooled: true, // handleLiveEntry drew it from the pool
+			summed: true, // collect verified lc.data against lc.entry.Sum
 			age:    lc.entry.Age,
 			placed: func(addr int64) error {
 				old, err := fs.setBlockAddr(mi, bn, addr)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -980,6 +981,67 @@ func TestVerifyLogDetectsCorruption(t *testing.T) {
 	}
 	if len(problems) == 0 {
 		t.Fatal("silent corruption not detected by deep verify")
+	}
+	if want := fmt.Sprintf("block %d (data)", addr); !strings.Contains(problems[0], want) {
+		t.Fatalf("deep verify reported %q, want it to name %q", problems, want)
+	}
+}
+
+// TestVerifyLogChecksEntrySums re-encodes one summary with a wrong entry Sum
+// but the DataChecksum its data still matches — the case a whole-write
+// checksum cannot see, and the invariant the writer and the cleaner rely on
+// when they reuse entry sums. Deep verify must name that block.
+func TestVerifyLogChecksEntrySums(t *testing.T) {
+	fs, d := newTestFS(t, 2048, testOptions())
+	if err := fs.WriteFile("/v", nonZero(7, 8*layout.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi, err := fs.loadInode(info.Inum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := fs.blockAddr(mi, 5)
+	if err != nil || addr == layout.NilAddr {
+		t.Fatalf("block addr: %d, %v", addr, err)
+	}
+	// Find the partial write that describes addr.
+	sumAddr := layout.NilAddr
+	s := fs.getWalkScratch()
+	for w := fs.walkSegment(fs.segOf(addr), s); w.Next(); {
+		if addr >= w.DataAddr() && addr < w.DataAddr()+int64(len(s.Entries)) {
+			sumAddr = w.DataAddr() - 1
+		}
+	}
+	fs.putWalkScratch(s)
+	if sumAddr == layout.NilAddr {
+		t.Fatal("no summary describes the block")
+	}
+	blk, _ := d.Peek(sumAddr)
+	sum, err := layout.DecodeSummary(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum.Entries[addr-sumAddr-1].Sum ^= 1
+	if blk, err = sum.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Poke(sumAddr, blk); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := fs.VerifyLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("block %d (data)", addr)
+	if len(problems) != 1 || !strings.Contains(problems[0], want) {
+		t.Fatalf("deep verify reported %q, want one problem naming %q", problems, want)
 	}
 }
 

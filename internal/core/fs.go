@@ -67,10 +67,10 @@ type FS struct {
 	// File cache: dirty data blocks awaiting the next log write.
 	dcache map[blockKey][]byte
 	// bpool recycles single layout.BlockSize buffers and rpool recycles
-	// multi-block run buffers (coalesced reads, partial-segment writes,
-	// whole-segment cleaner reads). Both are internally locked and may
-	// be used outside fs.mu. Ownership discipline: a Get buffer is
-	// exclusively the caller's until Put or until ownership transfers to
+	// multi-block run buffers (coalesced reads, cleaner segment reads,
+	// VerifyLog). Both are internally locked and may be used outside
+	// fs.mu. Ownership discipline: a Get buffer is exclusively the
+	// caller's until Put or until ownership transfers to
 	// the dirty cache (dcache → staged → Put after the device write) or
 	// the read cache (readCache.put — after which it is immutable and
 	// never returns to the pool; see DESIGN.md).
@@ -100,6 +100,7 @@ type FS struct {
 	pendingOps  []*layout.DirOp // directory operation log awaiting flush
 	dirlogAddrs []int64         // dirlog blocks written since last checkpoint
 	pending     []stagedBlock   // blocks staged for the next log write
+	wvec        [][]byte        // writeBatch's gather list, reused (no views kept)
 
 	// segs is the segment allocator — the life cycle of every segment, the
 	// log position and the quarantine set (segalloc.go); sums is the
@@ -276,6 +277,7 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		dirtyInodes:  make(map[uint32]bool),
 		dirCache:     make(map[uint32][]layout.DirEntry),
 		inoBlockRefs: make(map[int64]int),
+		wvec:         make([][]byte, 0, layout.MaxSummaryEntries),
 		segs:         newSegAlloc(nsegs),
 		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
 		rc:           newReadCache(opts.ReadCacheBlocks),
@@ -287,9 +289,9 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	// enough to turn the steady-state write path allocation-free.
 	fs.bpool = bufpool.New(layout.BlockSize, 2*opts.WriteBufferBlocks+opts.SegmentBlocks)
 	// Runs span at most one segment: coalesced reads are split by the
-	// cache/dirty checks, a partial write is at most a segment, and the
-	// cleaner reads whole segments. Keep a few idle buffers per class —
-	// one in-flight flush, one cleaner pass, plus concurrent readers.
+	// cache/dirty checks, and the cleaner and VerifyLog read at most whole
+	// segments. Keep a few idle buffers per class — one cleaner pass, plus
+	// concurrent readers.
 	fs.rpool = bufpool.NewRun(layout.BlockSize, int(segBlocks), runPoolPerClass)
 	// One parked value covers the single cleaner (cleaning runs one pass
 	// at a time under fs.mu); the rest serve readers harvesting block

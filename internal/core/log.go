@@ -23,6 +23,7 @@ type stagedBlock struct {
 	placed  func(addr int64) error
 	age     uint64
 	cleaner bool // written on behalf of the cleaner (for stats)
+	summed  bool // entry.Sum is already data's CRC (a verified cleaner copy)
 	// pooled marks data as a bufpool buffer owned by the staging queue
 	// (dirty file blocks, cleaner live copies): flushPending returns it
 	// to the pool once the device write that covers it succeeds. On a
@@ -146,13 +147,15 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	fs.usage.noteWrite(head, now)
 	fs.rc.drop(sumAddr)
 
-	// Phase 2: encode contents (late-bound encoders see final state).
-	// buf comes from the run pool; every error return below either
-	// degrades the file system (see flushLog) or relocates and retries
-	// (media write errors), so the buffer is returned on those paths
-	// while the staged data buffers stay with the batch.
-	buf := fs.rpool.Get(1 + n)
+	// Phase 2: encode contents (late-bound encoders see final state) and
+	// touch each block once: its CRC goes into its entry (a cleaner copy's
+	// arrives verified), DataChecksum is folded from the entries, and the
+	// staged buffers go to the device as they are, unmodified until it
+	// returns. On every error return below the staged data stays with the
+	// batch, which degrades (see flushLog) or is replayed (media errors).
 	entries := make([]layout.SummaryEntry, n)
+	vec := fs.wvec[:0]
+	var dataSum uint32
 	var youngest uint64
 	for i := range batch {
 		b := &batch[i]
@@ -160,22 +163,20 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		content := b.data
 		if content == nil {
 			var err error
-			content, err = b.encode()
-			if err != nil {
-				fs.rpool.Put(buf)
+			if content, err = b.encode(); err != nil {
 				return err
 			}
 		}
 		if len(content) != layout.BlockSize {
-			fs.rpool.Put(buf)
 			return fmt.Errorf("%w: staged block has %d bytes", ErrCorrupt, len(content))
 		}
-		copy(buf[(1+i)*layout.BlockSize:], content)
-		b.entry.Sum = layout.Checksum(content)
-		entries[i] = b.entry
-		if b.age > youngest {
-			youngest = b.age
+		if !b.summed {
+			b.entry.Sum = layout.Checksum(content)
 		}
+		dataSum = layout.ChecksumAppendBlock(dataSum, b.entry.Sum)
+		vec = append(vec, content)
+		entries[i] = b.entry
+		youngest = max(youngest, b.age)
 	}
 	// The last partial write of the flush carries the transaction-end
 	// marker: everything this flush acknowledged is on disk once this
@@ -190,13 +191,12 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		Timestamp:    now,
 		NextSeg:      fs.segs.next,
 		YoungestAge:  youngest,
-		DataChecksum: layout.Checksum(buf[layout.BlockSize:]),
+		DataChecksum: dataSum,
 		Flags:        flags,
 		Entries:      entries,
 	}
 	sumBlock, err := summary.Encode()
 	if err != nil {
-		fs.rpool.Put(buf)
 		return err
 	}
 	// The data blocks are written before the summary that describes
@@ -208,19 +208,17 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// error: a failed data write leaves no summary behind, and a failed
 	// summary write leaves data no summary describes, so the refused
 	// partial write is invisible to roll-forward either way.
-	if err := fs.writeRetry(sumAddr+1, buf[layout.BlockSize:]); err != nil {
-		fs.rpool.Put(buf)
+	if err = fs.writeRetry(sumAddr+1, vec...); err == nil {
+		err = fs.writeRetry(sumAddr, sumBlock)
+	}
+	clear(vec) // keep the list for the next batch, not the blocks it views
+	fs.wvec = vec[:0]
+	if err != nil {
 		return err
 	}
-	if err := fs.writeRetry(sumAddr, sumBlock); err != nil {
-		fs.rpool.Put(buf)
-		return err
-	}
-	// The device copied everything out, so the run buffer and the
-	// pooled staged data buffers go back to their freelists. This is
-	// the back half of the write path's closed loop: prepareWrite /
-	// writeAt Get → dcache → staged → Put here.
-	fs.rpool.Put(buf)
+	// The device copied everything out, so the pooled staged data buffers
+	// go back to their freelist. This is the back half of the write path's
+	// closed loop: prepareWrite / writeAt Get → dcache → staged → Put here.
 	for i := range batch {
 		if batch[i].pooled {
 			fs.bpool.Put(batch[i].data)

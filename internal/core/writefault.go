@@ -19,16 +19,16 @@ import (
 // the write path gives up on the target.
 const mediaWriteRetries = 3
 
-// writeRetry issues one device write, retrying media write errors within
-// the mediaWriteRetries budget. Transient faults that clear within the
-// budget are invisible to callers apart from the retry counters; a write
-// still failing afterwards is returned for the caller to relocate (log
-// batches) or redirect (checkpoints).
-func (fs *FS) writeRetry(addr int64, data []byte) error {
-	err := fs.dev.Write(addr, data)
+// writeRetry issues one device write of the pieces back to back, retrying
+// media write errors within the mediaWriteRetries budget. Transient faults
+// that clear within the budget are invisible to callers apart from the
+// retry counters; a write still failing afterwards is returned for the
+// caller to relocate (log batches) or redirect (checkpoints).
+func (fs *FS) writeRetry(addr int64, pieces ...[]byte) error {
+	err := fs.dev.WriteBlocks(addr, pieces)
 	for r := 0; r < mediaWriteRetries && errors.Is(err, disk.ErrMediaWrite); r++ {
 		fs.tr.Add(obs.CtrMediaWriteRetries, 1)
-		err = fs.dev.Write(addr, data)
+		err = fs.dev.WriteBlocks(addr, pieces)
 	}
 	if errors.Is(err, disk.ErrMediaWrite) {
 		fs.tr.Add(obs.CtrMediaWriteErrors, 1)

@@ -291,6 +291,84 @@ func TestBlockPoolBalanced(t *testing.T) {
 	mustCheck(t, fs)
 }
 
+// TestFlushDrawsNoRunBuffer flushes a 100-block file through several
+// partial writes and requires that the run pool served none of it: the log
+// writer hands the staged buffers to the device as they are.
+func TestFlushDrawsNoRunBuffer(t *testing.T) {
+	fs, d := newTestFS(t, 8192, testOptions())
+	gets, writes := fs.rpool.Stats().Gets, d.Stats().WriteOps
+	if err := fs.WriteFile("/f", nonZero(1, 100*layout.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().WriteOps - writes; n < 8 {
+		t.Fatalf("the flush issued %d device writes, want several partial writes", n)
+	}
+	if n := fs.rpool.Stats().Gets - gets; n != 0 {
+		t.Fatalf("the flush drew %d run buffers, want 0", n)
+	}
+	mustCheck(t, fs)
+}
+
+// BenchmarkWriteBatch is the cost ledger's row for one partial-segment
+// write: 127 staged blocks and their summary, written again and again at
+// the start of one segment. "data" stages file data, which the writer
+// sums; "cleaner" stages cleaner copies, which arrive with the sum their
+// victim's summary recorded.
+func BenchmarkWriteBatch(b *testing.B) {
+	for _, cleaner := range []bool{false, true} {
+		name := "data"
+		if cleaner {
+			name = "cleaner"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := disk.MustNew(disk.DefaultGeometry(4096))
+			fs, err := Format(d, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const n = 127
+			batch := make([]stagedBlock, n)
+			for i := range batch {
+				data := nonZero(i, layout.BlockSize)
+				batch[i] = stagedBlock{
+					entry:   layout.SummaryEntry{Kind: layout.KindData, Inum: 2, BlockNo: uint32(i), Sum: layout.Checksum(data)},
+					data:    data,
+					cleaner: cleaner,
+					summed:  cleaner,
+				}
+			}
+			fs.mu.Lock()
+			if err := fs.segs.advance(fs.usage, fs.now(), false); err != nil {
+				b.Fatal(err)
+			}
+			sumAddr := fs.segStart(fs.segs.head)
+			b.SetBytes(n * layout.BlockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fs.writeBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				// Take the batch back, so the next one lands on the same blocks.
+				for a := sumAddr + 1; a <= sumAddr+n; a++ {
+					if err := fs.decLive(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+				fs.segs.headOff = 0
+			}
+			b.StopTimer()
+			fs.mu.Unlock()
+			if err := fs.Unmount(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkCreateRemove is the cost ledger's row for the namespace path:
 // one op is a WriteFile of 1 KB or the Remove of that file, in one
 // directory and spread over 100, with a Sync after each phase (Figure 8's

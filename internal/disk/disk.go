@@ -410,11 +410,23 @@ func (d *Disk) Read(addr int64, buf []byte) error {
 // previous request are charged transfer time only, which is what makes
 // large sequential log writes approach full device bandwidth.
 func (d *Disk) Write(addr int64, data []byte) error {
+	return d.WriteBlocks(addr, [][]byte{data})
+}
+
+// WriteBlocks writes the pieces back to back starting at block addr, as one
+// request: it is charged, faulted, torn and traced exactly as Write of their
+// concatenation, without the caller assembling it. Every piece must be a
+// whole number of blocks. The device copies the pieces out before it
+// returns; until then the caller must not modify them.
+func (d *Disk) WriteBlocks(addr int64, pieces [][]byte) error {
 	bs := d.geo.BlockSize
-	if len(data)%bs != 0 {
-		return ErrBadSize
+	n := 0
+	for _, p := range pieces {
+		if len(p)%bs != 0 {
+			return ErrBadSize
+		}
+		n += len(p) / bs
 	}
-	n := len(data) / bs
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
@@ -451,9 +463,12 @@ func (d *Disk) Write(addr int64, data []byte) error {
 		if d.armed {
 			d.writesLeft -= int64(persist)
 		}
-		for i := 0; i < persist; i++ {
-			b := d.blockForWrite(addr + int64(i))
-			copy(b, data[i*bs:(i+1)*bs])
+		i := 0
+		for _, p := range pieces {
+			for off := 0; off < len(p) && i < persist; off += bs {
+				copy(d.blockForWrite(addr+int64(i)), p[off:off+bs])
+				i++
+			}
 		}
 		d.stats.BlocksWritten += int64(attempt)
 		d.tr.Add(obs.CtrDiskWriteOps, 1)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // BlockSize is the file system block size in bytes (4 KB, as in Sprite LFS).
@@ -51,6 +52,35 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // ChecksumUpdate extends a running CRC-32C with b, so callers can sum a
 // logical byte string without materializing it contiguously.
 func ChecksumUpdate(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli, b) }
+
+// ChecksumAppendBlock returns Checksum(a‖b) given sum = Checksum(a) and
+// next = Checksum(b) of one BlockSize block b, without b's bytes: the pre-
+// and post-inversions cancel, leaving sum advanced over BlockSize zero bytes
+// XOR next. Folding a run's per-block sums, starting from 0 (the checksum
+// of nothing), yields the run's Checksum.
+func ChecksumAppendBlock(sum, next uint32) uint32 {
+	return blockShift[0][byte(sum)] ^ blockShift[1][byte(sum>>8)] ^
+		blockShift[2][byte(sum>>16)] ^ blockShift[3][byte(sum>>24)] ^ next
+}
+
+// blockShift[k][v] is a raw CRC-32C register holding v in byte k (and zero
+// elsewhere) advanced over BlockSize zero bytes. The advance is linear over
+// GF(2), so it is built from the advances of the 32 one-bit registers, and
+// the four lookups of a register's bytes XOR to its advance.
+var blockShift = func() (t [4][256]uint32) {
+	var zero [BlockSize]byte
+	var bit [32]uint32
+	for i := range bit {
+		// Update inverts the register on the way in and out.
+		bit[i] = ^crc32.Update(^(uint32(1) << i), castagnoli, zero[:])
+	}
+	for k := range t {
+		for v := 1; v < 256; v++ {
+			t[k][v] = t[k][v&(v-1)] ^ bit[8*k+bits.TrailingZeros(uint(v))]
+		}
+	}
+	return t
+}()
 
 // -------------------------------------------------------------------------
 // Superblock

@@ -87,6 +87,11 @@ const SummaryFlagTxnEnd uint8 = 1
 // described data so roll-forward can detect torn writes, the address of
 // the next log segment so roll-forward can thread the log, and the age of
 // the youngest block so cleaning can age-sort (Section 3.6).
+//
+// DataChecksum is defined over the data, but a writer whose entry sums are
+// already the CRCs of the blocks folds it from them with
+// ChecksumAppendBlock instead of reading the data again; readers that must
+// not trust the entries (the cleaner, VerifyLog) compute it from the data.
 type Summary struct {
 	WriteSeq     uint64 // monotone partial-write counter
 	Timestamp    uint64 // logical time of the write

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -44,11 +45,10 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.loadTable("usage-load", "segment usage", cp.UsageAddrs, fs.usage.loadBlock)
 	phases.end("cpload")
 
+	// Kept, not copied: until the second rebuild replaces it, nothing calls
+	// decInoBlockRef or places an inode block (roll-forward only reads).
 	fs.rebuildInoBlockRefs()
-	refsBefore := make(map[int64]int, len(fs.inoBlockRefs))
-	for a, n := range fs.inoBlockRefs {
-		refsBefore[a] = n
-	}
+	refsBefore := fs.inoBlockRefs
 	fs.rebuildFreeInums()
 	fs.mounted = true
 
@@ -611,8 +611,10 @@ func (fs *FS) endRecount() {
 // entry's effective location so those records chase it: a remove after
 // an undone rename must delete the old-name entry (not leave it dangling
 // at a freed inode), and a second rename must move it from there.
+// Records meet directory entries in a hash join (dirNames), not a search.
 func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
+	names := dirNames{}
 	type loc struct {
 		dir  uint32
 		name string
@@ -628,7 +630,7 @@ func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 		switch op.Op {
 		case layout.DirOpCreate, layout.DirOpLink:
 			delete(displaced, op.Inum)
-			if err := fs.repairEntry(op.Dir, op.Name, op.Inum, op.Version, op.NewNlink); err != nil {
+			if err := fs.repairEntry(names, op.Dir, op.Name, op.Inum, op.Version, op.NewNlink); err != nil {
 				return err
 			}
 		case layout.DirOpUnlink:
@@ -639,7 +641,7 @@ func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 				// reached the log; the unlink is undone along with it.
 				continue
 			}
-			if err := fs.repairRemoveEntry(src.dir, src.name, op.Inum); err != nil {
+			if err := fs.repairRemoveEntry(names, src.dir, src.name, op.Inum); err != nil {
 				return err
 			}
 			if err := fs.repairNlink(op.Inum, op.Version, op.NewNlink); err != nil {
@@ -654,17 +656,17 @@ func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 			inodeOK := ie.Allocated() && ie.Version == op.Version
 			dstOK := fs.imap.get(op.Dir2).Allocated()
 			if inodeOK && !dstOK {
-				if err := fs.repairEntry(src.dir, src.name, op.Inum, op.Version, op.NewNlink); err != nil {
+				if err := fs.repairEntry(names, src.dir, src.name, op.Inum, op.Version, op.NewNlink); err != nil {
 					return err
 				}
 				displaced[op.Inum] = src
 				continue
 			}
 			delete(displaced, op.Inum)
-			if err := fs.repairRemoveEntry(src.dir, src.name, op.Inum); err != nil {
+			if err := fs.repairRemoveEntry(names, src.dir, src.name, op.Inum); err != nil {
 				return err
 			}
-			if err := fs.repairEntry(op.Dir2, op.Name2, op.Inum, op.Version, op.NewNlink); err != nil {
+			if err := fs.repairEntry(names, op.Dir2, op.Name2, op.Inum, op.Version, op.NewNlink); err != nil {
 				return err
 			}
 		}
@@ -676,8 +678,8 @@ func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 // incarnation of the inode exists) or drops the entry (when the inode
 // never reached the log), and sets the inode's reference count. The
 // version check stops a record from acting on a newer incarnation of a
-// reused inode number.
-func (fs *FS) repairEntry(dir uint32, name string, inum, version uint32, nlink uint16) error {
+// reused inode number. A name it adds is cloned so as not to pin a dirlog.
+func (fs *FS) repairEntry(names dirNames, dir uint32, name string, inum, version uint32, nlink uint16) error {
 	if !fs.imap.get(dir).Allocated() {
 		return nil // the directory itself was never recovered
 	}
@@ -687,11 +689,14 @@ func (fs *FS) repairEntry(dir uint32, name string, inum, version uint32, nlink u
 	}
 	ie := fs.imap.get(inum)
 	exists := ie.Allocated() && ie.Version == version
-	idx := dirIndex(entries, name)
+	idx := names.index(dir, entries, name)
 	switch {
 	case exists && idx < 0:
+		name = strings.Clone(name)
+		names[dir][name] = len(entries)
 		err = fs.saveDir(dir, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries))
 	case !exists && idx >= 0:
+		delete(names, dir)
 		err = fs.saveDir(dir, slices.Delete(entries, idx, idx+1), idx)
 	case exists && idx >= 0 && entries[idx].Inum != inum:
 		entries[idx].Inum = inum
@@ -707,7 +712,7 @@ func (fs *FS) repairEntry(dir uint32, name string, inum, version uint32, nlink u
 }
 
 // repairRemoveEntry ensures the (dir, name) entry naming inum is absent.
-func (fs *FS) repairRemoveEntry(dir uint32, name string, inum uint32) error {
+func (fs *FS) repairRemoveEntry(names dirNames, dir uint32, name string, inum uint32) error {
 	if !fs.imap.get(dir).Allocated() {
 		return nil
 	}
@@ -715,10 +720,36 @@ func (fs *FS) repairRemoveEntry(dir uint32, name string, inum uint32) error {
 	if err != nil {
 		return err
 	}
-	if i := dirIndex(entries, name); i >= 0 && entries[i].Inum == inum {
+	if i := names.index(dir, entries, name); i >= 0 && entries[i].Inum == inum {
+		delete(names, dir)
 		return fs.saveDir(dir, slices.Delete(entries, i, i+1), i)
 	}
 	return nil
+}
+
+// dirNames maps each directory the repair pass touched to the index of each
+// name in its entries. An append adds its name; a delete (rare: only a torn
+// last flush needs one) drops the map, rebuilt on the directory's next touch.
+type dirNames map[uint32]map[string]int
+
+// index returns the position of name in directory dir's entries, or -1; of
+// a name held twice (a corrupt directory) the first, as dirIndex does.
+func (n dirNames) index(dir uint32, entries []layout.DirEntry, name string) int {
+	m := n[dir]
+	if m == nil {
+		m = make(map[string]int, len(entries))
+		for i := len(entries) - 1; i >= 0; i-- {
+			m[entries[i].Name] = i
+		}
+		n[dir] = m
+	}
+	if i, ok := m[name]; ok && i < len(entries) && entries[i].Name == name {
+		return i
+	} else if ok { // a hit the entries do not confirm: rebuild
+		delete(n, dir)
+		return n.index(dir, entries, name)
+	}
+	return -1
 }
 
 // repairNlink sets the inode's reference count, deleting the file when it

@@ -61,21 +61,34 @@ func EncodeDirectoryFrom(entries []DirEntry, from int) (start int, data []byte, 
 	return start, buf[start-off:], nil
 }
 
-// DecodeDirectory parses a directory byte stream.
+// DecodeDirectory parses a directory byte stream. It allocates twice
+// however many entries the stream holds (an empty stream decodes to nil):
+// the entry slice, of exactly their number, and one string copy of the
+// stream, of which every Name is a substring. The names therefore share
+// nothing with data, and all of them together keep at most that one copy
+// of the stream alive.
 func DecodeDirectory(data []byte) ([]DirEntry, error) {
 	le := binary.LittleEndian
-	var out []DirEntry
-	off := 0
-	for off < len(data) {
+	count := 0
+	for off := 0; off < len(data); count++ {
 		if off+6 > len(data) {
 			return nil, fmt.Errorf("layout: truncated directory entry at %d", off)
 		}
-		inum := le.Uint32(data[off:])
 		n := int(le.Uint16(data[off+4:]))
 		if n == 0 || n > MaxNameLen || off+6+n > len(data) {
 			return nil, fmt.Errorf("layout: corrupt directory entry at %d (len %d)", off, n)
 		}
-		out = append(out, DirEntry{Inum: inum, Name: string(data[off+6 : off+6+n])})
+		off += 6 + n
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]DirEntry, count)
+	s := string(data)
+	off := 0
+	for i := range out {
+		n := int(le.Uint16(data[off+4:]))
+		out[i] = DirEntry{Inum: le.Uint32(data[off:]), Name: s[off+6 : off+6+n]}
 		off += 6 + n
 	}
 	return out, nil
@@ -173,7 +186,12 @@ func EncodeDirOpLog(ops []*DirOp) (block []byte, consumed int, err error) {
 	return buf, consumed, nil
 }
 
-// DecodeDirOpLog parses a dirlog block.
+// DecodeDirOpLog parses a dirlog block. It allocates three times however
+// many records the block holds: one slab of them, the slice of pointers
+// into it, and one string copy of the bytes the records occupy (not the
+// whole block), of which every Name and Name2 is a substring. The names
+// therefore share nothing with buf; a caller that keeps one past the
+// records' own lifetime clones it rather than pin the block's records.
 func DecodeDirOpLog(buf []byte) ([]*DirOp, error) {
 	le := binary.LittleEndian
 	if len(buf) < dirLogBlockHeader {
@@ -186,34 +204,43 @@ func DecodeDirOpLog(buf []byte) ([]*DirOp, error) {
 		return nil, fmt.Errorf("%w: dirlog block", ErrBadChecksum)
 	}
 	n := int(le.Uint16(buf[4:]))
-	out := make([]*DirOp, 0, n)
-	off := dirLogBlockHeader
+	end := dirLogBlockHeader
 	for i := 0; i < n; i++ {
-		if off+29 > len(buf) {
+		if end+29 > len(buf) {
 			return nil, fmt.Errorf("layout: truncated dirlog record %d", i)
 		}
-		op := &DirOp{
-			Seq:      le.Uint64(buf[off:]),
-			Op:       DirOpCode(buf[off+8]),
-			Dir:      le.Uint32(buf[off+9:]),
-			Inum:     le.Uint32(buf[off+13:]),
-			Version:  le.Uint32(buf[off+17:]),
-			NewNlink: le.Uint16(buf[off+21:]),
-			Dir2:     le.Uint32(buf[off+23:]),
-		}
-		nl := int(le.Uint16(buf[off+27:]))
-		if off+29+nl+2 > len(buf) {
+		p := end + 29 + int(le.Uint16(buf[end+27:]))
+		if p+2 > len(buf) {
 			return nil, fmt.Errorf("layout: truncated dirlog name in record %d", i)
 		}
-		op.Name = string(buf[off+29 : off+29+nl])
-		p := off + 29 + nl
-		n2 := int(le.Uint16(buf[p:]))
-		if p+2+n2 > len(buf) {
+		end = p + 2 + int(le.Uint16(buf[p:]))
+		if end > len(buf) {
 			return nil, fmt.Errorf("layout: truncated dirlog name2 in record %d", i)
 		}
-		op.Name2 = string(buf[p+2 : p+2+n2])
-		out = append(out, op)
-		off = p + 2 + n2
+	}
+	slab := make([]DirOp, n)
+	out := make([]*DirOp, n)
+	// Offsets below count from the first record: s[i] is
+	// buf[dirLogBlockHeader+i], and the header is not copied.
+	s := string(buf[dirLogBlockHeader:end])
+	off := 0
+	for i := range slab {
+		r := buf[dirLogBlockHeader+off:]
+		p := off + 29 + int(le.Uint16(r[27:]))
+		next := p + 2 + int(le.Uint16(r[p-off:]))
+		slab[i] = DirOp{
+			Seq:      le.Uint64(r),
+			Op:       DirOpCode(r[8]),
+			Dir:      le.Uint32(r[9:]),
+			Name:     s[off+29 : p],
+			Inum:     le.Uint32(r[13:]),
+			Version:  le.Uint32(r[17:]),
+			NewNlink: le.Uint16(r[21:]),
+			Dir2:     le.Uint32(r[23:]),
+			Name2:    s[p+2 : next],
+		}
+		out[i] = &slab[i]
+		off = next
 	}
 	return out, nil
 }

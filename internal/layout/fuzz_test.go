@@ -3,6 +3,7 @@ package layout
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +11,9 @@ import (
 // decoders. Neither may panic; when DecodeDirectory accepts an input,
 // re-encoding its result must reproduce the input byte for byte (the
 // directory stream has a canonical form) and encoding from any entry on
-// must reproduce that entry's block and everything behind it.
+// must reproduce that entry's block and everything behind it. Neither
+// decoder's names alias the input: overwriting it after decoding leaves
+// every decoded name as it was.
 func FuzzDirBlock(f *testing.F) {
 	enc, _ := EncodeDirectory([]DirEntry{
 		{Inum: 2, Name: "hello"},
@@ -28,6 +31,34 @@ func FuzzDirBlock(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The decoders get a copy that is scribbled over once they return.
+		in := bytes.Clone(data)
+		entries, _ := DecodeDirectory(in)
+		ops, _ := DecodeDirOpLog(in)
+		var names []string
+		for _, e := range entries {
+			names = append(names, strings.Clone(e.Name))
+		}
+		for _, op := range ops {
+			names = append(names, strings.Clone(op.Name), strings.Clone(op.Name2))
+		}
+		for i := range in {
+			in[i] = ^in[i]
+		}
+		k := 0
+		for _, e := range entries {
+			if e.Name != names[k] {
+				t.Fatalf("directory entry %d's name changed with its input: %q -> %q", k, names[k], e.Name)
+			}
+			k++
+		}
+		for i, op := range ops {
+			if op.Name != names[k] || op.Name2 != names[k+1] {
+				t.Fatalf("dirlog record %d's names changed with their input: %q %q -> %q %q", i, names[k], names[k+1], op.Name, op.Name2)
+			}
+			k += 2
+		}
+
 		if entries, err := DecodeDirectory(data); err == nil {
 			re, err := EncodeDirectory(entries)
 			if err != nil {

@@ -644,6 +644,57 @@ func TestDirOpLogRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestAllocsDecodeDirectory pins DecodeDirectory at two allocations per
+// stream — the entry slice and the one string the names are cut from —
+// whatever the number of entries.
+func TestAllocsDecodeDirectory(t *testing.T) {
+	for _, n := range []int{1, 200} {
+		entries := make([]DirEntry, n)
+		for i := range entries {
+			entries[i] = DirEntry{Inum: uint32(i + 2), Name: fmt.Sprintf("file-%04d", i)}
+		}
+		data, err := EncodeDirectory(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeDirectory(data); err != nil || !reflect.DeepEqual(got, entries) {
+			t.Fatalf("%d entries: decoded %d, %v", n, len(got), err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _, _ = DecodeDirectory(data) }); avg != 2 {
+			t.Errorf("%d entries: DecodeDirectory allocates %v times, want 2", n, avg)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = DecodeDirectory(nil) }); avg != 0 {
+		t.Errorf("empty directory: DecodeDirectory allocates %v times, want 0", avg)
+	}
+}
+
+// TestAllocsDecodeDirOpLog pins DecodeDirOpLog at three allocations per
+// block — the record slab, the pointers into it and the one string the
+// names are cut from — whether the block holds one record or is full.
+func TestAllocsDecodeDirOpLog(t *testing.T) {
+	var ops []*DirOp
+	for i := 0; i < 200; i++ {
+		ops = append(ops, &DirOp{Seq: uint64(i), Op: DirOpRename, Dir: 1, Name: fmt.Sprintf("f%d", i),
+			Inum: uint32(i + 2), Version: 1, NewNlink: 1, Dir2: 3, Name2: fmt.Sprintf("r%d", i)})
+	}
+	for _, n := range []int{1, len(ops)} {
+		blk, fit, err := EncodeDirOpLog(ops[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 1 && fit < 100 {
+			t.Fatalf("a full block holds only %d records", fit)
+		}
+		if got, err := DecodeDirOpLog(blk); err != nil || !reflect.DeepEqual(got, ops[:fit]) {
+			t.Fatalf("%d records: decoded %d, %v", fit, len(got), err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _, _ = DecodeDirOpLog(blk) }); avg != 3 {
+			t.Errorf("%d records: DecodeDirOpLog allocates %v times, want 3", fit, avg)
+		}
+	}
+}
+
 func TestDirOpCodeString(t *testing.T) {
 	if DirOpCreate.String() != "create" || DirOpUnlink.String() != "unlink" ||
 		DirOpLink.String() != "link" || DirOpRename.String() != "rename" {

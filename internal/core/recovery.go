@@ -153,30 +153,15 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 // unaffected files stay readable.
 func (fs *FS) loadTable(label, what string, addrs []int64, load func(buf []byte, i int) error) {
 	run := logRun{fs: fs}
-	for i := 0; i < len(addrs); {
-		if addrs[i] == layout.NilAddr {
-			i++
-			continue
+	run.readRuns(addrs, func(k int, buf []byte, err error) {
+		if err != nil {
+			fs.degrade(label, fmt.Sprintf("%s block %d at %d unreadable: %v", what, k, addrs[k], err))
+		} else if err := load(buf, k); err != nil {
+			fs.tr.Add(obs.CtrCorruptBlocks, 1)
+			fs.quarantineSeg(fs.segOf(addrs[k]))
+			fs.degrade(label, fmt.Sprintf("%s block %d at %d corrupt: %v", what, k, addrs[k], err))
 		}
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
-			j++
-		}
-		run.read(addrs[i], j-i)
-		for k := i; k < j; k++ {
-			buf, err := run.at(addrs[k])
-			if err != nil {
-				fs.degrade(label, fmt.Sprintf("%s block %d at %d unreadable: %v", what, k, addrs[k], err))
-				continue
-			}
-			if err := load(buf, k); err != nil {
-				fs.tr.Add(obs.CtrCorruptBlocks, 1)
-				fs.quarantineSeg(fs.segOf(addrs[k]))
-				fs.degrade(label, fmt.Sprintf("%s block %d at %d corrupt: %v", what, k, addrs[k], err))
-			}
-		}
-		i = j
-	}
+	})
 }
 
 // openImage is the common front of Mount and SalvageImage. It attaches
@@ -340,34 +325,16 @@ func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error)
 		first := w.DataAddr()
 		tw := t.add(w.Pos(), s.Entries)
 		tw.flags, tw.timestamp = s.Flags, s.Timestamp
-		runEnd := 0 // run holds the wanted entries before this one
-		for i, e := range s.Entries {
-			if !rollForwardReads(e.Kind) {
-				continue
-			}
-			addr := first + int64(i)
-			if i >= runEnd {
-				runEnd = i + 1
-				for runEnd < len(s.Entries) && rollForwardReads(s.Entries[runEnd].Kind) {
-					runEnd++
-				}
-				n := runEnd - i
-				if a, ok := w.Ahead(); ok && a == first+int64(runEnd) {
-					n++
-				}
-				run.read(addr, n)
-			}
-			m := tailMeta{addr: addr}
-			if block, err := run.at(addr); err != nil {
-				m.err = err
-			} else if e.Kind == layout.KindInode {
+		run.readWanted(first, s.Entries, w.Ahead, rollForwardReads, func(i int, block []byte, err error) {
+			m := tailMeta{addr: first + int64(i), err: err}
+			if err == nil && s.Entries[i].Kind == layout.KindInode {
 				m.inodes, m.err = layout.DecodeInodeBlock(block)
-			} else {
+			} else if err == nil {
 				m.ops, m.err = layout.DecodeDirOpLog(block)
 			}
 			t.metas = append(t.metas, m)
 			tw.nmeta++
-		}
+		})
 	}
 	_, err := fs.walkEnded(w.End())
 	return w.Pos(), err

@@ -5,7 +5,8 @@
 // everything needed to reconstruct the image is still redundantly
 // encoded in the segment summaries the log already carries: every live
 // block's kind, owner and per-block CRC, and every inode's address and
-// version. The scavenger here walks all of it, keeps the newest
+// version. The scavenger here walks every summary, reads the metadata and
+// then only the data of the inode versions it tries, keeps the newest
 // verifiable version of each inode, rebuilds the inode map, the segment
 // usage table and the directory tree (reconnecting orphans under
 // lost+found/), writes a fresh checkpoint into a surviving or
@@ -14,9 +15,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -29,11 +32,13 @@ type SalvageReport struct {
 	SegmentsScanned int
 	// SummariesWalked counts valid partial-write summaries found.
 	SummariesWalked int
-	// BlocksVerified counts log blocks whose contents matched their
-	// summary-recorded CRC.
+	// BlocksVerified counts the log blocks salvage examined — every
+	// inode, indirect and directory-log block, and the blocks of the inode
+	// versions it tried — whose contents matched their summary's CRC.
 	BlocksVerified int
-	// BlocksDropped counts log blocks discarded: unreadable, or failing
-	// their per-block CRC.
+	// BlocksDropped counts examined blocks discarded: unreadable, or
+	// failing their per-block CRC. Blocks no tried version references are
+	// never examined, so their damage costs nothing.
 	BlocksDropped int
 	// InodesRecovered is the number of inodes whose newest verifiable
 	// version was accepted into the rebuilt image.
@@ -69,12 +74,25 @@ type salvAccepted struct {
 	meta []int64          // verified indirect-block addresses
 }
 
+// salvBlock is what salvage knows of a described block: its partial write's
+// WriteSeq, its checksum and, once read, whether it matched.
+type salvBlock struct {
+	seq          uint64
+	sum          uint32
+	read, intact bool
+	dir          bool // a directory version wants it: keep its bytes when read
+}
+
 // salvScan accumulates the full-log scan results.
 type salvScan struct {
-	intact map[int64]uint64 // verified block address → covering WriteSeq
+	// blocks holds every block a summary describes: the scan judges the
+	// metadata, the accept pass the blocks of the inode versions it tries.
+	blocks map[int64]salvBlock
 	// ptrs holds the decoded pointers of every verified indirect block, so
 	// that checking the candidates' block chains reads nothing again.
-	ptrs      map[int64][]int64
+	ptrs map[int64][]int64
+	// dirData holds the verified blocks directory versions wanted (dirContent).
+	dirData   map[int64][]byte
 	cands     map[uint32][]salvCand
 	maxVer    map[uint32]uint32 // highest inode version seen per inum
 	maxSeq    uint64
@@ -145,19 +163,22 @@ func (fs *FS) salvageLocked(phases *phaseMeter) (*SalvageReport, error) {
 	fs.salvageReset()
 	sc := fs.salvageScan(rep)
 	phases.end("scan")
-	return rep, fs.salvageRebuild(sc, rep, phases)
+	acc := fs.salvageAcceptInodes(sc, rep)
+	return rep, fs.salvageRebuild(sc, acc, rep, phases)
 }
 
 func newSalvScan() *salvScan {
 	return &salvScan{
-		intact: make(map[int64]uint64),
-		ptrs:   make(map[int64][]int64),
-		cands:  make(map[uint32][]salvCand),
-		maxVer: make(map[uint32]uint32),
+		blocks:  make(map[int64]salvBlock),
+		ptrs:    make(map[int64][]int64),
+		dirData: make(map[int64][]byte),
+		cands:   make(map[uint32][]salvCand),
+		maxVer:  make(map[uint32]uint32),
 	}
 }
 
-// salvageScan reads the whole log, segment by segment.
+// salvageScan walks the whole log, segment by segment, reading its
+// metadata.
 func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
 	sc := newSalvScan()
 	scratch := fs.getWalkScratch()
@@ -170,21 +191,19 @@ func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
 	return sc
 }
 
-// salvageRebuild turns a finished scan into a committed image: accept the
-// newest verifiable inodes, rebuild usage and directories, pick a log head,
-// checkpoint.
-func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMeter) error {
+// salvageRebuild turns the accepted inodes into a committed image: install
+// them, rebuild usage and directories, pick a log head, checkpoint.
+func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *SalvageReport, phases *phaseMeter) error {
 	// The scan harvested every chain there is.
 	fs.sums.markAllHarvested()
 
-	acc := fs.salvageAcceptInodes(sc, rep)
 	fs.salvagePopulate(acc, sc, rep)
 	phases.end("accept")
 	// Usage must be rebuilt before the directory pass: rewriting a
 	// directory decrements the live count of each replaced or truncated
 	// old block, which underflows against a still-empty table.
 	fs.salvageRebuildUsage(acc)
-	if err := fs.salvageRebuildDirs(acc, rep); err != nil {
+	if err := fs.salvageRebuildDirs(acc, sc, rep); err != nil {
 		return err
 	}
 	// A fresh log head and successor come from the clean segments. Two
@@ -196,18 +215,11 @@ func (fs *FS) salvageRebuild(sc *salvScan, rep *SalvageReport, phases *phaseMete
 	}
 	phases.end("rebuild")
 
-	if fs.writeSeq <= sc.maxSeq {
-		fs.writeSeq = sc.maxSeq + 1
-	}
-	if fs.dirLogSeq < sc.maxDirSeq {
-		fs.dirLogSeq = sc.maxDirSeq
-	}
+	fs.writeSeq, fs.dirLogSeq = max(fs.writeSeq, sc.maxSeq+1), max(fs.dirLogSeq, sc.maxDirSeq)
 	if fs.ticks.Load() < sc.maxTime {
 		fs.ticks.Store(sc.maxTime)
 	}
-	fs.bytesSinceCp = 0
-	fs.relocatedSinceCp = false
-	fs.cleanerErr = nil
+	fs.bytesSinceCp, fs.relocatedSinceCp, fs.cleanerErr = 0, false, nil
 
 	// Exit degraded mode before committing: the rebuilt state is
 	// consistent, and checkpointLocked's flush refuses to run degraded.
@@ -259,52 +271,28 @@ func (fs *FS) salvageReset() {
 	fs.nvClear()
 }
 
-// salvageScanSeg walks one segment's summary chain, verifying every
-// described block against its recorded CRC. Verified blocks join the
-// intact set (and the verify-on-read index); inode blocks additionally
-// contribute version candidates. Media read errors quarantine the
-// segment; checksum mismatches only drop the block (deliberate
-// corruption is not evidence the medium is bad).
-//
-// The blocks a summary describes are read in one request, and the next
-// summary candidate — which the walk reads anyway — rides on it: the scan
-// reads exactly the blocks a block-at-a-time scan reads, in a request per
-// partial write instead of one per block. It never reads a whole segment;
-// most segments of a salvaged disk are empty and cost one block each.
+// salvageScanSeg walks one segment's summary chain. It records every
+// described block with its covering WriteSeq and checksum, but reads and
+// judges only the blocks salvage decodes (salvageReads) — inode blocks give
+// version candidates, indirect blocks pointers — by roll-forward's rule for
+// runs (logRun.readWanted). Data waits for the accept pass. A segment with
+// no valid first summary costs one block.
 func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *layout.WalkScratch, run *logRun) {
 	w := layout.WalkSegment(run.source(s), fs.segStart(seg), fs.segBlocks, s)
 	for w.Next() {
 		rep.SummariesWalked++
-		if s.WriteSeq > sc.maxSeq {
-			sc.maxSeq = s.WriteSeq
-		}
-		if s.Timestamp > sc.maxTime {
-			sc.maxTime = s.Timestamp
-		}
+		sc.maxSeq, sc.maxTime = max(sc.maxSeq, s.WriteSeq), max(sc.maxTime, s.Timestamp)
 		fs.usage.noteWrite(seg, s.Timestamp)
-		n := len(s.Entries)
-		if a, ok := w.Ahead(); ok && a == w.DataAddr()+int64(n) {
-			n++
-		}
-		run.read(w.DataAddr(), n)
+		first := w.DataAddr()
 		for i, e := range s.Entries {
-			addr := w.DataAddr() + int64(i)
-			blk, err := run.at(addr)
-			if err != nil {
-				rep.BlocksDropped++
-				if errors.Is(err, disk.ErrMediaRead) {
-					fs.quarantineSeg(seg)
-				}
-				continue
+			sc.blocks[first+int64(i)] = salvBlock{seq: s.WriteSeq, sum: e.Sum}
+		}
+		run.readWanted(first, s.Entries, w.Ahead, salvageReads, func(i int, blk []byte, err error) {
+			addr := first + int64(i)
+			if !fs.salvageJudge(sc, rep, addr, blk, err) {
+				return
 			}
-			if layout.Checksum(blk) != e.Sum {
-				rep.BlocksDropped++
-				continue
-			}
-			rep.BlocksVerified++
-			sc.intact[addr] = s.WriteSeq
-			fs.sums.record(addr, s.Entries[i:i+1])
-			switch e.Kind {
+			switch s.Entries[i].Kind {
 			case layout.KindIndirect:
 				sc.ptrs[addr] = layout.DecodeIndirectBlock(blk)
 			case layout.KindInode:
@@ -316,69 +304,120 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 					if ino.Inum < RootInum || ino.Inum >= uint32(fs.imap.maxInodes()) {
 						continue
 					}
-					sc.cands[ino.Inum] = append(sc.cands[ino.Inum], salvCand{
-						ino: ino, addr: addr, slot: uint16(slot), seq: s.WriteSeq,
-					})
-					if ino.Version > sc.maxVer[ino.Inum] {
-						sc.maxVer[ino.Inum] = ino.Version
-					}
+					sc.cands[ino.Inum] = append(sc.cands[ino.Inum], salvCand{ino: ino, addr: addr, slot: uint16(slot), seq: s.WriteSeq})
+					sc.maxVer[ino.Inum] = max(sc.maxVer[ino.Inum], ino.Version)
 				}
 			case layout.KindDirLog:
 				if ops, err := layout.DecodeDirOpLog(blk); err == nil {
 					for _, op := range ops {
-						if op.Seq >= sc.maxDirSeq {
-							sc.maxDirSeq = op.Seq + 1
-						}
+						sc.maxDirSeq = max(sc.maxDirSeq, op.Seq+1)
 					}
 				}
 			}
-		}
+		})
 	}
 	if _, err := fs.walkEnded(w.End()); errors.Is(err, disk.ErrMediaRead) {
 		fs.quarantineSeg(seg)
 	}
 }
 
+// salvageReads reports whether salvage's scan decodes blocks of this kind.
+func salvageReads(k layout.BlockKind) bool {
+	return k == layout.KindInode || k == layout.KindIndirect || k == layout.KindDirLog
+}
+
+// salvageJudge settles the described block at addr from what reading it gave
+// (its bytes, or why there are none) and reports whether it verified. A media
+// error drops it and quarantines its segment, a checksum mismatch only drops
+// it; a verified block joins the verify-on-read index, and its bytes are kept
+// if a directory wants them.
+func (fs *FS) salvageJudge(sc *salvScan, rep *SalvageReport, addr int64, blk []byte, err error) bool {
+	b := sc.blocks[addr]
+	b.read, b.intact = true, err == nil && layout.Checksum(blk) == b.sum
+	sc.blocks[addr] = b
+	if !b.intact {
+		if errors.Is(err, disk.ErrMediaRead) {
+			fs.quarantineSeg(fs.segOf(addr))
+		}
+		rep.BlocksDropped++
+		return false
+	}
+	rep.BlocksVerified++
+	e := [1]layout.SummaryEntry{{Sum: b.sum}}
+	fs.sums.record(addr, e[:])
+	if b.dir {
+		sc.dirData[addr] = bytes.Clone(blk)
+	}
+	return true
+}
+
+// salvTrial is an inum the accept pass has not decided: cands[k] is the
+// version on trial, need[lo:hi] the blocks of its chain still unread.
+type salvTrial struct {
+	inum      uint32
+	k, lo, hi int
+	data      map[uint32]int64
+	meta      []int64
+}
+
 // salvageAcceptInodes picks, for every inum seen in the log, the newest
 // candidate whose complete block chain verifies: newest first by
 // (WriteSeq, address, slot), accept the first whose every referenced
-// data and indirect block is in the intact set and was written no later
-// than the inode itself. The seq bound is what defuses segment reuse: a
-// block address recycled by a newer segment incarnation carries a
-// higher WriteSeq than any stale inode that referenced the old
-// occupant, so the stale candidate is rejected rather than wired to
-// foreign data.
+// data and indirect block is intact and was written no later than the
+// inode itself. The seq bound is what defuses segment reuse: a block
+// address recycled by a newer segment incarnation carries a higher
+// WriteSeq than any stale inode that referenced the old occupant, so the
+// stale candidate is rejected rather than wired to foreign data.
+//
+// Data blocks are judged on demand: each round walks every undecided inum's
+// candidate, reads the unread blocks of their chains in one sorted sweep,
+// and moves an inum whose candidate failed on to its next (only under
+// faults). No block outside a tried version's chain is read.
 func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*salvAccepted {
 	acc := make(map[uint32]*salvAccepted)
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		cands := sc.cands[inum]
-		if len(cands) == 0 {
-			continue
+	var open []salvTrial
+	for inum := range uint32(fs.imap.maxInodes()) {
+		if cands := sc.cands[inum]; len(cands) > 0 {
+			slices.SortFunc(cands, func(a, b salvCand) int {
+				return cmp.Or(cmp.Compare(b.seq, a.seq), cmp.Compare(b.addr, a.addr), cmp.Compare(b.slot, a.slot))
+			})
+			open = append(open, salvTrial{inum: inum})
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].seq != cands[j].seq {
-				return cands[i].seq > cands[j].seq
+	}
+	var need []int64
+	run := logRun{fs: fs}
+	for len(open) > 0 {
+		need = need[:0]
+		tried := open[:0]
+		for _, t := range open {
+			cands := sc.cands[t.inum]
+			for ok := false; !ok && t.k < len(cands); {
+				t.lo = len(need)
+				if t.data, t.meta, ok = salvageWalkInode(cands[t.k].ino, cands[t.k].seq, sc, &need); !ok {
+					need, t.k = need[:t.lo], t.k+1
+				}
 			}
-			if cands[i].addr != cands[j].addr {
-				return cands[i].addr > cands[j].addr
+			if t.k == len(cands) {
+				rep.InodesLost++
+				continue
 			}
-			return cands[i].slot > cands[j].slot
-		})
-		var chosen *salvAccepted
-		for k := range cands {
-			c := &cands[k]
-			data, meta, ok := salvageWalkInode(c.ino, c.seq, sc)
-			if ok {
-				chosen = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: data, meta: meta}
-				break
-			}
+			t.hi = len(need)
+			tried = append(tried, t)
 		}
-		if chosen == nil {
-			rep.InodesLost++
-			continue
+		sweep := slices.Clone(need)
+		slices.Sort(sweep)
+		sweep = slices.Compact(sweep)
+		run.readRuns(sweep, func(k int, blk []byte, err error) { fs.salvageJudge(sc, rep, sweep[k], blk, err) })
+		open = tried[:0]
+		for _, t := range tried {
+			if slices.ContainsFunc(need[t.lo:t.hi], func(a int64) bool { return !sc.blocks[a].intact }) {
+				t.k++
+				open = append(open, t)
+				continue
+			}
+			c := &sc.cands[t.inum][t.k]
+			acc[t.inum] = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: t.data, meta: t.meta}
 		}
-		acc[inum] = chosen
 	}
 	// The root must be a directory; a surviving non-directory inode 1
 	// is unusable and treated as lost.
@@ -389,18 +428,19 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 	return acc
 }
 
-// salvageWalkInode verifies one inode candidate's full block chain
-// against the intact set, returning its data block map (block number →
-// address) and indirect-block addresses. seq is the candidate's
-// WriteSeq; every referenced block must have been written at or before
-// it (see salvageAcceptInodes).
-func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan) (map[uint32]int64, []int64, bool) {
+// salvageWalkInode checks one candidate's block chain against what is known
+// of the described blocks and returns its data map (block number → address)
+// and indirect-block addresses. Every block must be intact and written no
+// later than seq, the candidate's WriteSeq: ok is false once one is known not
+// to be, and the blocks not read yet are appended to need.
+func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64) (map[uint32]int64, []int64, bool) {
 	// A size beyond what any block map can address is not a recoverable
 	// inode, it is hostile or rotted metadata that happened to checksum —
 	// reject it before anything downstream sizes a buffer from it.
 	if ino.Size > uint64(layout.MaxFileBlocks)*layout.BlockSize {
 		return nil, nil, false
 	}
+	dir := ino.Type == layout.FileTypeDir
 	data := make(map[uint32]int64)
 	var meta []int64
 	err := layout.WalkBlockMap(ino,
@@ -414,8 +454,16 @@ func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan) (map[uint32]i
 			return ptrs, nil
 		},
 		func(kind layout.BlockKind, bn uint32, a int64) error {
-			if s, present := sc.intact[a]; !present || s > seq {
+			b, present := sc.blocks[a]
+			if !present || b.read && !b.intact || b.seq > seq {
 				return ErrCorrupt
+			}
+			if !b.read {
+				*need = append(*need, a)
+				if dir && !b.dir {
+					b.dir = true
+					sc.blocks[a] = b
+				}
 			}
 			if kind == layout.KindData {
 				data[bn] = a
@@ -431,8 +479,7 @@ func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan) (map[uint32]i
 // map and caches, synthesizing a fresh empty root when none survived.
 func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *SalvageReport) {
 	fs.nextInum = RootInum + 1
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
+	for inum := range uint32(fs.imap.maxInodes()) {
 		a, ok := acc[inum]
 		if !ok {
 			continue
@@ -444,9 +491,7 @@ func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *S
 		fs.icache[inum] = newMInode(a.ino)
 		fs.icacheMu.Unlock()
 		fs.inoBlockRefs[a.addr]++
-		if inum >= fs.nextInum {
-			fs.nextInum = inum + 1
-		}
+		fs.nextInum = max(fs.nextInum, inum+1)
 		rep.InodesRecovered++
 	}
 	if _, ok := acc[RootInum]; !ok {
@@ -476,7 +521,7 @@ func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *S
 // lost+found/, and set every link count to the actual number of
 // references. Directories whose entry list changed are rewritten
 // through the normal write path so the closing checkpoint carries them.
-func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageReport) error {
+func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep *SalvageReport) error {
 	isDir := func(inum uint32) bool {
 		a, ok := acc[inum]
 		return ok && a.ino.Type == layout.FileTypeDir
@@ -491,39 +536,15 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 	if _, ok := acc[RootInum]; !ok {
 		dirInums = append(dirInums, RootInum)
 	}
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		if inum == RootInum && !isDir(inum) {
-			continue // synthesized root, already added
+	for inum := range uint32(fs.imap.maxInodes()) {
+		if !isDir(inum) {
+			continue
 		}
-		if isDir(inum) {
-			dirInums = append(dirInums, inum)
-			mi, err := fs.loadInode(inum)
-			if err != nil {
-				continue
+		dirInums = append(dirInums, inum)
+		if data, ok := sc.dirContent(acc[inum]); ok {
+			if ents, err := layout.DecodeDirectory(data); err == nil {
+				rawEnts[inum] = ents
 			}
-			// The claimed size must fit inside the blocks the accepted
-			// chain actually maps; a directory pretending to be larger
-			// than its own block map is treated as undecodable (its
-			// children become orphans) rather than sized at face value.
-			var extent int64
-			for bn := range acc[inum].data {
-				if end := (int64(bn) + 1) * layout.BlockSize; end > extent {
-					extent = end
-				}
-			}
-			if int64(mi.ino.Size) > extent {
-				continue
-			}
-			data := make([]byte, mi.ino.Size)
-			if _, err := fs.readAt(mi, 0, data); err != nil {
-				continue
-			}
-			ents, err := layout.DecodeDirectory(data)
-			if err != nil {
-				continue
-			}
-			rawEnts[inum] = ents
 		}
 	}
 
@@ -635,12 +656,8 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 		}
 		walk(inum)
 	}
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		if _, ok := acc[inum]; !ok || inum == RootInum {
-			continue
-		}
-		if !isDir(inum) && refs[inum] == 0 {
+	for inum := range uint32(fs.imap.maxInodes()) {
+		if a, ok := acc[inum]; ok && a.ino.Type != layout.FileTypeDir && refs[inum] == 0 {
 			if err := attach(inum); err != nil {
 				return err
 			}
@@ -651,30 +668,21 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 	// own self-reference, matching Check).
 	refs[RootInum]++
 	fs.icacheMu.Lock()
-	inodes := make(map[uint32]*mInode, len(fs.icache))
 	for inum, mi := range fs.icache {
-		inodes[inum] = mi
-	}
-	fs.icacheMu.Unlock()
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		mi, ok := inodes[inum]
-		if !ok {
-			continue
-		}
 		if int(mi.ino.Nlink) != refs[inum] {
 			mi.ino.Nlink = uint16(refs[inum])
 			fs.markInodeDirty(inum)
 		}
 	}
+	fs.icacheMu.Unlock()
 
 	// Write back: unchanged directories only warm the caches; changed
 	// (or synthesized) ones are rewritten through the log.
-	var written []uint32
+	written := make([]uint32, 0, len(finalEnts))
 	for inum := range finalEnts {
 		written = append(written, inum)
 	}
-	sort.Slice(written, func(i, j int) bool { return written[i] < written[j] })
+	slices.Sort(written)
 	for _, inum := range written {
 		ents := finalEnts[inum]
 		// The first entry that differs from what the directory decoded to
@@ -696,6 +704,31 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, rep *SalvageRepor
 		rep.DirsRepaired++
 	}
 	return nil
+}
+
+// dirContent assembles an accepted directory's contents from the blocks the
+// accept pass kept. ok is false — the directory undecodable, its children
+// orphans — when it claims more bytes than its block map holds or a block was
+// not kept (read before a directory wanted it: two inodes claiming one block).
+func (sc *salvScan) dirContent(a *salvAccepted) ([]byte, bool) {
+	var extent int64
+	for bn := range a.data {
+		extent = max(extent, (int64(bn)+1)*layout.BlockSize)
+	}
+	if int64(a.ino.Size) > extent {
+		return nil, false
+	}
+	data := make([]byte, a.ino.Size)
+	for bn, addr := range a.data {
+		blk, ok := sc.dirData[addr]
+		if !ok {
+			return nil, false
+		}
+		if o := int64(bn) * layout.BlockSize; o < int64(len(data)) {
+			copy(data[o:], blk)
+		}
+	}
+	return data, true
 }
 
 // salvageFreeInum returns an unused inum for a synthesized inode

@@ -69,6 +69,56 @@ func (r *logRun) at(addr int64) ([]byte, error) {
 	return blk, nil
 }
 
+// readWanted reads the blocks of one partial write (entries, the first at
+// first) whose kind wanted selects — a request per run of adjacent ones, the
+// summary the walk reads next (ahead) riding on a run that ends in front of
+// it — and hands each to use with its entry index and its block (valid until
+// use returns) or why there is none. Roll-forward and salvage both read so.
+func (r *logRun) readWanted(first int64, entries []layout.SummaryEntry, ahead func() (int64, bool),
+	wanted func(layout.BlockKind) bool, use func(i int, blk []byte, err error)) {
+	runEnd := 0 // the run holds the wanted entries before this one
+	for i, e := range entries {
+		if !wanted(e.Kind) {
+			continue
+		}
+		if i >= runEnd {
+			runEnd = i + 1
+			for runEnd < len(entries) && wanted(entries[runEnd].Kind) {
+				runEnd++
+			}
+			n := runEnd - i
+			if a, ok := ahead(); ok && a == first+int64(runEnd) {
+				n++
+			}
+			r.read(first+int64(i), n)
+		}
+		blk, err := r.at(first + int64(i))
+		use(i, blk, err)
+	}
+}
+
+// readRuns reads the blocks at addrs, NilAddr skipped, a request per run of
+// adjacent addresses, and hands each to use with its index in addrs and its
+// block (valid until use returns) or why there is none.
+func (r *logRun) readRuns(addrs []int64, use func(k int, blk []byte, err error)) {
+	for i := 0; i < len(addrs); {
+		if addrs[i] == layout.NilAddr {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
+			j++
+		}
+		r.read(addrs[i], j-i)
+		for k := i; k < j; k++ {
+			blk, err := r.at(addrs[k])
+			use(k, blk, err)
+		}
+		i = j
+	}
+}
+
 // source is retrySource for a walk whose caller reads runs: a summary the
 // run already holds (see layout's Ahead) is served from it, anything else
 // from the device. A run whose request failed serves nothing — the summary

@@ -245,6 +245,25 @@ func TestCleanerGapShape(t *testing.T) {
 	}
 }
 
+// TestReadPathCellQuick runs one cell of the grid end to end at quick
+// scale: the cached mode must serve the measured loop entirely from
+// memory, which is visible as zero simulated latency at p99.
+func TestReadPathCellQuick(t *testing.T) {
+	res, err := runReadPathCell(Config{Quick: true, Seed: 7}.withDefaults(), "cached", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 {
+		t.Fatal("cell ran no ops")
+	}
+	if res.SimP99Nanos != 0 {
+		t.Fatalf("cached mode touched the disk during the measured loop: p99 = %dns", res.SimP99Nanos)
+	}
+	if res.AllocsPerOp > 2 {
+		t.Fatalf("cached read path allocates %.2f/op at benchmark scale", res.AllocsPerOp)
+	}
+}
+
 func atoi(t *testing.T, s string) int {
 	t.Helper()
 	v, err := strconv.Atoi(s)

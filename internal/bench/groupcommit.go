@@ -26,23 +26,18 @@ import (
 // does not see it); blocks written and device busy time are simulated
 // and deterministic for a given writer count.
 
-// GroupCommitResult is one (scenario, writers, mode) cell, exported so
-// lfsbench -snapshot can serialize the whole grid as JSON.
-type GroupCommitResult struct {
-	Scenario     string  `json:"scenario"`       // "steady" or "sync-heavy"
-	Writers      int     `json:"writers"`        // concurrent writer goroutines
-	Grouped      bool    `json:"grouped"`        // false = NoGroupCommit baseline
-	Ops          int     `json:"ops"`            // mutating operations completed
-	Syncs        int     `json:"syncs"`          // explicit Sync calls
-	OpsPerSec    float64 `json:"ops_per_sec"`    // host wall-clock throughput
-	SyncP50Nanos int64   `json:"sync_p50_nanos"` // host wall-clock Sync latency
-	SyncP99Nanos int64   `json:"sync_p99_nanos"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`  // heap allocations per op
-	BlocksOut    int64   `json:"blocks_written"` // simulated device blocks
-	SimBusyNanos int64   `json:"sim_busy_nanos"` // simulated device busy time
-	GroupCommits int64   `json:"group_commits"`  // committer batches flushed
-	GroupSyncs   int64   `json:"group_syncs"`    // Sync callers those served
-	AdmitWaits   int64   `json:"admit_waits"`    // ops that blocked at the gate
+// groupCommitResult is one (scenario, writers, mode) cell.
+type groupCommitResult struct {
+	Scenario     string  // "steady" or "sync-heavy"
+	Writers      int     // concurrent writer goroutines
+	Grouped      bool    // false = NoGroupCommit baseline
+	OpsPerSec    float64 // host wall-clock throughput
+	SyncP50Nanos int64   // host wall-clock Sync latency
+	SyncP99Nanos int64
+	AllocsPerOp  float64 // heap allocations per op
+	BlocksOut    int64   // simulated device blocks
+	GroupCommits int64   // committer batches flushed
+	GroupSyncs   int64   // Sync callers those served
 }
 
 // groupCommitScenario describes one workload shape.
@@ -66,8 +61,8 @@ func groupCommitScenarios(cfg Config) []groupCommitScenario {
 }
 
 // runGroupCommitCell runs one scenario at one writer count in one mode.
-func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int, grouped bool) (GroupCommitResult, error) {
-	res := GroupCommitResult{Scenario: sc.name, Writers: writers, Grouped: grouped}
+func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int, grouped bool) (groupCommitResult, error) {
+	res := groupCommitResult{Scenario: sc.name, Writers: writers, Grouped: grouped}
 	opts := core.Options{
 		SegmentBlocks:   64,
 		MaxInodes:       4096,
@@ -143,18 +138,15 @@ func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int, grouped
 
 	st := fs.Stats()
 	ds := d.Stats()
-	res.Ops = writers * sc.rounds
-	res.Syncs = len(syncLats)
-	res.OpsPerSec = rate(res.Ops, elapsed)
+	ops := writers * sc.rounds
+	res.OpsPerSec = rate(ops, elapsed)
 	p50, p99 := latencyPercentiles(syncLats)
 	res.SyncP50Nanos = p50.Nanoseconds()
 	res.SyncP99Nanos = p99.Nanoseconds()
-	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Ops)
+	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
 	res.BlocksOut = ds.BlocksWritten
-	res.SimBusyNanos = ds.BusyTime.Nanoseconds()
 	res.GroupCommits = st.GroupCommits
 	res.GroupSyncs = st.GroupCommitSyncs
-	res.AdmitWaits = st.AdmitWaits
 	return res, nil
 }
 
@@ -167,11 +159,10 @@ func latencyPercentiles(lats []time.Duration) (p50, p99 time.Duration) {
 	return s[len(s)*50/100], s[len(s)*99/100]
 }
 
-// RunGroupCommitResults runs the full grid and returns structured
-// results, the form lfsbench -snapshot serializes.
-func RunGroupCommitResults(cfg Config) ([]GroupCommitResult, error) {
+// RunGroupCommit runs the grid and renders it as a table.
+func RunGroupCommit(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	var out []GroupCommitResult
+	var results []groupCommitResult
 	for _, sc := range groupCommitScenarios(cfg) {
 		for _, writers := range sc.writers {
 			for _, grouped := range []bool{false, true} {
@@ -179,18 +170,9 @@ func RunGroupCommitResults(cfg Config) ([]GroupCommitResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("groupcommit %s w=%d grouped=%v: %w", sc.name, writers, grouped, err)
 				}
-				out = append(out, r)
+				results = append(results, r)
 			}
 		}
-	}
-	return out, nil
-}
-
-// RunGroupCommit renders the grid as a table.
-func RunGroupCommit(cfg Config) (*Table, error) {
-	results, err := RunGroupCommitResults(cfg)
-	if err != nil {
-		return nil, err
 	}
 	t := &Table{
 		ID:    "groupcommit",

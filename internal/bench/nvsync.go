@@ -22,27 +22,24 @@ import (
 // modes run with the NVRAM attached so the only variable is where the
 // durability point sits.
 
-// NVSyncResult is one (writers, mode) cell, exported so lfsbench
-// -snapshot can serialize the grid as JSON.
-type NVSyncResult struct {
-	Writers      int     `json:"writers"`        // concurrent writer goroutines
-	Absorbed     bool    `json:"absorbed"`       // false = inline durability baseline
-	Ops          int     `json:"ops"`            // small-file writes completed
-	Syncs        int     `json:"syncs"`          // explicit Sync calls (= ops)
-	OpsPerSec    float64 `json:"ops_per_sec"`    // host wall-clock throughput
-	SyncP50Nanos int64   `json:"sync_p50_nanos"` // host wall-clock Sync latency
-	SyncP99Nanos int64   `json:"sync_p99_nanos"`
-	AllocsPerOp  float64 `json:"allocs_per_op"` // heap allocations per op
-	BlocksOut    int64   `json:"blocks_written"`
-	NVAbsorbed   int64   `json:"nv_absorbed_syncs"` // Syncs that returned at the NVRAM
-	NVKicks      int64   `json:"nv_async_kicks"`    // high-water committer kicks
-	NVBackpress  int64   `json:"nv_backpressure"`   // inline flushes forced by a full NVRAM
+// nvSyncResult is one (writers, mode) cell.
+type nvSyncResult struct {
+	Writers      int     // concurrent writer goroutines
+	Absorbed     bool    // false = inline durability baseline
+	OpsPerSec    float64 // host wall-clock throughput
+	SyncP50Nanos int64   // host wall-clock Sync latency
+	SyncP99Nanos int64
+	AllocsPerOp  float64 // heap allocations per op
+	BlocksOut    int64
+	NVAbsorbed   int64 // Syncs that returned at the NVRAM
+	NVKicks      int64 // high-water committer kicks
+	NVBackpress  int64 // inline flushes forced by a full NVRAM
 }
 
 // runNVSyncCell runs the sync-after-every-small-file workload at one
 // writer count in one durability mode.
-func runNVSyncCell(cfg Config, writers int, absorbed bool) (NVSyncResult, error) {
-	res := NVSyncResult{Writers: writers, Absorbed: absorbed}
+func runNVSyncCell(cfg Config, writers int, absorbed bool) (nvSyncResult, error) {
+	res := nvSyncResult{Writers: writers, Absorbed: absorbed}
 	rounds := 400
 	if cfg.Quick {
 		rounds = 120
@@ -119,13 +116,12 @@ func runNVSyncCell(cfg Config, writers int, absorbed bool) (NVSyncResult, error)
 
 	st := fs.Stats()
 	ds := d.Stats()
-	res.Ops = writers * rounds
-	res.Syncs = len(syncLats)
-	res.OpsPerSec = rate(res.Ops, elapsed)
+	ops := writers * rounds
+	res.OpsPerSec = rate(ops, elapsed)
 	p50, p99 := latencyPercentiles(syncLats)
 	res.SyncP50Nanos = p50.Nanoseconds()
 	res.SyncP99Nanos = p99.Nanoseconds()
-	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Ops)
+	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
 	res.BlocksOut = ds.BlocksWritten
 	res.NVAbsorbed = st.NVAbsorbedSyncs
 	res.NVKicks = st.NVAsyncKicks
@@ -133,28 +129,18 @@ func runNVSyncCell(cfg Config, writers int, absorbed bool) (NVSyncResult, error)
 	return res, nil
 }
 
-// RunNVSyncResults runs the full grid and returns structured results,
-// the form lfsbench -snapshot serializes.
-func RunNVSyncResults(cfg Config) ([]NVSyncResult, error) {
+// RunNVSync runs the grid and renders it as a table.
+func RunNVSync(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	var out []NVSyncResult
+	var results []nvSyncResult
 	for _, writers := range []int{1, 2, 4, 8} {
 		for _, absorbed := range []bool{false, true} {
 			r, err := runNVSyncCell(cfg, writers, absorbed)
 			if err != nil {
 				return nil, fmt.Errorf("nvsync w=%d absorbed=%v: %w", writers, absorbed, err)
 			}
-			out = append(out, r)
+			results = append(results, r)
 		}
-	}
-	return out, nil
-}
-
-// RunNVSync renders the grid as a table.
-func RunNVSync(cfg Config) (*Table, error) {
-	results, err := RunNVSyncResults(cfg)
-	if err != nil {
-		return nil, err
 	}
 	t := &Table{
 		ID:    "nvsync",

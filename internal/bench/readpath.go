@@ -17,21 +17,20 @@ import (
 // freelist). Section 4 of the paper assumes "files are cached in main
 // memory and that increasing memory sizes will make the caches more and
 // more effective at satisfying read requests" — the cached mode is that
-// assumption made measurable, and allocs/op is the metric the CI
-// regression gate watches so the freelist work cannot silently rot.
+// assumption made measurable, and TestReadPathCellQuick pins its
+// allocs/op at benchmark scale so the freelist work cannot silently rot.
 
-// ReadPathResult is one (mode, readers) cell, exported so lfsbench
-// -snapshot can serialize the grid as JSON.
-type ReadPathResult struct {
-	Mode        string  `json:"mode"`          // "cached" or "uncached"
-	Readers     int     `json:"readers"`       // concurrent reader goroutines
-	Ops         int     `json:"ops"`           // single-block ReadAt calls
-	OpsPerSec   float64 `json:"ops_per_sec"`   // host wall-clock throughput
-	SimP50Nanos int64   `json:"sim_p50_nanos"` // simulated disk time per op
-	SimP99Nanos int64   `json:"sim_p99_nanos"`
-	AllocsPerOp float64 `json:"allocs_per_op"` // heap allocations per op
-	BlocksRead  int64   `json:"blocks_read"`   // simulated device blocks read
-	ReadReqs    int64   `json:"read_reqs"`     // simulated device read requests
+// readPathResult is one (mode, readers) cell.
+type readPathResult struct {
+	Mode        string  // "cached" or "uncached"
+	Readers     int     // concurrent reader goroutines
+	Ops         int     // single-block ReadAt calls
+	OpsPerSec   float64 // host wall-clock throughput
+	SimP50Nanos int64   // simulated disk time per op
+	SimP99Nanos int64
+	AllocsPerOp float64 // heap allocations per op
+	BlocksRead  int64   // simulated device blocks read
+	ReadReqs    int64   // simulated device read requests
 }
 
 // readPathFileBlocks is the working-set size. It fits entirely in the
@@ -41,8 +40,8 @@ const readPathFileBlocks = 64
 
 // runReadPathCell runs the single-block read workload at one reader
 // count in one cache mode.
-func runReadPathCell(cfg Config, mode string, readers int) (ReadPathResult, error) {
-	res := ReadPathResult{Mode: mode, Readers: readers}
+func runReadPathCell(cfg Config, mode string, readers int) (readPathResult, error) {
+	res := readPathResult{Mode: mode, Readers: readers}
 	rounds := 2000
 	if cfg.Quick {
 		rounds = 400
@@ -146,28 +145,18 @@ func runReadPathCell(cfg Config, mode string, readers int) (ReadPathResult, erro
 	return res, nil
 }
 
-// RunReadPathResults runs the full grid and returns structured results,
-// the form lfsbench -snapshot serializes.
-func RunReadPathResults(cfg Config) ([]ReadPathResult, error) {
+// RunReadPath runs the grid and renders it as a table.
+func RunReadPath(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	var out []ReadPathResult
+	var results []readPathResult
 	for _, mode := range []string{"cached", "uncached"} {
 		for _, readers := range []int{1, 2, 4, 8} {
 			r, err := runReadPathCell(cfg, mode, readers)
 			if err != nil {
 				return nil, fmt.Errorf("readpath %s readers=%d: %w", mode, readers, err)
 			}
-			out = append(out, r)
+			results = append(results, r)
 		}
-	}
-	return out, nil
-}
-
-// RunReadPath renders the grid as a table.
-func RunReadPath(cfg Config) (*Table, error) {
-	results, err := RunReadPathResults(cfg)
-	if err != nil {
-		return nil, err
 	}
 	t := &Table{
 		ID:    "readpath",

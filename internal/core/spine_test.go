@@ -211,14 +211,17 @@ func TestWriteFileNoSpaceAfterCreateDoesNotDegrade(t *testing.T) {
 // file's blocks are in the dirty cache: the prepared write and its two
 // block buffers stay on do's stack, and the payload is not copied again,
 // with or without an NVRAM (whose append copies into its own buffer,
-// amortised below one allocation per record).
+// amortised below one allocation per record). With NVSyncAbsorb the op
+// is WriteAt + Sync, and the absorbed Sync, which returns at the NVRAM
+// record and only kicks the committer, allocates nothing either.
 func TestAllocsWriteAt(t *testing.T) {
-	for _, withNV := range []bool{false, true} {
-		t.Run(fmt.Sprintf("nvram=%v", withNV), func(t *testing.T) {
+	for _, nvram := range []string{"false", "true", "absorbed"} {
+		t.Run("nvram="+nvram, func(t *testing.T) {
 			opts := testOptions()
-			if withNV {
+			if nvram != "false" {
 				opts.NVRAM = NewNVRAM(8 << 20)
 			}
+			opts.NVSyncAbsorb = nvram == "absorbed"
 			fs, _ := newTestFS(t, 2048, opts)
 			if err := fs.Create("/f"); err != nil {
 				t.Fatal(err)
@@ -228,10 +231,15 @@ func TestAllocsWriteAt(t *testing.T) {
 				if _, err := fs.WriteAt("/f", 0, data); err != nil {
 					t.Fatal(err)
 				}
+				if opts.NVSyncAbsorb {
+					if err := fs.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			write()
 			if avg := testing.AllocsPerRun(200, write); avg != 0 {
-				t.Fatalf("8 KB WriteAt allocates %.0f times per op, want 0", avg)
+				t.Fatalf("8 KB WriteAt (+ Sync when absorbed) allocates %.0f times per op, want 0", avg)
 			}
 		})
 	}

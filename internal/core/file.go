@@ -463,7 +463,7 @@ func (fs *FS) removeFile(inum uint32) error {
 	delete(fs.icache, inum)
 	delete(fs.dirtyInodes, inum)
 	delete(fs.dirCache, inum)
-	fs.freeInums = append(fs.freeInums, inum)
+	fs.freeInums.push(inum)
 	fs.stats.FilesDeleted++
 	return nil
 }

@@ -249,12 +249,12 @@ func (fs *FS) rebuildInoBlockRefs() {
 	}
 }
 
+// rebuildFreeInums lists the free inums in ascending order, a valid heap.
 func (fs *FS) rebuildFreeInums() {
 	fs.freeInums = fs.freeInums[:0]
-	for inum := fs.nextInum; inum > RootInum+1; inum-- {
-		e := fs.imap.get(inum - 1)
-		if !e.Allocated() {
-			fs.freeInums = append(fs.freeInums, inum-1)
+	for inum := RootInum + 1; inum < fs.nextInum; inum++ {
+		if !fs.imap.get(inum).Allocated() {
+			fs.freeInums = append(fs.freeInums, inum)
 		}
 	}
 }

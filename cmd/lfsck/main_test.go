@@ -41,6 +41,10 @@ func lfsck(args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errOut.String()
 }
 
+// TestLfsckCleanImage checks a clean image under each flag, bad usage and a
+// missing image, then corrupts one data block in place: the structural
+// sweep never reads file data, so the plain run stays clean, and -deep's
+// partial-write checksum scan must fail it and say why.
 func TestLfsckCleanImage(t *testing.T) {
 	img := buildImage(t)
 	for _, args := range [][]string{{img}, {"-deep", "-v", img}, {"-noroll", img}} {
@@ -54,6 +58,36 @@ func TestLfsckCleanImage(t *testing.T) {
 	}
 	if st, _, _ := lfsck(filepath.Join(t.TempDir(), "missing.img")); st != 1 {
 		t.Fatalf("missing image: exit %d, want 1", st)
+	}
+
+	d, err := lfs.LoadDisk(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for addr := int64(1); addr < 4096 && !corrupted; addr++ {
+		b, err := d.Peek(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.HasPrefix(b, []byte("lfslfslfs")) {
+			if err := d.Poke(addr, bytes.Repeat([]byte{0x5A}, len(b))); err != nil {
+				t.Fatal(err)
+			}
+			corrupted = true
+		}
+	}
+	if !corrupted {
+		t.Fatal("no data block of /d/f found to corrupt")
+	}
+	if err := d.Save(img); err != nil {
+		t.Fatal(err)
+	}
+	if st, out, errOut := lfsck(img); st != 0 {
+		t.Fatalf("data corruption tripped the structural sweep: exit %d\nstdout: %s\nstderr: %s", st, out, errOut)
+	}
+	if st, out, errOut := lfsck("-deep", img); st != 1 || !strings.Contains(out, "checksum") {
+		t.Fatalf("-deep on a corrupt data block: exit %d\nstdout: %s\nstderr: %s", st, out, errOut)
 	}
 }
 

@@ -4,7 +4,6 @@
 //
 //	lfsh disk.img
 //	lfsh -new -size 64 disk.img
-//	lfsh fsck [-deep] [-repair] disk.img
 //	lfsh scrub disk.img
 //
 // Commands: ls [path], cat <path>, put <path> <text>, gen <path> <KB>,
@@ -12,18 +11,14 @@
 // df, segs, sync, checkpoint, clean, idle <n>, crash, recovery, fsck, scrub,
 // stats, trace <file>|off, save, help, quit.
 //
-// The fsck subcommand mounts the image via checkpoint + roll-forward,
-// runs the structural consistency sweep non-interactively, and exits 0
-// when the image is clean, 1 when it has problems or cannot be mounted.
-// It never writes the image back — unless -repair is given, in which
-// case an unmountable or degraded image is rebuilt from its log (the
-// last-resort salvage; orphans are reconnected under lost+found/) and
-// the repaired image replaces the original.
+// Checking an image non-interactively, and rebuilding an unmountable one
+// from its log, is lfsck's job (lfsck [-deep] [-salvage] disk.img).
 //
-// The scrub subcommand mounts the image the same way and reads back
-// every live block — map blocks, inodes, indirect blocks and file data —
-// verifying each against the checksum recorded in its segment summary,
-// so latent media corruption is found before a read path trips over it.
+// The scrub subcommand mounts the image via checkpoint + roll-forward and
+// reads back every live block — map blocks, inodes, indirect blocks and
+// file data — verifying each against the checksum recorded in its segment
+// summary, so latent media corruption is found before a read path trips
+// over it.
 // Exit status: 0 clean, 1 corruption found or unmountable.
 //
 // Media-fault health is visible interactively: under its histogram `segs`
@@ -32,8 +27,10 @@
 // (fsck and scrub list them), then why the cleaner works as hard as it does
 // (how full the disk is against how full the segments holding data are, the
 // clean pool against the cleaner's two marks, live MB by block kind; this
-// flushes what is buffered), and `stats` includes
-// the write-fault ladder counters (fs.media.write.retries/errors/
+// flushes what is buffered). `stats` prints the file system's and the
+// device's Stats (log traffic by kind, cleaning, checkpoints, admission,
+// group commit, requests and blocks), then the tracer's metrics, which
+// include the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
 // counters. It also says why every summary-chain walk so far stopped
 // (log.walk.end.<reason>): after `crash`, what ended roll-forward — and
@@ -50,6 +47,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -61,9 +59,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "fsck" {
-		os.Exit(runFsck(os.Args[2:], os.Stdout))
-	}
 	if len(os.Args) > 1 && os.Args[1] == "scrub" {
 		os.Exit(runScrub(os.Args[2:], os.Stdout))
 	}
@@ -114,81 +109,6 @@ func main() {
 			break
 		}
 	}
-}
-
-// runFsck implements `lfsh fsck [-deep] [-repair] <image>`. The image
-// is loaded into memory and mounted with normal recovery; without
-// -repair nothing is written back, so checking a crashed image leaves it
-// untouched for later inspection. With -repair a mount failure or a
-// degraded mount triggers last-resort salvage — the image is rebuilt
-// from its log, orphans land under lost+found/, and the repaired image
-// is written back in place.
-func runFsck(args []string, out io.Writer) int {
-	fl := flag.NewFlagSet("fsck", flag.ContinueOnError)
-	fl.SetOutput(out)
-	deep := fl.Bool("deep", false, "also verify the checksum of every live log block")
-	repair := fl.Bool("repair", false, "salvage the image from its log when mount fails or the file system is degraded, writing the repaired image back")
-	if err := fl.Parse(args); err != nil || fl.NArg() != 1 {
-		fmt.Fprintln(out, "usage: lfsh fsck [-deep] [-repair] <image>")
-		return 2
-	}
-	img := fl.Arg(0)
-	d, err := lfs.LoadDisk(img)
-	if err != nil {
-		fmt.Fprintf(out, "fsck: %s: %v\n", img, err)
-		return 1
-	}
-	var srep *lfs.SalvageReport
-	fs, err := lfs.Mount(d, lfs.Options{})
-	if err != nil {
-		if !*repair {
-			fmt.Fprintf(out, "fsck: %s: mount: %v (rerun with -repair to rebuild from the log)\n", img, err)
-			return 1
-		}
-		fmt.Fprintf(out, "%s: mount: %v; salvaging from the log\n", img, err)
-		fs, srep, err = lfs.SalvageImage(d, lfs.Options{})
-		if err != nil {
-			fmt.Fprintf(out, "fsck: %s: salvage: %v\n", img, err)
-			return 1
-		}
-	} else if *repair && fs.Degraded() {
-		fmt.Fprintf(out, "%s: degraded (%s); salvaging from the log\n", img, fs.DegradedReason())
-		srep, err = fs.Salvage()
-		if err != nil {
-			fmt.Fprintf(out, "fsck: %s: salvage: %v\n", img, err)
-			return 1
-		}
-	}
-	var rep *lfs.CheckReport
-	if *deep {
-		rep, err = fs.CheckDeep()
-	} else {
-		rep, err = fs.Check()
-	}
-	if err != nil {
-		fmt.Fprintf(out, "fsck: %s: %v\n", img, err)
-		return 1
-	}
-	if srep != nil {
-		fmt.Fprintf(out, "%s: salvaged: %d inodes recovered, %d lost, %d orphans reconnected, %d blocks dropped\n",
-			img, srep.InodesRecovered, srep.InodesLost, srep.Orphans, srep.BlocksDropped)
-		if err := fs.Unmount(); err != nil {
-			fmt.Fprintf(out, "fsck: %s: unmount: %v\n", img, err)
-			return 1
-		}
-		if err := d.Save(img); err != nil {
-			fmt.Fprintf(out, "fsck: %s: writing repaired image: %v\n", img, err)
-			return 1
-		}
-	}
-	if len(rep.Problems) == 0 {
-		fmt.Fprintf(out, "%s: clean: %d files\n", img, rep.Files)
-		return 0
-	}
-	for _, p := range rep.Problems {
-		fmt.Fprintf(out, "%s: problem: %s\n", img, p)
-	}
-	return 1
 }
 
 // runScrub implements `lfsh scrub <image>`: mount, walk every live
@@ -459,6 +379,7 @@ func runCmd(img string, d *lfs.Disk, fsp **lfs.FS, rng *rand.Rand, args []string
 			fmt.Printf("%d live blocks scanned, %d bad\n", rep.Blocks, len(rep.Errors))
 		}
 	case "stats":
+		fmt.Print(fieldLines("fs", fs.Stats()), fieldLines("disk", d.Stats()))
 		if fs.Tracer() == nil {
 			fmt.Println("no tracer attached")
 			return
@@ -551,6 +472,28 @@ func recoveryTable(now, before lfs.MetricsSnapshot) string {
 		}
 	}
 	fmt.Fprintf(&b, "log walks ended: %s\n", strings.Join(ends, ", "))
+	return b.String()
+}
+
+// fieldLines renders a Stats struct one "<prefix>.<Field> value" line per
+// field, in the layout of the metrics snapshot printed under it; a
+// per-block-kind array (Stats.LogBytesByKind) gets one line per kind
+// written.
+func fieldLines(prefix string, stats any) string {
+	var b strings.Builder
+	v := reflect.ValueOf(stats)
+	for i := 0; i < v.NumField(); i++ {
+		name := prefix + "." + v.Type().Field(i).Name
+		if byKind, ok := v.Field(i).Interface().([8]int64); ok {
+			for k, n := range byKind {
+				if n != 0 {
+					fmt.Fprintf(&b, "%-28s %d\n", name+"."+layout.BlockKind(k).String(), n)
+				}
+			}
+			continue
+		}
+		fmt.Fprintf(&b, "%-28s %v\n", name, v.Field(i))
+	}
 	return b.String()
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -150,8 +149,16 @@ func TestShellStatsAndTrace(t *testing.T) {
 			t.Fatalf("trace line %d has no kind", i+1)
 		}
 	}
-	if got := fs.Metrics().Counter("log.writes"); got == 0 {
-		t.Fatal("metrics recorded no log writes")
+	if got := fs.Stats().PartialWrites; got == 0 {
+		t.Fatal("stats recorded no log writes")
+	}
+	// stats shows the counters the tracer no longer keeps from the two Stats.
+	lines := fieldLines("fs", fs.Stats()) + fieldLines("disk", d.Stats()) +
+		fieldLines("old", lfs.Stats{LogBytesByKind: [8]int64{layout.KindData: 4096}})
+	for _, want := range []string{"fs.PartialWrites ", "fs.Checkpoints ", "disk.ReadOps ", "disk.BlocksWritten ", "old.LogBytesByKind.data  "} {
+		if !strings.Contains(lines, want) {
+			t.Fatalf("stats lines have no %q:\n%s", want, lines)
+		}
 	}
 }
 
@@ -202,10 +209,15 @@ func TestShellRecoveryTable(t *testing.T) {
 			sum += n
 		}
 	}
-	last := now.Counter("disk.read.ops") - beforeRecovery.Counter("disk.read.ops")
-	if reads != sum || reads != last || reads >= now.Counter("disk.read.ops") {
+	// crash reboots the device, which zeroes its Stats: what it counts now
+	// is the last mount's reads. The tracer's phase counters hold both.
+	var both int64
+	for _, phase := range []string{"cpload", "rollforward", "dirops", "usage", "commit"} {
+		both += now.Counter("fs.recovery." + phase + ".reads")
+	}
+	if last := d.Stats().ReadOps; reads != sum || reads != last || reads >= both {
 		t.Fatalf("total %d requests, rows add up to %d, the last mount read %d times, both mounts %d:\n%s",
-			reads, sum, last, now.Counter("disk.read.ops"), table)
+			reads, sum, last, both, table)
 	}
 }
 
@@ -262,175 +274,5 @@ func TestShellQuitSavesImage(t *testing.T) {
 	got, err := fs2.ReadFile("/kept")
 	if err != nil || string(got) != "saved" {
 		t.Fatalf("saved image content: %q, %v", got, err)
-	}
-}
-
-// TestFsckSubcommand drives `lfsh fsck` end to end: a clean image passes
-// (exit 0), a missing image and a corrupted one fail (exit 1), and bad
-// usage is distinguished (exit 2). Data corruption is invisible to the
-// structural sweep but caught by -deep's checksum scan.
-func TestFsckSubcommand(t *testing.T) {
-	img := filepath.Join(t.TempDir(), "fsck.img")
-	d := lfs.NewDisk(4096)
-	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir("/dir"); err != nil {
-		t.Fatal(err)
-	}
-	pattern := bytes.Repeat([]byte{0xAB}, 64<<10)
-	if err := fs.WriteFile("/dir/blob", pattern); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(img); err != nil {
-		t.Fatal(err)
-	}
-
-	var out strings.Builder
-	if code := runFsck([]string{img}, &out); code != 0 {
-		t.Fatalf("clean image: exit %d, output %q", code, out.String())
-	}
-	if !strings.Contains(out.String(), "clean") {
-		t.Fatalf("clean image output: %q", out.String())
-	}
-	out.Reset()
-	if code := runFsck([]string{"-deep", img}, &out); code != 0 {
-		t.Fatalf("clean image -deep: exit %d, output %q", code, out.String())
-	}
-	out.Reset()
-	if code := runFsck([]string{filepath.Join(t.TempDir(), "missing.img")}, &out); code != 1 {
-		t.Fatalf("missing image: exit %d", code)
-	}
-	out.Reset()
-	if code := runFsck(nil, &out); code != 2 {
-		t.Fatalf("no arguments: exit %d", code)
-	}
-
-	// Corrupt one of the blob's data blocks in place. The structural
-	// sweep never reads file data, so plain fsck stays clean; -deep's
-	// partial-write checksum scan must flag it.
-	d2, err := lfs.LoadDisk(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := false
-	for addr := int64(1); addr < 4096; addr++ {
-		b, err := d2.Peek(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 && b[0] == 0xAB && b[len(b)-1] == 0xAB {
-			garbage := bytes.Repeat([]byte{0x5A}, len(b))
-			if err := d2.Poke(addr, garbage); err != nil {
-				t.Fatal(err)
-			}
-			corrupted = true
-			break
-		}
-	}
-	if !corrupted {
-		t.Fatal("no data block of the 0xAB blob found to corrupt")
-	}
-	img2 := filepath.Join(t.TempDir(), "fsck-corrupt.img")
-	if err := d2.Save(img2); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := runFsck([]string{img2}, &out); code != 0 {
-		t.Fatalf("data corruption tripped the structural sweep: %q", out.String())
-	}
-	out.Reset()
-	if code := runFsck([]string{"-deep", img2}, &out); code != 1 {
-		t.Fatalf("-deep missed the corruption: exit %d, output %q", code, out.String())
-	}
-	if !strings.Contains(out.String(), "checksum") {
-		t.Fatalf("-deep output: %q", out.String())
-	}
-}
-
-// TestFsckRepairSubcommand destroys both checkpoint regions — normal
-// recovery has nothing left to start from — and verifies that plain
-// fsck refuses with a hint, -repair salvages and writes the repaired
-// image back, and the result is a clean, mountable image with its
-// contents intact.
-func TestFsckRepairSubcommand(t *testing.T) {
-	img := filepath.Join(t.TempDir(), "repair.img")
-	d := lfs.NewDisk(4096)
-	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Mkdir("/dir"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/dir/a.txt", []byte("salvage me")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/top.txt", bytes.Repeat([]byte{0x77}, 9000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	sbBuf, err := d.Peek(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := layout.DecodeSuperblock(sbBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := make([]byte, layout.BlockSize)
-	for w := 0; w < 2; w++ {
-		for b := int64(0); b < int64(sb.CheckpointBlocks); b++ {
-			if err := d.Poke(sb.CheckpointAddr[w]+b, zero); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := d.Save(img); err != nil {
-		t.Fatal(err)
-	}
-
-	var out strings.Builder
-	if code := runFsck([]string{img}, &out); code != 1 {
-		t.Fatalf("unmountable image without -repair: exit %d, output %q", code, out.String())
-	}
-	if !strings.Contains(out.String(), "-repair") {
-		t.Fatalf("refusal should hint at -repair: %q", out.String())
-	}
-	out.Reset()
-	if code := runFsck([]string{"-repair", img}, &out); code != 0 {
-		t.Fatalf("-repair: exit %d, output %q", code, out.String())
-	}
-	if !strings.Contains(out.String(), "salvaged:") {
-		t.Fatalf("-repair output should report the salvage: %q", out.String())
-	}
-	out.Reset()
-	if code := runFsck([]string{"-deep", img}, &out); code != 0 {
-		t.Fatalf("repaired image should check clean: exit %d, output %q", code, out.String())
-	}
-	d2, err := lfs.LoadDisk(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := lfs.Mount(d2, lfs.Options{})
-	if err != nil {
-		t.Fatalf("repaired image should mount normally: %v", err)
-	}
-	defer fs2.Unmount()
-	if fs2.Degraded() {
-		t.Fatalf("repaired image mounted degraded: %s", fs2.DegradedReason())
-	}
-	got, err := fs2.ReadFile("/dir/a.txt")
-	if err != nil || string(got) != "salvage me" {
-		t.Fatalf("/dir/a.txt after repair: %q, %v", got, err)
-	}
-	if got, err := fs2.ReadFile("/top.txt"); err != nil || len(got) != 9000 {
-		t.Fatalf("/top.txt after repair: %d bytes, %v", len(got), err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -40,13 +38,7 @@ func RunTable2(cfg Config) (*Table, error) {
 		if diskMB < 16 {
 			diskMB = 16
 		}
-		sub := cfg
-		if sub.Tracer == nil {
-			// Metrics-only tracer: the obs layer double-books the log and
-			// cleaner traffic so the two accountings can be cross-checked.
-			sub.Tracer = obs.New(nil)
-		}
-		fs, _, err := sub.newLFSSized(int64(diskMB)<<20/4096, core.Options{SegmentBlocks: segBlocks})
+		fs, _, err := cfg.newLFSSized(int64(diskMB)<<20/4096, core.Options{SegmentBlocks: segBlocks})
 		if err != nil {
 			return nil, err
 		}
@@ -57,14 +49,10 @@ func RunTable2(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("%s populate: %w", p.Name, err)
 		}
 		fs.ResetStats()
-		before := fs.Metrics()
 		if err := run.ApplyTraffic(int64(trafficFactor * float64(capacity))); err != nil {
 			return nil, fmt.Errorf("%s traffic: %w", p.Name, err)
 		}
 		st := fs.Stats()
-		if err := checkMetrics(p.Name, st, before, fs.Metrics()); err != nil {
-			return nil, err
-		}
 		t.AddRow(p.Name,
 			fmt.Sprintf("%d MB", diskMB),
 			fmt.Sprintf("%.1f KB", p.AvgFileKB),
@@ -80,34 +68,4 @@ func RunTable2(cfg Config) (*Table, error) {
 	t.AddNote("disks scaled down %dx from the paper's; traffic is %.1fx capacity instead of four months of production use", scale, trafficFactor)
 	t.AddNote("paper: write costs 1.2-1.6, more than half of cleaned segments empty — far better than the simulations, because files are written/deleted whole and cold files are very cold")
 	return t, nil
-}
-
-// checkMetrics asserts the obs layer's counters agree with the core
-// Stats over the traffic phase. The tracer may be shared across the
-// whole run (lfsbench -trace), so deltas between the two snapshots are
-// compared, not absolute values.
-func checkMetrics(name string, st core.Stats, before, after obs.Snapshot) error {
-	delta := func(ctr string) int64 { return after.Counter(ctr) - before.Counter(ctr) }
-	if got := delta(obs.CtrCleanerReadBytes); got != st.CleanerReadBytes {
-		return fmt.Errorf("%s: obs cleaner read bytes %d != stats %d", name, got, st.CleanerReadBytes)
-	}
-	if got := delta(obs.CtrCleanerWriteBytes); got != st.CleanerWriteBytes {
-		return fmt.Errorf("%s: obs cleaner write bytes %d != stats %d", name, got, st.CleanerWriteBytes)
-	}
-	if got := delta(obs.CtrCleanerSegments); got != st.SegmentsCleaned {
-		return fmt.Errorf("%s: obs segments cleaned %d != stats %d", name, got, st.SegmentsCleaned)
-	}
-	for k, want := range st.LogBytesByKind {
-		kind := layout.BlockKind(k)
-		if kind < layout.KindData || kind > layout.KindDirLog {
-			continue
-		}
-		if got := delta(obs.CtrLogBytesPrefix + kind.String()); got != want {
-			return fmt.Errorf("%s: obs log bytes for %s %d != stats %d", name, kind, got, want)
-		}
-	}
-	if got := delta(obs.CtrLogSummaryBytes); got != st.SummaryBytes {
-		return fmt.Errorf("%s: obs summary bytes %d != stats %d", name, got, st.SummaryBytes)
-	}
-	return nil
 }

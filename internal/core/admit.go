@@ -197,7 +197,6 @@ func (g *admitGate) close() {
 // a flush of its own.
 func (fs *FS) opAdmit(budget int) int {
 	fs.gate.ops.Add(1)
-	fs.tr.Add(obs.CtrAdmitOps, 1)
 	if fs.opts.NoGroupCommit {
 		return 0
 	}
@@ -205,7 +204,6 @@ func (fs *FS) opAdmit(budget int) int {
 	if waited > 0 {
 		// Wall-clock, like the writer-stall histogram: admission waits
 		// are a scheduling phenomenon, not a simulated-device cost.
-		fs.tr.Add(obs.CtrAdmitWaits, 1)
 		fs.tr.Observe(obs.HistAdmitWait, waited)
 	}
 	return reserved
@@ -376,17 +374,6 @@ func (fs *FS) drainBacklog() bool {
 	return fs.flushLog() == nil
 }
 
-// kickCommitAsync lets the disk catch up to the NVRAM commit epoch in the
-// background (the NVRAM absorb path; fs.mu or its read side may be held).
-// A no-op when the committer is not running (NoGroupCommit, or Unmount
-// already stopped it) — those modes flush at the hard backpressure point
-// (a full NVRAM) instead.
-func (fs *FS) kickCommitAsync(want uint64) {
-	if fs.commit.kick(want) {
-		fs.tr.Add(obs.CtrNVAsyncKicks, 1)
-	}
-}
-
 // requestCommit parks the caller until flushedSeq covers want: in the
 // committer's current group, or without one (NoGroupCommit, or an Unmount
 // already stopped it) by an inline flush — the serialized baseline.
@@ -430,8 +417,6 @@ func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
 	default:
 		fs.stats.GroupCommitSyncs += syncers
 		fs.stats.GroupCommitMaxSyncs = max(fs.stats.GroupCommitMaxSyncs, syncers)
-		fs.tr.Add(obs.CtrGroupCommitSyncs, syncers)
-		fs.tr.SetMax(obs.CtrGroupCommitMaxSyncs, syncers)
 		if fs.flushedSeq.Load() >= maxWant && !fs.checkpointDue() {
 			// A previous flush (group or inline) already covers the whole
 			// batch: answer without touching the disk. Republish the
@@ -444,7 +429,6 @@ func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
 		err = fs.flushLog()
 		lat := fs.dev.Stats().BusyTime - start
 		fs.stats.GroupCommits++
-		fs.tr.Add(obs.CtrGroupCommits, 1)
 		fs.tr.Observe(obs.HistGroupCommit, lat)
 		// Cleaner interlock: the batch flush consumes segments on behalf
 		// of callers that are parked outside fs.mu, so their epilogues

@@ -80,7 +80,6 @@ func (fs *FS) kickCleaner() {
 	if lag < 0 {
 		lag = 0
 	}
-	fs.tr.Add(obs.CtrCleanerKicks, 1)
 	fs.tr.Add(obs.CtrCleanerLagSegments, lag)
 	fs.tr.SetMax(obs.CtrCleanerLagMax, lag)
 }
@@ -185,7 +184,6 @@ func (fs *FS) bgStallThreshold() int {
 func (fs *FS) waitForCleanSegments() error {
 	fs.kickCleaner()
 	fs.stats.WriterStalls++
-	fs.tr.Add(obs.CtrWriterStalls, 1)
 	// Stall time is host wall-clock, not simulated disk time: the stall
 	// is a scheduling phenomenon of the lock discipline, not a device
 	// cost (see obs.HistWriterStall).

@@ -186,9 +186,8 @@ func (fs *FS) Check() (*CheckReport, error) {
 }
 
 // CheckDeep runs Check plus the VerifyLog full-disk media sweep and
-// merges the results into one report — the single entry point behind
-// both `lfsck -deep` and `lfsh fsck -deep`, so the two tools cannot
-// drift.
+// merges the results into one report — the entry point behind
+// `lfsck -deep`.
 func (fs *FS) CheckDeep() (*CheckReport, error) {
 	r, err := fs.Check()
 	if err != nil {

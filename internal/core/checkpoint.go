@@ -150,7 +150,6 @@ func (fs *FS) checkpointLocked() error {
 	}
 	fs.bytesSinceCp = 0
 	fs.stats.Checkpoints++
-	fs.tr.Add(obs.CtrCheckpoints, 1)
 	if fs.tr.Tracing() {
 		fs.tr.Emit(obs.Event{
 			Kind:       obs.KindCheckpoint,

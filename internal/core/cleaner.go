@@ -280,7 +280,6 @@ func (fs *FS) checkpointBytes() int64 {
 // they were.
 func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
-	fs.tr.Add(obs.CtrCleanerPasses, 1)
 	wroteBefore := fs.stats.CleanerWriteBytes
 	// One list for the pass, allocated at the victims' live counts (which
 	// bound it: they count metadata blocks too) and dropped with the pass:
@@ -299,7 +298,6 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	}
 	for _, c := range cands {
 		fs.stats.SegmentsCleaned++
-		fs.tr.Add(obs.CtrCleanerSegments, 1)
 		if fs.usage.get(c.seg).LiveBytes == 0 {
 			// An empty segment need not be read at all (Section 3.4:
 			// write cost 1.0 when u = 0).
@@ -390,7 +388,6 @@ func (fs *FS) collectLiveFull(seg int64, lives []liveCopy) ([]liveCopy, error) {
 		return lives, err
 	}
 	fs.stats.CleanerReadBytes += fs.segBytes
-	fs.tr.Add(obs.CtrCleanerReadBytes, fs.segBytes)
 
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
@@ -441,7 +438,6 @@ func (fs *FS) collectLiveSparse(seg int64, lives []liveCopy) ([]liveCopy, error)
 		err := fs.readRetry(addr, s.Blk[:])
 		if err == nil {
 			fs.stats.CleanerReadBytes += layout.BlockSize
-			fs.tr.Add(obs.CtrCleanerReadBytes, layout.BlockSize)
 		}
 		return s.Blk[:], err
 	}
@@ -499,7 +495,6 @@ func (fs *FS) collectLiveSparse(seg int64, lives []liveCopy) ([]liveCopy, error)
 			return lives, err
 		}
 		fs.stats.CleanerReadBytes += int64(len(buf))
-		fs.tr.Add(obs.CtrCleanerReadBytes, int64(len(buf)))
 		for k, w := range run {
 			block := buf[k*layout.BlockSize : (k+1)*layout.BlockSize]
 			if layout.Checksum(block) != w.e.Sum {

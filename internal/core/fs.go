@@ -626,8 +626,7 @@ func (fs *FS) Sync() error {
 		// handler reports ErrDegraded.
 		if fs.failIfDegraded() == nil {
 			fs.nvAbsorbed.Add(1)
-			fs.tr.Add(obs.CtrNVAbsorbedSyncs, 1)
-			fs.kickCommitAsync(want)
+			fs.commit.kick(want)
 			return nil
 		}
 	}

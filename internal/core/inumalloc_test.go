@@ -183,9 +183,9 @@ func TestRecreatedFilesReadInLogOrder(t *testing.T) {
 		check(fs.Remove(path(i)))
 	}
 	check(fs.Sync())
-	before := fs.Metrics().Counter(obs.CtrLogPartialWrites)
+	before := fs.Stats().PartialWrites
 	create()
-	partials := fs.Metrics().Counter(obs.CtrLogPartialWrites) - before
+	partials := fs.Stats().PartialWrites - before
 
 	ring := obs.NewRingSink(1 << 12)
 	tr.SetSink(ring)

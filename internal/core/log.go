@@ -237,15 +237,11 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	fs.bytesSinceCp += int64(1+n) * layout.BlockSize
 	fs.stats.PartialWrites++
 	fs.stats.SummaryBytes += layout.BlockSize
-	var byKind [8]int64
-	var cleanerBytes int64
 	for i := range batch {
 		b := &batch[i]
 		fs.stats.addKind(b.entry.Kind, layout.BlockSize)
-		byKind[b.entry.Kind] += layout.BlockSize
 		if b.cleaner {
 			fs.stats.CleanerWriteBytes += layout.BlockSize
-			cleanerBytes += layout.BlockSize
 		} else {
 			fs.stats.NewDataBytes += layout.BlockSize
 		}
@@ -253,37 +249,22 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 			fs.stats.RollForwardWrites++
 		}
 	}
-	fs.tracePartialWrite(sumAddr, n, byKind, cleanerBytes)
+	fs.tracePartialWrite(sumAddr, batch)
 	return nil
 }
 
-// tracePartialWrite mirrors one partial-segment write into the obs
-// layer: per-kind byte counters (which cross-check Stats.LogBytesByKind)
-// and, when a sink is attached, one log.write event.
-func (fs *FS) tracePartialWrite(sumAddr int64, n int, byKind [8]int64, cleanerBytes int64) {
-	if fs.tr == nil {
-		return
-	}
-	fs.tr.Add(obs.CtrLogPartialWrites, 1)
-	fs.tr.Add(obs.CtrLogSummaryBytes, layout.BlockSize)
-	for k, b := range byKind {
-		if b > 0 {
-			fs.tr.Add(obs.CtrLogBytesPrefix+layout.BlockKind(k).String(), b)
-		}
-	}
-	if cleanerBytes > 0 {
-		fs.tr.Add(obs.CtrCleanerWriteBytes, cleanerBytes)
-	}
-	if fs.inRecovery {
-		fs.tr.Add(obs.CtrRollForwardWrites, int64(n))
-	}
+// tracePartialWrite emits one log.write event for a partial-segment write
+// when a sink is attached; the counters it breaks down live in Stats.
+func (fs *FS) tracePartialWrite(sumAddr int64, batch []stagedBlock) {
 	if !fs.tr.Tracing() {
 		return
 	}
 	kinds := map[string]int64{"summary": layout.BlockSize}
-	for k, b := range byKind {
-		if b > 0 {
-			kinds[layout.BlockKind(k).String()] = b
+	var cleanerBytes int64
+	for i := range batch {
+		kinds[batch[i].entry.Kind.String()] += layout.BlockSize
+		if batch[i].cleaner {
+			cleanerBytes += layout.BlockSize
 		}
 	}
 	fs.tr.Emit(obs.Event{
@@ -291,7 +272,7 @@ func (fs *FS) tracePartialWrite(sumAddr int64, n int, byKind [8]int64, cleanerBy
 		Log: &obs.LogWrite{
 			Seg:          fs.segs.head,
 			Addr:         sumAddr,
-			Blocks:       1 + n,
+			Blocks:       1 + len(batch),
 			BytesByKind:  kinds,
 			CleanerBytes: cleanerBytes,
 			Recovery:     fs.inRecovery,

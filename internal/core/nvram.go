@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // NVRAM models a battery-backed write buffer (Section 2.1: "write-
@@ -184,7 +182,6 @@ func (fs *FS) nvLog(r *nvRecord) error {
 		// the record is unnecessary — roll-forward re-derives it all.
 		if fs.opts.NVSyncAbsorb {
 			fs.stats.NVBackpressureFlushes++
-			fs.tr.Add(obs.CtrNVBackpressureFlushes, 1)
 		}
 		if err := fs.flushLog(); err != nil {
 			return err
@@ -212,7 +209,10 @@ func (fs *FS) nvLog(r *nvRecord) error {
 			fs.nvSeq.Store(seq)
 		}
 		if high {
-			fs.kickCommitAsync(seq)
+			// Let the disk catch up in the background. A no-op when the
+			// committer is not running (NoGroupCommit, or Unmount already
+			// stopped it): those modes flush at the full-NVRAM point above.
+			fs.commit.kick(seq)
 		}
 	}
 	return nil

@@ -142,7 +142,7 @@ func TestWriteFaultRelocatesAndQuarantines(t *testing.T) {
 // effect: the relocating Sync leaves a fresh checkpoint behind.
 func TestWriteFaultAcknowledgeAfterCheckpoint(t *testing.T) {
 	fs, d := newTestFS(t, 2048, faultTestOptions())
-	before := fs.Metrics().Counter(obs.CtrCheckpoints)
+	before := fs.Stats().Checkpoints
 	faultHeadSegment(t, fs, d, disk.Fault{})
 
 	if err := fs.WriteFile("/h", []byte("hole")); err != nil {
@@ -154,7 +154,7 @@ func TestWriteFaultAcknowledgeAfterCheckpoint(t *testing.T) {
 	if fs.relocatedSinceCp {
 		t.Fatal("relocatedSinceCp still set after a successful sync")
 	}
-	if after := fs.Metrics().Counter(obs.CtrCheckpoints); after != before+1 {
+	if after := fs.Stats().Checkpoints; after != before+1 {
 		t.Fatalf("checkpoints went %d -> %d; a relocating flush must checkpoint before acknowledging", before, after)
 	}
 	// Crash right now: recovery must come up with the relocated write.

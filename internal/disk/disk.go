@@ -388,8 +388,6 @@ func (d *Disk) Read(addr int64, buf []byte) error {
 	seek, rot, xfer, sequential := d.charge(addr, n)
 	d.stats.ReadOps++
 	d.stats.BlocksRead += int64(n)
-	d.tr.Add(obs.CtrDiskReadOps, 1)
-	d.tr.Add(obs.CtrDiskBlocksRead, int64(n))
 	d.emitRequest("read", addr, n, seek, rot, xfer, sequential, false)
 	for i := 0; i < n; i++ {
 		b := d.data[addr+int64(i)]
@@ -471,8 +469,6 @@ func (d *Disk) WriteBlocks(addr int64, pieces [][]byte) error {
 			}
 		}
 		d.stats.BlocksWritten += int64(attempt)
-		d.tr.Add(obs.CtrDiskWriteOps, 1)
-		d.tr.Add(obs.CtrDiskBlocksWritten, int64(attempt))
 		d.emitRequest("write", addr, persist, seek, rot, xfer, sequential, torn)
 	} else if torn {
 		d.emitRequest("write", addr, 0, 0, 0, 0, false, true)

@@ -11,7 +11,11 @@
 //     pluggable Sink. A RingSink keeps the last N events in memory for
 //     tests; a JSONLSink streams them as JSON Lines for tools.
 //   - Metrics: named counters and simulated-time latency histograms,
-//     accumulated inside the Tracer and read with Metrics().
+//     accumulated inside the Tracer and read with Metrics(). A counter
+//     lives here only when nothing else stores it: what core.Stats and
+//     disk.Stats count (log traffic by kind, cleaner bytes and passes,
+//     checkpoints, admission, group commit, NVRAM absorption, device
+//     requests and blocks) is read from those two.
 //
 // Cost model: a nil *Tracer is fully disabled and every method on it is
 // a nil-check and return. A Tracer without a sink accumulates metrics
@@ -45,26 +49,6 @@ const (
 	KindFSOp = "fs.op"
 )
 
-// Counter names used by the instrumented layers. Per-kind log traffic
-// uses CtrLogBytesPrefix + the block kind name ("data", "inode", ...),
-// mirroring Stats.LogBytesByKind so the two accounting systems can be
-// cross-checked.
-const (
-	CtrDiskReadOps       = "disk.read.ops"
-	CtrDiskWriteOps      = "disk.write.ops"
-	CtrDiskBlocksRead    = "disk.read.blocks"
-	CtrDiskBlocksWritten = "disk.write.blocks"
-	CtrLogPartialWrites  = "log.writes"
-	CtrLogSummaryBytes   = "log.bytes.summary"
-	CtrLogBytesPrefix    = "log.bytes."
-	CtrCleanerReadBytes  = "cleaner.read.bytes"
-	CtrCleanerWriteBytes = "cleaner.write.bytes"
-	CtrCleanerSegments   = "cleaner.segments"
-	CtrCleanerPasses     = "cleaner.passes"
-	CtrCheckpoints       = "checkpoints"
-	CtrRollForwardWrites = "recovery.rollforward.writes"
-)
-
 // Concurrency counters, recorded when the file system runs with the
 // reader/writer lock discipline and (optionally) the background cleaner.
 const (
@@ -74,50 +58,20 @@ const (
 	CtrReadersActive = "fs.readers.active"
 	// CtrReadersPeak is the high-water mark of concurrent readers.
 	CtrReadersPeak = "fs.readers.peak"
-	// CtrWriterStalls counts writers that blocked waiting for the
-	// background cleaner to reclaim segments.
-	CtrWriterStalls = "fs.writer.stalls"
-	// CtrCleanerKicks counts wakeups of the background cleaner.
-	CtrCleanerKicks = "cleaner.kicks"
 	// CtrCleanerLagSegments sums, over kicks, how far below the low-water
 	// mark the clean-segment pool had fallen when the cleaner was woken
-	// (divide by CtrCleanerKicks for the average lag).
+	// (divide by core.Stats.CleanerKicks for the average lag).
 	CtrCleanerLagSegments = "cleaner.lag.segments"
 	// CtrCleanerLagMax is the worst single lag observed at a kick.
 	CtrCleanerLagMax = "cleaner.lag.max"
 	// CtrCleanerBgPasses counts bounded cleaning steps executed on the
-	// background goroutine (foreground steps are CtrCleanerPasses minus
-	// this).
+	// background goroutine (foreground steps are core.Stats.CleaningPasses
+	// minus this).
 	CtrCleanerBgPasses = "cleaner.bg.passes"
 )
 
-// Admission-gate and group-commit counters, recorded by the
-// transaction-grouped write path.
+// Write-path counters.
 const (
-	// CtrAdmitOps counts mutating operations admitted through the write
-	// admission gate.
-	CtrAdmitOps = "fs.admit.ops"
-	// CtrAdmitWaits counts operations that blocked at the admission gate
-	// waiting for the staged backlog to drain.
-	CtrAdmitWaits = "fs.admit.waits"
-	// CtrGroupCommits counts log flushes executed by the group-commit
-	// goroutine.
-	CtrGroupCommits = "fs.commit.groups"
-	// CtrGroupCommitSyncs counts Sync callers served by group commits;
-	// divide by CtrGroupCommits for the amortization factor.
-	CtrGroupCommitSyncs = "fs.commit.syncs"
-	// CtrGroupCommitMaxSyncs is the largest number of Sync callers one
-	// group commit served.
-	CtrGroupCommitMaxSyncs = "fs.commit.syncs.max"
-	// CtrNVAbsorbedSyncs counts Sync calls the NVRAM commit point
-	// satisfied without any disk wait (Options.NVSyncAbsorb).
-	CtrNVAbsorbedSyncs = "fs.nv.absorbed.syncs"
-	// CtrNVAsyncKicks counts non-blocking committer wakeups issued by
-	// the NVRAM absorb path so the disk catches up in the background.
-	CtrNVAsyncKicks = "fs.nv.kicks"
-	// CtrNVBackpressureFlushes counts inline log flushes forced by a
-	// full NVRAM — the absorb mode's backpressure point.
-	CtrNVBackpressureFlushes = "fs.nv.backpressure.flushes"
 	// CtrWriteRMWReads counts stored blocks the write path fetched
 	// (from the read cache or the device) before overwriting part of
 	// them: a write that starts mid-block or stops short of EOF, or a
@@ -190,7 +144,7 @@ const (
 	// rollforward, dirops, usage, commit (the recovery checkpoint) and, with
 	// an NVRAM attached, nvreplay; salvage's are scan, accept, rebuild and
 	// commit. A phase's counters exist once a run has finished it, and a
-	// run's reads add up to disk.read.ops.
+	// run's reads add up to the reads it added to disk.Stats.ReadOps.
 	CtrRecoveryPhasePrefix = "fs.recovery."
 	CtrSalvagePhasePrefix  = "fs.salvage."
 )

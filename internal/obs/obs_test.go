@@ -16,7 +16,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	}
 	// None of these may panic.
 	tr.Emit(Event{Kind: KindDiskIO})
-	tr.Add(CtrCheckpoints, 1)
+	tr.Add(CtrScrubBlocks, 1)
 	tr.Observe("op.read", time.Millisecond)
 	tr.SetSink(NewRingSink(4))
 	tr.SetClock(func() time.Duration { return time.Second })
@@ -189,10 +189,10 @@ func TestMetricsConcurrency(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	tr := New(nil)
-	tr.Add(CtrCheckpoints, 3)
+	tr.Add(CtrScrubBlocks, 3)
 	tr.Observe("op.create", 10*time.Millisecond)
 	s := tr.Metrics().String()
-	if !strings.Contains(s, "checkpoints") || !strings.Contains(s, "op.create") {
+	if !strings.Contains(s, CtrScrubBlocks) || !strings.Contains(s, "op.create") {
 		t.Fatalf("snapshot string missing entries:\n%s", s)
 	}
 }

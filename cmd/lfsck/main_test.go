@@ -41,10 +41,6 @@ func lfsck(args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errOut.String()
 }
 
-// TestLfsckCleanImage checks a clean image under each flag, bad usage and a
-// missing image, then corrupts one data block in place: the structural
-// sweep never reads file data, so the plain run stays clean, and -deep's
-// partial-write checksum scan must fail it and say why.
 func TestLfsckCleanImage(t *testing.T) {
 	img := buildImage(t)
 	for _, args := range [][]string{{img}, {"-deep", "-v", img}, {"-noroll", img}} {
@@ -59,7 +55,13 @@ func TestLfsckCleanImage(t *testing.T) {
 	if st, _, _ := lfsck(filepath.Join(t.TempDir(), "missing.img")); st != 1 {
 		t.Fatalf("missing image: exit %d, want 1", st)
 	}
+}
 
+// TestLfsckDeepFindsDataCorruption corrupts one data block in place: the
+// structural sweep never reads file data, so the plain run stays clean,
+// and -deep's partial-write checksum scan must fail it and say why.
+func TestLfsckDeepFindsDataCorruption(t *testing.T) {
+	img := buildImage(t)
 	d, err := lfs.LoadDisk(img)
 	if err != nil {
 		t.Fatal(err)
@@ -139,5 +141,70 @@ func TestLfsckSalvagesLostCheckpoints(t *testing.T) {
 	got, err := fs.ReadFile("/d/f")
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte("lfs"), 30000)) {
 		t.Fatalf("file after salvage: %d bytes, err %v", len(got), err)
+	}
+}
+
+// TestLfsckSalvageKeepsTree zeroes both checkpoint regions of an image
+// holding a file in a subdirectory and one at the root: -salvage must
+// rebuild both paths, and the repaired image must mount normally, not
+// degraded.
+func TestLfsckSalvageKeepsTree(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "repair.img")
+	d := lfs.NewDisk(4096)
+	fs, err := lfs.Format(d, lfs.Options{SegmentBlocks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/dir"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/dir/a.txt", []byte("salvage me")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/top.txt", bytes.Repeat([]byte{0x77}, 9000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	sbBuf, err := d.Peek(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := layout.DecodeSuperblock(sbBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := make([]byte, layout.BlockSize)
+	for _, base := range sb.CheckpointAddr {
+		for i := int64(0); i < int64(sb.CheckpointBlocks); i++ {
+			if err := d.Poke(base+i, zero); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := d.Save(img); err != nil {
+		t.Fatal(err)
+	}
+	if st, out, errOut := lfsck("-salvage", img); st != 0 {
+		t.Fatalf("salvage: exit %d\nstdout: %s\nstderr: %s", st, out, errOut)
+	}
+	d2, err := lfs.LoadDisk(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := lfs.Mount(d2, lfs.Options{})
+	if err != nil {
+		t.Fatalf("salvaged image should mount normally: %v", err)
+	}
+	defer fs2.Unmount()
+	if fs2.Degraded() {
+		t.Fatalf("salvaged image mounted degraded: %s", fs2.DegradedReason())
+	}
+	if got, err := fs2.ReadFile("/dir/a.txt"); err != nil || string(got) != "salvage me" {
+		t.Fatalf("/dir/a.txt after salvage: %q, %v", got, err)
+	}
+	if got, err := fs2.ReadFile("/top.txt"); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0x77}, 9000)) {
+		t.Fatalf("/top.txt after salvage: %d bytes, %v", len(got), err)
 	}
 }

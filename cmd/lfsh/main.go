@@ -29,7 +29,8 @@
 // clean pool against the cleaner's two marks, live MB by block kind; this
 // flushes what is buffered). `stats` prints the file system's and the
 // device's Stats (log traffic by kind, cleaning, checkpoints, admission,
-// group commit, requests and blocks), then the tracer's metrics, which
+// group commit, blocks read ahead and served from the read-ahead window,
+// requests and blocks), then the tracer's metrics, which
 // include the write-fault ladder counters (fs.media.write.retries/errors/
 // relocations and fs.seg.retired) alongside the read-side media
 // counters. It also says why every summary-chain walk so far stopped

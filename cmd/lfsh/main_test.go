@@ -155,7 +155,7 @@ func TestShellStatsAndTrace(t *testing.T) {
 	// stats shows the counters the tracer no longer keeps from the two Stats.
 	lines := fieldLines("fs", fs.Stats()) + fieldLines("disk", d.Stats()) +
 		fieldLines("old", lfs.Stats{LogBytesByKind: [8]int64{layout.KindData: 4096}})
-	for _, want := range []string{"fs.PartialWrites ", "fs.Checkpoints ", "disk.ReadOps ", "disk.BlocksWritten ", "old.LogBytesByKind.data  "} {
+	for _, want := range []string{"fs.PartialWrites ", "fs.Checkpoints ", "fs.ReadAheadBlocks ", "fs.ReadAheadHits ", "disk.ReadOps ", "disk.BlocksWritten ", "old.LogBytesByKind.data  "} {
 		if !strings.Contains(lines, want) {
 			t.Fatalf("stats lines have no %q:\n%s", want, lines)
 		}

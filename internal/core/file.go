@@ -56,7 +56,7 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 	if rem := size - off; int64(len(buf)) > rem {
 		buf = buf[:rem]
 	}
-	total := 0
+	total, first := 0, uint32(off/layout.BlockSize)
 	for len(buf) > 0 {
 		bn := uint32(off / layout.BlockSize)
 		inBlock := int(off % layout.BlockSize)
@@ -118,7 +118,11 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 			// becomes the cache's (ownership transfer, no copy) or, with
 			// no read cache to take it, goes straight back to the pool.
 			blk := fs.bpool.Get()
-			if err := fs.readVerified(addr, blk); err != nil {
+			err := fs.fetch(mi, bn, addr, run, bn == first, blk)
+			if err == nil {
+				err = fs.verifyBlock(addr, blk)
+			}
+			if err != nil {
 				fs.bpool.Put(blk)
 				return total, attributeCorruption(err, inum, int64(bn)*layout.BlockSize)
 			}
@@ -128,7 +132,7 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 			}
 		} else {
 			big := fs.rpool.Get(run)
-			err := fs.readRetry(addr, big)
+			err := fs.fetch(mi, bn, addr, run, bn == first, big)
 			if errors.Is(err, disk.ErrMediaRead) {
 				// One bad sector fails the whole coalesced request; fall
 				// back to per-block reads so the healthy blocks still
@@ -167,6 +171,68 @@ func (fs *FS) readAt(mi *mInode, off int64, buf []byte) (int, error) {
 		buf, off, total = buf[n:], off+int64(n), total+n
 	}
 	return total, nil
+}
+
+// fetch reads the run of n blocks at addr, file blocks bn onwards of mi, into
+// dst, which the caller then verifies, and predicts the block that follows.
+// The read-ahead window serves what it holds of the run's start, the device
+// the rest. When bn starts the caller's read (first) and is the predicted
+// block, the read continues a stream: the request grows past the run
+// (readAheadRun) and is tried once. A fault past the run belongs to the read
+// that asks for that block, so on a media error the run is read alone, with
+// retries, like any other.
+func (fs *FS) fetch(mi *mInode, bn uint32, addr int64, n int, first bool, dst []byte) error {
+	last := bn + uint32(n) - 1
+	held, predicted := fs.ra.read(addr, n, blockKey{mi.ino.Inum, bn}, successor(mi, last), dst)
+	if addr, n, dst = addr+int64(held), n-held, dst[held*layout.BlockSize:]; n == 0 {
+		return nil
+	}
+	if first && predicted {
+		if ahead := fs.readAheadRun(mi, last, addr, n); ahead > n {
+			if err := fs.ra.load(fs.dev, addr, n, ahead, dst); !errors.Is(err, disk.ErrMediaRead) {
+				return err
+			}
+		}
+	}
+	return fs.readRetry(addr, dst)
+}
+
+// successor is the block a flush lays down after file block bn of mi when
+// it writes both (stageDataBlocks' order): the file's next block while there
+// is one, else the first block of the next inode number.
+func successor(mi *mInode, bn uint32) blockKey {
+	if int64(bn+1)*layout.BlockSize < int64(mi.ino.Size) {
+		return blockKey{mi.ino.Inum, bn + 1}
+	}
+	return blockKey{mi.ino.Inum + 1, 0}
+}
+
+// readAheadRun grows a run of n blocks at addr, the last of which is file
+// block last of mi, up to raMaxBlocks over the blocks that follow in
+// successor order, while in-memory state alone places each at the next
+// address of the segment: its pointer block loaded, a next inode a
+// non-empty regular file in the inode cache, not dirty, not cached, its sum
+// indexed (it never harvests). It reads nothing.
+func (fs *FS) readAheadRun(mi *mInode, last uint32, addr int64, n int) int {
+	for ; n < raMaxBlocks; n++ {
+		a, k := addr+int64(n), successor(mi, last)
+		if k.inum != mi.ino.Inum {
+			fs.icacheMu.Lock()
+			mi = fs.icache[k.inum]
+			fs.icacheMu.Unlock()
+			if mi == nil || mi.ino.Type != layout.FileTypeRegular || mi.ino.Size == 0 {
+				break
+			}
+		}
+		_, dirty := fs.dcache[k]
+		_, cached := fs.rc.get(a)
+		_, summed := fs.sums.peek(a)
+		if got, ok := mi.loadedAddr(k.bn); !ok || got != a || fs.segOf(a) != fs.segOf(addr) || dirty || cached || !summed {
+			break
+		}
+		last = k.bn
+	}
+	return n
 }
 
 // preparedWrite carries the block-aligned body of a WriteAt payload,

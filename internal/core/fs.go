@@ -42,10 +42,10 @@ type blockKey struct {
 // ReadFile, Stat, ReadDir) take mu.RLock and run concurrently with each
 // other; the few structures they mutate on the side — the inode cache,
 // the directory cache, the inode map's atime/dirty state, and the
-// components that own a lock (read cache, segAlloc, sumIndex) — are
-// guarded by small leaf mutexes, which order reader against reader
-// (reader against writer is already ordered by mu itself). See DESIGN.md
-// for the full discipline.
+// components that own a lock (read cache, read-ahead window, segAlloc,
+// sumIndex) — are guarded by small leaf mutexes, which order reader
+// against reader (reader against writer is already ordered by mu itself).
+// See DESIGN.md for the full discipline.
 type FS struct {
 	mu   sync.RWMutex
 	dev  *disk.Disk
@@ -83,6 +83,8 @@ type FS struct {
 	// rc is the read cache for live blocks (readcache.go): a bounded FIFO
 	// with its own leaf lock, nil when Options.ReadCacheBlocks is 0.
 	rc *readCache
+	// ra is the read-ahead window (readahead.go), with its own leaf lock.
+	ra readAhead
 
 	// icacheMu guards icache lookups/inserts from paths that run under
 	// mu.RLock; writer-only mutation (create, remove, recovery) is
@@ -340,6 +342,7 @@ func (fs *FS) Stats() Stats {
 	st.AdmitOps = fs.gate.ops.Load()
 	st.NVAbsorbedSyncs = fs.nvAbsorbed.Load()
 	st.NVAsyncKicks = fs.commit.kicks.Load()
+	st.ReadAheadBlocks, st.ReadAheadHits = fs.ra.blocks.Load(), fs.ra.hits.Load()
 	return st
 }
 
@@ -352,6 +355,8 @@ func (fs *FS) ResetStats() {
 	fs.gate.ops.Store(0)
 	fs.nvAbsorbed.Store(0)
 	fs.commit.kicks.Store(0)
+	fs.ra.blocks.Store(0)
+	fs.ra.hits.Store(0)
 }
 
 // Durability returns the file system's three durability epochs: staged
@@ -431,14 +436,15 @@ func (fs *FS) segOf(addr int64) int64   { return (addr - fs.segBase) / fs.segBlo
 func (fs *FS) segStart(seg int64) int64 { return fs.segBase + seg*fs.segBlocks }
 
 // decLive records the death of the block at addr, which leaves the read
-// cache. Decrements against segments that are already clean, and against
-// blocks recovery will recount, are suppressed.
+// cache and the read-ahead window. Decrements against segments that are
+// already clean, and against blocks recovery will recount, are suppressed.
 func (fs *FS) decLive(addr int64) error {
 	seg := fs.segOf(addr)
 	if seg < 0 || seg >= fs.nsegs {
 		return fmt.Errorf("%w: block address %d outside segment area", ErrCorrupt, addr)
 	}
 	fs.rc.drop(addr)
+	fs.ra.drop(addr, 1)
 	if fs.usage.isClean(seg) || fs.segs.is(seg, segPending) || fs.recounted(seg, addr) {
 		return nil
 	}

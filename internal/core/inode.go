@@ -210,6 +210,21 @@ func (fs *FS) blockAddr(mi *mInode, bn uint32) (int64, error) {
 	return p.cells[idx], nil
 }
 
+// loadedAddr is blockAddr without a load: ok is false when the pointer
+// block that maps bn is not in memory.
+func (mi *mInode) loadedAddr(bn uint32) (addr int64, ok bool) {
+	role, idx, err := slotOf(bn)
+	if err == nil && role == indRoleInode {
+		return mi.ino.Direct[idx], true
+	}
+	mi.mu.Lock()
+	defer mi.mu.Unlock()
+	if p := mi.loaded(role); err == nil && p != nil {
+		return p.cells[idx], true
+	}
+	return 0, false
+}
+
 // ptrAddr returns the disk address of the pointer block with the given
 // role, NilAddr when the file has none (or no file can: roles come off
 // the disk).

@@ -155,7 +155,9 @@ func TestInumAllocationRule(t *testing.T) {
 // them back in creation order is sequential. A burst of creates that reuses
 // freed inode numbers must land in the log in creation order, so an
 // uncached read of every file seeks only where one partial write ends and
-// the next begins.
+// the next begins, and read-ahead serves the stream in requests of up to
+// raMaxBlocks files: every block read is one a file asked for, and a
+// request ends only at raMaxBlocks or where a partial write does.
 func TestRecreatedFilesReadInLogOrder(t *testing.T) {
 	const dirs, files = 10, 300
 	tr := obs.New(nil)
@@ -200,17 +202,21 @@ func TestRecreatedFilesReadInLogOrder(t *testing.T) {
 	if ring.Dropped() != 0 {
 		t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
 	}
-	var reads, seeks int64
+	var reads, blocks, seeks int64
 	for _, e := range ring.Events() {
 		if e.Kind == obs.KindDiskIO && e.Disk.Op == "read" {
 			reads++
+			blocks += int64(e.Disk.Blocks)
 			if !e.Disk.Sequential {
 				seeks++
 			}
 		}
 	}
-	if reads < files {
-		t.Fatalf("%d device reads for %d uncached files", reads, files)
+	if blocks != files {
+		t.Fatalf("%d blocks read in %d requests for %d one-block files, want exactly one block a file", blocks, reads, files)
+	}
+	if most := (files+raMaxBlocks-1)/raMaxBlocks + partials; reads > most {
+		t.Fatalf("%d requests for %d files over %d partial writes, want at most %d", reads, files, partials, most)
 	}
 	t.Logf("%d of %d reads were not sequential; the burst took %d partial writes", seeks, reads, partials)
 	if seeks > partials+1 {

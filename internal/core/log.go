@@ -146,6 +146,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	}
 	fs.usage.noteWrite(head, now)
 	fs.rc.drop(sumAddr)
+	fs.ra.drop(sumAddr, int64(1+n))
 
 	// Phase 2: encode contents (late-bound encoders see final state) and
 	// touch each block once: its CRC goes into its entry (a cleaner copy's

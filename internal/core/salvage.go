@@ -265,6 +265,7 @@ func (fs *FS) salvageReset() {
 	fs.segs.reset()
 	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
 	fs.rc.reset()
+	fs.ra.drop(fs.segBase, fs.nsegs*fs.segBlocks) // every block it may hold
 	// Acknowledged-but-unflushed state (if any) is part of what was
 	// lost; the NVRAM redo log describing it must not replay over the
 	// rebuilt image.

@@ -77,6 +77,12 @@ type Stats struct {
 	NVAbsorbedSyncs       int64
 	NVAsyncKicks          int64
 	NVBackpressureFlushes int64
+
+	// ReadAheadBlocks counts blocks a read fetched past what it was asked
+	// for, because it continued a stream (readahead.go); ReadAheadHits
+	// counts the reads of a block the window held.
+	ReadAheadBlocks int64
+	ReadAheadHits   int64
 }
 
 // WriteCost returns the paper's write-cost metric: total bytes moved to

@@ -19,7 +19,7 @@ import (
 // Locking: mu is a leaf below fs.mu, independent of the quarantine lock.
 // lookup holds it across a harvest's disk reads, as the map it replaces
 // did: harvesting outside the lock waits for the per-lock wait evidence of
-// ROADMAP item 2(d) ("no lock is split on a hunch").
+// ROADMAP item 4(a)–(b) ("no lock is split on a hunch").
 type sumIndex struct {
 	mu        sync.Mutex
 	segBase   int64
@@ -65,8 +65,9 @@ func (x *sumIndex) record(addr int64, entries []layout.SummaryEntry) {
 }
 
 // lookup returns the checksum recorded for the block at addr. On a miss in
-// a segment not yet harvested it calls walk — once per segment incarnation,
-// with mu held — to hand add every summary of the segment's on-disk chain.
+// a segment not yet harvested it calls walk, if any — once per segment
+// incarnation, with mu held — to hand add every summary of the segment's
+// on-disk chain.
 // ok is false when no summary describes the block. err is walk's, a media
 // failure reading the chain itself; what it read before that counts, so a
 // block's answer does not depend on which lookup ran the harvest.
@@ -78,7 +79,7 @@ func (x *sumIndex) lookup(addr int64, walk func(seg int64, add func(int64, []lay
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	has := func() bool { s := x.segs[seg]; return s != nil && s[x.segBlocks+off/32]&(1<<(off%32)) != 0 }
-	if !has() && !x.harvested[seg] {
+	if !has() && !x.harvested[seg] && walk != nil {
 		x.harvested[seg] = true
 		err = walk(seg, x.put)
 	}
@@ -86,6 +87,12 @@ func (x *sumIndex) lookup(addr int64, walk func(seg int64, add func(int64, []lay
 		return 0, false, err
 	}
 	return x.segs[seg][off], true, err
+}
+
+// peek is lookup with no walk: ok is false unless the sum is recorded.
+func (x *sumIndex) peek(addr int64) (sum uint32, ok bool) {
+	sum, ok, _ = x.lookup(addr, nil)
+	return sum, ok
 }
 
 // drop forgets a segment's sums and harvest state: its next incarnation

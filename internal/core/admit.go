@@ -69,7 +69,7 @@ func (r *nvRecord) budget() int {
 
 // admitGate is the admission gate: a counting semaphore over
 // Options.AdmitBudgetBlocks. A writer whose budget does not fit on top of
-// the already-admitted budgets plus the staged-but-unflushed estimate
+// the already-admitted budgets plus the staged-but-unflushed blocks
 // blocks *outside* fs.mu.
 type admitGate struct {
 	mu   sync.Mutex
@@ -82,8 +82,8 @@ type admitGate struct {
 	// cannot drain; the next successful flush clears it.
 	closed   bool
 	flushErr error
-	// staged is a lock-free estimate of staged-but-unflushed blocks,
-	// published under fs.mu (opStaged, flushed). ops and waits count the
+	// staged is a lock-free copy of fs.stagedBlocks(), published under
+	// fs.mu (opStaged, flushed). ops and waits count the
 	// operations that came to the gate and the subset that blocked there.
 	staged, ops, waits atomic.Int64
 }
@@ -156,7 +156,7 @@ func (g *admitGate) leave(reserved int) {
 	g.mu.Unlock()
 }
 
-// flushed publishes a successful flush: the backlog estimate is staged
+// flushed publishes a successful flush: the backlog count is staged
 // again and any failure note is cleared, so blocked admitters re-check.
 // Caller holds fs.mu (flushLog); mu nests inside it.
 func (g *admitGate) flushed(staged int) {
@@ -211,7 +211,7 @@ func (fs *FS) opAdmit(budget int) int {
 
 // opStaged runs (deferred) at the end of every mutating operation,
 // still under fs.mu: it closes the operation's epoch membership and
-// refreshes the staged-backlog estimate the admission gate reads. It
+// refreshes the staged-backlog count the admission gate reads. It
 // runs even when the operation failed — a failed operation may have
 // staged partial state, and a later Sync must still flush it.
 func (fs *FS) opStaged() {
@@ -219,11 +219,14 @@ func (fs *FS) opStaged() {
 	fs.gate.staged.Store(int64(fs.stagedBlocks()))
 }
 
-// stagedBlocks is the admission gate's estimate of staged-but-unflushed
-// blocks (caller holds fs.mu), deliberately coarse — dirop records and dirty
-// inodes count one block each: it throttles admission, not space.
+// stagedBlocks is how many blocks the next flush writes besides its
+// summaries (caller holds fs.mu): the dirty data blocks, the dirlog blocks
+// the pending records pack into, the inode blocks the dirty inodes pack
+// into and the dirty pointer blocks. The buffer-full check (writeAt) and
+// the admission gate both go by it.
 func (fs *FS) stagedBlocks() int {
-	return fs.dirtyBlocks + len(fs.pendingOps) + len(fs.dirtyInodes)
+	inodeBlocks := (len(fs.dirtyInodes) + layout.InodesPerBlock - 1) / layout.InodesPerBlock
+	return len(fs.dcache) + fs.dirLog.blocks.Blocks() + inodeBlocks + fs.dirtyPtrs
 }
 
 // checkpointDue reports whether the byte-triggered checkpoint policy
@@ -420,8 +423,8 @@ func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
 		if fs.flushedSeq.Load() >= maxWant && !fs.checkpointDue() {
 			// A previous flush (group or inline) already covers the whole
 			// batch: answer without touching the disk. Republish the
-			// backlog estimate anyway so gate waiters kicked by a stale
-			// estimate re-check rather than sleep on a lost wakeup.
+			// backlog count anyway so gate waiters kicked by a stale
+			// count re-check rather than sleep on a lost wakeup.
 			fs.gate.flushed(fs.stagedBlocks())
 			break
 		}

@@ -90,7 +90,7 @@ func (fs *FS) checkpointLocked() error {
 		HeadOffset:  uint32(fs.segs.headOff),
 		NextSeg:     fs.segs.next,
 		WriteSeq:    fs.writeSeq,
-		DirLogSeq:   fs.dirLogSeq,
+		DirLogSeq:   fs.dirLog.seq,
 		ImapAddrs:   fs.imap.blockAddr,
 		UsageAddrs:  fs.usage.blockAddr,
 		Quarantined: quarantined,

@@ -118,7 +118,15 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 		}
 		cands = append(cands, candidate{seg: s, u: u, age: age, score: score})
 	}
+	// An empty segment is never read (cleanPass), so its cost in formula
+	// (1) is nothing and it ranks first under either policy: a cold segment
+	// that outscores it on age would be read again on every pass over the
+	// log (Lomet & Luo, PAPERS.md: what holds nothing live costs nothing
+	// to reclaim). Greedy's score already ranks it so.
 	sort.Slice(cands, func(i, j int) bool {
+		if ei, ej := cands[i].u == 0, cands[j].u == 0; ei != ej {
+			return ei
+		}
 		if cands[i].score != cands[j].score {
 			return cands[i].score > cands[j].score
 		}
@@ -611,16 +619,7 @@ func (fs *FS) stageLiveCopies(lives []liveCopy) error {
 			pooled: true, // handleLiveEntry drew it from the pool
 			summed: true, // collect verified lc.data against lc.entry.Sum
 			age:    lc.entry.Age,
-			placed: func(addr int64) error {
-				old, err := fs.setBlockAddr(mi, bn, addr)
-				if err != nil {
-					return err
-				}
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
+			file:   mi,
 		})
 	}
 	return nil

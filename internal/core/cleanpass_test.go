@@ -534,3 +534,89 @@ func TestAllocsCleanPass(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanerTakesEmptySegmentsFirst builds the case cost-benefit's score
+// alone gets wrong: a few segments of cold files, almost all deleted long
+// ago, beside young segments of hot files that were all overwritten since.
+// Formula (1) ranks the old nearly empty segment above the young empty
+// one, but the empty one is never read, so its cost is nothing: while an
+// empty candidate exists, a cleaning pass reads nothing.
+func TestCleanerTakesEmptySegmentsFirst(t *testing.T) {
+	var now uint64
+	opts := testOptions()
+	opts.Clock = func() uint64 { return now }
+	fs, _ := newTestFS(t, 2048, opts)
+	write := func(p string, tag int) {
+		t.Helper()
+		now++
+		if err := fs.WriteFile(p, nonZero(tag, layout.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sync := func() {
+		t.Helper()
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		write(fmt.Sprintf("/cold%03d", i), i)
+	}
+	sync()
+	for i := 0; i < 300; i++ {
+		if i%6 != 0 {
+			if err := fs.Remove(fmt.Sprintf("/cold%03d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sync()
+	now += 1 << 20 // the cold segments age
+	for r := 0; r < 12; r++ {
+		for i := 0; i < 30; i++ {
+			write(fmt.Sprintf("/hot%02d", i), r)
+		}
+	}
+	sync()
+
+	// The case: at least a batch of empty candidates, and a live one that
+	// formula (1) scores above all of them.
+	fs.mu.Lock()
+	var empty int
+	var bestEmpty, bestLive float64
+	for s := int64(0); s < fs.nsegs; s++ {
+		e := fs.usage.get(s)
+		if e.Flags&layout.SegFlagDirty == 0 || !fs.segs.cleanable(s) || s == fs.segs.head {
+			continue
+		}
+		u := fs.usage.utilization(s)
+		score := (1 - u) * float64(1+now-e.LastWrite) / (1 + u)
+		if e.LiveBytes == 0 {
+			empty++
+			bestEmpty = max(bestEmpty, score)
+		} else if u < 0.999 {
+			bestLive = max(bestLive, score)
+		}
+	}
+	fs.mu.Unlock()
+	if empty < fs.opts.CleanBatch || bestLive <= bestEmpty {
+		t.Fatalf("%d empty candidates scoring up to %.0f, live ones up to %.0f: not the case under test",
+			empty, bestEmpty, bestLive)
+	}
+
+	before := fs.Stats()
+	if err := fs.CleanIdle(fs.opts.CleanBatch); err != nil {
+		t.Fatal(err)
+	}
+	after := fs.Stats()
+	cleaned := after.SegmentsCleaned - before.SegmentsCleaned
+	if cleaned == 0 {
+		t.Fatal("the pass cleaned nothing")
+	}
+	if read := after.CleanerReadBytes - before.CleanerReadBytes; read != 0 ||
+		after.SegmentsCleanedEmpty-before.SegmentsCleanedEmpty != cleaned {
+		t.Fatalf("with %d empty candidates the pass cleaned %d segments, %d of them empty, and read %d bytes",
+			empty, cleaned, after.SegmentsCleanedEmpty-before.SegmentsCleanedEmpty, read)
+	}
+	mustCheck(t, fs)
+}

@@ -365,7 +365,6 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 				blk = fs.bpool.Get()
 			}
 			fs.dcache[key] = blk
-			fs.dirtyBlocks++
 		}
 		if !copied {
 			copy(blk[inBlock:], data[:n])
@@ -385,7 +384,7 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 	if err != nil {
 		return total, err
 	}
-	if fs.dirtyBlocks >= fs.opts.WriteBufferBlocks {
+	if fs.stagedBlocks()+1 >= fs.opts.WriteBufferBlocks {
 		if err := fs.flushLog(); err != nil {
 			return total, err
 		}
@@ -440,7 +439,6 @@ func (fs *FS) truncate(mi *mInode, size int64) error {
 					return err
 				}
 				fs.dcache[key] = blk
-				fs.dirtyBlocks++
 				if err := fs.ensureMapSlot(mi, bn); err != nil {
 					return err
 				}
@@ -506,7 +504,6 @@ func (fs *FS) dropDirty(k blockKey) {
 	if blk, ok := fs.dcache[k]; ok {
 		fs.bpool.Put(blk)
 		delete(fs.dcache, k)
-		fs.dirtyBlocks--
 	}
 }
 

@@ -99,10 +99,10 @@ type FS struct {
 	dirCacheMu sync.Mutex
 	dirCache   map[uint32][]layout.DirEntry
 
-	pendingOps  []*layout.DirOp // directory operation log awaiting flush
-	dirlogAddrs []int64         // dirlog blocks written since last checkpoint
-	pending     []stagedBlock   // blocks staged for the next log write
-	wvec        [][]byte        // writeBatch's gather list, reused (no views kept)
+	dirLog      dirOpLog      // directory operation log (namei.go)
+	dirlogAddrs []int64       // dirlog blocks written since last checkpoint
+	pending     []stagedBlock // blocks staged for the next log write
+	wvec        [][]byte      // writeBatch's gather list, reused (no views kept)
 
 	// segs is the segment allocator — the life cycle of every segment, the
 	// log position and the quarantine set (segalloc.go); sums is the
@@ -114,10 +114,9 @@ type FS struct {
 	inoBlockRefs map[int64]int // live inodes per packed inode block
 	tail         *logTail      // while Mount recovers: what usage recomputation will count
 
-	writeSeq  uint64
-	dirLogSeq uint64
-	cpSeq     uint64
-	cpWhich   int
+	writeSeq uint64
+	cpSeq    uint64
+	cpWhich  int
 	// cpBad marks checkpoint regions whose media refused a write: a bad
 	// region is never written again, every later checkpoint goes to the
 	// survivor, and losing both degrades the file system.
@@ -129,7 +128,7 @@ type FS struct {
 	// holding only mu.RLock.
 	ticks        atomic.Uint64
 	bytesSinceCp int64
-	dirtyBlocks  int
+	dirtyPtrs    int // pointer blocks marked dirty (markPtrDirty)
 	inCleaner    bool
 	inRecovery   bool
 	cpActive     bool

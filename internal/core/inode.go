@@ -248,11 +248,21 @@ func (fs *FS) dirtyPtr(mi *mInode, role uint32) error {
 	if err != nil {
 		return err
 	}
-	p.dirty = true
+	fs.markPtrDirty(p)
 	if role >= indRoleL2Base {
-		mi.loaded(indRoleDTop).dirty = true
+		fs.markPtrDirty(mi.loaded(indRoleDTop))
 	}
 	return nil
+}
+
+// markPtrDirty marks p for rewriting by the next flush. fs.dirtyPtrs
+// counts the blocks so marked: eachDirtyPtr's caller and releasePtrsFrom
+// take back each one they clear or drop.
+func (fs *FS) markPtrDirty(p *ptrBlock) {
+	if !p.dirty {
+		p.dirty = true
+		fs.dirtyPtrs++
+	}
 }
 
 // ensureMapSlot materializes (and dirties) the pointer blocks needed so
@@ -390,10 +400,13 @@ func (fs *FS) releasePtrsFrom(mi *mInode, keep uint32) error {
 			}
 			*cell = layout.NilAddr
 			if role >= indRoleL2Base {
-				top.dirty = true
+				fs.markPtrDirty(top)
 			}
 		}
 		if int(role) < len(mi.ptr) {
+			if p := mi.ptr[role]; p != nil && p.dirty {
+				fs.dirtyPtrs--
+			}
 			mi.ptr[role] = nil
 		}
 	}

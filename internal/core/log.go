@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -17,9 +16,13 @@ import (
 // flush has been assigned its address — which is how self-describing
 // metadata such as the segment usage table captures its own placement.
 type stagedBlock struct {
-	entry   layout.SummaryEntry
-	data    []byte
-	encode  func() ([]byte, error)
+	entry  layout.SummaryEntry
+	data   []byte
+	encode func() ([]byte, error)
+	// A file data block names its file, and placement points the file's
+	// block map at the new address (placeFileBlock); any other block that
+	// must learn its address has placed.
+	file    *mInode
 	placed  func(addr int64) error
 	age     uint64
 	cleaner bool // written on behalf of the cleaner (for stats)
@@ -103,8 +106,9 @@ func (fs *FS) flushPending() error {
 				return rerr
 			}
 		}
-		// Written: the placed/encode closures pin inodes and must not
-		// outlive the flush in the queue's backing array.
+		// Written: the file pointers and the placed/encode closures pin
+		// inodes and must not outlive the flush in the queue's backing
+		// array.
 		clear(batch)
 	}
 	// Drained: rewind to the start of the backing array, so the queue is
@@ -133,13 +137,19 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 
 	// Phase 1: assign addresses and update all pointers/accounting.
 	for i := range batch {
+		b := &batch[i]
 		addr := sumAddr + 1 + int64(i)
-		if batch[i].placed != nil {
-			if err := batch[i].placed(addr); err != nil {
-				return err
-			}
+		var err error
+		switch {
+		case b.file != nil:
+			err = fs.placeFileBlock(b.file, b.entry.BlockNo, addr)
+		case b.placed != nil:
+			err = b.placed(addr)
 		}
-		if err := fs.incLive(addr); err != nil {
+		if err == nil {
+			err = fs.incLive(addr)
+		}
+		if err != nil {
 			return err
 		}
 		fs.rc.drop(addr)
@@ -306,7 +316,6 @@ func (fs *FS) flushLog() error {
 		}
 		return err
 	}
-	fs.dirtyBlocks = 0
 	if fs.relocatedSinceCp {
 		// A write-fault relocation left a hole in the on-disk log:
 		// roll-forward stops at the retired segment's refused write and
@@ -366,8 +375,7 @@ func (fs *FS) inCheckpoint() bool { return fs.cpActive }
 // is reported, never panicked over: the records are produced internally,
 // but a corrupt one must not take the process down.
 func (fs *FS) stageDirOps() error {
-	ops := fs.pendingOps
-	fs.pendingOps = nil
+	ops := fs.dirLog.take()
 	for len(ops) > 0 {
 		blk, n, err := layout.EncodeDirOpLog(ops)
 		if err != nil {
@@ -401,11 +409,8 @@ func (fs *FS) stageDataBlocks() error {
 	for k := range fs.dcache {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].inum != keys[j].inum {
-			return keys[i].inum < keys[j].inum
-		}
-		return keys[i].bn < keys[j].bn
+	slices.SortFunc(keys, func(a, b blockKey) int {
+		return cmp.Or(cmp.Compare(a.inum, b.inum), cmp.Compare(a.bn, b.bn))
 	})
 	for _, k := range keys {
 		data := fs.dcache[k]
@@ -420,17 +425,21 @@ func (fs *FS) stageDataBlocks() error {
 			data:   data,
 			pooled: true, // dcache buffers are pooled; reclaimed post-write
 			age:    mi.ino.Mtime,
-			placed: func(addr int64) error {
-				old, err := fs.setBlockAddr(mi, k.bn, addr)
-				if err != nil {
-					return err
-				}
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
+			file:   mi,
 		})
+	}
+	return nil
+}
+
+// placeFileBlock points file block bn at addr, where the log writer has
+// just put it, and retires the copy it replaces.
+func (fs *FS) placeFileBlock(mi *mInode, bn uint32, addr int64) error {
+	old, err := fs.setBlockAddr(mi, bn, addr)
+	if err != nil {
+		return err
+	}
+	if old != layout.NilAddr {
+		return fs.decLive(old)
 	}
 	return nil
 }
@@ -446,6 +455,7 @@ func (fs *FS) stageIndirectBlocks(inums []uint32) {
 		}
 		version := fs.imap.get(inum).Version
 		mi.eachDirtyPtr(func(role uint32) {
+			fs.dirtyPtrs--
 			fs.stage(stagedBlock{
 				entry:  layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: role},
 				age:    mi.ino.Mtime,
@@ -474,28 +484,22 @@ func (fs *FS) stageInodeBlocks(inums []uint32) error {
 			end = len(inums)
 		}
 		group := inums[start:end]
-		mis := make([]*mInode, len(group))
+		// An mInode keeps its *layout.Inode for life, so the encoder
+		// still sees each inode as placement leaves it.
+		inos := make([]*layout.Inode, len(group))
 		var age uint64
 		for i, inum := range group {
 			mi, err := fs.loadInode(inum)
 			if err != nil {
 				return err
 			}
-			mis[i] = mi
-			if mi.ino.Mtime > age {
-				age = mi.ino.Mtime
-			}
+			inos[i] = mi.ino
+			age = max(age, mi.ino.Mtime)
 		}
 		fs.stage(stagedBlock{
-			entry: layout.SummaryEntry{Kind: layout.KindInode, Inum: group[0], BlockNo: uint32(len(group))},
-			age:   age,
-			encode: func() ([]byte, error) {
-				inos := make([]*layout.Inode, len(mis))
-				for i, mi := range mis {
-					inos[i] = mi.ino
-				}
-				return layout.EncodeInodeBlock(inos)
-			},
+			entry:  layout.SummaryEntry{Kind: layout.KindInode, Inum: group[0], BlockNo: uint32(len(group))},
+			age:    age,
+			encode: func() ([]byte, error) { return layout.EncodeInodeBlock(inos) },
 			placed: func(addr int64) error {
 				for slot, inum := range group {
 					old := fs.imap.get(inum).Addr

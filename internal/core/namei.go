@@ -200,10 +200,30 @@ func (fs *FS) resolveParent(path string) (uint32, string, error) {
 
 // logDirOp appends a record to the directory operation log (Section 4.2).
 // The record is flushed ahead of the directory and inode blocks it covers.
-func (fs *FS) logDirOp(op *layout.DirOp) {
-	op.Seq = fs.dirLogSeq
-	fs.dirLogSeq++
-	fs.pendingOps = append(fs.pendingOps, op)
+func (fs *FS) logDirOp(op *layout.DirOp) { fs.dirLog.add(op) }
+
+// dirOpLog is the directory operation log: the sequence number the next
+// record takes, and the records awaiting the next flush with the count of
+// the dirlog blocks stageDirOps will pack them into, kept as they arrive so
+// that counting what a flush writes costs O(1) per operation.
+type dirOpLog struct {
+	seq    uint64
+	ops    []*layout.DirOp
+	blocks layout.DirLogCount
+}
+
+func (l *dirOpLog) add(op *layout.DirOp) {
+	op.Seq = l.seq
+	l.seq++
+	l.ops = append(l.ops, op)
+	l.blocks.Add(op)
+}
+
+// take empties the log of its records and returns them.
+func (l *dirOpLog) take() []*layout.DirOp {
+	ops := l.ops
+	l.ops, l.blocks = nil, layout.DirLogCount{}
+	return ops
 }
 
 // torn closes the bracket a directory-modifying call runs in; before is
@@ -217,9 +237,9 @@ func (fs *FS) logDirOp(op *layout.DirOp) {
 // the torn state dies in memory, and the next mount recovers the last
 // consistent on-disk state.
 func (fs *FS) torn(before uint64, err error) error {
-	if err != nil && fs.dirLogSeq != before {
+	if err != nil && fs.dirLog.seq != before {
 		fs.degrade("dirlog-torn", fmt.Sprintf("operation failed after logging %d directory-op record(s): %v",
-			fs.dirLogSeq-before, err))
+			fs.dirLog.seq-before, err))
 	}
 	return err
 }
@@ -364,7 +384,7 @@ func (fs *FS) do(r *nvRecord) (int, error) {
 // degraded; it does no admission, tick, NVRAM logging or epilogue. Only
 // the call that logs directory-op records sits inside the torn bracket.
 func (fs *FS) apply(r *nvRecord, prep *preparedWrite) (int, error) {
-	before := fs.dirLogSeq
+	before := fs.dirLog.seq
 	switch r.kind {
 	case nvCreate, nvMkdir:
 		dir, name, err := fs.resolveParent(r.path)

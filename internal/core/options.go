@@ -74,10 +74,11 @@ type Options struct {
 	// utilization is very low (we haven't tried this in Sprite LFS)"; the
 	// trade is fewer bytes read against more, smaller read requests.
 	CleanReadLiveOnly bool
-	// WriteBufferBlocks is how many dirty blocks accumulate in the file
-	// cache before the log is flushed (default: one segment's worth).
-	// Larger buffers batch more blocks per log write; smaller buffers
-	// model NFS-like eager write-back.
+	// WriteBufferBlocks is how many blocks a flush writes, its summary
+	// included: the log is flushed once the staged file data, dirlog,
+	// inode and pointer blocks plus one summary reach it (default: one
+	// segment's worth). Larger buffers batch more blocks per log write;
+	// smaller buffers model NFS-like eager write-back.
 	WriteBufferBlocks int
 	// AdmitBudgetBlocks sizes the write admission gate: the total
 	// worst-case block budget of admitted-but-unflushed mutating

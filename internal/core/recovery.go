@@ -30,7 +30,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	counted := fs.segStart(cp.HeadSeg)
 	fs.tail = &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}}
 	fs.writeSeq = cp.WriteSeq
-	fs.dirLogSeq = cp.DirLogSeq
+	fs.dirLog.seq = cp.DirLogSeq
 	fs.ticks.Store(cp.Timestamp)
 
 	// Load the inode map and segment usage table from the addresses in
@@ -400,8 +400,8 @@ walk:
 			for _, op := range m.ops {
 				if op.Seq >= cp.DirLogSeq {
 					dirops = append(dirops, op)
-					if op.Seq >= fs.dirLogSeq {
-						fs.dirLogSeq = op.Seq + 1
+					if op.Seq >= fs.dirLog.seq {
+						fs.dirLog.seq = op.Seq + 1
 					}
 				}
 			}

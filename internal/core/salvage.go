@@ -215,7 +215,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *Sa
 	}
 	phases.end("rebuild")
 
-	fs.writeSeq, fs.dirLogSeq = max(fs.writeSeq, sc.maxSeq+1), max(fs.dirLogSeq, sc.maxDirSeq)
+	fs.writeSeq, fs.dirLog.seq = max(fs.writeSeq, sc.maxSeq+1), max(fs.dirLog.seq, sc.maxDirSeq)
 	if fs.ticks.Load() < sc.maxTime {
 		fs.ticks.Store(sc.maxTime)
 	}
@@ -250,15 +250,15 @@ func (fs *FS) salvageReset() {
 	fs.imap = newInodeMap(int(fs.sb.MaxInodes))
 	fs.usage = newUsageTable(int(fs.nsegs), fs.segBytes)
 	fs.dcache = make(map[blockKey][]byte)
-	fs.dirtyBlocks = 0
 	fs.icacheMu.Lock()
 	fs.icache = make(map[uint32]*mInode)
 	fs.icacheMu.Unlock()
+	fs.dirtyPtrs = 0
 	fs.dirtyInodes = make(map[uint32]bool)
 	fs.dirCacheMu.Lock()
 	fs.dirCache = make(map[uint32][]layout.DirEntry)
 	fs.dirCacheMu.Unlock()
-	fs.pendingOps = nil
+	fs.dirLog.take()
 	fs.dirlogAddrs = nil
 	fs.pending = nil
 	fs.inoBlockRefs = make(map[int64]int)

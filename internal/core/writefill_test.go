@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -188,11 +189,13 @@ func TestRefusedWriteNotCached(t *testing.T) {
 
 // TestCleanerCopiesNotCached pins that the cleaner's live copies stay out
 // of the cache: cold files share segments with hot ones, the hot ones are
-// overwritten until the cleaner moves the cold blocks, and no cold block
-// is cached at its new address (nothing reads them after the reset).
+// overwritten at random until the cleaner moves the cold blocks, and no
+// cold block is cached at its new address (nothing reads them after the
+// reset). The two sets fill half the disk, so few segments ever empty out
+// and the cleaner must take the half-cold ones.
 func TestCleanerCopiesNotCached(t *testing.T) {
 	fs, d := newTestFS(t, 2048, cachedOptions())
-	const n = 100
+	const n = 500
 	payload := func(tag byte, r int) []byte { return bytes.Repeat([]byte{tag, byte(r)}, layout.BlockSize/2) }
 	for i := 0; i < n; i++ {
 		for _, p := range []string{fmt.Sprintf("/cold%03d", i), fmt.Sprintf("/hot%03d", i)} {
@@ -210,9 +213,10 @@ func TestCleanerCopiesNotCached(t *testing.T) {
 		_, was[p] = dataBlockAddr(t, fs, p, 0)
 	}
 	fs.rc.reset()
-	for r := 1; r <= 30; r++ {
+	rng := rand.New(rand.NewSource(1))
+	for r := 1; r <= 6; r++ {
 		for i := 0; i < n; i++ {
-			if err := fs.WriteFile(fmt.Sprintf("/hot%03d", i), payload('h', r)); err != nil {
+			if err := fs.WriteFile(fmt.Sprintf("/hot%03d", rng.Intn(n)), payload('h', r)); err != nil {
 				t.Fatal(err)
 			}
 		}

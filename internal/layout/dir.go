@@ -147,6 +147,28 @@ func (op *DirOp) encodedSize() int {
 	return 8 + 1 + 4 + 4 + 4 + 2 + 4 + 2 + len(op.Name) + 2 + len(op.Name2)
 }
 
+// DirLogCount counts, one record at a time, the dirlog blocks that
+// EncodeDirOpLog packs a sequence of records into. The zero value has
+// counted nothing.
+type DirLogCount struct {
+	blocks int
+	room   int // bytes still free in the last block
+}
+
+// Add counts one more record: like EncodeDirOpLog, it starts a new block
+// for a record the last one has no room for.
+func (c *DirLogCount) Add(op *DirOp) {
+	sz := op.encodedSize()
+	if sz > c.room {
+		c.blocks++
+		c.room = BlockSize - dirLogBlockHeader
+	}
+	c.room -= sz
+}
+
+// Blocks returns how many dirlog blocks the records counted so far fill.
+func (c *DirLogCount) Blocks() int { return c.blocks }
+
 // EncodeDirOpLog packs records into one dirlog block. It returns the
 // encoded block and how many records fit; callers loop until all records
 // are written.

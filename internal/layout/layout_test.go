@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -633,6 +634,39 @@ func TestDirOpLogSpillsToNextBlock(t *testing.T) {
 	}
 	if n2 == 0 {
 		t.Fatal("second block consumed nothing")
+	}
+}
+
+// TestDirLogCountMatchesEncode checks DirLogCount against EncodeDirOpLog
+// itself: after every record of sequences that mix empty, short and
+// maximal names (a rename carries two), the count is the number of blocks
+// that encoding the records so far takes.
+func TestDirLogCountMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	name := func(c byte) string { return string(bytes.Repeat([]byte{c}, rng.Intn(MaxNameLen+1))) }
+	for run := 0; run < 20; run++ {
+		var count DirLogCount
+		var ops []*DirOp
+		for i := 0; i < 200; i++ {
+			op := &DirOp{Seq: uint64(i), Op: DirOpCreate, Dir: 1, Name: name('n'), Inum: uint32(i)}
+			if rng.Intn(4) == 0 {
+				op.Op, op.Dir2, op.Name2 = DirOpRename, 2, name('m')
+			}
+			ops = append(ops, op)
+			count.Add(op)
+			blocks := 0
+			for rest := ops; len(rest) > 0; blocks++ {
+				_, n, err := EncodeDirOpLog(rest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[n:]
+			}
+			if count.Blocks() != blocks {
+				t.Fatalf("run %d, after %d records: DirLogCount says %d blocks, EncodeDirOpLog takes %d",
+					run, len(ops), count.Blocks(), blocks)
+			}
+		}
 	}
 }
 

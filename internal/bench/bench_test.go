@@ -291,7 +291,7 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 		"table2", "table3", "table4",
 		"ablation-policy", "ablation-agesort", "ablation-segsize",
 		"ablation-checkpoint", "ablation-writebuffer", "ablation-thresholds",
-		"ablation-cleanread", "cleaner-gap", "bgclean", "groupcommit", "nvsync",
+		"ablation-cleanread", "cleaner-gap", "groupcommit", "nvsync",
 		"readpath",
 	}
 	have := map[string]bool{}

@@ -202,8 +202,8 @@ func (fs *FS) opAdmit(budget int) int {
 	}
 	reserved, waited := fs.gate.enter(budget, fs.drainBacklog)
 	if waited > 0 {
-		// Wall-clock, like the writer-stall histogram: admission waits
-		// are a scheduling phenomenon, not a simulated-device cost.
+		// Wall-clock: admission waits are a scheduling phenomenon, not a
+		// simulated-device cost.
 		fs.tr.Observe(obs.HistAdmitWait, waited)
 	}
 	return reserved
@@ -433,14 +433,6 @@ func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
 		lat := fs.dev.Stats().BusyTime - start
 		fs.stats.GroupCommits++
 		fs.tr.Observe(obs.HistGroupCommit, lat)
-		// Cleaner interlock: the batch flush consumes segments on behalf
-		// of callers that are parked outside fs.mu, so their epilogues
-		// never saw the drop. Kick the cleaner here (non-blocking);
-		// actual backpressure still lands only at op boundaries.
-		if err == nil && fs.backgroundCleaning() &&
-			fs.cleanerErr == nil && fs.segs.free() < fs.opts.CleanLowWater {
-			fs.kickCleaner()
-		}
 	}
 	flushed := fs.flushedSeq.Load()
 	fs.mu.Unlock()

@@ -32,7 +32,6 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 	o.WriteBufferBlocks = 1
 	o.AdmitBudgetBlocks = 1
 	o.NoGroupCommit = true
-	o.BackgroundClean = true
 	o.ReadCacheBlocks = -5
 
 	// The file system must be completely unaffected by the mutations.
@@ -52,7 +51,7 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 		got.CleanBatch != orig.CleanBatch || got.Policy != orig.Policy ||
 		got.WriteBufferBlocks != orig.WriteBufferBlocks ||
 		got.AdmitBudgetBlocks != orig.AdmitBudgetBlocks ||
-		got.NoGroupCommit != orig.NoGroupCommit || got.BackgroundClean != orig.BackgroundClean ||
+		got.NoGroupCommit != orig.NoGroupCommit ||
 		got.ReadCacheBlocks != orig.ReadCacheBlocks {
 		t.Fatalf("Options changed after mutating a returned copy:\n got %+v\nwant %+v", got, orig)
 	}
@@ -288,115 +287,119 @@ func TestCreateFlushFailureAfterDirOpDegrades(t *testing.T) {
 
 // TestConcurrentWritersMixedOps is the parallel-write-path stress test:
 // several writer goroutines mix Create/WriteFile/Rename/Remove/Sync in
-// disjoint namespaces, with and without the background cleaner. Under
-// -race this exercises the admission gate, the group committer, and the
-// cleaner against each other; the content checks and the consistency
+// disjoint namespaces on a disk small enough that the epilogues clean.
+// Under -race this exercises the admission gate, the group committer, and
+// the cleaner against each other; the content checks and the consistency
 // sweep make it a correctness test, and the remount proves the epochs
-// the writers synced were really durable.
+// the writers synced were really durable. The subtest keeps the name it
+// had beside a background-cleaner variant; the cleaner now always runs
+// inline, in the mutators' epilogues.
 func TestConcurrentWritersMixedOps(t *testing.T) {
-	for _, bg := range []bool{false, true} {
-		t.Run(fmt.Sprintf("bgclean=%v", bg), func(t *testing.T) {
-			opts := testOptions()
-			opts.BackgroundClean = bg
-			fs, d := newTestFS(t, 4096, opts)
+	t.Run("bgclean=false", concurrentWritersMixedOps)
+}
 
-			const W = 6
-			const rounds = 25
-			states := make([]map[string][]byte, W)
-			errc := make(chan error, W)
-			var wg sync.WaitGroup
-			for w := 0; w < W; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(77*w + 1)))
-					files := map[string][]byte{}
-					defer func() { states[w] = files }()
-					fail := func(format string, args ...any) {
-						errc <- fmt.Errorf("writer %d: %s", w, fmt.Sprintf(format, args...))
-					}
-					for r := 0; r < rounds; r++ {
-						for i := 0; i < 4; i++ {
-							name := fmt.Sprintf("/w%d-f%d", w, i)
-							c := bytes.Repeat([]byte{byte('a' + w), byte(r)}, (1+rng.Intn(3))*layout.BlockSize/2)
-							if err := fs.WriteFile(name, c); err != nil {
-								fail("round %d: write %s: %v", r, name, err)
-								return
-							}
-							files[name] = c
-						}
-						empty := fmt.Sprintf("/w%d-e%d", w, r%2)
-						if err := fs.Create(empty); err != nil && !errors.Is(err, ErrExists) {
-							fail("round %d: create %s: %v", r, empty, err)
-							return
-						}
-						files[empty] = nil
-						old := fmt.Sprintf("/w%d-f%d", w, rng.Intn(4))
-						renamed := fmt.Sprintf("/w%d-r%d", w, r%3)
-						if err := fs.Rename(old, renamed); err != nil {
-							fail("round %d: rename %s -> %s: %v", r, old, renamed, err)
-							return
-						}
-						files[renamed] = files[old]
-						delete(files, old)
-						if r%3 == 0 {
-							victim := fmt.Sprintf("/w%d-r%d", w, rng.Intn(3))
-							err := fs.Remove(victim)
-							if err == nil {
-								delete(files, victim)
-							} else if !errors.Is(err, ErrNotFound) {
-								fail("round %d: remove %s: %v", r, victim, err)
-								return
-							}
-						}
-						if r%5 == w%5 {
-							if err := fs.Sync(); err != nil {
-								fail("round %d: sync: %v", r, err)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			select {
-			case err := <-errc:
-				t.Fatal(err)
-			default:
-			}
+func concurrentWritersMixedOps(t *testing.T) {
+	opts := testOptions()
+	fs, d := newTestFS(t, 768, opts)
 
-			verify := func(f *FS, when string) {
-				t.Helper()
-				for w := 0; w < W; w++ {
-					for name, want := range states[w] {
-						got, err := f.ReadFile(name)
-						if err != nil {
-							t.Fatalf("%s: %s: %v", when, name, err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("%s: %s: content mismatch (len=%d want %d)", when, name, len(got), len(want))
-						}
+	const W = 6
+	const rounds = 25
+	states := make([]map[string][]byte, W)
+	errc := make(chan error, W)
+	var wg sync.WaitGroup
+	for w := 0; w < W; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(77*w + 1)))
+			files := map[string][]byte{}
+			defer func() { states[w] = files }()
+			fail := func(format string, args ...any) {
+				errc <- fmt.Errorf("writer %d: %s", w, fmt.Sprintf(format, args...))
+			}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < 4; i++ {
+					name := fmt.Sprintf("/w%d-f%d", w, i)
+					c := bytes.Repeat([]byte{byte('a' + w), byte(r)}, (1+rng.Intn(3))*layout.BlockSize/2)
+					if err := fs.WriteFile(name, c); err != nil {
+						fail("round %d: write %s: %v", r, name, err)
+						return
+					}
+					files[name] = c
+				}
+				empty := fmt.Sprintf("/w%d-e%d", w, r%2)
+				if err := fs.Create(empty); err != nil && !errors.Is(err, ErrExists) {
+					fail("round %d: create %s: %v", r, empty, err)
+					return
+				}
+				files[empty] = nil
+				old := fmt.Sprintf("/w%d-f%d", w, rng.Intn(4))
+				renamed := fmt.Sprintf("/w%d-r%d", w, r%3)
+				if err := fs.Rename(old, renamed); err != nil {
+					fail("round %d: rename %s -> %s: %v", r, old, renamed, err)
+					return
+				}
+				files[renamed] = files[old]
+				delete(files, old)
+				if r%3 == 0 {
+					victim := fmt.Sprintf("/w%d-r%d", w, rng.Intn(3))
+					err := fs.Remove(victim)
+					if err == nil {
+						delete(files, victim)
+					} else if !errors.Is(err, ErrNotFound) {
+						fail("round %d: remove %s: %v", r, victim, err)
+						return
+					}
+				}
+				if r%5 == w%5 {
+					if err := fs.Sync(); err != nil {
+						fail("round %d: sync: %v", r, err)
+						return
 					}
 				}
 			}
-			verify(fs, "before unmount")
-			st := fs.Stats()
-			if st.AdmitOps == 0 {
-				t.Error("no operations passed the admission gate")
-			}
-			mustCheck(t, fs)
-			if err := fs.Unmount(); err != nil {
-				t.Fatal(err)
-			}
-
-			fs2, err := Mount(d, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs2.Unmount()
-			verify(fs2, "after remount")
-		})
+		}(w)
 	}
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+
+	verify := func(f *FS, when string) {
+		t.Helper()
+		for w := 0; w < W; w++ {
+			for name, want := range states[w] {
+				got, err := f.ReadFile(name)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", when, name, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: %s: content mismatch (len=%d want %d)", when, name, len(got), len(want))
+				}
+			}
+		}
+	}
+	verify(fs, "before unmount")
+	st := fs.Stats()
+	if st.AdmitOps == 0 {
+		t.Error("no operations passed the admission gate")
+	}
+	if st.CleaningPasses == 0 {
+		t.Error("the workload never reached the cleaner")
+	}
+	mustCheck(t, fs)
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs2, err := Mount(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Unmount()
+	verify(fs2, "after remount")
 }
 
 // TestUnmountJoinsInflightWriters races Unmount against a pack of
@@ -406,7 +409,7 @@ func TestConcurrentWritersMixedOps(t *testing.T) {
 // on-disk state.
 func TestUnmountJoinsInflightWriters(t *testing.T) {
 	opts := testOptions()
-	fs, d := newTestFS(t, 4096, opts)
+	fs, d := newTestFS(t, 768, opts)
 
 	const W = 6
 	errc := make(chan error, W)

@@ -21,9 +21,9 @@ import (
 func TestAllocsCachedRead(t *testing.T) {
 	opts := testOptions()
 	opts.ReadCacheBlocks = 64
-	// No group-commit goroutine and no background cleaner: their
-	// bookkeeping runs on other goroutines whose allocations would be
-	// misattributed to the read loop by AllocsPerRun.
+	// No group-commit goroutine: its bookkeeping runs on another
+	// goroutine whose allocations would be misattributed to the read loop
+	// by AllocsPerRun.
 	opts.NoGroupCommit = true
 	fs, _ := newTestFS(t, 2048, opts)
 

@@ -193,9 +193,8 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 }
 
 // cleanUntil runs cleaning steps until at least target clean segments
-// are available or no further progress is possible. This is the inline
-// (foreground) driver; the background cleaner runs the same cleanStep
-// but drops fs.mu between steps.
+// are available or no further progress is possible, under the caller's
+// fs.mu.
 func (fs *FS) cleanUntil(target int) error {
 	if fs.inCleaner || fs.degraded.Load() {
 		return nil

@@ -11,18 +11,17 @@ import (
 	"repro/internal/obs"
 )
 
-// TestConcurrentReadersWritersBackgroundCleaner is the locking-discipline
-// stress test: four reader goroutines hammer ReadFile/Stat/ReadDir while
-// a single mutator churns enough data to force the background cleaner
-// through many passes. Run under -race this exercises every reader-path
+// TestConcurrentReadersWritersCleaner is the locking-discipline stress
+// test: four reader goroutines hammer ReadFile/Stat/ReadDir while a single
+// mutator churns enough data to force the cleaner through many passes,
+// each run in the mutator's epilogue under fs.mu. Run under -race this exercises every reader-path
 // leaf lock (imap, inode cache, directory cache, read cache, per-inode
 // indirect loads) against the cleaner and the writer. Content checks make
 // it a correctness test too: readers must never observe half-staged
 // state, and a final remount must recover everything.
-func TestConcurrentReadersWritersBackgroundCleaner(t *testing.T) {
+func TestConcurrentReadersWritersCleaner(t *testing.T) {
 	tr := obs.New(nil)
 	opts := testOptions()
-	opts.BackgroundClean = true
 	opts.ReadCacheBlocks = 64
 	opts = opts.WithTracer(tr)
 	fs, d := newTestFS(t, 2048, opts)
@@ -124,14 +123,10 @@ func TestConcurrentReadersWritersBackgroundCleaner(t *testing.T) {
 			t.Fatalf("%s after churn: err=%v, match=%v", stable(i), err, bytes.Equal(got, content(i)))
 		}
 	}
-	st := fs.Stats()
-	if st.CleanerKicks == 0 {
-		t.Error("background cleaner was never kicked despite churn past the low-water mark")
+	if fs.Stats().CleaningPasses == 0 {
+		t.Error("the cleaner never ran despite churn past the low-water mark")
 	}
 	snap := tr.Metrics()
-	if snap.Counter(obs.CtrCleanerBgPasses) == 0 {
-		t.Error("no background cleaning passes recorded")
-	}
 	if snap.Counter(obs.CtrReadersPeak) < 1 {
 		t.Errorf("readers peak gauge = %d, want >= 1", snap.Counter(obs.CtrReadersPeak))
 	}
@@ -154,28 +149,6 @@ func TestConcurrentReadersWritersBackgroundCleaner(t *testing.T) {
 		if err != nil || !bytes.Equal(got, content(i)) {
 			t.Fatalf("%s after remount: err=%v, match=%v", stable(i), err, bytes.Equal(got, content(i)))
 		}
-	}
-}
-
-// TestBackgroundCleanerUnmountStopsCleaner checks Unmount joins the
-// cleaner goroutine and that operations after Unmount fail cleanly
-// rather than hanging on the (now stopped) cleaner.
-func TestBackgroundCleanerUnmountStopsCleaner(t *testing.T) {
-	opts := testOptions()
-	opts.BackgroundClean = true
-	fs, _ := newTestFS(t, 2048, opts)
-	if err := fs.WriteFile("/f", bytes.Repeat([]byte("x"), layout.BlockSize)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("/g"); err != ErrUnmounted {
-		t.Fatalf("Create after Unmount = %v, want ErrUnmounted", err)
-	}
-	// A second Unmount must not hang on the already-joined goroutine.
-	if err := fs.Unmount(); err != ErrUnmounted {
-		t.Fatalf("second Unmount = %v, want ErrUnmounted", err)
 	}
 }
 

@@ -139,27 +139,6 @@ type FS struct {
 	// checkpoint before acknowledging (see flushLog).
 	relocatedSinceCp bool
 
-	// Background cleaner state (Options.BackgroundClean). The goroutine
-	// is kicked through cleanerKick when the clean-segment pool falls
-	// below the low-water mark, runs bounded cleaning steps under
-	// mu.Lock (dropping the lock between steps so readers and writers
-	// interleave), and is joined by Unmount through cleanerStop/Done.
-	// cleanerBusy is true from the moment a kick is enqueued until the
-	// run it triggered completes; cleanerErr is sticky and disables
-	// further cleaning. cleanerOwner marks the cleaner goroutine's own
-	// foreground work (its preliminary flush) as privileged so it never
-	// blocks waiting on itself. All but the channels are guarded by mu.
-	cleanerKick  chan struct{}
-	cleanerStop  chan struct{}
-	cleanerDone  chan struct{}
-	cleanerOnce  sync.Once
-	cleanerBusy  bool
-	cleanerOwner bool
-	cleanerErr   error
-	// spaceCond wakes writers stalled in waitForCleanSegments; it is
-	// signalled after every background cleaning step and on unmount.
-	spaceCond *sync.Cond
-
 	// readersNow tracks in-flight read-only operations for the
 	// fs.readers.* gauges.
 	readersNow atomic.Int64
@@ -251,7 +230,6 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	if err := fs.checkpointLocked(); err != nil {
 		return nil, err
 	}
-	fs.startCleaner()
 	fs.startCommitter()
 	return fs, nil
 }
@@ -285,7 +263,6 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		gate:         newAdmitGate(opts.AdmitBudgetBlocks),
 		commit:       newCommitter(),
 	}
-	fs.spaceCond = sync.NewCond(&fs.mu)
 	// The idle block freelist holds two write buffers plus a segment:
 	// enough to turn the steady-state write path allocation-free.
 	fs.bpool = bufpool.New(layout.BlockSize, 2*opts.WriteBufferBlocks+opts.SegmentBlocks)
@@ -560,20 +537,16 @@ func (h *inumHeap) pop() (uint32, bool) {
 	return top, true
 }
 
-// Unmount checkpoints the file system and marks it unusable. The
-// background cleaner and the group committer, if running, are stopped
-// and joined first — joining the committer serves every in-flight
-// commit epoch, so no parked Sync is abandoned — and the admission
-// gate is opened so blocked admitters fail fast on the mounted check.
+// Unmount checkpoints the file system and marks it unusable. The group
+// committer, if running, is stopped and joined first — joining it serves
+// every in-flight commit epoch, so no parked Sync is abandoned — and the
+// admission gate is opened so blocked admitters fail fast on the mounted
+// check.
 func (fs *FS) Unmount() error {
-	fs.stopCleaner()
 	fs.commit.stop()
 	fs.gate.close()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	// Writers stalled behind the (now stopped) cleaner must re-check
-	// state whatever happens below.
-	defer fs.spaceCond.Broadcast()
 	if !fs.mounted {
 		return ErrUnmounted
 	}

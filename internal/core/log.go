@@ -72,10 +72,9 @@ func (fs *FS) flushPending() error {
 		if n < 1 {
 			// The head is full. Moving on must never block or drop fs.mu:
 			// this is the middle of log placement, when block pointers are
-			// torn — with a background cleaner, writer backpressure happens
-			// in the epilogue (waitForCleanSegments), at an operation
+			// torn. Cleaning starts in the epilogue, at an operation
 			// boundary; here the cleaner reserve is only a hard backstop.
-			privileged := fs.inCleaner || fs.inRecovery || fs.cpActive || fs.cleanerOwner
+			privileged := fs.inCleaner || fs.inRecovery || fs.cpActive
 			if err := fs.segs.advance(fs.usage, fs.now(), privileged); err != nil {
 				return err
 			}

@@ -738,28 +738,10 @@ func (fs *FS) renameLocked(oldPath, newPath string) error {
 
 // epilogue runs at the end of mutating operations: it starts the cleaner
 // when the clean-segment pool drops below the low-water mark
-// (Section 3.4). With a background cleaner the goroutine is kicked and
-// the operation returns immediately; inline cleaning runs to the
-// high-water mark under the caller's lock.
+// (Section 3.4), and the cleaning runs to the high-water mark under the
+// caller's lock. Nothing here waits or releases fs.mu.
 func (fs *FS) epilogue() error {
-	if fs.inCleaner || fs.inRecovery || fs.cpActive || fs.cleanerOwner {
-		return nil
-	}
-	if fs.backgroundCleaning() {
-		if fs.cleanerErr != nil {
-			return fs.cleanerErr
-		}
-		if fs.segs.free() < fs.opts.CleanLowWater {
-			fs.kickCleaner()
-		}
-		if fs.segs.free() < fs.bgStallThreshold() {
-			// Backpressure: the pool is nearly exhausted. The epilogue is
-			// an operation boundary — every map and pointer is consistent
-			// — so this is the one place a writer may release fs.mu and
-			// wait for the cleaner without exposing torn state to
-			// readers.
-			return fs.waitForCleanSegments()
-		}
+	if fs.inCleaner || fs.inRecovery || fs.cpActive {
 		return nil
 	}
 	if fs.segs.free() < fs.opts.CleanLowWater {

@@ -229,10 +229,17 @@ func (fs *FS) nvClear() {
 
 // replayNVRAM reapplies the operations that were buffered in NVRAM when
 // the crash happened. Mount calls it after roll-forward, so each record
-// either re-applies cleanly or is detected as already durable.
+// either re-applies cleanly or is detected as already durable. Under
+// NoRollForward the records are discarded instead: they describe
+// operations after a log tail that mount has just thrown away, so they
+// go with it.
 func (fs *FS) replayNVRAM() error {
 	nv := fs.opts.NVRAM
 	if nv == nil {
+		return nil
+	}
+	if fs.opts.NoRollForward {
+		nv.clear()
 		return nil
 	}
 	records, err := nv.snapshot()

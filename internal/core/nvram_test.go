@@ -86,6 +86,58 @@ func TestNVRAMClearedByFlush(t *testing.T) {
 	}
 }
 
+// TestNoRollForwardDiscardsNVRAM mounts a crashed image with NVRAM
+// attached and roll-forward off. The NVRAM records describe operations
+// after a log tail that mount discards, so they go with it: the mount
+// succeeds on the checkpointed state and leaves the NVRAM empty.
+func TestNoRollForwardDiscardsNVRAM(t *testing.T) {
+	d := disk.MustNew(disk.DefaultGeometry(4096))
+	nv := NewNVRAM(1 << 20)
+	opts := testOptions()
+	opts.NVRAM = nv
+	fs, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/kept", []byte("checkpointed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/a", []byte("synced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt("/a", 0, []byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	if nv.Pending() == 0 {
+		t.Fatal("WriteAt not recorded in NVRAM")
+	}
+	d.Crash()
+	d.Reopen()
+
+	opts.NoRollForward = true
+	fs2, err := Mount(d, opts)
+	if err != nil {
+		t.Fatalf("NoRollForward mount with NVRAM: %v", err)
+	}
+	defer fs2.Unmount()
+	mustCheck(t, fs2)
+	if got, err := fs2.ReadFile("/kept"); err != nil || string(got) != "checkpointed" {
+		t.Fatalf("checkpointed file: %q, %v", got, err)
+	}
+	if _, err := fs2.Stat("/a"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("/a, written after the checkpoint, survived a NoRollForward mount: %v", err)
+	}
+	if n := nv.Pending(); n != 0 {
+		t.Fatalf("%d records left in NVRAM after a NoRollForward mount", n)
+	}
+}
+
 func TestNVRAMFillForcesFlush(t *testing.T) {
 	d := disk.MustNew(disk.DefaultGeometry(4096))
 	nv := NewNVRAM(64 << 10) // tiny: fills after a few block writes

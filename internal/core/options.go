@@ -111,8 +111,8 @@ type Options struct {
 	NoRollForward bool
 	// NVRAM attaches a battery-backed write buffer (Section 2.1): every
 	// acknowledged operation survives a crash even before it reaches the
-	// log. Pass the same NVRAM to Mount after a crash to replay it.
-	// NVRAM assumes roll-forward mounts.
+	// log. Pass the same NVRAM to Mount after a crash to replay it; a
+	// NoRollForward mount discards its contents with the log tail.
 	NVRAM *NVRAM
 	// NVSyncAbsorb makes the NVRAM redo record the durability point:
 	// Sync returns as soon as the caller's epoch is recorded in NVRAM
@@ -125,12 +125,6 @@ type Options struct {
 	// epochs; mounting without it falls back to fail-stop recovery of
 	// whatever the disk log holds.
 	NVSyncAbsorb bool
-	// BackgroundClean moves cleaning into a goroutine owned by the FS:
-	// mutating operations kick it when clean segments fall below
-	// CleanLowWater and block only when the pool is exhausted, instead of
-	// cleaning inline. Off by default: inline cleaning keeps runs fully
-	// deterministic, which the crash-point tests rely on.
-	BackgroundClean bool
 	// Tracer attaches the observability layer: per-request disk events,
 	// log-write / checkpoint / cleaner-decision events, and metrics
 	// keyed to simulated disk time. nil (the default) disables tracing

@@ -46,7 +46,6 @@ func TestOptionsTable(t *testing.T) {
 		// cleared.
 		{field: "NVSyncAbsorb", base: Options{NVRAM: nv}, zero: false, in: true},
 		{field: "NVSyncAbsorb", zero: false, in: false, out: true, lands: false},
-		{field: "BackgroundClean", zero: false, in: true},
 		{field: "Tracer", zero: (*obs.Tracer)(nil), in: tr},
 	}
 
@@ -84,8 +83,8 @@ func TestOptionsTable(t *testing.T) {
 			t.Errorf("Options.%s has no row", typ.Field(i).Name)
 		}
 	}
-	if typ.NumField() != 20 {
-		t.Errorf("Options has %d fields, want 20: a new option needs a row and a reason", typ.NumField())
+	if typ.NumField() != 19 {
+		t.Errorf("Options has %d fields, want 19: a new option needs a row and a reason", typ.NumField())
 	}
 }
 

@@ -139,7 +139,6 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	if fs.opts.NVRAM != nil {
 		phases.end("nvreplay")
 	}
-	fs.startCleaner()
 	fs.startCommitter()
 	return fs, nil
 }

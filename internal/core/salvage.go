@@ -146,7 +146,6 @@ func SalvageImage(dev *disk.Disk, opts Options) (*FS, *SalvageReport, error) {
 	if err != nil {
 		return nil, rep, err
 	}
-	fs.startCleaner()
 	fs.startCommitter()
 	return fs, rep, nil
 }
@@ -219,7 +218,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *Sa
 	if fs.ticks.Load() < sc.maxTime {
 		fs.ticks.Store(sc.maxTime)
 	}
-	fs.bytesSinceCp, fs.relocatedSinceCp, fs.cleanerErr = 0, false, nil
+	fs.bytesSinceCp, fs.relocatedSinceCp = 0, false
 
 	// Exit degraded mode before committing: the rebuilt state is
 	// consistent, and checkpointLocked's flush refuses to run degraded.

@@ -45,15 +45,10 @@ type Stats struct {
 	// RollForwardWrites counts log writes issued during recovery.
 	RollForwardWrites int64
 
-	// CleanerKicks counts wakeups sent to the background cleaner (only
-	// meaningful with Options.BackgroundClean).
-	CleanerKicks int64
-	// WriterStalls counts mutating operations that blocked waiting for
-	// the background cleaner to free segments.
+	// WriterStalls counts mutating operations that waited for another
+	// goroutine to free segments: always 0, because the writer whose
+	// epilogue finds the clean pool low cleans itself. Benchmarks report it.
 	WriterStalls int64
-	// WriterStallNanos accumulates host wall-clock time (not simulated
-	// disk time) spent in those stalls.
-	WriterStallNanos int64
 
 	// AdmitOps counts mutating operations admitted through the write
 	// admission gate; AdmitWaits counts the subset that blocked at the

@@ -164,7 +164,7 @@ func record(s core.Script, cfg Config, opts core.Options) (*Workload, error) {
 	if err := checkClean(fs); err != nil {
 		return nil, fmt.Errorf("crashtest: record run: %w", err)
 	}
-	// Join the committer/cleaner goroutines; the snapshot was taken
+	// Join the committer goroutine; the snapshot was taken
 	// before this mount, so the unmount checkpoint is irrelevant to it.
 	if err := fs.Unmount(); err != nil {
 		return nil, fmt.Errorf("crashtest: record unmount: %w", err)
@@ -267,15 +267,6 @@ const (
 	// match what the recording predicts, and a replay that never crashes
 	// is an error. These are the harness's two determinism assertions.
 	ArmInline Arm = iota
-	// ArmBackground replays with Options.BackgroundClean. The cleaner
-	// runs in a goroutine, so the write sequence is not the recording's:
-	// the crash lands at a runtime-discovered operation (possibly inside
-	// the cleaner's own writes, possibly nowhere if the replay persists
-	// fewer blocks than the recording did by point k). The floor is the
-	// last Sync/Checkpoint that returned before the cut. The background
-	// cleaner may move live blocks and checkpoint concurrently with the
-	// workload, but it must never change what a crash can lose.
-	ArmBackground
 	// ArmNVSurvives replays a RecordNV workload with NVSyncAbsorb and
 	// mounts the crashed image with the same NVRAM, which replays the
 	// redo records. The floor is the last operation that completed before
@@ -293,7 +284,7 @@ const (
 )
 
 func (a Arm) String() string {
-	return [...]string{"inline", "background", "nvram-survives", "nvram-lost"}[a]
+	return [...]string{"inline", "nvram-survives", "nvram-lost"}[a]
 }
 
 func (a Arm) nv() bool { return a == ArmNVSurvives || a == ArmNVLost }
@@ -320,8 +311,8 @@ type cut struct {
 
 // replay mounts d under opts, arms a power cut after k persisted blocks
 // and applies the workload until the cut lands. It is the only place the
-// package arms a power cut. The final Unmount joins the committer and
-// cleaner goroutines and releases the image; on a crashed disk its flush
+// package arms a power cut. The final Unmount joins the committer
+// goroutine and releases the image; on a crashed disk its flush
 // or checkpoint fails, and that is the crash that was asked for.
 func (w *Workload) replay(d *disk.Disk, opts core.Options, k int64) (cut, error) {
 	c := cut{crashed: len(w.Ops) - 1, completed: -1, synced: -1, onDisk: -1}
@@ -376,16 +367,13 @@ func (w *Workload) recover(d *disk.Disk, opts core.Options, floor, crashed int) 
 // point k) degenerates to an exact check of the final state.
 func (w *Workload) RunPoint(k int64, arm Arm) error {
 	if arm.nv() != w.nvAbsorb {
-		return fmt.Errorf("crashtest: %s arm on a workload recorded for the other durability model (Record for inline/background, RecordNV for the nvram arms)", arm)
+		return fmt.Errorf("crashtest: %s arm on a workload recorded for the other durability model (Record for inline, RecordNV for the nvram arms)", arm)
 	}
 	if k < 0 || k >= w.Total() {
 		return fmt.Errorf("crashtest: crash point %d outside [0,%d)", k, w.Total())
 	}
 	opts := *w.cfg.Opts
-	switch {
-	case arm == ArmBackground:
-		opts.BackgroundClean = true
-	case arm.nv():
+	if arm.nv() {
 		opts = nvOptions(w.cfg, w.nvNoGC)
 	}
 	d := disk.FromSnapshot(w.snap)

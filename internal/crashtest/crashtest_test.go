@@ -138,7 +138,7 @@ func TestRunPointRefusesOtherModel(t *testing.T) {
 		w   *Workload
 		arm Arm
 	}{
-		{plain, ArmNVSurvives}, {plain, ArmNVLost}, {nv, ArmInline}, {nv, ArmBackground},
+		{plain, ArmNVSurvives}, {plain, ArmNVLost}, {nv, ArmInline},
 	} {
 		err := c.w.RunPoint(0, c.arm)
 		if err == nil || !strings.Contains(err.Error(), "recorded for the other durability model") {
@@ -150,7 +150,7 @@ func TestRunPointRefusesOtherModel(t *testing.T) {
 // TestSweepsLeakNoGoroutines runs one small call of every sweep and
 // requires the goroutine count back at its start: every mount a sweep
 // makes — crashed, faulted, traced, salvaged — is unmounted, so no
-// committer or cleaner goroutine outlives it pinning an FS and a disk
+// committer goroutine outlives it pinning an FS and a disk
 // clone. Not parallel: it counts the process's goroutines.
 func TestSweepsLeakNoGoroutines(t *testing.T) {
 	s := core.Script{Seed: 3, N: 40}

@@ -148,8 +148,8 @@ func FaultSweepWrites(s core.Script, cfg Config) (res *WriteFaultSweepResult, er
 	// legitimately leave no checkpoint at all, which is a different
 	// failure domain than this sweep's. Retries and relocation writes make
 	// the replay's write sequence diverge from the recording, so the
-	// window is the replay's own, with ArmBackground's floor: the last
-	// Sync/Checkpoint that returned.
+	// window is the replay's own: the floor is the last Sync/Checkpoint
+	// that returned before the cut.
 	total := w.Total()
 	for _, site := range sampleSites(logSites, 4) {
 		for _, k := range []int64{total / 4, total / 2, 3 * total / 4} {

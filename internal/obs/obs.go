@@ -50,7 +50,7 @@ const (
 )
 
 // Concurrency counters, recorded when the file system runs with the
-// reader/writer lock discipline and (optionally) the background cleaner.
+// reader/writer lock discipline.
 const (
 	// CtrReadersActive is incremented when a read-only operation enters
 	// and decremented when it leaves: its instantaneous value is the
@@ -58,16 +58,6 @@ const (
 	CtrReadersActive = "fs.readers.active"
 	// CtrReadersPeak is the high-water mark of concurrent readers.
 	CtrReadersPeak = "fs.readers.peak"
-	// CtrCleanerLagSegments sums, over kicks, how far below the low-water
-	// mark the clean-segment pool had fallen when the cleaner was woken
-	// (divide by core.Stats.CleanerKicks for the average lag).
-	CtrCleanerLagSegments = "cleaner.lag.segments"
-	// CtrCleanerLagMax is the worst single lag observed at a kick.
-	CtrCleanerLagMax = "cleaner.lag.max"
-	// CtrCleanerBgPasses counts bounded cleaning steps executed on the
-	// background goroutine (foreground steps are core.Stats.CleaningPasses
-	// minus this).
-	CtrCleanerBgPasses = "cleaner.bg.passes"
 )
 
 // Write-path counters.
@@ -149,15 +139,10 @@ const (
 	CtrSalvagePhasePrefix  = "fs.salvage."
 )
 
-// HistWriterStall is the latency histogram of writer stalls behind the
-// background cleaner. Unlike the op.* histograms it is recorded in host
-// wall-clock time, not simulated disk time: a stall is a scheduling
-// phenomenon of the concurrent lock discipline, not of the simulated
-// device.
-const HistWriterStall = "fs.writer.stall"
-
-// HistAdmitWait is the latency histogram of admission-gate waits, in
-// host wall-clock time for the same reason as HistWriterStall.
+// HistAdmitWait is the latency histogram of admission-gate waits. Unlike
+// the op.* histograms it is recorded in host wall-clock time, not
+// simulated disk time: a wait is a scheduling phenomenon of the
+// concurrent lock discipline, not of the simulated device.
 const HistAdmitWait = "fs.admit.wait"
 
 // HistGroupCommit is the latency histogram of group-commit flushes, in

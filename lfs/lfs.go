@@ -14,13 +14,11 @@
 // A mounted FS is safe for concurrent use: read-only operations
 // (ReadFile, ReadAt, Stat, ReadDir) run in parallel with each other
 // under a reader lock, and mutating operations serialize against them.
-// Setting Options.BackgroundClean moves segment cleaning off the
-// writer's critical path into a goroutine owned by the FS: writers low
-// on clean segments kick it and keep going, blocking only when the pool
-// is nearly exhausted, and Unmount stops it. It is off by default
-// because inline cleaning keeps runs fully deterministic, which the
-// crash-point tests and the simulated-time benchmarks rely on; see
-// `lfsbench -run bgclean` for what it buys concurrent readers.
+// The cleaner runs where the paper starts it (Section 3.4): at the end of
+// the mutating operation that leaves fewer than Options.CleanLowWater
+// clean segments, under that operation's lock, until CleanHighWater are
+// clean. FS.CleanIdle cleans ahead of need when the caller knows the
+// system is idle (Section 5.2), and FS.Clean cleans on demand.
 //
 // Quick start:
 //

@@ -97,19 +97,19 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// TestPublicBackgroundClean drives Options.BackgroundClean through the
-// facade: concurrent readers against a churning writer, cleaner kicks
-// observed through Stats, reader concurrency through the tracer, and a
-// clean shutdown plus remount at the end.
-func TestPublicBackgroundClean(t *testing.T) {
+// TestPublicConcurrentCleaning drives cleaning through the facade with a
+// concurrent reader: a churning writer cleans in its epilogues while the
+// reader polls a file the cleaner moves, cleaning passes are observed
+// through Stats, reader concurrency through the tracer, and a clean
+// shutdown plus remount at the end.
+func TestPublicConcurrentCleaning(t *testing.T) {
 	tr := lfs.NewTracer(nil)
 	opts := lfs.Options{
-		SegmentBlocks:   32,
-		MaxInodes:       2048,
-		CleanLowWater:   8,
-		CleanHighWater:  16,
-		CleanBatch:      4,
-		BackgroundClean: true,
+		SegmentBlocks:  32,
+		MaxInodes:      2048,
+		CleanLowWater:  8,
+		CleanHighWater: 16,
+		CleanBatch:     4,
 	}.WithTracer(tr)
 	d := lfs.NewDisk(2048)
 	fs, err := lfs.Format(d, opts)
@@ -146,8 +146,8 @@ func TestPublicBackgroundClean(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("concurrent reader: %v", err)
 	}
-	if fs.Stats().CleanerKicks == 0 {
-		t.Error("churn never kicked the background cleaner")
+	if fs.Stats().CleaningPasses == 0 {
+		t.Error("churn never reached the cleaner")
 	}
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)

@@ -13,24 +13,21 @@ import (
 
 // This experiment measures the transaction-grouped log admission path:
 // N concurrent writers stage operations under per-op block budgets and
-// share log flushes through the group committer, against the serialized
-// baseline (Options.NoGroupCommit) where every Sync flushes inline.
-// Section 5.1 of the paper notes LFS "can use the disk a factor of four
+// share log flushes through the group committer. Section 5.1 of the paper notes LFS "can use the disk a factor of four
 // to six more efficiently" for small writes because many are batched
 // into one log append; group commit extends the same batching to
 // explicit Sync callers, as in Hagmann's Cedar reimplementation cited
 // by the paper.
 //
 // Throughput and sync latency are host wall-clock (lock scheduling is
-// what changes between modes, and the simulated time model deliberately
-// does not see it); blocks written and device busy time are simulated
-// and deterministic for a given writer count.
+// what changes with the writer count, and the simulated time model
+// deliberately does not see it); blocks written and device busy time are
+// simulated and deterministic for a given writer count.
 
-// groupCommitResult is one (scenario, writers, mode) cell.
+// groupCommitResult is one (scenario, writers) cell.
 type groupCommitResult struct {
 	Scenario     string  // "steady" or "sync-heavy"
 	Writers      int     // concurrent writer goroutines
-	Grouped      bool    // false = NoGroupCommit baseline
 	OpsPerSec    float64 // host wall-clock throughput
 	SyncP50Nanos int64   // host wall-clock Sync latency
 	SyncP99Nanos int64
@@ -60,14 +57,13 @@ func groupCommitScenarios(cfg Config) []groupCommitScenario {
 	}
 }
 
-// runGroupCommitCell runs one scenario at one writer count in one mode.
-func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int, grouped bool) (groupCommitResult, error) {
-	res := groupCommitResult{Scenario: sc.name, Writers: writers, Grouped: grouped}
+// runGroupCommitCell runs one scenario at one writer count.
+func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int) (groupCommitResult, error) {
+	res := groupCommitResult{Scenario: sc.name, Writers: writers}
 	opts := core.Options{
 		SegmentBlocks:   64,
 		MaxInodes:       4096,
 		ReadCacheBlocks: 64,
-		NoGroupCommit:   !grouped,
 	}
 	fs, d, err := cfg.newLFSSized(16384, opts)
 	if err != nil {
@@ -165,31 +161,25 @@ func RunGroupCommit(cfg Config) (*Table, error) {
 	var results []groupCommitResult
 	for _, sc := range groupCommitScenarios(cfg) {
 		for _, writers := range sc.writers {
-			for _, grouped := range []bool{false, true} {
-				r, err := runGroupCommitCell(cfg, sc, writers, grouped)
-				if err != nil {
-					return nil, fmt.Errorf("groupcommit %s w=%d grouped=%v: %w", sc.name, writers, grouped, err)
-				}
-				results = append(results, r)
+			r, err := runGroupCommitCell(cfg, sc, writers)
+			if err != nil {
+				return nil, fmt.Errorf("groupcommit %s w=%d: %w", sc.name, writers, err)
 			}
+			results = append(results, r)
 		}
 	}
 	t := &Table{
 		ID:    "groupcommit",
-		Title: "concurrent writer throughput and Sync latency, grouped vs serialized log admission",
-		Columns: []string{"scenario", "writers", "mode", "ops/s", "sync p50", "sync p99",
+		Title: "concurrent writer throughput and Sync latency under group commit",
+		Columns: []string{"scenario", "writers", "ops/s", "sync p50", "sync p99",
 			"allocs/op", "blocks out", "batches", "syncs/batch"},
 	}
 	for _, r := range results {
-		mode := "serialized"
-		if r.Grouped {
-			mode = "grouped"
-		}
 		perBatch := "-"
 		if r.GroupCommits > 0 {
 			perBatch = fmt.Sprintf("%.1f", float64(r.GroupSyncs)/float64(r.GroupCommits))
 		}
-		t.AddRow(r.Scenario, fmt.Sprintf("%d", r.Writers), mode,
+		t.AddRow(r.Scenario, fmt.Sprintf("%d", r.Writers),
 			fmt.Sprintf("%.0f", r.OpsPerSec),
 			time.Duration(r.SyncP50Nanos).Round(time.Microsecond).String(),
 			time.Duration(r.SyncP99Nanos).Round(time.Microsecond).String(),
@@ -198,7 +188,6 @@ func RunGroupCommit(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", r.GroupCommits),
 			perBatch)
 	}
-	t.AddNote("ops/s and sync percentiles are host wall-clock (lock scheduling is what differs between modes); blocks out and device busy time are simulated and deterministic per writer count")
-	t.AddNote("serialized = Options.NoGroupCommit: admission gate off, every Sync flushes inline under the file system lock")
+	t.AddNote("ops/s and sync percentiles are host wall-clock (lock scheduling is what differs between writer counts); blocks out and device busy time are simulated and deterministic per writer count")
 	return t, nil
 }

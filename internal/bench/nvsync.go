@@ -17,8 +17,9 @@ import (
 // dominated by exactly these small synchronous writes, and Baker et
 // al.'s NVRAM work (cited as the follow-on) shows a battery-backed
 // buffer absorbing them. With absorption on, Sync returns once the redo
-// record is in the NVRAM and the segment writes ride behind the async
-// committer; inline mode makes each Sync wait for the log flush. Both
+// record is in the NVRAM and the segment writes wait for the next flush
+// (a full write buffer or NVRAM); inline mode makes each Sync wait for
+// the log flush. Both
 // modes run with the NVRAM attached so the only variable is where the
 // durability point sits.
 
@@ -32,7 +33,6 @@ type nvSyncResult struct {
 	AllocsPerOp  float64 // heap allocations per op
 	BlocksOut    int64
 	NVAbsorbed   int64 // Syncs that returned at the NVRAM
-	NVKicks      int64 // high-water committer kicks
 	NVBackpress  int64 // inline flushes forced by a full NVRAM
 }
 
@@ -45,8 +45,8 @@ func runNVSyncCell(cfg Config, writers int, absorbed bool) (nvSyncResult, error)
 		rounds = 120
 	}
 	// Small enough that absorbed runs cycle through the whole lifecycle
-	// (absorb -> high-water kick -> drain, with backpressure under
-	// bursts) instead of parking everything in the NVRAM.
+	// (absorb, then a backpressure flush that drains the NVRAM) instead
+	// of parking everything in the NVRAM.
 	nv := core.NewNVRAM(64 << 10)
 	opts := core.Options{
 		SegmentBlocks:   64,
@@ -124,7 +124,6 @@ func runNVSyncCell(cfg Config, writers int, absorbed bool) (nvSyncResult, error)
 	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
 	res.BlocksOut = ds.BlocksWritten
 	res.NVAbsorbed = st.NVAbsorbedSyncs
-	res.NVKicks = st.NVAsyncKicks
 	res.NVBackpress = st.NVBackpressureFlushes
 	return res, nil
 }
@@ -146,7 +145,7 @@ func RunNVSync(cfg Config) (*Table, error) {
 		ID:    "nvsync",
 		Title: "sync-per-small-file latency and throughput, NVRAM-absorbed vs inline durability",
 		Columns: []string{"writers", "mode", "ops/s", "sync p50", "sync p99",
-			"allocs/op", "blocks out", "absorbed", "kicks", "backpressure"},
+			"allocs/op", "blocks out", "absorbed", "backpressure"},
 	}
 	for _, r := range results {
 		mode := "inline"
@@ -160,10 +159,9 @@ func RunNVSync(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.0f", r.AllocsPerOp),
 			fmt.Sprintf("%d", r.BlocksOut),
 			fmt.Sprintf("%d", r.NVAbsorbed),
-			fmt.Sprintf("%d", r.NVKicks),
 			fmt.Sprintf("%d", r.NVBackpress))
 	}
 	t.AddNote("every op is WriteFile(one block) + Sync; both modes run with the same 64 KiB NVRAM attached — only the durability point moves")
-	t.AddNote("ops/s and sync percentiles are host wall-clock; absorbed Syncs return at the NVRAM commit and the committer flushes behind them")
+	t.AddNote("ops/s and sync percentiles are host wall-clock; absorbed Syncs return at the NVRAM commit and start no flush")
 	return t, nil
 }

@@ -36,7 +36,7 @@ func Experiments() []Experiment {
 		{"ablation-thresholds", "cleaner water marks sweep", RunAblationThresholds},
 		{"ablation-cleanread", "whole-segment vs live-only cleaning reads", RunAblationCleanRead},
 		{"cleaner-gap", "core.FS vs cleansim on one hot-and-cold trace, and the cleaner sizing sweep", RunCleanerGap},
-		{"groupcommit", "concurrent writers: grouped vs serialized log admission", RunGroupCommit},
+		{"groupcommit", "concurrent writers: group-commit throughput and Sync latency", RunGroupCommit},
 		{"nvsync", "sync-per-small-file: NVRAM-absorbed vs inline durability", RunNVSync},
 		{"readpath", "single-block reads: warm cache vs pooled uncached path", RunReadPath},
 	}

@@ -17,10 +17,11 @@ import (
 // admission gate bounds the total budget of admitted-but-unflushed work
 // (admitGate, entered through fs.opAdmit), and a group-commit goroutine
 // turns N concurrent Sync callers into one log flush (committer, serving
-// fs.commitBatch). Budgets are a flow-control threshold, not a hard space
-// reservation — the log itself still enforces space through the segment
-// reserve and the cleaner — so an underestimate degrades batching, never
-// correctness.
+// fs.commitBatch). The committer flushes only for a Sync parked on it,
+// never on its own, so a single-threaded run replays block for block.
+// Budgets are a flow-control threshold, not a hard space reservation —
+// the log itself still enforces space through the segment reserve and the
+// cleaner — so an underestimate degrades batching, never correctness.
 //
 // Epochs tie the parts together: stageSeq counts completed mutating
 // operations, flushedSeq is the stageSeq value the last successful flush
@@ -31,7 +32,7 @@ import (
 // Lock order: fs.mu -> gate.mu -> commit.mu. The gate and the committer
 // each own their lock and call nothing while holding it: enter drops
 // gate.mu before draining the backlog under fs.mu; flushed runs under
-// fs.mu (flushLog); kick runs under fs.mu or its read side.
+// fs.mu (flushLog).
 
 // Worst-case block budgets per operation kind. A directory operation
 // stages at most: one dirlog block, two directory data blocks (the
@@ -169,8 +170,8 @@ func (g *admitGate) flushed(staged int) {
 
 // failed records a failed commit attempt. A backlog that cannot be
 // flushed (crashed device, degraded mode) will never drain, so blocked
-// admitters must pass through the gate and observe the failure inline —
-// exactly what the pre-gate serialized path did.
+// admitters must pass through the gate and observe the failure inline,
+// as they would with no gate at all.
 func (g *admitGate) failed(err error) {
 	g.mu.Lock()
 	g.flushErr = err
@@ -190,16 +191,9 @@ func (g *admitGate) close() {
 
 // opAdmit takes the operation's worst-case budget to the admission gate
 // and returns what gate.leave must be handed once fs.mu is dropped. It
-// must be called before fs.mu is taken. Options.NoGroupCommit skips the
-// gate (nothing reserved): fs.mu already serialises all staging, and the
-// crash harness's nogc reference arm wants no flush but those the
-// operations themselves ask for — a gate waiter drains the backlog with
-// a flush of its own.
+// must be called before fs.mu is taken.
 func (fs *FS) opAdmit(budget int) int {
 	fs.gate.ops.Add(1)
-	if fs.opts.NoGroupCommit {
-		return 0
-	}
 	reserved, waited := fs.gate.enter(budget, fs.drainBacklog)
 	if waited > 0 {
 		// Wall-clock: admission waits are a scheduling phenomenon, not a
@@ -244,23 +238,19 @@ type commitReq struct {
 }
 
 // committer is the group-commit goroutine's queue and life cycle. It is
-// running from start until stop; outside that window wait and kick report
-// so and the caller falls back (inlineCommit, or nothing for a kick).
-// There is no timer: batching arises from requests queueing while a flush
-// is in progress, which keeps single-threaded runs bit-for-bit identical to
-// the inline-Sync path (the crash harness depends on deterministic replay).
+// running from start until stop; outside that window wait reports so and
+// the caller falls back to inlineCommit. It flushes only for a parked
+// caller, and there is no timer: batching arises from requests queueing
+// while a flush is in progress, so a single-threaded run writes the same
+// blocks in the same order on every replay (the crash harness depends on
+// it).
 type committer struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []commitReq // callers parked in wait, nothing else
-	// An async kick parks nobody, so it leaves no request behind: it
-	// raises kickWant and sets kicked, however many arrive during a flush.
-	kickWant uint64
-	kicked   bool
-	serving  int           // parked callers the loop has drained and is serving
-	stopped  bool          // stop was called
-	done     chan struct{} // non-nil once started; closed when the loop exits
-	kicks    atomic.Int64  // async kicks accepted (Stats.NVAsyncKicks)
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []commitReq   // callers parked in wait
+	serving int           // parked callers the loop has drained and is serving
+	stopped bool          // stop was called
+	done    chan struct{} // non-nil once started; closed when the loop exits
 }
 
 func newCommitter() *committer {
@@ -281,19 +271,20 @@ func (c *committer) start(serve func(want uint64, syncers []commitReq)) {
 		for {
 			c.mu.Lock()
 			c.serving = 0
-			for len(c.queue) == 0 && !c.kicked && !c.stopped {
+			for len(c.queue) == 0 && !c.stopped {
 				c.cond.Wait()
 			}
-			if len(c.queue) == 0 && !c.kicked {
+			if len(c.queue) == 0 {
 				// Stopped and drained.
 				c.mu.Unlock()
 				close(c.done)
 				return
 			}
-			batch, want := c.queue, c.kickWant
-			c.queue, c.kickWant, c.kicked = nil, 0, false
+			batch := c.queue
+			c.queue = nil
 			c.serving = len(batch)
 			c.mu.Unlock()
+			var want uint64
 			for _, r := range batch {
 				want = max(want, r.want)
 			}
@@ -304,7 +295,7 @@ func (c *committer) start(serve func(want uint64, syncers []commitReq)) {
 
 // stop stops and joins the loop. Safe to call more than once and before
 // start; must be called without fs.mu held (the loop needs it to finish its
-// batch). Everything queued or kicked before the stop is still served.
+// batch). Everything queued before the stop is still served.
 func (c *committer) stop() {
 	c.mu.Lock()
 	done := c.done
@@ -334,20 +325,6 @@ func (c *committer) wait(want uint64) (err error, ok bool) {
 	return <-r.done, true
 }
 
-// kick asks for a flush covering want without waiting for it, and reports
-// whether the loop is running to take the request. Safe under fs.mu.
-func (c *committer) kick(want uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.running() {
-		return false
-	}
-	c.kickWant, c.kicked = max(c.kickWant, want), true
-	c.cond.Signal()
-	c.kicks.Add(1)
-	return true
-}
-
 // parked is how many wait callers are queued or being served.
 func (c *committer) parked() int {
 	c.mu.Lock()
@@ -356,12 +333,8 @@ func (c *committer) parked() int {
 }
 
 // startCommitter launches the group-commit goroutine once Format or Mount
-// has initialized everything, unless Options.NoGroupCommit asks for none.
-func (fs *FS) startCommitter() {
-	if !fs.opts.NoGroupCommit {
-		fs.commit.start(fs.commitBatch)
-	}
-}
+// has initialized everything.
+func (fs *FS) startCommitter() { fs.commit.start(fs.commitBatch) }
 
 // drainBacklog flushes the staged backlog on behalf of a gate waiter.
 // It must be called with no locks held. Returns false when the flush
@@ -378,8 +351,8 @@ func (fs *FS) drainBacklog() bool {
 }
 
 // requestCommit parks the caller until flushedSeq covers want: in the
-// committer's current group, or without one (NoGroupCommit, or an Unmount
-// already stopped it) by an inline flush — the serialized baseline.
+// committer's current group, or, once Unmount has stopped the committer,
+// by an inline flush.
 func (fs *FS) requestCommit(want uint64) error {
 	if err, ok := fs.commit.wait(want); ok {
 		return err
@@ -387,8 +360,8 @@ func (fs *FS) requestCommit(want uint64) error {
 	return fs.inlineCommit(want)
 }
 
-// inlineCommit is the serialized commit path: one flush per caller,
-// under the caller's own fs.mu critical section.
+// inlineCommit is the commit path without a committer: one flush per
+// caller, under the caller's own fs.mu critical section.
 func (fs *FS) inlineCommit(want uint64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -423,7 +396,7 @@ func (fs *FS) commitBatch(maxWant uint64, batch []commitReq) {
 		if fs.flushedSeq.Load() >= maxWant && !fs.checkpointDue() {
 			// A previous flush (group or inline) already covers the whole
 			// batch: answer without touching the disk. Republish the
-			// backlog count anyway so gate waiters kicked by a stale
+			// backlog count anyway so gate waiters woken by a stale
 			// count re-check rather than sleep on a lost wakeup.
 			fs.gate.flushed(fs.stagedBlocks())
 			break

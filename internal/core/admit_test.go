@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/layout"
 )
 
@@ -31,7 +30,6 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 	o.Policy = PolicyGreedy
 	o.WriteBufferBlocks = 1
 	o.AdmitBudgetBlocks = 1
-	o.NoGroupCommit = true
 	o.ReadCacheBlocks = -5
 
 	// The file system must be completely unaffected by the mutations.
@@ -51,7 +49,6 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 		got.CleanBatch != orig.CleanBatch || got.Policy != orig.Policy ||
 		got.WriteBufferBlocks != orig.WriteBufferBlocks ||
 		got.AdmitBudgetBlocks != orig.AdmitBudgetBlocks ||
-		got.NoGroupCommit != orig.NoGroupCommit ||
 		got.ReadCacheBlocks != orig.ReadCacheBlocks {
 		t.Fatalf("Options changed after mutating a returned copy:\n got %+v\nwant %+v", got, orig)
 	}
@@ -130,58 +127,6 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 		t.Error("batch reported success but flushedSeq does not cover it")
 	}
 	mustCheck(t, fs)
-}
-
-// TestGroupedMatchesSerializedDiskImage runs the same single-threaded
-// script against a grouped-commit file system and a NoGroupCommit
-// (serialized) one. With one writer there is no batching opportunity, so
-// the two must produce identical disk traffic — the property the
-// crash-point harness relies on for deterministic replay.
-func TestGroupedMatchesSerializedDiskImage(t *testing.T) {
-	run := func(noGroup bool) (*FS, *disk.Disk) {
-		opts := testOptions()
-		opts.NoGroupCommit = noGroup
-		fs, d := newTestFS(t, 2048, opts)
-		ops := Script{Seed: 99, N: 200}.Ops()
-		for i, op := range ops {
-			if err := ApplyOp(fs, op); err != nil {
-				t.Fatalf("noGroup=%v: op %d (%s): %v", noGroup, i, op, err)
-			}
-			if i%10 == 9 {
-				if err := fs.Sync(); err != nil {
-					t.Fatalf("noGroup=%v: sync after op %d: %v", noGroup, i, err)
-				}
-			}
-		}
-		if err := fs.Unmount(); err != nil {
-			t.Fatalf("noGroup=%v: unmount: %v", noGroup, err)
-		}
-		return fs, d
-	}
-	_, dg := run(false)
-	_, ds := run(true)
-
-	gs, ss := dg.Stats(), ds.Stats()
-	if gs.WriteOps != ss.WriteOps || gs.BlocksWritten != ss.BlocksWritten {
-		t.Errorf("grouped path wrote %d ops / %d blocks, serialized %d ops / %d blocks — single-writer replay must be identical",
-			gs.WriteOps, gs.BlocksWritten, ss.WriteOps, ss.BlocksWritten)
-	}
-
-	// Both images must recover to the same model state.
-	model := NewModel()
-	for _, op := range (Script{Seed: 99, N: 200}).Ops() {
-		model.Apply(op)
-	}
-	for name, d := range map[string]*disk.Disk{"grouped": dg, "serialized": ds} {
-		fs2, err := Mount(d, testOptions())
-		if err != nil {
-			t.Fatalf("%s remount: %v", name, err)
-		}
-		if err := model.Verify(fs2); err != nil {
-			t.Errorf("%s image: %v", name, err)
-		}
-		fs2.Unmount()
-	}
 }
 
 // TestWriteAtFlushFailureReportsStagedBytes pins the WriteAt error-path
@@ -590,7 +535,7 @@ func TestCommitter(t *testing.T) {
 
 	t.Run("parked waits share one serve", func(t *testing.T) {
 		c, l := newCommitter(), &serveLog{entered: make(chan struct{}, 4), hold: make(chan struct{})}
-		if _, ok := c.wait(1); ok || c.kick(1) {
+		if _, ok := c.wait(1); ok {
 			t.Fatal("a committer that was never started took a request")
 		}
 		c.start(l.serve)
@@ -631,29 +576,9 @@ func TestCommitter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, ok := c.wait(9); ok || c.kick(9) || c.parked() != 0 {
+		if _, ok := c.wait(9); ok || c.parked() != 0 {
 			t.Fatal("a stopped committer took a request")
 		}
 		c.stop() // a second stop does not hang
-	})
-
-	t.Run("kicks leave nothing queued", func(t *testing.T) {
-		c, l := newCommitter(), &serveLog{entered: make(chan struct{}, 4), hold: make(chan struct{})}
-		c.start(l.serve)
-		c.kick(1)
-		<-l.entered
-		for i := 1; i <= 10000; i++ {
-			if !c.kick(uint64(10 + i%777)) {
-				t.Fatal("kick refused by a running committer")
-			}
-		}
-		if len(c.queue) != 0 || c.parked() != 0 {
-			t.Fatalf("%d requests queued by kicks that park nobody", len(c.queue))
-		}
-		close(l.hold)
-		c.stop()
-		if len(l.wants) != 2 || l.wants[1] != 10+776 || l.syncers[1] != 0 || c.kicks.Load() != 10001 {
-			t.Fatalf("serve calls: wants %v syncers %v after %d kicks, want one more call for epoch 786", l.wants, l.syncers, c.kicks.Load())
-		}
 	})
 }

@@ -21,10 +21,6 @@ import (
 func TestAllocsCachedRead(t *testing.T) {
 	opts := testOptions()
 	opts.ReadCacheBlocks = 64
-	// No group-commit goroutine: its bookkeeping runs on another
-	// goroutine whose allocations would be misattributed to the read loop
-	// by AllocsPerRun.
-	opts.NoGroupCommit = true
 	fs, _ := newTestFS(t, 2048, opts)
 
 	content := bytes.Repeat([]byte("zeroalloc"), layout.BlockSize/16)
@@ -62,7 +58,6 @@ func TestAllocsCachedRead(t *testing.T) {
 func TestAllocsCachedStat(t *testing.T) {
 	opts := testOptions()
 	opts.ReadCacheBlocks = 64
-	opts.NoGroupCommit = true
 	fs, _ := newTestFS(t, 2048, opts)
 	if err := fs.WriteFile("/f", []byte("stat")); err != nil {
 		t.Fatal(err)
@@ -91,7 +86,6 @@ func TestAllocsCachedStat(t *testing.T) {
 // Inode per kept slot.
 func TestAllocsCleanerDecodeScratch(t *testing.T) {
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	fs, _ := newTestFS(t, 2048, opts)
 
 	sum := &layout.Summary{WriteSeq: 7, NextSeg: 3}

@@ -148,7 +148,6 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 			var now uint64 = 1
 			opts := testOptions()
 			opts.Clock = func() uint64 { return now }
-			opts.NoGroupCommit = true
 			opts.NoAgeSort = mode == "noagesort"
 			opts.CoarseAgeSort = mode == "coarse"
 			fs, _ := newTestFS(t, 2048, opts)
@@ -276,7 +275,6 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 // first candidate must not have been queued: nothing may be lost.
 func TestCleanPassErrorReleasesNothing(t *testing.T) {
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, 2048, opts)
 
 	content := func(i int) []byte { return bytes.Repeat([]byte{byte('A' + i%26)}, layout.BlockSize) }
@@ -410,7 +408,7 @@ func TestCleanPassLeavesRoomForItsCheckpoint(t *testing.T) {
 // defaulted, so the pins below measure the pass and not withDefaults.
 func cleanPassFixture(tb testing.TB, u float64, npasses, batch int) *FS {
 	tb.Helper()
-	opts := Options{SegmentBlocks: 128, MaxInodes: 1 << 14, NoGroupCommit: true, CleanBatch: batch}
+	opts := Options{SegmentBlocks: 128, MaxInodes: 1 << 14, CleanBatch: batch}
 	const nblocks = 16384
 	d := disk.MustNew(disk.DefaultGeometry(nblocks))
 	// The simulated device allocates a block's memory on its first write;

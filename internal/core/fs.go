@@ -317,7 +317,6 @@ func (fs *FS) Stats() Stats {
 	st.AdmitWaits = fs.gate.waits.Load()
 	st.AdmitOps = fs.gate.ops.Load()
 	st.NVAbsorbedSyncs = fs.nvAbsorbed.Load()
-	st.NVAsyncKicks = fs.commit.kicks.Load()
 	st.ReadAheadBlocks, st.ReadAheadHits = fs.ra.blocks.Load(), fs.ra.hits.Load()
 	return st
 }
@@ -330,7 +329,6 @@ func (fs *FS) ResetStats() {
 	fs.gate.waits.Store(0)
 	fs.gate.ops.Store(0)
 	fs.nvAbsorbed.Store(0)
-	fs.commit.kicks.Store(0)
 	fs.ra.blocks.Store(0)
 	fs.ra.hits.Store(0)
 }
@@ -538,10 +536,11 @@ func (h *inumHeap) pop() (uint32, bool) {
 }
 
 // Unmount checkpoints the file system and marks it unusable. The group
-// committer, if running, is stopped and joined first — joining it serves
-// every in-flight commit epoch, so no parked Sync is abandoned — and the
+// committer is stopped and joined first — joining it serves every
+// in-flight commit epoch, so no parked Sync is abandoned — and the
 // admission gate is opened so blocked admitters fail fast on the mounted
-// check.
+// check. The checkpoint is the flush that brings the disk up to syncs the
+// NVRAM absorbed (Options.NVSyncAbsorb) and empties the NVRAM.
 func (fs *FS) Unmount() error {
 	fs.commit.stop()
 	fs.gate.close()
@@ -573,8 +572,9 @@ func (fs *FS) Unmount() error {
 //
 // With Options.NVSyncAbsorb the NVRAM redo log is the commit point: if
 // the caller's epoch is already recorded there (nvSeq >= want), Sync
-// kicks the group committer so the disk catches up asynchronously and
-// returns at memory speed. The disk path remains the fallback for
+// returns at memory speed without starting a flush. The disk catches up
+// at the next flush something else triggers: a full write buffer or
+// NVRAM, a checkpoint, or Unmount. The disk path remains the fallback for
 // epochs the NVRAM does not cover — a failed operation can leave such a
 // gap — so the durability contract is identical in both modes; only
 // where the contract is satisfied differs (NVRAM vs disk log).
@@ -596,15 +596,14 @@ func (fs *FS) Sync() error {
 		return nil
 	}
 	if absorbed {
-		// Re-check degraded state right before the fast return: the
-		// async committer degrades concurrently (flushLog failure), and
-		// a degraded disk can never catch up to the NVRAM epoch — the
-		// absorbed nil would mask an error the commit path surfaces.
-		// Degraded callers fall through to requestCommit, whose batch
-		// handler reports ErrDegraded.
+		// Re-check degraded state right before the fast return: another
+		// caller's flush may have degraded the file system since the
+		// check above, and a degraded disk can never catch up to the
+		// NVRAM epoch — the absorbed nil would mask an error the commit
+		// path surfaces. Degraded callers fall through to requestCommit,
+		// whose batch handler reports ErrDegraded.
 		if fs.failIfDegraded() == nil {
 			fs.nvAbsorbed.Add(1)
-			fs.commit.kick(want)
 			return nil
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //
 // With Options.NVSyncAbsorb the NVRAM is promoted from a safety net to
 // the commit point itself: Sync returns as soon as the epoch's records
-// are in NVRAM and the disk catches up asynchronously. See nvLog and
+// are in NVRAM and the disk catches up at the next flush. See nvLog and
 // (*FS).Sync for the durability accounting.
 type NVRAM struct {
 	mu       sync.Mutex
@@ -128,18 +128,16 @@ func (nv *NVRAM) Restore(buf []byte) error {
 // the log instead — the flush makes the operation (and everything the
 // NVRAM already holds) recoverable by roll-forward, so the record is no
 // longer needed. The capacity is a hard wall: the buffer never exceeds
-// it, so a Bytes image always restores into a same-sized board. high
-// reports the soft high-water mark (half full — the caller should
-// schedule an asynchronous flush so the hard wall is rarely hit).
-func (nv *NVRAM) append(r *nvRecord) (fit, high bool) {
+// it, so a Bytes image always restores into a same-sized board.
+func (nv *NVRAM) append(r *nvRecord) (fit bool) {
 	nv.mu.Lock()
 	defer nv.mu.Unlock()
 	if int64(len(nv.buf))+r.wireLen() > nv.capacity {
-		return false, false
+		return false
 	}
 	nv.buf = appendNVRecord(nv.buf, r)
 	nv.count++
-	return true, int64(len(nv.buf))*2 >= nv.capacity
+	return true
 }
 
 // clear discards all records (their effects are durable in the log now).
@@ -163,19 +161,17 @@ func (nv *NVRAM) snapshot() ([]nvRecord, error) {
 // completing now has epoch sequence stageSeq+1.
 //
 // In NVSyncAbsorb mode the NVRAM record is the commit point: nvSeq is
-// advanced to cover this operation, the group committer is kicked (non-
-// blocking) at the soft high-water mark, and a record that no longer
-// fits forces the flush inline — that inline flush is the backpressure
-// the mode promises. Without absorb the behavior is the historical one:
-// the record is a safety net and a record that does not fit still
-// flushes inline.
+// advanced to cover this operation, and a record that no longer fits
+// forces the flush inline — that inline flush is the backpressure the
+// mode promises, and nothing flushes behind the caller's back. Without
+// absorb the record is a safety net, and a record that does not fit
+// still flushes inline.
 func (fs *FS) nvLog(r *nvRecord) error {
 	nv := fs.opts.NVRAM
 	if nv == nil {
 		return nil
 	}
-	fit, high := nv.append(r)
-	if !fit {
+	if !nv.append(r) {
 		// Hard backpressure: the record was not stored. The inline
 		// flush persists this operation's staged effects (and every
 		// earlier one) to the log and empties the NVRAM via nvClear, so
@@ -207,12 +203,6 @@ func (fs *FS) nvLog(r *nvRecord) error {
 		// flush covers it.
 		if fs.nvSeq.Load() >= seq-1 || fs.flushedSeq.Load() >= seq-1 {
 			fs.nvSeq.Store(seq)
-		}
-		if high {
-			// Let the disk catch up in the background. A no-op when the
-			// committer is not running (NoGroupCommit, or Unmount already
-			// stopped it): those modes flush at the full-NVRAM point above.
-			fs.commit.kick(seq)
 		}
 	}
 	return nil

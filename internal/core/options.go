@@ -88,12 +88,6 @@ type Options struct {
 	// it out. Individual budgets are clamped to half the gate so two
 	// maximal writers can always interleave.
 	AdmitBudgetBlocks int
-	// NoGroupCommit disables the group-commit goroutine: every Sync
-	// flushes inline under fs.mu, one flush per caller, as in the
-	// serialized write path. Off by default — group commit lets N
-	// concurrent syncers share one log append; with a single writer the
-	// two paths produce identical disk traffic.
-	NoGroupCommit bool
 	// CheckpointEveryBytes forces a checkpoint after this much new data
 	// has been logged (0 disables; Section 4.1 discusses this policy as
 	// the alternative to fixed intervals). Unmount always checkpoints.
@@ -116,10 +110,10 @@ type Options struct {
 	NVRAM *NVRAM
 	// NVSyncAbsorb makes the NVRAM redo record the durability point:
 	// Sync returns as soon as the caller's epoch is recorded in NVRAM
-	// and the log is flushed to disk asynchronously by the group
-	// committer (or, with NoGroupCommit, lazily at the next natural
-	// flush). Backpressure engages only when the NVRAM fills — that
-	// flush runs inline, as Section 2.1's bounded write buffer demands.
+	// and starts no flush. The disk catches up at the next flush that
+	// the write buffer or the NVRAM filling, a checkpoint or Unmount
+	// triggers. The full-NVRAM flush is the backpressure: it runs inline
+	// and empties the NVRAM, as Section 2.1's bounded buffer demands.
 	// Requires NVRAM; ignored (cleared by withDefaults) without one.
 	// After a crash, mount with the same NVRAM to replay the absorbed
 	// epochs; mounting without it falls back to fail-stop recovery of

@@ -36,7 +36,6 @@ func TestOptionsTable(t *testing.T) {
 		{field: "CleanReadLiveOnly", zero: false, in: true},
 		{field: "WriteBufferBlocks", zero: 128, in: 32, out: -1, lands: 128},
 		{field: "AdmitBudgetBlocks", zero: 256, in: 64, out: -1, lands: 256},
-		{field: "NoGroupCommit", zero: false, in: true},
 		{field: "CheckpointEveryBytes", zero: int64(0), in: int64(1 << 20), out: int64(-1), lands: int64(0)},
 		{field: "ReadCacheBlocks", zero: 0, in: 64, out: -5, lands: 0},
 		{field: "Clock", zero: (func() uint64)(nil), in: clock},
@@ -83,8 +82,8 @@ func TestOptionsTable(t *testing.T) {
 			t.Errorf("Options.%s has no row", typ.Field(i).Name)
 		}
 	}
-	if typ.NumField() != 19 {
-		t.Errorf("Options has %d fields, want 19: a new option needs a row and a reason", typ.NumField())
+	if typ.NumField() != 18 {
+		t.Errorf("Options has %d fields, want 18: a new option needs a row and a reason", typ.NumField())
 	}
 }
 

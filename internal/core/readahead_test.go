@@ -119,7 +119,6 @@ func streamFS(t *testing.T, n, segBlocks int) (*FS, *disk.Disk, []string) {
 	t.Helper()
 	opts := testOptions()
 	opts.SegmentBlocks = segBlocks
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, int64(64*segBlocks), opts)
 	if err := fs.Mkdir("/d"); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ type logImage struct {
 // they are acknowledged, and only the NVRAM holds them.
 func buildLogImage(tb testing.TB, opts Options, nblocks int64, pendingNV bool, script func(fs *FS, write func(path string))) *logImage {
 	tb.Helper()
-	opts.NoGroupCommit = true
 	img := &logImage{opts: opts, files: map[string][]byte{}}
 	var nv *NVRAM
 	if pendingNV {
@@ -342,7 +341,6 @@ func TestMountReadsNoBlockTwice(t *testing.T) {
 // whose own blocks are intact readable.
 func TestRollForwardPreviousInodeBlockUnreadable(t *testing.T) {
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, 4096, opts)
 	want := map[string][]byte{}
 	write := func(path string) {
@@ -856,7 +854,7 @@ func (c *recoveryCost) add(o recoveryCost) {
 	c.dev.BusyTime += o.dev.BusyTime
 }
 
-var ledgerOptions = Options{SegmentBlocks: 128, MaxInodes: 1 << 14, NoGroupCommit: true}
+var ledgerOptions = Options{SegmentBlocks: 128, MaxInodes: 1 << 14}
 
 // BenchmarkMountRollForward is the mount row of the per-layer cost ledger:
 // one Mount of an image with N post-checkpoint partial writes that all

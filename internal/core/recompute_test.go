@@ -64,7 +64,6 @@ func mustMatchWalk(t *testing.T, fs *FS) {
 func TestRecomputedUsageCheckpointAtEveryOffset(t *testing.T) {
 	opts := testOptions()
 	opts.SegmentBlocks = 16
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, 4096, opts)
 	rng := rand.New(rand.NewSource(1))
 	var mid, full int
@@ -134,7 +133,6 @@ func TestRecomputedUsageCheckpointAtEveryOffset(t *testing.T) {
 func TestRecomputedUsageCountsRepairWrites(t *testing.T) {
 	const ndirs = 40
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	opts.WriteBufferBlocks = 256
 	fs, d := newTestFS(t, 4096, opts)
 	for i := 0; i < ndirs; i++ {

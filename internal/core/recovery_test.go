@@ -566,7 +566,6 @@ func TestRecoveryPreservesInumAllocation(t *testing.T) {
 func TestCheckpointUsageBlocksStraddle(t *testing.T) {
 	opts := testOptions()
 	opts.SegmentBlocks = 16
-	opts.NoGroupCommit = true
 	nsegs := int64(layout.SegUsagePerBlock + 8)
 	fs, d := newTestFS(t, nsegs*int64(opts.SegmentBlocks)+64, opts)
 	if fs.usage.numBlocks() != 2 {

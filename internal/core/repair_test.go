@@ -87,7 +87,6 @@ func TestRepairPassJoin(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := testOptions()
-			opts.NoGroupCommit = true
 			fs, _ := newTestFS(t, 4096, opts)
 			if err := fs.Mkdir("/d"); err != nil {
 				t.Fatal(err)
@@ -200,7 +199,6 @@ func TestRepairPassJoin(t *testing.T) {
 // checkpoint's inode map — which a mount without roll-forward computes.
 func TestRollForwardLeavesFirstRefsAlone(t *testing.T) {
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, 4096, opts)
 	for _, dir := range []string{"/a", "/b"} {
 		if err := fs.Mkdir(dir); err != nil {

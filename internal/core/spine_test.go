@@ -213,7 +213,7 @@ func TestWriteFileNoSpaceAfterCreateDoesNotDegrade(t *testing.T) {
 // with or without an NVRAM (whose append copies into its own buffer,
 // amortised below one allocation per record). With NVSyncAbsorb the op
 // is WriteAt + Sync, and the absorbed Sync, which returns at the NVRAM
-// record and only kicks the committer, allocates nothing either.
+// record without starting a flush, allocates nothing either.
 func TestAllocsWriteAt(t *testing.T) {
 	for _, nvram := range []string{"false", "true", "absorbed"} {
 		t.Run("nvram="+nvram, func(t *testing.T) {

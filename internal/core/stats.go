@@ -65,12 +65,10 @@ type Stats struct {
 
 	// NVAbsorbedSyncs counts Sync calls satisfied by the NVRAM commit
 	// point alone (Options.NVSyncAbsorb): the caller returned without
-	// waiting for any disk write. NVAsyncKicks counts the non-blocking
-	// committer wakeups the absorb path issued so the disk catches up;
+	// waiting for any disk write, and no flush was started for it.
 	// NVBackpressureFlushes counts the inline flushes forced by a full
 	// NVRAM — the mode's only synchronous disk wait.
 	NVAbsorbedSyncs       int64
-	NVAsyncKicks          int64
 	NVBackpressureFlushes int64
 
 	// ReadAheadBlocks counts blocks a read fetched past what it was asked

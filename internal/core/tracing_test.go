@@ -267,7 +267,6 @@ func TestOpLatencyHistograms(t *testing.T) {
 func crashedImage(t *testing.T) *disk.Snapshot {
 	t.Helper()
 	opts := testOptions()
-	opts.NoGroupCommit = true
 	fs, d := newTestFS(t, 8192, opts)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 40; i++ {

@@ -92,10 +92,8 @@ type Workload struct {
 	hist *history
 
 	// nvAbsorb marks a workload recorded by RecordNV: replays run with
-	// NVSyncAbsorb and a fresh NVRAM per run; nvNoGC selects the
-	// serialized (NoGroupCommit) variant of the mode.
+	// NVSyncAbsorb and a fresh NVRAM per run.
 	nvAbsorb bool
-	nvNoGC   bool
 }
 
 // Record formats a starting image, replays the script once against a
@@ -109,21 +107,20 @@ func Record(s core.Script, cfg Config) (*Workload, error) {
 }
 
 // RecordNV records the workload in NVSyncAbsorb mode: every mutating
-// operation appends an NVRAM redo record before its epoch closes, Sync
-// is absorbed by the NVRAM, and (unless noGroupCommit) the committer
-// goroutine flushes the disk asynchronously. The recording's per-op
-// block counts are only used to enumerate crash points — with the async
-// committer the replayed write sequence is not block-identical to the
-// recording, so the NVRAM arms of RunPoint take their durable floors from
-// the replay itself.
-func RecordNV(s core.Script, cfg Config, noGroupCommit bool) (*Workload, error) {
+// operation appends an NVRAM redo record before its epoch closes, and
+// Sync is absorbed by the NVRAM without starting a flush. Nothing flushes
+// behind the workload's back, so a replay writes the recording's blocks
+// in the recording's order, and RunPoint's NVRAM arms assert the same
+// crash op as ArmInline. Their durable floors still come from the replay
+// (the last op completed, the last op the disk epoch covered), which
+// the recording's per-op block counts do not record.
+func RecordNV(s core.Script, cfg Config) (*Workload, error) {
 	cfg = cfg.withDefaults()
-	w, err := record(s, cfg, nvOptions(cfg, noGroupCommit))
+	w, err := record(s, cfg, nvOptions(cfg))
 	if err != nil {
 		return nil, err
 	}
 	w.nvAbsorb = true
-	w.nvNoGC = noGroupCommit
 	return w, nil
 }
 
@@ -257,15 +254,15 @@ func (w *Workload) floorIndex(k int64) int {
 // Arm selects how RunPoint replays the workload up to the power cut and
 // how it recovers afterwards. The arms differ only in the replay's
 // options, in which operation index the replay recorded is the oracle's
-// durable floor, and in whether the recovery mount gets the NVRAM.
+// durable floor, and in whether the recovery mount gets the NVRAM. Every
+// arm replays under the options it was recorded with, so the write
+// sequence is block-for-block the recording's: a replay at k < Total()
+// must crash, and in the op the recording predicts.
 type Arm int
 
 const (
-	// ArmInline replays under the recording's own options, so the write
-	// sequence is block-for-block the recording's: the op the cut lands
-	// in and the last Sync/Checkpoint that returned (the floor) must both
-	// match what the recording predicts, and a replay that never crashes
-	// is an error. These are the harness's two determinism assertions.
+	// ArmInline replays a Record workload. Its floor, the last
+	// Sync/Checkpoint that returned, must match the recording too.
 	ArmInline Arm = iota
 	// ArmNVSurvives replays a RecordNV workload with NVSyncAbsorb and
 	// mounts the crashed image with the same NVRAM, which replays the
@@ -290,18 +287,19 @@ func (a Arm) String() string {
 func (a Arm) nv() bool { return a == ArmNVSurvives || a == ArmNVLost }
 
 // nvOptions returns cfg's options in NVSyncAbsorb mode over a fresh NVRAM.
-func nvOptions(cfg Config, noGroupCommit bool) core.Options {
+func nvOptions(cfg Config) core.Options {
 	opts := *cfg.Opts
 	opts.NVSyncAbsorb = true
 	opts.NVRAM = core.NewNVRAM(cfg.NVBytes)
-	opts.NoGroupCommit = noGroupCommit
 	return opts
 }
 
-// cut is what one replay observed, as operation indices (-1: none). In
-// every arm but ArmInline the replayed write sequence differs from the
-// recording's (a goroutine, retries or relocation writes move it), so the
-// oracle's window is taken from these, never from the recording.
+// cut is what one replay observed, as operation indices (-1: none). A
+// crash-point replay, in every arm, writes the recording's blocks in the
+// recording's order, and RunPoint checks crashed against the recording.
+// The NVRAM arms' floors (completed, onDisk) and the write-fault sweeps'
+// whole window, whose retries and relocation writes move the sequence,
+// are taken from these.
 type cut struct {
 	crashed   int // op the cut landed in; the last op when it landed after them all (in the unmount, or nowhere)
 	completed int // last op that returned success
@@ -362,9 +360,8 @@ func (w *Workload) recover(d *disk.Disk, opts core.Options, floor, crashed int) 
 // RunPoint replays the workload against a fresh clone of the starting
 // image with power cut after k persisted blocks, then mounts the crashed
 // image via roll-forward and verifies it: structural consistency plus
-// the durability oracle. It returns nil when recovery is correct. A
-// replay that never crashes (it wrote fewer blocks than the recording by
-// point k) degenerates to an exact check of the final state.
+// the durability oracle. It returns nil when recovery is correct, and an
+// error when the replay does not crash where the recording says it must.
 func (w *Workload) RunPoint(k int64, arm Arm) error {
 	if arm.nv() != w.nvAbsorb {
 		return fmt.Errorf("crashtest: %s arm on a workload recorded for the other durability model (Record for inline, RecordNV for the nvram arms)", arm)
@@ -374,22 +371,25 @@ func (w *Workload) RunPoint(k int64, arm Arm) error {
 	}
 	opts := *w.cfg.Opts
 	if arm.nv() {
-		opts = nvOptions(w.cfg, w.nvNoGC)
+		opts = nvOptions(w.cfg)
 	}
 	d := disk.FromSnapshot(w.snap)
 	c, err := w.replay(d, opts, k)
 	if err != nil {
 		return fmt.Errorf("crashtest: %s k=%d: %w", arm, k, err)
 	}
+	if c.completed == len(w.Ops)-1 {
+		return fmt.Errorf("crashtest: %s k=%d < total=%d but the replay never crashed (nondeterministic replay?)", arm, k, w.Total())
+	}
+	if want := w.crashIndex(k); c.crashed != want {
+		return fmt.Errorf("crashtest: %s k=%d: crashed during op %d, recording says op %d (nondeterministic replay)",
+			arm, k, c.crashed, want)
+	}
 	floor := c.synced
 	switch arm {
 	case ArmInline:
-		if c.completed == len(w.Ops)-1 {
-			return fmt.Errorf("crashtest: k=%d < total=%d but the replay never crashed (nondeterministic replay?)", k, w.Total())
-		}
-		if wantC, wantF := w.crashIndex(k), w.floorIndex(k); c.crashed != wantC || floor != wantF {
-			return fmt.Errorf("crashtest: k=%d: crashed during op %d with floor op %d, recording says op %d and %d (nondeterministic replay)",
-				k, c.crashed, floor, wantC, wantF)
+		if want := w.floorIndex(k); floor != want {
+			return fmt.Errorf("crashtest: k=%d: floor op %d, recording says op %d (nondeterministic replay)", k, floor, want)
 		}
 	case ArmNVSurvives:
 		floor = c.completed
@@ -406,22 +406,19 @@ func (w *Workload) RunPoint(k int64, arm Arm) error {
 
 // SweepNV records the script in NVSyncAbsorb mode and explores every
 // enumerated crash point through both recovery arms (NVRAM survives /
-// NVRAM lost) for both group-commit modes. It returns how many crash
-// runs were executed and the first failure, wrapped with the seed and
-// arm for reproduction.
+// NVRAM lost). It returns how many crash runs were executed and the first
+// failure, wrapped with the seed and arm for reproduction.
 func SweepNV(s core.Script, cfg Config) (int, error) {
+	w, err := RecordNV(s, cfg)
+	if err != nil {
+		return 0, fmt.Errorf("seed %d: %w", s.Seed, err)
+	}
 	runs := 0
-	for _, noGC := range []bool{false, true} {
-		w, err := RecordNV(s, cfg, noGC)
-		if err != nil {
-			return runs, fmt.Errorf("seed %d (nogc=%v): %w", s.Seed, noGC, err)
-		}
-		for _, k := range w.Points() {
-			for _, arm := range []Arm{ArmNVSurvives, ArmNVLost} {
-				runs++
-				if err := w.RunPoint(k, arm); err != nil {
-					return runs, fmt.Errorf("seed %d (nogc=%v): %w", s.Seed, noGC, err)
-				}
+	for _, k := range w.Points() {
+		for _, arm := range []Arm{ArmNVSurvives, ArmNVLost} {
+			runs++
+			if err := w.RunPoint(k, arm); err != nil {
+				return runs, fmt.Errorf("seed %d: %w", s.Seed, err)
 			}
 		}
 	}

@@ -130,7 +130,7 @@ func TestRunPointRefusesOtherModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := RecordNV(s, Config{}, true)
+	nv, err := RecordNV(s, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,10 @@ var ErrNoNVPending = errors.New("crashtest: crash point leaves no NVRAM records 
 func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (res *FaultSweepResult, err error) {
 	defer seedErr("nvfaultsweep", s, &err)
 	cfg = cfg.withDefaults()
-	// Serialized commit mode: no async committer racing the crash point,
-	// so the disk-write count at which each op completes — and therefore
-	// the NVRAM contents at the cut — are deterministic.
-	w, err := RecordNV(s, cfg, true)
+	// Nothing flushes behind the workload's back, so the disk-write count
+	// at which each op completes — and therefore the NVRAM contents at the
+	// cut — are deterministic.
+	w, err := RecordNV(s, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func FaultSweepNVReplay(s core.Script, cfg Config, k int64) (res *FaultSweepResu
 
 	// Crash the workload at k with the NVRAM attached: ArmNVSurvives'
 	// replay, keeping the crashed image and the NVRAM's contents.
-	opts := nvOptions(cfg, true)
+	opts := nvOptions(cfg)
 	d := disk.FromSnapshot(w.snap)
 	c, err := w.replay(d, opts, k)
 	if err != nil {

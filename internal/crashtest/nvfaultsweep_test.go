@@ -111,7 +111,6 @@ func TestNVBoundaryReadFaultNoSilentLoss(t *testing.T) {
 		CleanLowWater:  4,
 		CleanHighWater: 8,
 		CleanBatch:     4,
-		NoGroupCommit:  true, // deterministic inline flushes
 		NVSyncAbsorb:   true,
 	}
 	const nvBytes = 4096

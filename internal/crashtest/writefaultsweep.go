@@ -177,13 +177,13 @@ func FaultSweepWrites(s core.Script, cfg Config) (res *WriteFaultSweepResult, er
 		}
 	}
 
-	// NVRAM-absorbed arm: with NVSyncAbsorb the log flush is the
-	// committer's business and its write addresses differ from the plain
-	// trace, so this mode gets its own trace, baseline, and (sampled)
+	// NVRAM-absorbed arm: with NVSyncAbsorb an absorbed Sync does not
+	// flush, so the log's write addresses differ from the plain trace,
+	// and this mode gets its own trace, baseline, and (sampled)
 	// faulted replays. Every op must still succeed — an absorbed Sync's
 	// durability promise cannot be broken by a media fault the flush
 	// machinery relocated around.
-	nvSites, wantNV, err := trace(nvOptions(cfg, true))
+	nvSites, wantNV, err := trace(nvOptions(cfg))
 	if err != nil {
 		return res, fmt.Errorf("nv trace run: %w", err)
 	}
@@ -194,7 +194,7 @@ func FaultSweepWrites(s core.Script, cfg Config) (res *WriteFaultSweepResult, er
 			if err != nil {
 				return err
 			}
-			_, _, err = absorbed(fd, nvOptions(cfg, true), w.Ops, wantNV)
+			_, _, err = absorbed(fd, nvOptions(cfg), w.Ops, wantNV)
 			return err
 		})
 		if err != nil {

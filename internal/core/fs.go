@@ -256,7 +256,7 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		dirtyInodes:  make(map[uint32]bool),
 		dirCache:     make(map[uint32][]layout.DirEntry),
 		inoBlockRefs: make(map[int64]int),
-		wvec:         make([][]byte, 0, layout.MaxSummaryEntries),
+		wvec:         make([][]byte, 0, 1+layout.MaxSummaryEntries),
 		segs:         newSegAlloc(nsegs),
 		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
 		rc:           newReadCache(opts.ReadCacheBlocks),

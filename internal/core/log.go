@@ -123,8 +123,8 @@ func (fs *FS) flushPending() error {
 
 // writeBatch runs the two-phase partial-segment write of one batch at the
 // current log head: Phase 1 assigns addresses and updates every pointer
-// and accounting entry, Phase 2 encodes contents and issues the device
-// writes (data before the summary that describes it). A media write error
+// and accounting entry, Phase 2 encodes contents and issues one device
+// write, the summary leading the blocks it describes. A media write error
 // return leaves the batch placed at the refused addresses; the caller
 // relocates the head and calls writeBatch again, which re-places and
 // re-encodes everything against the new segment.
@@ -164,7 +164,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// returns. On every error return below the staged data stays with the
 	// batch, which degrades (see flushLog) or is replayed (media errors).
 	entries := make([]layout.SummaryEntry, n)
-	vec := fs.wvec[:0]
+	vec := append(fs.wvec[:0], nil) // slot 0: the summary, encoded last
 	var dataSum uint32
 	var youngest uint64
 	for i := range batch {
@@ -209,17 +209,23 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	if err != nil {
 		return err
 	}
-	// The data blocks are written before the summary that describes
-	// them: a summary on disk therefore implies its data is complete,
-	// so roll-forward never needs to read (or checksum) file data —
-	// recovery cost stays proportional to the number of files, not
-	// the volume of data (Table 3). A crash between the two writes
-	// leaves an unreachable, harmless tail — as does a media write
-	// error: a failed data write leaves no summary behind, and a failed
-	// summary write leaves data no summary describes, so the refused
-	// partial write is invisible to roll-forward either way.
-	if err = fs.writeRetry(sumAddr+1, vec...); err == nil {
-		err = fs.writeRetry(sumAddr, sumBlock)
+	// The summary and its blocks go to the device as one sequential
+	// request (Figure 1). The writer issues each partial write only after
+	// the one before it has returned, so a valid summary implies complete
+	// data for every write but the thread's final one, the one write a
+	// crash can tear; roll-forward verifies that one (readTail). A media
+	// write error past the summary leaves it on disk describing blocks
+	// that never landed: it is voided, so the refused write stays as
+	// invisible to every walk as one that never reached the device.
+	vec[0] = sumBlock
+	err = fs.writeRetry(sumAddr, vec...)
+	if err != nil {
+		var werr *disk.MediaWriteError // here, not above: errors.As makes it escape
+		if errors.As(err, &werr) && werr.Addr > sumAddr {
+			if verr := fs.dev.Write(sumAddr, make([]byte, layout.BlockSize)); verr != nil && !errors.Is(verr, disk.ErrMediaWrite) {
+				err = verr
+			}
+		}
 	}
 	clear(vec) // keep the list for the next batch, not the blocks it views
 	fs.wvec = vec[:0]

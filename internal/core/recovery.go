@@ -307,25 +307,37 @@ func (t *logTail) add(pos layout.LogPos, entries []layout.SummaryEntry) *tailWri
 // partial write (checksummed summary, matching write sequence). It returns
 // where the thread ended and, if that was a summary it could not read, why.
 //
-// The log writer persists a partial write's data before its summary, so a
-// valid summary implies complete data: only the inode and directory-log
-// blocks need to be read. This is what keeps recovery time proportional to
-// the number of files recovered rather than the volume of data (Table 3).
-// Adjacent ones come off the disk in one request, together with the next
-// summary when it follows them; the gaps between runs are data and are
-// never read through. A block that cannot be had does not end the walk.
+// A partial write is one device request, its summary first, and the writer
+// issues the next only after it has returned: a valid summary followed by
+// another implies complete data. Only the inode and directory-log blocks
+// need to be read, which keeps recovery time proportional to the number of
+// files recovered rather than the volume of data (Table 3). Adjacent ones
+// come off the disk in one request, together with the next summary when it
+// follows them; the gaps between runs are data and are never read through.
+// A block that cannot be had does not end the walk.
+//
+// The thread's final write is the one a crash can tear, and the device
+// persists a prefix of a request it does not finish: it is complete when
+// its last block is. That block and those the walk read are checked
+// against their entries (one extra read at most, when the last block is of
+// another kind); a torn write is dropped and the log resumes at its
+// summary. A last block that cannot be had leaves the write undecided: the
+// apply loop stops in front of it, as at any unreadable block of the tail.
 func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error) {
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
 	run := logRun{fs: fs}
 	pos := layout.LogPos{Seg: cp.HeadSeg, Off: int64(cp.HeadOffset), NextSeg: cp.NextSeg, WriteSeq: cp.WriteSeq}
 	w := layout.WalkThread(run.source(s), fs.segBase, fs.segBlocks, pos, math.MaxUint64, s)
+	torn := false // a block of the current write does not match its entry
 	for w.Next() {
 		first := w.DataAddr()
 		tw := t.add(w.Pos(), s.Entries)
 		tw.flags, tw.timestamp = s.Flags, s.Timestamp
+		torn = false
 		run.readWanted(first, s.Entries, w.Ahead, rollForwardReads, func(i int, block []byte, err error) {
 			m := tailMeta{addr: first + int64(i), err: err}
+			torn = torn || err == nil && layout.Checksum(block) != s.Entries[i].Sum
 			if err == nil && s.Entries[i].Kind == layout.KindInode {
 				m.inodes, m.err = layout.DecodeInodeBlock(block)
 			} else if err == nil {
@@ -336,6 +348,24 @@ func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error)
 		})
 	}
 	_, err := fs.walkEnded(w.End())
+	if len(t.writes) == 0 {
+		return w.Pos(), err
+	}
+	last := &t.writes[len(t.writes)-1]
+	if e := last.entries[len(last.entries)-1]; !torn && !rollForwardReads(e.Kind) {
+		addr := fs.segStart(last.pos.Seg) + last.pos.Off + int64(len(last.entries))
+		if rerr := fs.readRetry(addr, s.Blk[:]); rerr != nil {
+			t.metas = slices.Insert(t.metas, len(t.metas)-last.nmeta, tailMeta{addr: addr, err: rerr})
+			last.nmeta++
+		} else {
+			torn = layout.Checksum(s.Blk[:]) != e.Sum
+		}
+	}
+	if torn {
+		t.metas = t.metas[:len(t.metas)-last.nmeta]
+		t.writes = t.writes[:len(t.writes)-1]
+		return last.pos, err
+	}
 	return w.Pos(), err
 }
 

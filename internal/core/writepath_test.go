@@ -292,19 +292,21 @@ func TestBlockPoolBalanced(t *testing.T) {
 }
 
 // TestFlushDrawsNoRunBuffer flushes a 100-block file through several
-// partial writes and requires that the run pool served none of it: the log
-// writer hands the staged buffers to the device as they are.
+// partial writes and requires that each was one device request and that the
+// run pool served none of it: the log writer hands the summary and the
+// staged buffers to the device as they are, in one gather request.
 func TestFlushDrawsNoRunBuffer(t *testing.T) {
 	fs, d := newTestFS(t, 8192, testOptions())
-	gets, writes := fs.rpool.Stats().Gets, d.Stats().WriteOps
+	gets, writes, partials := fs.rpool.Stats().Gets, d.Stats().WriteOps, fs.Stats().PartialWrites
 	if err := fs.WriteFile("/f", nonZero(1, 100*layout.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Stats().WriteOps - writes; n < 8 {
-		t.Fatalf("the flush issued %d device writes, want several partial writes", n)
+	n, p := d.Stats().WriteOps-writes, fs.Stats().PartialWrites-partials
+	if p < 4 || n != p {
+		t.Fatalf("the flush issued %d device writes for %d partial writes, want one each (≥ 4)", n, p)
 	}
 	if n := fs.rpool.Stats().Gets - gets; n != 0 {
 		t.Fatalf("the flush drew %d run buffers, want 0", n)

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/disk"
@@ -339,11 +340,22 @@ func (fs *FS) syncLocked() error {
 			}
 		}
 	}
-	for inum := range fs.dirtyInodes {
+	for _, inum := range fs.dirtyInums() {
 		if err := fs.writeInodeSync(inum); err != nil {
 			return err
 		}
 	}
 	fs.dirtyInodes = make(map[uint32]bool)
 	return nil
+}
+
+// dirtyInums lists the dirty inodes in ascending order, so write-back
+// issues its requests, and pays its seeks, the same way on every run.
+func (fs *FS) dirtyInums() []uint32 {
+	inums := make([]uint32, 0, len(fs.dirtyInodes))
+	for inum := range fs.dirtyInodes {
+		inums = append(inums, inum)
+	}
+	slices.Sort(inums)
+	return inums
 }

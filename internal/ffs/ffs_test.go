@@ -352,3 +352,31 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 	}
 	mustFsck(t, fs)
 }
+
+// TestSyncIsDeterministic runs one script twice and requires identical
+// device statistics: write-back visits dirty inodes in inum order, so the
+// baseline's seeks, and with them its simulated time, repeat from run to run.
+func TestSyncIsDeterministic(t *testing.T) {
+	run := func() disk.Stats {
+		fs := newTestFS(t, 8192)
+		for d := range 4 {
+			dir := fmt.Sprintf("/d%d", d)
+			if err := fs.Mkdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			for f := range 16 {
+				data := bytes.Repeat([]byte{byte(d*16 + f)}, (f%3+1)*fs.opts.BlockSize)
+				if err := fs.WriteFile(fmt.Sprintf("%s/f%d", dir, f), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return fs.dev.Stats()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("two runs of one script: %+v, then %+v", a, b)
+	}
+}

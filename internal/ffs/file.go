@@ -198,7 +198,7 @@ func (fs *FS) flushData() error {
 // for the simulation is that the right number of metadata blocks occupy
 // disk space and get written.
 func (fs *FS) syncIndirect() error {
-	for inum := range fs.dirtyInodes {
+	for _, inum := range fs.dirtyInums() {
 		ino, ok := fs.inodes[inum]
 		if !ok {
 			continue

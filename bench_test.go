@@ -188,6 +188,7 @@ func BenchmarkAblationCleanRead(b *testing.B) {
 	t := runExp(b, "ablation-cleanread")
 	b.ReportMetric(cell(b, t, 0, 1), "fullread-MB")
 	b.ReportMetric(cell(b, t, 1, 1), "liveonly-MB")
+	b.ReportMetric(cell(b, t, 2, 1), "planned-MB")
 }
 
 // BenchmarkAblationThresholds sweeps the cleaner water marks.

@@ -8,8 +8,11 @@ import (
 )
 
 // churn applies a hot-and-cold whole-file overwrite workload to a fresh
-// LFS built with the given options and returns the resulting stats.
+// LFS built with the given options and returns the resulting stats. The
+// cleaner reads victims whole, as formula (1) assumes, so that the write
+// costs compare with the paper's.
 func churn(cfg Config, opts core.Options, trafficFactor float64) (core.Stats, *core.FS, error) {
+	opts.CleanRead = core.CleanReadWhole
 	if opts.SegmentBlocks == 0 {
 		// Preserve the paper's segment count on scaled-down disks (see
 		// RunTable2).
@@ -108,7 +111,7 @@ func RunAblationSegmentSize(cfg Config) (*Table, error) {
 		sizes = []int{16, 64, 128}
 	}
 	for _, blocks := range sizes {
-		fs, d, err := cfg.newLFSSized(cfg.diskBlocks(), core.Options{SegmentBlocks: blocks})
+		fs, d, err := cfg.newLFSSized(cfg.diskBlocks(), core.Options{SegmentBlocks: blocks, CleanRead: core.CleanReadWhole})
 		if err != nil {
 			return nil, err
 		}
@@ -238,68 +241,44 @@ func RunAblationThresholds(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// RunAblationCleanRead compares whole-segment reads with reading only the
-// summary and live blocks during cleaning (Section 3.4: "in practice it
-// may be faster to read just the live blocks, particularly if the
-// utilization is very low (we haven't tried this in Sprite LFS)").
+// RunAblationCleanRead compares the cleaner's three ways of reading a
+// victim (core.CleanReadMode) on cleaner-gap's hot-and-cold trace, whose
+// victims hold live data. Formula (1) reads the whole segment; Section 3.4
+// conjectures "it may be faster to read just the live blocks ... (we
+// haven't tried this in Sprite LFS)"; the planned read takes the live
+// blocks and reads through the gaps the disk transfers faster than it
+// skips. The three copy the same blocks in the same order, so they write
+// the same bytes.
 func RunAblationCleanRead(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
+	sc := cfg.gapScale()
+	if cfg.Quick {
+		sc = gapScale{segBlocks: 64, warm: 2000, perRound: 3000, rounds: 1}
+	}
 	t := &Table{
-		ID:      "ablation-cleanread",
-		Title:   "cleaner read strategy: whole segments vs live blocks only",
-		Columns: []string{"strategy", "cleaner MB read", "read reqs/seg", "write cost", "disk busy (s)"},
+		ID:    "ablation-cleanread",
+		Title: "cleaner read strategy on cleaner-gap's hot-and-cold trace: whole segments, live blocks only, planned reads",
+		Columns: []string{"strategy", "cleaner MB read", "read reqs/non-empty seg", "write cost", "disk busy (s)",
+			"cleaner MB written"},
 	}
-	for _, liveOnly := range []bool{false, true} {
-		opts := core.Options{CleanReadLiveOnly: liveOnly}
-		fs, d, err := cfg.newLFSOpts(withChurnGeometry(cfg, opts))
+	labels := map[core.CleanReadMode]string{
+		core.CleanReadWhole:   "whole segment (paper formula 1)",
+		core.CleanReadLive:    "live blocks only (Section 3.4)",
+		core.CleanReadPlanned: "planned (default)",
+	}
+	for _, mode := range []core.CleanReadMode{core.CleanReadWhole, core.CleanReadLive, core.CleanReadPlanned} {
+		r, err := runGapCore(sc, core.Options{CleanRead: mode}, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		defer fs.Unmount()
-		p := workload.Profile{Name: "sparse", AvgFileKB: 16, Utilization: 0.45,
-			ColdFraction: 0.8, WholeFileWrites: true}
-		capacity := usableCapacity(fs)
-		run, err := p.Populate(fs, capacity, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fs.ResetStats()
-		d.ResetStats()
-		preReads := d.Stats().ReadOps
-		if err := run.ApplyTraffic(int64(cfg.trafficFactor() * float64(capacity))); err != nil {
-			return nil, err
-		}
-		st := fs.Stats()
-		label := "whole segment (paper formula 1)"
-		if liveOnly {
-			label = "live blocks only"
-		}
-		reqsPerSeg := float64(d.Stats().ReadOps-preReads) / float64(max64(1, st.SegmentsCleaned))
-		t.AddRow(label,
-			fmt.Sprintf("%d", st.CleanerReadBytes>>20),
-			fmt.Sprintf("%.1f", reqsPerSeg),
-			fmt.Sprintf("%.2f", st.WriteCost()),
-			seconds(d.Stats().BusyTime))
+		nonEmpty := max(1, r.st.SegmentsCleaned-r.st.SegmentsCleanedEmpty)
+		t.AddRow(labels[mode],
+			fmt.Sprintf("%.1f", float64(r.st.CleanerReadBytes)/(1<<20)),
+			fmt.Sprintf("%.1f", float64(r.dev.ReadOps)/float64(nonEmpty)),
+			fmt.Sprintf("%.2f", r.st.WriteCost()),
+			seconds(r.dev.BusyTime),
+			fmt.Sprintf("%.1f", float64(r.st.CleanerWriteBytes)/(1<<20)))
 	}
-	t.AddNote("at low cleaned utilization, reading only live blocks moves far fewer bytes but issues more, smaller requests")
+	t.AddNote("planned reads read through a gap of up to disk.Geometry.ReadThroughBlocks dead blocks (3 on the Wren IV model): transferring it costs less than the seek and half revolution of a second request")
 	return t, nil
-}
-
-// withChurnGeometry applies the scaled segment geometry used by the churn
-// experiments.
-func withChurnGeometry(cfg Config, opts core.Options) core.Options {
-	if opts.SegmentBlocks == 0 {
-		opts.SegmentBlocks = 32
-		if cfg.Quick {
-			opts.SegmentBlocks = 16
-		}
-	}
-	return opts
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

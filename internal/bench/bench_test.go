@@ -38,7 +38,41 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(out, tbl.ID) {
 				t.Fatalf("%s: rendering lacks id", e.Name)
 			}
+			if shape := quickShapes[e.Name]; shape != nil {
+				shape(t, tbl)
+			}
 		})
+	}
+}
+
+// quickShapes are checks of an experiment's quick table that the smoke
+// test runs on the table it already has, where a run of their own would
+// double the experiment's share of this package's time.
+var quickShapes = map[string]func(*testing.T, *Table){
+	"ablation-cleanread": cleanReadShape,
+}
+
+// cleanReadShape: the three cleaner reads copy the same bytes; reading the
+// live blocks alone reads the fewest bytes and the whole segment the most;
+// and the planned read keeps the disk busy for less time than either.
+func cleanReadShape(t *testing.T, tbl *Table) {
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("%d rows, want whole / live / planned", len(tbl.Rows))
+	}
+	whole, live, planned := tbl.Rows[0], tbl.Rows[1], tbl.Rows[2]
+	if mb := atof(t, whole[1]); mb == 0 {
+		t.Fatal("the cleaner read nothing: its victims were empty")
+	}
+	if !(atof(t, live[1]) <= atof(t, planned[1]) && atof(t, planned[1]) <= atof(t, whole[1])) {
+		t.Errorf("cleaner MB read %s (live) / %s (planned) / %s (whole), want live <= planned <= whole",
+			live[1], planned[1], whole[1])
+	}
+	if busy := atof(t, planned[4]); busy >= atof(t, whole[4]) || busy >= atof(t, live[4]) {
+		t.Errorf("planned reads kept the disk busy %ss, whole %ss, live %ss: want the least",
+			planned[4], whole[4], live[4])
+	}
+	if whole[5] != live[5] || whole[5] != planned[5] {
+		t.Errorf("cleaner MB written %s / %s / %s differ", whole[5], live[5], planned[5])
 	}
 }
 

@@ -60,8 +60,9 @@ type gapCore struct {
 	nsegs, files       int
 	nominal, effective float64 // utilisation: data ÷ segment area; live bytes of every kind ÷ effSegs segments
 	effSegs            int     // segments writers may fill before cleaning starts: all but CleanLowWater
-	passes, cps        int64
-	cleanOps           int // ops that ran a pass or a checkpoint, in the worst round
+	st                 core.Stats
+	dev                disk.Stats // the device's activity over the measured rounds
+	cleanOps           int        // ops that ran a pass or a checkpoint, in the worst round
 }
 
 // hotColdTrace is the overwrite sequence both sides replay.
@@ -88,14 +89,13 @@ func (r *replay) Pick(*rand.Rand, int) int {
 
 func (*replay) Name() string { return "replayed trace" }
 
-// runGapCore fills a fresh file system, replays the trace and measures the
+// runGapCore fills a fresh file system built with opts (the segment size
+// and inode count are the scale's), replays the trace and measures the
 // rounds after the warm-up.
-func runGapCore(sc gapScale, m gapMarks, policy core.CleaningPolicy, seed int64) (*gapCore, error) {
+func runGapCore(sc gapScale, opts core.Options, seed int64) (*gapCore, error) {
 	d := disk.MustNew(disk.DefaultGeometry(int64(256 * sc.segBlocks)))
-	fs, err := core.Format(d, core.Options{
-		SegmentBlocks: sc.segBlocks, MaxInodes: 1024 * sc.segBlocks, Policy: policy,
-		CleanLowWater: m.low, CleanHighWater: m.high, CleanBatch: m.batch,
-	})
+	opts.SegmentBlocks, opts.MaxInodes = sc.segBlocks, 1024*sc.segBlocks
+	fs, err := core.Format(d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,6 +133,7 @@ func runGapCore(sc gapScale, m gapMarks, policy core.CleaningPolicy, seed int64)
 		return nil, err
 	}
 	fs.ResetStats()
+	devBefore := d.Stats()
 	var samples float64
 	for round := 0; round < sc.rounds; round++ {
 		start := sc.warm + round*sc.perRound
@@ -172,7 +173,8 @@ func runGapCore(sc gapScale, m gapMarks, policy core.CleaningPolicy, seed int64)
 		r.hist[i] /= samples
 	}
 	st := fs.Stats()
-	r.writeCost, r.passes, r.cps = st.WriteCost(), st.CleaningPasses, st.Checkpoints
+	r.st, r.dev = st, d.Stats().Sub(devBefore)
+	r.writeCost = st.WriteCost()
 	if st.SegmentsCleaned > 0 {
 		r.cleanedU = st.CleanedUtilSum / float64(st.SegmentsCleaned)
 	}
@@ -263,7 +265,9 @@ func RunCleanerGap(cfg Config) (*Table, error) {
 	}
 	var files int
 	for _, c := range cells {
-		fsr, err := runGapCore(sc, c.m, c.policy, cfg.Seed)
+		// The cleaner reads victims whole, as cleansim and formula (1) assume.
+		fsr, err := runGapCore(sc, core.Options{Policy: c.policy, CleanLowWater: c.m.low, CleanHighWater: c.m.high,
+			CleanBatch: c.m.batch, CleanRead: core.CleanReadWhole}, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +285,7 @@ func RunCleanerGap(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.3f", fsr.nominal), fmt.Sprintf("%.3f", fsr.effective),
 			fmt.Sprintf("%.2f", fsr.writeCost), fmt.Sprintf("%.2f", eff.writeCost), fmt.Sprintf("%.2f", nom.writeCost),
 			fmt.Sprintf("%.3f", fsr.cleanedU), fmt.Sprintf("%.3f", eff.cleanedU),
-			fmt.Sprintf("%d", fsr.passes), fmt.Sprintf("%d", fsr.cps), fmt.Sprintf("%d", fsr.cleanOps))
+			fmt.Sprintf("%d", fsr.st.CleaningPasses), fmt.Sprintf("%d", fsr.st.Checkpoints), fmt.Sprintf("%d", fsr.cleanOps))
 		if c.m == gapDefaults || c.m == gapBefore {
 			t.AddNote("%s %s, segments by utilisation decile (%%): core.FS %s | cleansim @effective %s",
 				t.Rows[len(t.Rows)-1][0], c.policy, fsr.histString(), eff.histString())

@@ -17,7 +17,8 @@ func RunFig10(cfg Config) (*Table, error) {
 	if cfg.Quick {
 		segBlocks = 16
 	}
-	fs, _, err := cfg.newLFSOpts(core.Options{SegmentBlocks: segBlocks})
+	// The write cost noted below is formula (1)'s: victims read whole.
+	fs, _, err := cfg.newLFSOpts(core.Options{SegmentBlocks: segBlocks, CleanRead: core.CleanReadWhole})
 	if err != nil {
 		return nil, err
 	}

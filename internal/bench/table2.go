@@ -38,7 +38,8 @@ func RunTable2(cfg Config) (*Table, error) {
 		if diskMB < 16 {
 			diskMB = 16
 		}
-		fs, _, err := cfg.newLFSSized(int64(diskMB)<<20/4096, core.Options{SegmentBlocks: segBlocks})
+		// Sprite's cleaner read each victim whole (formula 1).
+		fs, _, err := cfg.newLFSSized(int64(diskMB)<<20/4096, core.Options{SegmentBlocks: segBlocks, CleanRead: core.CleanReadWhole})
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/disk"
@@ -17,7 +19,7 @@ import (
 // maps still point at them.
 func (fs *FS) blockLive(e layout.SummaryEntry, addr int64) (bool, error) {
 	switch e.Kind {
-	case layout.KindData:
+	case layout.KindData, layout.KindIndirect:
 		me := fs.imap.get(e.Inum)
 		if !me.Allocated() || me.Version != e.Version {
 			// Fast path: the uid shows the file was deleted or
@@ -28,22 +30,12 @@ func (fs *FS) blockLive(e layout.SummaryEntry, addr int64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		cur, err := fs.blockAddr(mi, e.BlockNo)
-		if err != nil {
-			return false, err
+		find := fs.blockAddr
+		if e.Kind == layout.KindIndirect {
+			find = fs.ptrAddr
 		}
-		return cur == addr, nil
-	case layout.KindIndirect:
-		me := fs.imap.get(e.Inum)
-		if !me.Allocated() || me.Version != e.Version {
-			return false, nil
-		}
-		mi, err := fs.loadInode(e.Inum)
-		if err != nil {
-			return false, err
-		}
-		cur, err := fs.ptrAddr(mi, e.BlockNo)
-		return cur == addr, err
+		cur, err := find(mi, e.BlockNo)
+		return err == nil && cur == addr, err
 	case layout.KindInode:
 		return fs.inoBlockRefs[addr] > 0, nil
 	case layout.KindImap:
@@ -57,12 +49,7 @@ func (fs *FS) blockLive(e layout.SummaryEntry, addr int64) (bool, error) {
 		// last checkpoint. Cleaned segments are not reused until a
 		// checkpoint commits, so the cleaner can always treat them as
 		// dead; they stay live for usage recomputation until then.
-		for _, a := range fs.dirlogAddrs {
-			if a == addr {
-				return true, nil
-			}
-		}
-		return false, nil
+		return slices.Contains(fs.dirlogAddrs, addr), nil
 	default:
 		return false, fmt.Errorf("%w: unknown summary kind %d", ErrCorrupt, e.Kind)
 	}
@@ -74,6 +61,7 @@ type candidate struct {
 	u     float64
 	age   float64
 	score float64
+	kept  bool // in the batch selectByPolicy returns
 }
 
 // selectCandidates ranks cleanable segments by the configured policy and
@@ -151,7 +139,7 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	imapClean := int64(fs.imap.cleanBlocks()) * layout.BlockSize
 	var live int64
 	var kept []candidate
-	for _, c := range cands {
+	for i, c := range cands {
 		if len(kept) >= fs.opts.CleanBatch {
 			break
 		}
@@ -160,6 +148,7 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 			continue
 		}
 		live += l
+		cands[i].kept = true
 		kept = append(kept, c)
 	}
 	// Progress guard: the batch must free at least one whole segment
@@ -170,18 +159,12 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	// the batch is actually going ahead (an infeasible batch is wholly
 	// rejected, so its members are reported rejected too).
 	if fs.tr.Tracing() {
-		chosen := make(map[int64]bool, len(kept))
-		if feasible {
-			for _, c := range kept {
-				chosen[c.seg] = true
-			}
-		}
 		for _, c := range cands {
 			fs.tr.Emit(obs.Event{
 				Kind: obs.KindCleanerCandidate,
 				Candidate: &obs.Candidate{
 					Seg: c.seg, U: c.u, Age: c.age, Score: c.score,
-					Policy: policy.String(), Chosen: chosen[c.seg],
+					Policy: policy.String(), Chosen: feasible && c.kept,
 				},
 			})
 		}
@@ -280,6 +263,9 @@ func (fs *FS) checkpointBytes() int64 {
 // other and cold data segregates into its own output segments (Section
 // 3.4, policy 4), staged once and flushed once. Live metadata is
 // re-dirtied while collecting so the normal write path repacks it.
+// Victims are read in address order, so the arm sweeps the disk once (a
+// whole read keeps Sprite's candidate order); ties in age go by candidate
+// rank, then log order, so the order of reading changes nothing written.
 //
 // Segments are retired only after every live block collected from them is
 // staged (segAlloc.retire's contract), so on any error the pass retires
@@ -292,35 +278,43 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	// bound it: they count metadata blocks too) and dropped with the pass:
 	// a few-tens-of-victims list kept between passes is resident memory.
 	var liveBytes int64
-	for _, c := range cands {
-		liveBytes += int64(fs.usage.get(c.seg).LiveBytes)
+	ranks := make([]int, 0, len(cands)) // of the victims to read
+	for i, c := range cands {
+		fs.stats.SegmentsCleaned++
+		// An empty segment is never read (Section 3.4: write cost 1 at u = 0).
+		if l := fs.usage.get(c.seg).LiveBytes; l == 0 {
+			fs.stats.SegmentsCleanedEmpty++
+		} else {
+			liveBytes += int64(l)
+			fs.stats.CleanedUtilSum += c.u
+			ranks = append(ranks, i)
+		}
 	}
 	lives := make([]liveCopy, 0, liveBytes/layout.BlockSize)
-	// By default each segment is read whole in one request (the paper's
-	// conservative assumption in formula 1); with CleanReadLiveOnly only
-	// the summary blocks and live contents are read.
-	collect := fs.collectLiveFull
-	if fs.opts.CleanReadLiveOnly {
-		collect = fs.collectLiveSparse
+	r := victimReader{fs: fs, whole: fs.opts.CleanRead == CleanReadWhole}
+	if fs.opts.CleanRead == CleanReadPlanned {
+		r.gap = fs.dev.Geometry().ReadThroughBlocks()
 	}
-	for _, c := range cands {
-		fs.stats.SegmentsCleaned++
-		if fs.usage.get(c.seg).LiveBytes == 0 {
-			// An empty segment need not be read at all (Section 3.4:
-			// write cost 1.0 when u = 0).
-			fs.stats.SegmentsCleanedEmpty++
-			continue
-		}
-		fs.stats.CleanedUtilSum += c.u
+	if !r.whole {
+		slices.SortFunc(ranks, func(a, b int) int { return cmp.Compare(cands[a].seg, cands[b].seg) })
+	}
+	if len(ranks) > 0 {
+		// An idle pool buffer is resident memory: draw one only to read into.
+		r.buf = fs.rpool.Get(int(fs.segBlocks))
+		defer fs.rpool.Put(r.buf)
+	}
+	for _, rank := range ranks {
 		var err error
-		if lives, err = collect(c.seg, lives); err != nil {
+		if lives, err = fs.collectLive(&r, cands[rank].seg, int64(rank), lives); err != nil {
 			return err
 		}
 	}
-	if !fs.opts.NoAgeSort {
-		// Stable: blocks of equal age stay in candidate order, then log order.
-		sort.SliceStable(lives, func(i, j int) bool { return lives[i].entry.Age < lives[j].entry.Age })
-	}
+	slices.SortFunc(lives, func(a, b liveCopy) int {
+		if !fs.opts.NoAgeSort && a.entry.Age != b.entry.Age {
+			return cmp.Compare(a.entry.Age, b.entry.Age)
+		}
+		return cmp.Compare(a.order, b.order)
+	})
 	if err := fs.stageLiveCopies(lives); err != nil {
 		return err
 	}
@@ -348,11 +342,13 @@ func (fs *FS) cleanPass(cands []candidate) error {
 }
 
 // liveCopy is a live data block collected from a segment being cleaned:
-// its summary entry, with Age replaced by the pass's sort key, and a
-// pooled copy of its contents, already verified against the entry's Sum.
+// its summary entry, with Age replaced by the pass's sort key, a pooled
+// copy of its contents, already verified against the entry's Sum, and its
+// rank in the pass's candidates and offset in the victim, as one number.
 type liveCopy struct {
 	entry layout.SummaryEntry
 	data  []byte
+	order int64
 }
 
 // getWalkScratch draws the reusable memory of a summary-chain walk from
@@ -372,168 +368,150 @@ func (fs *FS) putWalkScratch(s *layout.WalkScratch) {
 	fs.sumFree.Put(s)
 }
 
-// collectLiveFull reads the whole segment in a single request and
-// extracts its live blocks. Each partial write's DataChecksum is
-// verified before any of its blocks are copied forward: a corrupt
-// block must never be relocated as if valid. On a checksum mismatch
-// the per-entry sums triage which blocks are actually bad; those are
-// left in place and the segment is quarantined (cleanPass then skips
-// releasing it). The live data blocks are appended to lives.
-func (fs *FS) collectLiveFull(seg int64, lives []liveCopy) ([]liveCopy, error) {
-	start := fs.segStart(seg)
-	// The whole-segment buffer is drawn from the run pool and returned
-	// on every exit: nothing below retains a view of it (live data is
-	// copied into pooled per-block buffers, metadata is decoded into
-	// private structures).
-	buf := fs.rpool.Get(int(fs.segBlocks))
-	defer fs.rpool.Put(buf)
-	if err := fs.readRetry(start, buf); err != nil {
-		if errors.Is(err, disk.ErrMediaRead) {
-			fs.quarantineSeg(seg)
-			return lives, nil
-		}
-		return lives, err
-	}
-	fs.stats.CleanerReadBytes += fs.segBytes
-
-	s := fs.getWalkScratch()
-	defer fs.putWalkScratch(s)
-	w := layout.WalkSegment(layout.ImageSource(start, buf), start, fs.segBlocks, s)
-	for w.Next() {
-		first := (w.Off() + 1) * layout.BlockSize
-		data := buf[first : first+int64(len(s.Entries))*layout.BlockSize]
-		dataOK := layout.Checksum(data) == s.DataChecksum
-		if !dataOK {
-			fs.quarantineSeg(seg)
-		}
-		for i, e := range s.Entries {
-			block := data[i*layout.BlockSize : (i+1)*layout.BlockSize]
-			if !dataOK && layout.Checksum(block) != e.Sum {
-				fs.tr.Add(obs.CtrCorruptBlocks, 1)
-				continue
-			}
-			lc, ok, err := fs.handleLiveEntry(e, w.DataAddr()+int64(i), block)
-			if err != nil {
-				return lives, err
-			}
-			if ok {
-				lives = append(lives, lc)
-			}
-		}
-	}
-	fs.walkEnded(w.End())
-	return lives, nil
+// victimReader is where a pass reads its victims: the pass's pooled
+// segment buffer, each block read at its offset in the victim. It is the
+// block source of the victim's summary walk: a summary that rode on the
+// last request is served from the buffer, any other is read on its own.
+type victimReader struct {
+	// live says, per entry of the current summary, if its block is live and, if needed, read.
+	live       [layout.MaxSummaryEntries]bool
+	fs         *FS
+	buf        []byte
+	whole      bool  // CleanReadWhole: each victim is read in one request
+	gap        int64 // dead blocks a request reads through
+	start, end int64 // the victim's first address; the end of the last request that succeeded
+	err        error // why the last summary read failed
 }
 
-// collectLiveSparse walks the segment's summary chain reading only the
-// summary blocks, decides liveness from the summaries and the current
-// maps, and then reads just the live blocks (coalescing contiguous runs
-// into single requests) — the optimization Section 3.4 conjectures. The
-// live data blocks are appended to lives.
-func (fs *FS) collectLiveSparse(seg int64, lives []liveCopy) ([]liveCopy, error) {
-	start := fs.segStart(seg)
-	type want struct {
-		e    layout.SummaryEntry
-		addr int64
+func (r *victimReader) blocks(addr, n int64) []byte {
+	o := (addr - r.start) * layout.BlockSize
+	return r.buf[o : o+n*layout.BlockSize]
+}
+
+func (r *victimReader) read(addr, n int64) error {
+	if err := r.fs.readRetry(addr, r.blocks(addr, n)); err != nil {
+		return err
 	}
-	var wants []want
+	r.fs.stats.CleanerReadBytes += n * layout.BlockSize
+	r.end = addr + n
+	return nil
+}
+
+// summary is the walk's layout.BlockSource. With r.whole the first
+// summary's read takes the whole segment. collectLive takes a failed
+// read's error from r.err: taking it from the walker's End would move this
+// source to the heap on every segment.
+func (r *victimReader) summary(addr int64) ([]byte, error) {
+	if n := int64(1); addr >= r.end {
+		if r.whole {
+			n = r.fs.segBlocks - (addr - r.start)
+		}
+		r.err = r.read(addr, n)
+	}
+	return r.blocks(addr, 1), r.err
+}
+
+// needsContent reports whether the cleaner reads a live block of kind k:
+// data is copied, inode blocks are parsed, and the rest need no contents.
+func needsContent(k layout.BlockKind) bool { return k == layout.KindData || k == layout.KindInode }
+
+// readLive decides which of a summary's blocks (entries, the first at
+// first) are live and, unless the victim was read whole, reads those the
+// cleaner needs: a request per run, through gaps of up to r.gap dead
+// blocks, the last also through the next summary (ahead) if within r.gap.
+// A failed request decides nothing about its blocks: each wanted one is
+// read on its own, and one that fails again quarantines the segment.
+func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahead int64, hasAhead bool) error {
+	var err error
+	for i, e := range entries {
+		if r.live[i], err = r.fs.blockLive(e, first+int64(i)); err != nil {
+			return err
+		}
+	}
+	want := func(i int) bool { return r.live[i] && needsContent(entries[i].Kind) }
+	for i := 0; i < len(entries) && !r.whole; {
+		if !want(i) {
+			i++
+			continue
+		}
+		j := i + 1 // the run holds the wanted blocks before j
+		for k := j; k < len(entries) && int64(k-j) <= r.gap; k++ {
+			if want(k) {
+				j = k + 1
+			}
+		}
+		n := int64(j - i)
+		if hasAhead && ahead-(first+int64(j)) <= r.gap {
+			n = ahead + 1 - (first + int64(i))
+		}
+		if err = r.read(first+int64(i), n); err != nil && !errors.Is(err, disk.ErrMediaRead) {
+			return err
+		}
+		for k := i; err != nil && k < j; k++ {
+			if want(k) && r.read(first+int64(k), 1) != nil {
+				r.live[k] = false
+				r.fs.quarantineSeg(r.fs.segOf(first))
+			}
+		}
+		i = j
+	}
+	return nil
+}
+
+// collectLive walks the summary chain of the victim seg (rank in the
+// pass's candidates), appends its live data blocks to lives and re-dirties
+// its live metadata. A corrupt block is never relocated as if valid: it
+// stays where it is, in a quarantined segment cleanPass does not release.
+// Read whole, each partial write's DataChecksum is verified, and on a
+// mismatch the entry sums triage which blocks are bad; an unreadable
+// segment is quarantined whole. Otherwise every block used is verified
+// against its entry's Sum; dead blocks are never checked, so corruption
+// confined to them quarantines nothing.
+func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([]liveCopy, error) {
+	start := fs.segStart(seg)
+	r.start, r.end, r.err = start, start, nil
 	s := fs.getWalkScratch()
 	defer fs.putWalkScratch(s)
-	// Every summary block that was read counts as cleaner traffic,
-	// including the one that turns out to end the chain.
-	src := func(addr int64) ([]byte, error) {
-		err := fs.readRetry(addr, s.Blk[:])
-		if err == nil {
-			fs.stats.CleanerReadBytes += layout.BlockSize
-		}
-		return s.Blk[:], err
-	}
-	w := layout.WalkSegment(src, start, fs.segBlocks, s)
+	w := layout.WalkSegment(r.summary, start, fs.segBlocks, s)
 	for w.Next() {
+		first, n := w.DataAddr(), int64(len(s.Entries))
+		ahead, ok := w.Ahead()
+		if err := r.readLive(first, s.Entries, ahead, ok); err != nil {
+			return lives, err
+		}
+		dataOK := !r.whole || layout.Checksum(r.blocks(first, n)) == s.DataChecksum
 		for i, e := range s.Entries {
-			addr := w.DataAddr() + int64(i)
-			live, err := fs.blockLive(e, addr)
-			if err != nil {
-				return lives, err
-			}
-			if !live {
+			addr, block := first+int64(i), r.blocks(first+int64(i), 1)
+			if (!dataOK || !r.whole && r.live[i] && needsContent(e.Kind)) && layout.Checksum(block) != e.Sum {
+				fs.tr.Add(obs.CtrCorruptBlocks, 1)
+				fs.quarantineSeg(seg)
 				continue
 			}
-			switch e.Kind {
-			case layout.KindData, layout.KindInode:
-				// Content needed: data is copied, inode blocks are
-				// parsed for their live inodes.
-				wants = append(wants, want{e, addr})
-			default:
-				// Indirect/imap/usage/dirlog need no content.
-				if _, _, err := fs.handleLiveEntry(e, addr, nil); err != nil {
-					return lives, err
-				}
+			if !r.live[i] {
+				continue
+			}
+			var err error
+			if lives, err = fs.copyLive(e, addr, block, rank*fs.segBlocks+addr-start, lives); err != nil {
+				return lives, err
 			}
 		}
 	}
-	if end, err := fs.walkEnded(w.End()); end == layout.EndMedia {
-		if !errors.Is(err, disk.ErrMediaRead) {
-			return lives, err
+	if end, _ := fs.walkEnded(w.End()); end == layout.EndMedia {
+		if !errors.Is(r.err, disk.ErrMediaRead) {
+			return lives, r.err
 		}
 		// Without the summary the rest of the chain cannot be trusted;
 		// withdraw the segment instead of evacuating it.
 		fs.quarantineSeg(seg)
 	}
-
-	// Read the wanted blocks, coalescing contiguous runs. Every block
-	// copied forward is verified against its summary entry's checksum
-	// first; an unreadable run or a corrupt block quarantines the
-	// segment and the affected blocks stay in place.
-	for i := 0; i < len(wants); {
-		j := i + 1
-		for j < len(wants) && wants[j].addr == wants[j-1].addr+1 {
-			j++
-		}
-		run := wants[i:j]
-		buf := fs.rpool.Get(len(run))
-		if err := fs.readRetry(run[0].addr, buf); err != nil {
-			fs.rpool.Put(buf)
-			if errors.Is(err, disk.ErrMediaRead) {
-				fs.quarantineSeg(seg)
-				i = j
-				continue
-			}
-			return lives, err
-		}
-		fs.stats.CleanerReadBytes += int64(len(buf))
-		for k, w := range run {
-			block := buf[k*layout.BlockSize : (k+1)*layout.BlockSize]
-			if layout.Checksum(block) != w.e.Sum {
-				fs.tr.Add(obs.CtrCorruptBlocks, 1)
-				fs.quarantineSeg(seg)
-				continue
-			}
-			lc, ok, err := fs.handleLiveEntry(w.e, w.addr, block)
-			if err != nil {
-				fs.rpool.Put(buf)
-				return lives, err
-			}
-			if ok {
-				lives = append(lives, lc)
-			}
-		}
-		fs.rpool.Put(buf)
-		i = j
-	}
 	return lives, nil
 }
 
-// handleLiveEntry processes one block of a segment being cleaned. It
-// assumes content is non-nil for kinds that need it, returns a liveCopy
-// (and true) for a data block that must be rewritten, and re-dirties live
-// metadata so the normal write path repacks it. Dead blocks are ignored
-// (liveness is re-checked here so collectLiveFull need not pre-filter).
-func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (liveCopy, bool, error) {
-	live, err := fs.blockLive(e, addr)
-	if err != nil || !live {
-		return liveCopy{}, false, err
-	}
+// copyLive processes one live block of a segment being cleaned, its
+// contents in block for the kinds that need them: a data block is appended
+// to lives to be rewritten (order is its liveCopy.order), and live
+// metadata is re-dirtied so the normal write path repacks it.
+func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order int64, lives []liveCopy) ([]liveCopy, error) {
 	switch e.Kind {
 	case layout.KindData:
 		if fs.opts.CoarseAgeSort || e.Age == 0 {
@@ -542,7 +520,7 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 			// files that are not modified in their entirety).
 			mi, err := fs.loadInode(e.Inum)
 			if err != nil {
-				return liveCopy{}, false, err
+				return lives, err
 			}
 			e.Age = mi.ino.Mtime
 		}
@@ -550,16 +528,16 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 		// and flushPending returns it to the pool after the device write.
 		data := fs.bpool.Get()
 		copy(data, block)
-		return liveCopy{entry: e, data: data}, true, nil
+		return append(lives, liveCopy{entry: e, data: data, order: order}), nil
 	case layout.KindIndirect:
 		// Re-dirty the in-memory structure; the normal write path
 		// rewrites it with current contents.
 		mi, err := fs.loadInode(e.Inum)
-		if err != nil {
-			return liveCopy{}, false, err
+		if err == nil {
+			err = fs.dirtyPtr(mi, e.BlockNo)
 		}
-		if err := fs.dirtyPtr(mi, e.BlockNo); err != nil {
-			return liveCopy{}, false, err
+		if err != nil {
+			return lives, err
 		}
 		fs.markInodeDirty(e.Inum)
 	case layout.KindInode:
@@ -570,7 +548,7 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 			// abort the pass or relocate garbage.
 			fs.tr.Add(obs.CtrCorruptBlocks, 1)
 			fs.quarantineSeg(fs.segOf(addr))
-			return liveCopy{}, false, nil
+			return lives, nil
 		}
 		// Most slots of a cleaned inode block are stale (the inode has
 		// been rewritten elsewhere since) or already cached: read each
@@ -595,7 +573,7 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 		// The usage table is rewritten in full at the pass's checkpoint;
 		// live dirlog blocks die at the same checkpoint. Nothing to copy.
 	}
-	return liveCopy{}, false, nil
+	return lives, nil
 }
 
 // stageLiveCopies queues the collected live data blocks for rewriting at
@@ -603,19 +581,18 @@ func (fs *FS) handleLiveEntry(e layout.SummaryEntry, addr int64, block []byte) (
 func (fs *FS) stageLiveCopies(lives []liveCopy) error {
 	for i := range lives {
 		lc := &lives[i]
-		inum, bn := lc.entry.Inum, lc.entry.BlockNo
-		mi, err := fs.loadInode(inum)
+		mi, err := fs.loadInode(lc.entry.Inum)
+		if err == nil {
+			err = fs.ensureMapSlot(mi, lc.entry.BlockNo)
+		}
 		if err != nil {
 			return err
 		}
-		if err := fs.ensureMapSlot(mi, bn); err != nil {
-			return err
-		}
-		fs.markInodeDirty(inum)
+		fs.markInodeDirty(lc.entry.Inum)
 		fs.stage(stagedBlock{
 			entry:  lc.entry,
 			data:   lc.data,
-			pooled: true, // handleLiveEntry drew it from the pool
+			pooled: true, // copyLive drew it from the pool
 			summed: true, // collect verified lc.data against lc.entry.Sum
 			age:    lc.entry.Age,
 			file:   mi,

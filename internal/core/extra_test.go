@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -73,6 +76,15 @@ func TestPolicyString(t *testing.T) {
 	}
 	if CleaningPolicy(99).String() != "unknown" {
 		t.Fatal("unknown policy string")
+	}
+}
+
+func TestCleanReadModeString(t *testing.T) {
+	if CleanReadPlanned.String() != "planned" || CleanReadWhole.String() != "whole" || CleanReadLive.String() != "live" {
+		t.Fatal("clean-read mode strings")
+	}
+	if CleanReadMode(99).String() != "unknown" {
+		t.Fatal("unknown clean-read mode string")
 	}
 }
 
@@ -514,15 +526,25 @@ func TestOutOfInodes(t *testing.T) {
 	mustCheck(t, fs)
 }
 
-// TestCleanReadLiveOnly compares the two ways of reading a victim. The
-// overwrites land on random files of a set that fills about 40 % of the
-// disk, so segments die piecemeal and the cleaner must read live ones (an
-// empty segment is taken first and read by neither).
-func TestCleanReadLiveOnly(t *testing.T) {
-	run := func(sparse bool) (Stats, *FS) {
+// TestCleanReadModes runs one script under each way of reading a victim.
+// The overwrites land on random files of a set that fills about 40 % of
+// the disk, so segments die piecemeal and the cleaner must read live ones
+// (an empty segment is taken first and read by none). The modes change
+// what the cleaner reads, not which live blocks it copies or in what
+// order: the bytes written and the final image are the same. Reading the
+// live blocks alone moves the fewest bytes, the whole segment the most,
+// and the planned read, which reads through gaps cheaper to transfer than
+// to skip, keeps the disk busy for less time than the whole read.
+func TestCleanReadModes(t *testing.T) {
+	type result struct {
+		st    Stats
+		busy  time.Duration
+		image string
+	}
+	run := func(mode CleanReadMode) result {
 		opts := testOptions()
-		opts.CleanReadLiveOnly = sparse
-		fs, _ := newTestFS(t, 2048, opts)
+		opts.CleanRead = mode
+		fs, d := newTestFS(t, 2048, opts)
 		payload := bytes.Repeat([]byte("s"), layout.BlockSize)
 		const files = 800
 		rng := rand.New(rand.NewSource(1))
@@ -535,24 +557,154 @@ func TestCleanReadLiveOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return fs.Stats(), fs
+		mustCheck(t, fs)
+		r := result{st: fs.Stats(), busy: d.Stats().BusyTime}
+		if err := fs.Unmount(); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for a := int64(0); a < d.Geometry().NumBlocks; a++ {
+			b, err := d.Peek(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+		r.image = hex.EncodeToString(h.Sum(nil))
+		return r
 	}
-	full, fsFull := run(false)
-	sparse, fsSparse := run(true)
-	if sparse.SegmentsCleaned == 0 || full.SegmentsCleaned == 0 {
-		t.Fatal("cleaner never ran")
-	}
-	if sparse.SegmentsCleaned == sparse.SegmentsCleanedEmpty || full.SegmentsCleaned == full.SegmentsCleanedEmpty {
+	whole, live, planned := run(CleanReadWhole), run(CleanReadLive), run(CleanReadPlanned)
+	if planned.st.SegmentsCleaned == planned.st.SegmentsCleanedEmpty {
 		t.Fatal("the cleaner cleaned only empty segments")
 	}
-	// Reading only live blocks must move fewer bytes per cleaned segment.
-	fullPerSeg := float64(full.CleanerReadBytes) / float64(full.SegmentsCleaned)
-	sparsePerSeg := float64(sparse.CleanerReadBytes) / float64(sparse.SegmentsCleaned)
-	if sparsePerSeg >= fullPerSeg {
-		t.Fatalf("sparse cleaning read %.0f bytes/segment, full %.0f", sparsePerSeg, fullPerSeg)
+	for _, r := range []result{live, planned} {
+		if r.st.CleanerWriteBytes != whole.st.CleanerWriteBytes || r.image != whole.image {
+			t.Errorf("copied %d bytes into image %s; whole-segment reads copied %d into %s",
+				r.st.CleanerWriteBytes, r.image, whole.st.CleanerWriteBytes, whole.image)
+		}
 	}
-	mustCheck(t, fsFull)
-	mustCheck(t, fsSparse)
+	if !(live.st.CleanerReadBytes <= planned.st.CleanerReadBytes && planned.st.CleanerReadBytes <= whole.st.CleanerReadBytes) {
+		t.Errorf("cleaner read %d (live) / %d (planned) / %d (whole) bytes, want live <= planned <= whole",
+			live.st.CleanerReadBytes, planned.st.CleanerReadBytes, whole.st.CleanerReadBytes)
+	}
+	if planned.busy >= whole.busy {
+		t.Errorf("planned reads kept the disk busy %v, whole-segment reads %v", planned.busy, whole.busy)
+	}
+}
+
+// victimFixture writes 120 one-block files and overwrites all but /f000
+// and /f002, so the segment holding those two is mostly dead and the old
+// block of /f001 lies dead between them. It returns the two live blocks'
+// addresses and the dead one's.
+func victimFixture(t *testing.T, opts Options) (fs *FS, d *disk.Disk, live0, dead, live2 int64) {
+	t.Helper()
+	fs, d = newTestFS(t, 2048, opts)
+	payload := bytes.Repeat([]byte("c"), layout.BlockSize)
+	for i := 0; i < 120; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/f%03d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, dead = dataBlockAddr(t, fs, "/f001", 0)
+	for i := 1; i < 120; i++ {
+		if i == 2 {
+			continue
+		}
+		if err := fs.WriteFile(fmt.Sprintf("/f%03d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, live0 = dataBlockAddr(t, fs, "/f000", 0)
+	_, live2 = dataBlockAddr(t, fs, "/f002", 0)
+	if live2 != live0+2 || dead != live0+1 {
+		t.Fatalf("blocks at %d, %d, %d: want the dead one between the live ones", live0, dead, live2)
+	}
+	return fs, d, live0, dead, live2
+}
+
+// cleanVictim runs one cleaning pass over the segment holding addr.
+func cleanVictim(t *testing.T, fs *FS, addr int64) (seg int64) {
+	t.Helper()
+	seg = fs.segOf(addr)
+	fs.mu.Lock()
+	fs.inCleaner = true
+	err := fs.cleanPass([]candidate{{seg: seg, u: fs.usage.utilization(seg)}})
+	fs.inCleaner = false
+	fs.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+// TestCleanReadSkipsCorruptLiveBlock corrupts one live data block in a
+// victim: a planned read verifies it against its summary entry, leaves it
+// where it is and quarantines the segment, and reading the file still
+// reports the corruption.
+func TestCleanReadSkipsCorruptLiveBlock(t *testing.T) {
+	fs, d, addr, _, _ := victimFixture(t, testOptions())
+	inum, _ := dataBlockAddr(t, fs, "/f000", 0)
+	if err := d.InjectFault(disk.Fault{Kind: disk.FaultCorrupt, Addr: addr, Seed: 41}); err != nil {
+		t.Fatal(err)
+	}
+	if seg := cleanVictim(t, fs, addr); !fs.segs.isQuarantined(seg) {
+		t.Fatalf("segment %d holding a corrupt live block was not quarantined", seg)
+	}
+	if _, now := dataBlockAddr(t, fs, "/f000", 0); now != addr {
+		t.Fatalf("the corrupt block moved from %d to %d", addr, now)
+	}
+	var ce *ErrCorrupted
+	if _, err := fs.ReadFile("/f000"); !errors.As(err, &ce) || ce.Ino != inum || ce.Addr != addr {
+		t.Fatalf("read err = %v, want ErrCorrupted at inode %d address %d", err, inum, addr)
+	}
+}
+
+// TestCleanReadDeadBlockFaults damages the dead block a planned read reads
+// through between two live ones. Neither a corrupt nor an unreadable dead
+// block quarantines the victim: the live blocks are verified one by one
+// (and, when the request over all three fails, read on their own) and are
+// copied forward. Whole-segment reads verify every partial write as a
+// whole, so there a corrupt dead block quarantines the victim; its live
+// blocks, verified one by one, are still copied.
+func TestCleanReadDeadBlockFaults(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		mode       CleanReadMode
+		kind       disk.FaultKind
+		quarantine bool
+	}{
+		{"planned/corrupt", CleanReadPlanned, disk.FaultCorrupt, false},
+		{"planned/unreadable", CleanReadPlanned, disk.FaultReadError, false},
+		{"whole/corrupt", CleanReadWhole, disk.FaultCorrupt, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOptions()
+			opts.CleanRead = c.mode
+			fs, d, live0, dead, live2 := victimFixture(t, opts)
+			if err := d.InjectFault(disk.Fault{Kind: c.kind, Addr: dead, Seed: 43}); err != nil {
+				t.Fatal(err)
+			}
+			seg := cleanVictim(t, fs, dead)
+			if fs.segs.isQuarantined(seg) != c.quarantine {
+				t.Fatalf("segment %d quarantined: %v, want %v", seg, !c.quarantine, c.quarantine)
+			}
+			for f, was := range map[string]int64{"/f000": live0, "/f002": live2} {
+				if _, now := dataBlockAddr(t, fs, f, 0); now == was {
+					t.Errorf("%s was not copied forward from %d", f, was)
+				}
+				if _, err := fs.ReadFile(f); err != nil {
+					t.Errorf("read %s: %v", f, err)
+				}
+			}
+			if err := fs.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			mustCheck(t, fs)
+		})
+	}
 }
 
 func TestCoarseAgeSort(t *testing.T) {

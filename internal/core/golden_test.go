@@ -25,8 +25,8 @@ import (
 // 10 660 KB copied from the same 96 segments, and 7 896 → 8 020 KB from
 // 191 → 192.
 //
-// The first two images are the same bytes: CleanReadLiveOnly changes what
-// the cleaner reads, not which live blocks it copies or in what order.
+// The first three images are the same bytes: CleanRead changes what the
+// cleaner reads, not which live blocks it copies or in what order.
 func TestImageGolden(t *testing.T) {
 	const defaultImage = "012ef765b0b7d1d7240693c8b9f7668e71a0f636c5ea115d4672c3d8e6dbd131"
 	cases := []struct {
@@ -37,7 +37,8 @@ func TestImageGolden(t *testing.T) {
 		want    string
 	}{
 		{"defaults", Options{}, 6400, 500, defaultImage},
-		{"clean-read-live-only", Options{CleanReadLiveOnly: true}, 6400, 500, defaultImage},
+		{"clean-read-live-only", Options{CleanRead: CleanReadLive}, 6400, 500, defaultImage},
+		{"clean-read-whole", Options{CleanRead: CleanReadWhole}, 6400, 500, defaultImage},
 		{"seg64-wb16", Options{SegmentBlocks: 64, WriteBufferBlocks: 16}, 4096, 320,
 			"0829dcd91f6cca6da15b47531747613807372ea41894a11a5041f7705c58113b"},
 	}

@@ -30,6 +30,32 @@ func (p CleaningPolicy) String() string {
 	}
 }
 
+// CleanReadMode selects how the cleaner reads a victim segment (formula 1
+// reads it whole; Section 3.4 conjectures reading the live blocks alone).
+type CleanReadMode int
+
+// Cleaner read modes.
+const (
+	// CleanReadPlanned reads the live blocks, one request per run, through
+	// any gap of dead blocks that transfers in less time than a second
+	// request takes to skip it (disk.Geometry.ReadThroughBlocks).
+	CleanReadPlanned CleanReadMode = iota
+	// CleanReadWhole reads each victim in one request, as Sprite LFS did.
+	CleanReadWhole
+	// CleanReadLive reads the live blocks alone, through no gap.
+	CleanReadLive
+)
+
+var cleanReadNames = [...]string{"planned", "whole", "live"}
+
+// String implements fmt.Stringer.
+func (m CleanReadMode) String() string {
+	if m < 0 || int(m) >= len(cleanReadNames) {
+		return "unknown"
+	}
+	return cleanReadNames[m]
+}
+
 // Options configure Format and Mount. The zero value is completed by
 // (*Options).withDefaults; defaults follow the paper's production
 // configuration (Section 5.1): 4 KB blocks, 512 KB segments, cost-benefit
@@ -68,12 +94,8 @@ type Options struct {
 	// modified times this implementation records in segment summaries
 	// (the improvement Section 3.6 says Sprite planned).
 	CoarseAgeSort bool
-	// CleanReadLiveOnly makes the cleaner read only the summary blocks
-	// and the live blocks of a segment instead of the whole segment.
-	// Section 3.4 conjectures this "may be faster ... particularly if the
-	// utilization is very low (we haven't tried this in Sprite LFS)"; the
-	// trade is fewer bytes read against more, smaller read requests.
-	CleanReadLiveOnly bool
+	// CleanRead selects how the cleaner reads a victim (default planned).
+	CleanRead CleanReadMode
 	// WriteBufferBlocks is how many blocks a flush writes, its summary
 	// included: the log is flushed once the staged file data, dirlog,
 	// inode and pointer blocks plus one summary reach it (default: one

@@ -33,7 +33,7 @@ func TestOptionsTable(t *testing.T) {
 		{field: "Policy", zero: PolicyCostBenefit, in: PolicyGreedy},
 		{field: "NoAgeSort", zero: false, in: true},
 		{field: "CoarseAgeSort", zero: false, in: true},
-		{field: "CleanReadLiveOnly", zero: false, in: true},
+		{field: "CleanRead", zero: CleanReadPlanned, in: CleanReadWhole},
 		{field: "WriteBufferBlocks", zero: 128, in: 32, out: -1, lands: 128},
 		{field: "AdmitBudgetBlocks", zero: 256, in: 64, out: -1, lands: 256},
 		{field: "CheckpointEveryBytes", zero: int64(0), in: int64(1 << 20), out: int64(-1), lands: int64(0)},

@@ -73,6 +73,17 @@ func DefaultGeometry(nblocks int64) Geometry {
 	}
 }
 
+// ReadThroughBlocks returns the longest gap of unwanted blocks a reader
+// should transfer rather than skip: ⌊(MinSeek + RotationTime/2) ÷ one
+// block's transfer⌋. Skipping a gap splits the read in two, and the second
+// request pays at least the shortest seek and half a revolution (charge);
+// reading through pays the gap's transfer and nothing else. It is 3 on the
+// Wren IV model.
+func (g Geometry) ReadThroughBlocks() int64 {
+	block := time.Duration(float64(g.BlockSize) / g.BandwidthBytesPerSec * float64(time.Second))
+	return int64((g.MinSeek + g.RotationTime/2) / block)
+}
+
 // Stats is a snapshot of accumulated device activity. All times are in
 // simulated device time, not host time.
 type Stats struct {

@@ -205,6 +205,51 @@ func TestTransferTimeMatchesBandwidth(t *testing.T) {
 	}
 }
 
+// TestReadThroughBlocks pins Geometry.ReadThroughBlocks against charge: up
+// to that many unwanted blocks between two wanted runs, one request over
+// all of them is cheaper than two requests that skip the gap, at every disk
+// size; one block more and the gap's transfer alone outweighs the least a
+// second request pays (the shortest seek and half a revolution).
+func TestReadThroughBlocks(t *testing.T) {
+	geo := testGeo(1024)
+	g := geo.ReadThroughBlocks()
+	if g != 3 {
+		t.Fatalf("ReadThroughBlocks on the Wren IV model = %d, want 3", g)
+	}
+	const wanted, at = 2, 100
+	// busy returns the simulated time of reading the given requests, the
+	// head parked right in front of the first.
+	busy := func(nblocks int64, reqs ...[2]int64) time.Duration {
+		d := MustNew(testGeo(nblocks))
+		if err := d.Read(at-1, make([]byte, geo.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		pre := d.Stats().BusyTime
+		for _, r := range reqs {
+			if err := d.Read(r[0], make([]byte, r[1]*int64(geo.BlockSize))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d.Stats().BusyTime - pre
+	}
+	for _, nblocks := range []int64{1024, 32768, 1 << 20} {
+		for gap := int64(0); gap <= g; gap++ {
+			one := busy(nblocks, [2]int64{at, 2*wanted + gap})
+			two := busy(nblocks, [2]int64{at, wanted}, [2]int64{at + wanted + gap, wanted})
+			if one >= two {
+				t.Errorf("%d blocks, gap %d: one request %v, two requests %v", nblocks, gap, one, two)
+			}
+		}
+	}
+	d := MustNew(geo)
+	if err := d.Read(0, make([]byte, (g+1)*int64(geo.BlockSize))); err != nil {
+		t.Fatal(err)
+	}
+	if xfer, least := d.Stats().TransferTime, geo.MinSeek+geo.RotationTime/2; xfer <= least {
+		t.Errorf("a gap of %d blocks transfers in %v, within the %v a second request pays", g+1, xfer, least)
+	}
+}
+
 func TestCrashStopsWrites(t *testing.T) {
 	d := MustNew(testGeo(16))
 	blk := make([]byte, d.BlockSize())

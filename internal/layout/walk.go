@@ -16,7 +16,7 @@ package layout
 type BlockSource func(addr int64) ([]byte, error)
 
 // ImageSource is the BlockSource over an in-memory copy of the blocks
-// starting at address base (the cleaner's whole-segment read).
+// starting at address base (an image a test builds or reads whole).
 func ImageSource(base int64, image []byte) BlockSource {
 	return func(addr int64) ([]byte, error) {
 		o := (addr - base) * BlockSize

@@ -117,6 +117,20 @@ const (
 	PolicyGreedy = core.PolicyGreedy
 )
 
+// CleanReadMode selects how the cleaner reads a segment it cleans.
+type CleanReadMode = core.CleanReadMode
+
+// Cleaner read modes.
+const (
+	// CleanReadPlanned reads the live blocks, through gaps of dead blocks
+	// the disk transfers faster than it skips (default).
+	CleanReadPlanned = core.CleanReadPlanned
+	// CleanReadWhole reads the whole segment (Sprite LFS, formula 1).
+	CleanReadWhole = core.CleanReadWhole
+	// CleanReadLive reads the live blocks only (Section 3.4's conjecture).
+	CleanReadLive = core.CleanReadLive
+)
+
 // NVRAM is a battery-backed write buffer: operations it holds survive a
 // crash even before they reach the log (Section 2.1 of the paper). Attach
 // one via Options.NVRAM and pass the same NVRAM to Mount after a crash.

@@ -97,6 +97,13 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+func TestCleanReadModeNames(t *testing.T) {
+	if lfs.CleanReadPlanned.String() != "planned" || lfs.CleanReadWhole.String() != "whole" ||
+		lfs.CleanReadLive.String() != "live" {
+		t.Fatal("clean-read mode re-exports broken")
+	}
+}
+
 // TestPublicConcurrentCleaning drives cleaning through the facade with a
 // concurrent reader: a churning writer cleans in its epilogues while the
 // reader polls a file the cleaner moves, cleaning passes are observed

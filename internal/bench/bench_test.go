@@ -38,24 +38,41 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(out, tbl.ID) {
 				t.Fatalf("%s: rendering lacks id", e.Name)
 			}
-			if shape := quickShapes[e.Name]; shape != nil {
-				shape(t, tbl)
-			}
+			quickTables[e.Name] = tbl
 		})
 	}
 }
 
-// quickShapes are checks of an experiment's quick table that the smoke
-// test runs on the table it already has, where a run of their own would
-// double the experiment's share of this package's time.
-var quickShapes = map[string]func(*testing.T, *Table){
-	"ablation-cleanread": cleanReadShape,
+// quickTables holds the quick table of each experiment a test has run, so
+// that a shape check reads the table TestAllExperimentsRun built instead of
+// running the experiment again: each run is seconds of this package's time.
+var quickTables = map[string]*Table{}
+
+// quickTable returns experiment name's quick table, running the experiment
+// only when no earlier test of this binary has.
+func quickTable(t *testing.T, name string) *Table {
+	t.Helper()
+	if tbl, ok := quickTables[name]; ok {
+		return tbl
+	}
+	e, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	quickTables[name] = tbl
+	return tbl
 }
 
-// cleanReadShape: the three cleaner reads copy the same bytes; reading the
-// live blocks alone reads the fewest bytes and the whole segment the most;
-// and the planned read keeps the disk busy for less time than either.
-func cleanReadShape(t *testing.T, tbl *Table) {
+// TestAblationCleanReadShape: the three cleaner reads copy the same bytes;
+// reading the live blocks alone reads the fewest bytes and the whole segment
+// the most; and the planned read keeps the disk busy for less time than
+// either.
+func TestAblationCleanReadShape(t *testing.T) {
+	tbl := quickTable(t, "ablation-cleanread")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("%d rows, want whole / live / planned", len(tbl.Rows))
 	}
@@ -113,10 +130,7 @@ func TestCPUModel(t *testing.T) {
 // TestFig1Shape checks the headline Figure 1 claim: FFS needs ~10
 // separate writes, LFS a single large one.
 func TestFig1Shape(t *testing.T) {
-	tbl, err := RunFig1(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "fig1")
 	lfsReqs := atoi(t, tbl.Rows[0][1])
 	ffsReqs := atoi(t, tbl.Rows[1][1])
 	if lfsReqs > 2 {
@@ -136,10 +150,7 @@ func TestFig1Shape(t *testing.T) {
 // faster than FFS for create and delete, and at least as fast for read;
 // the LFS create phase is CPU-bound while FFS's is disk-bound.
 func TestFig8Shape(t *testing.T) {
-	tbl, err := RunFig8(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "fig8")
 	lfs, ffs := tbl.Rows[0], tbl.Rows[1]
 	lc, fc := atof(t, lfs[1]), atof(t, ffs[1])
 	if lc < 4*fc {
@@ -168,10 +179,7 @@ func TestFig8Shape(t *testing.T) {
 // random writes; FFS wins the sequential reread of a randomly written
 // file; other reads are comparable.
 func TestFig9Shape(t *testing.T) {
-	tbl, err := RunFig9(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "fig9")
 	get := func(row int) (float64, float64) {
 		return atof(t, tbl.Rows[row][1]), atof(t, tbl.Rows[row][2])
 	}
@@ -197,10 +205,7 @@ func TestFig9Shape(t *testing.T) {
 // for a fixed recovered volume, smaller files take longer; and more data
 // of the same size takes longer.
 func TestTable3Shape(t *testing.T) {
-	tbl, err := RunTable3(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "table3")
 	// Rows: 1 KB, 10 KB, 100 KB. Columns 1..: increasing volumes.
 	last := len(tbl.Rows[0]) - 1
 	small := atof(t, tbl.Rows[0][last])
@@ -217,10 +222,7 @@ func TestTable3Shape(t *testing.T) {
 // TestTable4Shape: nearly all live data is file data; metadata takes a
 // much larger share of log bandwidth than of live data.
 func TestTable4Shape(t *testing.T) {
-	tbl, err := RunTable4(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "table4")
 	dataLive := atof(t, strings.TrimSuffix(tbl.Rows[0][1], "%"))
 	if dataLive < 90 {
 		t.Errorf("file data is %.1f%% of live data, want >90%%", dataLive)
@@ -237,10 +239,7 @@ func TestTable4Shape(t *testing.T) {
 // TestAblationWriteBufferShape: tiny write buffers must cost more disk
 // time than big ones.
 func TestAblationWriteBufferShape(t *testing.T) {
-	tbl, err := RunAblationWriteBuffer(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "ablation-writebuffer")
 	first := atof(t, tbl.Rows[0][2])
 	last := atof(t, tbl.Rows[len(tbl.Rows)-1][2])
 	if first <= last {
@@ -255,10 +254,7 @@ func TestAblationWriteBufferShape(t *testing.T) {
 // marks it replaced; and a round keeps fewer cleaning operations than the
 // benchmark's per-round p99.9 has room for.
 func TestCleanerGapShape(t *testing.T) {
-	tbl, err := RunCleanerGap(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quickTable(t, "cleaner-gap")
 	if tbl.Rows[0][0] != "16/32/8" || tbl.Rows[1][0] != "10/24/24" {
 		t.Fatalf("rows are %s and %s, want the old marks then the defaults", tbl.Rows[0][0], tbl.Rows[1][0])
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // The cleaner-gap experiment drives core.FS and cleansim with one
-// hot-and-cold overwrite trace (ROADMAP item 1(a)): the disk is the
+// hot-and-cold overwrite trace (ROADMAP item 2): the disk is the
 // repository benchmark's hotcold disk — 256 segments' worth of blocks,
 // one-block files filling 75 % of the segment area, 90 % of the writes to
 // the first 10 % of the files, rounds of whole-file overwrites ending in a

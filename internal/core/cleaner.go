@@ -375,6 +375,7 @@ func (fs *FS) putWalkScratch(s *layout.WalkScratch) {
 type victimReader struct {
 	// live says, per entry of the current summary, if its block is live and, if needed, read.
 	live       [layout.MaxSummaryEntries]bool
+	want       [layout.MaxSummaryEntries]int64 // readLive's addresses
 	fs         *FS
 	buf        []byte
 	whole      bool  // CleanReadWhole: each victim is read in one request
@@ -417,45 +418,30 @@ func needsContent(k layout.BlockKind) bool { return k == layout.KindData || k ==
 
 // readLive decides which of a summary's blocks (entries, the first at
 // first) are live and, unless the victim was read whole, reads those the
-// cleaner needs: a request per run, through gaps of up to r.gap dead
-// blocks, the last also through the next summary (ahead) if within r.gap.
-// A failed request decides nothing about its blocks: each wanted one is
-// read on its own, and one that fails again quarantines the segment.
-func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahead int64, hasAhead bool) error {
-	var err error
+// cleaner needs as planReads plans them, through gaps of r.gap dead blocks.
+// A wanted block whose read fails again on its own quarantines the segment.
+func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahead int64) error {
+	want := r.want[:0]
 	for i, e := range entries {
-		if r.live[i], err = r.fs.blockLive(e, first+int64(i)); err != nil {
+		live, err := r.fs.blockLive(e, first+int64(i))
+		if err != nil {
 			return err
 		}
+		r.live[i] = live
+		if live && needsContent(e.Kind) && !r.whole {
+			want = append(want, first+int64(i))
+		}
 	}
-	want := func(i int) bool { return r.live[i] && needsContent(entries[i].Kind) }
-	for i := 0; i < len(entries) && !r.whole; {
-		if !want(i) {
-			i++
-			continue
+	var err error
+	planReads(want, r.gap, ahead, r.fs.segBlocks, r.read, func(k int, rerr error) {
+		if errors.Is(rerr, disk.ErrMediaRead) {
+			r.live[want[k]-first] = false
+			r.fs.quarantineSeg(r.fs.segOf(first))
+		} else if rerr != nil && err == nil {
+			err = rerr
 		}
-		j := i + 1 // the run holds the wanted blocks before j
-		for k := j; k < len(entries) && int64(k-j) <= r.gap; k++ {
-			if want(k) {
-				j = k + 1
-			}
-		}
-		n := int64(j - i)
-		if hasAhead && ahead-(first+int64(j)) <= r.gap {
-			n = ahead + 1 - (first + int64(i))
-		}
-		if err = r.read(first+int64(i), n); err != nil && !errors.Is(err, disk.ErrMediaRead) {
-			return err
-		}
-		for k := i; err != nil && k < j; k++ {
-			if want(k) && r.read(first+int64(k), 1) != nil {
-				r.live[k] = false
-				r.fs.quarantineSeg(r.fs.segOf(first))
-			}
-		}
-		i = j
-	}
-	return nil
+	})
+	return err
 }
 
 // collectLive walks the summary chain of the victim seg (rank in the
@@ -475,8 +461,7 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([
 	w := layout.WalkSegment(r.summary, start, fs.segBlocks, s)
 	for w.Next() {
 		first, n := w.DataAddr(), int64(len(s.Entries))
-		ahead, ok := w.Ahead()
-		if err := r.readLive(first, s.Entries, ahead, ok); err != nil {
+		if err := r.readLive(first, s.Entries, w.Ahead()); err != nil {
 			return lives, err
 		}
 		dataOK := !r.whole || layout.Checksum(r.blocks(first, n)) == s.DataChecksum

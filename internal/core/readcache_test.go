@@ -117,8 +117,8 @@ func TestReadCacheMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestReadCacheBounded is the bound ROADMAP 2(c) asked of the tombstone map
-// this cache replaced: put/drop cycles cannot grow anything.
+// TestReadCacheBounded is the bound asked of the tombstone map this cache
+// replaced in PR 24: put/drop cycles cannot grow anything.
 func TestReadCacheBounded(t *testing.T) {
 	c := newReadCache(4)
 	buf := make([]byte, 16)

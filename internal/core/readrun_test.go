@@ -221,6 +221,113 @@ func logKinds(t *testing.T, img *logImage) map[int64]layout.BlockKind {
 	return kinds
 }
 
+// namedDirBlocks returns, in address order, the blocks of the directories
+// the tail's records name: what the repair pass's sweep reads. Every such
+// directory must have been rewritten in the tail, as the sweep reads only
+// those.
+func namedDirBlocks(t *testing.T, img *logImage) []int64 {
+	t.Helper()
+	d, _ := img.superblock(t)
+	writes, _ := threadOf(t, img)
+	named, inodes := map[uint32]bool{}, map[uint32]*layout.Inode{}
+	for _, pw := range writes {
+		for i, e := range pw.entries {
+			buf, err := d.Peek(pw.sumAddr + 1 + int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch e.Kind {
+			case layout.KindInode:
+				inos, err := layout.DecodeInodeBlock(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ino := range inos {
+					inodes[ino.Inum] = ino
+				}
+			case layout.KindDirLog:
+				ops, err := layout.DecodeDirOpLog(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range ops {
+					named[op.Dir] = true
+					if op.Op == layout.DirOpRename {
+						named[op.Dir2] = true
+					}
+				}
+			}
+		}
+	}
+	var blocks []int64
+	for dir := range named {
+		ino := inodes[dir]
+		if ino == nil {
+			t.Fatalf("directory %d is named in the tail but not rewritten there", dir)
+		}
+		for bn := 0; int64(bn)*layout.BlockSize < int64(ino.Size); bn++ {
+			blocks = append(blocks, ino.Direct[bn])
+		}
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	return blocks
+}
+
+// namedDirRuns counts the runs the named directories' blocks form under the
+// device's read-through gap: the most requests the repair sweep may make.
+func namedDirRuns(t *testing.T, img *logImage) int {
+	t.Helper()
+	blocks := namedDirBlocks(t, img)
+	gap, runs := disk.DefaultGeometry(1).ReadThroughBlocks(), 0
+	for k, a := range blocks {
+		if k == 0 || a-blocks[k-1]-1 > gap {
+			runs++
+		}
+	}
+	return runs
+}
+
+// TestRepairSweepFaults corrupts a directory block the tail wrote and the
+// repair pass needs, and separately makes it unreadable. The sweep reads it
+// and leaves its directory to loadDir, so the mount ends as it did when each
+// directory was read on its own — the outcomes below are that reader's — and
+// the corrupt block is counted once.
+func TestRepairSweepFaults(t *testing.T) {
+	opts := Options{SegmentBlocks: 32, MaxInodes: 2048}
+	img := buildLogImage(t, opts, 8192, false, benchmarkScript(t, 10, 400))
+	blocks := namedDirBlocks(t, img)
+	addr := blocks[len(blocks)/2]
+	for _, c := range []struct {
+		name                  string
+		kind                  disk.FaultKind
+		err                   string
+		corrupts, quarantines int64
+	}{
+		{"corrupt", disk.FaultCorrupt, "lfs: corrupted block: ino 7 offset 0 addr 1450", 1, 1},
+		{"unreadable", disk.FaultReadError, "disk: media read error at block 1450", 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := disk.FromSnapshot(img.snap)
+			if err := d.InjectFault(disk.Fault{Kind: c.kind, Addr: addr, Seed: 7}); err != nil {
+				t.Fatal(err)
+			}
+			o := opts
+			o.Tracer = obs.New(nil)
+			fs, err := Mount(d, o)
+			if fs != nil || fmt.Sprint(err) != c.err {
+				t.Errorf("Mount: %v, %v; want no file system and %s", fs != nil, err, c.err)
+			}
+			m := o.Tracer.Metrics()
+			if n := m.Counter(obs.CtrCorruptBlocks); n != c.corrupts {
+				t.Errorf("%s = %d, want %d", obs.CtrCorruptBlocks, n, c.corrupts)
+			}
+			if n := m.Counter(obs.CtrQuarantinedSegs); n != c.quarantines {
+				t.Errorf("%s = %d, want %d", obs.CtrQuarantinedSegs, n, c.quarantines)
+			}
+		})
+	}
+}
+
 // mountPhases are Mount's phases in the order it runs them.
 var mountPhases = []string{"cpload", "rollforward", "dirops", "usage", "commit", "nvreplay"}
 
@@ -307,6 +414,9 @@ func TestMountReadsNoBlockTwice(t *testing.T) {
 				}
 				if n := len(byPhase["usage"]); n != 0 {
 					t.Errorf("usage recomputation made %d read requests, want 0", n)
+				}
+				if n, runs := len(byPhase["dirops"]), namedDirRuns(t, img); n > runs {
+					t.Errorf("the repair pass made %d read requests; the named directories' blocks form %d runs", n, runs)
 				}
 				scan := byPhase["rollforward"]
 				for i := 1; i < len(scan); i++ {
@@ -1026,7 +1136,7 @@ func breakFirstSummary(tb testing.TB, fs *FS, d *disk.Disk, seg int64, keepMagic
 }
 
 // TestSalvageProbesDeadSegmentOnce pins the floor of the salvage scan
-// (ROADMAP 3(c)): a segment whose first summary slot fails its magic or
+// (PR 18): a segment whose first summary slot fails its magic or
 // its checksum costs one request for one block — never written, or
 // written and since broken, alike — and nothing is read from it again.
 func TestSalvageProbesDeadSegmentOnce(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -89,6 +90,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 
 	// What the repair pass itself writes joins the tail (writeBatch).
 	if !fs.opts.NoRollForward {
+		fs.readDirs(dirops)
 		if err := fs.applyDirOps(dirops); err != nil {
 			return nil, err
 		}
@@ -152,7 +154,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 // unaffected files stay readable.
 func (fs *FS) loadTable(label, what string, addrs []int64, load func(buf []byte, i int) error) {
 	run := logRun{fs: fs}
-	run.readRuns(addrs, func(k int, buf []byte, err error) {
+	run.readRuns(addrs, fs.dev.Geometry().ReadThroughBlocks(), layout.NilAddr, func(k int, buf []byte, err error) {
 		if err != nil {
 			fs.degrade(label, fmt.Sprintf("%s block %d at %d unreadable: %v", what, k, addrs[k], err))
 		} else if err := load(buf, k); err != nil {
@@ -335,7 +337,7 @@ func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error)
 		tw := t.add(w.Pos(), s.Entries)
 		tw.flags, tw.timestamp = s.Flags, s.Timestamp
 		torn = false
-		run.readWanted(first, s.Entries, w.Ahead, rollForwardReads, func(i int, block []byte, err error) {
+		run.readWanted(first, s.Entries, w.Ahead(), rollForwardReads, func(i int, block []byte, err error) {
 			m := tailMeta{addr: first + int64(i), err: err}
 			torn = torn || err == nil && layout.Checksum(block) != s.Entries[i].Sum
 			if err == nil && s.Entries[i].Kind == layout.KindInode {
@@ -594,6 +596,65 @@ func (fs *FS) recounted(seg, addr int64) bool {
 func (fs *FS) endRecount() {
 	fs.segs.clearRecompute()
 	fs.tail = nil
+}
+
+// readDirs reads the directories the records name, for the repair pass, in
+// one address-ordered sweep through gaps of ReadThroughBlocks() (DESIGN.md
+// §4, "The repair sweep"): those whose blocks memory alone places (inode
+// recovered, block map loaded, sums recorded from the tail), each installed
+// if its blocks all verify and it decodes. Any other is left to loadDir,
+// which reports a fault as always: the sweep counts and quarantines nothing.
+func (fs *FS) readDirs(ops []*layout.DirOp) {
+	type dirBlock struct {
+		addr int64
+		dir  int    // in inums and data
+		dst  []byte // its part of the directory's contents
+	}
+	var inums []uint32
+	var data [][]byte // each directory's contents, nil once a block fails
+	var blocks []dirBlock
+	seen := map[uint32]bool{}
+	sweep := func(inum uint32) {
+		mi := fs.icache[inum]
+		if _, cached := fs.dirCache[inum]; seen[inum] || cached || mi == nil || mi.ino.Type != layout.FileTypeDir || !fs.imap.get(inum).Allocated() {
+			return
+		}
+		seen[inum] = true
+		d, n := make([]byte, mi.ino.Size), len(blocks)
+		for o := 0; o < len(d); o += layout.BlockSize {
+			addr, ok := mi.loadedAddr(uint32(o / layout.BlockSize))
+			if _, summed := fs.sums.peek(addr); !ok || !summed {
+				blocks = blocks[:n]
+				return
+			}
+			blocks = append(blocks, dirBlock{addr, len(data), d[o:min(o+layout.BlockSize, len(d))]})
+		}
+		inums, data = append(inums, inum), append(data, d)
+	}
+	for _, op := range ops {
+		sweep(op.Dir)
+		sweep(op.Dir2) // 0, no inode, unless a rename's
+	}
+	slices.SortFunc(blocks, func(a, b dirBlock) int { return cmp.Compare(a.addr, b.addr) })
+	addrs := make([]int64, len(blocks))
+	for k, b := range blocks {
+		addrs[k] = b.addr
+	}
+	run := logRun{fs: fs}
+	run.readRuns(addrs, fs.dev.Geometry().ReadThroughBlocks(), layout.NilAddr, func(k int, blk []byte, err error) {
+		if sum, _ := fs.sums.peek(addrs[k]); err != nil || layout.Checksum(blk) != sum {
+			data[blocks[k].dir] = nil
+			return
+		}
+		fs.tr.Add(obs.CtrVerifiedBlocks, 1)
+		fs.cacheCopy(addrs[k], blk)
+		copy(blocks[k].dst, blk)
+	})
+	for i, d := range data {
+		if entries, err := layout.DecodeDirectory(d); d != nil && err == nil {
+			fs.dirCache[inums[i]] = entries
+		}
+	}
 }
 
 // applyDirOps replays the directory operation log against the recovered

@@ -287,7 +287,7 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 		for i, e := range s.Entries {
 			sc.blocks[first+int64(i)] = salvBlock{seq: s.WriteSeq, sum: e.Sum}
 		}
-		run.readWanted(first, s.Entries, w.Ahead, salvageReads, func(i int, blk []byte, err error) {
+		run.readWanted(first, s.Entries, w.Ahead(), salvageReads, func(i int, blk []byte, err error) {
 			addr := first + int64(i)
 			if !fs.salvageJudge(sc, rep, addr, blk, err) {
 				return
@@ -385,7 +385,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 		}
 	}
 	var need []int64
-	run := logRun{fs: fs}
+	run, gap := logRun{fs: fs}, fs.dev.Geometry().ReadThroughBlocks()
 	for len(open) > 0 {
 		need = need[:0]
 		tried := open[:0]
@@ -407,7 +407,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 		sweep := slices.Clone(need)
 		slices.Sort(sweep)
 		sweep = slices.Compact(sweep)
-		run.readRuns(sweep, func(k int, blk []byte, err error) { fs.salvageJudge(sc, rep, sweep[k], blk, err) })
+		run.readRuns(sweep, gap, layout.NilAddr, func(k int, blk []byte, err error) { fs.salvageJudge(sc, rep, sweep[k], blk, err) })
 		open = tried[:0]
 		for _, t := range tried {
 			if slices.ContainsFunc(need[t.lo:t.hi], func(a int64) bool { return !sc.blocks[a].intact }) {

@@ -25,110 +25,106 @@ func (fs *FS) walkEnded(end layout.WalkEnd, err error) (layout.WalkEnd, error) {
 	return end, err
 }
 
-// logRun is how recovery reads blocks it already knows it needs (mount's
-// table load, roll-forward, salvage): adjacent blocks come off the disk in
-// one request, into a buffer the run owns and reuses, and are handed out as
-// views of it. The disk charges every request half a revolution, so a
-// partial write's blocks fetched one at a time cost mostly rotation
-// (DESIGN.md §4). The buffer is not pooled: a recovery runs on an FS whose
-// pools are still empty, and what it returned to them would stay on the
-// mounted FS's heap.
-//
-// A request that fails decides nothing about its blocks: the run then
-// fetches each of them with a request of its own, through the same retry
-// ladder, so a fault costs exactly the block it sits on — the block dropped,
-// the segment quarantined and the point at which roll-forward degrades are
-// those of a reader that never batched.
+// logRun is how recovery reads blocks it knows it needs (DESIGN.md §4):
+// planReads' requests, into a buffer the run owns and reuses, each block
+// handed out as a view of it. The buffer is not pooled: a recovery runs on an
+// FS whose pools are still empty, and what it returned to them would stay on
+// the mounted FS's heap.
 type logRun struct {
 	fs   *FS
-	base int64  // address of block 0
-	buf  []byte // the run; its capacity is kept from read to read
-	each bool   // the request failed: at fetches on demand
+	base int64   // address of block 0
+	buf  []byte  // the last request, empty if it failed; its capacity is kept
+	want []int64 // readWanted's addresses, kept from call to call
 }
 
 // read replaces the run with the n blocks starting at addr.
-func (r *logRun) read(addr int64, n int) {
-	if need := n * layout.BlockSize; cap(r.buf) < need {
+func (r *logRun) read(addr, n int64) error {
+	if need := int(n) * layout.BlockSize; cap(r.buf) < need {
 		r.buf = make([]byte, need, max(need, 2*cap(r.buf)))
 	} else {
 		r.buf = r.buf[:need]
 	}
 	r.base = addr
-	r.each = r.fs.readRetry(addr, r.buf) != nil
-}
-
-// at returns the block of the run at addr, valid until the next read.
-func (r *logRun) at(addr int64) ([]byte, error) {
-	o := (addr - r.base) * layout.BlockSize
-	blk := r.buf[o : o+layout.BlockSize]
-	if r.each {
-		if err := r.fs.readRetry(addr, blk); err != nil {
-			return nil, err
-		}
+	err := r.fs.readRetry(addr, r.buf)
+	if err != nil {
+		r.buf = r.buf[:0]
 	}
-	return blk, nil
+	return err
 }
 
-// readWanted reads the blocks of one partial write (entries, the first at
-// first) whose kind wanted selects — a request per run of adjacent ones, the
-// summary the walk reads next (ahead) riding on a run that ends in front of
-// it — and hands each to use with its entry index and its block (valid until
-// use returns) or why there is none. Roll-forward and salvage both read so.
-func (r *logRun) readWanted(first int64, entries []layout.SummaryEntry, ahead func() (int64, bool),
+// at returns the block at addr if the last request holds it, else nil.
+func (r *logRun) at(addr int64) []byte {
+	if i := addr - r.base; i >= 0 && i < int64(len(r.buf)/layout.BlockSize) {
+		return r.buf[i*layout.BlockSize : (i+1)*layout.BlockSize]
+	}
+	return nil
+}
+
+// readRuns reads the blocks at addrs as planReads plans them and hands each
+// to use with its index in addrs and its block (valid until use returns) or
+// why there is none.
+func (r *logRun) readRuns(addrs []int64, gap, ahead int64, use func(k int, blk []byte, err error)) {
+	planReads(addrs, gap, ahead, r.fs.segBlocks, r.read, func(k int, err error) { use(k, r.at(addrs[k]), err) })
+}
+
+// readWanted is readRuns over the blocks of one partial write (entries, the
+// first at first) whose kind wanted selects, by entry index, through no gap:
+// the blocks between are data, which roll-forward and salvage's scan skip.
+func (r *logRun) readWanted(first int64, entries []layout.SummaryEntry, ahead int64,
 	wanted func(layout.BlockKind) bool, use func(i int, blk []byte, err error)) {
-	runEnd := 0 // the run holds the wanted entries before this one
+	r.want = r.want[:0]
 	for i, e := range entries {
-		if !wanted(e.Kind) {
-			continue
+		if wanted(e.Kind) {
+			r.want = append(r.want, first+int64(i))
 		}
-		if i >= runEnd {
-			runEnd = i + 1
-			for runEnd < len(entries) && wanted(entries[runEnd].Kind) {
-				runEnd++
-			}
-			n := runEnd - i
-			if a, ok := ahead(); ok && a == first+int64(runEnd) {
-				n++
-			}
-			r.read(first+int64(i), n)
-		}
-		blk, err := r.at(first + int64(i))
-		use(i, blk, err)
 	}
+	r.readRuns(r.want, 0, ahead, func(k int, blk []byte, err error) { use(int(r.want[k]-first), blk, err) })
 }
 
-// readRuns reads the blocks at addrs, NilAddr skipped, a request per run of
-// adjacent addresses, and hands each to use with its index in addrs and its
-// block (valid until use returns) or why there is none.
-func (r *logRun) readRuns(addrs []int64, use func(k int, blk []byte, err error)) {
-	for i := 0; i < len(addrs); {
-		if addrs[i] == layout.NilAddr {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
-			j++
-		}
-		r.read(addrs[i], j-i)
-		for k := i; k < j; k++ {
-			blk, err := r.at(addrs[k])
-			use(k, blk, err)
-		}
-		i = j
-	}
-}
-
-// source is retrySource for a walk whose caller reads runs: a summary the
-// run already holds (see layout's Ahead) is served from it, anything else
-// from the device. A run whose request failed serves nothing — the summary
-// that rode on it is read, and fails or not, on its own.
+// source is retrySource for a walk whose caller reads runs: a summary that
+// rode on the last request (see layout's Ahead) is served from it, anything
+// else — one that rode on a request that failed, too — from the device.
 func (r *logRun) source(s *layout.WalkScratch) layout.BlockSource {
 	dev := r.fs.retrySource(s)
 	return func(addr int64) ([]byte, error) {
-		if i := addr - r.base; !r.each && i >= 0 && i < int64(len(r.buf)/layout.BlockSize) {
-			return r.at(addr)
+		if blk := r.at(addr); blk != nil {
+			return blk, nil
 		}
 		return dev(addr)
+	}
+}
+
+// planReads is the run planner of every log read. want holds the addresses a
+// reader wants, ascending; NilAddr is skipped, one not above the one before
+// starts a new request. A request of at most limit blocks (a segment, so a
+// sweep's buffer is no larger than a partial write's) reads through gaps of
+// up to gap unwanted blocks; the next summary (ahead, NilAddr if none) rides
+// on one that ends within gap blocks of it. read issues a request; got hears
+// how each wanted block came off the disk. A failed request decides nothing:
+// each wanted block is read again alone, so a fault costs exactly its block.
+func planReads(want []int64, gap, ahead, limit int64, read func(addr, n int64) error, got func(k int, err error)) {
+	for i := 0; i < len(want); {
+		if want[i] == layout.NilAddr {
+			i++
+			continue
+		}
+		j, end := i+1, want[i]+1 // the request holds want[i:j] and ends at end
+		for j < len(want) && want[j] >= end && want[j]-end <= gap && want[j]+1-want[i] <= limit {
+			end = want[j] + 1
+			j++
+		}
+		n := end - want[i]
+		if ahead >= end && ahead-end <= gap && ahead+1-want[i] <= limit {
+			n = ahead + 1 - want[i]
+		}
+		err := read(want[i], n)
+		for k := i; k < j; k++ {
+			if err == nil {
+				got(k, nil)
+			} else {
+				got(k, read(want[k], 1))
+			}
+		}
+		i = j
 	}
 }

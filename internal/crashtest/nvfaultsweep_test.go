@@ -52,11 +52,11 @@ func TestFaultSweepNVReplay(t *testing.T) {
 	}
 }
 
-// TestNVReplayCorruptSummaryBeforeCheckpoint pins ROADMAP 6(d): a summary
-// block of the checkpoint's head segment, written before the checkpoint
-// and then corrupted, used to end usage recomputation's walk of that
-// segment as if the log were torn there — the mount came up undegraded
-// with the segment's live bytes undercounted, or failed on the usage
+// TestNVReplayCorruptSummaryBeforeCheckpoint pins what PR 19 found and PR 20
+// closed: a summary block of the checkpoint's head segment, written before
+// the checkpoint and then corrupted, used to end usage recomputation's walk
+// of that segment as if the log were torn there — the mount came up
+// undegraded with the segment's live bytes undercounted, or failed on the usage
 // table's underflow check once NVRAM replay freed a block there. Mount no
 // longer walks that part of the segment (the checkpoint's own count
 // stands), so at these crash points it does not read blocks 8 and 10 at

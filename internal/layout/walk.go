@@ -156,16 +156,16 @@ func (w *SegWalker) Next() bool {
 }
 
 // Ahead returns the address the next call to Next will ask the source for,
-// or false when that call will read nothing. A caller about to read the
+// or NilAddr when that call will read nothing. A caller about to read the
 // blocks the current summary describes can take the next summary in the same
 // request (when the address is adjacent) without reading a block the walk
 // itself would not have read.
-func (w *SegWalker) Ahead() (int64, bool) {
+func (w *SegWalker) Ahead() int64 {
 	off := w.off + w.span
 	if w.end != WalkOpen || off > w.segBlocks-2 {
-		return 0, false
+		return NilAddr
 	}
-	return w.start + off, true
+	return w.start + off
 }
 
 // Off returns the segment offset of the current summary; after the walk,
@@ -260,16 +260,16 @@ func (w *ThreadWalker) Next() bool {
 
 // Ahead is SegWalker.Ahead for the thread: the address the next call to Next
 // will ask the source for (in the next segment when this one is full), or
-// false when it will read nothing.
-func (w *ThreadWalker) Ahead() (int64, bool) {
+// NilAddr when it will read nothing.
+func (w *ThreadWalker) Ahead() int64 {
 	if w.end != WalkOpen {
-		return 0, false
+		return NilAddr
 	}
 	p, end := w.ahead()
 	if end != WalkOpen {
-		return 0, false
+		return NilAddr
 	}
-	return w.base + p.Seg*w.segBlocks + p.Off, true
+	return w.base + p.Seg*w.segBlocks + p.Off
 }
 
 // Pos returns the position of the current summary; after the walk, the

@@ -57,11 +57,12 @@ func recording(src BlockSource, asked *[]int64) BlockSource {
 // read: exactly that address, or nothing at all. A caller that reads ahead
 // on Ahead's word must never read a block the walk itself would not have.
 func nextAsPromised(t *testing.T, w interface {
-	Ahead() (int64, bool)
+	Ahead() int64
 	Next() bool
 }, asked *[]int64) bool {
 	t.Helper()
-	ahead, ok := w.Ahead()
+	ahead := w.Ahead()
+	ok := ahead != NilAddr
 	n := len(*asked)
 	more := w.Next()
 	switch got := (*asked)[n:]; {

@@ -839,8 +839,28 @@ func TestLargeDirectoryAppendWritesOneBlock(t *testing.T) {
 	// the head segment. Where that falls between the two inode blocks the
 	// root comes back with an entry whose inode did not, and dropping that
 	// one entry must again cost one block. Padding moves the log head until
-	// it does.
+	// it does. A buffer-full flush ends at a segment's end (flushAt), so
+	// the one that can be cut between the inode blocks is the last
+	// create's, which stages two blocks at once: the names are sized so
+	// that its dirlog record also starts a second dirlog block.
 	image := d.Snapshot()
+	name := func(i, n int) string { return fmt.Sprintf("k%02d-%s", i, strings.Repeat("n", n-4)) }
+	dirlogBlocks := func(n, records int) int {
+		var c layout.DirLogCount
+		for i := 0; i < records; i++ {
+			c.Add(&layout.DirOp{Op: layout.DirOpCreate, Name: name(i, n)})
+		}
+		return c.Blocks()
+	}
+	nameLen := 0
+	for n := 5; n <= layout.MaxNameLen && nameLen == 0; n++ {
+		if dirlogBlocks(n, layout.InodesPerBlock-1) == 1 && dirlogBlocks(n, layout.InodesPerBlock) == 2 {
+			nameLen = n
+		}
+	}
+	if nameLen == 0 {
+		t.Fatal("no name length starts a second dirlog block at the last create")
+	}
 	// 502 entries so far, /pad, the new files less the one dropped.
 	const survivors = 502 + 1 + layout.InodesPerBlock - 1
 	for pad := 0; pad < testOptions().SegmentBlocks; pad++ {
@@ -857,7 +877,9 @@ func TestLargeDirectoryAppendWritesOneBlock(t *testing.T) {
 		}
 		d.FailAfterWrites(fs.segBlocks - fs.segs.headOff)
 		for i := 0; i < layout.InodesPerBlock; i++ {
-			if err := fs.Create(fmt.Sprintf("/k%02d", i)); err != nil {
+			if err := fs.Create("/" + name(i, nameLen)); errors.Is(err, disk.ErrCrashed) {
+				break
+			} else if err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -384,7 +384,7 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 	if err != nil {
 		return total, err
 	}
-	if fs.stagedBlocks()+1 >= fs.opts.WriteBufferBlocks {
+	if fs.stagedBlocks() >= fs.flushAt() {
 		if err := fs.flushLog(); err != nil {
 			return total, err
 		}

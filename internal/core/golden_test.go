@@ -16,19 +16,20 @@ import (
 // rather than a claim: a change to how the writer spends host time (PR 25's
 // folded DataChecksum and gather write) must leave every constant alone.
 // Re-baselining one is a deliberate act — it says the change alters the
-// image, and its PR says why. The constants last moved when the buffer-full
-// check began counting what a flush writes (dirty data, the dirlog blocks
-// the pending records pack into, the inode blocks the dirty inodes pack
-// into, dirty pointer blocks) rather than dirty data blocks alone, so every
-// flush ends at another place in the log; and when a cleaning pass began
-// taking empty segments first. The cleaner's work barely moved: 10 680 →
-// 10 660 KB copied from the same 96 segments, and 7 896 → 8 020 KB from
-// 191 → 192.
+// image, and its PR says why. The constants last moved when a buffer-full
+// flush began ending at a segment boundary (flushAt) and laying its dirlog
+// blocks beside its inode blocks instead of in front of its data: every
+// flush after a Sync or checkpoint ends at another place in the log, and
+// every flush puts its blocks in another order. The cleaner copies less:
+// 10 660 → 9 772 KB from the same 96 segments, and 8 020 → 7 880 KB from
+// the same 192. (Before that they moved when the buffer-full check began
+// counting what a flush writes rather than dirty data blocks alone, and
+// when a cleaning pass began taking empty segments first.)
 //
 // The first three images are the same bytes: CleanRead changes what the
 // cleaner reads, not which live blocks it copies or in what order.
 func TestImageGolden(t *testing.T) {
-	const defaultImage = "012ef765b0b7d1d7240693c8b9f7668e71a0f636c5ea115d4672c3d8e6dbd131"
+	const defaultImage = "bc86bd5f71b0cfd61e9f9d13daee9a66f771bfa3ab76024c07d122e0f57dfb9b"
 	cases := []struct {
 		name    string
 		opts    Options
@@ -40,7 +41,7 @@ func TestImageGolden(t *testing.T) {
 		{"clean-read-live-only", Options{CleanRead: CleanReadLive}, 6400, 500, defaultImage},
 		{"clean-read-whole", Options{CleanRead: CleanReadWhole}, 6400, 500, defaultImage},
 		{"seg64-wb16", Options{SegmentBlocks: 64, WriteBufferBlocks: 16}, 4096, 320,
-			"0829dcd91f6cca6da15b47531747613807372ea41894a11a5041f7705c58113b"},
+			"82c906cf4c8216db82ff2e3eadeccb0988c3409ef66c82efbaa77ef35293d51c"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -121,6 +121,29 @@ func (fs *FS) flushPending() error {
 	return nil
 }
 
+// flushAt is the staged-block count at which a write flushes the buffer:
+// the largest, at most WriteBufferBlocks-1, that ends the flush at a
+// segment boundary (the head segment's room, then whole segments, each less
+// its summaries), else WriteBufferBlocks-1. A Sync or checkpoint leaves the
+// head part-full; as in Sprite LFS the next buffer-full flush fills it
+// rather than spill into the next segment, which would cost roll-forward a
+// request of its own.
+func (fs *FS) flushAt() int {
+	limit := int64(fs.opts.WriteBufferBlocks - 1)
+	at, per := segRoom(fs.segBlocks-fs.segs.headOff), max(segRoom(fs.segBlocks), 1)
+	if at += max(limit-at, 0) / per * per; at < 1 || at > limit {
+		return int(limit)
+	}
+	return int(at)
+}
+
+// segRoom is how many blocks besides summaries flushPending puts in free
+// blocks of a segment, in partial writes of at most MaxSummaryEntries.
+func segRoom(free int64) int64 {
+	const w = layout.MaxSummaryEntries + 1
+	return free/w*layout.MaxSummaryEntries + max(free%w-1, 0)
+}
+
 // writeBatch runs the two-phase partial-segment write of one batch at the
 // current log head: Phase 1 assigns addresses and updates every pointer
 // and accounting entry, Phase 2 encodes contents and issues one device
@@ -296,10 +319,11 @@ func (fs *FS) tracePartialWrite(sumAddr int64, batch []stagedBlock) {
 	})
 }
 
-// flushLog stages every buffered modification — directory operation log
-// records first (Section 4.2 requires them to precede the directory and
-// inode blocks they describe), then file data, indirect blocks and packed
-// inodes — and writes them to the log.
+// flushLog stages every buffered modification — file data and indirect
+// blocks, then directory operation log records, then packed inodes — and
+// writes them to the log. Section 4.2 requires the records to precede the
+// directory and inode blocks they describe; as a directory block is reached
+// only through its inode, preceding the inodes is enough (DESIGN.md §4).
 func (fs *FS) flushLog() error {
 	if err := fs.failIfDegraded(); err != nil {
 		return err
@@ -355,9 +379,6 @@ func (fs *FS) flushLog() error {
 // of one log flush. On error the caller must treat the staging state as
 // torn (see flushLog) unless the error is ErrNoSpace.
 func (fs *FS) flushStages() error {
-	if err := fs.stageDirOps(); err != nil {
-		return err
-	}
 	if err := fs.stageDataBlocks(); err != nil {
 		return err
 	}
@@ -365,6 +386,9 @@ func (fs *FS) flushStages() error {
 	// order (nothing between them adds to it): sort it once.
 	inums := sortedKeys(fs.dirtyInodes)
 	fs.stageIndirectBlocks(inums)
+	if err := fs.stageDirOps(); err != nil {
+		return err
+	}
 	if err := fs.stageInodeBlocks(inums); err != nil {
 		return err
 	}
@@ -376,7 +400,7 @@ func (fs *FS) flushStages() error {
 func (fs *FS) inCheckpoint() bool { return fs.cpActive }
 
 // stageDirOps encodes pending directory-operation-log records into dirlog
-// blocks and stages them ahead of everything else. An unencodable record
+// blocks and stages them ahead of the inode blocks. An unencodable record
 // is reported, never panicked over: the records are produced internally,
 // but a corrupt one must not take the process down.
 func (fs *FS) stageDirOps() error {

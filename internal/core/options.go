@@ -96,11 +96,13 @@ type Options struct {
 	CoarseAgeSort bool
 	// CleanRead selects how the cleaner reads a victim (default planned).
 	CleanRead CleanReadMode
-	// WriteBufferBlocks is how many blocks a flush writes, its summary
-	// included: the log is flushed once the staged file data, dirlog,
-	// inode and pointer blocks plus one summary reach it (default: one
-	// segment's worth). Larger buffers batch more blocks per log write;
-	// smaller buffers model NFS-like eager write-back.
+	// WriteBufferBlocks bounds what a buffer-full flush writes, its summary
+	// included (default: one segment's worth). The log is flushed once the
+	// staged file data, pointer, dirlog and inode blocks reach the largest
+	// count below it that ends the flush at a segment boundary, or, with no
+	// boundary in reach, fill it with one summary (FS.flushAt). Larger
+	// buffers batch more blocks per log write; smaller buffers model
+	// NFS-like eager write-back.
 	WriteBufferBlocks int
 	// AdmitBudgetBlocks sizes the write admission gate: the total
 	// worst-case block budget of admitted-but-unflushed mutating

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -303,8 +304,8 @@ func TestRepairSweepFaults(t *testing.T) {
 		err                   string
 		corrupts, quarantines int64
 	}{
-		{"corrupt", disk.FaultCorrupt, "lfs: corrupted block: ino 7 offset 0 addr 1450", 1, 1},
-		{"unreadable", disk.FaultReadError, "disk: media read error at block 1450", 0, 0},
+		{"corrupt", disk.FaultCorrupt, "lfs: corrupted block: ino 7 offset 0 addr %d", 1, 1},
+		{"unreadable", disk.FaultReadError, "disk: media read error at block %d", 0, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := disk.FromSnapshot(img.snap)
@@ -314,8 +315,8 @@ func TestRepairSweepFaults(t *testing.T) {
 			o := opts
 			o.Tracer = obs.New(nil)
 			fs, err := Mount(d, o)
-			if fs != nil || fmt.Sprint(err) != c.err {
-				t.Errorf("Mount: %v, %v; want no file system and %s", fs != nil, err, c.err)
+			if want := fmt.Sprintf(c.err, addr); fs != nil || fmt.Sprint(err) != want {
+				t.Errorf("Mount: %v, %v; want no file system and %s", fs != nil, err, want)
 			}
 			m := o.Tracer.Metrics()
 			if n := m.Counter(obs.CtrCorruptBlocks); n != c.corrupts {
@@ -326,6 +327,58 @@ func TestRepairSweepFaults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRollForwardOneRequestPerFlush builds a tail shaped like Figure 8's
+// create phase — small files in many directories, n buffer-full flushes
+// after a checkpoint — cuts the power, and counts roll-forward's read
+// requests. Each flush ends at a segment boundary with its dirlog beside
+// its inode blocks, so the next summary rides on the request that reads
+// them: one request per flush, plus the first summary and the end of the
+// log. Every file the flushes hold comes back.
+func TestRollForwardOneRequestPerFlush(t *testing.T) {
+	const n, dirs = 8, 20
+	opts := Options{SegmentBlocks: 128, MaxInodes: 8192}
+	d := disk.MustNew(disk.DefaultGeometry(16384))
+	fs, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < dirs; i++ {
+		if err := fs.Mkdir(fmt.Sprintf("/d%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := func(i int) string { return fmt.Sprintf("/d%02d/f%05d", i%dirs, i) }
+	durable := 0 // the flushes so far hold files 0 to durable-1
+	for i, flushes := 0, 0; flushes < n; i++ {
+		before := fs.Stats().NewDataBytes
+		if err := fs.WriteFile(path(i), content(path(i), 1, 1)[:1024]); err != nil {
+			t.Fatal(err)
+		}
+		if fs.Stats().NewDataBytes != before {
+			flushes, durable = flushes+1, i+1
+		}
+	}
+	d.Crash()
+	tr := obs.New(nil)
+	opts.Tracer = tr
+	fs2, err := Mount(disk.FromSnapshot(d.Snapshot()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads := tr.Metrics().Counter(obs.CtrRecoveryPhasePrefix + "rollforward.reads"); reads > n+2 {
+		t.Errorf("roll-forward made %d read requests for %d buffer-full flushes, want at most %d", reads, n, n+2)
+	}
+	for i := 0; i < durable; i++ {
+		if got, err := fs2.ReadFile(path(i)); err != nil || !bytes.Equal(got, content(path(i), 1, 1)[:1024]) {
+			t.Fatalf("%s, flushed before the power cut: %d bytes, %v", path(i), len(got), err)
+		}
+	}
+	mustCheck(t, fs2)
 }
 
 // mountPhases are Mount's phases in the order it runs them.
@@ -694,9 +747,10 @@ func readableDiff(a, b map[string]bool) []string {
 
 // runSitesOf picks the partial write of the image's thread with the longest
 // run of adjacent blocks recovery reads — for salvage every block the
-// summary describes, for roll-forward its trailing inode blocks — and
-// returns the run's first, a middle and its last block, plus the summary
-// after it, which rides on the same request.
+// summary describes, for roll-forward its trailing dirlog and inode
+// blocks — and returns the run's first, a middle and its last block, plus
+// the summary after it, which rides on the same request. When the run does
+// not start with an inode block, its first inode block is a site too.
 func runSitesOf(t *testing.T, writes []partialWrite, wanted func(layout.BlockKind) bool) []runSite {
 	t.Helper()
 	var best partialWrite
@@ -714,12 +768,16 @@ func runSitesOf(t *testing.T, writes []partialWrite, wanted func(layout.BlockKin
 		t.Fatalf("the longest run is %d blocks, want at least 3", bestLen)
 	}
 	first := best.sumAddr + 1 + int64(bestFrom)
-	return []runSite{
+	sites := []runSite{
 		{"first", first},
 		{"middle", first + int64(bestLen/2)},
 		{"last", first + int64(bestLen) - 1},
 		{"next-summary", first + int64(bestLen)},
 	}
+	if k := slices.IndexFunc(best.entries[bestFrom:], func(e layout.SummaryEntry) bool { return e.Kind == layout.KindInode }); k > 0 {
+		sites = append(sites, runSite{"first-inode", first + int64(k)})
+	}
+	return sites
 }
 
 // TestFaultInsideRun plants each kind of read fault on the first, a middle
@@ -781,10 +839,16 @@ func TestFaultInsideRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		healthy := readable(clean, img.files)
-		for _, site := range runSitesOf(t, writes, rollForwardReads) {
+		kinds := logKinds(t, img)
+		sites := runSitesOf(t, writes, rollForwardReads)
+		if kinds[sites[0].addr] != layout.KindDirLog || sites[len(sites)-1].name != "first-inode" {
+			t.Fatalf("the run starts with a %v block, want the flush's dirlog in front of its inode blocks", kinds[sites[0].addr])
+		}
+		for _, site := range sites {
 			for _, f := range runFaults {
 				t.Run(site.name+"/"+f.name, func(t *testing.T) {
-					fs, err := Mount(faultedDisk(t, img.snap, f.fault, site.addr), img.opts)
+					d := faultedDisk(t, img.snap, f.fault, site.addr)
+					fs, err := Mount(d, img.opts)
 					switch {
 					case f.name == "transient-2":
 						// Clears inside the retry ladder: nothing to see.
@@ -799,6 +863,34 @@ func TestFaultInsideRun(t *testing.T) {
 						if err != nil || fs.Degraded() {
 							t.Fatalf("mount: %v; want the log to end at the corrupt summary", err)
 						}
+					case f.name == "corrupt" && kinds[site.addr] == layout.KindDirLog:
+						// A dirlog block checks its records' CRC, and the
+						// mount reports one that fails it. A flip the decoder
+						// does not see (a header byte it does not read)
+						// changes no record, and the mount recovers what a
+						// clean one does. The planted flip is checked, and
+						// a second seed's, until both kinds have been seen.
+						reported := false
+						for seed := f.fault.Seed; seed == f.fault.Seed || !reported; seed++ {
+							if seed != f.fault.Seed {
+								d = faultedDisk(t, img.snap, disk.Fault{Kind: disk.FaultCorrupt, Seed: seed}, site.addr)
+								fs, err = Mount(d, img.opts)
+							}
+							blk := make([]byte, layout.BlockSize)
+							if rerr := d.Read(site.addr, blk); rerr != nil {
+								t.Fatal(rerr)
+							}
+							if _, derr := layout.DecodeDirOpLog(blk); derr != nil {
+								reported = true
+								if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dirlog block at %d", site.addr)) {
+									t.Fatalf("seed %d: mount: %v, want the corrupt dirlog block at %d reported", seed, err, site.addr)
+								}
+							} else if err != nil || fs.Degraded() {
+								t.Fatalf("seed %d: mount: %v; the flip changes no record of the dirlog block", seed, err)
+							} else if diff := readableDiff(readable(fs, img.files), healthy); len(diff) > 0 {
+								t.Errorf("seed %d: %d files differ from the fault-free mount, first %s", seed, len(diff), diff[0])
+							}
+						}
 					case f.name == "corrupt":
 						// A packed inode block checks its own CRC.
 						if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("inode block at %d", site.addr)) {
@@ -808,7 +900,7 @@ func TestFaultInsideRun(t *testing.T) {
 						if err != nil || !fs.Degraded() {
 							t.Fatalf("mount: %v, want a degraded mount", err)
 						}
-						what := "inode block"
+						what := kinds[site.addr].String() + " block"
 						if site.name == "next-summary" {
 							what = "summary"
 						}

@@ -124,44 +124,68 @@ func TestRecomputedUsageCheckpointAtEveryOffset(t *testing.T) {
 
 // TestRecomputedUsageCountsRepairWrites crashes in the middle of a flush so
 // that the directory-operation log of 40 removals reaches the disk and the
-// directories and inodes do not. Recovery redoes the removals, and with a
-// write buffer of 8 blocks its repair pass fills the buffer and flushes
-// several times before usage is recomputed — into a segment whose count
-// recovery has suspended. Those partial writes are in no tail read from the
-// device: the log writer must add them (writeBatch), or the segment comes out
+// inodes do not (the directory blocks written before the log are reachable
+// only through them). Recovery redoes the removals, and with a write buffer
+// of 8 blocks its repair pass fills the buffer and flushes several times
+// before usage is recomputed — into a segment whose count recovery has
+// suspended. Those partial writes are in no tail read from the device: the
+// log writer must add them (writeBatch), or the segment comes out
 // under-counted.
 func TestRecomputedUsageCountsRepairWrites(t *testing.T) {
 	const ndirs = 40
 	opts := testOptions()
 	opts.WriteBufferBlocks = 256
-	fs, d := newTestFS(t, 4096, opts)
-	for i := 0; i < ndirs; i++ {
-		dir := fmt.Sprintf("/d%02d", i)
-		if err := fs.Mkdir(dir); err != nil {
+	// The flush stages the directories, then the directory log, then the
+	// inodes. A power cut inside a partial write tears it, and recovery
+	// drops a torn final write whole, so the log must end a partial write:
+	// a synced padding file in the tail moves the head until the blocks in
+	// front of the inodes fill the head segment and whole segments after
+	// it. The cut lets exactly those writes through, summaries included.
+	var (
+		fs  *FS
+		d   *disk.Disk
+		cut int64
+	)
+	for pad := 0; cut == 0; pad++ {
+		if pad == 2*int(opts.SegmentBlocks) {
+			t.Fatal("no padding puts the end of the directory log at a segment's end")
+		}
+		fs, d = newTestFS(t, 4096, opts)
+		for i := 0; i < ndirs; i++ {
+			dir := fmt.Sprintf("/d%02d", i)
+			if err := fs.Mkdir(dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"/keep", "/doomed"} {
+				if err := fs.WriteFile(dir+name, content(dir+name, 1, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := fs.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"/keep", "/doomed"} {
-			if err := fs.WriteFile(dir+name, content(dir+name, 1, 1)); err != nil {
+		if pad > 0 {
+			if err := fs.WriteFile("/pad", content("/pad", 0, pad)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := fs.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ndirs; i++ {
-		if err := fs.Remove(fmt.Sprintf("/d%02d/doomed", i)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < ndirs; i++ {
+			if err := fs.Remove(fmt.Sprintf("/d%02d/doomed", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inodeBlocks := (len(fs.dirtyInodes) + layout.InodesPerBlock - 1) / layout.InodesPerBlock
+		before := int64(fs.stagedBlocks() - inodeBlocks)
+		room := fs.segBlocks - fs.segs.headOff
+		if k := before - segRoom(room); room >= 2 && k >= 0 && k%segRoom(fs.segBlocks) == 0 {
+			cut = room + k/segRoom(fs.segBlocks)*fs.segBlocks
 		}
 	}
-	// The flush stages the directory log first, then the directories, then
-	// the inodes; its first partial write fills the head segment. Let that
-	// one through — summary included — and nothing after it.
-	first := fs.segBlocks - fs.segs.headOff
-	if first < 4 {
-		t.Fatalf("only %d blocks left in the head segment: the first partial write would hold no directory", first)
-	}
-	d.FailAfterWrites(first)
+	d.FailAfterWrites(cut)
 	if err := fs.Sync(); err == nil {
 		t.Fatal("Sync survived the power cut")
 	}

@@ -92,11 +92,52 @@ func TestStagedBlocksIsWhatFlushWrites(t *testing.T) {
 	}
 }
 
+// TestFlushAt checks flushAt without a device, against a replay of how
+// flushPending packs blocks into partial writes: over every head offset,
+// three write buffers and two segment sizes it never exceeds
+// WriteBufferBlocks-1, and it is the largest count whose flush ends at a
+// segment boundary whenever one is in reach.
+func TestFlushAt(t *testing.T) {
+	// endsAtBoundary replays flushPending writing n blocks from head offset
+	// off: partial writes of a summary and at most MaxSummaryEntries blocks,
+	// each in the head segment while it has room for one.
+	endsAtBoundary := func(segBlocks, off, n int64) bool {
+		free := segBlocks - off
+		for n > 0 {
+			if free < 2 {
+				free = segBlocks
+			}
+			k := min(n, free-1, layout.MaxSummaryEntries)
+			n, free = n-k, free-k-1
+		}
+		return free == 0
+	}
+	for _, segBlocks := range []int64{64, 128} {
+		for _, wbb := range []int{16, 128, 256} {
+			for off := int64(0); off <= segBlocks; off++ {
+				fs := &FS{segBlocks: segBlocks, opts: Options{WriteBufferBlocks: wbb}, segs: &segAlloc{headOff: off}}
+				want := wbb - 1 // no boundary in reach
+				for n := wbb - 1; n >= 1; n-- {
+					if endsAtBoundary(segBlocks, off, int64(n)) {
+						want = n
+						break
+					}
+				}
+				if got := fs.flushAt(); got != want || got > wbb-1 {
+					t.Errorf("segment %d blocks, write buffer %d, head at %d: flushAt %d, want %d", segBlocks, wbb, off, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBufferFullFlushFillsSegment creates a burst of small files in random
-// directories (Figure 8's create phase) and checks that every flush the
-// full write buffer triggers writes, with its summary, between
-// WriteBufferBlocks-8 and WriteBufferBlocks blocks: one segment's worth of
-// what it actually writes, not of dirty data blocks alone.
+// directories (Figure 8's create phase) after a Sync has left the head
+// segment part-full, and checks that every flush the full write buffer
+// triggers leaves the head at a segment boundary, writes with its summary
+// at most WriteBufferBlocks blocks, and — when it starts at a boundary —
+// at least WriteBufferBlocks-8: one segment's worth of what it actually
+// writes, not of dirty data blocks alone.
 func TestBufferFullFlushFillsSegment(t *testing.T) {
 	opts := testOptions()
 	opts.SegmentBlocks = 128
@@ -111,11 +152,15 @@ func TestBufferFullFlushFillsSegment(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if fs.segs.headOff == 0 || fs.segs.headOff == fs.segBlocks {
+		t.Fatalf("the Sync left the head at offset %d, want it part-full", fs.segs.headOff)
+	}
 	rng := rand.New(rand.NewSource(1))
 	wbb := int64(fs.opts.WriteBufferBlocks)
-	flushes := 0
+	flushes, full := 0, 0
 	for i := 0; i < 4000; i++ {
 		before := fs.Stats()
+		atBoundary := fs.segs.headOff == fs.segBlocks
 		if err := fs.WriteFile(fmt.Sprintf("/d%02d/f%04d", rng.Intn(dirs), i), nonZero(i, 1024)); err != nil {
 			t.Fatal(err)
 		}
@@ -124,12 +169,21 @@ func TestBufferFullFlushFillsSegment(t *testing.T) {
 			continue
 		}
 		flushes++
-		if n+1 < wbb-8 || n+1 > wbb {
-			t.Errorf("create %d: a buffer-full flush wrote %d blocks and a summary, want %d-%d", i, n, wbb-9, wbb-1)
+		if fs.segs.headOff != fs.segBlocks {
+			t.Errorf("create %d: a buffer-full flush of %d blocks left the head at offset %d of %d", i, n, fs.segs.headOff, fs.segBlocks)
+		}
+		if n+1 > wbb {
+			t.Errorf("create %d: a buffer-full flush wrote %d blocks and a summary, want at most %d", i, n, wbb-1)
+		}
+		if atBoundary {
+			full++
+			if n+1 < wbb-8 {
+				t.Errorf("create %d: a buffer-full flush from a segment boundary wrote %d blocks and a summary, want %d-%d", i, n, wbb-9, wbb-1)
+			}
 		}
 	}
-	if flushes < 20 {
-		t.Fatalf("%d buffer-full flushes for 4000 one-block files", flushes)
+	if flushes < 20 || full != flushes-1 {
+		t.Fatalf("%d buffer-full flushes for 4000 one-block files, %d from a segment boundary", flushes, full)
 	}
 }
 

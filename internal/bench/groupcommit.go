@@ -35,9 +35,13 @@ type groupCommitResult struct {
 	BlocksOut    int64   // simulated device blocks
 	GroupCommits int64   // committer batches flushed
 	GroupSyncs   int64   // Sync callers those served
+	NVAbsorbed   int64   // Syncs that returned at the NVRAM
+	NVBackpress  int64   // inline flushes forced by a full NVRAM
 }
 
-// groupCommitScenario describes one workload shape.
+// groupCommitScenario describes one workload shape. Every scenario's round
+// count is a multiple of its syncMod, so each writer's last round syncs and
+// blocks out counts everything the run wrote.
 type groupCommitScenario struct {
 	name    string
 	writers []int
@@ -51,19 +55,21 @@ func groupCommitScenarios(cfg Config) []groupCommitScenario {
 	if cfg.Quick {
 		rounds = 120
 	}
-	return []groupCommitScenario{
+	return []groupCommitScenario{ // nvsync.go runs syncHeavy
 		{name: "steady", writers: []int{1, 2, 4, 8}, syncMod: 8, rounds: rounds, payload: 4 * layout.BlockSize},
 		{name: "sync-heavy", writers: []int{1, 8}, syncMod: 1, rounds: rounds, payload: layout.BlockSize},
 	}
 }
 
-// runGroupCommitCell runs one scenario at one writer count.
-func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int) (groupCommitResult, error) {
+// runGroupCommitCell runs one scenario at one writer count, over nv when
+// it is not nil (nvsync.go).
+func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int, nv *core.NVRAM) (groupCommitResult, error) {
 	res := groupCommitResult{Scenario: sc.name, Writers: writers}
 	opts := core.Options{
 		SegmentBlocks:   64,
 		MaxInodes:       4096,
 		ReadCacheBlocks: 64,
+		NVRAM:           nv,
 	}
 	fs, d, err := cfg.newLFSSized(16384, opts)
 	if err != nil {
@@ -128,9 +134,6 @@ func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int) (groupC
 	if firstErr != nil {
 		return res, firstErr
 	}
-	if err := fs.Sync(); err != nil {
-		return res, err
-	}
 
 	st := fs.Stats()
 	ds := d.Stats()
@@ -143,6 +146,8 @@ func runGroupCommitCell(cfg Config, sc groupCommitScenario, writers int) (groupC
 	res.BlocksOut = ds.BlocksWritten
 	res.GroupCommits = st.GroupCommits
 	res.GroupSyncs = st.GroupCommitSyncs
+	res.NVAbsorbed = st.NVAbsorbedSyncs
+	res.NVBackpress = st.NVBackpressureFlushes
 	return res, nil
 }
 
@@ -161,7 +166,7 @@ func RunGroupCommit(cfg Config) (*Table, error) {
 	var results []groupCommitResult
 	for _, sc := range groupCommitScenarios(cfg) {
 		for _, writers := range sc.writers {
-			r, err := runGroupCommitCell(cfg, sc, writers)
+			r, err := runGroupCommitCell(cfg, sc, writers, nil)
 			if err != nil {
 				return nil, fmt.Errorf("groupcommit %s w=%d: %w", sc.name, writers, err)
 			}

@@ -37,7 +37,7 @@ func Experiments() []Experiment {
 		{"ablation-cleanread", "whole-segment vs live-only cleaning reads", RunAblationCleanRead},
 		{"cleaner-gap", "core.FS vs cleansim on one hot-and-cold trace, and the cleaner sizing sweep", RunCleanerGap},
 		{"groupcommit", "concurrent writers: group-commit throughput and Sync latency", RunGroupCommit},
-		{"nvsync", "sync-per-small-file: NVRAM-absorbed vs inline durability", RunNVSync},
+		{"nvsync", "sync-per-small-file: durable on disk vs in NVRAM", RunNVSync},
 		{"readpath", "single-block reads: warm cache vs pooled uncached path", RunReadPath},
 	}
 }

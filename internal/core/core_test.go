@@ -48,6 +48,19 @@ func mustCheck(t *testing.T, fs *FS) {
 	}
 }
 
+// mustFlush writes every staged operation to the log, as Sync does on a
+// file system without an NVRAM; with one attached, Sync returns at the
+// NVRAM record and writes nothing.
+func mustFlush(tb testing.TB, fs *FS) {
+	tb.Helper()
+	fs.mu.Lock()
+	err := fs.flushLog()
+	fs.mu.Unlock()
+	if err != nil {
+		tb.Fatalf("flush: %v", err)
+	}
+}
+
 func TestFormatAndStatRoot(t *testing.T) {
 	fs, _ := newTestFS(t, 2048, testOptions())
 	info, err := fs.Stat("/")

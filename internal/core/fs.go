@@ -151,7 +151,7 @@ type FS struct {
 	flushedSeq atomic.Uint64
 	gate       *admitGate
 	commit     *committer
-	// nvSeq is the NVRAM durability epoch (Options.NVSyncAbsorb): the
+	// nvSeq is the NVRAM durability epoch (Options.NVRAM): the
 	// highest stageSeq value all of whose operations are recorded in
 	// NVRAM or already covered by a flush. flushedSeq is its disk twin;
 	// together they are the nvSeq/diskSeq pair — operations at or below
@@ -335,7 +335,7 @@ func (fs *FS) ResetStats() {
 
 // Durability returns the file system's three durability epochs: staged
 // counts completed mutating operations, nv is the NVRAM commit epoch
-// (meaningful only with Options.NVSyncAbsorb), disk is the epoch the
+// (meaningful only with Options.NVRAM attached), disk is the epoch the
 // last successful log flush covered. Operations at or below
 // max(nv, disk) survive a crash when the NVRAM contents do; operations
 // at or below disk survive a fail-stop crash that loses them. The crash
@@ -540,7 +540,7 @@ func (h *inumHeap) pop() (uint32, bool) {
 // in-flight commit epoch, so no parked Sync is abandoned — and the
 // admission gate is opened so blocked admitters fail fast on the mounted
 // check. The checkpoint is the flush that brings the disk up to syncs the
-// NVRAM absorbed (Options.NVSyncAbsorb) and empties the NVRAM.
+// NVRAM absorbed (Options.NVRAM) and empties the NVRAM.
 func (fs *FS) Unmount() error {
 	fs.commit.stop()
 	fs.gate.close()
@@ -563,21 +563,22 @@ func (fs *FS) Unmount() error {
 	return nil
 }
 
-// Sync makes all buffered modifications durable. Without NVSyncAbsorb
-// that means flushing them to the log (no checkpoint): the caller parks
-// on the commit of the epoch its operations joined — when the group
+// Sync makes all buffered modifications durable. Without an NVRAM that
+// means flushing them to the log (no checkpoint): the caller parks on
+// the commit of the epoch its operations joined — when the group
 // committer is running, N concurrent Sync callers share one log flush,
 // and a Sync whose epoch an earlier flush already covered returns
 // without taking fs.mu.Lock at all.
 //
-// With Options.NVSyncAbsorb the NVRAM redo log is the commit point: if
+// With Options.NVRAM attached the NVRAM redo log is the commit point: if
 // the caller's epoch is already recorded there (nvSeq >= want), Sync
 // returns at memory speed without starting a flush. The disk catches up
 // at the next flush something else triggers: a full write buffer or
 // NVRAM, a checkpoint, or Unmount. The disk path remains the fallback for
 // epochs the NVRAM does not cover — a failed operation can leave such a
-// gap — so the durability contract is identical in both modes; only
-// where the contract is satisfied differs (NVRAM vs disk log).
+// gap — so the durability contract is the same with and without an
+// NVRAM; only where the contract is satisfied differs (NVRAM vs disk
+// log).
 func (fs *FS) Sync() error {
 	fs.mu.RLock()
 	if !fs.mounted {
@@ -590,7 +591,7 @@ func (fs *FS) Sync() error {
 	}
 	want := fs.stageSeq.Load()
 	covered := fs.flushedSeq.Load() >= want && !fs.checkpointDue()
-	absorbed := !covered && fs.opts.NVSyncAbsorb && fs.nvSeq.Load() >= want
+	absorbed := !covered && fs.opts.NVRAM != nil && fs.nvSeq.Load() >= want
 	fs.mu.RUnlock()
 	if covered {
 		return nil

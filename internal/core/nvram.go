@@ -21,10 +21,9 @@ import (
 // Replays are idempotent: an operation whose effect already reached the
 // log is detected and skipped.
 //
-// With Options.NVSyncAbsorb the NVRAM is promoted from a safety net to
-// the commit point itself: Sync returns as soon as the epoch's records
-// are in NVRAM and the disk catches up at the next flush. See nvLog and
-// (*FS).Sync for the durability accounting.
+// An attached NVRAM is the commit point: Sync returns as soon as the
+// epoch's records are in NVRAM, and the disk catches up at the next
+// flush. See nvLog and (*FS).Sync for the durability accounting.
 type NVRAM struct {
 	mu       sync.Mutex
 	capacity int64
@@ -160,12 +159,10 @@ func (nv *NVRAM) snapshot() ([]nvRecord, error) {
 // deferred opStaged closes the operation's epoch — so the operation
 // completing now has epoch sequence stageSeq+1.
 //
-// In NVSyncAbsorb mode the NVRAM record is the commit point: nvSeq is
-// advanced to cover this operation, and a record that no longer fits
-// forces the flush inline — that inline flush is the backpressure the
-// mode promises, and nothing flushes behind the caller's back. Without
-// absorb the record is a safety net, and a record that does not fit
-// still flushes inline.
+// The NVRAM record is the commit point: nvSeq is advanced to cover this
+// operation, and a record that no longer fits forces the flush inline.
+// That inline flush is the backpressure an attached NVRAM promises, and
+// nothing flushes behind the caller's back.
 func (fs *FS) nvLog(r *nvRecord) error {
 	nv := fs.opts.NVRAM
 	if nv == nil {
@@ -176,34 +173,28 @@ func (fs *FS) nvLog(r *nvRecord) error {
 		// flush persists this operation's staged effects (and every
 		// earlier one) to the log and empties the NVRAM via nvClear, so
 		// the record is unnecessary — roll-forward re-derives it all.
-		if fs.opts.NVSyncAbsorb {
-			fs.stats.NVBackpressureFlushes++
-		}
+		fs.stats.NVBackpressureFlushes++
 		if err := fs.flushLog(); err != nil {
 			return err
 		}
-		if fs.opts.NVSyncAbsorb {
-			// The flush covered this operation on disk (flushedSeq still
-			// reads seq-1: stageSeq bumps only at operation end), so the
-			// NVRAM epoch may advance past it — but only after the flush
-			// succeeded, since nothing else holds this record.
-			seq := fs.stageSeq.Load() + 1
-			if fs.flushedSeq.Load() >= seq-1 {
-				fs.nvSeq.Store(seq)
-			}
+		// The flush covered this operation on disk (flushedSeq still
+		// reads seq-1: stageSeq bumps only at operation end), so the
+		// NVRAM epoch may advance past it — but only after the flush
+		// succeeded, since nothing else holds this record.
+		seq := fs.stageSeq.Load() + 1
+		if fs.flushedSeq.Load() >= seq-1 {
+			fs.nvSeq.Store(seq)
 		}
 		return nil
 	}
-	if fs.opts.NVSyncAbsorb {
-		seq := fs.stageSeq.Load() + 1
-		// nvSeq may only advance to seq if every earlier operation is
-		// already durable (in NVRAM or covered by a flush). A failed
-		// operation can stage partial state without writing a record;
-		// the gap it leaves forces Sync back onto the disk path until a
-		// flush covers it.
-		if fs.nvSeq.Load() >= seq-1 || fs.flushedSeq.Load() >= seq-1 {
-			fs.nvSeq.Store(seq)
-		}
+	// nvSeq may only advance to seq if every earlier operation is
+	// already durable (in NVRAM or covered by a flush). A failed
+	// operation can stage partial state without writing a record; the
+	// gap it leaves forces Sync back onto the disk path until a flush
+	// covers it.
+	seq := fs.stageSeq.Load() + 1
+	if fs.nvSeq.Load() >= seq-1 || fs.flushedSeq.Load() >= seq-1 {
+		fs.nvSeq.Store(seq)
 	}
 	return nil
 }

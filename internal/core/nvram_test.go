@@ -78,12 +78,53 @@ func TestNVRAMClearedByFlush(t *testing.T) {
 	if nv.Pending() == 0 {
 		t.Fatal("operation not recorded in NVRAM")
 	}
-	if err := fs.Sync(); err != nil {
+	// The checkpoint's flush, not Sync: an attached NVRAM absorbs a Sync.
+	if err := fs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if nv.Pending() != 0 {
 		t.Fatalf("NVRAM holds %d records after a flush made them durable", nv.Pending())
 	}
+}
+
+// TestNVRAMIsTheCommitPoint: with an NVRAM attached and every other
+// option at its default, Sync returns at the NVRAM record without a device
+// write, the durability epochs say so, and the record alone brings the file
+// back after a crash.
+func TestNVRAMIsTheCommitPoint(t *testing.T) {
+	d := disk.MustNew(disk.DefaultGeometry(4096))
+	nv := NewNVRAM(1 << 20)
+	opts := Options{NVRAM: nv}
+	fs, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats().WriteOps
+	if err := fs.WriteFile("/f", []byte("committed in NVRAM")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().WriteOps - before; n != 0 {
+		t.Fatalf("WriteFile + Sync made %d device writes, want 0", n)
+	}
+	if staged, nvSeq, onDisk := fs.Durability(); nvSeq != staged || staged <= onDisk {
+		t.Fatalf("Durability() = staged %d, nv %d, disk %d; want nv == staged > disk", staged, nvSeq, onDisk)
+	}
+	if got := fs.Stats().NVAbsorbedSyncs; got != 1 {
+		t.Fatalf("NVAbsorbedSyncs = %d, want 1", got)
+	}
+	d.Crash()
+	d.Reopen()
+	fs2, err := Mount(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs2.ReadFile("/f"); err != nil || string(got) != "committed in NVRAM" {
+		t.Fatalf("after the crash: %q, %v", got, err)
+	}
+	mustCheck(t, fs2)
 }
 
 // TestNoRollForwardDiscardsNVRAM mounts a crashed image with NVRAM
@@ -108,9 +149,9 @@ func TestNoRollForwardDiscardsNVRAM(t *testing.T) {
 	if err := fs.WriteFile("/a", []byte("synced")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	// On the log, past the checkpoint: the NVRAM's WriteAt below names a
+	// file only roll-forward would bring back.
+	mustFlush(t, fs)
 	if _, err := fs.WriteAt("/a", 0, []byte("buffered")); err != nil {
 		t.Fatal(err)
 	}

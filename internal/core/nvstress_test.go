@@ -12,7 +12,7 @@ import (
 	"repro/internal/layout"
 )
 
-// TestConcurrentWritersNVAbsorb is the NVSyncAbsorb stress test: several
+// TestConcurrentWritersNVAbsorb is the NVRAM commit-point stress test: several
 // writer goroutines mix writes, renames, removes and frequent Syncs with
 // the NVRAM as the commit point, sized small enough that the run is
 // forced through the full absorb lifecycle — records absorbed, and,
@@ -27,7 +27,6 @@ func TestConcurrentWritersNVAbsorb(t *testing.T) {
 		nv := NewNVRAM(64 << 10)
 		opts := testOptions()
 		opts.NVRAM = nv
-		opts.NVSyncAbsorb = true
 		fs, d := newTestFS(t, 4096, opts)
 
 		const W = 6
@@ -144,7 +143,6 @@ func TestUnmountJoinsNVAsyncFlusher(t *testing.T) {
 	nv := NewNVRAM(256 << 10)
 	opts := testOptions()
 	opts.NVRAM = nv
-	opts.NVSyncAbsorb = true
 	fs, d := newTestFS(t, 4096, opts)
 
 	const W = 6

@@ -124,25 +124,24 @@ type Options struct {
 	// default is an internal tick that advances on every operation.
 	Clock func() uint64
 	// NoRollForward makes Mount discard everything after the most recent
-	// checkpoint instead of rolling forward (the paper's production
-	// configuration, Section 5).
+	// checkpoint instead of rolling forward. It is a recovery knob, not a
+	// test hook: Sprite LFS ran in production this way, checkpointing every
+	// 30 seconds and discarding the tail on reboot (Sections 4.2 and 5),
+	// and lfsck -noroll checks an image as that configuration sees it.
 	NoRollForward bool
-	// NVRAM attaches a battery-backed write buffer (Section 2.1): every
-	// acknowledged operation survives a crash even before it reaches the
-	// log. Pass the same NVRAM to Mount after a crash to replay it; a
-	// NoRollForward mount discards its contents with the log tail.
-	NVRAM *NVRAM
-	// NVSyncAbsorb makes the NVRAM redo record the durability point:
-	// Sync returns as soon as the caller's epoch is recorded in NVRAM
-	// and starts no flush. The disk catches up at the next flush that
-	// the write buffer or the NVRAM filling, a checkpoint or Unmount
+	// NVRAM attaches a battery-backed write buffer (Section 2.1) and
+	// makes its redo record the commit point: every acknowledged
+	// operation survives a crash even before it reaches the log, and
+	// Sync returns as soon as the caller's epoch is recorded there,
+	// starting no flush. The disk catches up at the next flush that the
+	// write buffer or the NVRAM filling, a checkpoint or Unmount
 	// triggers. The full-NVRAM flush is the backpressure: it runs inline
 	// and empties the NVRAM, as Section 2.1's bounded buffer demands.
-	// Requires NVRAM; ignored (cleared by withDefaults) without one.
-	// After a crash, mount with the same NVRAM to replay the absorbed
-	// epochs; mounting without it falls back to fail-stop recovery of
-	// whatever the disk log holds.
-	NVSyncAbsorb bool
+	// Pass the same NVRAM to Mount after a crash to replay it; mounting
+	// without it falls back to fail-stop recovery of whatever the disk
+	// log holds, and a NoRollForward mount discards its contents with
+	// the log tail.
+	NVRAM *NVRAM
 	// Tracer attaches the observability layer: per-request disk events,
 	// log-write / checkpoint / cleaner-decision events, and metrics
 	// keyed to simulated disk time. nil (the default) disables tracing
@@ -157,11 +156,6 @@ func (o Options) WithTracer(t *obs.Tracer) Options {
 }
 
 func (o Options) withDefaults() Options {
-	if o.NVRAM == nil {
-		// Absorbed sync without an NVRAM would acknowledge durability
-		// nothing holds; quietly fall back to inline-flush semantics.
-		o.NVSyncAbsorb = false
-	}
 	// A size nothing can run with is as good as unset (a negative gate
 	// parks the first operation forever, a negative inode count is 2^32-1).
 	if o.SegmentBlocks <= 0 {

@@ -21,7 +21,6 @@ func TestOptionsTable(t *testing.T) {
 	floor := reserveSegments + 2 + 4 // CleanLowWater at the default sizes
 	rows := []struct {
 		field      string
-		base       Options // other fields the row depends on
 		zero, in   any
 		out, lands any // nil: every value of the type is in range
 	}{
@@ -41,10 +40,6 @@ func TestOptionsTable(t *testing.T) {
 		{field: "Clock", zero: (func() uint64)(nil), in: clock},
 		{field: "NoRollForward", zero: false, in: true},
 		{field: "NVRAM", zero: (*NVRAM)(nil), in: nv},
-		// Absorbed sync needs an NVRAM to absorb into; without one it is
-		// cleared.
-		{field: "NVSyncAbsorb", base: Options{NVRAM: nv}, zero: false, in: true},
-		{field: "NVSyncAbsorb", zero: false, in: false, out: true, lands: false},
 		{field: "Tracer", zero: (*obs.Tracer)(nil), in: tr},
 	}
 
@@ -55,7 +50,8 @@ func TestOptionsTable(t *testing.T) {
 		}
 		return v
 	}
-	after := func(base Options, field string, v any) any {
+	after := func(field string, v any) any {
+		var base Options
 		if v != nil {
 			reflect.ValueOf(&base).Elem().FieldByName(field).Set(reflect.ValueOf(v))
 		}
@@ -64,14 +60,14 @@ func TestOptionsTable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range rows {
 		seen[r.field] = true
-		if got := after(r.base, r.field, nil); got != norm(r.zero) {
+		if got := after(r.field, nil); got != norm(r.zero) {
 			t.Errorf("%s: zero value becomes %v, want the default %v", r.field, got, r.zero)
 		}
-		if got := after(r.base, r.field, r.in); got != norm(r.in) {
+		if got := after(r.field, r.in); got != norm(r.in) {
 			t.Errorf("%s: in-range %v becomes %v", r.field, r.in, got)
 		}
 		if r.out != nil {
-			if got := after(r.base, r.field, r.out); got != norm(r.lands) {
+			if got := after(r.field, r.out); got != norm(r.lands) {
 				t.Errorf("%s: out-of-range %v becomes %v, want %v", r.field, r.out, got, r.lands)
 			}
 		}
@@ -82,8 +78,8 @@ func TestOptionsTable(t *testing.T) {
 			t.Errorf("Options.%s has no row", typ.Field(i).Name)
 		}
 	}
-	if typ.NumField() != 18 {
-		t.Errorf("Options has %d fields, want 18: a new option needs a row and a reason", typ.NumField())
+	if typ.NumField() != 17 {
+		t.Errorf("Options has %d fields, want 17: a new option needs a row and a reason", typ.NumField())
 	}
 }
 

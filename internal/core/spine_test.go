@@ -81,9 +81,7 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err := live.WriteFile("/g", []byte("replaced by the rename")); err != nil {
 				t.Fatal(err)
 			}
-			if err := live.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			mustFlush(t, live)
 			base := d.Snapshot() // what the second file system starts from
 			if err := tc.op(live); err != nil {
 				t.Fatal(err)
@@ -147,9 +145,7 @@ func TestReplayDeviceErrorFailsMount(t *testing.T) {
 	if err := fs.WriteFile("/f", bytes.Repeat([]byte("o"), 2*layout.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	mustFlush(t, fs)
 	_, addr := dataBlockAddr(t, fs, "/f", 1)
 	if err := fs.Create("/ok"); err != nil {
 		t.Fatal(err)
@@ -211,9 +207,9 @@ func TestWriteFileNoSpaceAfterCreateDoesNotDegrade(t *testing.T) {
 // file's blocks are in the dirty cache: the prepared write and its two
 // block buffers stay on do's stack, and the payload is not copied again,
 // with or without an NVRAM (whose append copies into its own buffer,
-// amortised below one allocation per record). With NVSyncAbsorb the op
-// is WriteAt + Sync, and the absorbed Sync, which returns at the NVRAM
-// record without starting a flush, allocates nothing either.
+// amortised below one allocation per record). In the "absorbed" case
+// the op is WriteAt + Sync, and the absorbed Sync, which returns at the
+// NVRAM record without starting a flush, allocates nothing either.
 func TestAllocsWriteAt(t *testing.T) {
 	for _, nvram := range []string{"false", "true", "absorbed"} {
 		t.Run("nvram="+nvram, func(t *testing.T) {
@@ -221,7 +217,7 @@ func TestAllocsWriteAt(t *testing.T) {
 			if nvram != "false" {
 				opts.NVRAM = NewNVRAM(8 << 20)
 			}
-			opts.NVSyncAbsorb = nvram == "absorbed"
+			absorbed := nvram == "absorbed"
 			fs, _ := newTestFS(t, 2048, opts)
 			if err := fs.Create("/f"); err != nil {
 				t.Fatal(err)
@@ -231,7 +227,7 @@ func TestAllocsWriteAt(t *testing.T) {
 				if _, err := fs.WriteAt("/f", 0, data); err != nil {
 					t.Fatal(err)
 				}
-				if opts.NVSyncAbsorb {
+				if absorbed {
 					if err := fs.Sync(); err != nil {
 						t.Fatal(err)
 					}

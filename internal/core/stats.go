@@ -64,10 +64,10 @@ type Stats struct {
 	GroupCommitMaxSyncs int64
 
 	// NVAbsorbedSyncs counts Sync calls satisfied by the NVRAM commit
-	// point alone (Options.NVSyncAbsorb): the caller returned without
-	// waiting for any disk write, and no flush was started for it.
+	// point alone (Options.NVRAM): the caller returned without waiting
+	// for any disk write, and no flush was started for it.
 	// NVBackpressureFlushes counts the inline flushes forced by a full
-	// NVRAM — the mode's only synchronous disk wait.
+	// NVRAM — an attached NVRAM's only synchronous disk wait.
 	NVAbsorbedSyncs       int64
 	NVBackpressureFlushes int64
 

@@ -53,9 +53,9 @@ type Config struct {
 	// ExtraFaultSites are addresses FaultSweepNVReplay injects faults at
 	// whether or not the traced recovery read them.
 	ExtraFaultSites []int64
-	// NVBytes sizes the NVRAM used by the NVSyncAbsorb harness paths
-	// (RecordNV and friends); default 16384, small enough that modest
-	// workloads exercise the absorb→backpressure-flush transition.
+	// NVBytes sizes the NVRAM used by the NVRAM harness paths (RecordNV
+	// and friends); default 16384, small enough that modest workloads
+	// exercise the absorb→backpressure-flush transition.
 	NVBytes int64
 }
 
@@ -91,9 +91,9 @@ type Workload struct {
 	cum  []int64        // persisted blocks after each op (post-mount relative)
 	hist *history
 
-	// nvAbsorb marks a workload recorded by RecordNV: replays run with
-	// NVSyncAbsorb and a fresh NVRAM per run.
-	nvAbsorb bool
+	// nv marks a workload recorded by RecordNV: replays run with a fresh
+	// NVRAM per run.
+	nv bool
 }
 
 // Record formats a starting image, replays the script once against a
@@ -106,9 +106,9 @@ func Record(s core.Script, cfg Config) (*Workload, error) {
 	return record(s, cfg, *cfg.Opts)
 }
 
-// RecordNV records the workload in NVSyncAbsorb mode: every mutating
-// operation appends an NVRAM redo record before its epoch closes, and
-// Sync is absorbed by the NVRAM without starting a flush. Nothing flushes
+// RecordNV is Record over an NVRAM: every mutating operation appends an
+// NVRAM redo record before its epoch closes, and Sync is absorbed by the
+// NVRAM without starting a flush. Nothing flushes
 // behind the workload's back, so a replay writes the recording's blocks
 // in the recording's order, and RunPoint's NVRAM arms assert the same
 // crash op as ArmInline. Their durable floors still come from the replay
@@ -120,7 +120,7 @@ func RecordNV(s core.Script, cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.nvAbsorb = true
+	w.nv = true
 	return w, nil
 }
 
@@ -211,7 +211,7 @@ func (w *Workload) Points() []int64 {
 	}
 	stride := 1 + (len(w.Ops)-1)/64
 	for i, op := range w.Ops {
-		if !durable(op) && !(w.nvAbsorb && i%stride == 0) {
+		if !durable(op) && !(w.nv && i%stride == 0) {
 			continue
 		}
 		for _, k := range []int64{w.cum[i] - 1, w.cum[i]} {
@@ -264,11 +264,11 @@ const (
 	// ArmInline replays a Record workload. Its floor, the last
 	// Sync/Checkpoint that returned, must match the recording too.
 	ArmInline Arm = iota
-	// ArmNVSurvives replays a RecordNV workload with NVSyncAbsorb and
+	// ArmNVSurvives replays a RecordNV workload over its NVRAM and
 	// mounts the crashed image with the same NVRAM, which replays the
 	// redo records. The floor is the last operation that completed before
-	// the cut — in absorb mode every completed operation is NVRAM-durable,
-	// whether or not the disk log ever saw it.
+	// the cut — every completed operation is NVRAM-durable, whether or
+	// not the disk log ever saw it.
 	ArmNVSurvives
 	// ArmNVLost is the same replay, but the NVRAM contents are lost with
 	// the power (a fail-stop board, or a battery that did not hold).
@@ -286,10 +286,9 @@ func (a Arm) String() string {
 
 func (a Arm) nv() bool { return a == ArmNVSurvives || a == ArmNVLost }
 
-// nvOptions returns cfg's options in NVSyncAbsorb mode over a fresh NVRAM.
+// nvOptions returns cfg's options over a fresh NVRAM.
 func nvOptions(cfg Config) core.Options {
 	opts := *cfg.Opts
-	opts.NVSyncAbsorb = true
 	opts.NVRAM = core.NewNVRAM(cfg.NVBytes)
 	return opts
 }
@@ -363,7 +362,7 @@ func (w *Workload) recover(d *disk.Disk, opts core.Options, floor, crashed int) 
 // the durability oracle. It returns nil when recovery is correct, and an
 // error when the replay does not crash where the recording says it must.
 func (w *Workload) RunPoint(k int64, arm Arm) error {
-	if arm.nv() != w.nvAbsorb {
+	if arm.nv() != w.nv {
 		return fmt.Errorf("crashtest: %s arm on a workload recorded for the other durability model (Record for inline, RecordNV for the nvram arms)", arm)
 	}
 	if k < 0 || k >= w.Total() {
@@ -395,7 +394,7 @@ func (w *Workload) RunPoint(k int64, arm Arm) error {
 		floor = c.completed
 	case ArmNVLost:
 		floor = c.onDisk
-		opts.NVRAM, opts.NVSyncAbsorb = nil, false
+		opts.NVRAM = nil
 	}
 	if err := w.recover(d, opts, floor, c.crashed); err != nil {
 		return fmt.Errorf("crashtest: %s k=%d (crash in op %d, %s; floor op %d): %w",
@@ -404,7 +403,7 @@ func (w *Workload) RunPoint(k int64, arm Arm) error {
 	return nil
 }
 
-// SweepNV records the script in NVSyncAbsorb mode and explores every
+// SweepNV records the script over an NVRAM and explores every
 // enumerated crash point through both recovery arms (NVRAM survives /
 // NVRAM lost). It returns how many crash runs were executed and the first
 // failure, wrapped with the seed and arm for reproduction.

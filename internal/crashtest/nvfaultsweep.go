@@ -18,8 +18,8 @@ import (
 var ErrNoNVPending = errors.New("crashtest: crash point leaves no NVRAM records to replay")
 
 // FaultSweepNVReplay is the media-fault sweep for the NVRAM replay path:
-// the recovery mounts that FaultSweep never sees. It crashes an
-// NVSyncAbsorb workload at crash point k so that redo records are left
+// the recovery mounts that FaultSweep never sees. It crashes a workload
+// run over an NVRAM at crash point k so that redo records are left
 // pending in the NVRAM, then traces every block address the
 // NVRAM-replaying recovery mount reads — checkpoint regions, the
 // roll-forward scan, and the reads issued by replaying the records

@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFaultSweepNVReplay crashes NVSyncAbsorb workloads at several cut
+// TestFaultSweepNVReplay crashes workloads run over an NVRAM at several cut
 // points, keeps the ones that leave redo records pending in the NVRAM,
 // and sweeps media faults over every block the replaying recovery mount
 // reads. The contract under fault is FaultSweep's: no panic, typed
@@ -111,7 +111,6 @@ func TestNVBoundaryReadFaultNoSilentLoss(t *testing.T) {
 		CleanLowWater:  4,
 		CleanHighWater: 8,
 		CleanBatch:     4,
-		NVSyncAbsorb:   true,
 	}
 	const nvBytes = 4096
 

@@ -8,11 +8,11 @@ import (
 )
 
 // TestNVSweepSmallWorkloads sweeps small scripted workloads through the
-// NVRAM-absorbed crash harness: both recovery arms (NVRAM survives /
-// NVRAM lost) at every enumerated NVRAM-commit boundary. Zero oracle
-// violations is the acceptance criterion of the NVSyncAbsorb durability
-// model, and every replay must crash in the op the recording predicts,
-// so the crash-run count per seed is the same on every run.
+// NVRAM crash harness: both recovery arms (NVRAM survives / NVRAM lost)
+// at every enumerated NVRAM-commit boundary. Zero oracle violations is
+// the acceptance criterion of the NVRAM durability model, and every
+// replay must crash in the op the recording predicts, so the crash-run
+// count per seed is the same on every run.
 func TestNVSweepSmallWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nv crash sweep is slow")

@@ -17,7 +17,7 @@ import (
 //     durability model being tested: in the disk model it is the last
 //     Sync/Checkpoint that fully persisted (Section 4 guarantees
 //     everything acknowledged there survives recovery); in the
-//     NVSyncAbsorb model the commit point moves into the NVRAM, so the
+//     NVRAM model the commit point moves into the NVRAM, so the
 //     "NVRAM survives" arm floors at the last completed operation
 //     (every completed op is NVRAM-durable and replayNVRAM must restore
 //     it), while the "NVRAM lost" arm floors at the disk epoch the

@@ -43,7 +43,7 @@ type WriteFaultSweepResult struct {
 	Relocations int64 // segment/region relocations observed across all runs
 	Retries     int64 // bounded media-write retries observed across all runs
 	CrashRuns   int   // crash-during-relocation arms executed
-	NVRuns      int   // NVRAM-absorbed-mode arms executed
+	NVRuns      int   // NVRAM arms executed
 }
 
 // defaultWriteFaultSites caps the sampled log-area write sites when
@@ -177,10 +177,9 @@ func FaultSweepWrites(s core.Script, cfg Config) (res *WriteFaultSweepResult, er
 		}
 	}
 
-	// NVRAM-absorbed arm: with NVSyncAbsorb an absorbed Sync does not
-	// flush, so the log's write addresses differ from the plain trace,
-	// and this mode gets its own trace, baseline, and (sampled)
-	// faulted replays. Every op must still succeed — an absorbed Sync's
+	// NVRAM arm: over an NVRAM an absorbed Sync does not flush, so the
+	// log's write addresses differ from the plain trace, and this mode
+	// gets its own trace, baseline, and (sampled) faulted replays. Every op must still succeed — an absorbed Sync's
 	// durability promise cannot be broken by a media fault the flush
 	// machinery relocated around.
 	nvSites, wantNV, err := trace(nvOptions(cfg))

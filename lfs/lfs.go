@@ -133,7 +133,9 @@ const (
 
 // NVRAM is a battery-backed write buffer: operations it holds survive a
 // crash even before they reach the log (Section 2.1 of the paper). Attach
-// one via Options.NVRAM and pass the same NVRAM to Mount after a crash.
+// one via Options.NVRAM, and it becomes the commit point: Sync returns once
+// the NVRAM holds the caller's operations. Pass the same NVRAM to Mount
+// after a crash.
 type NVRAM = core.NVRAM
 
 // NewNVRAM returns a battery-backed write buffer of the given capacity.
@@ -240,8 +242,10 @@ func Format(d *Disk, opts Options) (*FS, error) {
 }
 
 // Mount opens an existing file system, recovering from the newest
-// checkpoint and rolling the log forward (Section 4 of the paper) unless
-// opts.NoRollForward is set.
+// checkpoint and rolling the log forward (Section 4 of the paper), then
+// replaying opts.NVRAM when one is attached. With opts.NoRollForward set it
+// discards everything after the checkpoint instead, NVRAM records included,
+// as Sprite LFS did in production.
 func Mount(d *Disk, opts Options) (*FS, error) {
 	return core.Mount(d, opts)
 }

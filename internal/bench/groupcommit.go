@@ -22,7 +22,9 @@ import (
 // Throughput and sync latency are host wall-clock (lock scheduling is
 // what changes with the writer count, and the simulated time model
 // deliberately does not see it); blocks written and device busy time are
-// simulated and deterministic for a given writer count.
+// simulated, and repeat from run to run only with one writer: with two or
+// more, how the goroutines are scheduled decides which operations share a
+// flush, and so how many blocks the flushes write.
 
 // groupCommitResult is one (scenario, writers) cell.
 type groupCommitResult struct {
@@ -193,6 +195,6 @@ func RunGroupCommit(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", r.GroupCommits),
 			perBatch)
 	}
-	t.AddNote("ops/s and sync percentiles are host wall-clock (lock scheduling is what differs between writer counts); blocks out and device busy time are simulated and deterministic per writer count")
+	t.AddNote("ops/s and sync percentiles are host wall-clock (lock scheduling is what differs between writer counts); blocks out and device busy time are simulated, and repeat from run to run only with one writer: at 2+ writers, scheduling decides which ops share a flush")
 	return t, nil
 }

@@ -208,13 +208,15 @@ func successor(mi *mInode, bn uint32) blockKey {
 }
 
 // readAheadRun grows a run of n blocks at addr, the last of which is file
-// block last of mi, up to raMaxBlocks over the blocks that follow in
-// successor order, while in-memory state alone places each at the next
-// address of the segment: its pointer block loaded, a next inode a
-// non-empty regular file in the inode cache, not dirty, not cached, its sum
-// indexed (it never harvests). It reads nothing.
+// block last of mi, over the blocks that follow in successor order for as
+// long as in-memory state alone places each at the next address of the
+// segment: its pointer block loaded, a next inode a non-empty regular file in
+// the inode cache, not dirty, not cached, its sum indexed (it never
+// harvests). A run so never passes the end of the partial write that laid
+// its blocks down, nor the segment's, the bound of every log read
+// (planReads). It reads nothing.
 func (fs *FS) readAheadRun(mi *mInode, last uint32, addr int64, n int) int {
-	for ; n < raMaxBlocks; n++ {
+	for ; ; n++ {
 		a, k := addr+int64(n), successor(mi, last)
 		if k.inum != mi.ino.Inum {
 			fs.icacheMu.Lock()

@@ -155,9 +155,10 @@ func TestInumAllocationRule(t *testing.T) {
 // them back in creation order is sequential. A burst of creates that reuses
 // freed inode numbers must land in the log in creation order, so an
 // uncached read of every file seeks only where one partial write ends and
-// the next begins, and read-ahead serves the stream in requests of up to
-// raMaxBlocks files: every block read is one a file asked for, and a
-// request ends only at raMaxBlocks or where a partial write does.
+// the next begins, and read-ahead serves the stream in one request per
+// partial write: every block read is one a file asked for, and a request
+// ends only where a partial write does (the first read, which starts the
+// stream, reads its file alone).
 func TestRecreatedFilesReadInLogOrder(t *testing.T) {
 	const dirs, files = 10, 300
 	tr := obs.New(nil)
@@ -215,7 +216,7 @@ func TestRecreatedFilesReadInLogOrder(t *testing.T) {
 	if blocks != files {
 		t.Fatalf("%d blocks read in %d requests for %d one-block files, want exactly one block a file", blocks, reads, files)
 	}
-	if most := (files+raMaxBlocks-1)/raMaxBlocks + partials; reads > most {
+	if most := partials + 1; reads > most {
 		t.Fatalf("%d requests for %d files over %d partial writes, want at most %d", reads, files, partials, most)
 	}
 	t.Logf("%d of %d reads were not sequential; the burst took %d partial writes", seeks, reads, partials)

@@ -8,66 +8,82 @@ import (
 	"repro/internal/layout"
 )
 
-// raMaxBlocks caps one read-ahead request: the blocks the caller asked for
-// plus those fetched past them, 64 KB in all.
-const raMaxBlocks = 16
-
 // readAhead is the read-ahead window: the prediction of the block a stream
-// that continues reads next, and one run of blocks fetched past a request,
-// held until a read asks for them (and verifies them, like any block from
-// the device). Readers holding only fs.mu.RLock load and drain it; drop runs
-// under fs.mu. mu is a leaf below fs.mu: only the device's own lock is taken
-// under it, across load's one request. The window owns buf and never hands
-// out a view of it: readers copy out under mu.
+// that continues reads next, and the blocks fetched past a request that no
+// read has taken yet, held until one does (and verifies them, like any block
+// from the device). The held blocks are one run of consecutive addresses, at
+// most a segment (readAheadRun stops at the segment's end), in a buffer sized
+// to the request that fetched them: a read takes blocks off the run's front,
+// a drop cuts it, and once nothing is left the window lets the buffer go, so
+// it holds memory only while a stream has blocks in it to read. Readers
+// holding only fs.mu.RLock load and drain it; drop runs under fs.mu. mu is a
+// leaf below fs.mu: only the device's own lock is taken under it, across
+// load's one request, which so comes before or after any drop whole. The
+// window never hands out a view of buf: readers copy out under mu.
 type readAhead struct {
 	mu           sync.Mutex
 	next         blockKey     // the predicted block; inum 0 (no file) predicts nothing
 	base         int64        // address of buf's first block
-	held         uint16       // bit i: buf holds the block at base+i
-	buf          []byte       // raMaxBlocks blocks, allocated by the first load
+	buf          []byte       // the held blocks, nil when there are none
 	blocks, hits atomic.Int64 // Stats.ReadAheadBlocks and Stats.ReadAheadHits
 }
 
 // read copies the longest run of held blocks that starts at addr, up to n,
-// into dst and returns its length. Either way it reports whether k, the
-// block at addr, was the predicted one, and makes next the prediction.
+// into dst and returns its length; the window forgets them and any it holds
+// before them, which the stream has passed. Either way it reports whether k,
+// the block at addr, was the predicted one, and makes next the prediction.
 func (ra *readAhead) read(addr int64, n int, k, next blockKey, dst []byte) (got int, predicted bool) {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
 	predicted, ra.next = ra.next == k, next
-	for i := addr - ra.base; got < n && i >= 0 && i < raMaxBlocks && ra.held&(1<<i) != 0; i++ {
-		copy(dst[got*layout.BlockSize:], ra.buf[i*layout.BlockSize:(i+1)*layout.BlockSize])
-		got++
+	if i := addr - ra.base; i >= 0 && i < ra.held() {
+		got = copy(dst[:n*layout.BlockSize], ra.buf[i*layout.BlockSize:]) / layout.BlockSize
+		ra.forget(i + int64(got))
 	}
 	ra.hits.Add(int64(got))
 	return got, predicted
 }
 
-// load reads the n blocks at addr in one device request, copies the first
-// req (the blocks asked for) into dst and holds the rest; on an error it
-// holds nothing. Holding mu across the request spares a second buffer.
+// load reads the n blocks at addr in one device request into a buffer of its
+// own, copies the first req (the blocks asked for) into dst and holds the
+// rest in place of what the window held; on an error it holds nothing.
 func (ra *readAhead) load(dev *disk.Disk, addr int64, req, n int, dst []byte) error {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
-	if ra.buf == nil {
-		ra.buf = make([]byte, raMaxBlocks*layout.BlockSize)
-	}
-	ra.base, ra.held = addr, 0
-	if err := dev.Read(addr, ra.buf[:n*layout.BlockSize]); err != nil {
+	ra.buf = nil
+	buf := make([]byte, n*layout.BlockSize)
+	if err := dev.Read(addr, buf); err != nil {
 		return err
 	}
-	copy(dst, ra.buf[:req*layout.BlockSize])
-	ra.held = uint16(1<<n-1) &^ uint16(1<<req-1)
+	copy(dst, buf[:req*layout.BlockSize])
+	ra.base, ra.buf = addr+int64(req), buf[req*layout.BlockSize:]
 	ra.blocks.Add(int64(n - req))
 	return nil
 }
 
 // drop forgets the blocks at [addr, addr+n): they died, or their addresses
-// are being written again.
+// are being written again. A hole in the held run ends it there.
 func (ra *readAhead) drop(addr, n int64) {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
-	if lo, hi := max(addr-ra.base, 0), min(addr+n-ra.base, raMaxBlocks); lo < hi {
-		ra.held &^= uint16(1<<hi - 1<<lo)
+	switch lo, hi := addr-ra.base, addr+n-ra.base; {
+	case hi <= 0 || lo >= ra.held():
+	case lo <= 0:
+		ra.forget(hi)
+	default:
+		ra.buf = ra.buf[:lo*layout.BlockSize]
 	}
+}
+
+// held is the number of blocks the window holds. Caller holds mu.
+func (ra *readAhead) held() int64 { return int64(len(ra.buf) / layout.BlockSize) }
+
+// forget lets go of the first k held blocks, and of the buffer with the
+// last. Caller holds mu.
+func (ra *readAhead) forget(k int64) {
+	if k >= ra.held() {
+		ra.buf = nil
+		return
+	}
+	ra.base, ra.buf = ra.base+k, ra.buf[k*layout.BlockSize:]
 }

@@ -15,14 +15,15 @@ import (
 )
 
 // TestReadAheadWindow drives the window without a file system: a load hands
-// back the blocks asked for and holds the rest, a read serves the held
-// blocks a run starts with and always moves the prediction, drop forgets
-// what it names, a failed load holds nothing, and what a reader copied out is its
-// own whatever the window does next.
+// back the blocks asked for and holds the rest, a segment's worth; a read
+// serves the held blocks a run starts with, takes them and those before them
+// off the window, and always moves the prediction; drop forgets what it names,
+// and a hole it leaves ends the held run; a failed load holds nothing; and
+// what a reader copied out is its own whatever the window does next.
 func TestReadAheadWindow(t *testing.T) {
-	const bs = layout.BlockSize
-	d := disk.MustNew(disk.DefaultGeometry(64))
-	for a := int64(0); a < 64; a++ {
+	const bs, win = layout.BlockSize, 128 // win: a default segment
+	d := disk.MustNew(disk.DefaultGeometry(4 * win))
+	for a := int64(0); a < 4*win; a++ {
 		if err := d.WriteBlock(a, bytes.Repeat([]byte{byte(a)}, bs)); err != nil {
 			t.Fatal(err)
 		}
@@ -39,6 +40,18 @@ func TestReadAheadWindow(t *testing.T) {
 		}
 		return held
 	}
+	type step struct {
+		addr     int64
+		n, start int
+	}
+	reads := func(when string, steps []step) {
+		t.Helper()
+		for _, c := range steps {
+			if got := read(c.addr, c.n); got != c.start {
+				t.Errorf("read(%d, %d) %s: %d blocks held at its start, want %d", c.addr, c.n, when, got, c.start)
+			}
+		}
+	}
 
 	// The prediction: nothing at first, then whatever the last read named.
 	f1, f2, f3 := blockKey{7, 0}, blockKey{8, 0}, blockKey{9, 0}
@@ -52,42 +65,43 @@ func TestReadAheadWindow(t *testing.T) {
 		t.Fatal("a block the last read did not name is predicted")
 	}
 
-	// A load asking for 2 of 16 blocks at 10 returns 10 and 11, holds 12..25.
-	if err := ra.load(d, 10, 2, raMaxBlocks, dst); err != nil {
+	// A load asking for 2 of win blocks at 10 returns 10 and 11, holds
+	// 12..win+9. A read takes what it is served: 12 and 13, then 15 and 16,
+	// passing 14.
+	if err := ra.load(d, 10, 2, win, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 10 || dst[bs] != 11 {
 		t.Fatalf("load handed back blocks %d and %d, want 10 and 11", dst[0], dst[bs])
 	}
-	for _, c := range []struct {
-		addr     int64
-		n, start int
-	}{{10, 1, 0}, {11, 2, 0}, {12, 2, 2}, {24, 2, 2}, {25, 1, 1}, {25, 2, 1}, {26, 1, 0}, {9, 1, 0}} {
-		if got := read(c.addr, c.n); got != c.start {
-			t.Errorf("read(%d, %d) after the load: %d blocks held at its start, want %d", c.addr, c.n, got, c.start)
-		}
+	reads("after the load", []step{{10, 1, 0}, {11, 2, 0}, {9, 1, 0}, {win + 10, 1, 0}, {12, 2, 2}, {12, 1, 0}, {15, 2, 2}, {14, 1, 0}, {16, 1, 0}})
+	// The window holds 17..win+9. Drops cut its front (17), its end (from
+	// 120) and a hole (at 25), which ends it: 18..24 are left.
+	ra.drop(16, 2)
+	ra.drop(120, 100)
+	ra.drop(25, 1)
+	ra.drop(200, 5)
+	if ra.base != 18 || ra.held() != 7 {
+		t.Fatalf("after the drops the window holds %d blocks at %d, want 7 at 18", ra.held(), ra.base)
 	}
-	ra.drop(13, 1)
-	ra.drop(20, 100)
-	for _, c := range []struct {
-		addr     int64
-		n, start int
-	}{{12, 1, 1}, {12, 2, 1}, {13, 1, 0}, {14, 2, 2}, {19, 2, 1}, {20, 1, 0}, {25, 1, 0}} {
-		if got := read(c.addr, c.n); got != c.start {
-			t.Errorf("read(%d, %d) after the drops: %d blocks held at its start, want %d", c.addr, c.n, got, c.start)
-		}
+	reads("after the drops", []step{{17, 1, 0}, {18, 2, 2}, {25, 1, 0}, {24, 2, 1}})
+	if ra.buf != nil {
+		t.Fatalf("the window keeps a %d-byte buffer once its last block was served", cap(ra.buf))
 	}
 
-	// What a reader copied out stays its own: the next load reuses the
-	// window's buffer, and scribbling on the copy does not reach the window.
-	if read(14, 1) != 1 {
-		t.Fatal("block 14 not held")
-	}
-	scratch := make([]byte, bs)
-	if err := ra.load(d, 30, 1, raMaxBlocks, scratch); err != nil {
+	// What a reader copied out stays its own: the next load fills a buffer
+	// of its own, and scribbling on the copy does not reach the window.
+	if err := ra.load(d, 30, 1, win, dst); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst[:bs], bytes.Repeat([]byte{14}, bs)) {
+	if read(31, 1) != 1 {
+		t.Fatal("block 31 not held")
+	}
+	scratch := make([]byte, bs)
+	if err := ra.load(d, 30, 1, win, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[:bs], bytes.Repeat([]byte{31}, bs)) {
 		t.Fatal("a load changed a block a reader had already copied out")
 	}
 	clear(dst)
@@ -99,16 +113,19 @@ func TestReadAheadWindow(t *testing.T) {
 	if err := d.InjectFault(disk.Fault{Kind: disk.FaultReadError, Addr: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.load(d, 35, 1, raMaxBlocks, scratch); !errors.Is(err, disk.ErrMediaRead) {
+	if err := ra.load(d, 35, 1, win, scratch); !errors.Is(err, disk.ErrMediaRead) {
 		t.Fatalf("load over a bad block: %v, want a media error", err)
 	}
-	for _, addr := range []int64{31, 36, 41} {
+	for _, addr := range []int64{32, 36, 41} {
 		if read(addr, 1) != 0 {
 			t.Errorf("block %d served after a failed load", addr)
 		}
 	}
-	if blocks, hits := ra.blocks.Load(), ra.hits.Load(); blocks != 2*(raMaxBlocks-1)-1 || hits != 13 {
-		t.Errorf("counted %d blocks fetched ahead and %d served, want %d and 13", blocks, hits, 2*(raMaxBlocks-1)-1)
+	if ra.buf != nil {
+		t.Fatal("a failed load keeps a buffer")
+	}
+	if blocks, hits := ra.blocks.Load(), ra.hits.Load(); blocks != 3*(win-1)-1 || hits != 9 {
+		t.Errorf("counted %d blocks fetched ahead and %d served, want %d and 9", blocks, hits, 3*(win-1)-1)
 	}
 }
 
@@ -155,10 +172,12 @@ func noStream(n int, seed int64) []int {
 // TestReadAheadOnlyOnStreams: reads that do not continue a stream — files in
 // shuffled order, chunks of a large file in a random permutation — fetch
 // exactly the blocks they ask for; read in log order, the same files take a
-// request per raMaxBlocks.
+// request per partial write they lie in, and one for the read that starts the
+// stream.
 func TestReadAheadOnlyOnStreams(t *testing.T) {
 	const nfiles = 64
 	fs, d, paths := streamFS(t, nfiles, 256)
+	partials := fs.Stats().PartialWrites // every one the log holds, the files' among them
 	blocksRead := func(read func()) (reqs, blocks int64) {
 		t.Helper()
 		before := d.Stats()
@@ -186,8 +205,10 @@ func TestReadAheadOnlyOnStreams(t *testing.T) {
 		for i := range paths {
 			readFile(i)
 		}
-	}); blocks != nfiles || reqs > nfiles/raMaxBlocks+1 {
-		t.Errorf("in-order reads of %d files: %d requests for %d blocks, want %d blocks in at most %d", nfiles, reqs, blocks, nfiles, nfiles/raMaxBlocks+1)
+	}); blocks != nfiles || reqs > partials+1 {
+		t.Errorf("in-order reads of %d files: %d requests for %d blocks, want %d blocks in at most %d", nfiles, reqs, blocks, nfiles, partials+1)
+	} else {
+		t.Logf("in-order reads of %d files over %d partial writes: %d requests", nfiles, partials, reqs)
 	}
 
 	// A large file, read 8 KB at a time in a random permutation of chunks.
@@ -216,6 +237,68 @@ func TestReadAheadOnlyOnStreams(t *testing.T) {
 	}
 }
 
+// TestReadAheadWindowReleased: a stream's request takes the log's run past
+// 16 blocks, but never spans more than a segment, and the window holds a
+// buffer only while its stream has blocks in it to read: once the last block
+// a load held is served, or dropped, it holds none.
+func TestReadAheadWindowReleased(t *testing.T) {
+	const nfiles, segBlocks = 300, 64
+	fs, d, paths := streamFS(t, nfiles, segBlocks)
+	ring := obs.NewRingSink(1 << 12)
+	d.SetTracer(obs.New(ring))
+	for i, p := range paths {
+		if got, err := fs.ReadFile(p); err != nil || !bytes.Equal(got, content(p, 1, 1)) {
+			t.Fatalf("%s: %d bytes, %v", p, len(got), err)
+		}
+		if fs.ra.held() == 0 && fs.ra.buf != nil {
+			t.Fatalf("after reading %s the window holds no block but keeps a %d-byte buffer", paths[i], cap(fs.ra.buf))
+		}
+	}
+	d.SetTracer(nil)
+	if ring.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
+	}
+	most := 0
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindDiskIO || e.Disk.Op != "read" {
+			continue
+		}
+		if first, last := e.Disk.Addr, e.Disk.Addr+int64(e.Disk.Blocks)-1; fs.segOf(first) != fs.segOf(last) {
+			t.Errorf("a %d-block read at %d spans segments %d to %d", e.Disk.Blocks, first, fs.segOf(first), fs.segOf(last))
+		}
+		most = max(most, e.Disk.Blocks)
+	}
+	if most <= 16 {
+		t.Errorf("the longest read of %d files in log order took %d blocks; the stream's runs reach %d", nfiles, most, segBlocks)
+	}
+	if fs.ra.buf != nil {
+		t.Fatalf("the stream read every file, yet the window keeps %d held blocks in a %d-byte buffer", fs.ra.held(), cap(fs.ra.buf))
+	}
+
+	// Two in-order reads fill the window; the files it holds die, and with
+	// them the window's buffer.
+	for _, p := range paths[:2] {
+		if _, err := fs.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.ra.held() == 0 {
+		t.Fatal("two in-order reads left the window empty")
+	}
+	for _, p := range paths[2:] {
+		if err := fs.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.ra.buf != nil {
+		t.Fatalf("every file it held died, yet the window keeps %d held blocks in a %d-byte buffer", fs.ra.held(), cap(fs.ra.buf))
+	}
+	mustCheck(t, fs)
+}
+
 // TestReadAheadNeverServesStale: the window never outlives the blocks it
 // holds. Blocks it holds die when their files are overwritten (decLive drops
 // them), and a window that still held an address when the log writes it
@@ -235,22 +318,30 @@ func TestReadAheadNeverServesStale(t *testing.T) {
 	}
 	held := func() []int64 {
 		var out []int64
-		for i := int64(0); i < raMaxBlocks; i++ {
-			if fs.ra.held&(1<<i) != 0 {
-				out = append(out, fs.ra.base+i)
-			}
+		for i := int64(0); i < fs.ra.held(); i++ {
+			out = append(out, fs.ra.base+i)
 		}
 		return out
 	}
-	// Fill the window: reading the first two files in order fetches the
-	// next raMaxBlocks-1 ahead of the second.
+	// Fill the window: reading the first two files in order fetches, ahead
+	// of the second, every file that lies after it in its segment, one
+	// address after the other.
+	ahead := 0
+	_, prev := dataBlockAddr(t, fs, paths[1], 0)
+	for _, p := range paths[2:] {
+		if _, addr := dataBlockAddr(t, fs, p, 0); addr == prev+1 && fs.segOf(addr) == fs.segOf(prev) {
+			ahead, prev = ahead+1, addr
+			continue
+		}
+		break
+	}
 	for _, p := range paths[:2] {
 		if _, err := fs.ReadFile(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(held()); n != raMaxBlocks-1 {
-		t.Fatalf("the window holds %d blocks after two in-order reads, want %d", n, raMaxBlocks-1)
+	if n := len(held()); n != ahead || n == 0 {
+		t.Fatalf("the window holds %d blocks after two in-order reads, want %d (and some)", n, ahead)
 	}
 	// Overwrite every file: each block the window holds dies.
 	for _, p := range paths {
@@ -269,7 +360,7 @@ func TestReadAheadNeverServesStale(t *testing.T) {
 	// A window over addresses the log is about to write, as one that missed
 	// a death would be: the next flush writes them, and must drop them.
 	head := fs.segStart(fs.segs.head) + fs.segs.headOff
-	if err := fs.ra.load(fs.dev, head, 0, raMaxBlocks, nil); err != nil {
+	if err := fs.ra.load(fs.dev, head, 0, int(fs.segBlocks-fs.segs.headOff), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range paths {

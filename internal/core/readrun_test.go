@@ -325,17 +325,14 @@ func TestRepairSweepFaults(t *testing.T) {
 	}
 }
 
-// TestRollForwardOneRequestPerFlush builds a tail shaped like Figure 8's
-// create phase — small files in many directories, n buffer-full flushes
-// after a checkpoint — cuts the power, and counts roll-forward's read
-// requests. Each flush ends at a segment boundary with its dirlog beside
-// its inode blocks, so the next summary rides on the request that reads
-// them: one request per flush, plus the first summary and the end of the
-// log. Every file the flushes hold comes back.
-func TestRollForwardOneRequestPerFlush(t *testing.T) {
-	const n, dirs = 8, 20
-	opts := Options{SegmentBlocks: 128, MaxInodes: 8192}
-	d := disk.MustNew(disk.DefaultGeometry(16384))
+// bufferFullTail formats a disk and builds a tail shaped like Figure 8's
+// create phase — small files in dirs directories, n buffer-full flushes
+// after a checkpoint — and cuts the power. It returns the device, its
+// options, the files' paths and how many of them the flushes hold.
+func bufferFullTail(t *testing.T, n, dirs int) (d *disk.Disk, opts Options, path func(int) string, durable int) {
+	t.Helper()
+	opts = Options{SegmentBlocks: 128, MaxInodes: 8192}
+	d = disk.MustNew(disk.DefaultGeometry(16384))
 	fs, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +345,7 @@ func TestRollForwardOneRequestPerFlush(t *testing.T) {
 	if err := fs.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	path := func(i int) string { return fmt.Sprintf("/d%02d/f%05d", i%dirs, i) }
-	durable := 0 // the flushes so far hold files 0 to durable-1
+	path = func(i int) string { return fmt.Sprintf("/d%02d/f%05d", i%dirs, i) }
 	for i, flushes := 0, 0; flushes < n; i++ {
 		before := fs.Stats().NewDataBytes
 		if err := fs.WriteFile(path(i), content(path(i), 1, 1)[:1024]); err != nil {
@@ -360,6 +356,17 @@ func TestRollForwardOneRequestPerFlush(t *testing.T) {
 		}
 	}
 	d.Crash()
+	return d, opts, path, durable
+}
+
+// TestRollForwardOneRequestPerFlush counts roll-forward's read requests over
+// a bufferFullTail. Each flush ends at a segment boundary with its dirlog
+// beside its inode blocks, so the next summary rides on the request that
+// reads them: one request per flush, plus the first summary and the end of
+// the log. Every file the flushes hold comes back.
+func TestRollForwardOneRequestPerFlush(t *testing.T) {
+	const n = 8
+	d, opts, path, durable := bufferFullTail(t, n, 20)
 	tr := obs.New(nil)
 	opts.Tracer = tr
 	fs2, err := Mount(disk.FromSnapshot(d.Snapshot()), opts)
@@ -375,6 +382,40 @@ func TestRollForwardOneRequestPerFlush(t *testing.T) {
 		}
 	}
 	mustCheck(t, fs2)
+}
+
+// TestSalvageScanRidesSegmentBoundary: salvage's scan over a bufferFullTail
+// reads the blocks it decodes at the end of each flush, which is its
+// segment's end, and the next segment's first summary in the same request.
+// So every segment but the first, which also holds the format's and the
+// mkdirs' partial writes, costs at most one request: a flush's its metadata,
+// a clean segment's its first block — and the scan still walks every flush.
+func TestSalvageScanRidesSegmentBoundary(t *testing.T) {
+	const n = 8
+	d, opts, _, _ := bufferFullTail(t, n, 20)
+	ring := obs.NewRingSink(1 << 14)
+	opts.Tracer = obs.New(ring)
+	fs, _ := salvageScanOf(t, &logImage{snap: d.Snapshot(), opts: opts})
+	opened := len(ring.Events()) // the superblock and checkpoint-region reads
+	rep := &SalvageReport{}
+	fs.salvageScan(rep)
+	if ring.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; grow the sink", ring.Dropped())
+	}
+	reads := make([]int, fs.nsegs)
+	for _, e := range ring.Events()[opened:] {
+		if e.Kind == obs.KindDiskIO && e.Disk.Op == "read" {
+			reads[fs.segOf(e.Disk.Addr)]++
+		}
+	}
+	for seg := int64(1); seg < fs.nsegs; seg++ {
+		if reads[seg] > 1 {
+			t.Errorf("the scan made %d read requests in segment %d, want at most 1", reads[seg], seg)
+		}
+	}
+	if rep.SummariesWalked < n || rep.BlocksDropped != 0 {
+		t.Errorf("the scan walked %d summaries and dropped %d blocks; the log holds %d buffer-full flushes, all intact", rep.SummariesWalked, rep.BlocksDropped, n)
+	}
 }
 
 // mountPhases are Mount's phases in the order it runs them.

@@ -276,7 +276,9 @@ func (fs *FS) salvageReset() {
 // judges only the blocks salvage decodes (salvageReads) — inode blocks give
 // version candidates, indirect blocks pointers — by roll-forward's rule for
 // runs (logRun.readWanted). Data waits for the accept pass. A segment with
-// no valid first summary costs one block.
+// no valid first summary costs one block. Segments are scanned in address
+// order, so a request that ends at this segment's end also takes the next
+// segment's first summary, as one inside the chain takes the next summary.
 func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *layout.WalkScratch, run *logRun) {
 	w := layout.WalkSegment(run.source(s), fs.segStart(seg), fs.segBlocks, s)
 	for w.Next() {
@@ -287,7 +289,11 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 		for i, e := range s.Entries {
 			sc.blocks[first+int64(i)] = salvBlock{seq: s.WriteSeq, sum: e.Sum}
 		}
-		run.readWanted(first, s.Entries, w.Ahead(), salvageReads, func(i int, blk []byte, err error) {
+		ahead := w.Ahead()
+		if ahead == layout.NilAddr && seg+1 < fs.nsegs {
+			ahead = fs.segStart(seg + 1)
+		}
+		run.readWanted(first, s.Entries, ahead, salvageReads, func(i int, blk []byte, err error) {
 			addr := first + int64(i)
 			if !fs.salvageJudge(sc, rep, addr, blk, err) {
 				return

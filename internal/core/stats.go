@@ -72,8 +72,10 @@ type Stats struct {
 	NVBackpressureFlushes int64
 
 	// ReadAheadBlocks counts blocks a read fetched past what it was asked
-	// for, because it continued a stream (readahead.go); ReadAheadHits
-	// counts the reads of a block the window held.
+	// for, because it continued a stream (readahead.go): as far as the
+	// log's run goes in the request's segment. ReadAheadHits counts the
+	// blocks the window served; each is served at most once, and a block
+	// fetched ahead that is never served was dropped or passed.
 	ReadAheadBlocks int64
 	ReadAheadHits   int64
 }

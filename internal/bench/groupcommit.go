@@ -19,12 +19,10 @@ import (
 // explicit Sync callers, as in Hagmann's Cedar reimplementation cited
 // by the paper.
 //
-// Throughput and sync latency are host wall-clock (lock scheduling is
-// what changes with the writer count, and the simulated time model
-// deliberately does not see it); blocks written and device busy time are
-// simulated, and repeat from run to run only with one writer: with two or
-// more, how the goroutines are scheduled decides which operations share a
-// flush, and so how many blocks the flushes write.
+// Throughput and sync latency are host wall-clock (lock scheduling is what
+// changes with the writer count; the simulated time model does not see it).
+// Blocks written and device busy time are simulated, and repeat run to run
+// only with one writer: with more, scheduling decides what shares a flush.
 
 // groupCommitResult is one (scenario, writers) cell.
 type groupCommitResult struct {

@@ -68,14 +68,14 @@ func (r *nvRecord) budget() int {
 	return opBudgetDirOp
 }
 
-// admitGate is the admission gate: a counting semaphore over
-// Options.AdmitBudgetBlocks. A writer whose budget does not fit on top of
+// admitGate is the admission gate: a counting semaphore over twice
+// Options.WriteBufferBlocks. A writer whose budget does not fit on top of
 // the already-admitted budgets plus the staged-but-unflushed blocks
 // blocks *outside* fs.mu.
 type admitGate struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	cap  int // gate capacity (Options.AdmitBudgetBlocks), fixed at mount
+	cap  int // gate capacity (2 × Options.WriteBufferBlocks), fixed at mount
 	open int // total budget of admitted, unfinished operations
 	// closed opens the gate for good (Unmount). flushErr is the last failed
 	// commit attempt: while set the gate admits unconditionally, so writers

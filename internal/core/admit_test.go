@@ -15,7 +15,7 @@ import (
 // TestOptionsCopyIsIsolated pins the Options() contract: the returned
 // value is a copy, so mutating it (even wildly) must not affect the
 // mounted file system, and a second call must still report the mounted
-// configuration. Tracer/NVRAM/Clock are intentionally shared handles and
+// configuration. Tracer and NVRAM are intentionally shared handles and
 // are not part of this isolation claim.
 func TestOptionsCopyIsIsolated(t *testing.T) {
 	fs, _ := newTestFS(t, 2048, testOptions())
@@ -29,7 +29,6 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 	o.CleanBatch = 0
 	o.Policy = PolicyGreedy
 	o.WriteBufferBlocks = 1
-	o.AdmitBudgetBlocks = 1
 	o.ReadCacheBlocks = -5
 
 	// The file system must be completely unaffected by the mutations.
@@ -48,7 +47,6 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 		got.CleanLowWater != orig.CleanLowWater || got.CleanHighWater != orig.CleanHighWater ||
 		got.CleanBatch != orig.CleanBatch || got.Policy != orig.Policy ||
 		got.WriteBufferBlocks != orig.WriteBufferBlocks ||
-		got.AdmitBudgetBlocks != orig.AdmitBudgetBlocks ||
 		got.ReadCacheBlocks != orig.ReadCacheBlocks {
 		t.Fatalf("Options changed after mutating a returned copy:\n got %+v\nwant %+v", got, orig)
 	}
@@ -60,9 +58,8 @@ func TestOptionsCopyIsIsolated(t *testing.T) {
 // Deterministic even single-threaded: the gate condition reads the
 // staged estimate left by the previous operation.
 func TestAdmitGateBlocksUnderPressure(t *testing.T) {
-	opts := testOptions()
-	opts.AdmitBudgetBlocks = 4 // every writeBudget clamps to 2
-	fs, _ := newTestFS(t, 2048, opts)
+	fs, _ := newTestFS(t, 2048, testOptions())
+	fs.gate = newAdmitGate(4) // every writeBudget clamps to 2
 
 	payload := bytes.Repeat([]byte("g"), 8*layout.BlockSize)
 	for i := 0; i < 10; i++ {

@@ -99,22 +99,9 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 
 	// 3. Metadata blocks referenced by the (next) checkpoint.
-	for i, addr := range fs.imap.blockAddr {
-		if addr != layout.NilAddr {
-			tally(addr, fmt.Sprintf("imap block %d", i))
-		}
-	}
-	for i, addr := range fs.usage.blockAddr {
-		if addr != layout.NilAddr {
-			tally(addr, fmt.Sprintf("usage block %d", i))
-		}
-	}
-	for _, addr := range fs.dirlogAddrs {
-		seg := fs.segOf(addr)
-		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.segs.is(seg, segPending) {
-			tally(addr, "dirlog block")
-		}
-	}
+	fs.forEachCheckpointBlock(func(kind layout.BlockKind, i int, addr int64) {
+		tally(addr, fmt.Sprintf("%s block %d", kind, i))
+	})
 
 	// 4. Compare with the segment usage table.
 	for s := int64(0); s < fs.nsegs; s++ {
@@ -239,23 +226,35 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 		}
 	}
 	out[layout.KindInode] = int64(len(fs.inoBlockRefs)) * layout.BlockSize
-	for _, addr := range fs.imap.blockAddr {
+	fs.forEachCheckpointBlock(func(kind layout.BlockKind, _ int, _ int64) {
+		out[kind] += layout.BlockSize
+	})
+	return out, nil
+}
+
+// forEachCheckpointBlock calls fn for every map-level block the next
+// checkpoint references: the inode map and segment usage blocks, and the
+// directory-log blocks written since the last checkpoint, which stay live
+// for roll-forward unless their segment is already clean or pending. i is
+// the block's index in its table. Check, LiveBytesByKind and Scrub all
+// enumerate these blocks here.
+func (fs *FS) forEachCheckpointBlock(fn func(kind layout.BlockKind, i int, addr int64)) {
+	for i, addr := range fs.imap.blockAddr {
 		if addr != layout.NilAddr {
-			out[layout.KindImap] += layout.BlockSize
+			fn(layout.KindImap, i, addr)
 		}
 	}
-	for _, addr := range fs.usage.blockAddr {
+	for i, addr := range fs.usage.blockAddr {
 		if addr != layout.NilAddr {
-			out[layout.KindSegUsage] += layout.BlockSize
+			fn(layout.KindSegUsage, i, addr)
 		}
 	}
-	for _, addr := range fs.dirlogAddrs {
+	for i, addr := range fs.dirlogAddrs {
 		seg := fs.segOf(addr)
 		if seg >= 0 && seg < fs.nsegs && !fs.usage.isClean(seg) && !fs.segs.is(seg, segPending) {
-			out[layout.KindDirLog] += layout.BlockSize
+			fn(layout.KindDirLog, i, addr)
 		}
 	}
-	return out, nil
 }
 
 // VerifyLog walks every segment's summary chain on disk and checks each

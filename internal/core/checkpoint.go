@@ -46,7 +46,7 @@ func (fs *FS) checkpointLocked() error {
 	stageMapBlock := func(kind layout.BlockKind, i int, addrs []int64, encode func(int) ([]byte, error)) {
 		fs.stage(stagedBlock{
 			entry:  layout.SummaryEntry{Kind: kind, Inum: uint32(i)},
-			age:    fs.now(),
+			age:    fs.ticks.Load(),
 			encode: func() ([]byte, error) { return encode(i) },
 			placed: func(addr int64) error {
 				old := addrs[i]
@@ -84,7 +84,7 @@ func (fs *FS) checkpointLocked() error {
 	fs.cpSeq++
 	cp := &layout.Checkpoint{
 		Seq:         fs.cpSeq,
-		Timestamp:   fs.now(),
+		Timestamp:   fs.ticks.Load(),
 		NextInum:    fs.nextInum,
 		HeadSeg:     fs.segs.head,
 		HeadOffset:  uint32(fs.segs.headOff),

@@ -83,7 +83,7 @@ func (fs *FS) selectCandidates() []candidate {
 }
 
 func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
-	now := fs.now()
+	now := fs.ticks.Load()
 	var cands []candidate
 	for s := int64(0); s < fs.nsegs; s++ {
 		e := fs.usage.get(s)
@@ -499,10 +499,11 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([
 func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order int64, lives []liveCopy) ([]liveCopy, error) {
 	switch e.Kind {
 	case layout.KindData:
-		if fs.opts.CoarseAgeSort || e.Age == 0 {
-			// Sprite's original behaviour: a single modified time for
-			// the whole file (Section 3.6 notes this is inaccurate for
-			// files that are not modified in their entirety).
+		if e.Age == 0 {
+			// A summary entry read from disk can carry no age: key the
+			// block by its file's single modified time, Sprite's
+			// original behaviour (Section 3.6 notes this is inaccurate
+			// for files that are not modified in their entirety).
 			mi, err := fs.loadInode(e.Inum)
 			if err != nil {
 				return lives, err

@@ -139,17 +139,14 @@ func segsOfFiles(t *testing.T, fs *FS, paths []string) []int64 {
 // pass: ages must be non-decreasing across the whole output, not merely
 // within each victim's run (which is what a per-segment sort produces, and
 // what this test fails on). NoAgeSort keeps collection order — candidate
-// order, then log order — and CoarseAgeSort keys (and stamps) each block
-// with its file's mtime.
+// order, then log order. An operation's tick adds 1 to the clock set
+// before it.
 func TestCleanPassSortSpansSegments(t *testing.T) {
 	const nfiles = 48
-	for _, mode := range []string{"agesort", "noagesort", "coarse"} {
+	for _, mode := range []string{"agesort", "noagesort"} {
 		t.Run(mode, func(t *testing.T) {
-			var now uint64 = 1
 			opts := testOptions()
-			opts.Clock = func() uint64 { return now }
 			opts.NoAgeSort = mode == "noagesort"
-			opts.CoarseAgeSort = mode == "coarse"
 			fs, _ := newTestFS(t, 2048, opts)
 
 			// One-block files whose ages are a permutation of the file
@@ -157,7 +154,7 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 			content := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, layout.BlockSize) }
 			var paths []string
 			for i := 0; i < nfiles; i++ {
-				now = 1000 + uint64(i*7%nfiles)*10
+				fs.ticks.Store(1000 + uint64(i*7%nfiles)*10 - 1)
 				p := fmt.Sprintf("/f%02d", i)
 				if err := fs.WriteFile(p, content(i)); err != nil {
 					t.Fatal(err)
@@ -171,9 +168,9 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 			}
 			// A later second block on every fourth file: its first block
 			// keeps its own age while the file's mtime moves on, which is
-			// what tells the per-block key from the coarse one.
+			// what tells the per-block key from the file's single mtime.
 			for i := 0; i < nfiles; i += 4 {
-				now = 5000 + uint64(i*11%nfiles)*10
+				fs.ticks.Store(5000 + uint64(i*11%nfiles)*10 - 1)
 				if _, err := fs.WriteAt(paths[i], layout.BlockSize, content(i+1)); err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +186,7 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 				}
 				kept = append(kept, p)
 			}
-			now = 9000
+			fs.ticks.Store(9000 - 1)
 			if err := fs.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -202,15 +199,6 @@ func TestCleanPassSortSpansSegments(t *testing.T) {
 			// What the pass must write: the victims' live data in
 			// collection order, stably sorted by the mode's key.
 			want := liveDataOf(t, fs, victims)
-			if mode == "coarse" {
-				for i := range want {
-					mi, err := fs.loadInode(want[i].inum)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want[i].age = mi.ino.Mtime
-				}
-			}
 			if sort.SliceIsSorted(want, func(i, j int) bool { return want[i].age < want[j].age }) {
 				t.Fatal("set-up is not interleaved: collection order is already age order")
 			}
@@ -540,13 +528,9 @@ func TestAllocsCleanPass(t *testing.T) {
 // one, but the empty one is never read, so its cost is nothing: while an
 // empty candidate exists, a cleaning pass reads nothing.
 func TestCleanerTakesEmptySegmentsFirst(t *testing.T) {
-	var now uint64
-	opts := testOptions()
-	opts.Clock = func() uint64 { return now }
-	fs, _ := newTestFS(t, 2048, opts)
+	fs, _ := newTestFS(t, 2048, testOptions())
 	write := func(p string, tag int) {
 		t.Helper()
-		now++
 		if err := fs.WriteFile(p, nonZero(tag, layout.BlockSize)); err != nil {
 			t.Fatal(err)
 		}
@@ -569,7 +553,7 @@ func TestCleanerTakesEmptySegmentsFirst(t *testing.T) {
 		}
 	}
 	sync()
-	now += 1 << 20 // the cold segments age
+	fs.ticks.Add(1 << 20) // the cold segments age
 	for r := 0; r < 12; r++ {
 		for i := 0; i < 30; i++ {
 			write(fmt.Sprintf("/hot%02d", i), r)
@@ -588,7 +572,7 @@ func TestCleanerTakesEmptySegmentsFirst(t *testing.T) {
 			continue
 		}
 		u := fs.usage.utilization(s)
-		score := (1 - u) * float64(1+now-e.LastWrite) / (1 + u)
+		score := (1 - u) * float64(1+fs.ticks.Load()-e.LastWrite) / (1 + u)
 		if e.LiveBytes == 0 {
 			empty++
 			bestEmpty = max(bestEmpty, score)

@@ -23,7 +23,7 @@ func TestConcurrentReadersWritersCleaner(t *testing.T) {
 	tr := obs.New(nil)
 	opts := testOptions()
 	opts.ReadCacheBlocks = 64
-	opts = opts.WithTracer(tr)
+	opts.Tracer = tr
 	fs, d := newTestFS(t, 2048, opts)
 
 	const nfiles = 80

@@ -130,28 +130,6 @@ func TestReadCacheEviction(t *testing.T) {
 	}
 }
 
-func TestCustomClock(t *testing.T) {
-	var now uint64 = 1000
-	opts := testOptions()
-	opts.Clock = func() uint64 { return now }
-	fs, _ := newTestFS(t, 2048, opts)
-	if err := fs.WriteFile("/t", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := fs.Stat("/t")
-	if info.Mtime != 1000 {
-		t.Fatalf("mtime %d, want 1000 from custom clock", info.Mtime)
-	}
-	now = 2000
-	if _, err := fs.WriteAt("/t", 0, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	info, _ = fs.Stat("/t")
-	if info.Mtime != 2000 {
-		t.Fatalf("mtime %d after clock advance", info.Mtime)
-	}
-}
-
 func TestDoubleIndirectFile(t *testing.T) {
 	// A file big enough to need the double-indirect tree: beyond
 	// 10 + 512 blocks.
@@ -707,24 +685,6 @@ func TestCleanReadDeadBlockFaults(t *testing.T) {
 	}
 }
 
-func TestCoarseAgeSort(t *testing.T) {
-	opts := testOptions()
-	opts.CoarseAgeSort = true
-	fs, _ := newTestFS(t, 2048, opts)
-	payload := bytes.Repeat([]byte("a"), layout.BlockSize)
-	for round := 0; round < 16; round++ {
-		for i := 0; i < 150; i++ {
-			if err := fs.WriteFile(fmt.Sprintf("/f%03d", i), payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if fs.Stats().SegmentsCleaned == 0 {
-		t.Fatal("cleaner never ran")
-	}
-	mustCheck(t, fs)
-}
-
 func TestCleanIdle(t *testing.T) {
 	fs, _ := newTestFS(t, 2048, testOptions())
 	payload := bytes.Repeat([]byte("i"), layout.BlockSize)
@@ -749,17 +709,16 @@ func TestCleanIdle(t *testing.T) {
 
 func TestPerBlockAgesInSummaries(t *testing.T) {
 	// Blocks written at different times into the same segment must carry
-	// distinct ages in the summary (the Section 3.6 improvement).
-	var now uint64
+	// distinct ages in the summary (the Section 3.6 improvement). Each
+	// operation's tick adds 1 to the clock set before it.
 	opts := testOptions()
-	opts.Clock = func() uint64 { return now }
 	opts.WriteBufferBlocks = 64
 	fs, d := newTestFS(t, 2048, opts)
-	now = 100
+	fs.ticks.Store(100 - 1)
 	if err := fs.WriteFile("/old", bytes.Repeat([]byte("o"), layout.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	now = 900
+	fs.ticks.Store(900 - 1)
 	if err := fs.WriteFile("/new", bytes.Repeat([]byte("n"), layout.BlockSize)); err != nil {
 		t.Fatal(err)
 	}

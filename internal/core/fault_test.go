@@ -342,6 +342,43 @@ func TestScrubFindsInjectedCorruption(t *testing.T) {
 	}
 }
 
+// TestScrubFindsCorruptLiveDirlog corrupts a directory-log block written
+// since the last checkpoint. Check counts such a block as live (roll-forward
+// needs it), so a scrub must read and verify it like any other live block.
+func TestScrubFindsCorruptLiveDirlog(t *testing.T) {
+	fs, d := newTestFS(t, 2048, testOptions())
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/x", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.dirlogAddrs) == 0 {
+		t.Fatal("no directory-log block written since the checkpoint")
+	}
+	addr := fs.dirlogAddrs[0]
+	if err := d.InjectFault(disk.Fault{Kind: disk.FaultCorrupt, Addr: addr, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fs.Scrub()
+	if err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if len(rep.Errors) != 1 {
+		t.Fatalf("scrub found %d errors, want 1: %+v", len(rep.Errors), rep.Errors)
+	}
+	se := rep.Errors[0]
+	if se.Addr != addr || se.Ino != 0 || se.Offset != -1 || se.Kind != "dirlog" {
+		t.Fatalf("ScrubError = %+v, want {Addr:%d Ino:0 Offset:-1 Kind:dirlog}", se, addr)
+	}
+	if !errors.Is(se.Err, ErrCorrupt) {
+		t.Fatalf("ScrubError.Err = %v, want ErrCorrupt", se.Err)
+	}
+}
+
 func TestCleanerSkipsQuarantinedSegment(t *testing.T) {
 	fs, d := newTestFS(t, 2048, testOptions())
 	if err := fs.WriteFile("/c", bytes.Repeat([]byte{8}, 2*layout.BlockSize)); err != nil {

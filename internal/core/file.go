@@ -381,7 +381,7 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 	if uint64(off) > mi.ino.Size {
 		mi.ino.Size = uint64(off)
 	}
-	mi.ino.Mtime = fs.now()
+	mi.ino.Mtime = fs.ticks.Load()
 	fs.markInodeDirty(inum)
 	if err != nil {
 		return total, err
@@ -451,7 +451,7 @@ func (fs *FS) truncate(mi *mInode, size int64) error {
 		}
 	}
 	mi.ino.Size = uint64(size)
-	mi.ino.Mtime = fs.now()
+	mi.ino.Mtime = fs.ticks.Load()
 	fs.markInodeDirty(inum)
 	return nil
 }

@@ -124,8 +124,10 @@ type FS struct {
 	nextInum  uint32
 	freeInums inumHeap
 
-	// ticks is atomic because read-only operations advance it while
-	// holding only mu.RLock.
+	// ticks is the logical clock of mtimes, atimes, summary and segment
+	// ages and checkpoint timestamps; readers call ticks.Load. It is
+	// atomic because read-only operations advance it while holding only
+	// mu.RLock.
 	ticks        atomic.Uint64
 	bytesSinceCp int64
 	dirtyPtrs    int // pointer blocks marked dirty (markPtrDirty)
@@ -260,7 +262,7 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 		segs:         newSegAlloc(nsegs),
 		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
 		rc:           newReadCache(opts.ReadCacheBlocks),
-		gate:         newAdmitGate(opts.AdmitBudgetBlocks),
+		gate:         newAdmitGate(2 * opts.WriteBufferBlocks),
 		commit:       newCommitter(),
 	}
 	// The idle block freelist holds two write buffers plus a segment:
@@ -294,8 +296,8 @@ func attachTracer(dev *disk.Disk, tr *obs.Tracer) {
 
 // Options returns the effective options the file system is running
 // with. The copy is safe to mutate: every sizing and policy field is a
-// value, and the three reference fields — Tracer, NVRAM and Clock —
-// are intentionally shared handles (reassigning them in the copy has
+// value, and the two reference fields, Tracer and NVRAM, are
+// intentionally shared handles (reassigning them in the copy has
 // no effect on the mounted file system, and nothing reachable through
 // them lets a caller reconfigure it). See TestOptionsCopyIsIsolated.
 func (fs *FS) Options() Options { return fs.opts }
@@ -389,14 +391,6 @@ func (fs *FS) DiskCapacityUtilization() float64 {
 		live += int64(fs.usage.get(s).LiveBytes)
 	}
 	return float64(live) / float64(fs.nsegs*fs.segBytes)
-}
-
-// now returns the logical time used for mtimes and cleaning ages.
-func (fs *FS) now() uint64 {
-	if fs.opts.Clock != nil {
-		return fs.opts.Clock()
-	}
-	return fs.ticks.Load()
 }
 
 // tick advances the internal logical clock; called once per public

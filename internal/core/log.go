@@ -75,7 +75,7 @@ func (fs *FS) flushPending() error {
 			// torn. Cleaning starts in the epilogue, at an operation
 			// boundary; here the cleaner reserve is only a hard backstop.
 			privileged := fs.inCleaner || fs.inRecovery || fs.cpActive
-			if err := fs.segs.advance(fs.usage, fs.now(), privileged); err != nil {
+			if err := fs.segs.advance(fs.usage, fs.ticks.Load(), privileged); err != nil {
 				return err
 			}
 			continue
@@ -155,7 +155,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	n := len(batch)
 	head := fs.segs.head
 	sumAddr := fs.segStart(head) + fs.segs.headOff
-	now := fs.now()
+	now := fs.ticks.Load()
 
 	// Phase 1: assign addresses and update all pointers/accounting.
 	for i := range batch {
@@ -413,7 +413,7 @@ func (fs *FS) stageDirOps() error {
 		if n == 0 {
 			return fmt.Errorf("%w: dirlog encode made no progress", ErrCorrupt)
 		}
-		age := fs.now()
+		age := fs.ticks.Load()
 		fs.stage(stagedBlock{
 			entry: layout.SummaryEntry{Kind: layout.KindDirLog},
 			data:  blk,

@@ -272,7 +272,7 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 	fs.imap.setVersion(inum, version)
 	mi := newMInode(layout.NewInode(inum, typ))
 	mi.ino.Version = version
-	mi.ino.Mtime = fs.now()
+	mi.ino.Mtime = fs.ticks.Load()
 	fs.icache[inum] = mi
 	fs.markInodeDirty(inum)
 	if typ == layout.FileTypeDir {
@@ -524,7 +524,7 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 // setAtime records an access time in the inode map. Reads hold only
 // mu.RLock, so the map mutation is guarded by imapMu.
 func (fs *FS) setAtime(inum uint32) {
-	now := fs.now()
+	now := fs.ticks.Load()
 	fs.imapMu.Lock()
 	fs.imap.setAtime(inum, now)
 	fs.imapMu.Unlock()

@@ -62,8 +62,8 @@ func (m CleanReadMode) String() string {
 // selection with age-sorted output, a few tens of segments cleaned at a
 // time; the cleaner's marks are sized by need in withDefaults. A size out
 // of range falls back quietly: a negative SegmentBlocks, MaxInodes,
-// WriteBufferBlocks, AdmitBudgetBlocks or CleanBatch means the default, as
-// zero does; a negative ReadCacheBlocks or CheckpointEveryBytes means 0.
+// WriteBufferBlocks or CleanBatch means the default, as zero does; a
+// negative ReadCacheBlocks or CheckpointEveryBytes means 0.
 type Options struct {
 	// SegmentBlocks is the segment size in blocks (default 128 = 512 KB).
 	SegmentBlocks int
@@ -89,11 +89,6 @@ type Options struct {
 	// NoAgeSort disables sorting live blocks by age before rewriting them
 	// (Section 3.4 policy question 4). Age sorting is on by default.
 	NoAgeSort bool
-	// CoarseAgeSort sorts cleaned blocks by the file's single modified
-	// time, Sprite LFS's original behaviour, instead of the per-block
-	// modified times this implementation records in segment summaries
-	// (the improvement Section 3.6 says Sprite planned).
-	CoarseAgeSort bool
 	// CleanRead selects how the cleaner reads a victim (default planned).
 	CleanRead CleanReadMode
 	// WriteBufferBlocks bounds what a buffer-full flush writes, its summary
@@ -102,16 +97,9 @@ type Options struct {
 	// count below it that ends the flush at a segment boundary, or, with no
 	// boundary in reach, fill it with one summary (FS.flushAt). Larger
 	// buffers batch more blocks per log write; smaller buffers model
-	// NFS-like eager write-back.
+	// NFS-like eager write-back. The write admission gate holds twice this
+	// many blocks of admitted-but-unflushed budget (newFS).
 	WriteBufferBlocks int
-	// AdmitBudgetBlocks sizes the write admission gate: the total
-	// worst-case block budget of admitted-but-unflushed mutating
-	// operations (default: 2*WriteBufferBlocks). A writer whose budget
-	// does not fit blocks outside fs.mu until the operations ahead of it
-	// finish, flushing the staged backlog itself when that is what keeps
-	// it out. Individual budgets are clamped to half the gate so two
-	// maximal writers can always interleave.
-	AdmitBudgetBlocks int
 	// CheckpointEveryBytes forces a checkpoint after this much new data
 	// has been logged (0 disables; Section 4.1 discusses this policy as
 	// the alternative to fixed intervals). Unmount always checkpoints.
@@ -120,9 +108,6 @@ type Options struct {
 	// (default 0: reads always hit the disk, which is what the paper's
 	// micro-benchmarks measure after their cache flush).
 	ReadCacheBlocks int
-	// Clock supplies logical time for mtimes and cleaning ages. The
-	// default is an internal tick that advances on every operation.
-	Clock func() uint64
 	// NoRollForward makes Mount discard everything after the most recent
 	// checkpoint instead of rolling forward. It is a recovery knob, not a
 	// test hook: Sprite LFS ran in production this way, checkpointing every
@@ -149,12 +134,6 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// WithTracer returns a copy of the options with the tracer attached.
-func (o Options) WithTracer(t *obs.Tracer) Options {
-	o.Tracer = t
-	return o
-}
-
 func (o Options) withDefaults() Options {
 	// A size nothing can run with is as good as unset (a negative gate
 	// parks the first operation forever, a negative inode count is 2^32-1).
@@ -167,9 +146,6 @@ func (o Options) withDefaults() Options {
 	if o.WriteBufferBlocks <= 0 {
 		o.WriteBufferBlocks = o.SegmentBlocks
 	}
-	if o.AdmitBudgetBlocks <= 0 {
-		o.AdmitBudgetBlocks = 2 * o.WriteBufferBlocks
-	}
 	o.ReadCacheBlocks = max(o.ReadCacheBlocks, 0)
 	o.CheckpointEveryBytes = max(o.CheckpointEveryBytes, 0)
 	// The cleaner is sized by need, and its three defaults are spelled
@@ -179,9 +155,9 @@ func (o Options) withDefaults() Options {
 	// earlier than safety demands: before ordinary writes hit the
 	// cleaner-only segment reserve, with margin for two in-flight buffer
 	// flushes plus the whole admitted-but-unflushed budget a group commit
-	// can stage in one batch. A smaller explicit mark is raised to that.
-	if floor := reserveSegments + 2 +
-		(o.AdmitBudgetBlocks+2*o.WriteBufferBlocks)/o.SegmentBlocks; o.CleanLowWater < floor {
+	// can stage in one batch (the gate's capacity, two more buffers). A
+	// smaller explicit mark is raised to that.
+	if floor := reserveSegments + 2 + 4*o.WriteBufferBlocks/o.SegmentBlocks; o.CleanLowWater < floor {
 		o.CleanLowWater = floor
 	}
 	// A cycle is one age-sorted pass and one releasing checkpoint: it

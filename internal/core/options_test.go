@@ -17,7 +17,6 @@ import (
 func TestOptionsTable(t *testing.T) {
 	nv := NewNVRAM(1 << 20)
 	tr := obs.New(nil)
-	clock := func() uint64 { return 7 }
 	floor := reserveSegments + 2 + 4 // CleanLowWater at the default sizes
 	rows := []struct {
 		field      string
@@ -31,43 +30,33 @@ func TestOptionsTable(t *testing.T) {
 		{field: "CleanBatch", zero: 24, in: 8, out: -1, lands: 24},
 		{field: "Policy", zero: PolicyCostBenefit, in: PolicyGreedy},
 		{field: "NoAgeSort", zero: false, in: true},
-		{field: "CoarseAgeSort", zero: false, in: true},
 		{field: "CleanRead", zero: CleanReadPlanned, in: CleanReadWhole},
 		{field: "WriteBufferBlocks", zero: 128, in: 32, out: -1, lands: 128},
-		{field: "AdmitBudgetBlocks", zero: 256, in: 64, out: -1, lands: 256},
 		{field: "CheckpointEveryBytes", zero: int64(0), in: int64(1 << 20), out: int64(-1), lands: int64(0)},
 		{field: "ReadCacheBlocks", zero: 0, in: 64, out: -5, lands: 0},
-		{field: "Clock", zero: (func() uint64)(nil), in: clock},
 		{field: "NoRollForward", zero: false, in: true},
 		{field: "NVRAM", zero: (*NVRAM)(nil), in: nv},
 		{field: "Tracer", zero: (*obs.Tracer)(nil), in: tr},
 	}
 
-	// norm makes values comparable: funcs compare by presence only.
-	norm := func(v any) any {
-		if rv := reflect.ValueOf(v); rv.Kind() == reflect.Func {
-			return rv.IsNil()
-		}
-		return v
-	}
 	after := func(field string, v any) any {
 		var base Options
 		if v != nil {
 			reflect.ValueOf(&base).Elem().FieldByName(field).Set(reflect.ValueOf(v))
 		}
-		return norm(reflect.ValueOf(base.withDefaults()).FieldByName(field).Interface())
+		return reflect.ValueOf(base.withDefaults()).FieldByName(field).Interface()
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
 		seen[r.field] = true
-		if got := after(r.field, nil); got != norm(r.zero) {
+		if got := after(r.field, nil); got != r.zero {
 			t.Errorf("%s: zero value becomes %v, want the default %v", r.field, got, r.zero)
 		}
-		if got := after(r.field, r.in); got != norm(r.in) {
+		if got := after(r.field, r.in); got != r.in {
 			t.Errorf("%s: in-range %v becomes %v", r.field, r.in, got)
 		}
 		if r.out != nil {
-			if got := after(r.field, r.out); got != norm(r.lands) {
+			if got := after(r.field, r.out); got != r.lands {
 				t.Errorf("%s: out-of-range %v becomes %v, want %v", r.field, r.out, got, r.lands)
 			}
 		}
@@ -78,18 +67,18 @@ func TestOptionsTable(t *testing.T) {
 			t.Errorf("Options.%s has no row", typ.Field(i).Name)
 		}
 	}
-	if typ.NumField() != 17 {
-		t.Errorf("Options has %d fields, want 17: a new option needs a row and a reason", typ.NumField())
+	if typ.NumField() != 14 {
+		t.Errorf("Options has %d fields, want 14: a new option needs a row and a reason", typ.NumField())
 	}
 }
 
 // TestOutOfRangeOptionsRun formats with each size that used to be taken at
-// its word and completes an operation under a deadline: a negative gate or
-// write buffer parked the first Create forever in the admission gate, and
-// MaxInodes -1 became a four-billion-entry inode map.
+// its word and completes an operation under a deadline: a negative write
+// buffer, or the admission gate sized from it, parked the first Create
+// forever in that gate, and MaxInodes -1 became a four-billion-entry inode
+// map.
 func TestOutOfRangeOptionsRun(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"AdmitBudgetBlocks": {AdmitBudgetBlocks: -1},
 		"WriteBufferBlocks": {WriteBufferBlocks: -1},
 		"MaxInodes":         {MaxInodes: -1},
 	} {
@@ -105,8 +94,8 @@ func TestOutOfRangeOptionsRun(t *testing.T) {
 				}
 				if err == nil {
 					want := Options{}.withDefaults()
-					if got := fs.Options(); got.AdmitBudgetBlocks != want.AdmitBudgetBlocks ||
-						got.WriteBufferBlocks != want.WriteBufferBlocks || got.MaxInodes != want.MaxInodes {
+					if got := fs.Options(); got.WriteBufferBlocks != want.WriteBufferBlocks || got.MaxInodes != want.MaxInodes ||
+						fs.gate.cap != 2*want.WriteBufferBlocks {
 						t.Errorf("running with %+v, want the defaults", got)
 					}
 					err = fs.Unmount()

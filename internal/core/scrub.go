@@ -14,7 +14,7 @@ type ScrubError struct {
 	Addr   int64  // disk address of the bad block
 	Ino    uint32 // owning inode, 0 for map-level metadata
 	Offset int64  // byte offset within the file for data blocks, -1 otherwise
-	Kind   string // "data", "indirect", "inode", "imap", "usage"
+	Kind   string // "data", "indirect", "inode", "imap", "usage", "dirlog"
 	Err    error  // the underlying typed error
 }
 
@@ -36,10 +36,10 @@ type ScrubReport struct {
 	Degraded    bool    // whether the file system is in degraded mode
 }
 
-// Scrub walks every live block — inode map and segment usage blocks,
-// every allocated inode's block, and each file's indirect and data
-// blocks — reading each one from disk (bypassing the read cache) and
-// verifying it against the checksum recorded in its segment summary.
+// Scrub walks every live block — the inode map, segment usage and live
+// directory-log blocks, every allocated inode's block, and each file's
+// indirect and data blocks — reading each from disk (bypassing the read
+// cache) and verifying it against the checksum its segment summary holds.
 // Detected corruption quarantines the affected segment; every problem is
 // reported rather than only the first, so a scrub gives the full damage
 // picture. The file system keeps running: scrub is an online operation.
@@ -74,16 +74,13 @@ func (fs *FS) Scrub() (*ScrubReport, error) {
 		}
 	}
 
-	for _, addr := range fs.imap.blockAddr {
-		if addr != layout.NilAddr {
-			visit(addr, 0, -1, "imap")
+	fs.forEachCheckpointBlock(func(kind layout.BlockKind, _ int, addr int64) {
+		name := kind.String()
+		if kind == layout.KindSegUsage {
+			name = "usage"
 		}
-	}
-	for _, addr := range fs.usage.blockAddr {
-		if addr != layout.NilAddr {
-			visit(addr, 0, -1, "usage")
-		}
-	}
+		visit(addr, 0, -1, name)
+	})
 
 	seenInoBlocks := make(map[int64]bool)
 	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {

@@ -49,7 +49,7 @@ func (fs *FS) relocateHead(cause error) error {
 	bad := fs.segs.head
 	fs.quarantineSeg(bad)
 	fs.tr.Add(obs.CtrSegsRetired, 1)
-	if fs.segs.advance(fs.usage, fs.now(), true) != nil {
+	if fs.segs.advance(fs.usage, fs.ticks.Load(), true) != nil {
 		fs.degrade("relocate-exhausted", fmt.Sprintf("write relocation failed: no clean segment left after segment %d was retired: %v", bad, cause))
 		return fmt.Errorf("lfs: write relocation out of clean segments (segment %d retired): %w", bad, cause)
 	}

@@ -343,7 +343,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 				}
 			}
 			fs.mu.Lock()
-			if err := fs.segs.advance(fs.usage, fs.now(), false); err != nil {
+			if err := fs.segs.advance(fs.usage, fs.ticks.Load(), false); err != nil {
 				b.Fatal(err)
 			}
 			sumAddr := fs.segStart(fs.segs.head)

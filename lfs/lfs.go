@@ -152,8 +152,8 @@ type DiskStats = disk.Stats
 
 // Tracer is the observability layer: metrics (counters + latency
 // histograms) keyed to simulated disk time, plus an optional event sink.
-// Attach one with Options.WithTracer (or by setting Options.Tracer); a
-// nil Tracer disables everything at near-zero cost. Read the metrics
+// Attach one by setting Options.Tracer; a nil Tracer disables
+// everything at near-zero cost. Read the metrics
 // back with (*FS).Metrics.
 type Tracer = obs.Tracer
 

@@ -117,7 +117,8 @@ func TestPublicConcurrentCleaning(t *testing.T) {
 		CleanLowWater:  8,
 		CleanHighWater: 16,
 		CleanBatch:     4,
-	}.WithTracer(tr)
+		Tracer:         tr,
+	}
 	d := lfs.NewDisk(2048)
 	fs, err := lfs.Format(d, opts)
 	if err != nil {

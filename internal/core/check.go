@@ -38,70 +38,60 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 	r := &CheckReport{LiveBytesBySegment: make([]int64, fs.nsegs)}
 
-	tally := func(addr int64, what string) {
-		seg := fs.segOf(addr)
-		if seg < 0 || seg >= fs.nsegs {
-			r.problemf("%s at address %d outside segment area", what, addr)
-			return
-		}
-		r.LiveBytesBySegment[seg] += layout.BlockSize
-	}
-
-	// 1. Walk every allocated inode's block map.
+	// 1–3. Tally every live block: each allocated inode's data and
+	// indirect blocks, one block per distinct inode-block address (whose
+	// inode count must match inoBlockRefs), and the blocks the next
+	// checkpoint references. The walker reports what goes wrong as a
+	// problem and never fails.
 	refs := make(map[int64]int)
-	nlinks := make(map[uint32]int)
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		e := fs.imap.get(inum)
-		if !e.Allocated() {
-			continue
-		}
+	_ = fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
 		r.Files++
-		refs[e.Addr]++
 		mi, err := fs.loadInode(inum)
 		if err != nil {
 			r.problemf("inum %d: unreadable inode: %v", inum, err)
-			continue
+			return nil
 		}
 		if mi.ino.Inum != inum {
 			r.problemf("inum %d: inode claims inum %d", inum, mi.ino.Inum)
 		}
-		if mi.ino.Version != e.Version {
-			r.problemf("inum %d: inode version %d != imap version %d", inum, mi.ino.Version, e.Version)
+		if v := fs.imap.get(inum).Version; mi.ino.Version != v {
+			r.problemf("inum %d: inode version %d != imap version %d", inum, mi.ino.Version, v)
 		}
-		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error {
-			tally(addr, fmt.Sprintf("inum %d block %d", inum, bn))
-			return nil
-		})
+		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error { return visit(layout.KindData, bn, addr) })
 		if err != nil {
 			r.problemf("inum %d: block walk: %v", inum, err)
 		}
-		err = fs.forEachIndirectAddr(mi, func(addr int64) error {
-			tally(addr, fmt.Sprintf("inum %d indirect", inum))
-			return nil
-		})
+		err = fs.forEachIndirectAddr(mi, func(addr int64) error { return visit(layout.KindIndirect, 0, addr) })
 		if err != nil {
 			r.problemf("inum %d: indirect walk: %v", inum, err)
 		}
-	}
-
-	// 2. Inode blocks: one live block per distinct address in the map.
-	for addr, n := range refs {
-		tally(addr, "inode block")
-		if got := fs.inoBlockRefs[addr]; got != n {
-			r.problemf("inode block %d: refcount %d, want %d", addr, got, n)
+		return nil
+	}, func(kind layout.BlockKind, inum uint32, i int, addr int64) {
+		if kind == layout.KindInode {
+			if refs[addr] = i; fs.inoBlockRefs[addr] != i {
+				r.problemf("inode block %d: refcount %d, want %d", addr, fs.inoBlockRefs[addr], i)
+			}
 		}
-	}
+		if seg := fs.segOf(addr); seg >= 0 && seg < fs.nsegs {
+			r.LiveBytesBySegment[seg] += layout.BlockSize
+			return
+		}
+		switch kind {
+		case layout.KindData:
+			r.problemf("inum %d block %d at address %d outside segment area", inum, i, addr)
+		case layout.KindIndirect:
+			r.problemf("inum %d indirect at address %d outside segment area", inum, addr)
+		case layout.KindInode:
+			r.problemf("inode block at address %d outside segment area", addr)
+		default:
+			r.problemf("%s block %d at address %d outside segment area", kind, i, addr)
+		}
+	})
 	for addr, n := range fs.inoBlockRefs {
 		if refs[addr] == 0 {
 			r.problemf("inode block %d: stale refcount %d", addr, n)
 		}
 	}
-
-	// 3. Metadata blocks referenced by the (next) checkpoint.
-	fs.forEachCheckpointBlock(func(kind layout.BlockKind, i int, addr int64) {
-		tally(addr, fmt.Sprintf("%s block %d", kind, i))
-	})
 
 	// 4. Compare with the segment usage table.
 	for s := int64(0); s < fs.nsegs; s++ {
@@ -117,7 +107,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 
 	// 5. Directory tree: every entry resolves, link counts match.
 	var walk func(inum uint32, path string)
-	seen := make(map[uint32]bool)
+	seen, nlinks := make(map[uint32]bool), make(map[uint32]int)
 	walk = func(inum uint32, path string) {
 		if seen[inum] {
 			r.problemf("directory %s (inum %d) reached twice", path, inum)
@@ -201,43 +191,62 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 		return nil, err
 	}
 	out := make(map[layout.BlockKind]int64)
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		if !fs.imap.get(inum).Allocated() {
-			continue
-		}
+	err := fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
 		mi, err := fs.loadInode(inum)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error {
-			out[layout.KindData] += layout.BlockSize
-			return nil
-		})
+		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error { return visit(layout.KindData, bn, addr) })
 		if err != nil {
-			return nil, err
+			return err
 		}
-		err = fs.forEachIndirectAddr(mi, func(addr int64) error {
-			out[layout.KindIndirect] += layout.BlockSize
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	out[layout.KindInode] = int64(len(fs.inoBlockRefs)) * layout.BlockSize
-	fs.forEachCheckpointBlock(func(kind layout.BlockKind, _ int, _ int64) {
+		return fs.forEachIndirectAddr(mi, func(addr int64) error { return visit(layout.KindIndirect, 0, addr) })
+	}, func(kind layout.BlockKind, _ uint32, _ int, _ int64) {
 		out[kind] += layout.BlockSize
 	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// forEachLiveBlock calls fn for every live block, the one enumeration that
+// Check, LiveBytesByKind and salvage's usage rebuild share: for each
+// allocated inode, the data and indirect blocks blocks(inum, visit) hands to
+// visit (i the block number; Check loads pointer blocks, salvage walks the
+// pointers its scan verified); then one per inode-block address in the inode
+// map (i how many allocated inodes it holds); then forEachCheckpointBlock's
+// (i the index in their table). An error from blocks ends the walk.
+func (fs *FS) forEachLiveBlock(blocks func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error, fn func(kind layout.BlockKind, inum uint32, i int, addr int64)) error {
+	var inum uint32
+	visit := func(kind layout.BlockKind, bn uint32, addr int64) error {
+		fn(kind, inum, int(bn), addr)
+		return nil
+	}
+	refs := make(map[int64]int, len(fs.inoBlockRefs)) // sized by the count it should reach
+	for i, e := range fs.imap.entries {
+		if !e.Allocated() {
+			continue
+		}
+		refs[e.Addr]++
+		inum = uint32(i)
+		if err := blocks(inum, visit); err != nil {
+			return err
+		}
+	}
+	for addr, n := range refs {
+		fn(layout.KindInode, 0, n, addr)
+	}
+	fs.forEachCheckpointBlock(func(kind layout.BlockKind, i int, addr int64) { fn(kind, 0, i, addr) })
+	return nil
 }
 
 // forEachCheckpointBlock calls fn for every map-level block the next
 // checkpoint references: the inode map and segment usage blocks, and the
 // directory-log blocks written since the last checkpoint, which stay live
 // for roll-forward unless their segment is already clean or pending. i is
-// the block's index in its table. Check, LiveBytesByKind and Scrub all
-// enumerate these blocks here.
+// the block's index in its table. forEachLiveBlock (for Check,
+// LiveBytesByKind and salvage) and Scrub enumerate these blocks here.
 func (fs *FS) forEachCheckpointBlock(fn func(kind layout.BlockKind, i int, addr int64)) {
 	for i, addr := range fs.imap.blockAddr {
 		if addr != layout.NilAddr {

@@ -112,7 +112,7 @@ type FS struct {
 	sums *sumIndex
 
 	inoBlockRefs map[int64]int // live inodes per packed inode block
-	tail         *logTail      // while Mount recovers: what usage recomputation will count
+	mnt          *mounting     // what Mount or salvage holds while it recovers; nil otherwise
 
 	writeSeq uint64
 	cpSeq    uint64
@@ -132,9 +132,7 @@ type FS struct {
 	bytesSinceCp int64
 	dirtyPtrs    int // pointer blocks marked dirty (markPtrDirty)
 	inCleaner    bool
-	inRecovery   bool
 	cpActive     bool
-	nvReplaying  bool
 	// relocatedSinceCp is set when a write-fault relocation leaves a
 	// hole in the on-disk log and cleared once a checkpoint commits the
 	// post-relocation head as the recovery root; while set, flushes must
@@ -220,14 +218,7 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	fs := newFS(dev, opts, sb)
 	fs.segs.rebuild(fs.usage)
 	fs.nextInum = RootInum + 1
-
-	// Create the root directory.
-	root := newMInode(layout.NewInode(RootInum, layout.FileTypeDir))
-	root.ino.Version = 1
-	fs.icache[RootInum] = root
-	fs.dirtyInodes[RootInum] = true
-	fs.imap.setVersion(RootInum, 1)
-	fs.dirCache[RootInum] = nil
+	fs.newInode(RootInum, layout.FileTypeDir, 1)
 	fs.mounted = true
 	if err := fs.checkpointLocked(); err != nil {
 		return nil, err
@@ -244,27 +235,20 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	segBlocks := int64(sb.SegmentBlocks)
 	nsegs := int64(sb.NumSegments)
 	fs := &FS{
-		dev:          dev,
-		opts:         opts,
-		sb:           sb,
-		segBlocks:    segBlocks,
-		segBytes:     segBlocks * layout.BlockSize,
-		nsegs:        nsegs,
-		segBase:      sb.SegmentBase,
-		imap:         newInodeMap(int(sb.MaxInodes)),
-		usage:        newUsageTable(int(nsegs), segBlocks*layout.BlockSize),
-		dcache:       make(map[blockKey][]byte),
-		icache:       make(map[uint32]*mInode),
-		dirtyInodes:  make(map[uint32]bool),
-		dirCache:     make(map[uint32][]layout.DirEntry),
-		inoBlockRefs: make(map[int64]int),
-		wvec:         make([][]byte, 0, 1+layout.MaxSummaryEntries),
-		segs:         newSegAlloc(nsegs),
-		sums:         newSumIndex(sb.SegmentBase, segBlocks, nsegs),
-		rc:           newReadCache(opts.ReadCacheBlocks),
-		gate:         newAdmitGate(2 * opts.WriteBufferBlocks),
-		commit:       newCommitter(),
+		dev:       dev,
+		opts:      opts,
+		sb:        sb,
+		segBlocks: segBlocks,
+		segBytes:  segBlocks * layout.BlockSize,
+		nsegs:     nsegs,
+		segBase:   sb.SegmentBase,
+		wvec:      make([][]byte, 0, 1+layout.MaxSummaryEntries),
+		segs:      newSegAlloc(nsegs),
+		rc:        newReadCache(opts.ReadCacheBlocks),
+		gate:      newAdmitGate(2 * opts.WriteBufferBlocks),
+		commit:    newCommitter(),
 	}
+	fs.initDerived()
 	// The idle block freelist holds two write buffers plus a segment:
 	// enough to turn the steady-state write path allocation-free.
 	fs.bpool = bufpool.New(layout.BlockSize, 2*opts.WriteBufferBlocks+opts.SegmentBlocks)
@@ -279,6 +263,20 @@ func newFS(dev *disk.Disk, opts Options, sb *layout.Superblock) *FS {
 	fs.sumFree = bufpool.NewFree[*layout.WalkScratch](runPoolPerClass)
 	fs.tr = opts.Tracer
 	return fs
+}
+
+// initDerived builds empty every table and cache that Mount and salvage
+// derive from the log. newFS builds them once; an in-place Salvage builds
+// them again over the state it discards (salvageReset).
+func (fs *FS) initDerived() {
+	fs.imap = newInodeMap(int(fs.sb.MaxInodes))
+	fs.usage = newUsageTable(int(fs.nsegs), fs.segBytes)
+	fs.dcache = make(map[blockKey][]byte)
+	fs.icache = make(map[uint32]*mInode)
+	fs.dirtyInodes = make(map[uint32]bool)
+	fs.dirCache = make(map[uint32][]layout.DirEntry)
+	fs.inoBlockRefs = make(map[int64]int)
+	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
 }
 
 // attachTracer wires tr to the device. Format, Mount and SalvageImage call
@@ -486,6 +484,20 @@ func (fs *FS) allocInum() (uint32, error) {
 	inum := fs.nextInum
 	fs.nextInum++
 	return inum, nil
+}
+
+// newInode installs a fresh, empty inode of type typ as inum at version,
+// stamped now and dirty: Format's root, createNode's file or directory, and
+// the root and lost+found that salvage synthesizes.
+func (fs *FS) newInode(inum uint32, typ uint8, version uint32) {
+	ino := layout.NewInode(inum, typ)
+	ino.Version, ino.Mtime = version, fs.ticks.Load()
+	fs.imap.setVersion(inum, version)
+	fs.icache[inum] = newMInode(ino)
+	fs.markInodeDirty(inum)
+	if typ == layout.FileTypeDir {
+		fs.dirCache[inum] = nil
+	}
 }
 
 // inumHeap holds the freed inode numbers as a binary min-heap. Handing out

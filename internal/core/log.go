@@ -74,7 +74,7 @@ func (fs *FS) flushPending() error {
 			// this is the middle of log placement, when block pointers are
 			// torn. Cleaning starts in the epilogue, at an operation
 			// boundary; here the cleaner reserve is only a hard backstop.
-			privileged := fs.inCleaner || fs.inRecovery || fs.cpActive
+			privileged := fs.inCleaner || fs.recovering() || fs.cpActive
 			if err := fs.segs.advance(fs.usage, fs.ticks.Load(), privileged); err != nil {
 				return err
 			}
@@ -267,8 +267,8 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// Remember each block's checksum so verify-on-read can check it
 	// without re-reading the summary from disk.
 	fs.sums.record(sumAddr+1, entries)
-	if fs.tail != nil {
-		fs.tail.add(layout.LogPos{Seg: head, Off: fs.segs.headOff}, entries)
+	if fs.mnt != nil && fs.mnt.tail != nil {
+		fs.mnt.tail.add(layout.LogPos{Seg: head, Off: fs.segs.headOff}, entries)
 	}
 
 	fs.writeSeq++
@@ -284,7 +284,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		} else {
 			fs.stats.NewDataBytes += layout.BlockSize
 		}
-		if fs.inRecovery {
+		if fs.recovering() {
 			fs.stats.RollForwardWrites++
 		}
 	}
@@ -314,7 +314,7 @@ func (fs *FS) tracePartialWrite(sumAddr int64, batch []stagedBlock) {
 			Blocks:       1 + len(batch),
 			BytesByKind:  kinds,
 			CleanerBytes: cleanerBytes,
-			Recovery:     fs.inRecovery,
+			Recovery:     fs.recovering(),
 		},
 	})
 }

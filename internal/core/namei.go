@@ -265,19 +265,8 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 	if err != nil {
 		return 0, err
 	}
-	version := fs.imap.get(inum).Version
-	if version == 0 {
-		version = 1
-	}
-	fs.imap.setVersion(inum, version)
-	mi := newMInode(layout.NewInode(inum, typ))
-	mi.ino.Version = version
-	mi.ino.Mtime = fs.ticks.Load()
-	fs.icache[inum] = mi
-	fs.markInodeDirty(inum)
-	if typ == layout.FileTypeDir {
-		fs.dirCache[inum] = nil
-	}
+	version := max(fs.imap.get(inum).Version, 1)
+	fs.newInode(inum, typ, version)
 
 	fs.logDirOp(&layout.DirOp{Op: layout.DirOpCreate, Dir: dirInum, Name: name, Inum: inum, Version: version, NewNlink: 1})
 	if err := fs.saveDir(dirInum, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries)); err != nil {
@@ -741,7 +730,7 @@ func (fs *FS) renameLocked(oldPath, newPath string) error {
 // (Section 3.4), and the cleaning runs to the high-water mark under the
 // caller's lock. Nothing here waits or releases fs.mu.
 func (fs *FS) epilogue() error {
-	if fs.inCleaner || fs.inRecovery || fs.cpActive {
+	if fs.inCleaner || fs.recovering() || fs.cpActive {
 		return nil
 	}
 	if fs.segs.free() < fs.opts.CleanLowWater {

@@ -200,10 +200,10 @@ func (fs *FS) nvLog(r *nvRecord) error {
 }
 
 // nvClear empties the NVRAM after a flush made its contents recoverable
-// from the log. Flushes issued by recovery itself (the roll-forward
-// commit) must not clear it: the records are about to be replayed.
+// from the log. Flushes issued while mounting (the roll-forward commit, the
+// replay's own) must not clear it: the records are about to be replayed.
 func (fs *FS) nvClear() {
-	if nv := fs.opts.NVRAM; nv != nil && !fs.nvReplaying && !fs.inRecovery {
+	if nv := fs.opts.NVRAM; nv != nil && fs.mnt == nil {
 		nv.clear()
 	}
 }
@@ -230,8 +230,6 @@ func (fs *FS) replayNVRAM() error {
 	if len(records) == 0 {
 		return nil
 	}
-	fs.nvReplaying = true
-	defer func() { fs.nvReplaying = false }()
 	for i := range records {
 		if err := fs.replayOne(&records[i]); err != nil {
 			return fmt.Errorf("nvram replay %d (%s): %w", i, records[i].path, err)

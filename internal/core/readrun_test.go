@@ -723,13 +723,25 @@ func salvageSteps(t *testing.T, d *disk.Disk, opts Options, scan func(*FS, *Salv
 		t.Fatal("salvage: superblock unreadable")
 	}
 	fs.mounted = true
-	fs.salvageReset()
 	rep := &SalvageReport{}
 	sc := scan(fs, rep)
 	acc := fs.salvageAcceptInodes(sc, rep)
 	versions := make(map[uint32]acceptedVersion, len(acc))
 	for inum, a := range acc {
-		versions[inum] = acceptedVersion{addr: a.addr, slot: a.slot, data: a.data, meta: a.meta}
+		// The indirect blocks are those the usage rebuild counts: the
+		// accepted block map walked over the pointers the scan verified.
+		v := acceptedVersion{addr: a.addr, slot: a.slot, data: a.data}
+		err := layout.WalkBlockMap(a.ino, func(p int64) ([]int64, error) { return sc.ptrs[p], nil },
+			func(kind layout.BlockKind, _ uint32, p int64) error {
+				if kind == layout.KindIndirect {
+					v.meta = append(v.meta, p)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("inum %d: accepted block map: %v", inum, err)
+		}
+		versions[inum] = v
 	}
 	if err := fs.salvageRebuild(sc, acc, rep, nil); err != nil {
 		t.Fatalf("salvage: %v", err)
@@ -1178,7 +1190,6 @@ func salvageScanOf(tb testing.TB, img *logImage) (*FS, *disk.Disk) {
 	if fs == nil {
 		tb.Fatal("superblock unreadable")
 	}
-	fs.salvageReset()
 	return fs, d
 }
 

@@ -29,7 +29,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.nextInum = cp.NextInum
 	fs.segs.place(cp.HeadSeg, int64(cp.HeadOffset), cp.NextSeg)
 	counted := fs.segStart(cp.HeadSeg)
-	fs.tail = &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}}
+	fs.mnt = &mounting{tail: &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}}}
 	fs.writeSeq = cp.WriteSeq
 	fs.dirLog.seq = cp.DirLogSeq
 	fs.ticks.Store(cp.Timestamp)
@@ -55,8 +55,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 
 	var dirops []*layout.DirOp
 	if !fs.opts.NoRollForward {
-		fs.inRecovery = true
-		dirops, err = fs.rollForwardScan(cp, fs.tail)
+		dirops, err = fs.rollForwardScan(cp, fs.mnt.tail)
 		if err != nil {
 			return nil, err
 		}
@@ -71,8 +70,8 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// system must never write again anyway. Reads of intact files still
 	// work.
 	if fs.degraded.Load() {
-		fs.inRecovery = false
 		fs.endRecount()
+		fs.mnt = nil
 		return fs, nil
 	}
 
@@ -109,7 +108,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// The repair passes above may themselves have tripped over
 	// unrecoverable metadata; re-check before committing anything.
 	if fs.degraded.Load() {
-		fs.inRecovery = false
+		fs.mnt = nil
 		return fs, nil
 	}
 
@@ -120,7 +119,6 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 		if err := fs.checkpointLocked(); err != nil {
 			return nil, err
 		}
-		fs.inRecovery = false
 		if fs.tr.Tracing() {
 			fs.tr.Emit(obs.Event{
 				Kind: obs.KindRollForward,
@@ -135,9 +133,11 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// operations it holds were acknowledged but had not reached the log
 	// when the crash happened (Section 2.1).
 	phases.end("commit")
+	fs.mnt.nvReplay = true
 	if err := fs.replayNVRAM(); err != nil {
 		return nil, err
 	}
+	fs.mnt = nil
 	if fs.opts.NVRAM != nil {
 		phases.end("nvreplay")
 	}
@@ -259,6 +259,19 @@ func (fs *FS) rebuildFreeInums() {
 		}
 	}
 }
+
+// mounting is what Mount holds while it recovers, and salvage while it
+// commits (FS.mnt, nil otherwise). While it is set no flush clears the
+// NVRAM, whose records replay still needs; short of that replay the FS is
+// recovering: the head may advance into the cleaner's reserve, the epilogue
+// does not clean, and writes count as RollForwardWrites (traced Recovery).
+type mounting struct {
+	tail     *logTail // what usage recomputation will count; nil once it has
+	nvReplay bool     // replaying the NVRAM: the flushes are its own
+}
+
+// recovering reports whether a mount or salvage is rebuilding state (mounting).
+func (fs *FS) recovering() bool { return fs.mnt != nil && !fs.mnt.nvReplay }
 
 // logTail is the log written since the checkpoint as Mount holds it: read
 // from the device once, by readTail, and consumed three times — by the
@@ -589,13 +602,13 @@ func (fs *FS) incLive(addr int64) error {
 // recounted reports whether recovery will recount the block at addr of
 // segment seg, so that usage adjustments against it are moot.
 func (fs *FS) recounted(seg, addr int64) bool {
-	return fs.segs.recomputing(seg) && (addr < fs.tail.counted[0] || addr >= fs.tail.counted[1])
+	return fs.segs.recomputing(seg) && (addr < fs.mnt.tail.counted[0] || addr >= fs.mnt.tail.counted[1])
 }
 
 // endRecount ends the suspension of usage accounting and drops the tail.
 func (fs *FS) endRecount() {
 	fs.segs.clearRecompute()
-	fs.tail = nil
+	fs.mnt.tail = nil
 }
 
 // readDirs reads the directories the records name, for the repair pass, in
@@ -843,7 +856,7 @@ func (fs *FS) recomputeUsage(counted int64) error {
 			fs.usage.entries[seg].LiveBytes = 0
 		}
 	}
-	for _, tw := range fs.tail.writes {
+	for _, tw := range fs.mnt.tail.writes {
 		if !fs.segs.recomputing(tw.pos.Seg) {
 			continue // written by the repair pass into a fresh head, and counted as it went
 		}

@@ -71,7 +71,6 @@ type salvAccepted struct {
 	addr int64
 	slot uint16
 	data map[uint32]int64 // block number → verified data block address
-	meta []int64          // verified indirect-block addresses
 }
 
 // salvBlock is what salvage knows of a described block: its partial write's
@@ -123,6 +122,7 @@ func (fs *FS) Salvage() (*SalvageReport, error) {
 		// the log holds.
 		_ = fs.checkpointLocked()
 	}
+	fs.salvageReset()
 	return fs.salvageLocked(startPhases(fs.dev, fs.tr, obs.CtrSalvagePhasePrefix))
 }
 
@@ -151,15 +151,19 @@ func SalvageImage(dev *disk.Disk, opts Options) (*FS, *SalvageReport, error) {
 }
 
 // salvageLocked is the scavenger shared by Salvage and SalvageImage.
-// Caller holds fs.mu (or owns the FS exclusively, pre-publication). It
-// discards all in-memory state, re-derives everything from the log, and
-// commits the rebuilt image with a fresh checkpoint. phases meters the
-// device from wherever the caller started it (SalvageImage: before the
-// superblock read, which so counts towards the scan).
+// Caller holds fs.mu (or owns the FS exclusively, pre-publication), and its
+// derived state is empty: SalvageImage's FS is fresh, Salvage resets its
+// own. It re-derives everything from the log and commits the rebuilt image
+// with a fresh checkpoint. phases meters the device from wherever the
+// caller started it (SalvageImage: before the superblock read, which so
+// counts towards the scan).
 func (fs *FS) salvageLocked(phases *phaseMeter) (*SalvageReport, error) {
 	fs.tr.Add(obs.CtrSalvageRuns, 1)
 	rep := &SalvageReport{}
-	fs.salvageReset()
+	// Acknowledged-but-unflushed state (if any) is part of what was lost;
+	// the NVRAM redo log describing it must not replay over the rebuilt
+	// image.
+	fs.nvClear()
 	sc := fs.salvageScan(rep)
 	phases.end("scan")
 	acc := fs.salvageAcceptInodes(sc, rep)
@@ -191,7 +195,8 @@ func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
 }
 
 // salvageRebuild turns the accepted inodes into a committed image: install
-// them, rebuild usage and directories, pick a log head, checkpoint.
+// them and derive what Mount derives from an inode map, rebuild usage and
+// directories, pick a log head, checkpoint.
 func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *SalvageReport, phases *phaseMeter) error {
 	// The scan harvested every chain there is.
 	fs.sums.markAllHarvested()
@@ -201,7 +206,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *Sa
 	// Usage must be rebuilt before the directory pass: rewriting a
 	// directory decrements the live count of each replaced or truncated
 	// old block, which underflows against a still-empty table.
-	fs.salvageRebuildUsage(acc)
+	fs.salvageRebuildUsage(acc, sc)
 	if err := fs.salvageRebuildDirs(acc, sc, rep); err != nil {
 		return err
 	}
@@ -223,16 +228,15 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *Sa
 	// Exit degraded mode before committing: the rebuilt state is
 	// consistent, and checkpointLocked's flush refuses to run degraded.
 	// If the commit itself fails it re-degrades (or surfaces the error)
-	// on its own evidence.
+	// on its own evidence. The commit counts as recovery, as Mount's does
+	// (mounting).
 	fs.undegrade()
-	prevRec := fs.inRecovery
-	fs.inRecovery = true
+	fs.mnt = &mounting{}
 	err := fs.checkpointLocked()
-	fs.inRecovery = prevRec
+	fs.mnt = nil
 	if err != nil {
 		return fmt.Errorf("salvage: committing rebuilt state: %w", err)
 	}
-	fs.rebuildFreeInums()
 	fs.segs.rebuild(fs.usage)
 	phases.end("commit")
 
@@ -243,32 +247,16 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *Sa
 }
 
 // salvageReset discards every piece of in-memory state derived from the
-// (possibly broken) previous image. The quarantine set is deliberately
-// preserved: known-bad media stays withdrawn across repair.
+// (possibly broken) previous image, leaving the FS as newFS built it. The
+// quarantine set is deliberately preserved: known-bad media stays withdrawn
+// across repair.
 func (fs *FS) salvageReset() {
-	fs.imap = newInodeMap(int(fs.sb.MaxInodes))
-	fs.usage = newUsageTable(int(fs.nsegs), fs.segBytes)
-	fs.dcache = make(map[blockKey][]byte)
-	fs.icacheMu.Lock()
-	fs.icache = make(map[uint32]*mInode)
-	fs.icacheMu.Unlock()
-	fs.dirtyPtrs = 0
-	fs.dirtyInodes = make(map[uint32]bool)
-	fs.dirCacheMu.Lock()
-	fs.dirCache = make(map[uint32][]layout.DirEntry)
-	fs.dirCacheMu.Unlock()
+	fs.initDerived()
 	fs.dirLog.take()
-	fs.dirlogAddrs = nil
-	fs.pending = nil
-	fs.inoBlockRefs = make(map[int64]int)
+	fs.dirtyPtrs, fs.dirlogAddrs, fs.pending = 0, nil, nil
 	fs.segs.reset()
-	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
 	fs.rc.reset()
 	fs.ra.drop(fs.segBase, fs.nsegs*fs.segBlocks) // every block it may hold
-	// Acknowledged-but-unflushed state (if any) is part of what was
-	// lost; the NVRAM redo log describing it must not replay over the
-	// rebuilt image.
-	fs.nvClear()
 }
 
 // salvageScanSeg walks one segment's summary chain. It records every
@@ -363,7 +351,6 @@ type salvTrial struct {
 	inum      uint32
 	k, lo, hi int
 	data      map[uint32]int64
-	meta      []int64
 }
 
 // salvageAcceptInodes picks, for every inum seen in the log, the newest
@@ -399,7 +386,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 			cands := sc.cands[t.inum]
 			for ok := false; !ok && t.k < len(cands); {
 				t.lo = len(need)
-				if t.data, t.meta, ok = salvageWalkInode(cands[t.k].ino, cands[t.k].seq, sc, &need); !ok {
+				if t.data, ok = salvageWalkInode(cands[t.k].ino, cands[t.k].seq, sc, &need); !ok {
 					need, t.k = need[:t.lo], t.k+1
 				}
 			}
@@ -422,7 +409,7 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 				continue
 			}
 			c := &sc.cands[t.inum][t.k]
-			acc[t.inum] = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: t.data, meta: t.meta}
+			acc[t.inum] = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: t.data}
 		}
 	}
 	// The root must be a directory; a surviving non-directory inode 1
@@ -435,20 +422,19 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 }
 
 // salvageWalkInode checks one candidate's block chain against what is known
-// of the described blocks and returns its data map (block number → address)
-// and indirect-block addresses. Every block must be intact and written no
-// later than seq, the candidate's WriteSeq: ok is false once one is known not
-// to be, and the blocks not read yet are appended to need.
-func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64) (map[uint32]int64, []int64, bool) {
+// of the described blocks and returns its data map (block number → address).
+// Every block must be intact and written no later than seq, the candidate's
+// WriteSeq: ok is false once one is known not to be, and the blocks not read
+// yet are appended to need.
+func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64) (map[uint32]int64, bool) {
 	// A size beyond what any block map can address is not a recoverable
 	// inode, it is hostile or rotted metadata that happened to checksum —
 	// reject it before anything downstream sizes a buffer from it.
 	if ino.Size > uint64(layout.MaxFileBlocks)*layout.BlockSize {
-		return nil, nil, false
+		return nil, false
 	}
 	dir := ino.Type == layout.FileTypeDir
 	data := make(map[uint32]int64)
-	var meta []int64
 	err := layout.WalkBlockMap(ino,
 		func(a int64) ([]int64, error) {
 			// An address the inode uses as an indirect block must have been
@@ -473,30 +459,22 @@ func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64
 			}
 			if kind == layout.KindData {
 				data[bn] = a
-			} else {
-				meta = append(meta, a)
 			}
 			return nil
 		})
-	return data, meta, err == nil
+	return data, err == nil
 }
 
 // salvagePopulate installs the accepted inodes into the rebuilt inode
-// map and caches, synthesizing a fresh empty root when none survived.
+// map and caches, synthesizing a fresh empty root when none survived, and
+// derives from the map what Mount derives: the inode-block refs and the
+// free inums.
 func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *SalvageReport) {
 	fs.nextInum = RootInum + 1
-	for inum := range uint32(fs.imap.maxInodes()) {
-		a, ok := acc[inum]
-		if !ok {
-			continue
-		}
+	for inum, a := range acc {
 		fs.imap.setLocation(inum, a.addr, a.slot)
 		fs.imap.setVersion(inum, a.ino.Version)
-		fs.imap.setAtime(inum, a.ino.Atime)
-		fs.icacheMu.Lock()
 		fs.icache[inum] = newMInode(a.ino)
-		fs.icacheMu.Unlock()
-		fs.inoBlockRefs[a.addr]++
 		fs.nextInum = max(fs.nextInum, inum+1)
 		rep.InodesRecovered++
 	}
@@ -504,20 +482,11 @@ func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *S
 		// No verifiable root survived: synthesize an empty one, with a
 		// version above anything the log holds so stale root blocks can
 		// never be mistaken for live.
-		ver := sc.maxVer[RootInum] + 1
-		root := layout.NewInode(RootInum, layout.FileTypeDir)
-		root.Version = ver
-		root.Mtime = fs.ticks.Load()
-		fs.icacheMu.Lock()
-		fs.icache[RootInum] = newMInode(root)
-		fs.icacheMu.Unlock()
-		fs.dirtyInodes[RootInum] = true
-		fs.imap.setVersion(RootInum, ver)
-		fs.dirCacheMu.Lock()
-		fs.dirCache[RootInum] = nil
-		fs.dirCacheMu.Unlock()
+		fs.newInode(RootInum, layout.FileTypeDir, sc.maxVer[RootInum]+1)
 		rep.RootRecreated = true
 	}
+	fs.rebuildInoBlockRefs()
+	fs.rebuildFreeInums()
 }
 
 // salvageRebuildDirs reconstructs the directory tree over the accepted
@@ -611,18 +580,12 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 		if lf != 0 {
 			return lf, nil
 		}
-		inum, err := fs.salvageFreeInum(acc)
+		inum, err := fs.allocInum()
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("salvage: no inum left for lost+found: %w", err)
 		}
-		ino := layout.NewInode(inum, layout.FileTypeDir)
-		ino.Version = 1
-		ino.Mtime = fs.ticks.Load()
-		fs.icacheMu.Lock()
-		fs.icache[inum] = newMInode(ino)
-		fs.icacheMu.Unlock()
-		fs.dirtyInodes[inum] = true
-		fs.imap.setVersion(inum, 1)
+		// A free inum may have lost versions in the log: outrank them all.
+		fs.newInode(inum, layout.FileTypeDir, sc.maxVer[inum]+1)
 		name := "lost+found"
 		for k := 0; names[name]; k++ {
 			name = fmt.Sprintf("lost+found.%d", k)
@@ -737,47 +700,22 @@ func (sc *salvScan) dirContent(a *salvAccepted) ([]byte, bool) {
 	return data, true
 }
 
-// salvageFreeInum returns an unused inum for a synthesized inode
-// (lost+found). Prefers extending nextInum; falls back to the first
-// gap.
-func (fs *FS) salvageFreeInum(acc map[uint32]*salvAccepted) (uint32, error) {
-	if int(fs.nextInum) < fs.imap.maxInodes() {
-		inum := fs.nextInum
-		fs.nextInum++
-		return inum, nil
-	}
-	for inum := RootInum + 1; int(inum) < fs.imap.maxInodes(); inum++ {
-		if _, ok := acc[inum]; !ok {
-			return inum, nil
-		}
-	}
-	return 0, fmt.Errorf("salvage: %w: no inum left for lost+found", ErrNoInodes)
-}
-
-// salvageRebuildUsage recomputes per-segment live bytes from the
-// accepted inodes — the same ground truth Check uses: every data and
-// indirect block plus one block per distinct inode-block address.
-// Segments left with no live data are marked clean and their (dead)
-// summary chains forgotten, making them immediately reusable.
-func (fs *FS) salvageRebuildUsage(acc map[uint32]*salvAccepted) {
+// salvageRebuildUsage recomputes per-segment live bytes from the accepted
+// inodes by Check's enumeration (forEachLiveBlock), walking each block map
+// over the pointers the scan verified, so it reads nothing. Segments left
+// with no live data are marked clean and their (dead) summary chains
+// forgotten, making them immediately reusable.
+func (fs *FS) salvageRebuildUsage(acc map[uint32]*salvAccepted, sc *salvScan) {
 	live := make([]int64, fs.nsegs)
-	count := func(addr int64) {
-		seg := fs.segOf(addr)
-		if seg >= 0 && seg < fs.nsegs {
+	ptrs := func(a int64) ([]int64, error) { return sc.ptrs[a], nil }
+	// Neither ptrs nor visit fails, so no walk does: it cannot err.
+	_ = fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
+		return layout.WalkBlockMap(acc[inum].ino, ptrs, visit)
+	}, func(_ layout.BlockKind, _ uint32, _ int, addr int64) {
+		if seg := fs.segOf(addr); seg >= 0 && seg < fs.nsegs {
 			live[seg] += layout.BlockSize
 		}
-	}
-	for _, a := range acc {
-		for _, addr := range a.data {
-			count(addr)
-		}
-		for _, addr := range a.meta {
-			count(addr)
-		}
-	}
-	for addr := range fs.inoBlockRefs {
-		count(addr)
-	}
+	})
 	for s := int64(0); s < fs.nsegs; s++ {
 		if live[s] == 0 {
 			if !fs.segs.isQuarantined(s) {

@@ -278,6 +278,155 @@ func TestSalvageOrphanReconnection(t *testing.T) {
 	}
 }
 
+// TestSalvageLostFoundTakesAFreeInum orphans the file holding the top inum,
+// so that salvage finds no inum free above the highest one it recovered, and
+// checks where lost+found comes from then. With a gap below — a file whose
+// only version lost its data block — lost+found takes the gap's inum, at a
+// version above every version of that inum the log holds; with no gap,
+// salvage fails with ErrNoInodes.
+func TestSalvageLostFoundTakesAFreeInum(t *testing.T) {
+	for _, gap := range []bool{true, false} {
+		t.Run(fmt.Sprintf("gap=%v", gap), func(t *testing.T) {
+			opts := faultTestOptions()
+			opts.MaxInodes = 256
+			fs, d := newTestFS(t, 4096, opts)
+			top := uint32(fs.imap.maxInodes() - 1)
+			// /d's first version, empty, is in the log before /d/orphan.
+			if err := fs.Mkdir("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/g", []byte("gap to be")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				name := fmt.Sprintf("/f%d", i)
+				if err := fs.Create(name); err != nil {
+					t.Fatal(err)
+				}
+				if inum, _ := fs.resolve(name); inum == top-1 {
+					break
+				}
+			}
+			if err := fs.WriteFile("/d/orphan", []byte("survivor data")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if inum, _ := dataBlockAddr(t, fs, "/d/orphan", 0); inum != top {
+				t.Fatalf("/d/orphan is inum %d, want the top one, %d", inum, top)
+			}
+			gapInum, gapData := dataBlockAddr(t, fs, "/g", 0)
+			gapVer := fs.imap.get(gapInum).Version
+			_, dData := dataBlockAddr(t, fs, "/d", 0)
+			if err := fs.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+			// /d falls back to its empty version, orphaning /d/orphan.
+			poke := []int64{dData}
+			if gap {
+				poke = append(poke, gapData)
+			}
+			for _, a := range poke {
+				if err := d.Poke(a, make([]byte, layout.BlockSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			zeroCheckpointRegions(t, d, 0, 1)
+
+			fs2, rep, err := SalvageImage(d, opts)
+			if !gap {
+				if !errors.Is(err, ErrNoInodes) {
+					t.Fatalf("SalvageImage with every inum taken: %v, want ErrNoInodes", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("SalvageImage: %v", err)
+			}
+			if rep.InodesLost != 1 || rep.Orphans != 1 {
+				t.Fatalf("lost %d inodes and reconnected %d orphans, want 1 and 1", rep.InodesLost, rep.Orphans)
+			}
+			lf, err := fs2.resolve("/lost+found")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lf != gapInum {
+				t.Fatalf("lost+found is inum %d, want the free inum %d", lf, gapInum)
+			}
+			if v := fs2.imap.get(lf).Version; v <= gapVer {
+				t.Fatalf("lost+found has version %d, not above the log's version %d of inum %d", v, gapVer, lf)
+			}
+			got, err := fs2.ReadFile(fmt.Sprintf("/lost+found/ino%d", top))
+			if err != nil || string(got) != "survivor data" {
+				t.Fatalf("orphan: %q, %v", got, err)
+			}
+			mustCheck(t, fs2)
+			fs3 := remount(t, fs2, d)
+			mustCheck(t, fs3)
+			if err := fs3.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSalvageRebuildsIndirectUsage salvages a file large enough to have a
+// single and a double indirect block. The usage rebuild counts those blocks
+// from the pointers the scan verified, reading nothing, and finds the live
+// set LiveBytesByKind saw before the checkpoints were lost.
+func TestSalvageRebuildsIndirectUsage(t *testing.T) {
+	opts := faultTestOptions()
+	fs, d := newTestFS(t, 4096, opts)
+	data := bytes.Repeat([]byte("indirect"), (layout.NumDirect+layout.PointersPerBlock+64)*layout.BlockSize/8)
+	if err := fs.WriteFile("/big", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/small", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	inum, _ := dataBlockAddr(t, fs, "/big", 0)
+	mi, err := fs.loadInode(inum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi.ino.Indirect == layout.NilAddr || mi.ino.DIndir == layout.NilAddr {
+		t.Fatal("/big has no single or no double indirect block")
+	}
+	before, err := fs.LiveBytesByKind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	zeroCheckpointRegions(t, d, 0, 1)
+
+	fs2, _, err := SalvageImage(d, opts)
+	if err != nil {
+		t.Fatalf("SalvageImage: %v", err)
+	}
+	mustCheck(t, fs2)
+	if n := fs2.Metrics().Counter(obs.CtrSalvagePhasePrefix + "rebuild.reads"); n != 0 {
+		t.Fatalf("the rebuild read %d times, want 0", n)
+	}
+	after, err := fs2.LiveBytesByKind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []layout.BlockKind{layout.KindData, layout.KindIndirect} {
+		if after[k] != before[k] {
+			t.Errorf("%s: %d live bytes after salvage, %d before", k, after[k], before[k])
+		}
+	}
+	if got, err := fs2.ReadFile("/big"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("/big after salvage: %d bytes, %v", len(got), err)
+	}
+}
+
 // TestSalvagePreservesQuarantine covers the satellite requirement:
 // known-bad segments stay withdrawn across a salvage, both in place and
 // through SalvageImage reading the surviving checkpoint, so a repaired

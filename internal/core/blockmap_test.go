@@ -49,7 +49,7 @@ func TestBlockMapSlots(t *testing.T) {
 			t.Errorf("firstBlockOf(%d)+%d = %d, want %d", role, idx, got, c.bn)
 		}
 
-		mi := newMInode(layout.NewInode(7, layout.FileTypeRegular))
+		mi := newMInode(*layout.NewInode(7, layout.FileTypeRegular))
 		want := &mi.ino.Indirect
 		if role >= indRoleL2Base {
 			if mi.parent(role) != nil {
@@ -83,7 +83,7 @@ func TestBlockMapSlots(t *testing.T) {
 			mi.ino.Indirect = ptrAddr
 		}
 		var visits string
-		err = layout.WalkBlockMap(mi.ino,
+		err = layout.WalkBlockMap(&mi.ino,
 			func(addr int64) ([]int64, error) { return blocks[addr], nil },
 			func(kind layout.BlockKind, bn uint32, addr int64) error {
 				visits += fmt.Sprintf("%s %d@%d ", kind, bn, addr)

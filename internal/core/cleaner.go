@@ -548,7 +548,8 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			me := fs.imap.get(inum)
 			if me.Allocated() && me.Addr == addr && int(me.Slot) == slot {
 				if _, ok := fs.icache[inum]; !ok {
-					fs.icache[inum] = newMInode(ib.Inode(slot))
+					ino, _ := ib.Inode(slot)
+					fs.icache[inum] = newMInode(ino)
 				}
 				fs.markInodeDirty(inum)
 			}

@@ -481,9 +481,42 @@ func TestUnmountedErrors(t *testing.T) {
 	}
 }
 
+// TestMaxInodesRoundsUpToImapBlocks pins what Options.MaxInodes admits: the
+// inode table is rounded up to whole inode-map blocks, so MaxInodes 256 gives
+// 2 × 185 = 370 entries, and creates succeed up to inum 369 — 368 files
+// besides the root.
+func TestMaxInodesRoundsUpToImapBlocks(t *testing.T) {
+	opts := testOptions()
+	opts.MaxInodes = 256
+	fs, _ := newTestFS(t, 4096, opts)
+	if n := fs.imap.maxInodes(); n != 370 {
+		t.Fatalf("MaxInodes 256 gives an inode table of %d entries, want 370", n)
+	}
+	created, top := 0, uint32(0)
+	for {
+		name := fmt.Sprintf("/f%03d", created)
+		err := fs.Create(name)
+		if errors.Is(err, ErrNoInodes) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		inum, err := fs.resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		created, top = created+1, max(top, inum)
+	}
+	if created != 368 || top != 369 {
+		t.Fatalf("created %d files up to inum %d before ErrNoInodes, want 368 up to 369", created, top)
+	}
+	mustCheck(t, fs)
+}
+
 func TestOutOfInodes(t *testing.T) {
 	opts := testOptions()
-	opts.MaxInodes = 256 // one imap block worth
+	opts.MaxInodes = 256 // two imap blocks: TestMaxInodesRoundsUpToImapBlocks
 	fs, _ := newTestFS(t, 4096, opts)
 	var err error
 	for i := 0; i < 400; i++ {

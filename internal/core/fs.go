@@ -490,10 +490,10 @@ func (fs *FS) allocInum() (uint32, error) {
 // stamped now and dirty: Format's root, createNode's file or directory, and
 // the root and lost+found that salvage synthesizes.
 func (fs *FS) newInode(inum uint32, typ uint8, version uint32) {
-	ino := layout.NewInode(inum, typ)
-	ino.Version, ino.Mtime = version, fs.ticks.Load()
+	mi := newMInode(*layout.NewInode(inum, typ))
+	mi.ino.Version, mi.ino.Mtime = version, fs.ticks.Load()
 	fs.imap.setVersion(inum, version)
-	fs.icache[inum] = newMInode(ino)
+	fs.icache[inum] = mi
 	fs.markInodeDirty(inum)
 	if typ == layout.FileTypeDir {
 		fs.dirCache[inum] = nil

@@ -28,8 +28,8 @@ type ptrBlock struct {
 	dirty bool
 }
 
-// mInode is the in-memory representation of an inode: the on-disk fields
-// plus its lazily loaded pointer blocks.
+// mInode is the in-memory representation of an inode: the on-disk fields,
+// inline (one allocation per inode), plus its lazily loaded pointer blocks.
 //
 // mu orders the lazy pointer-block loads, which can be triggered by
 // concurrent readers holding only FS.mu.RLock. The ino fields, the
@@ -37,13 +37,16 @@ type ptrBlock struct {
 // need no extra guard; readers treat them as read-only.
 type mInode struct {
 	mu  sync.Mutex
-	ino *layout.Inode
+	ino layout.Inode
 	// ptr holds the loaded pointer blocks by role (nil: not loaded). It
 	// grows on demand, so a file with no indirect block allocates nothing.
 	ptr []*ptrBlock
 }
 
-func newMInode(ino *layout.Inode) *mInode { return &mInode{ino: ino} }
+func newMInode(ino layout.Inode) *mInode { return &mInode{ino: ino} }
+
+// replace makes mi a later incarnation, ino, dropping the old one's pointers.
+func (mi *mInode) replace(ino layout.Inode) { mi.ino, mi.ptr = ino, nil }
 
 func nilPointerBlock() []int64 {
 	p := make([]int64, layout.PointersPerBlock)
@@ -129,7 +132,7 @@ func (fs *FS) loadInode(inum uint32) (*mInode, error) {
 	if err != nil {
 		return nil, attributeCorruption(err, inum, -1)
 	}
-	inodes, err := layout.DecodeInodeBlock(buf)
+	ib, err := layout.OpenInodeBlock(buf)
 	if err != nil {
 		// The block passed (or skipped) summary verification but fails
 		// its own checksum: silent corruption of a packed inode block.
@@ -137,10 +140,11 @@ func (fs *FS) loadInode(inum uint32) (*mInode, error) {
 		fs.quarantineSeg(fs.segOf(e.Addr))
 		return nil, &ErrCorrupted{Ino: inum, Offset: -1, Addr: e.Addr}
 	}
-	if int(e.Slot) >= len(inodes) || inodes[e.Slot].Inum != inum {
+	ino, ok := ib.Inode(int(e.Slot))
+	if !ok || ino.Inum != inum {
 		return nil, fmt.Errorf("%w: imap slot %d of block %d does not hold inum %d", ErrCorrupt, e.Slot, e.Addr, inum)
 	}
-	mi = newMInode(inodes[e.Slot])
+	mi = newMInode(ino)
 	fs.icacheMu.Lock()
 	if cached, ok := fs.icache[inum]; ok {
 		mi = cached

@@ -513,7 +513,7 @@ func (fs *FS) stageInodeBlocks(inums []uint32) error {
 			end = len(inums)
 		}
 		group := inums[start:end]
-		// An mInode keeps its *layout.Inode for life, so the encoder
+		// An mInode holds its inode inline for life, so the encoder
 		// still sees each inode as placement leaves it.
 		inos := make([]*layout.Inode, len(group))
 		var age uint64
@@ -522,7 +522,7 @@ func (fs *FS) stageInodeBlocks(inums []uint32) error {
 			if err != nil {
 				return err
 			}
-			inos[i] = mi.ino
+			inos[i] = &mi.ino
 			age = max(age, mi.ino.Mtime)
 		}
 		fs.stage(stagedBlock{

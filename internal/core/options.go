@@ -67,7 +67,9 @@ func (m CleanReadMode) String() string {
 type Options struct {
 	// SegmentBlocks is the segment size in blocks (default 128 = 512 KB).
 	SegmentBlocks int
-	// MaxInodes bounds the inode table (default 65536).
+	// MaxInodes sizes the inode table (default 65536), rounded up to whole
+	// inode-map blocks of layout.ImapEntriesPerBlock (185) entries, every
+	// one usable from the root's inum up: 256 gives inums 1 to 369.
 	MaxInodes int
 	// CleanLowWater starts the cleaner when clean segments fall below it.
 	// Zero, or anything under the floor safety needs, means that floor

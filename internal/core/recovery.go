@@ -302,7 +302,7 @@ type tailWrite struct {
 // decoded — or why there is none, for the apply loop to act on if it gets there.
 type tailMeta struct {
 	addr   int64
-	inodes []*layout.Inode
+	inodes []layout.Inode
 	ops    []*layout.DirOp
 	err    error
 }
@@ -504,9 +504,10 @@ func (sc *rollScan) fetch(addr int64) ([]byte, error) {
 // discovered during roll-forward: every inode that is at least as new as the
 // inode map's version replaces the map entry, and the live-byte accounting
 // of older segments is adjusted for the blocks the update superseded.
-func (sc *rollScan) recoverInodes(addr int64, inodes []*layout.Inode) error {
+func (sc *rollScan) recoverInodes(addr int64, inodes []layout.Inode) error {
 	fs := sc.fs
-	for slot, ino := range inodes {
+	for slot := range inodes {
+		ino := &inodes[slot]
 		if int(ino.Inum) >= fs.imap.maxInodes() {
 			return fmt.Errorf("%w: recovered inum %d out of range", ErrCorrupt, ino.Inum)
 		}
@@ -530,10 +531,14 @@ func (sc *rollScan) recoverInodes(addr int64, inodes []*layout.Inode) error {
 		if ino.Inum >= fs.nextInum {
 			fs.nextInum = ino.Inum + 1
 		}
-		// The decoded inode is the newest state seen so far; install it
-		// so the repair pass works from memory instead of re-reading one
-		// inode block per recovered file.
-		fs.icache[ino.Inum] = newMInode(ino)
+		// The decoded inode is the newest state seen so far; install it, or
+		// replace the entry account has just read as previous, so the repair
+		// pass works from memory instead of re-reading an inode block per file.
+		if mi, ok := fs.icache[ino.Inum]; ok {
+			mi.replace(*ino)
+		} else {
+			fs.icache[ino.Inum] = newMInode(*ino)
+		}
 		delete(fs.dirCache, ino.Inum)
 	}
 	return nil
@@ -569,7 +574,7 @@ func (sc *rollScan) account(ino *layout.Inode, e layout.ImapEntry) error {
 // the checkpoint, fetched once and decoded one slot at a time.
 func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, error) {
 	if mi, ok := sc.fs.icache[inum]; ok {
-		return mi.ino, nil
+		return &mi.ino, nil
 	}
 	buf, err := sc.fetch(e.Addr)
 	if err != nil {
@@ -579,11 +584,11 @@ func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, er
 	if err != nil {
 		return nil, fmt.Errorf("old inode block at %d: %w", e.Addr, err)
 	}
-	ino := b.Inode(int(e.Slot))
-	if ino == nil {
+	ino, ok := b.Inode(int(e.Slot))
+	if !ok {
 		return nil, fmt.Errorf("%w: inode slot %d of block %d", ErrCorrupt, e.Slot, e.Addr)
 	}
-	return ino, nil
+	return &ino, nil
 }
 
 // incLive credits the block at addr — just placed, or pointed at by an inode

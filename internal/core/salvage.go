@@ -59,18 +59,28 @@ type SalvageReport struct {
 
 // salvCand is one on-disk version of an inode found during the scan.
 type salvCand struct {
-	ino  *layout.Inode
-	addr int64 // inode block address
+	ino  *layout.Inode // a slot of its block's decoded inodes
+	addr int64         // inode block address
 	slot uint16
 	seq  uint64 // WriteSeq of the partial write that carried it
 }
 
 // salvAccepted is the chosen (newest verifiable) version of an inode.
 type salvAccepted struct {
-	ino  *layout.Inode
+	ino  *layout.Inode // once salvagePopulate installs it, the installed copy
 	addr int64
 	slot uint16
-	data map[uint32]int64 // block number → verified data block address
+}
+
+// salvAccepts holds the accepted versions by inum; none has a nil ino.
+type salvAccepts []salvAccepted
+
+// of returns inum's accepted version, or nil when it has none.
+func (acc salvAccepts) of(inum uint32) *salvAccepted {
+	if int(inum) < len(acc) && acc[inum].ino != nil {
+		return &acc[inum]
+	}
+	return nil
 }
 
 // salvBlock is what salvage knows of a described block: its partial write's
@@ -78,22 +88,25 @@ type salvAccepted struct {
 type salvBlock struct {
 	seq          uint64
 	sum          uint32
+	described    bool // a summary describes it: the fields above are set
 	read, intact bool
 	dir          bool // a directory version wants it: keep its bytes when read
 }
 
 // salvScan accumulates the full-log scan results.
 type salvScan struct {
-	// blocks holds every block a summary describes: the scan judges the
-	// metadata, the accept pass the blocks of the inode versions it tries.
-	blocks map[int64]salvBlock
+	// blocks holds a salvBlock per block of each segment a summary
+	// describes, made on the first: the scan judges the metadata, the accept
+	// pass the blocks of the inode versions it tries.
+	blocks          [][]salvBlock
+	base, segBlocks int64 // the segment area's geometry, to index blocks
 	// ptrs holds the decoded pointers of every verified indirect block, so
 	// that checking the candidates' block chains reads nothing again.
 	ptrs map[int64][]int64
 	// dirData holds the verified blocks directory versions wanted (dirContent).
 	dirData   map[int64][]byte
-	cands     map[uint32][]salvCand
-	maxVer    map[uint32]uint32 // highest inode version seen per inum
+	cands     []salvCand // every inode version the scan decoded (groupCands)
+	maxVer    []uint32   // highest inode version seen per inum (groupCands)
 	maxSeq    uint64
 	maxDirSeq uint64 // highest dirlog op Seq + 1
 	maxTime   uint64
@@ -170,20 +183,68 @@ func (fs *FS) salvageLocked(phases *phaseMeter) (*SalvageReport, error) {
 	return rep, fs.salvageRebuild(sc, acc, rep, phases)
 }
 
-func newSalvScan() *salvScan {
+func newSalvScan(fs *FS) *salvScan {
 	return &salvScan{
-		blocks:  make(map[int64]salvBlock),
-		ptrs:    make(map[int64][]int64),
-		dirData: make(map[int64][]byte),
-		cands:   make(map[uint32][]salvCand),
-		maxVer:  make(map[uint32]uint32),
+		blocks:    make([][]salvBlock, fs.nsegs),
+		base:      fs.segBase,
+		segBlocks: fs.segBlocks,
+		ptrs:      make(map[int64][]int64),
+		dirData:   make(map[int64][]byte),
 	}
+}
+
+// describe records the blocks a summary describes, from first on.
+func (sc *salvScan) describe(first int64, seq uint64, entries []layout.SummaryEntry) {
+	seg, off := (first-sc.base)/sc.segBlocks, (first-sc.base)%sc.segBlocks
+	if sc.blocks[seg] == nil {
+		sc.blocks[seg] = make([]salvBlock, sc.segBlocks)
+	}
+	for i, e := range entries {
+		sc.blocks[seg][off+int64(i)] = salvBlock{seq: seq, sum: e.Sum, described: true}
+	}
+}
+
+// block returns what is known of the block at addr, nil if no summary has it.
+func (sc *salvScan) block(addr int64) *salvBlock {
+	if seg := (addr - sc.base) / sc.segBlocks; addr >= sc.base && seg < int64(len(sc.blocks)) && sc.blocks[seg] != nil {
+		if b := &sc.blocks[seg][(addr-sc.base)%sc.segBlocks]; b.described {
+			return b
+		}
+	}
+	return nil
+}
+
+// groupCands groups the candidates by inum with a counting sort, inum's at
+// cands[at[inum]:at[inum+1]], and derives each inum's highest version. The
+// tables are sized by the highest inum seen (the root at least), not by the
+// inode map; maxVer reaches one further, the inum lost+found takes when
+// every lower one is accepted (allocInum).
+func (sc *salvScan) groupCands() (at []int32) {
+	n := uint32(RootInum + 1)
+	for _, c := range sc.cands {
+		n = max(n, c.ino.Inum+1)
+	}
+	at, maxVer := make([]int32, n+1), make([]uint32, n+1)
+	for _, c := range sc.cands {
+		at[c.ino.Inum]++
+		maxVer[c.ino.Inum] = max(maxVer[c.ino.Inum], c.ino.Version)
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1] // where each inum's group ends
+	}
+	grouped := make([]salvCand, len(sc.cands))
+	for _, c := range sc.cands {
+		at[c.ino.Inum]--
+		grouped[at[c.ino.Inum]] = c
+	}
+	sc.cands, sc.maxVer = grouped, maxVer
+	return at
 }
 
 // salvageScan walks the whole log, segment by segment, reading its
 // metadata.
 func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
-	sc := newSalvScan()
+	sc := newSalvScan(fs)
 	scratch := fs.getWalkScratch()
 	run := logRun{fs: fs}
 	for seg := int64(0); seg < fs.nsegs; seg++ {
@@ -197,7 +258,7 @@ func (fs *FS) salvageScan(rep *SalvageReport) *salvScan {
 // salvageRebuild turns the accepted inodes into a committed image: install
 // them and derive what Mount derives from an inode map, rebuild usage and
 // directories, pick a log head, checkpoint.
-func (fs *FS) salvageRebuild(sc *salvScan, acc map[uint32]*salvAccepted, rep *SalvageReport, phases *phaseMeter) error {
+func (fs *FS) salvageRebuild(sc *salvScan, acc salvAccepts, rep *SalvageReport, phases *phaseMeter) error {
 	// The scan harvested every chain there is.
 	fs.sums.markAllHarvested()
 
@@ -274,9 +335,7 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 		sc.maxSeq, sc.maxTime = max(sc.maxSeq, s.WriteSeq), max(sc.maxTime, s.Timestamp)
 		fs.usage.noteWrite(seg, s.Timestamp)
 		first := w.DataAddr()
-		for i, e := range s.Entries {
-			sc.blocks[first+int64(i)] = salvBlock{seq: s.WriteSeq, sum: e.Sum}
-		}
+		sc.describe(first, s.WriteSeq, s.Entries)
 		ahead := w.Ahead()
 		if ahead == layout.NilAddr && seg+1 < fs.nsegs {
 			ahead = fs.segStart(seg + 1)
@@ -291,15 +350,10 @@ func (fs *FS) salvageScanSeg(seg int64, sc *salvScan, rep *SalvageReport, s *lay
 				sc.ptrs[addr] = layout.DecodeIndirectBlock(blk)
 			case layout.KindInode:
 				inos, err := layout.DecodeInodeBlock(blk)
-				if err != nil {
-					break
-				}
-				for slot, ino := range inos {
-					if ino.Inum < RootInum || ino.Inum >= uint32(fs.imap.maxInodes()) {
-						continue
+				for slot := 0; err == nil && slot < len(inos); slot++ {
+					if ino := &inos[slot]; ino.Inum >= RootInum && int(ino.Inum) < fs.imap.maxInodes() {
+						sc.cands = append(sc.cands, salvCand{ino: ino, addr: addr, slot: uint16(slot), seq: s.WriteSeq})
 					}
-					sc.cands[ino.Inum] = append(sc.cands[ino.Inum], salvCand{ino: ino, addr: addr, slot: uint16(slot), seq: s.WriteSeq})
-					sc.maxVer[ino.Inum] = max(sc.maxVer[ino.Inum], ino.Version)
 				}
 			case layout.KindDirLog:
 				if ops, err := layout.DecodeDirOpLog(blk); err == nil {
@@ -326,9 +380,8 @@ func salvageReads(k layout.BlockKind) bool {
 // it; a verified block joins the verify-on-read index, and its bytes are kept
 // if a directory wants them.
 func (fs *FS) salvageJudge(sc *salvScan, rep *SalvageReport, addr int64, blk []byte, err error) bool {
-	b := sc.blocks[addr]
+	b := sc.block(addr)
 	b.read, b.intact = true, err == nil && layout.Checksum(blk) == b.sum
-	sc.blocks[addr] = b
 	if !b.intact {
 		if errors.Is(err, disk.ErrMediaRead) {
 			fs.quarantineSeg(fs.segOf(addr))
@@ -349,8 +402,8 @@ func (fs *FS) salvageJudge(sc *salvScan, rep *SalvageReport, addr int64, blk []b
 // version on trial, need[lo:hi] the blocks of its chain still unread.
 type salvTrial struct {
 	inum      uint32
+	cands     []salvCand
 	k, lo, hi int
-	data      map[uint32]int64
 }
 
 // salvageAcceptInodes picks, for every inum seen in the log, the newest
@@ -366,15 +419,16 @@ type salvTrial struct {
 // candidate, reads the unread blocks of their chains in one sorted sweep,
 // and moves an inum whose candidate failed on to its next (only under
 // faults). No block outside a tried version's chain is read.
-func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*salvAccepted {
-	acc := make(map[uint32]*salvAccepted)
+func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) salvAccepts {
+	at := sc.groupCands()
+	acc := make(salvAccepts, len(at)-1)
 	var open []salvTrial
-	for inum := range uint32(fs.imap.maxInodes()) {
-		if cands := sc.cands[inum]; len(cands) > 0 {
+	for inum := range uint32(len(acc)) {
+		if cands := sc.cands[at[inum]:at[inum+1]]; len(cands) > 0 {
 			slices.SortFunc(cands, func(a, b salvCand) int {
 				return cmp.Or(cmp.Compare(b.seq, a.seq), cmp.Compare(b.addr, a.addr), cmp.Compare(b.slot, a.slot))
 			})
-			open = append(open, salvTrial{inum: inum})
+			open = append(open, salvTrial{inum: inum, cands: cands})
 		}
 	}
 	var need []int64
@@ -383,14 +437,13 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 		need = need[:0]
 		tried := open[:0]
 		for _, t := range open {
-			cands := sc.cands[t.inum]
-			for ok := false; !ok && t.k < len(cands); {
+			for ok := false; !ok && t.k < len(t.cands); {
 				t.lo = len(need)
-				if t.data, ok = salvageWalkInode(cands[t.k].ino, cands[t.k].seq, sc, &need); !ok {
+				if ok = salvageWalkInode(t.cands[t.k].ino, t.cands[t.k].seq, sc, &need); !ok {
 					need, t.k = need[:t.lo], t.k+1
 				}
 			}
-			if t.k == len(cands) {
+			if t.k == len(t.cands) {
 				rep.InodesLost++
 				continue
 			}
@@ -403,38 +456,36 @@ func (fs *FS) salvageAcceptInodes(sc *salvScan, rep *SalvageReport) map[uint32]*
 		run.readRuns(sweep, gap, layout.NilAddr, func(k int, blk []byte, err error) { fs.salvageJudge(sc, rep, sweep[k], blk, err) })
 		open = tried[:0]
 		for _, t := range tried {
-			if slices.ContainsFunc(need[t.lo:t.hi], func(a int64) bool { return !sc.blocks[a].intact }) {
+			if slices.ContainsFunc(need[t.lo:t.hi], func(a int64) bool { return !sc.block(a).intact }) {
 				t.k++
 				open = append(open, t)
 				continue
 			}
-			c := &sc.cands[t.inum][t.k]
-			acc[t.inum] = &salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot, data: t.data}
+			c := &t.cands[t.k]
+			acc[t.inum] = salvAccepted{ino: c.ino, addr: c.addr, slot: c.slot}
 		}
 	}
 	// The root must be a directory; a surviving non-directory inode 1
 	// is unusable and treated as lost.
-	if a, ok := acc[RootInum]; ok && a.ino.Type != layout.FileTypeDir {
-		delete(acc, RootInum)
+	if a := acc.of(RootInum); a != nil && a.ino.Type != layout.FileTypeDir {
+		*a = salvAccepted{}
 		rep.InodesLost++
 	}
 	return acc
 }
 
 // salvageWalkInode checks one candidate's block chain against what is known
-// of the described blocks and returns its data map (block number → address).
-// Every block must be intact and written no later than seq, the candidate's
-// WriteSeq: ok is false once one is known not to be, and the blocks not read
-// yet are appended to need.
-func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64) (map[uint32]int64, bool) {
+// of the described blocks. Every block must be intact and written no later
+// than seq, the candidate's WriteSeq: it reports false once one is known not
+// to be, and the blocks not read yet are appended to need.
+func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64) bool {
 	// A size beyond what any block map can address is not a recoverable
 	// inode, it is hostile or rotted metadata that happened to checksum —
 	// reject it before anything downstream sizes a buffer from it.
 	if ino.Size > uint64(layout.MaxFileBlocks)*layout.BlockSize {
-		return nil, false
+		return false
 	}
 	dir := ino.Type == layout.FileTypeDir
-	data := make(map[uint32]int64)
 	err := layout.WalkBlockMap(ino,
 		func(a int64) ([]int64, error) {
 			// An address the inode uses as an indirect block must have been
@@ -446,39 +497,36 @@ func salvageWalkInode(ino *layout.Inode, seq uint64, sc *salvScan, need *[]int64
 			return ptrs, nil
 		},
 		func(kind layout.BlockKind, bn uint32, a int64) error {
-			b, present := sc.blocks[a]
-			if !present || b.read && !b.intact || b.seq > seq {
+			b := sc.block(a)
+			if b == nil || b.read && !b.intact || b.seq > seq {
 				return ErrCorrupt
 			}
 			if !b.read {
 				*need = append(*need, a)
-				if dir && !b.dir {
-					b.dir = true
-					sc.blocks[a] = b
-				}
-			}
-			if kind == layout.KindData {
-				data[bn] = a
+				b.dir = b.dir || dir
 			}
 			return nil
 		})
-	return data, err == nil
+	return err == nil
 }
 
 // salvagePopulate installs the accepted inodes into the rebuilt inode
 // map and caches, synthesizing a fresh empty root when none survived, and
 // derives from the map what Mount derives: the inode-block refs and the
 // free inums.
-func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *SalvageReport) {
+func (fs *FS) salvagePopulate(acc salvAccepts, sc *salvScan, rep *SalvageReport) {
 	fs.nextInum = RootInum + 1
-	for inum, a := range acc {
-		fs.imap.setLocation(inum, a.addr, a.slot)
-		fs.imap.setVersion(inum, a.ino.Version)
-		fs.icache[inum] = newMInode(a.ino)
-		fs.nextInum = max(fs.nextInum, inum+1)
-		rep.InodesRecovered++
+	for inum := range uint32(len(acc)) {
+		if a := acc.of(inum); a != nil {
+			fs.imap.setLocation(inum, a.addr, a.slot)
+			fs.imap.setVersion(inum, a.ino.Version)
+			mi := newMInode(*a.ino)
+			fs.icache[inum], a.ino = mi, &mi.ino
+			fs.nextInum = max(fs.nextInum, inum+1)
+			rep.InodesRecovered++
+		}
 	}
-	if _, ok := acc[RootInum]; !ok {
+	if acc.of(RootInum) == nil {
 		// No verifiable root survived: synthesize an empty one, with a
 		// version above anything the log holds so stale root blocks can
 		// never be mistaken for live.
@@ -496,10 +544,10 @@ func (fs *FS) salvagePopulate(acc map[uint32]*salvAccepted, sc *salvScan, rep *S
 // lost+found/, and set every link count to the actual number of
 // references. Directories whose entry list changed are rewritten
 // through the normal write path so the closing checkpoint carries them.
-func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep *SalvageReport) error {
+func (fs *FS) salvageRebuildDirs(acc salvAccepts, sc *salvScan, rep *SalvageReport) error {
 	isDir := func(inum uint32) bool {
-		a, ok := acc[inum]
-		return ok && a.ino.Type == layout.FileTypeDir
+		a := acc.of(inum)
+		return a != nil && a.ino.Type == layout.FileTypeDir
 	}
 
 	// Raw surviving content of every accepted directory. A directory
@@ -507,16 +555,11 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 	// children become orphans). The root may be synthesized (absent
 	// from acc): it reads as empty.
 	rawEnts := make(map[uint32][]layout.DirEntry)
-	var dirInums []uint32
-	if _, ok := acc[RootInum]; !ok {
-		dirInums = append(dirInums, RootInum)
-	}
-	for inum := range uint32(fs.imap.maxInodes()) {
+	for inum := range uint32(len(acc)) {
 		if !isDir(inum) {
 			continue
 		}
-		dirInums = append(dirInums, inum)
-		if data, ok := sc.dirContent(acc[inum]); ok {
+		if data, ok := sc.dirContent(acc[inum].ino); ok {
 			if ents, err := layout.DecodeDirectory(data); err == nil {
 				rawEnts[inum] = ents
 			}
@@ -526,10 +569,11 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 	// Filtered breadth-first walk from the root. Entries survive when
 	// their target was accepted, the name is not a duplicate, and (for
 	// directories) the target has not already been reached — each
-	// directory gets exactly one parent.
-	visited := map[uint32]bool{RootInum: true}
-	refs := make(map[uint32]int)
-	finalEnts := make(map[uint32][]layout.DirEntry)
+	// directory gets exactly one parent. The tables reach one past acc, where
+	// lost+found may go (allocInum); a visited directory has its finalEnts.
+	n := len(acc) + 1
+	visited, refs, finalEnts := make([]bool, n), make([]int, n), make([][]layout.DirEntry, n)
+	visited[RootInum] = true
 	walk := func(from uint32) {
 		queue := []uint32{from}
 		for len(queue) > 0 {
@@ -544,7 +588,7 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 				if e.Inum == RootInum || names[e.Name] {
 					continue
 				}
-				if _, ok := acc[e.Inum]; !ok {
+				if acc.of(e.Inum) == nil {
 					continue
 				}
 				if isDir(e.Inum) {
@@ -615,8 +659,8 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 		rep.Orphans++
 		return nil
 	}
-	for _, inum := range dirInums {
-		if visited[inum] || inum == lf {
+	for inum := range uint32(len(acc)) {
+		if !isDir(inum) || visited[inum] || inum == lf {
 			continue
 		}
 		visited[inum] = true
@@ -625,8 +669,8 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 		}
 		walk(inum)
 	}
-	for inum := range uint32(fs.imap.maxInodes()) {
-		if a, ok := acc[inum]; ok && a.ino.Type != layout.FileTypeDir && refs[inum] == 0 {
+	for inum := range uint32(len(acc)) {
+		if a := acc.of(inum); a != nil && a.ino.Type != layout.FileTypeDir && refs[inum] == 0 {
 			if err := attach(inum); err != nil {
 				return err
 			}
@@ -647,13 +691,11 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 
 	// Write back: unchanged directories only warm the caches; changed
 	// (or synthesized) ones are rewritten through the log.
-	written := make([]uint32, 0, len(finalEnts))
-	for inum := range finalEnts {
-		written = append(written, inum)
-	}
-	slices.Sort(written)
-	for _, inum := range written {
-		ents := finalEnts[inum]
+	for i, ents := range finalEnts {
+		inum := uint32(i)
+		if !visited[inum] {
+			continue
+		}
 		// The first entry that differs from what the directory decoded to
 		// (0 for one that did not decode) is where its rewrite starts.
 		raw, haveRaw := rawEnts[inum]
@@ -679,38 +721,44 @@ func (fs *FS) salvageRebuildDirs(acc map[uint32]*salvAccepted, sc *salvScan, rep
 // accept pass kept. ok is false — the directory undecodable, its children
 // orphans — when it claims more bytes than its block map holds or a block was
 // not kept (read before a directory wanted it: two inodes claiming one block).
-func (sc *salvScan) dirContent(a *salvAccepted) ([]byte, bool) {
+func (sc *salvScan) dirContent(ino *layout.Inode) ([]byte, bool) {
 	var extent int64
-	for bn := range a.data {
-		extent = max(extent, (int64(bn)+1)*layout.BlockSize)
-	}
-	if int64(a.ino.Size) > extent {
-		return nil, false
-	}
-	data := make([]byte, a.ino.Size)
-	for bn, addr := range a.data {
-		blk, ok := sc.dirData[addr]
-		if !ok {
-			return nil, false
+	var data []byte // nil on the first walk, which only checks
+	visit := func(kind layout.BlockKind, bn uint32, addr int64) error {
+		if kind != layout.KindData {
+			return nil
 		}
-		if o := int64(bn) * layout.BlockSize; o < int64(len(data)) {
+		blk, kept := sc.dirData[addr]
+		if !kept {
+			return ErrCorrupt
+		}
+		o := int64(bn) * layout.BlockSize
+		if extent = max(extent, o+layout.BlockSize); o < int64(len(data)) {
 			copy(data[o:], blk)
 		}
+		return nil
 	}
+	if layout.WalkBlockMap(ino, sc.verifiedPtrs, visit) != nil || int64(ino.Size) > extent {
+		return nil, false
+	}
+	data = make([]byte, ino.Size)
+	_ = layout.WalkBlockMap(ino, sc.verifiedPtrs, visit) // as the first, it cannot err
 	return data, true
 }
+
+// verifiedPtrs reads an accepted block map's indirect blocks (WalkBlockMap).
+func (sc *salvScan) verifiedPtrs(a int64) ([]int64, error) { return sc.ptrs[a], nil }
 
 // salvageRebuildUsage recomputes per-segment live bytes from the accepted
 // inodes by Check's enumeration (forEachLiveBlock), walking each block map
 // over the pointers the scan verified, so it reads nothing. Segments left
 // with no live data are marked clean and their (dead) summary chains
 // forgotten, making them immediately reusable.
-func (fs *FS) salvageRebuildUsage(acc map[uint32]*salvAccepted, sc *salvScan) {
+func (fs *FS) salvageRebuildUsage(acc salvAccepts, sc *salvScan) {
 	live := make([]int64, fs.nsegs)
-	ptrs := func(a int64) ([]int64, error) { return sc.ptrs[a], nil }
-	// Neither ptrs nor visit fails, so no walk does: it cannot err.
+	// Neither verifiedPtrs nor visit fails, so no walk does: it cannot err.
 	_ = fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
-		return layout.WalkBlockMap(acc[inum].ino, ptrs, visit)
+		return layout.WalkBlockMap(acc[inum].ino, sc.verifiedPtrs, visit)
 	}, func(_ layout.BlockKind, _ uint32, _ int, addr int64) {
 		if seg := fs.segOf(addr); seg >= 0 && seg < fs.nsegs {
 			live[seg] += layout.BlockSize

@@ -584,3 +584,143 @@ func TestDegradedReasonPublishedBeforeFlag(t *testing.T) {
 	}
 	fs.undegrade()
 }
+
+// TestSalvageDenseTableEdges salvages three images at the edges of the
+// tables salvage indexes by inum and by address: a file holds the highest
+// inum the inode map admits; the log reaches the last block of the segment
+// area; lost+found takes an inum above every inum the scan saw, since every
+// lower one is taken. Each salvages to a clean image, its files intact, with
+// the report these images gave while salvage kept that state in maps.
+func TestSalvageDenseTableEdges(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(t *testing.T, opts Options) (*disk.Disk, func(t *testing.T, fs *FS))
+		want  SalvageReport
+	}{
+		{name: "top-inum", build: func(t *testing.T, opts Options) (*disk.Disk, func(*testing.T, *FS)) {
+			opts.MaxInodes = 256
+			fs, d := newTestFS(t, 4096, opts)
+			top := uint32(fs.imap.maxInodes() - 1)
+			var name string
+			for i := 0; ; i++ {
+				name = fmt.Sprintf("/f%d", i)
+				if err := fs.WriteFile(name, []byte(name)); err != nil {
+					t.Fatal(err)
+				}
+				if inum, _ := fs.resolve(name); inum == top {
+					break
+				}
+			}
+			if err := fs.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+			zeroCheckpointRegions(t, d, 0, 1)
+			return d, func(t *testing.T, fs *FS) {
+				if inum, err := fs.resolve(name); err != nil || inum != top {
+					t.Fatalf("%s is inum %d (%v), want the top inum %d", name, inum, err, top)
+				}
+				if got, err := fs.ReadFile(name); err != nil || string(got) != name {
+					t.Fatalf("%s reads %q, %v", name, got, err)
+				}
+			}
+		}, want: SalvageReport{SegmentsScanned: 127, SummariesWalked: 17, BlocksVerified: 412, InodesRecovered: 369}},
+		{name: "last-block", build: func(t *testing.T, opts Options) (*disk.Disk, func(*testing.T, *FS)) {
+			fs, d := newTestFS(t, 1024, opts)
+			last := fs.segStart(fs.nsegs-1) + fs.segBlocks - 1
+			s := layout.NewWalkScratch()
+			reached := func() bool {
+				w := fs.walkSegment(fs.nsegs-1, s)
+				for w.Next() {
+					if w.DataAddr()+int64(len(s.Entries))-1 == last {
+						return true
+					}
+				}
+				return false
+			}
+			want := map[string][]byte{}
+			for i := 0; !reached(); i++ {
+				if i == 2000 {
+					t.Fatal("the log never reached the segment area's last block")
+				}
+				name := fmt.Sprintf("/f%02d", i%40)
+				want[name] = bytes.Repeat([]byte{byte(i)}, 3000)
+				if err := fs.WriteFile(name, want[name]); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.Crash()
+			snap := d.Snapshot()
+			scanFS, _, _ := openImage(disk.FromSnapshot(snap), opts)
+			if sc := scanFS.salvageScan(&SalvageReport{}); sc.block(last) == nil {
+				t.Fatalf("the scan describes no block at %d, the segment area's last", last)
+			}
+			return disk.FromSnapshot(snap), func(t *testing.T, fs *FS) {
+				for name, data := range want {
+					if got, err := fs.ReadFile(name); err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("%s reads %d bytes (%v), want its last version", name, len(got), err)
+					}
+				}
+			}
+		}, want: SalvageReport{SegmentsScanned: 31, SummariesWalked: 314, BlocksVerified: 378, InodesRecovered: 41}},
+		{name: "lost+found-above", build: func(t *testing.T, opts Options) (*disk.Disk, func(*testing.T, *FS)) {
+			fs, d := newTestFS(t, 4096, opts)
+			// /d's first version, empty, is in the log before /d/orphan.
+			if err := fs.Mkdir("/d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/d/orphan", []byte("survivor data")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			orphan, _ := dataBlockAddr(t, fs, "/d/orphan", 0)
+			_, dData := dataBlockAddr(t, fs, "/d", 0)
+			if err := fs.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+			// /d falls back to its empty version, orphaning /d/orphan, the
+			// highest inum the log holds.
+			if err := d.Poke(dData, make([]byte, layout.BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+			zeroCheckpointRegions(t, d, 0, 1)
+			return d, func(t *testing.T, fs *FS) {
+				if lf, err := fs.resolve("/lost+found"); err != nil || lf != orphan+1 {
+					t.Fatalf("lost+found is inum %d (%v), want %d, above every inum the log holds", lf, err, orphan+1)
+				}
+				got, err := fs.ReadFile(fmt.Sprintf("/lost+found/ino%d", orphan))
+				if err != nil || string(got) != "survivor data" {
+					t.Fatalf("orphan: %q, %v", got, err)
+				}
+			}
+		}, want: SalvageReport{SegmentsScanned: 127, SummariesWalked: 5, BlocksVerified: 7, BlocksDropped: 1, InodesRecovered: 3, Orphans: 1, DirsRepaired: 2}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := faultTestOptions()
+			d, check := c.build(t, opts)
+			fs, rep, err := SalvageImage(d, opts)
+			if err != nil {
+				t.Fatalf("SalvageImage: %v", err)
+			}
+			if *rep != c.want {
+				t.Errorf("report %+v,\nwant %+v", *rep, c.want)
+			}
+			mustCheck(t, fs)
+			check(t, fs)
+			fs = remount(t, fs, d)
+			mustCheck(t, fs)
+			check(t, fs)
+			if err := fs.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -146,7 +146,7 @@ func scanImage(d *disk.Disk, sb *layout.Superblock) (*destScan, error) {
 							(s.WriteSeq == b.seq && addr == b.addr && slot > b.slot)
 						if newer {
 							bests[ino.Inum] = best{seq: s.WriteSeq, addr: addr, slot: slot}
-							ds.inode[ino.Inum] = ino
+							ds.inode[ino.Inum] = &ino
 							ds.inodeAddr[ino.Inum] = addr
 						}
 					}

@@ -223,8 +223,15 @@ func (ino *Inode) EncodeTo(buf []byte) {
 
 // DecodeInode parses an inode from buf (at least InodeSize bytes).
 func DecodeInode(buf []byte) *Inode {
+	ino := new(Inode)
+	ino.decode(buf)
+	return ino
+}
+
+// decode sets every field of ino from buf (at least InodeSize bytes).
+func (ino *Inode) decode(buf []byte) {
 	le := binary.LittleEndian
-	ino := &Inode{
+	*ino = Inode{
 		Inum:    le.Uint32(buf[0:]),
 		Version: le.Uint32(buf[4:]),
 		Type:    buf[8],
@@ -240,7 +247,6 @@ func DecodeInode(buf []byte) *Inode {
 	}
 	ino.Indirect = int64(le.Uint64(buf[off:]))
 	ino.DIndir = int64(le.Uint64(buf[off+8:]))
-	return ino
 }
 
 // EncodeInodeBlock packs up to InodesPerBlock inodes into one block.
@@ -294,25 +300,27 @@ func (b InodeBlock) Inum(slot int) (inum uint32, ok bool) {
 	return binary.LittleEndian.Uint32(b.buf[inodeBlockHeader+slot*InodeSize:]), true
 }
 
-// Inode decodes the inode in slot into a fresh value (decoded inodes
-// outlive the block: they are handed to the inode cache), or returns nil
-// when the block has no such slot.
-func (b InodeBlock) Inode(slot int) *Inode {
+// Inode decodes the inode in slot as a value, which the caller copies
+// where it keeps it (the inode cache's entry holds its inode inline); ok is
+// false when the block has no such slot.
+func (b InodeBlock) Inode(slot int) (ino Inode, ok bool) {
 	if slot < 0 || slot >= b.n {
-		return nil
+		return Inode{}, false
 	}
-	return DecodeInode(b.buf[inodeBlockHeader+slot*InodeSize:])
+	ino.decode(b.buf[inodeBlockHeader+slot*InodeSize:])
+	return ino, true
 }
 
-// DecodeInodeBlock unpacks every inode of a packed inode block.
-func DecodeInodeBlock(buf []byte) ([]*Inode, error) {
+// DecodeInodeBlock unpacks every inode of a packed inode block into one
+// slice of values: one allocation per block, however many inodes it holds.
+func DecodeInodeBlock(buf []byte) ([]Inode, error) {
 	b, err := OpenInodeBlock(buf)
 	if err != nil {
 		return nil, err
 	}
-	inodes := make([]*Inode, b.n)
+	inodes := make([]Inode, b.n)
 	for i := range inodes {
-		inodes[i] = b.Inode(i)
+		inodes[i].decode(b.buf[inodeBlockHeader+i*InodeSize:])
 	}
 	return inodes, nil
 }

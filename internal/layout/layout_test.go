@@ -96,8 +96,13 @@ func TestInodeBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, inodes) {
-		t.Fatal("inode block round trip mismatch")
+	if len(got) != len(inodes) {
+		t.Fatalf("decoded %d inodes, want %d", len(got), len(inodes))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], *inodes[i]) {
+			t.Fatalf("inode block round trip mismatch at slot %d", i)
+		}
 	}
 }
 
@@ -163,8 +168,8 @@ func TestOpenInodeBlock(t *testing.T) {
 				if inum, ok := ib.Inum(slot); !ok || inum != want.Inum {
 					t.Fatalf("Inum(%d) = %d, %v; want %d", slot, inum, ok, want.Inum)
 				}
-				if got := ib.Inode(slot); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Inode(%d) = %+v, want %+v", slot, got, want)
+				if got, ok := ib.Inode(slot); !ok || !reflect.DeepEqual(got, *want) {
+					t.Fatalf("Inode(%d) = %+v, %v; want %+v", slot, got, ok, want)
 				}
 			}
 			// Slot out of range: the encoded count bounds the view, not the
@@ -173,8 +178,8 @@ func TestOpenInodeBlock(t *testing.T) {
 				if inum, ok := ib.Inum(slot); ok {
 					t.Fatalf("Inum(%d) = %d, want out of range", slot, inum)
 				}
-				if got := ib.Inode(slot); got != nil {
-					t.Fatalf("Inode(%d) = %+v, want nil", slot, got)
+				if got, ok := ib.Inode(slot); ok {
+					t.Fatalf("Inode(%d) = %+v, want out of range", slot, got)
 				}
 			}
 		})
@@ -182,7 +187,9 @@ func TestOpenInodeBlock(t *testing.T) {
 }
 
 // TestInodeBlockAllocs pins what the in-place view is for: scanning a
-// block's inums costs nothing, and each decoded slot costs its one Inode.
+// block's inums costs nothing, and a decoded slot is a value, which costs
+// nothing either until its caller keeps it (one Inode before the view
+// returned values).
 func TestInodeBlockAllocs(t *testing.T) {
 	inodes := make([]*Inode, InodesPerBlock)
 	for i := range inodes {
@@ -192,7 +199,7 @@ func TestInodeBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept *Inode
+	var kept Inode
 	scan := func(want uint32) func() {
 		return func() {
 			ib, err := OpenInodeBlock(blk)
@@ -205,7 +212,7 @@ func TestInodeBlockAllocs(t *testing.T) {
 					break
 				}
 				if inum == want {
-					kept = ib.Inode(slot)
+					kept, _ = ib.Inode(slot)
 				}
 			}
 		}
@@ -213,10 +220,10 @@ func TestInodeBlockAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, scan(0)); avg != 0 {
 		t.Fatalf("scan with no wanted slot allocates %.2f times, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(100, scan(105)); avg != 1 {
-		t.Fatalf("scan with one wanted slot allocates %.2f times, want 1 (the Inode)", avg)
+	if avg := testing.AllocsPerRun(100, scan(105)); avg != 0 {
+		t.Fatalf("scan with one wanted slot allocates %.2f times, want 0", avg)
 	}
-	if kept == nil || kept.Inum != 105 {
+	if kept.Inum != 105 {
 		t.Fatalf("kept = %+v", kept)
 	}
 }

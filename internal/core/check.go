@@ -38,74 +38,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 	r := &CheckReport{LiveBytesBySegment: make([]int64, fs.nsegs)}
 
-	// 1–3. Tally every live block: each allocated inode's data and
-	// indirect blocks, one block per distinct inode-block address (whose
-	// inode count must match inoBlockRefs), and the blocks the next
-	// checkpoint references. The walker reports what goes wrong as a
-	// problem and never fails.
-	refs := make(map[int64]int)
-	_ = fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
-		r.Files++
-		mi, err := fs.loadInode(inum)
-		if err != nil {
-			r.problemf("inum %d: unreadable inode: %v", inum, err)
-			return nil
-		}
-		if mi.ino.Inum != inum {
-			r.problemf("inum %d: inode claims inum %d", inum, mi.ino.Inum)
-		}
-		if v := fs.imap.get(inum).Version; mi.ino.Version != v {
-			r.problemf("inum %d: inode version %d != imap version %d", inum, mi.ino.Version, v)
-		}
-		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error { return visit(layout.KindData, bn, addr) })
-		if err != nil {
-			r.problemf("inum %d: block walk: %v", inum, err)
-		}
-		err = fs.forEachIndirectAddr(mi, func(addr int64) error { return visit(layout.KindIndirect, 0, addr) })
-		if err != nil {
-			r.problemf("inum %d: indirect walk: %v", inum, err)
-		}
-		return nil
-	}, func(kind layout.BlockKind, inum uint32, i int, addr int64) {
-		if kind == layout.KindInode {
-			if refs[addr] = i; fs.inoBlockRefs[addr] != i {
-				r.problemf("inode block %d: refcount %d, want %d", addr, fs.inoBlockRefs[addr], i)
-			}
-		}
-		if seg := fs.segOf(addr); seg >= 0 && seg < fs.nsegs {
-			r.LiveBytesBySegment[seg] += layout.BlockSize
-			return
-		}
-		switch kind {
-		case layout.KindData:
-			r.problemf("inum %d block %d at address %d outside segment area", inum, i, addr)
-		case layout.KindIndirect:
-			r.problemf("inum %d indirect at address %d outside segment area", inum, addr)
-		case layout.KindInode:
-			r.problemf("inode block at address %d outside segment area", addr)
-		default:
-			r.problemf("%s block %d at address %d outside segment area", kind, i, addr)
-		}
-	})
-	for addr, n := range fs.inoBlockRefs {
-		if refs[addr] == 0 {
-			r.problemf("inode block %d: stale refcount %d", addr, n)
-		}
-	}
-
-	// 4. Compare with the segment usage table.
-	for s := int64(0); s < fs.nsegs; s++ {
-		got := int64(fs.usage.get(s).LiveBytes)
-		want := r.LiveBytesBySegment[s]
-		if got != want {
-			r.problemf("segment %d: usage table says %d live bytes, ground truth %d", s, got, want)
-		}
-		if fs.usage.isClean(s) && want != 0 {
-			r.problemf("segment %d: marked clean but holds %d live bytes", s, want)
-		}
-	}
-
-	// 5. Directory tree: every entry resolves, link counts match.
+	// 1. Directory tree: every entry resolves; count each inode's links.
 	var walk func(inum uint32, path string)
 	seen, nlinks := make(map[uint32]bool), make(map[uint32]int)
 	walk = func(inum uint32, path string) {
@@ -143,17 +76,64 @@ func (fs *FS) Check() (*CheckReport, error) {
 	}
 	walk(RootInum, "")
 	nlinks[RootInum]++ // the root is its own reference
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		if !fs.imap.get(inum).Allocated() {
-			continue
+
+	// 2–4. Tally every live block: each allocated inode's data and
+	// indirect blocks (its inum, version and link count checked on the
+	// way), one block per distinct inode-block address (whose inode count
+	// must match inoBlockRefs), and the blocks the next checkpoint
+	// references. The walker reports what goes wrong as a problem and never
+	// fails.
+	refs := make(map[int64]int)
+	_ = fs.forEachLiveBlock(fs.liveFiles(func(inum uint32, mi *mInode) {
+		if mi.ino.Inum != inum {
+			r.problemf("inum %d: inode claims inum %d", inum, mi.ino.Inum)
 		}
-		mi, err := fs.loadInode(inum)
-		if err != nil {
-			continue // already reported
+		if v := fs.imap.get(inum).Version; mi.ino.Version != v {
+			r.problemf("inum %d: inode version %d != imap version %d", inum, mi.ino.Version, v)
 		}
 		if int(mi.ino.Nlink) != nlinks[inum] {
 			r.problemf("inum %d: nlink %d, but %d directory references", inum, mi.ino.Nlink, nlinks[inum])
+		}
+	}, func(inum uint32, what string, err error) error {
+		r.problemf("inum %d: %s: %v", inum, what, err)
+		return nil
+	}), func(kind layout.BlockKind, inum uint32, i int, addr int64) {
+		if kind == layout.KindInode {
+			r.Files += i
+			if refs[addr] = i; fs.inoBlockRefs[addr] != i {
+				r.problemf("inode block %d: refcount %d, want %d", addr, fs.inoBlockRefs[addr], i)
+			}
+		}
+		if seg := fs.segOf(addr); seg >= 0 && seg < fs.nsegs {
+			r.LiveBytesBySegment[seg] += layout.BlockSize
+			return
+		}
+		switch kind {
+		case layout.KindData:
+			r.problemf("inum %d block %d at address %d outside segment area", inum, i, addr)
+		case layout.KindIndirect:
+			r.problemf("inum %d indirect at address %d outside segment area", inum, addr)
+		case layout.KindInode:
+			r.problemf("inode block at address %d outside segment area", addr)
+		default:
+			r.problemf("%s block %d at address %d outside segment area", kind, i, addr)
+		}
+	})
+	for addr, n := range fs.inoBlockRefs {
+		if refs[addr] == 0 {
+			r.problemf("inode block %d: stale refcount %d", addr, n)
+		}
+	}
+
+	// 5. Compare with the segment usage table.
+	for s := int64(0); s < fs.nsegs; s++ {
+		got := int64(fs.usage.get(s).LiveBytes)
+		want := r.LiveBytesBySegment[s]
+		if got != want {
+			r.problemf("segment %d: usage table says %d live bytes, ground truth %d", s, got, want)
+		}
+		if fs.usage.isClean(s) && want != 0 {
+			r.problemf("segment %d: marked clean but holds %d live bytes", s, want)
 		}
 	}
 
@@ -191,19 +171,8 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 		return nil, err
 	}
 	out := make(map[layout.BlockKind]int64)
-	err := fs.forEachLiveBlock(func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
-		mi, err := fs.loadInode(inum)
-		if err != nil {
-			return err
-		}
-		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error { return visit(layout.KindData, bn, addr) })
-		if err != nil {
-			return err
-		}
-		return fs.forEachIndirectAddr(mi, func(addr int64) error { return visit(layout.KindIndirect, 0, addr) })
-	}, func(kind layout.BlockKind, _ uint32, _ int, _ int64) {
-		out[kind] += layout.BlockSize
-	})
+	err := fs.forEachLiveBlock(fs.liveFiles(nil, func(_ uint32, _ string, err error) error { return err }),
+		func(kind layout.BlockKind, _ uint32, _ int, _ int64) { out[kind] += layout.BlockSize })
 	if err != nil {
 		return nil, err
 	}
@@ -211,34 +180,78 @@ func (fs *FS) LiveBytesByKind() (map[layout.BlockKind]int64, error) {
 }
 
 // forEachLiveBlock calls fn for every live block, the one enumeration that
-// Check, LiveBytesByKind and salvage's usage rebuild share: for each
-// allocated inode, the data and indirect blocks blocks(inum, visit) hands to
-// visit (i the block number; Check loads pointer blocks, salvage walks the
-// pointers its scan verified); then one per inode-block address in the inode
-// map (i how many allocated inodes it holds); then forEachCheckpointBlock's
-// (i the index in their table). An error from blocks ends the walk.
+// Check, LiveBytesByKind, Scrub and salvage's usage rebuild share, in an
+// order that repeats from call to call: for each allocated inode in inum
+// order, the data and indirect blocks blocks(inum, visit) hands to visit (i
+// the block number; the mounted maps' walk is liveFiles, salvage walks the
+// pointers its scan verified); then each inode-block address in the inode
+// map, in the order that loop first met it, with the lowest inum it holds
+// and i how many allocated inodes it holds; then forEachCheckpointBlock's (i
+// the index in their table). An error from blocks ends the walk.
 func (fs *FS) forEachLiveBlock(blocks func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error, fn func(kind layout.BlockKind, inum uint32, i int, addr int64)) error {
 	var inum uint32
 	visit := func(kind layout.BlockKind, bn uint32, addr int64) error {
 		fn(kind, inum, int(bn), addr)
 		return nil
 	}
-	refs := make(map[int64]int, len(fs.inoBlockRefs)) // sized by the count it should reach
+	type inoBlock struct {
+		addr  int64
+		first uint32 // the lowest inum it holds
+		n     int
+	}
+	inoBlocks := make([]inoBlock, 0, len(fs.inoBlockRefs)) // sized by the count it should reach
+	at := make(map[int64]int, len(fs.inoBlockRefs))        // an address's index in inoBlocks
 	for i, e := range fs.imap.entries {
 		if !e.Allocated() {
 			continue
 		}
-		refs[e.Addr]++
 		inum = uint32(i)
+		k, ok := at[e.Addr]
+		if !ok {
+			k = len(inoBlocks)
+			at[e.Addr] = k
+			inoBlocks = append(inoBlocks, inoBlock{addr: e.Addr, first: inum})
+		}
+		inoBlocks[k].n++
 		if err := blocks(inum, visit); err != nil {
 			return err
 		}
 	}
-	for addr, n := range refs {
-		fn(layout.KindInode, 0, n, addr)
+	for _, b := range inoBlocks {
+		fn(layout.KindInode, b.first, b.n, b.addr)
 	}
 	fs.forEachCheckpointBlock(func(kind layout.BlockKind, i int, addr int64) { fn(kind, 0, i, addr) })
 	return nil
+}
+
+// liveFiles is forEachLiveBlock's per-file walk over the mounted maps, the
+// one Check, LiveBytesByKind and Scrub share: it loads inum's inode, shows it
+// to file (if not nil), and hands visit its data blocks, then its indirect
+// blocks. A walk that cannot load a pointer block ends there. fail hears what
+// went wrong ("unreadable inode", "block walk" or "indirect walk", the last
+// only where the data walk failed on the double-indirect top block too); an
+// error it returns ends the enumeration.
+func (fs *FS) liveFiles(file func(inum uint32, mi *mInode), fail func(inum uint32, what string, err error) error) func(uint32, func(layout.BlockKind, uint32, int64) error) error {
+	return func(inum uint32, visit func(layout.BlockKind, uint32, int64) error) error {
+		mi, err := fs.loadInode(inum)
+		if err != nil {
+			return fail(inum, "unreadable inode", err)
+		}
+		if file != nil {
+			file(inum, mi)
+		}
+		err = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error { return visit(layout.KindData, bn, addr) })
+		if err != nil {
+			if err := fail(inum, "block walk", err); err != nil {
+				return err
+			}
+		}
+		err = fs.forEachIndirectAddr(mi, func(addr int64) error { return visit(layout.KindIndirect, 0, addr) })
+		if err != nil {
+			return fail(inum, "indirect walk", err)
+		}
+		return nil
+	}
 }
 
 // forEachCheckpointBlock calls fn for every map-level block the next
@@ -246,7 +259,7 @@ func (fs *FS) forEachLiveBlock(blocks func(inum uint32, visit func(layout.BlockK
 // directory-log blocks written since the last checkpoint, which stay live
 // for roll-forward unless their segment is already clean or pending. i is
 // the block's index in its table. forEachLiveBlock (for Check,
-// LiveBytesByKind and salvage) and Scrub enumerate these blocks here.
+// LiveBytesByKind, Scrub and salvage) enumerates these blocks here.
 func (fs *FS) forEachCheckpointBlock(fn func(kind layout.BlockKind, i int, addr int64)) {
 	for i, addr := range fs.imap.blockAddr {
 		if addr != layout.NilAddr {

@@ -110,21 +110,15 @@ func (fs *FS) checkpointLocked() error {
 		target = 1 - target
 	}
 	werr := fs.writeRetry(fs.sb.CheckpointAddr[target], buf)
-	if errors.Is(werr, disk.ErrMediaWrite) {
+	for errors.Is(werr, disk.ErrMediaWrite) {
 		fs.cpBad[target] = true
-		alt := 1 - target
-		if fs.cpBad[alt] {
+		if fs.cpBad[1-target] {
 			fs.degrade("checkpoint-regions", fmt.Sprintf("both checkpoint regions unwritable: %v", werr))
 			return fmt.Errorf("lfs: both checkpoint regions unwritable: %w", werr)
 		}
 		fs.tr.Add(obs.CtrMediaWriteRelocations, 1)
-		target = alt
+		target = 1 - target
 		werr = fs.writeRetry(fs.sb.CheckpointAddr[target], buf)
-		if errors.Is(werr, disk.ErrMediaWrite) {
-			fs.cpBad[target] = true
-			fs.degrade("checkpoint-regions", fmt.Sprintf("both checkpoint regions unwritable: %v", werr))
-			return fmt.Errorf("lfs: both checkpoint regions unwritable: %w", werr)
-		}
 	}
 	if werr != nil {
 		return werr

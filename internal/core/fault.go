@@ -44,15 +44,6 @@ func (fs *FS) readVerified(addr int64, buf []byte) error {
 	return fs.verifyBlock(addr, buf)
 }
 
-// readBlockRetry is readRetry for a single freshly allocated block.
-func (fs *FS) readBlockRetry(addr int64) ([]byte, error) {
-	buf := make([]byte, layout.BlockSize)
-	if err := fs.readRetry(addr, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // harvestSums is sumIndex.lookup's walk over the device: it hands add every
 // summary of seg's on-disk chain. A read error ends the harvest and is
 // returned. Reads bypass the read cache — summaries are not file data.

@@ -379,6 +379,57 @@ func TestScrubFindsCorruptLiveDirlog(t *testing.T) {
 	}
 }
 
+// TestScrubFindsCorruptInodeBlock corrupts a packed inode block that holds
+// two files' inodes. Scrub reports it once, as an inode block, under the
+// lowest inum it holds; the files whose inodes it held cannot be walked.
+func TestScrubFindsCorruptInodeBlock(t *testing.T) {
+	fs, d := newTestFS(t, 2048, testOptions())
+	for _, p := range []string{"/a", "/b", "/c"} {
+		if err := fs.WriteFile(p, bytes.Repeat([]byte{3}, layout.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewriting /b and /c moves their inodes, and only theirs, to a new block.
+	for _, p := range []string{"/c", "/b"} {
+		if _, err := fs.WriteAt(p, 0, []byte{4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs = remount(t, fs, d)
+	b, err := fs.resolve("/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fs.resolve("/c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fs.imap.get(b).Addr
+	if fs.imap.get(c).Addr != addr || fs.inoBlockRefs[addr] != 2 {
+		t.Fatalf("inode block %d holds %d inodes; want /b's and /c's", addr, fs.inoBlockRefs[addr])
+	}
+	if err := d.InjectFault(disk.Fault{Kind: disk.FaultCorrupt, Addr: addr, Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fs.Scrub()
+	if err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if len(rep.Errors) != 1 {
+		t.Fatalf("scrub found %d errors, want 1: %+v", len(rep.Errors), rep.Errors)
+	}
+	se := rep.Errors[0]
+	if se.Addr != addr || se.Ino != min(b, c) || se.Offset != -1 || se.Kind != "inode" {
+		t.Fatalf("ScrubError = %+v, want {Addr:%d Ino:%d Offset:-1 Kind:inode}", se, addr, min(b, c))
+	}
+	if !errors.Is(se.Err, ErrCorrupt) {
+		t.Fatalf("ScrubError.Err = %v, want ErrCorrupt", se.Err)
+	}
+}
+
 func TestCleanerSkipsQuarantinedSegment(t *testing.T) {
 	fs, d := newTestFS(t, 2048, testOptions())
 	if err := fs.WriteFile("/c", bytes.Repeat([]byte{8}, 2*layout.BlockSize)); err != nil {

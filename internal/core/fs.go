@@ -216,7 +216,7 @@ func Format(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 
 	fs := newFS(dev, opts, sb)
-	fs.segs.rebuild(fs.usage)
+	fs.segs.rebuild(fs.usage, nil)
 	fs.nextInum = RootInum + 1
 	fs.newInode(RootInum, layout.FileTypeDir, 1)
 	fs.mounted = true

@@ -29,7 +29,8 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.nextInum = cp.NextInum
 	fs.segs.place(cp.HeadSeg, int64(cp.HeadOffset), cp.NextSeg)
 	counted := fs.segStart(cp.HeadSeg)
-	fs.mnt = &mounting{tail: &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}}}
+	fs.mnt = &mounting{tail: &logTail{counted: [2]int64{counted, counted + int64(cp.HeadOffset)}, recount: make([]bool, fs.nsegs)}}
+	fs.mnt.tail.flag(cp.HeadSeg)
 	fs.writeSeq = cp.WriteSeq
 	fs.dirLog.seq = cp.DirLogSeq
 	fs.ticks.Store(cp.Timestamp)
@@ -62,7 +63,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	}
 	phases.end("rollforward")
 
-	fs.segs.rebuild(fs.usage)
+	fs.segs.rebuild(fs.usage, fs.mnt.tail.recount)
 
 	// A degraded mount stops here as far as repair goes: the in-memory
 	// metadata is incomplete, so usage accounting, directory repair and
@@ -70,7 +71,6 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	// system must never write again anyway. Reads of intact files still
 	// work.
 	if fs.degraded.Load() {
-		fs.endRecount()
 		fs.mnt = nil
 		return fs, nil
 	}
@@ -280,9 +280,13 @@ func (fs *FS) recovering() bool { return fs.mnt != nil && !fs.mnt.nvReplay }
 // by that log — 32 bytes per block described, plus its decoded inode and
 // directory-log blocks — and gone when Mount returns.
 type logTail struct {
-	// counted is the one part of a flagged segment that is not recounted:
-	// the addresses [counted[0], counted[1]) of the checkpoint's head
-	// segment, written before the checkpoint and exact in its usage table.
+	// recount flags the segments whose usage recomputeUsage will count from
+	// the tail: the checkpoint's head and every segment the tail reaches.
+	// Adjustments to what it recounts (recounted) wait until then. counted is
+	// the one part of a flagged segment that is not recounted: the addresses
+	// [counted[0], counted[1]) of the checkpoint's head segment, written
+	// before the checkpoint and exact in its usage table.
+	recount []bool
 	counted [2]int64
 	writes  []tailWrite
 	slab    []layout.SummaryEntry // the writes' entries are cut from slabs like this
@@ -305,6 +309,13 @@ type tailMeta struct {
 	inodes []layout.Inode
 	ops    []*layout.DirOp
 	err    error
+}
+
+// flag marks seg, if it is one, for recount.
+func (t *logTail) flag(seg int64) {
+	if seg >= 0 && seg < int64(len(t.recount)) {
+		t.recount[seg] = true
+	}
 }
 
 // add appends a partial write whose summary is at pos; entries is copied.
@@ -422,7 +433,7 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]*layout.DirO
 walk:
 	for i, tw := range t.writes[:keep] {
 		first := fs.segStart(tw.pos.Seg) + tw.pos.Off + 1
-		fs.segs.markRecompute(tw.pos.Seg)
+		t.flag(tw.pos.Seg)
 		// The summary's per-block checksums are remembered along the way
 		// so later reads of these blocks verify without a chain walk.
 		fs.sums.record(first, tw.entries)
@@ -464,6 +475,7 @@ walk:
 	}
 	t.writes, t.metas = t.writes[:keep], nil
 	fs.segs.place(pos.Seg, pos.Off, pos.NextSeg)
+	t.flag(pos.Seg)
 	fs.writeSeq = pos.WriteSeq
 	return dirops, nil
 }
@@ -492,8 +504,8 @@ func (sc *rollScan) fetch(addr int64) ([]byte, error) {
 	if b, ok := sc.fetched[addr]; ok {
 		return b, nil
 	}
-	b, err := sc.fs.readBlockRetry(addr)
-	if err != nil {
+	b := make([]byte, layout.BlockSize)
+	if err := sc.fs.readRetry(addr, b); err != nil {
 		return nil, err
 	}
 	sc.fetched[addr] = b
@@ -607,13 +619,11 @@ func (fs *FS) incLive(addr int64) error {
 // recounted reports whether recovery will recount the block at addr of
 // segment seg, so that usage adjustments against it are moot.
 func (fs *FS) recounted(seg, addr int64) bool {
-	return fs.segs.recomputing(seg) && (addr < fs.mnt.tail.counted[0] || addr >= fs.mnt.tail.counted[1])
-}
-
-// endRecount ends the suspension of usage accounting and drops the tail.
-func (fs *FS) endRecount() {
-	fs.segs.clearRecompute()
-	fs.mnt.tail = nil
+	if fs.mnt == nil || fs.mnt.tail == nil {
+		return false
+	}
+	t := fs.mnt.tail
+	return t.recount[seg] && (addr < t.counted[0] || addr >= t.counted[1])
 }
 
 // readDirs reads the directories the records name, for the repair pass, in
@@ -849,20 +859,22 @@ func (fs *FS) repairNlink(inum, version uint32, nlink uint16) error {
 	return nil
 }
 
-// recomputeUsage gives every segment flagged for recomputation its exact
+// recomputeUsage gives every segment in the tail's recount set its exact
 // live-byte count without reading anything: the liveness, against the
 // recovered metadata, of every block the tail's partial writes describe
 // there. The checkpoint's head segment, counted, adds that to what the
 // checkpointed table says of the part written before the checkpoint, which
-// decLive and incLive have kept exact since (recounted).
+// decLive and incLive have kept exact since (recounted). Then it drops the
+// tail, and with it the recount.
 func (fs *FS) recomputeUsage(counted int64) error {
-	for seg := int64(0); seg < fs.nsegs; seg++ {
-		if fs.segs.recomputing(seg) && seg != counted {
+	t := fs.mnt.tail
+	for seg, flagged := range t.recount {
+		if flagged && int64(seg) != counted {
 			fs.usage.entries[seg].LiveBytes = 0
 		}
 	}
-	for _, tw := range fs.mnt.tail.writes {
-		if !fs.segs.recomputing(tw.pos.Seg) {
+	for _, tw := range t.writes {
+		if !t.recount[tw.pos.Seg] {
 			continue // written by the repair pass into a fresh head, and counted as it went
 		}
 		first := fs.segStart(tw.pos.Seg) + tw.pos.Off + 1
@@ -878,6 +890,6 @@ func (fs *FS) recomputeUsage(counted int64) error {
 			}
 		}
 	}
-	fs.endRecount()
+	fs.mnt.tail = nil
 	return nil
 }

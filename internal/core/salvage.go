@@ -274,7 +274,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc salvAccepts, rep *SalvageReport, 
 	// A fresh log head and successor come from the clean segments. Two
 	// are required: the closing checkpoint needs somewhere to write the
 	// rebuilt metadata, and the log needs a successor to thread to.
-	fs.segs.rebuild(fs.usage)
+	fs.segs.rebuild(fs.usage, nil)
 	if fs.segs.next == layout.NilAddr {
 		return fmt.Errorf("salvage: %w: fewer than 2 clean segments left", ErrNoSpace)
 	}
@@ -298,7 +298,7 @@ func (fs *FS) salvageRebuild(sc *salvScan, acc salvAccepts, rep *SalvageReport, 
 	if err != nil {
 		return fmt.Errorf("salvage: committing rebuilt state: %w", err)
 	}
-	fs.segs.rebuild(fs.usage)
+	fs.segs.rebuild(fs.usage, nil)
 	phases.end("commit")
 
 	fs.tr.Add(obs.CtrSalvageInodes, int64(rep.InodesRecovered))

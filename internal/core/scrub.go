@@ -36,10 +36,11 @@ type ScrubReport struct {
 	Degraded    bool    // whether the file system is in degraded mode
 }
 
-// Scrub walks every live block — the inode map, segment usage and live
-// directory-log blocks, every allocated inode's block, and each file's
-// indirect and data blocks — reading each from disk (bypassing the read
-// cache) and verifying it against the checksum its segment summary holds.
+// Scrub walks every live block (forEachLiveBlock: each file's data and
+// indirect blocks, every allocated inode's block, the inode map, segment
+// usage and live directory-log blocks), reading each from disk (bypassing
+// the read cache) and verifying it against the checksum its segment summary
+// holds. An inode block's error names the lowest inum it holds.
 // Detected corruption quarantines the affected segment; every problem is
 // reported rather than only the first, so a scrub gives the full damage
 // picture. The file system keeps running: scrub is an online operation.
@@ -58,68 +59,38 @@ func (fs *FS) Scrub() (*ScrubReport, error) {
 	}
 
 	r := &ScrubReport{}
-	visit := func(addr int64, ino uint32, offset int64, kind string) {
+	blk := fs.bpool.Get()
+	defer fs.bpool.Put(blk)
+	report := func(addr int64, ino uint32, offset int64, kind string, err error) {
+		fs.tr.Add(obs.CtrScrubErrors, 1)
+		r.Errors = append(r.Errors, ScrubError{
+			Addr: addr, Ino: ino, Offset: offset, Kind: kind,
+			Err: attributeCorruption(err, ino, offset),
+		})
+	}
+	// An inode that does not load is reported by its block's visit (or the
+	// imap entry is wrong, which Check reports): nothing below it can be
+	// walked. A data walk that cannot load an indirect block cannot visit the
+	// blocks it points at; the indirect walk fails only where it did.
+	_ = fs.forEachLiveBlock(fs.liveFiles(nil, func(inum uint32, what string, err error) error {
+		if what == "block walk" {
+			report(-1, inum, -1, "indirect", err)
+		}
+		return nil
+	}), func(kind layout.BlockKind, inum uint32, i int, addr int64) {
 		r.Blocks++
 		fs.tr.Add(obs.CtrScrubBlocks, 1)
-		buf, err := fs.readBlockRetry(addr)
-		if err == nil {
-			err = fs.verifyBlock(addr, buf)
+		if err := fs.readVerified(addr, blk); err != nil {
+			offset, name := int64(-1), kind.String()
+			switch kind {
+			case layout.KindData:
+				offset = int64(i) * layout.BlockSize
+			case layout.KindSegUsage:
+				name = "usage"
+			}
+			report(addr, inum, offset, name, err)
 		}
-		if err != nil {
-			fs.tr.Add(obs.CtrScrubErrors, 1)
-			r.Errors = append(r.Errors, ScrubError{
-				Addr: addr, Ino: ino, Offset: offset, Kind: kind,
-				Err: attributeCorruption(err, ino, offset),
-			})
-		}
-	}
-
-	fs.forEachCheckpointBlock(func(kind layout.BlockKind, _ int, addr int64) {
-		name := kind.String()
-		if kind == layout.KindSegUsage {
-			name = "usage"
-		}
-		visit(addr, 0, -1, name)
 	})
-
-	seenInoBlocks := make(map[int64]bool)
-	for inum32 := 0; inum32 < fs.imap.maxInodes(); inum32++ {
-		inum := uint32(inum32)
-		e := fs.imap.get(inum)
-		if !e.Allocated() {
-			continue
-		}
-		if !seenInoBlocks[e.Addr] {
-			seenInoBlocks[e.Addr] = true
-			visit(e.Addr, inum, -1, "inode")
-		}
-		mi, err := fs.loadInode(inum)
-		if err != nil {
-			// The inode itself is unreadable; its block was already
-			// reported by the visit above (or the imap entry is wrong,
-			// which Check reports). Nothing below it can be walked.
-			continue
-		}
-		werr := fs.forEachIndirectAddr(mi, func(addr int64) error {
-			visit(addr, inum, -1, "indirect")
-			return nil
-		})
-		if werr == nil {
-			werr = fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error {
-				visit(addr, inum, int64(bn)*layout.BlockSize, "data")
-				return nil
-			})
-		}
-		if werr != nil {
-			// An indirect block needed to enumerate the file could not be
-			// loaded; the blocks it points at cannot be visited.
-			fs.tr.Add(obs.CtrScrubErrors, 1)
-			r.Errors = append(r.Errors, ScrubError{
-				Addr: -1, Ino: inum, Offset: -1, Kind: "indirect",
-				Err: attributeCorruption(werr, inum, -1),
-			})
-		}
-	}
 
 	r.Quarantined = fs.QuarantinedSegments()
 	r.Degraded = fs.degraded.Load()

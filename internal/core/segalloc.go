@@ -18,11 +18,6 @@ const (
 	segNext                    // clean, pre-selected as the next log head
 	segHead                    // the log head
 	segPending                 // evacuated; reusable once a checkpoint commits that
-
-	segStateMask segState = 0x0f
-	// segRecompute flags a segment whose usage recovery will recompute from the
-	// log tail; adjustments to what it recounts (FS.recounted) wait until then.
-	segRecompute segState = 0x80
 )
 
 // reserveSegments is the part of the clean-segment pool that only the
@@ -72,10 +67,9 @@ func (a *segAlloc) reset() {
 
 func (a *segAlloc) in(seg int64) bool { return seg >= 0 && seg < int64(len(a.state)) }
 
-// set moves seg to state st, keeping its recompute flag.
-func (a *segAlloc) set(seg int64, st segState) { a.state[seg] = a.state[seg]&^segStateMask | st }
+func (a *segAlloc) set(seg int64, st segState) { a.state[seg] = st }
 
-func (a *segAlloc) is(seg int64, st segState) bool { return a.state[seg]&segStateMask == st }
+func (a *segAlloc) is(seg int64, st segState) bool { return a.state[seg] == st }
 
 // free returns how many segments are immediately available for log writes.
 func (a *segAlloc) free() int { return len(a.queue) }
@@ -199,42 +193,27 @@ func (a *segAlloc) quarantinedSegs() []int64 {
 
 // place is recovery's way of saying where the checkpoint, and then
 // roll-forward, left the log; the rebuild that follows gives the states.
-// The head's usage will be recomputed. A next that is no segment, or is the
-// head itself (the thread hopped into it and found nothing), counts as none.
+// A next that is no segment, or is the head itself (the thread hopped into
+// it and found nothing), counts as none.
 func (a *segAlloc) place(head, off, next int64) {
 	if !a.in(next) || next == head {
 		next = layout.NilAddr
 	}
 	a.head, a.headOff, a.next = head, off, next
-	a.markRecompute(head)
-}
-
-// markRecompute flags seg, if it is one, for usage recomputation.
-func (a *segAlloc) markRecompute(seg int64) {
-	if a.in(seg) {
-		a.state[seg] |= segRecompute
-	}
-}
-
-func (a *segAlloc) recomputing(seg int64) bool { return a.state[seg]&segRecompute != 0 }
-
-func (a *segAlloc) clearRecompute() {
-	for s := range a.state {
-		a.state[s] &^= segRecompute
-	}
 }
 
 // rebuild computes every state from the log position and the usage table —
 // the one place the free queue is computed, for format, mount and salvage
 // alike: every clean segment that is not the head, not pre-selected, not
-// quarantined and not awaiting recomputation, ascending. A pre-selected
-// segment that is not allocatable after all is dropped; a missing head
-// (format, salvage) and a missing next are then taken from the front of the
-// queue. Nothing is pending afterwards, and only the head carries the usage
-// table's active flag.
-func (a *segAlloc) rebuild(usage *usageTable) {
+// quarantined and not in recount (the segments a mount's usage recomputation
+// will count, logTail.recount; nil for format and salvage), ascending. A
+// pre-selected segment that is not allocatable after all is dropped; a
+// missing head (format, salvage) and a missing next are then taken from the
+// front of the queue. Nothing is pending afterwards, and only the head
+// carries the usage table's active flag.
+func (a *segAlloc) rebuild(usage *usageTable, recount []bool) {
 	allocatable := func(s int64) bool {
-		return usage.isClean(s) && !a.recomputing(s) && !a.isQuarantined(s)
+		return usage.isClean(s) && (recount == nil || !recount[s]) && !a.isQuarantined(s)
 	}
 	if a.next != layout.NilAddr && !allocatable(a.next) {
 		a.next = layout.NilAddr
@@ -268,7 +247,7 @@ func (a *segAlloc) rebuild(usage *usageTable) {
 func (a *segAlloc) counts() SegCounts {
 	c := SegCounts{Head: a.head, Next: a.next, Quarantined: len(a.quarantinedSegs())}
 	for _, st := range a.state {
-		switch st & segStateMask {
+		switch st {
 		case segFree:
 			c.Free++
 		case segPending:
@@ -308,7 +287,7 @@ func (a *segAlloc) audit(usage *usageTable) (problems []string) {
 		mark(s, segPending)
 	}
 	for s := int64(0); s < int64(len(a.state)); s++ {
-		st, clean := a.state[s]&segStateMask, usage.isClean(s)
+		st, clean := a.state[s], usage.isClean(s)
 		switch {
 		case st != want[s]:
 			bad(s, fmt.Sprintf("is in state %d, the log position and queues say %d", st, want[s]))

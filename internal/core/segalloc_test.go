@@ -26,7 +26,7 @@ func formatted(t *testing.T, n int) (*segAlloc, *usageTable) {
 	t.Helper()
 	u := usageWith(n)
 	a := newSegAlloc(int64(n))
-	a.rebuild(u)
+	a.rebuild(u, nil)
 	u.noteWrite(a.head, 1)
 	mustAudit(t, a, u)
 	return a, u
@@ -88,14 +88,16 @@ func TestSegAllocRebuild(t *testing.T) {
 			for _, s := range tc.quar {
 				a.quarantine(s)
 			}
+			var recount []bool // a mount's: the head it placed and the segments the log reached since
 			if tc.head >= 0 {
 				a.place(tc.head, tc.off, tc.next)
+				recount = make([]bool, tc.n)
+				recount[tc.head] = true
 			}
 			for _, s := range tc.recompute {
-				a.markRecompute(s)
+				recount[s] = true
 			}
-			a.rebuild(u)
-			a.clearRecompute()
+			a.rebuild(u, recount)
 			if a.head != tc.wantHead || a.next != tc.wantNx || !reflect.DeepEqual(append([]int64(nil), a.queue...), tc.wantQueue) {
 				t.Fatalf("head %d next %d queue %v, want %d %d %v", a.head, a.next, a.queue, tc.wantHead, tc.wantNx, tc.wantQueue)
 			}
@@ -199,15 +201,15 @@ func TestSegAllocQuarantineNeverHandedOut(t *testing.T) {
 			switch order {
 			case "quarantine-then-queue":
 				a.quarantine(bad)
-				a.rebuild(u)
+				a.rebuild(u, nil)
 				mustAudit(t, a, u)
 			case "queue-then-quarantine":
-				a.rebuild(u)
+				a.rebuild(u, nil)
 				if !a.quarantine(bad) || a.quarantine(bad) {
 					t.Fatal("quarantine reports news once")
 				}
 			case "pre-selected":
-				a.rebuild(u)
+				a.rebuild(u, nil)
 				for a.next != bad {
 					if err := a.advance(u, 1, true); err != nil {
 						t.Fatal(err)
@@ -244,7 +246,7 @@ func TestSegAllocResetKeepsQuarantine(t *testing.T) {
 	if a.head != layout.NilAddr || a.next != layout.NilAddr || a.free() != 0 || len(a.pending()) != 0 || !a.isQuarantined(4) {
 		t.Fatalf("after reset: head %d next %d free %d pending %v quarantined %v", a.head, a.next, a.free(), a.pending(), a.quarantinedSegs())
 	}
-	a.rebuild(u)
+	a.rebuild(u, nil)
 	if want := []int64{3, 5}; a.head != 1 || a.next != 2 || !reflect.DeepEqual(a.queue, want) {
 		t.Fatalf("head %d next %d queue %v after reset and rebuild, want 1 2 %v", a.head, a.next, a.queue, want)
 	}
@@ -293,7 +295,7 @@ func TestSegAllocQuarantineConcurrent(t *testing.T) {
 	const n = 64
 	u := usageWith(n)
 	a := newSegAlloc(n)
-	a.rebuild(u)
+	a.rebuild(u, nil)
 	var readers sync.WaitGroup
 	for g := int64(0); g < 4; g++ {
 		readers.Add(1)

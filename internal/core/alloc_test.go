@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -218,5 +219,77 @@ func TestAllocsUncachedStat(t *testing.T) {
 	t.Logf("an uncached Stat allocates %.2f times", avg)
 	if avg > maxPerStat {
 		t.Fatalf("an uncached Stat after Mount allocates %.2f times, want at most %.2f", avg, float64(maxPerStat))
+	}
+}
+
+// TestAllocsNamespaceOps pins what the namespace operations of the small-
+// file workload (Figure 8) allocate once the file system is warm: a 1 KB
+// create allocates the new file's mInode and nothing else, and a Remove
+// and a whole-file overwrite of a one-block file allocate nothing. saveDir
+// encodes into a pooled block, the dirlog holds its records by value in
+// one array per flush, and truncation clears the cut pointers as it walks
+// them; a fresh slice per directory save, a heap record per dirlog entry
+// or a slice of the cut blocks per truncation each breaks a bound.
+// The write buffer holds a whole phase, so its one flush is the Sync after
+// the count: the count is of the operations alone, and the device is not
+// written while it runs. A file that stays in each directory keeps its
+// entry array from being dropped when the others go.
+func TestAllocsNamespaceOps(t *testing.T) {
+	const maxPerCreate, maxPerRemove, maxPerOverwrite = 1.1, 0.1, 0.1
+	fs, d := newTestFS(t, 8192, Options{MaxInodes: 4096, WriteBufferBlocks: 1024})
+	const dirs, n = 10, 600
+	for i := 0; i < dirs; i++ {
+		if err := fs.Mkdir(fmt.Sprintf("/d%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(fmt.Sprintf("/d%d/keep", i), []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/d%d/f%04d", i%dirs, i)
+	}
+	small, block := bytes.Repeat([]byte("c"), 1024), bytes.Repeat([]byte("o"), layout.BlockSize)
+	phases := []struct {
+		name string
+		op   func(p string) error
+		max  float64
+	}{
+		{"create", func(p string) error { return fs.WriteFile(p, small) }, maxPerCreate},
+		{"overwrite", func(p string) error { return fs.WriteFile(p, block) }, maxPerOverwrite},
+		{"remove", fs.Remove, maxPerRemove},
+	}
+	// run applies op to every path, then Syncs; it returns the allocations
+	// per operation, Sync not counted.
+	run := func(op func(p string) error) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		writes := d.Stats().WriteOps
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, p := range paths {
+			if err := op(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := d.Stats().WriteOps - writes; got != 0 {
+			t.Fatalf("%d device writes while counting: the write buffer does not hold a phase", got)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / n
+	}
+	// One round warms the pools, the caches and their maps.
+	for _, ph := range phases {
+		run(ph.op)
+	}
+	for _, ph := range phases {
+		avg := run(ph.op)
+		t.Logf("%s: %.3f allocations per op", ph.name, avg)
+		if avg > ph.max {
+			t.Errorf("%s allocates %.3f times per op, want at most %.2f", ph.name, avg, ph.max)
+		}
 	}
 }

@@ -478,24 +478,22 @@ func (fs *FS) dropBlocksFrom(mi *mInode, keep uint32) error {
 			}
 		}
 	}
-	var drop []uint32
+	// The walk has loaded the pointer block of each cut block it passes.
 	err := fs.forEachBlockAddr(mi, func(bn uint32, addr int64) error {
-		if bn >= keep {
-			drop = append(drop, bn)
-			return fs.decLive(addr)
+		if bn < keep {
+			return nil
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, bn := range drop {
+		if err := fs.decLive(addr); err != nil {
+			return err
+		}
 		if err := fs.ensureMapSlot(mi, bn); err != nil {
 			return err
 		}
-		if _, err := fs.setBlockAddr(mi, bn, layout.NilAddr); err != nil {
-			return err
-		}
+		_, err := fs.setBlockAddr(mi, bn, layout.NilAddr)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	// Release indirect blocks that are now entirely unused.
 	return fs.releasePtrsFrom(mi, keep)

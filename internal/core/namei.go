@@ -96,7 +96,10 @@ func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry, from int) error {
 	fs.dirCacheMu.Lock()
 	fs.dirCache[inum] = entries
 	fs.dirCacheMu.Unlock()
-	start, data, err := layout.EncodeDirectoryFrom(entries, from)
+	// The tail is encoded into a pooled block (a longer one grows out of it).
+	buf := fs.bpool.Get()
+	defer fs.bpool.Put(buf)
+	start, data, err := layout.EncodeDirectoryFrom(buf[:0], entries, from)
 	if err != nil {
 		return err
 	}
@@ -200,27 +203,29 @@ func (fs *FS) resolveParent(path string) (uint32, string, error) {
 
 // logDirOp appends a record to the directory operation log (Section 4.2).
 // The record is flushed ahead of the directory and inode blocks it covers.
-func (fs *FS) logDirOp(op *layout.DirOp) { fs.dirLog.add(op) }
+func (fs *FS) logDirOp(op layout.DirOp) { fs.dirLog.add(op) }
 
 // dirOpLog is the directory operation log: the sequence number the next
 // record takes, and the records awaiting the next flush with the count of
 // the dirlog blocks stageDirOps will pack them into, kept as they arrive so
-// that counting what a flush writes costs O(1) per operation.
+// that counting what a flush writes costs O(1) per operation. A flush's
+// records are one array of values, which take lets go rather than keep at
+// rest: a burst of removes can leave thousands in it.
 type dirOpLog struct {
 	seq    uint64
-	ops    []*layout.DirOp
+	ops    []layout.DirOp
 	blocks layout.DirLogCount
 }
 
-func (l *dirOpLog) add(op *layout.DirOp) {
+func (l *dirOpLog) add(op layout.DirOp) {
 	op.Seq = l.seq
 	l.seq++
 	l.ops = append(l.ops, op)
-	l.blocks.Add(op)
+	l.blocks.Add(&op)
 }
 
 // take empties the log of its records and returns them.
-func (l *dirOpLog) take() []*layout.DirOp {
+func (l *dirOpLog) take() []layout.DirOp {
 	ops := l.ops
 	l.ops, l.blocks = nil, layout.DirLogCount{}
 	return ops
@@ -268,7 +273,7 @@ func (fs *FS) createNode(dirInum uint32, name string, typ uint8) (uint32, error)
 	version := max(fs.imap.get(inum).Version, 1)
 	fs.newInode(inum, typ, version)
 
-	fs.logDirOp(&layout.DirOp{Op: layout.DirOpCreate, Dir: dirInum, Name: name, Inum: inum, Version: version, NewNlink: 1})
+	fs.logDirOp(layout.DirOp{Op: layout.DirOpCreate, Dir: dirInum, Name: name, Inum: inum, Version: version, NewNlink: 1})
 	if err := fs.saveDir(dirInum, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries)); err != nil {
 		return 0, err
 	}
@@ -613,7 +618,7 @@ func (fs *FS) linkLocked(oldPath, newPath string) error {
 	inum := mi.ino.Inum
 	mi.ino.Nlink++
 	fs.markInodeDirty(inum)
-	fs.logDirOp(&layout.DirOp{Op: layout.DirOpLink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: mi.ino.Nlink})
+	fs.logDirOp(layout.DirOp{Op: layout.DirOpLink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: mi.ino.Nlink})
 	return fs.saveDir(dir, append(entries, layout.DirEntry{Inum: inum, Name: name}), len(entries))
 }
 
@@ -646,7 +651,7 @@ func (fs *FS) unlinkLocked(dir uint32, name string, inum uint32) error {
 			return err
 		}
 	}
-	fs.logDirOp(&layout.DirOp{Op: layout.DirOpUnlink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: newNlink})
+	fs.logDirOp(layout.DirOp{Op: layout.DirOpUnlink, Dir: dir, Name: name, Inum: inum, Version: mi.ino.Version, NewNlink: newNlink})
 	if err := fs.saveDir(dir, slices.Delete(entries, idx, idx+1), idx); err != nil {
 		return err
 	}
@@ -706,7 +711,7 @@ func (fs *FS) renameLocked(oldPath, newPath string) error {
 			return err
 		}
 	}
-	fs.logDirOp(&layout.DirOp{
+	fs.logDirOp(layout.DirOp{
 		Op: layout.DirOpRename, Dir: oldDir, Name: oldName,
 		Inum: inum, Version: mi.ino.Version, NewNlink: mi.ino.Nlink, Dir2: newDir, Name2: newName,
 	})

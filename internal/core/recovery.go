@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/disk"
@@ -54,7 +53,7 @@ func Mount(dev *disk.Disk, opts Options) (*FS, error) {
 	fs.rebuildFreeInums()
 	fs.mounted = true
 
-	var dirops []*layout.DirOp
+	var dirops []layout.DirOp
 	if !fs.opts.NoRollForward {
 		dirops, err = fs.rollForwardScan(cp, fs.mnt.tail)
 		if err != nil {
@@ -307,7 +306,7 @@ type tailWrite struct {
 type tailMeta struct {
 	addr   int64
 	inodes []layout.Inode
-	ops    []*layout.DirOp
+	ops    []layout.DirOp
 	err    error
 }
 
@@ -316,6 +315,23 @@ func (t *logTail) flag(seg int64) {
 	if seg >= 0 && seg < int64(len(t.recount)) {
 		t.recount[seg] = true
 	}
+}
+
+// size counts the distinct inode numbers below limit in the tail's inode
+// blocks, as many as roll-forward can install in the inode cache, and the
+// records of its dirlog blocks.
+func (t *logTail) size(limit int) (inums, ops int) {
+	seen := make([]uint64, (limit+63)/64)
+	for _, m := range t.metas {
+		ops += len(m.ops)
+		for i := range m.inodes {
+			in := m.inodes[i].Inum
+			if w, bit := in/64, uint64(1)<<(in%64); int(in) < limit && seen[w]&bit == 0 {
+				seen[w], inums = seen[w]|bit, inums+1
+			}
+		}
+	}
+	return inums, ops
 }
 
 // add appends a partial write whose summary is at pos; entries is copied.
@@ -412,7 +428,7 @@ func (fs *FS) readTail(cp *layout.Checkpoint, t *logTail) (layout.LogPos, error)
 // that model recovering as much as possible is strictly better. Nor is
 // anything discarded when the thread ended at an unreadable summary:
 // complete flushes, whose NVRAM records are gone, may lie past it.
-func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]*layout.DirOp, error) {
+func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]layout.DirOp, error) {
 	// The log resumes at pos, in front of the first summary not (fully) applied.
 	pos, endErr := fs.readTail(cp, t)
 	mediaEnd := errors.Is(endErr, disk.ErrMediaRead)
@@ -427,7 +443,11 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]*layout.DirO
 		}
 		fs.walkEnded(layout.EndSeqBound, nil)
 	}
-	var dirops []*layout.DirOp
+	// Sized by the tail, the inode cache (nothing has loaded an inode yet)
+	// and dirops take what the scan adds without growing.
+	inums, ops := t.size(fs.imap.maxInodes())
+	fs.icache = make(map[uint32]*mInode, inums)
+	dirops := make([]layout.DirOp, 0, ops)
 	sc := rollScan{fs: fs, fetched: make(map[int64][]byte)}
 	metas := t.metas
 walk:
@@ -632,7 +652,7 @@ func (fs *FS) recounted(seg, addr int64) bool {
 // recovered, block map loaded, sums recorded from the tail), each installed
 // if its blocks all verify and it decodes. Any other is left to loadDir,
 // which reports a fault as always: the sweep counts and quarantines nothing.
-func (fs *FS) readDirs(ops []*layout.DirOp) {
+func (fs *FS) readDirs(ops []layout.DirOp) {
 	type dirBlock struct {
 		addr int64
 		dir  int    // in inums and data
@@ -697,8 +717,8 @@ func (fs *FS) readDirs(ops []*layout.DirOp) {
 // an undone rename must delete the old-name entry (not leave it dangling
 // at a freed inode), and a second rename must move it from there.
 // Records meet directory entries in a hash join (dirNames), not a search.
-func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
+func (fs *FS) applyDirOps(ops []layout.DirOp) error {
+	slices.SortStableFunc(ops, func(a, b layout.DirOp) int { return cmp.Compare(a.Seq, b.Seq) })
 	names := dirNames{}
 	type loc struct {
 		dir  uint32
@@ -711,7 +731,8 @@ func (fs *FS) applyDirOps(ops []*layout.DirOp) error {
 		}
 		return loc{op.Dir, op.Name}
 	}
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		switch op.Op {
 		case layout.DirOpCreate, layout.DirOpLink:
 			delete(displaced, op.Inum)

@@ -125,10 +125,10 @@ func TestRepairPassJoin(t *testing.T) {
 				}
 				return out
 			}
-			var ops []*layout.DirOp
+			var ops []layout.DirOp
 			for i, r := range tc.tail {
 				f := of(r.file)
-				op := &layout.DirOp{Seq: uint64(i), Op: r.op, Dir: d, Name: strings.Clone(r.name),
+				op := layout.DirOp{Seq: uint64(i), Op: r.op, Dir: d, Name: strings.Clone(r.name),
 					Inum: f.inum, Version: f.version, NewNlink: r.nlink, Name2: strings.Clone(r.name2)}
 				if r.dir != "" {
 					op.Dir = of(r.dir).inum

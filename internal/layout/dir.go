@@ -3,6 +3,7 @@ package layout
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // DirEntry is one directory entry: a name bound to an inode number.
@@ -18,16 +19,19 @@ const MaxNameLen = 255
 // as the directory file's data. The stream is a sequence of
 // (inum u32, nameLen u16, name) records.
 func EncodeDirectory(entries []DirEntry) ([]byte, error) {
-	_, data, err := EncodeDirectoryFrom(entries, 0)
+	_, data, err := EncodeDirectoryFrom(nil, entries, 0)
 	return data, err
 }
 
 // EncodeDirectoryFrom encodes the tail of the directory stream that a
-// change at entries[from] can have altered: it returns the offset of the
-// block holding that entry's first byte (the stream's length, rounded
-// down, when from is len(entries)) and the stream's bytes from there to
-// its end. Every name is checked, whichever entries are encoded.
-func EncodeDirectoryFrom(entries []DirEntry, from int) (start int, data []byte, err error) {
+// change at entries[from] can have altered and appends it to dst: it
+// returns the offset of the block holding that entry's first byte (the
+// stream's length, rounded down, when from is len(entries)) and dst
+// extended by the stream's bytes from there to its end. dst grows as
+// append grows it, so a destination with room for the tail — a pooled
+// block for a tail of at most one — makes the encoding allocation-free.
+// Every name is checked, whichever entries are encoded.
+func EncodeDirectoryFrom(dst []byte, entries []DirEntry, from int) (start int, data []byte, err error) {
 	size, off := 0, 0
 	for i, e := range entries {
 		if len(e.Name) == 0 || len(e.Name) > MaxNameLen {
@@ -43,22 +47,29 @@ func EncodeDirectoryFrom(entries []DirEntry, from int) (start int, data []byte, 
 		first, off = len(entries), size
 	}
 	start = off / BlockSize * BlockSize
-	// An entry straddling the block boundary is encoded whole and its
-	// leading bytes skipped.
 	for off > start {
 		first--
 		off -= 6 + len(entries[first].Name)
 	}
-	buf := make([]byte, size-off)
-	le := binary.LittleEndian
-	pos := 0
-	for _, e := range entries[first:] {
-		le.PutUint32(buf[pos:], e.Inum)
-		le.PutUint16(buf[pos+4:], uint16(len(e.Name)))
-		copy(buf[pos+6:], e.Name)
-		pos += 6 + len(e.Name)
+	dst = slices.Grow(dst, size-start)
+	if off < start {
+		// An entry straddling the block boundary is encoded whole and its
+		// leading bytes skipped.
+		var rec [6 + MaxNameLen]byte
+		dst = append(dst, appendDirEntry(rec[:0], entries[first])[start-off:]...)
+		first++
 	}
-	return start, buf[start-off:], nil
+	for _, e := range entries[first:] {
+		dst = appendDirEntry(dst, e)
+	}
+	return start, dst, nil
+}
+
+// appendDirEntry appends e's record to b.
+func appendDirEntry(b []byte, e DirEntry) []byte {
+	b = binary.LittleEndian.AppendUint32(b, e.Inum)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(e.Name)))
+	return append(b, e.Name...)
 }
 
 // DecodeDirectory parses a directory byte stream. It allocates twice
@@ -171,13 +182,16 @@ func (c *DirLogCount) Blocks() int { return c.blocks }
 
 // EncodeDirOpLog packs records into one dirlog block. It returns the
 // encoded block and how many records fit; callers loop until all records
-// are written.
-func EncodeDirOpLog(ops []*DirOp) (block []byte, consumed int, err error) {
+// are written. The file system hands it its records by value; a slice of
+// pointers is accepted as well, for benchmark/layers.go, which times this
+// encoder with one and is its own module.
+func EncodeDirOpLog[T DirOp | *DirOp](ops []T) (block []byte, consumed int, err error) {
 	buf := make([]byte, BlockSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], MagicDirLog)
 	off := dirLogBlockHeader
-	for _, op := range ops {
+	for i := range ops {
+		op := dirOpAt(&ops[i])
 		if len(op.Name) > MaxNameLen || len(op.Name2) > MaxNameLen {
 			return nil, 0, fmt.Errorf("layout: dirlog name too long")
 		}
@@ -208,13 +222,21 @@ func EncodeDirOpLog(ops []*DirOp) (block []byte, consumed int, err error) {
 	return buf, consumed, nil
 }
 
-// DecodeDirOpLog parses a dirlog block. It allocates three times however
-// many records the block holds: one slab of them, the slice of pointers
-// into it, and one string copy of the bytes the records occupy (not the
-// whole block), of which every Name and Name2 is a substring. The names
-// therefore share nothing with buf; a caller that keeps one past the
-// records' own lifetime clones it rather than pin the block's records.
-func DecodeDirOpLog(buf []byte) ([]*DirOp, error) {
+// dirOpAt returns the record p holds, by value or by pointer.
+func dirOpAt[T DirOp | *DirOp](p *T) *DirOp {
+	if op, ok := any(p).(*DirOp); ok {
+		return op
+	}
+	return *any(p).(**DirOp)
+}
+
+// DecodeDirOpLog parses a dirlog block. It makes two allocations per
+// block, however many records it holds: the slice of the records, and one
+// string copy of the bytes they occupy (not the whole block), of which
+// every Name and Name2 is a substring. The names therefore share nothing
+// with buf; a caller that keeps one past the records' own lifetime clones
+// it rather than pin the block's records.
+func DecodeDirOpLog(buf []byte) ([]DirOp, error) {
 	le := binary.LittleEndian
 	if len(buf) < dirLogBlockHeader {
 		return nil, fmt.Errorf("layout: dirlog block too small (%d bytes)", len(buf))
@@ -240,17 +262,16 @@ func DecodeDirOpLog(buf []byte) ([]*DirOp, error) {
 			return nil, fmt.Errorf("layout: truncated dirlog name2 in record %d", i)
 		}
 	}
-	slab := make([]DirOp, n)
-	out := make([]*DirOp, n)
+	out := make([]DirOp, n)
 	// Offsets below count from the first record: s[i] is
 	// buf[dirLogBlockHeader+i], and the header is not copied.
 	s := string(buf[dirLogBlockHeader:end])
 	off := 0
-	for i := range slab {
+	for i := range out {
 		r := buf[dirLogBlockHeader+off:]
 		p := off + 29 + int(le.Uint16(r[27:]))
 		next := p + 2 + int(le.Uint16(r[p-off:]))
-		slab[i] = DirOp{
+		out[i] = DirOp{
 			Seq:      le.Uint64(r),
 			Op:       DirOpCode(r[8]),
 			Dir:      le.Uint32(r[9:]),
@@ -261,7 +282,6 @@ func DecodeDirOpLog(buf []byte) ([]*DirOp, error) {
 			Dir2:     le.Uint32(r[23:]),
 			Name2:    s[p+2 : next],
 		}
-		out[i] = &slab[i]
 		off = next
 	}
 	return out, nil

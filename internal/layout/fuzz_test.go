@@ -20,7 +20,7 @@ func FuzzDirBlock(f *testing.F) {
 		{Inum: 9, Name: "a"},
 	})
 	f.Add(enc)
-	ops := []*DirOp{
+	ops := []DirOp{
 		{Seq: 1, Op: DirOpCreate, Dir: 1, Name: "f0", Inum: 2, Version: 1, NewNlink: 1},
 		{Seq: 2, Op: DirOpRename, Dir: 1, Name: "f0", Inum: 2, Version: 1, NewNlink: 1, Dir2: 3, Name2: "r9"},
 		{Seq: 3, Op: DirOpUnlink, Dir: 3, Name: "r9", Inum: 2, Version: 1},
@@ -68,7 +68,7 @@ func FuzzDirBlock(f *testing.F) {
 				t.Fatalf("directory round trip changed bytes: %x -> %x", data, re)
 			}
 			for _, from := range []int{0, len(entries) / 2, len(entries)} {
-				start, tail, err := EncodeDirectoryFrom(entries, from)
+				start, tail, err := EncodeDirectoryFrom(nil, entries, from)
 				if err != nil || start%BlockSize != 0 || start > len(data) || !bytes.Equal(tail, data[start:]) {
 					t.Fatalf("encoding %d entries from %d: start %d, %d bytes, err %v; whole is %d bytes", len(entries), from, start, len(tail), err, len(data))
 				}

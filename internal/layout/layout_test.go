@@ -515,8 +515,9 @@ func TestDirectoryEmpty(t *testing.T) {
 
 // TestEncodeDirectoryFrom pins the partial encoder against the whole one:
 // the start is the block holding entries[from]'s first byte, and the bytes
-// are the whole stream's from there on. Entries are 16 bytes (names of 10)
-// unless a case says otherwise, so 256 of them fill a block exactly.
+// are the whole stream's from there on. Appended to a block, a tail that
+// fits lands in it without an allocation. Entries are 16 bytes (names of
+// 10) unless a case says otherwise, so 256 of them fill a block exactly.
 func TestEncodeDirectoryFrom(t *testing.T) {
 	dir := func(n int, nameLen func(i int) int) []DirEntry {
 		entries := make([]DirEntry, n)
@@ -550,13 +551,14 @@ func TestEncodeDirectoryFrom(t *testing.T) {
 		{"stream ending on the boundary", dir(256, nil), 256, BlockSize},
 		{"entry straddling the boundary", dir(600, straddler), 255, 0},
 		{"entry behind the straddler", dir(600, straddler), 256, BlockSize},
+		{"a tail of one block behind the straddler", dir(300, straddler), 256, BlockSize},
 		{"delete pulls the end back a block", dir(256, straddler)[:255], 255, 0},
 	} {
 		whole, err := EncodeDirectory(tc.entries)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		start, data, err := EncodeDirectoryFrom(tc.entries, tc.from)
+		start, data, err := EncodeDirectoryFrom(nil, tc.entries, tc.from)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -565,8 +567,15 @@ func TestEncodeDirectoryFrom(t *testing.T) {
 		} else if !bytes.Equal(data, whole[start:]) {
 			t.Errorf("%s: %d bytes from %d differ from the whole encoding's %d", tc.name, len(data), start, len(whole)-start)
 		}
+		blk := make([]byte, 0, BlockSize)
+		avg := testing.AllocsPerRun(10, func() { _, data, _ = EncodeDirectoryFrom(blk, tc.entries, tc.from) })
+		if !bytes.Equal(data, whole[start:]) {
+			t.Errorf("%s: appended to a block, the tail differs", tc.name)
+		} else if len(data) <= BlockSize && avg != 0 {
+			t.Errorf("%s: a tail of %d bytes appended to a block allocates %v times", tc.name, len(data), avg)
+		}
 	}
-	if _, _, err := EncodeDirectoryFrom([]DirEntry{{Inum: 1, Name: ""}, {Inum: 2, Name: "ok"}}, 1); err == nil {
+	if _, _, err := EncodeDirectoryFrom(nil, []DirEntry{{Inum: 1, Name: ""}, {Inum: 2, Name: "ok"}}, 1); err == nil {
 		t.Error("empty name in front of from accepted")
 	}
 }
@@ -592,7 +601,7 @@ func TestDirectoryRejectsCorruption(t *testing.T) {
 }
 
 func TestDirOpLogRoundTrip(t *testing.T) {
-	ops := []*DirOp{
+	ops := []DirOp{
 		{Seq: 1, Op: DirOpCreate, Dir: 1, Name: "f1", Inum: 10, NewNlink: 1},
 		{Seq: 2, Op: DirOpLink, Dir: 2, Name: "f2", Inum: 10, NewNlink: 2},
 		{Seq: 3, Op: DirOpRename, Dir: 1, Name: "f1", Inum: 10, NewNlink: 2, Dir2: 3, Name2: "moved"},
@@ -612,13 +621,21 @@ func TestDirOpLogRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, ops) {
 		t.Fatalf("got %+v, want %+v", got, ops)
 	}
+	// The same records by pointer encode to the same block.
+	ptrs := make([]*DirOp, len(ops))
+	for i := range ops {
+		ptrs[i] = &ops[i]
+	}
+	if blk2, n2, err := EncodeDirOpLog(ptrs); err != nil || n2 != n || !bytes.Equal(blk2, blk) {
+		t.Fatalf("records by pointer: %d consumed, err %v, same block %v", n2, err, bytes.Equal(blk2, blk))
+	}
 }
 
 func TestDirOpLogSpillsToNextBlock(t *testing.T) {
-	var ops []*DirOp
+	var ops []DirOp
 	name := string(bytes.Repeat([]byte{'n'}, 200))
 	for i := 0; i < 40; i++ {
-		ops = append(ops, &DirOp{Seq: uint64(i), Op: DirOpCreate, Dir: 1, Name: name, Inum: uint32(i)})
+		ops = append(ops, DirOp{Seq: uint64(i), Op: DirOpCreate, Dir: 1, Name: name, Inum: uint32(i)})
 	}
 	blk, n, err := EncodeDirOpLog(ops)
 	if err != nil {
@@ -653,14 +670,14 @@ func TestDirLogCountMatchesEncode(t *testing.T) {
 	name := func(c byte) string { return string(bytes.Repeat([]byte{c}, rng.Intn(MaxNameLen+1))) }
 	for run := 0; run < 20; run++ {
 		var count DirLogCount
-		var ops []*DirOp
+		var ops []DirOp
 		for i := 0; i < 200; i++ {
-			op := &DirOp{Seq: uint64(i), Op: DirOpCreate, Dir: 1, Name: name('n'), Inum: uint32(i)}
+			op := DirOp{Seq: uint64(i), Op: DirOpCreate, Dir: 1, Name: name('n'), Inum: uint32(i)}
 			if rng.Intn(4) == 0 {
 				op.Op, op.Dir2, op.Name2 = DirOpRename, 2, name('m')
 			}
 			ops = append(ops, op)
-			count.Add(op)
+			count.Add(&op)
 			blocks := 0
 			for rest := ops; len(rest) > 0; blocks++ {
 				_, n, err := EncodeDirOpLog(rest)
@@ -678,7 +695,7 @@ func TestDirLogCountMatchesEncode(t *testing.T) {
 }
 
 func TestDirOpLogRejectsCorruption(t *testing.T) {
-	blk, _, _ := EncodeDirOpLog([]*DirOp{{Seq: 1, Op: DirOpCreate, Dir: 1, Name: "a", Inum: 2}})
+	blk, _, _ := EncodeDirOpLog([]DirOp{{Seq: 1, Op: DirOpCreate, Dir: 1, Name: "a", Inum: 2}})
 	blk[30] ^= 1
 	if _, err := DecodeDirOpLog(blk); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -710,13 +727,13 @@ func TestAllocsDecodeDirectory(t *testing.T) {
 	}
 }
 
-// TestAllocsDecodeDirOpLog pins DecodeDirOpLog at three allocations per
-// block — the record slab, the pointers into it and the one string the
-// names are cut from — whether the block holds one record or is full.
+// TestAllocsDecodeDirOpLog pins DecodeDirOpLog at two allocations per
+// block — the record slice and the one string the names are cut from —
+// whether the block holds one record or is full.
 func TestAllocsDecodeDirOpLog(t *testing.T) {
-	var ops []*DirOp
+	var ops []DirOp
 	for i := 0; i < 200; i++ {
-		ops = append(ops, &DirOp{Seq: uint64(i), Op: DirOpRename, Dir: 1, Name: fmt.Sprintf("f%d", i),
+		ops = append(ops, DirOp{Seq: uint64(i), Op: DirOpRename, Dir: 1, Name: fmt.Sprintf("f%d", i),
 			Inum: uint32(i + 2), Version: 1, NewNlink: 1, Dir2: 3, Name2: fmt.Sprintf("r%d", i)})
 	}
 	for _, n := range []int{1, len(ops)} {
@@ -730,8 +747,8 @@ func TestAllocsDecodeDirOpLog(t *testing.T) {
 		if got, err := DecodeDirOpLog(blk); err != nil || !reflect.DeepEqual(got, ops[:fit]) {
 			t.Fatalf("%d records: decoded %d, %v", fit, len(got), err)
 		}
-		if avg := testing.AllocsPerRun(100, func() { _, _ = DecodeDirOpLog(blk) }); avg != 3 {
-			t.Errorf("%d records: DecodeDirOpLog allocates %v times, want 3", fit, avg)
+		if avg := testing.AllocsPerRun(100, func() { _, _ = DecodeDirOpLog(blk) }); avg != 2 {
+			t.Errorf("%d records: DecodeDirOpLog allocates %v times, want 2", fit, avg)
 		}
 	}
 }

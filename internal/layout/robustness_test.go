@@ -85,7 +85,7 @@ func TestQuickBitflipsDetectedOrRejected(t *testing.T) {
 // Truncated buffers (shorter than a block) must never crash the directory
 // and dirlog parsers, which handle variable-length records.
 func TestQuickVariableLengthParsersOnTruncation(t *testing.T) {
-	ops := []*DirOp{
+	ops := []DirOp{
 		{Seq: 1, Op: DirOpCreate, Dir: 1, Name: "some-name", Inum: 5, Version: 1, NewNlink: 1},
 		{Seq: 2, Op: DirOpRename, Dir: 1, Name: "a", Inum: 5, Version: 1, Dir2: 2, Name2: "b"},
 	}

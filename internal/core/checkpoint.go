@@ -40,30 +40,14 @@ func (fs *FS) checkpointLocked() error {
 	fs.dirlogAddrs = nil
 
 	// Phase 1b: write the dirty inode map blocks and the whole segment
-	// usage table to the log. Their encoders run after placement, so the
-	// usage table captures its own new location (flushPending keeps all
-	// its blocks in one partial write, so each captures the others' too).
-	stageMapBlock := func(kind layout.BlockKind, i int, addrs []int64, encode func(int) ([]byte, error)) {
-		fs.stage(stagedBlock{
-			entry:  layout.SummaryEntry{Kind: kind, Inum: uint32(i)},
-			age:    fs.ticks.Load(),
-			encode: func() ([]byte, error) { return encode(i) },
-			placed: func(addr int64) error {
-				old := addrs[i]
-				addrs[i] = addr
-				if old != layout.NilAddr {
-					return fs.decLive(old)
-				}
-				return nil
-			},
-		})
-	}
-	encodeImap, encodeUsage := fs.imap.encodeBlock, fs.usage.encodeBlock
+	// usage table to the log, encoded after placement, so the usage table
+	// captures its own new location (flushPending keeps all its blocks in
+	// one partial write, so each captures the others' too).
 	for _, i := range fs.imap.dirtyBlocks() {
-		stageMapBlock(layout.KindImap, i, fs.imap.blockAddr, encodeImap)
+		fs.stage(stagedBlock{entry: layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)}, age: fs.ticks.Load()})
 	}
 	for i := 0; i < fs.usage.numBlocks(); i++ {
-		stageMapBlock(layout.KindSegUsage, i, fs.usage.blockAddr, encodeUsage)
+		fs.stage(stagedBlock{entry: layout.SummaryEntry{Kind: layout.KindSegUsage, Inum: uint32(i)}, age: fs.ticks.Load()})
 	}
 	if err := fs.flushPending(); err != nil {
 		return err

@@ -274,9 +274,10 @@ func (fs *FS) checkpointBytes() int64 {
 func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
 	wroteBefore := fs.stats.CleanerWriteBytes
-	// One list for the pass, allocated at the victims' live counts (which
-	// bound it: they count metadata blocks too) and dropped with the pass:
-	// a few-tens-of-victims list kept between passes is resident memory.
+	// One list for the pass and one buffer its copies are carved from, both
+	// sized by the victims' live counts (which bound them: they count
+	// metadata blocks too) and dropped with the pass once its flush has
+	// written the copies: kept between passes, they are resident memory.
 	var liveBytes int64
 	ranks := make([]int, 0, len(cands)) // of the victims to read
 	for i, c := range cands {
@@ -290,7 +291,8 @@ func (fs *FS) cleanPass(cands []candidate) error {
 			ranks = append(ranks, i)
 		}
 	}
-	lives := make([]liveCopy, 0, liveBytes/layout.BlockSize)
+	n := liveBytes / layout.BlockSize
+	lives := liveSet{copies: make([]liveCopy, 0, n), buf: make([]byte, n*layout.BlockSize)}
 	r := victimReader{fs: fs, whole: fs.opts.CleanRead == CleanReadWhole}
 	if fs.opts.CleanRead == CleanReadPlanned {
 		r.gap = fs.dev.Geometry().ReadThroughBlocks()
@@ -304,18 +306,17 @@ func (fs *FS) cleanPass(cands []candidate) error {
 		defer fs.rpool.Put(r.buf)
 	}
 	for _, rank := range ranks {
-		var err error
-		if lives, err = fs.collectLive(&r, cands[rank].seg, int64(rank), lives); err != nil {
+		if err := fs.collectLive(&r, cands[rank].seg, int64(rank), &lives); err != nil {
 			return err
 		}
 	}
-	slices.SortFunc(lives, func(a, b liveCopy) int {
+	slices.SortFunc(lives.copies, func(a, b liveCopy) int {
 		if !fs.opts.NoAgeSort && a.entry.Age != b.entry.Age {
 			return cmp.Compare(a.entry.Age, b.entry.Age)
 		}
 		return cmp.Compare(a.order, b.order)
 	})
-	if err := fs.stageLiveCopies(lives); err != nil {
+	if err := fs.stageLiveCopies(lives.copies); err != nil {
 		return err
 	}
 	for _, c := range cands {
@@ -342,13 +343,20 @@ func (fs *FS) cleanPass(cands []candidate) error {
 }
 
 // liveCopy is a live data block collected from a segment being cleaned:
-// its summary entry, with Age replaced by the pass's sort key, a pooled
-// copy of its contents, already verified against the entry's Sum, and its
-// rank in the pass's candidates and offset in the victim, as one number.
+// its summary entry, with Age replaced by the pass's sort key, a copy of
+// its contents, already verified against the entry's Sum, and its rank in
+// the pass's candidates and offset in the victim, as one number.
 type liveCopy struct {
 	entry layout.SummaryEntry
 	data  []byte
 	order int64
+}
+
+// liveSet is what a cleaning pass collects: its live data blocks, and the
+// rest of the pass's buffer that their copies are carved from.
+type liveSet struct {
+	copies []liveCopy
+	buf    []byte
 }
 
 // getWalkScratch draws the reusable memory of a summary-chain walk from
@@ -445,7 +453,7 @@ func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahea
 }
 
 // collectLive walks the summary chain of the victim seg (rank in the
-// pass's candidates), appends its live data blocks to lives and re-dirties
+// pass's candidates), adds its live data blocks to lives and re-dirties
 // its live metadata. A corrupt block is never relocated as if valid: it
 // stays where it is, in a quarantined segment cleanPass does not release.
 // Read whole, each partial write's DataChecksum is verified, and on a
@@ -453,7 +461,7 @@ func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahea
 // segment is quarantined whole. Otherwise every block used is verified
 // against its entry's Sum; dead blocks are never checked, so corruption
 // confined to them quarantines nothing.
-func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([]liveCopy, error) {
+func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives *liveSet) error {
 	start := fs.segStart(seg)
 	r.start, r.end, r.err = start, start, nil
 	s := fs.getWalkScratch()
@@ -462,7 +470,7 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([
 	for w.Next() {
 		first, n := w.DataAddr(), int64(len(s.Entries))
 		if err := r.readLive(first, s.Entries, w.Ahead()); err != nil {
-			return lives, err
+			return err
 		}
 		dataOK := !r.whole || layout.Checksum(r.blocks(first, n)) == s.DataChecksum
 		for i, e := range s.Entries {
@@ -475,28 +483,27 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives []liveCopy) ([
 			if !r.live[i] {
 				continue
 			}
-			var err error
-			if lives, err = fs.copyLive(e, addr, block, rank*fs.segBlocks+addr-start, lives); err != nil {
-				return lives, err
+			if err := fs.copyLive(e, addr, block, rank*fs.segBlocks+addr-start, lives); err != nil {
+				return err
 			}
 		}
 	}
 	if end, _ := fs.walkEnded(w.End()); end == layout.EndMedia {
 		if !errors.Is(r.err, disk.ErrMediaRead) {
-			return lives, r.err
+			return r.err
 		}
 		// Without the summary the rest of the chain cannot be trusted;
 		// withdraw the segment instead of evacuating it.
 		fs.quarantineSeg(seg)
 	}
-	return lives, nil
+	return nil
 }
 
 // copyLive processes one live block of a segment being cleaned, its
-// contents in block for the kinds that need them: a data block is appended
-// to lives to be rewritten (order is its liveCopy.order), and live
+// contents in block for the kinds that need them: a data block is copied
+// into lives to be rewritten (order is its liveCopy.order), and live
 // metadata is re-dirtied so the normal write path repacks it.
-func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order int64, lives []liveCopy) ([]liveCopy, error) {
+func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order int64, lives *liveSet) error {
 	switch e.Kind {
 	case layout.KindData:
 		if e.Age == 0 {
@@ -506,15 +513,19 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			// for files that are not modified in their entirety).
 			mi, err := fs.loadInode(e.Inum)
 			if err != nil {
-				return lives, err
+				return err
 			}
 			e.Age = mi.ino.Mtime
 		}
-		// Copy into a pooled buffer: the liveCopy is staged for rewrite
-		// and flushPending returns it to the pool after the device write.
-		data := fs.bpool.Get()
+		// The copy takes the pass buffer's next slot, which only a usage
+		// table that undercounts the victims can run out of.
+		if len(lives.buf) < layout.BlockSize {
+			return fmt.Errorf("%w: segment %d holds more live data than its usage counts", ErrCorrupt, fs.segOf(addr))
+		}
+		data := lives.buf[:layout.BlockSize:layout.BlockSize]
+		lives.buf = lives.buf[layout.BlockSize:]
 		copy(data, block)
-		return append(lives, liveCopy{entry: e, data: data, order: order}), nil
+		lives.copies = append(lives.copies, liveCopy{entry: e, data: data, order: order})
 	case layout.KindIndirect:
 		// Re-dirty the in-memory structure; the normal write path
 		// rewrites it with current contents.
@@ -523,7 +534,7 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			err = fs.dirtyPtr(mi, e.BlockNo)
 		}
 		if err != nil {
-			return lives, err
+			return err
 		}
 		fs.markInodeDirty(e.Inum)
 	case layout.KindInode:
@@ -534,7 +545,7 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			// abort the pass or relocate garbage.
 			fs.tr.Add(obs.CtrCorruptBlocks, 1)
 			fs.quarantineSeg(fs.segOf(addr))
-			return lives, nil
+			return nil
 		}
 		// Most slots of a cleaned inode block are stale (the inode has
 		// been rewritten elsewhere since) or already cached: read each
@@ -560,7 +571,7 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 		// The usage table is rewritten in full at the pass's checkpoint;
 		// live dirlog blocks die at the same checkpoint. Nothing to copy.
 	}
-	return lives, nil
+	return nil
 }
 
 // stageLiveCopies queues the collected live data blocks for rewriting at
@@ -579,7 +590,6 @@ func (fs *FS) stageLiveCopies(lives []liveCopy) error {
 		fs.stage(stagedBlock{
 			entry:  lc.entry,
 			data:   lc.data,
-			pooled: true, // copyLive drew it from the pool
 			summed: true, // collect verified lc.data against lc.entry.Sum
 			age:    lc.entry.Age,
 			file:   mi,

@@ -356,6 +356,34 @@ func TestCleanPassErrorReleasesNothing(t *testing.T) {
 	}
 }
 
+// TestCleanPassRejectsUndercountedUsage: a pass carves its copies from one
+// buffer sized by its victims' live bytes, so a usage table that counts
+// less live data than the victims hold, which only corruption makes, fails
+// the pass with ErrCorrupt before it stages or retires anything, instead of
+// overrunning the buffer.
+func TestCleanPassRejectsUndercountedUsage(t *testing.T) {
+	fs := cleanPassFixture(t, 0.5, 1, 4)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	cands := fs.selectCandidates()
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	for _, c := range cands {
+		if e := &fs.usage.entries[c.seg]; e.LiveBytes > layout.BlockSize {
+			e.LiveBytes = layout.BlockSize
+		}
+	}
+	fs.inCleaner = true
+	defer func() { fs.inCleaner = false }()
+	if err := fs.cleanPass(cands); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("cleanPass = %v, want ErrCorrupt", err)
+	}
+	if p := fs.segs.pending(); len(p) != 0 || len(fs.pending) != 0 || fs.Degraded() {
+		t.Fatalf("the failed pass retired %v, staged %d blocks, degraded %v", p, len(fs.pending), fs.Degraded())
+	}
+}
+
 // A pass and the checkpoint that releases it must both fit in the space
 // free when the pass is selected — evacuated segments come back only after
 // that checkpoint — and every live block a pass moves can add one more
@@ -397,17 +425,7 @@ func TestCleanPassLeavesRoomForItsCheckpoint(t *testing.T) {
 func cleanPassFixture(tb testing.TB, u float64, npasses, batch int) *FS {
 	tb.Helper()
 	opts := Options{SegmentBlocks: 128, MaxInodes: 1 << 14, CleanBatch: batch}
-	const nblocks = 16384
-	d := disk.MustNew(disk.DefaultGeometry(nblocks))
-	// The simulated device allocates a block's memory on its first write;
-	// write every block once so that is not counted as the cleaner's.
-	zero := make([]byte, 128*layout.BlockSize)
-	for a := int64(0); a < nblocks; a += 128 {
-		if err := d.Write(a, zero); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	fs, err := Format(d, opts)
+	fs, err := Format(writtenDisk(tb, 16384), opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -431,6 +449,21 @@ func cleanPassFixture(tb testing.TB, u float64, npasses, batch int) *FS {
 		tb.Fatal(err)
 	}
 	return fs
+}
+
+// writtenDisk returns a device of nblocks every one of which has been
+// written once: the simulated device allocates a block's memory on its
+// first write, which an allocation count of the file system must not see.
+func writtenDisk(tb testing.TB, nblocks int64) *disk.Disk {
+	tb.Helper()
+	d := disk.MustNew(disk.DefaultGeometry(nblocks))
+	zero := make([]byte, 128*layout.BlockSize)
+	for a := int64(0); a < nblocks; a += 128 {
+		if err := d.Write(a, zero[:min(nblocks-a, 128)*layout.BlockSize]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d
 }
 
 // timedCleanPass selects one pass worth of candidates, runs it, and
@@ -492,23 +525,18 @@ func BenchmarkCleanPass(b *testing.B) {
 }
 
 // TestAllocsCleanPass pins the heap allocations of a warm cleaning pass
-// per live data block it copies, measured at 1.50 for eight victims (the
-// per-segment pipeline with its heap-allocated liveCopy, copied capture
-// and full inode-block decode took 4.46 on the same victims). What remains
-// per one-block file is the placement closure of its staged copy, block
-// buffers beyond what the pool holds (a pass keeps every copy until its
-// one flush) and its share of the flush that rewrites the inodes the pass
-// dirtied; collecting and sorting add nothing per block (the pass list
-// is one allocation). The default 24-victim pass reads 2.01: bpool holds 384
-// buffers and the pass keeps ≈ 1 400 copies until its one flush, so about
-// a thousand of them are allocated, half a buffer per block more than
-// the eight-victim pass draws. The pool stays as it is: idle buffers
-// are resident memory on every workload, busy or not.
+// per live data block it copies. A pass copies every live block into one
+// buffer sized from its victims' live bytes, and writeBatch encodes each
+// partial write's summary and metadata into one buffer of its own, so what
+// is left is per pass and per partial write: 0.07 for eight victims and
+// 0.04 for the default 24 (0.45 and 0.96 while each copy was a bufpool
+// block, which a pass of ≈ 1 400 copies outgrew, and each inode block cost
+// a slice, two closures and a fresh block). The bounds are those plus 10 %.
 func TestAllocsCleanPass(t *testing.T) {
 	for _, c := range []struct {
 		batch           int
 		maxPerLiveBlock float64
-	}{{8, 1.6}, {24, 2.1}} {
+	}{{8, 0.08}, {24, 0.046}} {
 		fs := cleanPassFixture(t, 0.5, 2, c.batch)
 		timedCleanPass(t, fs) // warm: fills the pools
 		blocks, _, mallocs := timedCleanPass(t, fs)

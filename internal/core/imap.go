@@ -79,10 +79,10 @@ func (m *inodeMap) free(inum uint32) {
 // (used when the cleaner copies a live map block forward).
 func (m *inodeMap) markDirty(i int) { m.dirty[i] = true }
 
-// encodeBlock serializes map block i from the in-memory table.
-func (m *inodeMap) encodeBlock(i int) ([]byte, error) {
+// encodeBlock serializes map block i from the in-memory table into buf.
+func (m *inodeMap) encodeBlock(buf []byte, i int) error {
 	first := i * layout.ImapEntriesPerBlock
-	return layout.EncodeImapBlock(uint32(first), m.entries[first:first+layout.ImapEntriesPerBlock])
+	return layout.EncodeImapBlock(buf, uint32(first), m.entries[first:first+layout.ImapEntriesPerBlock])
 }
 
 // loadBlock installs a decoded map block into the table.

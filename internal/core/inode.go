@@ -318,12 +318,12 @@ func (mi *mInode) eachDirtyPtr(fn func(role uint32)) {
 	take(indRoleSingle)
 }
 
-// encodePtr serializes the loaded pointer block with the given role. It
-// is looked up when called: a staged block that held the ptrBlock itself
-// would keep its cells alive for as long as the staging queue's backing
-// array remembers the entry, long after the file is gone.
-func (mi *mInode) encodePtr(role uint32) ([]byte, error) {
-	return layout.EncodeIndirectBlock(mi.ptr[role].cells)
+// encodePtr serializes the loaded pointer block with the given role into
+// buf. It is looked up when called: a staged block that held the ptrBlock
+// itself would keep its cells alive for as long as the staging queue's
+// backing array remembers the entry, long after the file is gone.
+func (mi *mInode) encodePtr(buf []byte, role uint32) error {
+	return layout.EncodeIndirectBlock(buf, mi.ptr[role].cells)
 }
 
 // eachAddr calls fn for every non-nil cell of a pointer array whose first

@@ -12,26 +12,23 @@ import (
 )
 
 // stagedBlock is one block queued for the next log write. Content is
-// either fixed (data) or produced late by encode, after every block in the
-// flush has been assigned its address — which is how self-describing
-// metadata such as the segment usage table captures its own placement.
+// either fixed (data) or, left nil, encoded by the entry's Kind (encode)
+// after every block in the partial write has been placed — which is how
+// self-describing metadata such as the segment usage table captures its
+// own placement.
 type stagedBlock struct {
-	entry  layout.SummaryEntry
-	data   []byte
-	encode func() ([]byte, error)
-	// A file data block names its file, and placement points the file's
-	// block map at the new address (placeFileBlock); any other block that
-	// must learn its address has placed.
-	file    *mInode
-	placed  func(addr int64) error
+	entry   layout.SummaryEntry
+	data    []byte
+	file    *mInode  // a data block's file, or the file an indirect block maps
+	group   []uint32 // an inode block's inums, one per slot
 	age     uint64
 	cleaner bool // written on behalf of the cleaner (for stats)
 	summed  bool // entry.Sum is already data's CRC (a verified cleaner copy)
-	// pooled marks data as a bufpool buffer owned by the staging queue
-	// (dirty file blocks, cleaner live copies): writeBatch caches or pools
-	// it once the device write that covers it succeeds. On a
-	// degrading flush failure the buffer is leaked to the GC instead —
-	// the torn staging state must never feed the freelist.
+	// pooled marks data as a bufpool buffer (a dirty file block, never a
+	// cleaner copy) owned by the staging queue: writeBatch caches or pools
+	// it once the device write that covers it succeeds. On a degrading
+	// flush failure the buffer is leaked to the GC instead — the torn
+	// staging state must never feed the freelist.
 	pooled bool
 }
 
@@ -105,9 +102,8 @@ func (fs *FS) flushPending() error {
 				return rerr
 			}
 		}
-		// Written: the file pointers and the placed/encode closures pin
-		// inodes and must not outlive the flush in the queue's backing
-		// array.
+		// Written: the file pointers pin inodes and must not outlive the
+		// flush in the queue's backing array.
 		clear(batch)
 	}
 	// Drained: rewind to the start of the backing array, so the queue is
@@ -147,10 +143,11 @@ func segRoom(free int64) int64 {
 // writeBatch runs the two-phase partial-segment write of one batch at the
 // current log head: Phase 1 assigns addresses and updates every pointer
 // and accounting entry, Phase 2 encodes contents and issues one device
-// write, the summary leading the blocks it describes. A media write error
-// return leaves the batch placed at the refused addresses; the caller
-// relocates the head and calls writeBatch again, which re-places and
-// re-encodes everything against the new segment.
+// write, the summary leading the blocks it describes, encoded with every
+// late-bound block into one buffer the write drops (a pooled one would idle
+// at rest). A media write error return leaves the batch placed at the
+// refused addresses; the caller relocates the head and calls writeBatch
+// again, which re-places and re-encodes everything against the new segment.
 func (fs *FS) writeBatch(batch []stagedBlock) error {
 	n := len(batch)
 	head := fs.segs.head
@@ -158,21 +155,14 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	now := fs.ticks.Load()
 
 	// Phase 1: assign addresses and update all pointers/accounting.
+	late := 0
 	for i := range batch {
-		b := &batch[i]
 		addr := sumAddr + 1 + int64(i)
-		var err error
-		switch {
-		case b.file != nil:
-			err = fs.placeFileBlock(b.file, b.entry.BlockNo, addr)
-		case b.placed != nil:
-			err = b.placed(addr)
-		}
-		if err == nil {
-			err = fs.incLive(addr)
-		}
-		if err != nil {
+		if err := fs.place(&batch[i], addr); err != nil {
 			return err
+		}
+		if batch[i].data == nil {
+			late++
 		}
 		fs.rc.drop(addr)
 	}
@@ -186,17 +176,19 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// staged buffers go to the device as they are, unmodified until it
 	// returns. On every error return below the staged data stays with the
 	// batch, which degrades (see flushLog) or is replayed (media errors).
+	meta := make([]byte, (1+late)*layout.BlockSize) // the summary, then the late-bound blocks
 	entries := make([]layout.SummaryEntry, n)
-	vec := append(fs.wvec[:0], nil) // slot 0: the summary, encoded last
+	vec := append(fs.wvec[:0], meta[:layout.BlockSize]) // slot 0: the summary, encoded last
 	var dataSum uint32
 	var youngest uint64
+	next := layout.BlockSize
 	for i := range batch {
 		b := &batch[i]
 		b.entry.Age = b.age
 		content := b.data
 		if content == nil {
-			var err error
-			if content, err = b.encode(); err != nil {
+			content, next = meta[next:next+layout.BlockSize], next+layout.BlockSize
+			if err := fs.encode(b, content); err != nil {
 				return err
 			}
 		}
@@ -219,7 +211,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	if len(fs.pending) == 0 {
 		flags = layout.SummaryFlagTxnEnd
 	}
-	summary := &layout.Summary{
+	summary := layout.Summary{
 		WriteSeq:     fs.writeSeq,
 		Timestamp:    now,
 		NextSeg:      fs.segs.next,
@@ -228,8 +220,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		Flags:        flags,
 		Entries:      entries,
 	}
-	sumBlock, err := summary.Encode()
-	if err != nil {
+	if err := summary.EncodeTo(vec[0]); err != nil {
 		return err
 	}
 	// The summary and its blocks go to the device as one sequential
@@ -240,8 +231,7 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	// write error past the summary leaves it on disk describing blocks
 	// that never landed: it is voided, so the refused write stays as
 	// invisible to every walk as one that never reached the device.
-	vec[0] = sumBlock
-	err = fs.writeRetry(sumAddr, vec...)
+	err := fs.writeRetry(sumAddr, vec...)
 	if err != nil {
 		var werr *disk.MediaWriteError // here, not above: errors.As makes it escape
 		if errors.As(err, &werr) && werr.Addr > sumAddr {
@@ -256,9 +246,9 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 		return err
 	}
 	// The device copied everything out. A file block just written enters
-	// the read cache at its final address; cleaner copies (cold) and what a
-	// nil cache declines go back to the freelist. This closes the write
-	// path's loop: prepareWrite / writeAt Get → dcache → staged → here.
+	// the read cache at its final address, or the freelist if the cleaner
+	// flushed it (cold) or the cache declines it: the write path's loop,
+	// prepareWrite / writeAt Get → dcache → staged → here, closes.
 	for i, b := range batch {
 		if b.pooled && (b.cleaner || !fs.rc.put(sumAddr+1+int64(i), b.data)) {
 			fs.bpool.Put(b.data)
@@ -290,6 +280,64 @@ func (fs *FS) writeBatch(batch []stagedBlock) error {
 	}
 	fs.tracePartialWrite(sumAddr, batch)
 	return nil
+}
+
+// place is Phase 1 of writeBatch for one block: it points whatever finds
+// the block (a block map, the inode map, a map's block table, the dirlog
+// list) at addr, retires the copy it replaces, and counts addr live.
+func (fs *FS) place(b *stagedBlock, addr int64) error {
+	old := layout.NilAddr
+	switch e := b.entry; e.Kind {
+	case layout.KindData:
+		var err error
+		if old, err = fs.setBlockAddr(b.file, e.BlockNo, addr); err != nil {
+			return err
+		}
+	case layout.KindIndirect:
+		cell := b.file.parent(e.BlockNo)
+		old, *cell = *cell, addr
+	case layout.KindInode:
+		for slot, inum := range b.group {
+			prev := fs.imap.get(inum).Addr
+			fs.imap.setLocation(inum, addr, uint16(slot))
+			if err := fs.decInoBlockRef(prev); err != nil {
+				return err
+			}
+		}
+		fs.inoBlockRefs[addr] = len(b.group)
+	case layout.KindImap:
+		old, fs.imap.blockAddr[e.Inum] = fs.imap.blockAddr[e.Inum], addr
+	case layout.KindSegUsage:
+		old, fs.usage.blockAddr[e.Inum] = fs.usage.blockAddr[e.Inum], addr
+	case layout.KindDirLog:
+		fs.dirlogAddrs = append(fs.dirlogAddrs, addr)
+	}
+	if old != layout.NilAddr {
+		if err := fs.decLive(old); err != nil {
+			return err
+		}
+	}
+	return fs.incLive(addr)
+}
+
+// encode is Phase 2 of writeBatch for a late-bound block: it encodes into
+// buf, every byte of it, what the block's entry names, as placement left it.
+func (fs *FS) encode(b *stagedBlock, buf []byte) error {
+	switch e := b.entry; e.Kind {
+	case layout.KindIndirect:
+		return b.file.encodePtr(buf, e.BlockNo)
+	case layout.KindInode:
+		var inos [layout.InodesPerBlock]*layout.Inode
+		for i, inum := range b.group {
+			inos[i] = &fs.icache[inum].ino // staging loaded it, and only removeFile evicts
+		}
+		return layout.EncodeInodeBlockTo(buf, inos[:len(b.group)])
+	case layout.KindImap:
+		return fs.imap.encodeBlock(buf, int(e.Inum))
+	case layout.KindSegUsage:
+		return fs.usage.encodeBlock(buf, int(e.Inum))
+	}
+	return fmt.Errorf("%w: staged %v block has no content", ErrCorrupt, b.entry.Kind)
 }
 
 // tracePartialWrite emits one log.write event for a partial-segment write
@@ -418,10 +466,6 @@ func (fs *FS) stageDirOps() error {
 			entry: layout.SummaryEntry{Kind: layout.KindDirLog},
 			data:  blk,
 			age:   age,
-			placed: func(addr int64) error {
-				fs.dirlogAddrs = append(fs.dirlogAddrs, addr)
-				return nil
-			},
 		})
 		ops = ops[n:]
 	}
@@ -460,19 +504,6 @@ func (fs *FS) stageDataBlocks() error {
 	return nil
 }
 
-// placeFileBlock points file block bn at addr, where the log writer has
-// just put it, and retires the copy it replaces.
-func (fs *FS) placeFileBlock(mi *mInode, bn uint32, addr int64) error {
-	old, err := fs.setBlockAddr(mi, bn, addr)
-	if err != nil {
-		return err
-	}
-	if old != layout.NilAddr {
-		return fs.decLive(old)
-	}
-	return nil
-}
-
 // stageIndirectBlocks stages the dirty indirect blocks of the dirty
 // inodes (inums, ascending), each file's in eachDirtyPtr's order, so that
 // content dependencies always point at earlier staged blocks.
@@ -486,18 +517,9 @@ func (fs *FS) stageIndirectBlocks(inums []uint32) {
 		mi.eachDirtyPtr(func(role uint32) {
 			fs.dirtyPtrs--
 			fs.stage(stagedBlock{
-				entry:  layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: role},
-				age:    mi.ino.Mtime,
-				encode: func() ([]byte, error) { return mi.encodePtr(role) },
-				placed: func(addr int64) error {
-					cell := mi.parent(role)
-					old := *cell
-					*cell = addr
-					if old != layout.NilAddr {
-						return fs.decLive(old)
-					}
-					return nil
-				},
+				entry: layout.SummaryEntry{Kind: layout.KindIndirect, Inum: inum, Version: version, BlockNo: role},
+				age:   mi.ino.Mtime,
+				file:  mi,
 			})
 		})
 	}
@@ -505,41 +527,24 @@ func (fs *FS) stageIndirectBlocks(inums []uint32) {
 
 // stageInodeBlocks packs the dirty inodes (inums, ascending) into inode
 // blocks and stages them. Placement updates the inode map, which dirties
-// the covering map blocks for the next checkpoint.
+// the covering map blocks for the next checkpoint; an mInode holds its
+// inode inline for life, so the encoder sees each inode as placement
+// leaves it.
 func (fs *FS) stageInodeBlocks(inums []uint32) error {
 	for start := 0; start < len(inums); start += layout.InodesPerBlock {
-		end := start + layout.InodesPerBlock
-		if end > len(inums) {
-			end = len(inums)
-		}
-		group := inums[start:end]
-		// An mInode holds its inode inline for life, so the encoder
-		// still sees each inode as placement leaves it.
-		inos := make([]*layout.Inode, len(group))
+		group := inums[start:min(start+layout.InodesPerBlock, len(inums))]
 		var age uint64
-		for i, inum := range group {
+		for _, inum := range group {
 			mi, err := fs.loadInode(inum)
 			if err != nil {
 				return err
 			}
-			inos[i] = &mi.ino
 			age = max(age, mi.ino.Mtime)
 		}
 		fs.stage(stagedBlock{
-			entry:  layout.SummaryEntry{Kind: layout.KindInode, Inum: group[0], BlockNo: uint32(len(group))},
-			age:    age,
-			encode: func() ([]byte, error) { return layout.EncodeInodeBlock(inos) },
-			placed: func(addr int64) error {
-				for slot, inum := range group {
-					old := fs.imap.get(inum).Addr
-					fs.imap.setLocation(inum, addr, uint16(slot))
-					if err := fs.decInoBlockRef(old); err != nil {
-						return err
-					}
-				}
-				fs.inoBlockRefs[addr] = len(group)
-				return nil
-			},
+			entry: layout.SummaryEntry{Kind: layout.KindInode, Inum: group[0], BlockNo: uint32(len(group))},
+			age:   age,
+			group: group,
 		})
 	}
 	for _, inum := range inums {

@@ -283,7 +283,7 @@ func TestSumIndexBounded(t *testing.T) {
 }
 
 // The staging queue is bounded the same way. Drained, it holds no written
-// entry (their placed/encode closures pin inodes), is rewound to the start
+// entry (their file pointers pin inodes), is rewound to the start
 // of its backing array instead of walking off the end into a new one every
 // flush, and does not keep an array a cleaning pass grew.
 func TestPendingBounded(t *testing.T) {
@@ -304,7 +304,7 @@ func TestPendingBounded(t *testing.T) {
 			t.Fatalf("after Sync the queue holds %d blocks in %d slots", len(fs.pending), len(whole))
 		}
 		for i := range whole {
-			if b := &whole[i]; b.data != nil || b.encode != nil || b.placed != nil {
+			if b := &whole[i]; b.data != nil || b.file != nil || b.group != nil {
 				t.Fatalf("slot %d of the drained queue still holds a written block", i)
 			}
 		}

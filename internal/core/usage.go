@@ -81,10 +81,10 @@ func (t *usageTable) isClean(seg int64) bool {
 	return e.Flags == 0 && e.LiveBytes == 0
 }
 
-// encodeBlock serializes usage-table block i.
-func (t *usageTable) encodeBlock(i int) ([]byte, error) {
+// encodeBlock serializes usage-table block i into buf.
+func (t *usageTable) encodeBlock(buf []byte, i int) error {
 	first := i * layout.SegUsagePerBlock
-	return layout.EncodeSegUsageBlock(uint32(first), t.entries[first:first+layout.SegUsagePerBlock])
+	return layout.EncodeSegUsageBlock(buf, uint32(first), t.entries[first:first+layout.SegUsagePerBlock])
 }
 
 // loadBlock installs a decoded usage-table block.

@@ -21,8 +21,8 @@ func TestWalkBlockMap(t *testing.T) {
 		for i, a := range cells {
 			ptrs[i] = a
 		}
-		blk, err := EncodeIndirectBlock(ptrs)
-		if err != nil {
+		blk := make([]byte, BlockSize)
+		if err := EncodeIndirectBlock(blk, ptrs); err != nil {
 			t.Fatal(err)
 		}
 		image[addr] = blk

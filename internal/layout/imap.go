@@ -26,12 +26,13 @@ const imapBlockHeader = 16          // magic, first inum, count, crc
 const ImapEntriesPerBlock = (BlockSize - imapBlockHeader) / imapEntrySize
 
 // EncodeImapBlock serializes one inode-map block covering inums
-// [firstInum, firstInum+len(entries)).
-func EncodeImapBlock(firstInum uint32, entries []ImapEntry) ([]byte, error) {
+// [firstInum, firstInum+len(entries)) into buf, every byte of the block.
+func EncodeImapBlock(buf []byte, firstInum uint32, entries []ImapEntry) error {
 	if len(entries) > ImapEntriesPerBlock {
-		return nil, fmt.Errorf("%w: %d imap entries per block (max %d)", ErrTooLarge, len(entries), ImapEntriesPerBlock)
+		return fmt.Errorf("%w: %d imap entries per block (max %d)", ErrTooLarge, len(entries), ImapEntriesPerBlock)
 	}
-	buf := make([]byte, BlockSize)
+	buf = buf[:BlockSize]
+	clear(buf)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], MagicImapBlock)
 	le.PutUint32(buf[4:], firstInum)
@@ -45,7 +46,7 @@ func EncodeImapBlock(firstInum uint32, entries []ImapEntry) ([]byte, error) {
 		off += imapEntrySize
 	}
 	le.PutUint32(buf[12:], Checksum(buf[imapBlockHeader:]))
-	return buf, nil
+	return nil
 }
 
 // DecodeImapBlock parses an inode-map block, returning the first inum it
@@ -99,12 +100,14 @@ const segUsageBlockHeader = 16      // magic, first segment, count, crc
 const SegUsagePerBlock = (BlockSize - segUsageBlockHeader) / segUsageEntrySize
 
 // EncodeSegUsageBlock serializes one segment-usage-table block covering
-// segments [firstSeg, firstSeg+len(entries)).
-func EncodeSegUsageBlock(firstSeg uint32, entries []SegUsage) ([]byte, error) {
+// segments [firstSeg, firstSeg+len(entries)) into buf, every byte of the
+// block.
+func EncodeSegUsageBlock(buf []byte, firstSeg uint32, entries []SegUsage) error {
 	if len(entries) > SegUsagePerBlock {
-		return nil, fmt.Errorf("%w: %d usage entries per block (max %d)", ErrTooLarge, len(entries), SegUsagePerBlock)
+		return fmt.Errorf("%w: %d usage entries per block (max %d)", ErrTooLarge, len(entries), SegUsagePerBlock)
 	}
-	buf := make([]byte, BlockSize)
+	buf = buf[:BlockSize]
+	clear(buf)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], MagicUsageBlock)
 	le.PutUint32(buf[4:], firstSeg)
@@ -117,7 +120,7 @@ func EncodeSegUsageBlock(firstSeg uint32, entries []SegUsage) ([]byte, error) {
 		off += segUsageEntrySize
 	}
 	le.PutUint32(buf[12:], Checksum(buf[segUsageBlockHeader:]))
-	return buf, nil
+	return nil
 }
 
 // DecodeSegUsageBlock parses a segment-usage-table block.

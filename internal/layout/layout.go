@@ -249,12 +249,23 @@ func (ino *Inode) decode(buf []byte) {
 	ino.DIndir = int64(le.Uint64(buf[off+8:]))
 }
 
-// EncodeInodeBlock packs up to InodesPerBlock inodes into one block.
+// EncodeInodeBlock packs up to InodesPerBlock inodes into a fresh block.
 func EncodeInodeBlock(inodes []*Inode) ([]byte, error) {
-	if len(inodes) > InodesPerBlock {
-		return nil, fmt.Errorf("%w: %d inodes per block (max %d)", ErrTooLarge, len(inodes), InodesPerBlock)
-	}
 	buf := make([]byte, BlockSize)
+	if err := EncodeInodeBlockTo(buf, inodes); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// EncodeInodeBlockTo packs up to InodesPerBlock inodes into buf, a block
+// it writes every byte of, so a reused buffer keeps nothing stale.
+func EncodeInodeBlockTo(buf []byte, inodes []*Inode) error {
+	if len(inodes) > InodesPerBlock {
+		return fmt.Errorf("%w: %d inodes per block (max %d)", ErrTooLarge, len(inodes), InodesPerBlock)
+	}
+	buf = buf[:BlockSize]
+	clear(buf)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], MagicInodeBlock)
 	le.PutUint16(buf[4:], uint16(len(inodes)))
@@ -262,7 +273,7 @@ func EncodeInodeBlock(inodes []*Inode) ([]byte, error) {
 		ino.EncodeTo(buf[inodeBlockHeader+i*InodeSize:])
 	}
 	le.PutUint32(buf[8:], Checksum(buf[inodeBlockHeader:]))
-	return buf, nil
+	return nil
 }
 
 // InodeBlock is a packed inode block whose magic, inode count and
@@ -325,12 +336,12 @@ func DecodeInodeBlock(buf []byte) ([]Inode, error) {
 	return inodes, nil
 }
 
-// EncodeIndirectBlock serializes a block of disk addresses.
-func EncodeIndirectBlock(ptrs []int64) ([]byte, error) {
+// EncodeIndirectBlock serializes a block of disk addresses into buf,
+// every byte of the block: the cells past len(ptrs) hold NilAddr.
+func EncodeIndirectBlock(buf []byte, ptrs []int64) error {
 	if len(ptrs) > PointersPerBlock {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
-	buf := make([]byte, BlockSize)
 	le := binary.LittleEndian
 	for i, p := range ptrs {
 		le.PutUint64(buf[i*8:], uint64(p))
@@ -339,7 +350,7 @@ func EncodeIndirectBlock(ptrs []int64) ([]byte, error) {
 	for i := len(ptrs); i < PointersPerBlock; i++ {
 		le.PutUint64(buf[i*8:], uint64(nilAddr))
 	}
-	return buf, nil
+	return nil
 }
 
 // DecodeIndirectBlock parses a block of disk addresses.

@@ -230,8 +230,8 @@ func TestInodeBlockAllocs(t *testing.T) {
 
 func TestIndirectBlockRoundTrip(t *testing.T) {
 	ptrs := []int64{5, 10, NilAddr, 99}
-	blk, err := EncodeIndirectBlock(ptrs)
-	if err != nil {
+	blk := make([]byte, BlockSize)
+	if err := EncodeIndirectBlock(blk, ptrs); err != nil {
 		t.Fatal(err)
 	}
 	got := DecodeIndirectBlock(blk)
@@ -248,7 +248,7 @@ func TestIndirectBlockRoundTrip(t *testing.T) {
 			t.Fatalf("ptr[%d] = %d, want NilAddr", i, got[i])
 		}
 	}
-	if _, err := EncodeIndirectBlock(make([]int64, PointersPerBlock+1)); !errors.Is(err, ErrTooLarge) {
+	if err := EncodeIndirectBlock(blk, make([]int64, PointersPerBlock+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("overflow err = %v", err)
 	}
 }
@@ -259,8 +259,8 @@ func TestImapBlockRoundTrip(t *testing.T) {
 		{Addr: NilAddr, Slot: 0, Version: 9, Atime: 0},
 		{Addr: 7777, Slot: 20, Version: 1, Atime: 12345},
 	}
-	blk, err := EncodeImapBlock(170, entries)
-	if err != nil {
+	blk := make([]byte, BlockSize)
+	if err := EncodeImapBlock(blk, 170, entries); err != nil {
 		t.Fatal(err)
 	}
 	first, got, err := DecodeImapBlock(blk)
@@ -280,16 +280,18 @@ func TestImapBlockRoundTrip(t *testing.T) {
 
 func TestImapBlockFullAndOverflow(t *testing.T) {
 	full := make([]ImapEntry, ImapEntriesPerBlock)
-	if _, err := EncodeImapBlock(0, full); err != nil {
+	blk := make([]byte, BlockSize)
+	if err := EncodeImapBlock(blk, 0, full); err != nil {
 		t.Fatalf("full block: %v", err)
 	}
-	if _, err := EncodeImapBlock(0, append(full, ImapEntry{})); !errors.Is(err, ErrTooLarge) {
+	if err := EncodeImapBlock(blk, 0, append(full, ImapEntry{})); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("overflow err = %v", err)
 	}
 }
 
 func TestImapBlockRejectsCorruption(t *testing.T) {
-	blk, _ := EncodeImapBlock(0, []ImapEntry{{Addr: 5}})
+	blk := make([]byte, BlockSize)
+	_ = EncodeImapBlock(blk, 0, []ImapEntry{{Addr: 5}}) // one entry: cannot fail
 	blk[20] ^= 1
 	if _, _, err := DecodeImapBlock(blk); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -302,8 +304,8 @@ func TestSegUsageBlockRoundTrip(t *testing.T) {
 		{LiveBytes: 0, LastWrite: 0, Flags: 0},
 		{LiveBytes: 524288, LastWrite: 1, Flags: SegFlagDirty | SegFlagActive},
 	}
-	blk, err := EncodeSegUsageBlock(510, entries)
-	if err != nil {
+	blk := make([]byte, BlockSize)
+	if err := EncodeSegUsageBlock(blk, 510, entries); err != nil {
 		t.Fatal(err)
 	}
 	first, got, err := DecodeSegUsageBlock(blk)
@@ -319,9 +321,86 @@ func TestSegUsageBlockRoundTrip(t *testing.T) {
 }
 
 func TestSegUsageOverflow(t *testing.T) {
-	if _, err := EncodeSegUsageBlock(0, make([]SegUsage, SegUsagePerBlock+1)); !errors.Is(err, ErrTooLarge) {
+	if err := EncodeSegUsageBlock(make([]byte, BlockSize), 0, make([]SegUsage, SegUsagePerBlock+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
+}
+
+// TestEncodersOverwriteStaleBytes pins that every encoder which writes into
+// a block it is given writes every byte of it: encoded over a block of
+// 0xFF, a partly filled and a full block each come out exactly as encoded
+// into a fresh one, so a reused buffer cannot carry stale bytes to disk.
+func TestEncodersOverwriteStaleBytes(t *testing.T) {
+	inode := func(i int) *Inode {
+		ino := NewInode(uint32(i+2), FileTypeRegular)
+		ino.Size, ino.Mtime, ino.Direct[0] = uint64(i), uint64(3*i), int64(100+i)
+		return ino
+	}
+	encoders := map[string]func(buf []byte, n int) error{
+		"inode": func(buf []byte, n int) error {
+			inos := make([]*Inode, n)
+			for i := range inos {
+				inos[i] = inode(i)
+			}
+			return EncodeInodeBlockTo(buf, inos)
+		},
+		"indirect": func(buf []byte, n int) error {
+			ptrs := make([]int64, n)
+			for i := range ptrs {
+				ptrs[i] = int64(7 * i)
+			}
+			return EncodeIndirectBlock(buf, ptrs)
+		},
+		"imap": func(buf []byte, n int) error {
+			entries := make([]ImapEntry, n)
+			for i := range entries {
+				entries[i] = ImapEntry{Addr: int64(i), Slot: uint16(i % InodesPerBlock), Version: 1, Atime: uint64(i)}
+			}
+			return EncodeImapBlock(buf, 37, entries)
+		},
+		"usage": func(buf []byte, n int) error {
+			entries := make([]SegUsage, n)
+			for i := range entries {
+				entries[i] = SegUsage{LiveBytes: uint32(i), LastWrite: uint64(i), Flags: SegFlagDirty}
+			}
+			return EncodeSegUsageBlock(buf, 12, entries)
+		},
+		"summary": func(buf []byte, n int) error {
+			s := &Summary{WriteSeq: 9, Timestamp: 4, NextSeg: 2, DataChecksum: 5, Flags: SummaryFlagTxnEnd}
+			for i := 0; i < n; i++ {
+				s.Entries = append(s.Entries, SummaryEntry{Kind: KindData, Inum: uint32(i), BlockNo: uint32(i), Age: 1, Sum: 3})
+			}
+			return s.EncodeTo(buf)
+		},
+	}
+	full := map[string]int{
+		"inode": InodesPerBlock, "indirect": PointersPerBlock, "imap": ImapEntriesPerBlock,
+		"usage": SegUsagePerBlock, "summary": MaxSummaryEntries,
+	}
+	for name, encode := range encoders {
+		for _, n := range []int{0, 1, full[name]} {
+			fresh, stale := make([]byte, BlockSize), bytes.Repeat([]byte{0xFF}, BlockSize)
+			if err := encode(fresh, n); err != nil {
+				t.Fatalf("%s, %d entries: %v", name, n, err)
+			}
+			if err := encode(stale, n); err != nil {
+				t.Fatalf("%s, %d entries: %v", name, n, err)
+			}
+			if i := firstDiff(fresh, stale); i >= 0 {
+				t.Errorf("%s, %d entries: byte %d is %#x over a 0xFF block, %#x over a fresh one", name, n, i, stale[i], fresh[i])
+			}
+		}
+	}
+}
+
+// firstDiff returns the first offset where a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestSummaryRoundTrip(t *testing.T) {

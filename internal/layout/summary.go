@@ -102,12 +102,23 @@ type Summary struct {
 	Entries      []SummaryEntry
 }
 
-// Encode serializes the summary into a block-sized buffer.
+// Encode serializes the summary into a fresh block.
 func (s *Summary) Encode() ([]byte, error) {
-	if len(s.Entries) > MaxSummaryEntries {
-		return nil, fmt.Errorf("%w: %d summary entries (max %d)", ErrTooLarge, len(s.Entries), MaxSummaryEntries)
-	}
 	buf := make([]byte, BlockSize)
+	if err := s.EncodeTo(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// EncodeTo serializes the summary into buf, every byte of the block, so a
+// reused buffer keeps nothing stale.
+func (s *Summary) EncodeTo(buf []byte) error {
+	if len(s.Entries) > MaxSummaryEntries {
+		return fmt.Errorf("%w: %d summary entries (max %d)", ErrTooLarge, len(s.Entries), MaxSummaryEntries)
+	}
+	buf = buf[:BlockSize]
+	clear(buf)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], MagicSummary)
 	le.PutUint64(buf[8:], s.WriteSeq)
@@ -129,7 +140,7 @@ func (s *Summary) Encode() ([]byte, error) {
 	}
 	// The checksum covers everything except itself.
 	le.PutUint32(buf[4:], Checksum(buf[8:]))
-	return buf, nil
+	return nil
 }
 
 // The two decode failures every chain walk meets at its end are built

@@ -219,7 +219,7 @@ func (fs *FS) opStaged() {
 // into and the dirty pointer blocks. The buffer-full check (writeAt) and
 // the admission gate both go by it.
 func (fs *FS) stagedBlocks() int {
-	inodeBlocks := (len(fs.dirtyInodes) + layout.InodesPerBlock - 1) / layout.InodesPerBlock
+	inodeBlocks := (fs.dirtyInodes.n + layout.InodesPerBlock - 1) / layout.InodesPerBlock
 	return len(fs.dcache) + fs.dirLog.blocks.Blocks() + inodeBlocks + fs.dirtyPtrs
 }
 

@@ -280,9 +280,7 @@ func TestAllocsFlushMetadata(t *testing.T) {
 		checkpoint := func() (mallocs, writes, blocks int64) {
 			fs.mu.Lock()
 			defer fs.mu.Unlock()
-			for inum := range fs.icache {
-				fs.markInodeDirty(inum)
-			}
+			fs.icache.each(func(inum uint32, _ *mInode) { fs.markInodeDirty(inum) })
 			st := fs.stats
 			procs := runtime.GOMAXPROCS(1)
 			var before, after runtime.MemStats

@@ -40,13 +40,13 @@ func (fs *FS) Check() (*CheckReport, error) {
 
 	// 1. Directory tree: every entry resolves; count each inode's links.
 	var walk func(inum uint32, path string)
-	seen, nlinks := make(map[uint32]bool), make(map[uint32]int)
+	var seen inumSet
+	nlinks := make(map[uint32]int)
 	walk = func(inum uint32, path string) {
-		if seen[inum] {
+		if !seen.add(inum) {
 			r.problemf("directory %s (inum %d) reached twice", path, inum)
 			return
 		}
-		seen[inum] = true
 		entries, err := fs.loadDir(inum)
 		if err != nil {
 			r.problemf("directory %s: %v", path, err)

@@ -43,8 +43,10 @@ func (fs *FS) checkpointLocked() error {
 	// usage table to the log, encoded after placement, so the usage table
 	// captures its own new location (flushPending keeps all its blocks in
 	// one partial write, so each captures the others' too).
-	for _, i := range fs.imap.dirtyBlocks() {
-		fs.stage(stagedBlock{entry: layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)}, age: fs.ticks.Load()})
+	for i := range fs.imap.blockAddr {
+		if fs.imap.isDirty(i) {
+			fs.stage(stagedBlock{entry: layout.SummaryEntry{Kind: layout.KindImap, Inum: uint32(i)}, age: fs.ticks.Load()})
+		}
 	}
 	for i := 0; i < fs.usage.numBlocks(); i++ {
 		fs.stage(stagedBlock{entry: layout.SummaryEntry{Kind: layout.KindSegUsage, Inum: uint32(i)}, age: fs.ticks.Load()})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/disk"
 	"repro/internal/layout"
@@ -111,14 +110,14 @@ func (fs *FS) selectByPolicy(policy CleaningPolicy) []candidate {
 	// that outscores it on age would be read again on every pass over the
 	// log (Lomet & Luo, PAPERS.md: what holds nothing live costs nothing
 	// to reclaim). Greedy's score already ranks it so.
-	sort.Slice(cands, func(i, j int) bool {
-		if ei, ej := cands[i].u == 0, cands[j].u == 0; ei != ej {
-			return ei
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if ea, eb := a.u == 0, b.u == 0; ea != eb {
+			if ea {
+				return -1
+			}
+			return 1
 		}
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].seg < cands[j].seg
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.seg, b.seg))
 	})
 	// The copied live data (plus the pass's checkpoint metadata) must fit
 	// in the space that is available right now: evacuated segments only
@@ -251,7 +250,7 @@ func (fs *FS) cleanStep(target int) (progressed bool, err error) {
 // checkpointBytes estimates the log volume the next checkpoint will
 // write: the dirty inode-map blocks plus the whole usage table.
 func (fs *FS) checkpointBytes() int64 {
-	n := len(fs.imap.dirty) + fs.usage.numBlocks() + int(fs.sb.CheckpointBlocks)
+	n := fs.imap.ndirty + fs.usage.numBlocks() + int(fs.sb.CheckpointBlocks)
 	return int64(n+4) * layout.BlockSize
 }
 
@@ -316,6 +315,11 @@ func (fs *FS) cleanPass(cands []candidate) error {
 		}
 		return cmp.Compare(a.order, b.order)
 	})
+	// The pass's flush stages the copies, what is staged already and the
+	// inode blocks the copies dirty: grow the queue for them once, not by
+	// doubling (flushPending drops the grown array once the flush drains).
+	copies := len(lives.copies)
+	fs.pending = slices.Grow(fs.pending, copies+fs.stagedBlocks()+copies/layout.InodesPerBlock+1)
 	if err := fs.stageLiveCopies(lives.copies); err != nil {
 		return err
 	}
@@ -558,9 +562,9 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			}
 			me := fs.imap.get(inum)
 			if me.Allocated() && me.Addr == addr && int(me.Slot) == slot {
-				if _, ok := fs.icache[inum]; !ok {
+				if fs.icache.get(inum) == nil {
 					ino, _ := ib.Inode(slot)
-					fs.icache[inum] = newMInode(ino)
+					fs.icache.put(inum, newMInode(ino))
 				}
 				fs.markInodeDirty(inum)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -130,7 +131,12 @@ func segsOfFiles(t *testing.T, fs *FS, paths []string) []int64 {
 			set[fs.segOf(addr)] = true
 		}
 	}
-	return sortedKeys(set)
+	segs := make([]int64, 0, len(set))
+	for seg := range set {
+		segs = append(segs, seg)
+	}
+	slices.Sort(segs)
+	return segs
 }
 
 // TestCleanPassSortSpansSegments builds several victim segments whose live

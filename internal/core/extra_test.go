@@ -954,8 +954,8 @@ func TestDirectorySavesMatchWholeEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]byte, fs.icache[inum].ino.Size)
-			if _, err := fs.readAt(fs.icache[inum], 0, got); err != nil {
+			got := make([]byte, fs.icache.get(inum).ino.Size)
+			if _, err := fs.readAt(fs.icache.get(inum), 0, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -1058,11 +1058,11 @@ func TestLinkCountOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	mi.ino.Nlink = math.MaxUint16
-	before, seq := fs.dirCache[RootInum], fs.dirLog.seq
+	before, seq := *fs.icache.get(RootInum).dir, fs.dirLog.seq
 	if err := fs.Link("/f", "/g"); !errors.Is(err, ErrTooManyLinks) {
 		t.Fatalf("link 65536: %v, want ErrTooManyLinks", err)
 	}
-	if after := fs.dirCache[RootInum]; !slices.Equal(after, before) || fs.dirLog.seq != seq || mi.ino.Nlink != math.MaxUint16 || fs.Degraded() {
+	if after := *fs.icache.get(RootInum).dir; !slices.Equal(after, before) || fs.dirLog.seq != seq || mi.ino.Nlink != math.MaxUint16 || fs.Degraded() {
 		t.Fatalf("the refused link left a trace: entries %v, %d directory-op records, nlink %d, degraded %v",
 			after, fs.dirLog.seq-seq, mi.ino.Nlink, fs.Degraded())
 	}

@@ -220,7 +220,7 @@ func (fs *FS) readAheadRun(mi *mInode, last uint32, addr int64, n int) int {
 		a, k := addr+int64(n), successor(mi, last)
 		if k.inum != mi.ino.Inum {
 			fs.icacheMu.Lock()
-			mi = fs.icache[k.inum]
+			mi = fs.icache.get(k.inum)
 			fs.icacheMu.Unlock()
 			if mi == nil || mi.ino.Type != layout.FileTypeRegular || mi.ino.Size == 0 {
 				break
@@ -404,7 +404,7 @@ func (fs *FS) writeAtPrepared(mi *mInode, off int64, data []byte, prep *prepared
 // covering inode-map block (the map entry will change when the inode is
 // placed).
 func (fs *FS) markInodeDirty(inum uint32) {
-	fs.dirtyInodes[inum] = true
+	fs.dirtyInodes.add(inum)
 	fs.imap.markDirty(fs.imap.blockOf(inum))
 }
 
@@ -523,9 +523,8 @@ func (fs *FS) removeFile(inum uint32) error {
 	}
 	fs.imap.setVersion(inum, e.Version+1)
 	fs.imap.free(inum)
-	delete(fs.icache, inum)
-	delete(fs.dirtyInodes, inum)
-	delete(fs.dirCache, inum)
+	fs.icache.put(inum, nil) // with its mInode go the entries of a directory
+	fs.dirtyInodes.del(inum)
 	fs.freeInums.push(inum)
 	fs.stats.FilesDeleted++
 	return nil

@@ -88,16 +88,13 @@ type FS struct {
 
 	// icacheMu guards icache lookups/inserts from paths that run under
 	// mu.RLock; writer-only mutation (create, remove, recovery) is
-	// ordered by mu.
+	// ordered by mu. dirtyInodes is writer-only.
 	icacheMu    sync.Mutex
-	icache      map[uint32]*mInode
-	dirtyInodes map[uint32]bool
-	// dirCache is the one in-memory copy of each loaded directory, as
-	// decoded entries (saveDir is told which entry a change touched, so no
-	// byte image is kept beside it); it never evicts. dirCacheMu guards
-	// loads from paths under mu.RLock.
+	icache      inodeTable
+	dirtyInodes inumSet
+	// dirCacheMu guards the directory entries a cached mInode holds
+	// (mInode.dir) against loads from paths under mu.RLock.
 	dirCacheMu sync.Mutex
-	dirCache   map[uint32][]layout.DirEntry
 
 	dirLog      dirOpLog      // directory operation log (namei.go)
 	dirlogAddrs []int64       // dirlog blocks written since last checkpoint
@@ -272,9 +269,7 @@ func (fs *FS) initDerived() {
 	fs.imap = newInodeMap(int(fs.sb.MaxInodes))
 	fs.usage = newUsageTable(int(fs.nsegs), fs.segBytes)
 	fs.dcache = make(map[blockKey][]byte)
-	fs.icache = make(map[uint32]*mInode)
-	fs.dirtyInodes = make(map[uint32]bool)
-	fs.dirCache = make(map[uint32][]layout.DirEntry)
+	fs.icache, fs.dirtyInodes = inodeTable{}, inumSet{}
 	fs.inoBlockRefs = make(map[int64]int)
 	fs.sums = newSumIndex(fs.segBase, fs.segBlocks, fs.nsegs)
 }
@@ -493,11 +488,11 @@ func (fs *FS) newInode(inum uint32, typ uint8, version uint32) {
 	mi := newMInode(*layout.NewInode(inum, typ))
 	mi.ino.Version, mi.ino.Mtime = version, fs.ticks.Load()
 	fs.imap.setVersion(inum, version)
-	fs.icache[inum] = mi
-	fs.markInodeDirty(inum)
 	if typ == layout.FileTypeDir {
-		fs.dirCache[inum] = nil
+		mi.dir = new([]layout.DirEntry)
 	}
+	fs.icache.put(inum, mi)
+	fs.markInodeDirty(inum)
 }
 
 // inumHeap holds the freed inode numbers as a binary min-heap. Handing out

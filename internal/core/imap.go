@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/layout"
 )
@@ -16,7 +15,10 @@ type inodeMap struct {
 	// blockAddr[i] is the log address of map block i, or NilAddr if the
 	// block has never been written (all its entries unallocated).
 	blockAddr []int64
-	dirty     map[int]bool
+	// dirty has bit i set when map block i is rewritten at the next
+	// checkpoint; ndirty counts them.
+	dirty  []uint64
+	ndirty int
 }
 
 func newInodeMap(maxInodes int) *inodeMap {
@@ -24,7 +26,7 @@ func newInodeMap(maxInodes int) *inodeMap {
 	m := &inodeMap{
 		entries:   make([]layout.ImapEntry, nblocks*layout.ImapEntriesPerBlock),
 		blockAddr: make([]int64, nblocks),
-		dirty:     make(map[int]bool),
+		dirty:     make([]uint64, (nblocks+63)/64),
 	}
 	for i := range m.entries {
 		m.entries[i].Addr = layout.NilAddr
@@ -51,19 +53,19 @@ func (m *inodeMap) setLocation(inum uint32, addr int64, slot uint16) {
 	e := &m.entries[inum]
 	e.Addr = addr
 	e.Slot = slot
-	m.dirty[m.blockOf(inum)] = true
+	m.markDirty(m.blockOf(inum))
 }
 
 // setVersion updates the file's version number (incremented when a file
 // is deleted or truncated to length zero, Section 3.3).
 func (m *inodeMap) setVersion(inum uint32, version uint32) {
 	m.entries[inum].Version = version
-	m.dirty[m.blockOf(inum)] = true
+	m.markDirty(m.blockOf(inum))
 }
 
 func (m *inodeMap) setAtime(inum uint32, atime uint64) {
 	m.entries[inum].Atime = atime
-	m.dirty[m.blockOf(inum)] = true
+	m.markDirty(m.blockOf(inum))
 }
 
 // free deallocates the inum, keeping its version so that stale log blocks
@@ -72,12 +74,19 @@ func (m *inodeMap) free(inum uint32) {
 	e := &m.entries[inum]
 	e.Addr = layout.NilAddr
 	e.Slot = 0
-	m.dirty[m.blockOf(inum)] = true
+	m.markDirty(m.blockOf(inum))
 }
 
 // markDirty forces map block i to be rewritten at the next checkpoint
 // (used when the cleaner copies a live map block forward).
-func (m *inodeMap) markDirty(i int) { m.dirty[i] = true }
+func (m *inodeMap) markDirty(i int) {
+	if !m.isDirty(i) {
+		m.dirty[i/64] |= 1 << (i % 64)
+		m.ndirty++
+	}
+}
+
+func (m *inodeMap) isDirty(i int) bool { return m.dirty[i/64]&(1<<(i%64)) != 0 }
 
 // encodeBlock serializes map block i from the in-memory table into buf.
 func (m *inodeMap) encodeBlock(buf []byte, i int) error {
@@ -98,26 +107,16 @@ func (m *inodeMap) loadBlock(buf []byte, expectBlock int) error {
 	return nil
 }
 
-// dirtyBlocks returns the sorted list of dirty map block indices.
-func (m *inodeMap) dirtyBlocks() []int {
-	out := make([]int, 0, len(m.dirty))
-	for i := range m.dirty {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // cleanBlocks counts the map blocks in the log that are not dirty: what a
 // cleaning pass can still add to the next checkpoint.
 func (m *inodeMap) cleanBlocks() int {
 	n := 0
 	for i, addr := range m.blockAddr {
-		if addr != layout.NilAddr && !m.dirty[i] {
+		if addr != layout.NilAddr && !m.isDirty(i) {
 			n++
 		}
 	}
 	return n
 }
 
-func (m *inodeMap) clearDirty() { m.dirty = make(map[int]bool) }
+func (m *inodeMap) clearDirty() { clear(m.dirty); m.ndirty = 0 }

@@ -41,12 +41,18 @@ type mInode struct {
 	// ptr holds the loaded pointer blocks by role (nil: not loaded). It
 	// grows on demand, so a file with no indirect block allocates nothing.
 	ptr []*ptrBlock
+	// dir is a directory's one in-memory copy, as decoded entries (saveDir
+	// is told which entry a change touched, so no byte image is kept beside
+	// it): nil until loaded, and it lives as long as the mInode. A pointer
+	// keeps an mInode in its size class. FS.dirCacheMu guards it.
+	dir *[]layout.DirEntry
 }
 
 func newMInode(ino layout.Inode) *mInode { return &mInode{ino: ino} }
 
-// replace makes mi a later incarnation, ino, dropping the old one's pointers.
-func (mi *mInode) replace(ino layout.Inode) { mi.ino, mi.ptr = ino, nil }
+// replace makes mi a later incarnation, ino, dropping the old one's
+// pointers and entries.
+func (mi *mInode) replace(ino layout.Inode) { mi.ino, mi.ptr, mi.dir = ino, nil, nil }
 
 func nilPointerBlock() []int64 {
 	p := make([]int64, layout.PointersPerBlock)
@@ -117,9 +123,9 @@ func (mi *mInode) parent(role uint32) *int64 {
 // a single mInode.
 func (fs *FS) loadInode(inum uint32) (*mInode, error) {
 	fs.icacheMu.Lock()
-	mi, ok := fs.icache[inum]
+	mi := fs.icache.get(inum)
 	fs.icacheMu.Unlock()
-	if ok {
+	if mi != nil {
 		return mi, nil
 	}
 	fs.imapMu.Lock()
@@ -146,10 +152,10 @@ func (fs *FS) loadInode(inum uint32) (*mInode, error) {
 	}
 	mi = newMInode(ino)
 	fs.icacheMu.Lock()
-	if cached, ok := fs.icache[inum]; ok {
+	if cached := fs.icache.get(inum); cached != nil {
 		mi = cached
 	} else {
-		fs.icache[inum] = mi
+		fs.icache.put(inum, mi)
 	}
 	fs.icacheMu.Unlock()
 	return mi, nil

@@ -329,7 +329,7 @@ func (fs *FS) encode(b *stagedBlock, buf []byte) error {
 	case layout.KindInode:
 		var inos [layout.InodesPerBlock]*layout.Inode
 		for i, inum := range b.group {
-			inos[i] = &fs.icache[inum].ino // staging loaded it, and only removeFile evicts
+			inos[i] = &fs.icache.get(inum).ino // staging loaded it, and only removeFile evicts
 		}
 		return layout.EncodeInodeBlockTo(buf, inos[:len(b.group)])
 	case layout.KindImap:
@@ -432,7 +432,7 @@ func (fs *FS) flushStages() error {
 	}
 	// Both metadata stages walk the same dirty-inode set in the same
 	// order (nothing between them adds to it): sort it once.
-	inums := sortedKeys(fs.dirtyInodes)
+	inums := fs.dirtyInodes.sorted()
 	fs.stageIndirectBlocks(inums)
 	if err := fs.stageDirOps(); err != nil {
 		return err
@@ -440,7 +440,11 @@ func (fs *FS) flushStages() error {
 	if err := fs.stageInodeBlocks(inums); err != nil {
 		return err
 	}
-	return fs.flushPending()
+	if err := fs.flushPending(); err != nil {
+		return err
+	}
+	fs.dirtyInodes.reuse(inums) // drained: no staged inode block views it
+	return nil
 }
 
 // inCheckpoint reports whether a checkpoint is already in progress (the
@@ -509,7 +513,7 @@ func (fs *FS) stageDataBlocks() error {
 // content dependencies always point at earlier staged blocks.
 func (fs *FS) stageIndirectBlocks(inums []uint32) {
 	for _, inum := range inums {
-		mi := fs.icache[inum]
+		mi := fs.icache.get(inum)
 		if mi == nil {
 			continue
 		}
@@ -547,23 +551,6 @@ func (fs *FS) stageInodeBlocks(inums []uint32) error {
 			group: group,
 		})
 	}
-	for _, inum := range inums {
-		delete(fs.dirtyInodes, inum)
-	}
+	fs.dirtyInodes.clear()
 	return nil
-}
-
-// sortedKeys returns the members of a set in ascending order: whatever
-// walks a map on its way to the device does so through this, so that the
-// request order (and with it simulated time) is not Go's map order.
-func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
-	if len(m) == 0 {
-		return nil // the common case for an inode's level-2 set
-	}
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }

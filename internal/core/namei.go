@@ -50,15 +50,15 @@ func pathComponent(p string, start int) (string, int, error) {
 // under mu.RLock: concurrent readers that miss together each decode
 // the directory, then the first one's result is adopted by the rest.
 func (fs *FS) loadDir(inum uint32) ([]layout.DirEntry, error) {
-	fs.dirCacheMu.Lock()
-	entries, ok := fs.dirCache[inum]
-	fs.dirCacheMu.Unlock()
-	if ok {
-		return entries, nil
-	}
 	mi, err := fs.loadInode(inum)
 	if err != nil {
 		return nil, err
+	}
+	fs.dirCacheMu.Lock()
+	cached := mi.dir
+	fs.dirCacheMu.Unlock()
+	if cached != nil {
+		return *cached, nil
 	}
 	if mi.ino.Type != layout.FileTypeDir {
 		return nil, ErrNotDir
@@ -67,16 +67,15 @@ func (fs *FS) loadDir(inum uint32) ([]layout.DirEntry, error) {
 	if _, err := fs.readAt(mi, 0, data); err != nil {
 		return nil, err
 	}
-	entries, err = layout.DecodeDirectory(data)
+	entries, err := layout.DecodeDirectory(data)
 	if err != nil {
 		return nil, fmt.Errorf("directory %d: %w", inum, err)
 	}
 	fs.dirCacheMu.Lock()
-	if cached, ok := fs.dirCache[inum]; ok {
-		entries = cached
-	} else {
-		fs.dirCache[inum] = entries
+	if mi.dir == nil {
+		mi.dir = &entries
 	}
+	entries = *mi.dir
 	fs.dirCacheMu.Unlock()
 	return entries, nil
 }
@@ -88,22 +87,25 @@ func (fs *FS) loadDir(inum uint32) ([]layout.DirEntry, error) {
 // from the block holding that entry's first byte, and appending an entry
 // to a large directory dirties one block, not the whole directory.
 func (fs *FS) saveDir(inum uint32, entries []layout.DirEntry, from int) error {
+	mi, err := fs.loadInode(inum)
+	if err != nil {
+		return err
+	}
 	if len(entries) == 0 {
 		// An emptied directory keeps no entry array (its encoding, zero
 		// bytes long, has none either).
 		entries = nil
 	}
 	fs.dirCacheMu.Lock()
-	fs.dirCache[inum] = entries
+	if mi.dir == nil {
+		mi.dir = new([]layout.DirEntry)
+	}
+	*mi.dir = entries
 	fs.dirCacheMu.Unlock()
 	// The tail is encoded into a pooled block (a longer one grows out of it).
 	buf := fs.bpool.Get()
 	defer fs.bpool.Put(buf)
 	start, data, err := layout.EncodeDirectoryFrom(buf[:0], entries, from)
-	if err != nil {
-		return err
-	}
-	mi, err := fs.loadInode(inum)
 	if err != nil {
 		return err
 	}

@@ -178,7 +178,7 @@ func TestRecomputedUsageCountsRepairWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		inodeBlocks := (len(fs.dirtyInodes) + layout.InodesPerBlock - 1) / layout.InodesPerBlock
+		inodeBlocks := (fs.dirtyInodes.n + layout.InodesPerBlock - 1) / layout.InodesPerBlock
 		before := int64(fs.stagedBlocks() - inodeBlocks)
 		room := fs.segBlocks - fs.segs.headOff
 		if k := before - segRoom(room); room >= 2 && k >= 0 && k%segRoom(fs.segBlocks) == 0 {

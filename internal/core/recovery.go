@@ -317,23 +317,6 @@ func (t *logTail) flag(seg int64) {
 	}
 }
 
-// size counts the distinct inode numbers below limit in the tail's inode
-// blocks, as many as roll-forward can install in the inode cache, and the
-// records of its dirlog blocks.
-func (t *logTail) size(limit int) (inums, ops int) {
-	seen := make([]uint64, (limit+63)/64)
-	for _, m := range t.metas {
-		ops += len(m.ops)
-		for i := range m.inodes {
-			in := m.inodes[i].Inum
-			if w, bit := in/64, uint64(1)<<(in%64); int(in) < limit && seen[w]&bit == 0 {
-				seen[w], inums = seen[w]|bit, inums+1
-			}
-		}
-	}
-	return inums, ops
-}
-
 // add appends a partial write whose summary is at pos; entries is copied.
 func (t *logTail) add(pos layout.LogPos, entries []layout.SummaryEntry) *tailWrite {
 	if cap(t.slab)-len(t.slab) < len(entries) {
@@ -443,10 +426,12 @@ func (fs *FS) rollForwardScan(cp *layout.Checkpoint, t *logTail) ([]layout.DirOp
 		}
 		fs.walkEnded(layout.EndSeqBound, nil)
 	}
-	// Sized by the tail, the inode cache (nothing has loaded an inode yet)
-	// and dirops take what the scan adds without growing.
-	inums, ops := t.size(fs.imap.maxInodes())
-	fs.icache = make(map[uint32]*mInode, inums)
+	// Sized by the tail's dirlog records, dirops take what the scan adds
+	// without growing.
+	ops := 0
+	for _, m := range t.metas {
+		ops += len(m.ops)
+	}
 	dirops := make([]layout.DirOp, 0, ops)
 	sc := rollScan{fs: fs, fetched: make(map[int64][]byte)}
 	metas := t.metas
@@ -566,12 +551,11 @@ func (sc *rollScan) recoverInodes(addr int64, inodes []layout.Inode) error {
 		// The decoded inode is the newest state seen so far; install it, or
 		// replace the entry account has just read as previous, so the repair
 		// pass works from memory instead of re-reading an inode block per file.
-		if mi, ok := fs.icache[ino.Inum]; ok {
+		if mi := fs.icache.get(ino.Inum); mi != nil {
 			mi.replace(*ino)
 		} else {
-			fs.icache[ino.Inum] = newMInode(*ino)
+			fs.icache.put(ino.Inum, newMInode(*ino))
 		}
-		delete(fs.dirCache, ino.Inum)
 	}
 	return nil
 }
@@ -605,7 +589,7 @@ func (sc *rollScan) account(ino *layout.Inode, e layout.ImapEntry) error {
 // either while the scan runs); otherwise it is in a block written before
 // the checkpoint, fetched once and decoded one slot at a time.
 func (sc *rollScan) previous(inum uint32, e layout.ImapEntry) (*layout.Inode, error) {
-	if mi, ok := sc.fs.icache[inum]; ok {
+	if mi := sc.fs.icache.get(inum); mi != nil {
 		return &mi.ino, nil
 	}
 	buf, err := sc.fetch(e.Addr)
@@ -661,13 +645,12 @@ func (fs *FS) readDirs(ops []layout.DirOp) {
 	var inums []uint32
 	var data [][]byte // each directory's contents, nil once a block fails
 	var blocks []dirBlock
-	seen := map[uint32]bool{}
+	var seen inumSet
 	sweep := func(inum uint32) {
-		mi := fs.icache[inum]
-		if _, cached := fs.dirCache[inum]; seen[inum] || cached || mi == nil || mi.ino.Type != layout.FileTypeDir || !fs.imap.get(inum).Allocated() {
+		mi := fs.icache.get(inum)
+		if mi == nil || mi.dir != nil || mi.ino.Type != layout.FileTypeDir || !fs.imap.get(inum).Allocated() || !seen.add(inum) {
 			return
 		}
-		seen[inum] = true
 		d, n := make([]byte, mi.ino.Size), len(blocks)
 		for o := 0; o < len(d); o += layout.BlockSize {
 			addr, ok := mi.loadedAddr(uint32(o / layout.BlockSize))
@@ -698,9 +681,11 @@ func (fs *FS) readDirs(ops []layout.DirOp) {
 		fs.cacheCopy(addrs[k], blk)
 		copy(blocks[k].dst, blk)
 	})
+	ents := make([][]layout.DirEntry, len(data)) // each one's, in one allocation
 	for i, d := range data {
 		if entries, err := layout.DecodeDirectory(d); d != nil && err == nil {
-			fs.dirCache[inums[i]] = entries
+			ents[i] = entries
+			fs.icache.get(inums[i]).dir = &ents[i]
 		}
 	}
 }

@@ -162,7 +162,7 @@ func TestRepairPassJoin(t *testing.T) {
 				t.Fatalf("/d after the repair pass: %v, want %v", got, want)
 			}
 			// The pass kept what it wrote: /d decoded afresh reads the same.
-			delete(fs.dirCache, d)
+			fs.icache.get(d).dir = nil
 			if again, err := fs.loadDir(d); err != nil || !slices.Equal(again, want) {
 				t.Fatalf("/d decoded from its file: %v, %v; want %v", again, err, want)
 			}

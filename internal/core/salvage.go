@@ -521,7 +521,8 @@ func (fs *FS) salvagePopulate(acc salvAccepts, sc *salvScan, rep *SalvageReport)
 			fs.imap.setLocation(inum, a.addr, a.slot)
 			fs.imap.setVersion(inum, a.ino.Version)
 			mi := newMInode(*a.ino)
-			fs.icache[inum], a.ino = mi, &mi.ino
+			fs.icache.put(inum, mi)
+			a.ino = &mi.ino
 			fs.nextInum = max(fs.nextInum, inum+1)
 			rep.InodesRecovered++
 		}
@@ -550,22 +551,6 @@ func (fs *FS) salvageRebuildDirs(acc salvAccepts, sc *salvScan, rep *SalvageRepo
 		return a != nil && a.ino.Type == layout.FileTypeDir
 	}
 
-	// Raw surviving content of every accepted directory. A directory
-	// whose content does not decode contributes no entries (its
-	// children become orphans). The root may be synthesized (absent
-	// from acc): it reads as empty.
-	rawEnts := make(map[uint32][]layout.DirEntry)
-	for inum := range uint32(len(acc)) {
-		if !isDir(inum) {
-			continue
-		}
-		if data, ok := sc.dirContent(acc[inum].ino); ok {
-			if ents, err := layout.DecodeDirectory(data); err == nil {
-				rawEnts[inum] = ents
-			}
-		}
-	}
-
 	// Filtered breadth-first walk from the root. Entries survive when
 	// their target was accepted, the name is not a duplicate, and (for
 	// directories) the target has not already been reached — each
@@ -573,6 +558,23 @@ func (fs *FS) salvageRebuildDirs(acc salvAccepts, sc *salvScan, rep *SalvageRepo
 	// lost+found may go (allocInum); a visited directory has its finalEnts.
 	n := len(acc) + 1
 	visited, refs, finalEnts := make([]bool, n), make([]int, n), make([][]layout.DirEntry, n)
+
+	// Raw surviving content of every accepted directory, decoded flags
+	// those whose content decodes; one that does not contributes no
+	// entries (its children become orphans). The root may be synthesized
+	// (absent from acc): it reads as empty.
+	rawEnts, decoded, ndecoded := make([][]layout.DirEntry, n), make([]bool, n), 0
+	for inum := range uint32(len(acc)) {
+		if !isDir(inum) {
+			continue
+		}
+		if data, ok := sc.dirContent(acc[inum].ino); ok {
+			if ents, err := layout.DecodeDirectory(data); err == nil {
+				rawEnts[inum], decoded[inum] = ents, true
+				ndecoded++
+			}
+		}
+	}
 	visited[RootInum] = true
 	walk := func(from uint32) {
 		queue := []uint32{from}
@@ -681,16 +683,18 @@ func (fs *FS) salvageRebuildDirs(acc salvAccepts, sc *salvScan, rep *SalvageRepo
 	// own self-reference, matching Check).
 	refs[RootInum]++
 	fs.icacheMu.Lock()
-	for inum, mi := range fs.icache {
+	fs.icache.each(func(inum uint32, mi *mInode) {
 		if int(mi.ino.Nlink) != refs[inum] {
 			mi.ino.Nlink = uint16(refs[inum])
 			fs.markInodeDirty(inum)
 		}
-	}
+	})
 	fs.icacheMu.Unlock()
 
-	// Write back: unchanged directories only warm the caches; changed
-	// (or synthesized) ones are rewritten through the log.
+	// Write back: unchanged directories only warm the caches (their
+	// entries held in one allocation); changed (or synthesized) ones are
+	// rewritten through the log.
+	unchanged := make([][]layout.DirEntry, 0, ndecoded)
 	for i, ents := range finalEnts {
 		inum := uint32(i)
 		if !visited[inum] {
@@ -698,14 +702,15 @@ func (fs *FS) salvageRebuildDirs(acc salvAccepts, sc *salvScan, rep *SalvageRepo
 		}
 		// The first entry that differs from what the directory decoded to
 		// (0 for one that did not decode) is where its rewrite starts.
-		raw, haveRaw := rawEnts[inum]
+		raw := rawEnts[inum]
 		from := 0
 		for from < len(ents) && from < len(raw) && ents[from] == raw[from] {
 			from++
 		}
-		if haveRaw && from == len(ents) && from == len(raw) {
+		if decoded[inum] && from == len(ents) && from == len(raw) {
+			unchanged = append(unchanged, ents) // within its capacity: no copy moves
 			fs.dirCacheMu.Lock()
-			fs.dirCache[inum] = ents
+			fs.icache.get(inum).dir = &unchanged[len(unchanged)-1]
 			fs.dirCacheMu.Unlock()
 			continue
 		}

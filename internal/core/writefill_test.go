@@ -24,7 +24,7 @@ func cachedOptions() Options {
 func liveDataAddrs(t *testing.T, fs *FS) map[int64]bool {
 	t.Helper()
 	live := make(map[int64]bool)
-	for _, mi := range fs.icache {
+	fs.icache.each(func(_ uint32, mi *mInode) {
 		err := fs.forEachBlockAddr(mi, func(_ uint32, addr int64) error {
 			live[addr] = true
 			return nil
@@ -32,7 +32,7 @@ func liveDataAddrs(t *testing.T, fs *FS) map[int64]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	return live
 }
 

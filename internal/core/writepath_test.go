@@ -59,7 +59,7 @@ func stepper(t *testing.T, fs **FS, m *Model) func(Op) {
 // TestNamespaceOpsReadNothing runs every namespace operation over 100
 // small directories and one of several blocks, across many buffer flushes,
 // and requires that none of them reads the device: the directories are in
-// dirCache, so their saves know every byte they write.
+// the directory cache, so their saves know every byte they write.
 func TestNamespaceOpsReadNothing(t *testing.T) {
 	d := disk.MustNew(disk.DefaultGeometry(32768))
 	fs, err := Format(d, Options{Tracer: obs.New(nil)}) // defaults: no read cache
@@ -135,14 +135,17 @@ func TestNamespaceOpsReadNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := fs.dirCache[sub]; cap(e) != 0 {
+	if e := *fs.icache.get(sub).dir; cap(e) != 0 {
 		t.Errorf("an emptied directory keeps its entry array: cap %d", cap(e))
 	}
-	for inum, e := range fs.dirCache {
-		if cap(e) > len(e) && e[:len(e)+1][len(e)] != (layout.DirEntry{}) {
+	fs.icache.each(func(inum uint32, mi *mInode) {
+		if mi.dir == nil {
+			return
+		}
+		if e := *mi.dir; cap(e) > len(e) && e[:len(e)+1][len(e)] != (layout.DirEntry{}) {
 			t.Errorf("directory %d keeps a removed entry reachable past its end: %+v", inum, e[:len(e)+1][len(e)])
 		}
-	}
+	})
 	rmdir("/d00/sub")
 	sync()
 

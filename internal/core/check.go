@@ -41,7 +41,7 @@ func (fs *FS) Check() (*CheckReport, error) {
 	// 1. Directory tree: every entry resolves; count each inode's links.
 	var walk func(inum uint32, path string)
 	var seen inumSet
-	nlinks := make(map[uint32]int)
+	nlinks := make([]int, fs.imap.maxInodes()) // directory references, by inum
 	walk = func(inum uint32, path string) {
 		if !seen.add(inum) {
 			r.problemf("directory %s (inum %d) reached twice", path, inum)

@@ -270,13 +270,18 @@ func (fs *FS) checkpointBytes() int64 {
 // staged (segAlloc.retire's contract), so on any error the pass retires
 // nothing and drops what it collected: the blocks are still live where
 // they were.
+//
+// The pass holds the device's own blocks (disk.ReadViews), not copies: a
+// view is released when its victim's walk ends unless it was staged, and a
+// staged one once the pass's flush has written it. On an error nothing is
+// released, which costs the device a fresh buffer on the block's next
+// write and can never change a byte.
 func (fs *FS) cleanPass(cands []candidate) error {
 	fs.stats.CleaningPasses++
 	wroteBefore := fs.stats.CleanerWriteBytes
-	// One list for the pass and one buffer its copies are carved from, both
-	// sized by the victims' live counts (which bound them: they count
-	// metadata blocks too) and dropped with the pass once its flush has
-	// written the copies: kept between passes, they are resident memory.
+	// One list for the pass, sized by the victims' live counts (which bound
+	// it: they count metadata blocks too) and dropped with the pass once its
+	// flush has written the copies: kept between passes, it is resident.
 	var liveBytes int64
 	ranks := make([]int, 0, len(cands)) // of the victims to read
 	for i, c := range cands {
@@ -290,8 +295,7 @@ func (fs *FS) cleanPass(cands []candidate) error {
 			ranks = append(ranks, i)
 		}
 	}
-	n := liveBytes / layout.BlockSize
-	lives := liveSet{copies: make([]liveCopy, 0, n), buf: make([]byte, n*layout.BlockSize)}
+	lives := liveSet{copies: make([]liveCopy, 0, liveBytes/layout.BlockSize)}
 	r := victimReader{fs: fs, whole: fs.opts.CleanRead == CleanReadWhole}
 	if fs.opts.CleanRead == CleanReadPlanned {
 		r.gap = fs.dev.Geometry().ReadThroughBlocks()
@@ -299,10 +303,8 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	if !r.whole {
 		slices.SortFunc(ranks, func(a, b int) int { return cmp.Compare(cands[a].seg, cands[b].seg) })
 	}
-	if len(ranks) > 0 {
-		// An idle pool buffer is resident memory: draw one only to read into.
-		r.buf = fs.rpool.Get(int(fs.segBlocks))
-		defer fs.rpool.Put(r.buf)
+	if len(ranks) > 0 { // a pass of empty victims reads nothing
+		r.views = make([][]byte, fs.segBlocks)
 	}
 	for _, rank := range ranks {
 		if err := fs.collectLive(&r, cands[rank].seg, int64(rank), &lives); err != nil {
@@ -333,6 +335,9 @@ func (fs *FS) cleanPass(cands []candidate) error {
 	if err := fs.flushLog(); err != nil {
 		return err
 	}
+	for _, lc := range lives.copies {
+		fs.dev.Release(lc.addr, [][]byte{lc.data})
+	}
 	if fs.tr.Tracing() {
 		fs.tr.Emit(obs.Event{
 			Kind: obs.KindCleanerPass,
@@ -347,20 +352,21 @@ func (fs *FS) cleanPass(cands []candidate) error {
 }
 
 // liveCopy is a live data block collected from a segment being cleaned:
-// its summary entry, with Age replaced by the pass's sort key, a copy of
-// its contents, already verified against the entry's Sum, and its rank in
-// the pass's candidates and offset in the victim, as one number.
+// its summary entry, with Age replaced by the pass's sort key, its address
+// and the device's view of its contents, already verified against the
+// entry's Sum, and its rank in the pass's candidates and offset in the
+// victim, as one number.
 type liveCopy struct {
 	entry layout.SummaryEntry
+	addr  int64
 	data  []byte
 	order int64
 }
 
-// liveSet is what a cleaning pass collects: its live data blocks, and the
-// rest of the pass's buffer that their copies are carved from.
+// liveSet is what a cleaning pass collects: its live data blocks, at most
+// as many as the victims' live counts allow (the capacity of copies).
 type liveSet struct {
 	copies []liveCopy
-	buf    []byte
 }
 
 // getWalkScratch draws the reusable memory of a summary-chain walk from
@@ -380,29 +386,30 @@ func (fs *FS) putWalkScratch(s *layout.WalkScratch) {
 	fs.sumFree.Put(s)
 }
 
-// victimReader is where a pass reads its victims: the pass's pooled
-// segment buffer, each block read at its offset in the victim. It is the
-// block source of the victim's summary walk: a summary that rode on the
-// last request is served from the buffer, any other is read on its own.
+// victimReader is where a pass reads its victims: a table of the device's
+// views of the current victim's blocks, by offset, nil where a block was
+// not read or its view was staged. It is the block source of the victim's
+// summary walk: a summary that rode on the last request is served from the
+// table, any other is read on its own.
 type victimReader struct {
 	// live says, per entry of the current summary, if its block is live and, if needed, read.
 	live       [layout.MaxSummaryEntries]bool
 	want       [layout.MaxSummaryEntries]int64 // readLive's addresses
 	fs         *FS
-	buf        []byte
+	views      [][]byte
 	whole      bool  // CleanReadWhole: each victim is read in one request
 	gap        int64 // dead blocks a request reads through
 	start, end int64 // the victim's first address; the end of the last request that succeeded
 	err        error // why the last summary read failed
 }
 
-func (r *victimReader) blocks(addr, n int64) []byte {
-	o := (addr - r.start) * layout.BlockSize
-	return r.buf[o : o+n*layout.BlockSize]
+func (r *victimReader) blocks(addr, n int64) [][]byte {
+	o := addr - r.start
+	return r.views[o : o+n]
 }
 
 func (r *victimReader) read(addr, n int64) error {
-	if err := r.fs.readRetry(addr, r.blocks(addr, n)); err != nil {
+	if err := r.fs.readViewsRetry(addr, r.blocks(addr, n)); err != nil {
 		return err
 	}
 	r.fs.stats.CleanerReadBytes += n * layout.BlockSize
@@ -421,7 +428,7 @@ func (r *victimReader) summary(addr int64) ([]byte, error) {
 		}
 		r.err = r.read(addr, n)
 	}
-	return r.blocks(addr, 1), r.err
+	return r.views[addr-r.start], r.err
 }
 
 // needsContent reports whether the cleaner reads a live block of kind k:
@@ -464,7 +471,8 @@ func (r *victimReader) readLive(first int64, entries []layout.SummaryEntry, ahea
 // mismatch the entry sums triage which blocks are bad; an unreadable
 // segment is quarantined whole. Otherwise every block used is verified
 // against its entry's Sum; dead blocks are never checked, so corruption
-// confined to them quarantines nothing.
+// confined to them quarantines nothing. A walk that ends without an error
+// releases every view it read and did not stage.
 func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives *liveSet) error {
 	start := fs.segStart(seg)
 	r.start, r.end, r.err = start, start, nil
@@ -476,9 +484,9 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives *liveSet) erro
 		if err := r.readLive(first, s.Entries, w.Ahead()); err != nil {
 			return err
 		}
-		dataOK := !r.whole || layout.Checksum(r.blocks(first, n)) == s.DataChecksum
+		dataOK := !r.whole || viewsChecksum(r.blocks(first, n)) == s.DataChecksum
 		for i, e := range s.Entries {
-			addr, block := first+int64(i), r.blocks(first+int64(i), 1)
+			addr, block := first+int64(i), r.views[first+int64(i)-start]
 			if (!dataOK || !r.whole && r.live[i] && needsContent(e.Kind)) && layout.Checksum(block) != e.Sum {
 				fs.tr.Add(obs.CtrCorruptBlocks, 1)
 				fs.quarantineSeg(seg)
@@ -490,6 +498,9 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives *liveSet) erro
 			if err := fs.copyLive(e, addr, block, rank*fs.segBlocks+addr-start, lives); err != nil {
 				return err
 			}
+			if e.Kind == layout.KindData {
+				r.views[addr-start] = nil // staged: released after the pass's flush
+			}
 		}
 	}
 	if end, _ := fs.walkEnded(w.End()); end == layout.EndMedia {
@@ -500,13 +511,25 @@ func (fs *FS) collectLive(r *victimReader, seg, rank int64, lives *liveSet) erro
 		// withdraw the segment instead of evacuating it.
 		fs.quarantineSeg(seg)
 	}
+	fs.dev.Release(start, r.views)
+	clear(r.views)
 	return nil
 }
 
+// viewsChecksum is layout.Checksum of the blocks' concatenation.
+func viewsChecksum(blocks [][]byte) uint32 {
+	var sum uint32
+	for _, b := range blocks {
+		sum = layout.ChecksumUpdate(sum, b)
+	}
+	return sum
+}
+
 // copyLive processes one live block of a segment being cleaned, its
-// contents in block for the kinds that need them: a data block is copied
-// into lives to be rewritten (order is its liveCopy.order), and live
-// metadata is re-dirtied so the normal write path repacks it.
+// contents in block (the device's view) for the kinds that need them: a
+// data block's view is added to lives to be rewritten (order is its
+// liveCopy.order), and live metadata is re-dirtied so the normal write
+// path repacks it.
 func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order int64, lives *liveSet) error {
 	switch e.Kind {
 	case layout.KindData:
@@ -521,15 +544,12 @@ func (fs *FS) copyLive(e layout.SummaryEntry, addr int64, block []byte, order in
 			}
 			e.Age = mi.ino.Mtime
 		}
-		// The copy takes the pass buffer's next slot, which only a usage
-		// table that undercounts the victims can run out of.
-		if len(lives.buf) < layout.BlockSize {
+		// Only a usage table that undercounts the victims can fill the
+		// pass's bound.
+		if len(lives.copies) == cap(lives.copies) {
 			return fmt.Errorf("%w: segment %d holds more live data than its usage counts", ErrCorrupt, fs.segOf(addr))
 		}
-		data := lives.buf[:layout.BlockSize:layout.BlockSize]
-		lives.buf = lives.buf[layout.BlockSize:]
-		copy(data, block)
-		lives.copies = append(lives.copies, liveCopy{entry: e, data: data, order: order})
+		lives.copies = append(lives.copies, liveCopy{entry: e, addr: addr, data: block, order: order})
 	case layout.KindIndirect:
 		// Re-dirty the in-memory structure; the normal write path
 		// rewrites it with current contents.

@@ -24,10 +24,20 @@ const mediaRetries = 3
 // within the budget are invisible to the caller apart from the
 // media.retries counter.
 func (fs *FS) readRetry(addr int64, buf []byte) error {
-	err := fs.dev.Read(addr, buf)
+	return fs.retryMedia(func() error { return fs.dev.Read(addr, buf) })
+}
+
+// readViewsRetry is readRetry in disk.ReadViews' form: views of the
+// device's own blocks, not a copy of them.
+func (fs *FS) readViewsRetry(addr int64, views [][]byte) error {
+	return fs.retryMedia(func() error { return fs.dev.ReadViews(addr, views) })
+}
+
+func (fs *FS) retryMedia(read func() error) error {
+	err := read()
 	for r := 0; r < mediaRetries && errors.Is(err, disk.ErrMediaRead); r++ {
 		fs.tr.Add(obs.CtrMediaRetries, 1)
-		err = fs.dev.Read(addr, buf)
+		err = read()
 	}
 	if errors.Is(err, disk.ErrMediaRead) {
 		fs.tr.Add(obs.CtrMediaErrors, 1)

@@ -125,10 +125,12 @@ type Disk struct {
 	mu   sync.Mutex
 	geo  Geometry
 	data [][]byte // lazily allocated; nil means all zero
-	// cow marks blocks shared with a Snapshot: they are immutable and
-	// must be replaced, not written in place. nil when the device has
-	// never been snapshotted (the common case costs nothing).
-	cow []bool
+	// flags marks blocks whose buffer must be replaced, not written in
+	// place: one shared with a Snapshot (immutable) or lent to a ReadViews
+	// holder (until Release). nil while the device has never been
+	// snapshotted or lent a view (the common case costs nothing).
+	flags []uint8
+	zero  []byte // the view of every never-written block; never written
 
 	head    int64 // block address following the last transfer
 	primed  bool  // head position is meaningful
@@ -145,6 +147,12 @@ type Disk struct {
 	// Unlike the fail-stop state these survive Reopen.
 	faults []*fault
 }
+
+// Block flags (Disk.flags): why a block's buffer is not written in place.
+const (
+	blockShared uint8 = 1 << iota // shared with a Snapshot
+	blockLent                     // lent by ReadViews, not yet released
+)
 
 // New creates a zero-filled simulated device with the given geometry.
 func New(geo Geometry) (*Disk, error) {
@@ -226,12 +234,12 @@ func (d *Disk) Snapshot() *Snapshot {
 	defer d.mu.Unlock()
 	data := make([][]byte, len(d.data))
 	copy(data, d.data)
-	if d.cow == nil {
-		d.cow = make([]bool, len(d.data))
+	if d.flags == nil {
+		d.flags = make([]uint8, len(d.data))
 	}
 	for i, b := range d.data {
 		if b != nil {
-			d.cow[i] = true
+			d.flags[i] |= blockShared
 		}
 	}
 	return &Snapshot{geo: d.geo, data: data}
@@ -243,25 +251,25 @@ func (d *Disk) Snapshot() *Snapshot {
 func FromSnapshot(s *Snapshot) *Disk {
 	data := make([][]byte, len(s.data))
 	copy(data, s.data)
-	cow := make([]bool, len(s.data))
+	flags := make([]uint8, len(s.data))
 	for i, b := range data {
 		if b != nil {
-			cow[i] = true
+			flags[i] = blockShared
 		}
 	}
-	return &Disk{geo: s.geo, data: data, cow: cow, writesLeft: -1}
+	return &Disk{geo: s.geo, data: data, flags: flags, writesLeft: -1}
 }
 
 // blockForWrite returns the buffer for block i, replacing any buffer
-// shared with a snapshot. The caller overwrites the full block. Called
-// with d.mu held.
+// shared with a snapshot or lent as a view. The caller overwrites the full
+// block. Called with d.mu held.
 func (d *Disk) blockForWrite(i int64) []byte {
 	b := d.data[i]
-	if b == nil || (d.cow != nil && d.cow[i]) {
+	if b == nil || (d.flags != nil && d.flags[i] != 0) {
 		b = make([]byte, d.geo.BlockSize)
 		d.data[i] = b
-		if d.cow != nil {
-			d.cow[i] = false
+		if d.flags != nil {
+			d.flags[i] = 0
 		}
 	}
 	return b
@@ -379,6 +387,22 @@ func (d *Disk) checkRange(addr int64, n int) error {
 	return nil
 }
 
+// readRequest charges, counts and traces one read request of n blocks at
+// addr: what Read and ReadViews share. Called with d.mu held.
+func (d *Disk) readRequest(addr int64, n int) error {
+	if d.crashed {
+		return ErrCrashed
+	}
+	if err := d.checkRange(addr, n); err != nil {
+		return err
+	}
+	seek, rot, xfer, sequential := d.charge(addr, n)
+	d.stats.ReadOps++
+	d.stats.BlocksRead += int64(n)
+	d.emitRequest("read", addr, n, seek, rot, xfer, sequential, false)
+	return nil
+}
+
 // Read reads len(buf) bytes starting at block addr. len(buf) must be a
 // multiple of the block size. Contiguous reads that follow the previous
 // request are charged transfer time only.
@@ -390,16 +414,9 @@ func (d *Disk) Read(addr int64, buf []byte) error {
 	n := len(buf) / bs
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.crashed {
-		return ErrCrashed
-	}
-	if err := d.checkRange(addr, n); err != nil {
+	if err := d.readRequest(addr, n); err != nil {
 		return err
 	}
-	seek, rot, xfer, sequential := d.charge(addr, n)
-	d.stats.ReadOps++
-	d.stats.BlocksRead += int64(n)
-	d.emitRequest("read", addr, n, seek, rot, xfer, sequential, false)
 	for i := 0; i < n; i++ {
 		b := d.data[addr+int64(i)]
 		dst := buf[i*bs : (i+1)*bs]
@@ -411,8 +428,68 @@ func (d *Disk) Read(addr int64, buf []byte) error {
 			copy(dst, b)
 		}
 	}
-	return d.applyReadFaults(addr, n, buf)
+	return d.applyReadFaults(addr, n, buf, nil)
 }
+
+// ReadViews reads len(views) blocks starting at addr as one request,
+// charged, faulted and traced exactly as Read of as many blocks, but
+// without a copy: views[i] is set to the device's own buffer of block
+// addr+i, which is lent until Release. A write to a lent block replaces
+// its buffer, so a view never changes under its holder; the holder must
+// not write it either. A never-written block's view is a zero block all
+// such views share, and one an armed media fault corrupts is a private
+// corrupted copy; neither is lent. On error nothing is lent and every
+// view is nil.
+func (d *Disk) ReadViews(addr int64, views [][]byte) error {
+	n := len(views)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	err := d.readRequest(addr, n)
+	if err == nil {
+		for i := range views {
+			if views[i] = d.data[addr+int64(i)]; views[i] == nil {
+				if d.zero == nil {
+					d.zero = make([]byte, d.geo.BlockSize)
+				}
+				views[i] = d.zero
+			}
+		}
+		err = d.applyReadFaults(addr, n, nil, views)
+	}
+	if err != nil {
+		clear(views)
+		return err
+	}
+	if d.flags == nil {
+		d.flags = make([]uint8, len(d.data))
+	}
+	for i, v := range views {
+		if a := addr + int64(i); sameBuffer(d.data[a], v) {
+			d.flags[a] |= blockLent
+		}
+	}
+	return nil
+}
+
+// Release ends the loans of views that ReadViews lent of the blocks from
+// addr on: a block whose buffer is still views[i] is written in place
+// again. A nil view, and one that is no longer its block's buffer (the
+// block was written or poked since), is passed over.
+func (d *Disk) Release(addr int64, views [][]byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.flags == nil || addr < 0 || addr+int64(len(views)) > d.geo.NumBlocks {
+		return
+	}
+	for i, v := range views {
+		if a := addr + int64(i); sameBuffer(d.data[a], v) {
+			d.flags[a] &^= blockLent
+		}
+	}
+}
+
+// sameBuffer reports whether the non-empty a and b start at the same byte.
+func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // Write writes len(data) bytes starting at block addr. len(data) must be
 // a multiple of the block size. Contiguous writes that follow the
@@ -538,8 +615,8 @@ func (d *Disk) Poke(addr int64, data []byte) error {
 	b := make([]byte, d.geo.BlockSize)
 	copy(b, data)
 	d.data[addr] = b
-	if d.cow != nil {
-		d.cow[addr] = false
+	if d.flags != nil {
+		d.flags[addr] = 0
 	}
 	return nil
 }

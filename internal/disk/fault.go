@@ -8,6 +8,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrMediaRead reports an unrecoverable (or not-yet-recovered transient)
@@ -143,13 +144,15 @@ func (d *Disk) ActiveFaults() []Fault {
 }
 
 // applyReadFaults applies media faults to one read request of n blocks at
-// addr whose data has already been copied into buf. Corruption faults
-// rewrite the affected blocks in buf; read-error faults fail the whole
-// request with the first failing address (the controller aborts the
-// transfer). Each transient fault counts at most one attempt per request.
+// addr whose data has already been copied into buf, or lies in views (with
+// buf nil). Corruption faults rewrite the affected blocks in buf, or
+// replace a view by a corrupted copy, never the device's own buffer;
+// read-error faults fail the whole request with the first failing address
+// (the controller aborts the transfer). Each transient fault counts at
+// most one attempt per request.
 // Called with d.mu held, after the request has been charged — the device
 // did the mechanical work even though the data never arrived.
-func (d *Disk) applyReadFaults(addr int64, n int, buf []byte) error {
+func (d *Disk) applyReadFaults(addr int64, n int, buf []byte, views [][]byte) error {
 	if len(d.faults) == 0 {
 		return nil
 	}
@@ -168,7 +171,12 @@ func (d *Disk) applyReadFaults(addr int64, n int, buf []byte) error {
 			hit = true
 			switch f.Kind {
 			case FaultCorrupt:
-				corruptBlock(buf[i*bs:(i+1)*bs], f.Seed, a)
+				if views != nil {
+					views[i] = slices.Clone(views[i])
+					corruptBlock(views[i], f.Seed, a)
+				} else {
+					corruptBlock(buf[i*bs:(i+1)*bs], f.Seed, a)
+				}
 			case FaultReadError:
 				if ferr == nil {
 					ferr = &MediaError{Addr: a}
